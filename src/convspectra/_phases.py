@@ -4,6 +4,8 @@ A phase is a rational number (a·b)/(den_a·den_b) that only matters mod 1.
 Reduction happens in exact integer arithmetic *before* any float conversion,
 so digits as large as 8^k (k+1)! cost no precision.  An int64 numpy fast path
 covers the common case; Python big ints cover the rest.
+
+Every dense kernel works under one byte budget, checked before it allocates.
 """
 from __future__ import annotations
 
@@ -12,7 +14,22 @@ from math import gcd
 
 import numpy as np
 
+from .errors import WorkingSetTooLarge
+
 _INT64_SAFE = 2**62
+
+# Byte budget shared by the dense kernels: a Gram walk's factor tables plus
+# one tile, or one chunk of phase rows in a Q scan.
+DENSE_BYTE_BUDGET = 256 << 20
+# Peak bytes per entry while one phase table is built: int64 product and
+# residue, float phases, complex exponentials.
+PHASE_ENTRY_BYTES = 32
+_COMPLEX_BYTES = 16
+# Per Gram tile entry: the complex product, one complex factor and the float
+# modulus.  Tiles of about 4 MiB stay cache-resident; on a 2-CPU EPYC they ran
+# the n = 4096 Jorgensen-Pedersen Gram about twice as fast as 64 MiB tiles.
+_TILE_ENTRY_BYTES = 40
+_TILE_TARGET_BYTES = 4 << 20
 
 
 def common_denominator(vectors):
@@ -64,4 +81,70 @@ def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
 
 def unit_exponentials(phases: np.ndarray) -> np.ndarray:
     """exp(-2πi · phases), vectorized."""
-    return np.exp((-2j * np.pi) * phases)
+    out = phases * (-2j * np.pi)
+    return np.exp(out, out=out)
+
+
+def budget_rows(row_bytes: int, fixed_bytes: int, what: str) -> int:
+    """How many rows of `row_bytes` fit in the budget next to `fixed_bytes`.
+
+    Raises WorkingSetTooLarge when not even one row fits.
+    """
+    rows = (DENSE_BYTE_BUDGET - fixed_bytes) // max(1, row_bytes)
+    if rows < 1:
+        raise WorkingSetTooLarge(
+            f"{what} needs {fixed_bytes + row_bytes} bytes at least; "
+            f"the dense byte budget is {DENSE_BYTE_BUDGET}"
+        )
+    return rows
+
+
+def gram_deviation(x_rows, x_den: int, factors) -> float:
+    """max |G - I| for the Hermitian Gram matrix G = ∘_j U_j diag(w_j) U_j^H.
+
+    U_j[i, b] = exp(-2πi x_i · a_b) with points x_i = x_rows[i] / x_den, and
+    each factor is (rows, den, weights): atoms a_b = rows[b] / den carrying
+    float weights w_b.  G is the entrywise product of the factors' Grams,
+    so with one factor per convolution level it costs n · Σ#atoms
+    exponentials, each reduced exactly, instead of n².  G is never held
+    whole: its upper triangle is walked in row tiles.  The factor tables plus
+    one tile row are checked against DENSE_BYTE_BUDGET before anything is
+    allocated.
+    """
+    n = len(x_rows)
+    if n == 0:
+        return 0.0
+    sizes = [len(rows) for rows, _, _ in factors]
+    table_bytes = _COMPLEX_BYTES * n * sum(sizes)
+    build_bytes = (PHASE_ENTRY_BYTES - _COMPLEX_BYTES) * n * max(sizes)
+    row_bytes = max(_TILE_ENTRY_BYTES * n, build_bytes)
+    rows = budget_rows(row_bytes, table_bytes, f"a {n}-point Gram over {sizes} atoms")
+    # tile entries: cache-sized, at least one full row, inside the budget
+    tile = min(max(n, _TILE_TARGET_BYTES // _COMPLEX_BYTES), rows * n)
+
+    # tables[j][b, k] = conj(U_j[k, b])
+    tables = []
+    for rows, den, weights in factors:
+        phases = exact_phase_matrix(rows, den, x_rows, x_den)
+        np.negative(phases, out=phases)
+        tables.append((unit_exponentials(phases), np.asarray(weights)[:, None]))
+    prod_buf = np.empty(tile, dtype=complex)
+    factor_buf = np.empty(tile, dtype=complex)
+    mod_buf = np.empty(tile)
+    dev = 0.0
+    s = 0
+    while s < n:
+        cols = n - s
+        m = min(cols, tile // cols)
+        g = prod_buf[: m * cols].reshape(m, cols)
+        t = factor_buf[: m * cols].reshape(m, cols)
+        for j, (table, w) in enumerate(tables):
+            left = (table[:, s : s + m].conj() * w).T
+            np.matmul(left, table[:, s:], out=t if j else g)
+            if j:
+                g *= t
+        diag = np.arange(m)
+        g[diag, diag] -= 1
+        dev = max(dev, float(np.abs(g, out=mod_buf[: m * cols].reshape(m, cols)).max()))
+        s += m
+    return dev

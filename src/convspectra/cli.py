@@ -9,7 +9,8 @@ sample    draw coupled random partial sums for a sequence pair (CSV)
 equipos   scan tail transforms for a positive lower bound, then transfer it
 
 Exit codes: 0 success, 1 a requested check failed (or another runtime
-error), 2 config problem, 3 a resource cap was hit.
+error), 2 config problem, 3 a resource cap was hit (an atom or grid cap, or
+the byte budget of the dense kernels).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 from itertools import product as cartesian
 from pathlib import Path
 
+from ._phases import PHASE_ENTRY_BYTES, budget_rows
 from .conditions import (
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
@@ -42,6 +44,7 @@ from .errors import (
     ParseError,
     TruncationTooLarge,
     ValidationError,
+    WorkingSetTooLarge,
 )
 from .exactmat import IntMatrix
 from .measures import DEFAULT_ATOM_CAP, mu_truncate
@@ -838,7 +841,10 @@ def cmd_qscan(cfg: RunConfig) -> Report:
     mu = mu_truncate(seq, sec["truncation"], max_atoms=max_atoms)
 
     values = []
-    chunk = max(1, 200_000 // max(1, len(lams)))
+    # each grid point is one row of #lambda x #atoms phase entries
+    chunk = budget_rows(
+        PHASE_ENTRY_BYTES * len(lams) * len(mu), 0, f"a Q scan over {len(mu)} atoms"
+    )
     for i in range(0, len(xs), chunk):
         values.extend(q_eval_many(mu, lams, xs[i : i + chunk]).tolist())
 
@@ -1091,7 +1097,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationTooLarge, GridTooLarge, DimensionTooLarge) as exc:
+    except (TruncationTooLarge, GridTooLarge, DimensionTooLarge, WorkingSetTooLarge) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except ConvspectraError as exc:

@@ -41,6 +41,10 @@ class GridTooLarge(ConvspectraError):
     """A requested evaluation grid exceeds the configured cap."""
 
 
+class WorkingSetTooLarge(ConvspectraError):
+    """A dense kernel's tables and tile would exceed the byte budget."""
+
+
 class SizeMismatch(ConvspectraError):
     """Paired collections must have equal cardinality."""
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,6 +36,9 @@ class DiscreteMeasure:
     dim: int
     atoms: tuple  # sorted tuples of Fraction
     weights: tuple  # positive Fractions summing to 1
+    # measures whose convolution this is, recorded by `convolve`; empty when
+    # the measure is its own single factor.  Not part of equality.
+    factors: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
     def make(cls, pairs, dim: int | None = None) -> "DiscreteMeasure":
@@ -60,6 +63,10 @@ class DiscreteMeasure:
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+    def convolution_factors(self) -> tuple:
+        """Measures whose convolution is this one (at least the measure itself)."""
+        return self.factors or (self,)
 
     def mean(self):
         out = [Fraction(0)] * self.dim
@@ -120,7 +127,12 @@ def convolve(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
             prev = acc.get(key)
             acc[key] = wa * wb if prev is None else prev + wa * wb
     atoms = tuple(sorted(acc))
-    return DiscreteMeasure(a.dim, atoms, tuple(acc[x] for x in atoms))
+    factors = tuple(
+        f
+        for f in a.convolution_factors() + b.convolution_factors()
+        if len(f) > 1 or any(f.atoms[0])  # the origin point mass is trivial
+    )
+    return DiscreteMeasure(a.dim, atoms, tuple(acc[x] for x in atoms), factors)
 
 
 def mass_outside_ball(m: DiscreteMeasure, radius) -> Fraction:

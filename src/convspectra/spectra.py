@@ -12,7 +12,12 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from ._phases import common_denominator, exact_phase_matrix, unit_exponentials
+from ._phases import (
+    common_denominator,
+    exact_phase_matrix,
+    gram_deviation,
+    unit_exponentials,
+)
 from .errors import (
     BoundViolation,
     EpsilonOutOfRange,
@@ -315,7 +320,14 @@ def spectrum_exactness(
 ) -> ExactnessResult:
     """Finite criterion: for an n-atom equal-weight measure and n candidate
     frequencies, spectrality means the normalized exponential matrix is
-    unitary.  Returns the max Gram deviation from the identity."""
+    unitary.  Returns the max Gram deviation from the identity.
+
+    The Gram matrix is G[i, k] = mu_hat(lambda_i - lambda_k).  For a
+    convolution mu = mu_1 * ... * mu_K it factors entrywise,
+    G = G_1 o ... o G_K with G_j[i, k] = mu_j_hat(lambda_i - lambda_k), so
+    the deviation, max over i != k of |mu_hat(lambda_i - lambda_k)| (and of
+    |G[i, i] - 1|), is computed from the per-level factors that `convolve`
+    recorded, in tiles under the dense byte budget."""
     lams = sorted(set(tuple(int(c) for c in v) for v in lambda_set))
     n = len(m)
     if any(w != Fraction(1, n) for w in m.weights):
@@ -324,11 +336,11 @@ def spectrum_exactness(
         )
     if len(lams) != n:
         raise SizeMismatch(f"{len(lams)} candidate vectors vs {n} atoms")
-    den_a, rows_a = m._phase_data
-    phases = exact_phase_matrix(lams, 1, rows_a, den_a)
-    e = unit_exponentials(phases) / math.sqrt(n)
-    gram = e @ e.conj().T
-    dev = float(np.abs(gram - np.eye(n)).max())
+    factors = []
+    for f in m.convolution_factors():
+        den, rows = f._phase_data
+        factors.append((rows, den, f._float_weights))
+    dev = gram_deviation(lams, 1, factors)
     return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
 
 

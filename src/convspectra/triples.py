@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._phases import exact_phase_matrix, unit_exponentials
+from ._phases import gram_deviation
 from .errors import (
     CongruentDigits,
     DimensionMismatch,
@@ -102,19 +102,19 @@ class HadamardCheckResult:
 def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_UNITARITY_TOL) -> HadamardCheckResult:
     """Measure how far [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is from unitary.
 
-    A size mismatch (#B ≠ #L) is reported in the result rather than raised:
-    the matrix is then rectangular and cannot be unitary.
+    The Gram matrix is G[b, b'] = (1/#B) Σ_ℓ e^{-2πi (R^{-1}(b - b'))·ℓ}: the
+    single factor with points R^{-1}B, atoms L and weight 1/#B, computed in
+    tiles under the dense byte budget.  A size mismatch (#B ≠ #L) is reported
+    in the result rather than raised: the matrix is then rectangular and
+    cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
     det, adj = adjugate(r)
     sign = 1 if det > 0 else -1
-    den = abs(det)
     nums = [tuple(sign * x for x in adj.matvec(v)) for v in b.vectors]
-    phases = exact_phase_matrix(nums, den, list(l.vectors), 1)
-    h = unit_exponentials(phases) / math.sqrt(len(b))
-    gram = h @ h.conj().T
-    dev = float(np.abs(gram - np.eye(len(b))).max())
+    weights = np.full(len(l), 1 / len(b))
+    dev = gram_deviation(nums, abs(det), [(list(l.vectors), 1, weights)])
     mismatch = len(b) != len(l)
     return HadamardCheckResult(ok=(not mismatch) and dev <= tol, max_deviation=dev, size_mismatch=mismatch)
 

@@ -156,6 +156,30 @@ def test_exit_3_on_grid_cap(tmp_path):
     assert "resource cap" in err
 
 
+def test_exit_3_when_a_flat_hadamard_gram_exceeds_the_byte_budget(tmp_path):
+    # one level with 4096 digits: its Gram table alone needs 16 * 4096^2 bytes
+    digits = [[i] for i in range(4096)]
+    level = {"matrix": [[4096]], "digits": digits, "spectrum_digits": digits}
+    doc = {
+        "dimension": 1,
+        "sequence": {"inline": [level]},
+        "check": {"checks": ["hadamard"], "upto": 1},
+    }
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "budget" in err
+    assert out == ""
+
+
+def test_exit_3_when_one_qscan_point_exceeds_the_byte_budget(tmp_path):
+    lams = [[i] for i in range(4096)]
+    doc = jp_doc(qscan={"truncation": 12, "lambda": lams, "grid_pitch": "1/2"})
+    rc, out, err = run_cli(["qscan", "--config", write_config(tmp_path, doc)])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "budget" in err
+    assert out == ""
+
+
 def test_exit_1_on_honestly_failing_check(tmp_path):
     # boundary remapping moves a digit at every level of this sequence, so
     # the defect series against the reduced form genuinely diverges
