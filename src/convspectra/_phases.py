@@ -3,7 +3,9 @@
 A phase is a rational number (a·b)/(den_a·den_b) that only matters mod 1.
 Reduction happens in exact integer arithmetic *before* any float conversion,
 so digits as large as 8^k (k+1)! cost no precision.  An int64 numpy fast path
-covers the common case; Python big ints cover the rest.
+covers the common case.  When the operands are too large for it but the
+modulus is small, both are first reduced mod the modulus, which leaves every
+phase unchanged; Python big ints cover only what is left.
 
 Every dense kernel works under one byte budget, checked before it allocates.
 """
@@ -60,6 +62,11 @@ def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
     max_b = max((abs(x) for row in nums_b for x in row), default=0)
     d = len(nums_a[0])
     bound = d * max_a * max_b
+    if bound >= _INT64_SAFE and d * (modulus - 1) ** 2 < _INT64_SAFE:
+        # only a·b mod m matters: operands reduced into [0, m) fit the int64 path
+        nums_a = [tuple(x % modulus for x in row) for row in nums_a]
+        nums_b = [tuple(x % modulus for x in row) for row in nums_b]
+        bound = d * (modulus - 1) ** 2
     if bound < _INT64_SAFE:
         a = np.array(nums_a, dtype=np.int64)
         b = np.array(nums_b, dtype=np.int64)

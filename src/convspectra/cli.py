@@ -632,10 +632,12 @@ def cmd_check(cfg: RunConfig) -> Report:
     seq = cfg.build_sequence()
     sec = cfg.section("check")
     upto = sec.get("upto", 20)
-    if seq.length is not None:
-        upto = min(upto, seq.length)
     hadamard_upto = sec.get("hadamard_upto", min(upto, 8))
     equivalence_upto = sec.get("equivalence_upto", upto)
+    if seq.length is not None:
+        upto = min(upto, seq.length)
+        hadamard_upto = min(hadamard_upto, seq.length)
+        equivalence_upto = min(equivalence_upto, seq.length)
     requested = sec.get("checks", list(_CHECK_NAMES))
     pcc_l = Fraction(sec.get("pcc_l", "1/4"))
     radius = Fraction(sec.get("three_series_radius", "1"))

@@ -20,8 +20,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .exactmat import IntMatrix, invert, spectral_norm_upper
-from .measures import DiscreteMeasure, clip_to_ball, mass_outside_ball
+from .exactmat import IntMatrix, adjugate, invert, spectral_norm_upper
 from .triples import DigitSet
 
 VERDICT_CONVERGED = "converged-numerically"
@@ -370,7 +369,13 @@ def pcc_series(seq, l, subseq=None, upto: int | None = None, tail_bound=None) ->
 def three_series(seq, r, upto: int):
     """Tail-mass / truncated-mean / truncated-variance terms for the level
     measures eta_k (uniform on the k-th scaled digit set), truncated to the
-    closed ball of radius r with outside mass moved to the origin."""
+    closed ball of radius r with outside mass moved to the origin.
+
+    Level k's atoms P_k^{-1}b (P_k the prefix product) are written y_b / D
+    with integer numerators y_b = sign(det)·adj(P_k)·b and D = |det P_k|, so
+    the ball test and the moment sums run on integers; each term becomes an
+    exact Fraction once per level.
+    """
     radius = Fraction(r)
     if radius <= 0:
         raise ValidationError("truncation radius must be positive")
@@ -379,13 +384,26 @@ def three_series(seq, r, upto: int):
     indices = list(range(1, upto + 1))
     mass_terms, mean_terms, var_terms = [], [], []
     for k in indices:
-        atoms = seq.scaled_digit_atoms(k)
-        w = Fraction(1, len(atoms))
-        eta = DiscreteMeasure.make([(a, w) for a in atoms], seq.dim)
-        mass_terms.append(mass_outside_ball(eta, radius))
-        clipped = clip_to_ball(eta, radius)
-        mean_terms.append(clipped.mean())
-        var_terms.append(clipped.variance_total())
+        det, adj = adjugate(seq.prefix_matrix(k))
+        sign, den = (1 if det > 0 else -1), abs(det)
+        # |y/D| <= p/q  <=>  |y|^2 q^2 <= p^2 D^2
+        q2, limit = radius.denominator**2, (radius.numerator * den) ** 2
+        digits = seq.digits(k)
+        n = len(digits)
+        outside, sq_sum = 0, 0
+        sums = [0] * seq.dim
+        for v in digits.vectors:
+            y = adj.matvec(v)
+            sq = sum(x * x for x in y)
+            if sq * q2 > limit:
+                outside += 1
+            else:
+                sq_sum += sq
+                sums = [s + x for s, x in zip(sums, y)]
+        mean = tuple(Fraction(sign * s, n * den) for s in sums)
+        mass_terms.append(Fraction(outside, n))
+        mean_terms.append(mean)
+        var_terms.append(Fraction(sq_sum, n * den * den) - sum(x * x for x in mean))
 
     s1 = _finish_scalar_series("tail-mass", indices, mass_terms, None)
     s3 = _finish_scalar_series("truncated-variance", indices, var_terms, None)

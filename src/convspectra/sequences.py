@@ -53,6 +53,8 @@ class TripleSequence:
         self._triples: dict = {}
         self._prefix: dict = {0: IntMatrix.identity(dim)}
         self._last_big = None  # (k, entry) for the most recent uncached level
+        # validated R_k of every level built so far, cached or not
+        self._matrices: dict = {}
 
     # -- level access --
 
@@ -78,6 +80,7 @@ class TripleSequence:
         if self.validate_digits and len(b) < 2:
             raise ValidationError(f"level {k} digit set must have at least 2 elements")
         entry = (r, b, l)
+        self._matrices[k] = r
         if len(b) <= _DIGIT_CACHE_LIMIT:
             self._levels[k] = entry
         else:
@@ -85,7 +88,8 @@ class TripleSequence:
         return entry
 
     def matrix(self, k: int) -> IntMatrix:
-        return self._level(k)[0]
+        hit = self._matrices.get(k)
+        return hit if hit is not None else self._level(k)[0]
 
     def digits(self, k: int) -> DigitSet:
         return self._level(k)[1]

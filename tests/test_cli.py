@@ -212,6 +212,20 @@ def test_check_report_deterministic_modulo_wall_time(tmp_path):
     assert strip(out1) == strip(out2)
 
 
+@pytest.mark.parametrize("field", ["hadamard_upto", "equivalence_upto"])
+def test_check_level_bounds_clamped_to_finite_sequence(tmp_path, field):
+    doc = {
+        "dimension": 1,
+        "sequence": {"generator": "bernoulli-quarter", "params": {"max_k": 3}},
+        "check": {"upto": 6, field: 6, "checks": ["hadamard", "equivalence"]},
+    }
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
+    assert rc == 0, err
+    assert "overall: PASS" in out
+    assert "hadamard=pass" in out and "equivalence=pass" in out
+    assert "exceeds sequence length" not in out + err
+
+
 # -- spectrum ---------------------------------------------------------------
 
 

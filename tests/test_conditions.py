@@ -26,6 +26,7 @@ from convspectra.conditions import (
 )
 from convspectra.errors import DimensionTooLarge, ValidationError
 from convspectra.exactmat import IntMatrix, invert
+from convspectra.measures import DiscreteMeasure, clip_to_ball, mass_outside_ball
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.triples import DigitSet, mod_reduce
 
@@ -328,6 +329,69 @@ def test_three_series_variance_nonnegative_random():
     seq = from_generator(lambda k: levels[k - 1], 1, length=8)
     _, _, s3 = three_series(seq, F(1, 2), upto=8)
     assert all(v >= 0 for v in s3.terms)
+
+
+def fraction_three_series(seq, radii, upto):
+    """Oracle: the per-level Fraction measures the integer kernel replaced.
+
+    Returns {radius: (mass terms, mean terms, variance terms)}."""
+    out = {r: ([], [], []) for r in radii}
+    for k in range(1, upto + 1):
+        atoms = seq.scaled_digit_atoms(k)
+        w = F(1, len(atoms))
+        eta = DiscreteMeasure.make([(a, w) for a in atoms], seq.dim)
+        for r in radii:
+            mass, mean, var = out[r]
+            mass.append(mass_outside_ball(eta, r))
+            clipped = clip_to_ball(eta, r)
+            mean.append(clipped.mean())
+            var.append(clipped.variance_total())
+    return out
+
+
+def _skew_level(k):
+    # non-diagonal levels with negative determinant (-7 and -3): the prefix
+    # determinant changes sign from level to level
+    r = IntMatrix(((1, 2), (3, -1))) if k % 2 else IntMatrix(((2, 1), (1, -1)))
+    rows = [(0, 0), (1, 0), (0, 1), (3, -2), (-4, 5), (2, 2), (1, -1), (-6, -1)]
+    return r, dset(rows[: 3 + k % 6]), None
+
+
+RADII = (F(1), F(1, 3), F(1, 100))
+
+
+@pytest.mark.parametrize(
+    "seq, upto",
+    [
+        (builtin_sequence("example-2.6"), 30),
+        (builtin_sequence("jorgensen-pedersen"), 30),
+        (builtin_sequence("bernoulli-quarter"), 30),
+        (from_generator(_skew_level, 2, length=10), 10),
+    ],
+    ids=["example-2.6", "jorgensen-pedersen", "bernoulli-quarter", "negative-det"],
+)
+def test_three_series_matches_fraction_oracle(seq, upto):
+    oracle = fraction_three_series(seq, RADII, upto)
+    indices = list(range(1, upto + 1))
+    masses = []
+    for r in RADII:
+        mass, mean, var = oracle[r]
+        s1, s2, s3 = three_series(seq, r, upto)
+        # scalar series: terms, partial sums, verdict and bound text
+        assert s1 == conditions._finish_scalar_series("tail-mass", indices, mass, None)
+        assert s3 == conditions._finish_scalar_series(
+            "truncated-variance", indices, var, None
+        )
+        assert s2.terms == tuple(mean)
+        acc = (F(0),) * seq.dim
+        for t, p in zip(mean, s2.partial_sums):
+            acc = tuple(a + x for a, x in zip(acc, t))
+            assert p == acc
+        incs = [math.sqrt(float(sum(x * x for x in t))) for t in mean]
+        settled = all(i < 1e-10 for i in incs[(3 * upto) // 4 :])
+        assert (s2.verdict == "converged-numerically") == settled
+        masses += mass
+    assert min(masses) < 1 and max(masses) > 0  # atoms land inside and outside
 
 
 def test_three_series_rejects_bad_radius():
