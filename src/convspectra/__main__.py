@@ -1,0 +1,5 @@
+"""`python -m convspectra <verb> ...` runs the command-line interface."""
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

@@ -1,4 +1,4 @@
-"""Exact phase reduction shared by Fourier, mask, and Gram evaluations.
+"""Exact phase reduction shared by the Fourier and Gram kernels.
 
 A phase is a rational number (a·b)/(den_a·den_b) that only matters mod 1.
 Reduction happens in exact integer arithmetic *before* any float conversion,
@@ -7,12 +7,15 @@ covers the common case.  When the operands are too large for it but the
 modulus is small, both are first reduced mod the modulus, which leaves every
 phase unchanged; Python big ints cover only what is left.
 
-Every dense kernel works under one byte budget, checked before it allocates.
+Points and atoms are held as exact integer rows over one positive
+denominator.  Every dense kernel works under one byte budget, checked before
+it allocates.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -26,7 +29,7 @@ DENSE_BYTE_BUDGET = 256 << 20
 # Peak bytes per entry while one phase table is built: int64 product and
 # residue, float phases, complex exponentials.
 PHASE_ENTRY_BYTES = 32
-_COMPLEX_BYTES = 16
+COMPLEX_BYTES = 16
 # Per Gram tile entry: the complex product, one complex factor and the float
 # modulus.  Tiles of about 4 MiB stay cache-resident; on a 2-CPU EPYC they ran
 # the n = 4096 Jorgensen-Pedersen Gram about twice as fast as 64 MiB tiles.
@@ -45,6 +48,22 @@ def common_denominator(vectors):
     for v in vectors:
         rows.append(tuple(int(x * den) if isinstance(x, Fraction) else int(x) * den for x in v))
     return den, rows
+
+
+@dataclass(frozen=True)
+class PointRows:
+    """Rational points rows[i] / den: exact int tuples over one den > 0."""
+
+    rows: list
+    den: int
+
+    @classmethod
+    def of(cls, vectors) -> "PointRows":
+        den, rows = common_denominator(vectors)
+        return cls(rows, den)
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
@@ -106,6 +125,35 @@ def budget_rows(row_bytes: int, fixed_bytes: int, what: str) -> int:
     return rows
 
 
+def product_transform(points: PointRows, factors) -> np.ndarray:
+    """Π_j Σ_b w_jb exp(-2πi x_i · a_jb) at every point x_i.
+
+    Each factor is (rows, den, weights): atoms a_b = rows[b] / den carrying
+    float weights w_b.  For a convolution of the factors this is its
+    transform, at points · Σ#atoms exact exponentials instead of
+    points · Π#atoms.  The factors' atoms share one phase table, built for
+    chunks of points that fit DENSE_BYTE_BUDGET next to the result.
+    """
+    n = len(points)
+    out = np.ones(n, dtype=complex)
+    if n == 0 or not factors:
+        return out
+    den = lcm(*(d for _, d, _ in factors))
+    atoms = [tuple(x * (den // d) for x in row) for rows, d, _ in factors for row in rows]
+    chunk = budget_rows(
+        PHASE_ENTRY_BYTES * len(atoms), COMPLEX_BYTES * n,
+        f"a {n}-point transform over {len(atoms)} factor atoms",
+    )
+    for s in range(0, n, chunk):
+        phases = exact_phase_matrix(points.rows[s : s + chunk], points.den, atoms, den)
+        table = unit_exponentials(phases)
+        col = 0
+        for rows, _, weights in factors:
+            out[s : s + chunk] *= table[:, col : col + len(rows)] @ np.asarray(weights)
+            col += len(rows)
+    return out
+
+
 def gram_deviation(x_rows, x_den: int, factors) -> float:
     """max |G - I| for the Hermitian Gram matrix G = ∘_j U_j diag(w_j) U_j^H.
 
@@ -122,12 +170,12 @@ def gram_deviation(x_rows, x_den: int, factors) -> float:
     if n == 0:
         return 0.0
     sizes = [len(rows) for rows, _, _ in factors]
-    table_bytes = _COMPLEX_BYTES * n * sum(sizes)
-    build_bytes = (PHASE_ENTRY_BYTES - _COMPLEX_BYTES) * n * max(sizes)
+    table_bytes = COMPLEX_BYTES * n * sum(sizes)
+    build_bytes = (PHASE_ENTRY_BYTES - COMPLEX_BYTES) * n * max(sizes)
     row_bytes = max(_TILE_ENTRY_BYTES * n, build_bytes)
     rows = budget_rows(row_bytes, table_bytes, f"a {n}-point Gram over {sizes} atoms")
     # tile entries: cache-sized, at least one full row, inside the budget
-    tile = min(max(n, _TILE_TARGET_BYTES // _COMPLEX_BYTES), rows * n)
+    tile = min(max(n, _TILE_TARGET_BYTES // COMPLEX_BYTES), rows * n)
 
     # tables[j][b, k] = conj(U_j[k, b])
     tables = []

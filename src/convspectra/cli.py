@@ -843,7 +843,9 @@ def cmd_qscan(cfg: RunConfig) -> Report:
     mu = mu_truncate(seq, sec["truncation"], max_atoms=max_atoms)
 
     values = []
-    # each grid point is one row of #lambda x #atoms phase entries
+    # budgeted as #lambda x #atoms phase entries per grid point, the dense
+    # transform's size: conservative, since the product form needs only
+    # #lambda x sum_j #B_j
     chunk = budget_rows(
         PHASE_ENTRY_BYTES * len(lams) * len(mu), 0, f"a Q scan over {len(mu)} atoms"
     )
@@ -1122,3 +1124,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -562,6 +562,21 @@ def _sample_level(ax, ay, s, u: np.ndarray):
     return x_idx, y_idx, mism
 
 
+def _float_rows(vectors, sc=None) -> np.ndarray:
+    """Floats of sc·v (or of v) for integer vectors v, each correctly rounded.
+
+    sc becomes an integer matrix N over one denominator D, so every entry is
+    the int/int true division (N·v)_i / D: correctly rounded, hence equal to
+    float() of the exact rational, without Fraction arithmetic per digit."""
+    if sc is None:
+        return np.array([[float(c) for c in v] for v in vectors])
+    den = math.lcm(*(Fraction(x).denominator for row in sc.rows for x in row))
+    num = [[int(x * den) for x in row] for row in sc.rows]
+    return np.array(
+        [[sum(a * b for a, b in zip(r, v)) / den for r in num] for v in vectors]
+    )
+
+
 def coupled_sample(
     s1, s2, upto: int, draws: int, rng_seed: int, scale_by=None
 ) -> CouplingReport:
@@ -590,13 +605,8 @@ def coupled_sample(
         ax, ay, s, swapped = _aligned_tables(a, b)
         u = _level_draws(rng_seed, k, draws)
         x_idx, y_idx, mism = _sample_level(ax, ay, s, u)
-        if scale_by is not None:
-            sc = scale_by(k)
-            va = np.array([[float(c) for c in sc.matvec(v)] for v in ax])
-            vb = np.array([[float(c) for c in sc.matvec(v)] for v in ay])
-        else:
-            va = np.array([[float(c) for c in v] for v in ax])
-            vb = np.array([[float(c) for c in v] for v in ay])
+        sc = scale_by(k) if scale_by is not None else None
+        va, vb = _float_rows(ax, sc), _float_rows(ay, sc)
         if swapped:
             x_sums += vb[y_idx]
             y_sums += va[x_idx]

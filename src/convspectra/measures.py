@@ -3,6 +3,10 @@
 Atoms are rational vectors, weights are positive rationals summing to exactly
 one.  Fourier evaluation reduces the phase mod 1 in exact integer arithmetic
 before any floating-point call, so large integer atoms cost no accuracy.
+
+The batched transforms (`fourier_many`, `tail_fourier_many`) are products
+over per-level factors, evaluated by `_phases.product_transform`; the scalar
+`fourier` is the dense single-factor sum and serves as their oracle.
 """
 from __future__ import annotations
 
@@ -10,13 +14,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from math import gcd
 
 import numpy as np
 
-from ._phases import common_denominator, exact_phase_matrix, unit_exponentials
+from ._phases import PointRows, common_denominator, product_transform
 from .errors import DimensionMismatch, TruncationTooLarge, ValidationError
-from .exactmat import RatMatrix, invert, product_range
+from .exactmat import IntMatrix, RatMatrix, adjugate, invert, product_range
 from .triples import DigitSet
 
 DEFAULT_ATOM_CAP = 1_000_000
@@ -94,6 +99,15 @@ class DiscreteMeasure:
     @cached_property
     def _float_weights(self):
         return np.array([float(w) for w in self.weights])
+
+    def phase_factors(self) -> list:
+        """(rows, den, float weights) of each convolution factor, as the
+        product and Gram kernels of `_phases` take them."""
+        factors = []
+        for f in self.convolution_factors():
+            den, rows = f._phase_data
+            factors.append((rows, den, f._float_weights))
+        return factors
 
 
 def point_mass(atom, dim: int | None = None) -> DiscreteMeasure:
@@ -232,15 +246,19 @@ def fourier(m: DiscreteMeasure, xi) -> complex:
     return complex(float(exact)) + rest
 
 
+def _points(xis, dim: int) -> PointRows:
+    if isinstance(xis, PointRows):
+        return xis
+    return PointRows.of([_as_frac_vec(x, dim) for x in xis])
+
+
 def fourier_many(m: DiscreteMeasure, xis) -> np.ndarray:
-    """Vectorised transform at many rational frequencies."""
-    vecs = [_as_frac_vec(x, m.dim) for x in xis]
-    if not vecs:
+    """Transform at many rational frequencies (vectors or `PointRows`), as
+    the product of the transforms of the convolution factors."""
+    pts = _points(xis, m.dim)
+    if not len(pts):
         return np.zeros(0, dtype=complex)
-    den_x, rows_x = common_denominator(vecs)
-    den_a, rows_a = m._phase_data
-    phases = exact_phase_matrix(rows_x, den_x, rows_a, den_a)
-    return unit_exponentials(phases) @ m._float_weights
+    return product_transform(pts, m.phase_factors())
 
 
 def mask(digits: DigitSet, xi) -> complex:
@@ -252,15 +270,45 @@ def mask_many(digits: DigitSet, xis) -> np.ndarray:
     return fourier_many(uniform_on(digits), xis)
 
 
-def tail_fourier_product(seq, start: int, depth: int, xi) -> complex:
-    """Product formula for the truncated tail transform; independent of
-    nu_tail_truncate + fourier, used to cross-check it."""
-    x = _as_frac_vec(xi, seq.dim)
-    out = complex(1.0)
+def scaled_atom_rows(m: IntMatrix, digits: DigitSet):
+    """(rows, den) with m^{-1} b = rows[i] / den for the i-th digit b: integer
+    numerators from the adjugate, reduced by their common gcd with |det m|,
+    so den is the least common denominator of the atoms."""
+    det, adj = adjugate(m)
+    sign = 1 if det > 0 else -1
+    rows = [tuple(sign * x for x in adj.matvec(b)) for b in digits.vectors]
+    g = reduce(gcd, (x for row in rows for x in row), abs(det))
+    if g > 1:
+        rows = [tuple(x // g for x in row) for row in rows]
+    return rows, abs(det) // g
+
+
+def tail_factors(seq, start: int, depth: int) -> list:
+    """Per-level factors (rows, den, weights) of the depth-truncated tail
+    after `start`: level j has the uniform atoms M_j^{-1} B_{start+j} with
+    M_j = R_{start+j} ... R_{start+1}."""
+    factors = []
+    acc = None
     for j in range(1, depth + 1):
-        m_inv_t = invert(product_range(seq, start, start + j)).transpose()
-        out *= mask(seq.digits(start + j), m_inv_t.matvec(x))
-    return out
+        r = seq.matrix(start + j)
+        acc = r if acc is None else r.matmul(acc)
+        digits = seq.digits(start + j)
+        rows, den = scaled_atom_rows(acc, digits)
+        factors.append((rows, den, np.full(len(rows), 1 / len(rows))))
+    return factors
+
+
+def tail_fourier_many(seq, start: int, depth: int, points) -> np.ndarray:
+    """Truncated tail transform prod_j m_{B_{start+j}}(M_j^{-T} xi) at many
+    rational frequencies (vectors or `PointRows`)."""
+    pts = _points(points, seq.dim)
+    return product_transform(pts, tail_factors(seq, start, depth))
+
+
+def tail_fourier_product(seq, start: int, depth: int, xi) -> complex:
+    """The truncated tail transform at one frequency: the one-point case of
+    `tail_fourier_many`."""
+    return complex(tail_fourier_many(seq, start, depth, [xi])[0])
 
 
 def write_csv(m: DiscreteMeasure, stream) -> None:

@@ -13,6 +13,10 @@ from itertools import product as cartesian
 import numpy as np
 
 from ._phases import (
+    COMPLEX_BYTES,
+    PHASE_ENTRY_BYTES,
+    PointRows,
+    budget_rows,
     common_denominator,
     exact_phase_matrix,
     gram_deviation,
@@ -20,6 +24,7 @@ from ._phases import (
 )
 from .errors import (
     BoundViolation,
+    DimensionMismatch,
     EpsilonOutOfRange,
     GridTooLarge,
     MilestoneGap,
@@ -31,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .exactmat import invert, product_range
-from .measures import DiscreteMeasure, fourier_many, tail_fourier_product
+from .measures import DiscreteMeasure, fourier_many, tail_factors, tail_fourier_many
 
 DEFAULT_EXACTNESS_TOL = 1e-9
 DEFAULT_SPECTRUM_CAP = 1_000_000
@@ -75,6 +80,27 @@ def _window_spectrum_digits(seq, p: int, q: int):
             tuple(a + b for a, b in zip(v, w)) for v in vectors for w in step
         ]
     return vectors
+
+
+def _windowed_choices(seq, p: int, q: int, depth: int, lams, box) -> dict:
+    """For each lambda, the first k of the box order that maximizes
+    |nu_hat_q(M^{-T} lambda + k)| over the depth-truncated tail after q, with
+    M = R_q ... R_{p+1}; a later k must win by more than 1e-15.  All
+    candidates of the window are scored in one batched call."""
+    inv_win_t = invert(product_range(seq, p, q)).transpose()
+    points = []
+    for lam in lams:
+        base = inv_win_t.matvec(lam)
+        points.extend(tuple(b + c for b, c in zip(base, cand)) for cand in box)
+    scores = np.abs(tail_fourier_many(seq, q, depth, points)).reshape(len(lams), len(box))
+    chosen = {}
+    for lam, row in zip(lams, scores.tolist()):
+        best_k, best_score = box[0], -1.0
+        for cand, score in zip(box, row):
+            if score > best_score + 1e-15:
+                best_k, best_score = cand, score
+        chosen[lam] = best_k
+    return chosen
 
 
 def build_spectrum(
@@ -167,35 +193,27 @@ def build_spectrum(
         rt_window = product_range(seq, p, q).transpose()
         rt_prefix = seq.prefix_matrix(p).transpose()
 
+        chosen = {}
         if mode == "windowed":
-            inv_win_t = invert(product_range(seq, p, q)).transpose()
             depth_left = search_depth
             if seq.length is not None:
                 depth_left = min(search_depth, seq.length - q)
-            box = _k_search_box(search_radius, dim)
+            searched = [lam for lam in block if lam != zero_vec]
+            if depth_left >= 1 and searched:
+                chosen = _windowed_choices(
+                    seq, p, q, depth_left, searched, _k_search_box(search_radius, dim)
+                )
 
         mapped = []
         for lam in block:
-            if lam == zero_vec:
-                k = zero_vec
-            elif mode == "zero":
+            if lam == zero_vec or mode == "zero":
                 k = zero_vec
             elif mode == "table":
                 k = tuple(table.get((lam, j), zero_vec))
                 if len(k) != dim:
                     raise ValidationError(f"k table entry for {lam} has wrong dimension")
             else:  # windowed
-                if depth_left < 1:
-                    k = zero_vec
-                else:
-                    base = inv_win_t.matvec(lam)
-                    best_k, best_score = zero_vec, -1.0
-                    for cand in box:
-                        xi = tuple(b + c for b, c in zip(base, cand))
-                        score = abs(tail_fourier_product(seq, q, depth_left, xi))
-                        if score > best_score + 1e-15:
-                            best_k, best_score = cand, score
-                    k = best_k
+                k = chosen.get(lam, zero_vec)
             if k != zero_vec:
                 k_records.append(((j, lam), k))
                 shift = rt_window.matvec(k)
@@ -287,24 +305,21 @@ def read_levels(stream) -> SpectrumLevels:
 
 def q_eval(m: DiscreteMeasure, lambda_set, xi) -> float:
     """Q(xi) = sum over the candidate set of |mu_hat(xi + lambda)|^2."""
-    lams = list(lambda_set)
-    if not lams:
-        return 0.0
-    xif = tuple(Fraction(x) for x in xi)
-    pts = [tuple(x + l for x, l in zip(xif, lam)) for lam in lams]
-    vals = fourier_many(m, pts)
-    return float(np.sum(np.abs(vals) ** 2))
+    return float(q_eval_many(m, lambda_set, [xi])[0])
 
 
 def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     lams = list(lambda_set)
-    if not lams:
-        return np.zeros(len(list(xis)))
     xs = [tuple(Fraction(c) for c in xi) for xi in xis]
-    pts = [
-        tuple(x + l for x, l in zip(xi, lam)) for xi in xs for lam in lams
-    ]
-    vals = fourier_many(m, pts).reshape(len(xs), len(lams))
+    if not lams:
+        return np.zeros(len(xs))
+    # x + lambda as integer rows over one denominator
+    if any(len(v) != m.dim for v in xs + lams):
+        raise DimensionMismatch(f"frequencies and candidates must have dimension {m.dim}")
+    den, rows = common_denominator(xs + lams)
+    x_rows, lam_rows = rows[: len(xs)], rows[len(xs) :]
+    pts = [tuple(a + b for a, b in zip(x, lam)) for x in x_rows for lam in lam_rows]
+    vals = fourier_many(m, PointRows(pts, den)).reshape(len(xs), len(lams))
     return np.sum(np.abs(vals) ** 2, axis=1)
 
 
@@ -336,11 +351,7 @@ def spectrum_exactness(
         )
     if len(lams) != n:
         raise SizeMismatch(f"{len(lams)} candidate vectors vs {n} atoms")
-    factors = []
-    for f in m.convolution_factors():
-        den, rows = f._phase_data
-        factors.append((rows, den, f._float_weights))
-    dev = gram_deviation(lams, 1, factors)
+    dev = gram_deviation(lams, 1, m.phase_factors())
     return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
 
 
@@ -386,11 +397,26 @@ def _ball_grid(pitch: Fraction, radius: Fraction, dim: int):
     ]
 
 
-def _exp_table(w_vectors, points):
-    """Matrix exp(-2 pi i w.p) over rational vectors w (rows) x points (cols)."""
-    den_w, rows_w = common_denominator(w_vectors)
-    den_p, rows_p = common_denominator(points)
-    return unit_exponentials(exact_phase_matrix(rows_w, den_w, rows_p, den_p))
+def _exp_table(rows, den: int, points: PointRows):
+    """Matrix exp(-2 pi i a.p) over atoms rows/den (rows) x points (cols)."""
+    return unit_exponentials(exact_phase_matrix(rows, den, points.rows, points.den))
+
+
+def _scan_slab(factors, xs: PointRows, ys: PointRows, ks):
+    """min over y of |prod_j m_j(x + y + k)| for every k (rows) and x (cols)."""
+    prod = np.ones((len(ks), len(xs), len(ys)), dtype=complex)
+    for rows, den, _ in factors:
+        ax = _exp_table(rows, den, xs)  # (nb, nx)
+        ay = _exp_table(rows, den, ys)  # (nb, ny)
+        nb = len(rows)
+        for ki, k in enumerate(ks):
+            if any(k):
+                shift = _exp_table(rows, den, PointRows([k], 1))[:, 0]
+                axk = ax * shift[:, None]
+            else:
+                axk = ax
+            prod[ki] *= (axk.T @ ay) / nb
+    return np.abs(prod).min(axis=2)
 
 
 def truncation_tail_floor(
@@ -494,6 +520,7 @@ def equi_positivity_scan(
     ks = _k_search_box(k_window, dim)
 
     zero_x = tuple(Fraction(0) for _ in range(dim))
+    x_pts, y_pts = PointRows.of(xs), PointRows.of(ys)
     witnesses = {}
     failed_at = None
     scanned_min = math.inf
@@ -503,34 +530,30 @@ def equi_positivity_scan(
             raise MilestoneGap(
                 f"tail start {start} + depth {depth} exceeds sequence length {seq.length}"
             )
-        # per-level tables over the (x, y) product grid, one slab per k
-        prod = np.ones((len(ks), len(xs), len(ys)), dtype=complex)
-        for j in range(1, depth + 1):
-            inv = invert(product_range(seq, start, start + j))
-            digits = seq.digits(start + j)
-            w = [inv.matvec(b) for b in digits.vectors]
-            ax = _exp_table(w, xs)  # (nb, nx)
-            ay = _exp_table(w, ys)  # (nb, ny)
-            nb = len(w)
-            for ki, k in enumerate(ks):
-                if any(k):
-                    shift = _exp_table(w, [tuple(Fraction(c) for c in k)])[:, 0]
-                    axk = ax * shift[:, None]
+        factors = tail_factors(seq, start, depth)
+        widest = max(len(rows) for rows, _, _ in factors)
+        # per x: the (k, y) product slab and its moduli, one level's (x, y)
+        # block, and the x column of the exponential tables
+        row_bytes = len(ys) * (len(ks) * (COMPLEX_BYTES + 8) + COMPLEX_BYTES)
+        row_bytes += widest * (PHASE_ENTRY_BYTES + COMPLEX_BYTES)
+        chunk = budget_rows(
+            row_bytes,
+            widest * len(ys) * PHASE_ENTRY_BYTES,
+            f"a tail scan over {len(ks)} k-shifts x {len(ys)} y-points",
+        )
+        for s in range(0, len(xs), chunk):
+            x_rows = PointRows(x_pts.rows[s : s + chunk], x_pts.den)
+            per_k_min = _scan_slab(factors, x_rows, y_pts, ks)  # (nk, chunk)
+            for xi_idx, x in enumerate(xs[s : s + chunk]):
+                if x == zero_x:
+                    k_idx = 0  # _k_search_box puts 0 first
                 else:
-                    axk = ax
-                prod[ki] *= (axk.T @ ay) / nb
-        mags = np.abs(prod)  # (nk, nx, ny)
-        per_k_min = mags.min(axis=2)  # (nk, nx)
-        for xi_idx, x in enumerate(xs):
-            if x == zero_x:
-                k_idx = 0  # _k_search_box puts 0 first
-            else:
-                k_idx = int(np.argmax(per_k_min[:, xi_idx]))
-            val = float(per_k_min[k_idx, xi_idx])
-            witnesses[(start, x)] = (ks[k_idx], val)
-            if val <= fail_tol and failed_at is None:
-                failed_at = (start, x)
-            scanned_min = min(scanned_min, val)
+                    k_idx = int(np.argmax(per_k_min[:, xi_idx]))
+                val = float(per_k_min[k_idx, xi_idx])
+                witnesses[(start, x)] = (ks[k_idx], val)
+                if val <= fail_tol and failed_at is None:
+                    failed_at = (start, x)
+                scanned_min = min(scanned_min, val)
 
     floor, note = (None, "no contraction ratio declared")
     c = seq.declared_contractivity

@@ -1,0 +1,345 @@
+"""The batched product-form Fourier kernel against the dense and Fraction
+routes it replaced, which are kept here as oracles."""
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction as F
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from convspectra import _phases, cli
+from convspectra._phases import (
+    PointRows,
+    common_denominator,
+    exact_phase_matrix,
+    unit_exponentials,
+)
+from convspectra.exactmat import IntMatrix, invert, product_range
+from convspectra.measures import (
+    fourier,
+    fourier_many,
+    mask,
+    mu_truncate,
+    nu_tail_truncate,
+    scaled_atom_rows,
+    tail_fourier_many,
+    tail_fourier_product,
+)
+from convspectra.sequences import builtin_sequence, from_generator
+from convspectra.spectra import (
+    _ball_grid,
+    _k_search_box,
+    _pitch_grid,
+    _window_spectrum_digits,
+    build_spectrum,
+    equi_positivity_scan,
+    q_eval_many,
+)
+from convspectra.triples import DigitSet
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def dense_fourier_many(m, xis):
+    """The single-factor transform: one exact phase per point and atom."""
+    den_x, rows_x = common_denominator([tuple(F(c) for c in x) for x in xis])
+    den_a, rows_a = m._phase_data
+    return unit_exponentials(exact_phase_matrix(rows_x, den_x, rows_a, den_a)) @ m._float_weights
+
+
+def fraction_tail_product(seq, start, depth, xi):
+    """prod_j mask(B_{start+j}, M_j^{-T} xi) with M_j^{-T} xi in Fractions."""
+    x = tuple(F(c) for c in xi)
+    out = complex(1.0)
+    for j in range(1, depth + 1):
+        m_inv_t = invert(product_range(seq, start, start + j)).transpose()
+        out *= mask(seq.digits(start + j), m_inv_t.matvec(x))
+    return out
+
+
+def _skew_level(k):
+    # non-diagonal levels; det -6 at odd levels and -7 at even ones
+    r = IntMatrix(((2, 2), (1, -2))) if k % 2 else IntMatrix(((1, 2), (3, -1)))
+    rows = [(0, 0), (2, 0), (0, 2), (2, 2), (-4, 6), (6, -2), (4, 4)]
+    return r, DigitSet.of(rows[: 3 + k % 5]), None
+
+
+def skew_sequence():
+    return from_generator(_skew_level, 2, length=12)
+
+
+def rational_points(rng, dim, count, num=60, den=40):
+    return [
+        tuple(F(rng.randrange(-num, num + 1), rng.randrange(1, den)) for _ in range(dim))
+        for _ in range(count)
+    ]
+
+
+def integer_points(rng, dim, count, reach=50):
+    return [tuple(rng.randrange(-reach, reach + 1) for _ in range(dim)) for _ in range(count)]
+
+
+# ---- fourier_many: product over the convolution factors ----
+
+
+@pytest.mark.parametrize(
+    "name, level", [("jorgensen-pedersen", 8), ("jorgensen-pedersen", 10), ("example-2.6", 3)]
+)
+def test_product_form_matches_dense_transform(name, level):
+    seq = builtin_sequence(name)
+    m = mu_truncate(seq, level)
+    assert len(m.convolution_factors()) == level
+    rng = random.Random(level)
+    xis = rational_points(rng, seq.dim, 150, num=5000, den=97) + integer_points(rng, seq.dim, 30)
+    xis.append((0,) * seq.dim)
+    vals = fourier_many(m, xis)
+    dense = dense_fourier_many(m, xis)
+    assert np.max(np.abs(vals - dense)) <= 1e-12
+    assert abs(vals[-1] - 1) <= 1e-15
+
+
+def test_point_rows_input_equals_rational_points():
+    m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 6)
+    xis = rational_points(random.Random(3), 1, 40)
+    den, rows = common_denominator(xis)
+    assert np.array_equal(fourier_many(m, PointRows(rows, den)), fourier_many(m, xis))
+
+
+def test_q_eval_many_matches_dense_q():
+    m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 5)
+    lams = [(v,) for v in (0, 1, 4, 5, 16, 17, 20, 21)]
+    xs = [(F(i, 37),) for i in range(37)]
+    q = q_eval_many(m, lams, xs)
+    for x, qv in zip(xs, q):
+        pts = [(x[0] + lam[0],) for lam in lams]
+        assert abs(qv - float(np.sum(np.abs(dense_fourier_many(m, pts)) ** 2))) <= 1e-12
+
+
+# ---- tail_fourier_many: per-level integer atoms ----
+
+
+@pytest.mark.parametrize(
+    "name, depths",
+    [
+        ("jorgensen-pedersen", range(1, 6)),
+        ("bernoulli-quarter", range(1, 6)),
+        ("skew", range(1, 6)),
+        ("example-2.6", range(1, 3)),
+    ],
+)
+def test_tail_transform_matches_truncated_tail_measure(name, depths):
+    seq = skew_sequence() if name == "skew" else builtin_sequence(name)
+    rng = random.Random(20261018)
+    for start in range(4):
+        for depth in depths:
+            tail = nu_tail_truncate(seq, start, depth).measure
+            xis = rational_points(rng, seq.dim, 6) + integer_points(rng, seq.dim, 3)
+            vals = tail_fourier_many(seq, start, depth, xis)
+            for xi, v in zip(xis, vals):
+                assert abs(v - fourier(tail, xi)) <= 1e-12, (start, depth, xi)
+            assert abs(tail_fourier_product(seq, start, depth, xis[0]) - vals[0]) <= 1e-15
+
+
+def test_scaled_atoms_are_gcd_reduced_for_negative_determinant_window():
+    seq = skew_sequence()
+    for start, depth in [(0, 1), (0, 3), (2, 1), (1, 2)]:
+        m = product_range(seq, start, start + depth)
+        assert m.rows[0][1] != 0  # not diagonal
+        digits = seq.digits(start + depth)
+        rows, den = scaled_atom_rows(m, digits)
+        inv = invert(m)
+        atoms = [inv.matvec(b) for b in digits.vectors]
+        assert [tuple(F(x, den) for x in row) for row in rows] == atoms
+        # den is the least common denominator of the atoms
+        assert den == math.lcm(*(x.denominator for a in atoms for x in a))
+    # the reduction is real here: |det| = 6, least common denominator 3
+    m = seq.matrix(1)
+    assert m.det() == -6
+    rows, den = scaled_atom_rows(m, seq.digits(1))
+    assert den == 3
+    assert rows == [(0, 0), (2, -2), (2, 1), (4, -1)]
+
+
+# ---- the windowed-search chooser ----
+
+
+def fraction_windowed_table(seq, milestones, radius, depth):
+    """The per-candidate Fraction chooser: k table {(lambda, j): k}."""
+    dim = seq.dim
+    zero = (0,) * dim
+    box = _k_search_box(radius, dim)
+    table = {}
+    p = 0
+    for j, q in enumerate(milestones, start=1):
+        inv_win_t = invert(product_range(seq, p, q)).transpose()
+        depth_left = depth if seq.length is None else min(depth, seq.length - q)
+        for lam in _window_spectrum_digits(seq, p, q):
+            if lam == zero or depth_left < 1:
+                continue
+            base = inv_win_t.matvec(lam)
+            best_k, best_score = zero, -1.0
+            for cand in box:
+                xi = tuple(b + c for b, c in zip(base, cand))
+                score = abs(fraction_tail_product(seq, q, depth_left, xi))
+                if score > best_score + 1e-15:
+                    best_k, best_score = cand, score
+            table[(lam, j)] = best_k
+        p = q
+    return table
+
+
+def _far_spectrum_level(k):
+    # spectrum digits {0, 3}: the candidate 3/4 is beaten by 3/4 - 1
+    return IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (3,)])
+
+
+@pytest.mark.parametrize(
+    "name, milestones, radius, depth, shifted",
+    [
+        ("example-2.6", [1, 2, 3], 2, 4, False),
+        ("example-2.6", [1, 3], 1, 2, True),
+        ("far-spectrum", [1, 2, 3, 4], 2, 3, True),
+    ],
+)
+def test_windowed_levels_match_fraction_chooser(name, milestones, radius, depth, shifted):
+    if name == "far-spectrum":
+        seq = from_generator(_far_spectrum_level, 1, length=8)
+    else:
+        seq = builtin_sequence(name)
+    table = fraction_windowed_table(seq, milestones, radius, depth)
+    assert any(any(k) for k in table.values()) == shifted
+    fast = build_spectrum(
+        seq, milestones, "windowed-search", search_radius=radius, search_depth=depth
+    )
+    oracle = build_spectrum(seq, milestones, table)
+    assert fast.levels == oracle.levels
+    assert fast.k_choices == oracle.k_choices
+
+
+# ---- the equi-positivity scan ----
+
+
+def fraction_scan_witnesses(seq, starts, depth, xs, ys, ks):
+    """The per-level Fraction tables: atoms inv.matvec(b), denominators per level."""
+
+    def table(w, points):
+        den_w, rows_w = common_denominator(w)
+        den_p, rows_p = common_denominator(points)
+        return unit_exponentials(exact_phase_matrix(rows_w, den_w, rows_p, den_p))
+
+    zero_x = tuple(F(0) for _ in range(seq.dim))
+    witnesses = {}
+    for start in starts:
+        prod = np.ones((len(ks), len(xs), len(ys)), dtype=complex)
+        for j in range(1, depth + 1):
+            inv = invert(product_range(seq, start, start + j))
+            w = [inv.matvec(b) for b in seq.digits(start + j).vectors]
+            ax, ay = table(w, xs), table(w, ys)
+            for ki, k in enumerate(ks):
+                axk = ax * table(w, [tuple(F(c) for c in k)])[:, 0][:, None] if any(k) else ax
+                prod[ki] *= (axk.T @ ay) / len(w)
+        per_k_min = np.abs(prod).min(axis=2)
+        for xi, x in enumerate(xs):
+            ki = 0 if x == zero_x else int(np.argmax(per_k_min[:, xi]))
+            witnesses[(start, x)] = (ks[ki], float(per_k_min[ki, xi]))
+    return witnesses
+
+
+@pytest.mark.parametrize(
+    "name, starts, depth, pitch, radius, k_window",
+    [
+        ("example-2.6", [0, 1, 2], 5, F(1, 8), F(1, 12), 1),
+        ("skew", [0, 1], 3, F(1, 6), F(1, 5), 1),
+        ("jorgensen-pedersen", [0, 2], 4, F(1, 16), F(1, 10), 2),
+    ],
+)
+def test_scan_witnesses_equal_fraction_tables(name, starts, depth, pitch, radius, k_window):
+    if name == "skew":
+        seq = skew_sequence()
+    else:
+        seq = builtin_sequence(name).reduced()
+    rep = equi_positivity_scan(seq, starts, depth, pitch, radius, k_window)
+    xs, ys = _pitch_grid(pitch, seq.dim), _ball_grid(radius / 8, radius, seq.dim)
+    oracle = fraction_scan_witnesses(seq, starts, depth, xs, ys, _k_search_box(k_window, seq.dim))
+    assert rep.per_x_witness == oracle
+    vals = [v for _, v in oracle.values()]
+    if rep.status == "witnessed":
+        assert rep.scanned_epsilon0 == min(vals)
+    else:
+        assert min(vals) <= 1e-12
+
+
+def test_scan_values_barely_depend_on_the_x_chunking(monkeypatch):
+    seq = builtin_sequence("example-2.6").reduced()
+    args = (seq, [0, 1], 4, F(1, 8), F(1, 12), 1)
+    whole = equi_positivity_scan(*args)
+    # room for a handful of x rows only: the scan walks x in many chunks
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 400_000)
+    chunked = equi_positivity_scan(*args)
+    # BLAS may round a row differently inside a smaller block: same k, and
+    # values within a few units in the last place
+    assert chunked.per_x_witness.keys() == whole.per_x_witness.keys()
+    for key, (k, val) in whole.per_x_witness.items():
+        assert chunked.per_x_witness[key][0] == k
+        assert abs(chunked.per_x_witness[key][1] - val) <= 1e-15
+    assert abs(chunked.epsilon0 - whole.epsilon0) <= 1e-15
+
+
+# ---- command line ----
+
+
+def test_exit_3_when_one_scan_row_exceeds_the_byte_budget(tmp_path):
+    # 6001 k-shifts x 2047 y-points: one x row of the slab needs about 295 MB
+    doc = {
+        "dimension": 1,
+        "sequence": {"generator": "jorgensen-pedersen"},
+        "equipos": {
+            "depth": 2,
+            "x_pitch": "1/2",
+            "y_radius": "1/4",
+            "y_pitch": "1/4096",
+            "k_window": 3000,
+        },
+    }
+    path = tmp_path / "equipos.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["equipos", "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert err.getvalue().startswith("resource cap:") and "budget" in err.getvalue()
+    assert out.getvalue() == ""
+    assert peak < 32 << 20  # refused before the slab was allocated
+
+
+def test_python_dash_m_runs_the_cli():
+    config = str(ROOT / "configs" / "jorgensen-pedersen-check.json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["check", "--config", config])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    strip = lambda s: [l for l in s.splitlines() if not l.startswith("wall time")]
+    for module in ("convspectra", "convspectra.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "check", "--config", config],
+            capture_output=True, text=True, env=env, cwd=str(ROOT), timeout=120,
+        )
+        assert proc.returncode == rc, proc.stderr
+        assert strip(proc.stdout) == strip(out.getvalue())
+        assert strip(proc.stdout)  # the report was printed
