@@ -2,8 +2,10 @@
 codes, artifact routing, and byte-level determinism of CSV output."""
 
 import contextlib
+import copy
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -463,3 +465,296 @@ def test_shipped_configs_parse(tmp_path):
         with open(path, "r", encoding="utf-8") as fh:
             cfg = cli.parse_config(fh.read())
         assert cfg.dimension in (1, 2)
+
+
+# -- pinned config schema: hashes and single-fault errors ----------------------
+#
+# Recorded from the hand-written readers; any rewrite of the config reader must
+# reproduce these hashes and these exact (exception class, message) pairs.
+
+SHIPPED_CONFIG_SHA256 = {
+    "bernoulli-quarter-check.json": "9fe7f1090bb6b374b816bf377aa72d2deee58dd19d9d77043932d358104c5c08",
+    "example-2.6-equipos.json": "5ffc3e409d9ad548e21aaacb460baca684c530b32e843bca84694aa787d27989",
+    "jorgensen-pedersen-check.json": "f783bb8c175b075f434ff5774dcb97468c5f68a6a65ed8a4227bd1deda39e17e",
+    "jorgensen-pedersen-qscan.json": "97dababea9e383f16806551346bde201f1fbf92bf08ac19c678708dbcb36cb77",
+    "jorgensen-pedersen-spectrum.json": "beaee30dae15e129be7d176bc40245c71dadddfae5d1f61e4286104b232f6b84",
+    "planar-sample.json": "a8933a94583edf3dbefeb02ffcbdec1d230d0e009274305dbe2c76e01fd86188",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_SHA256))
+def test_shipped_config_sha256_is_pinned(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    assert cli.config_sha256(cli.load_config(path)) == SHIPPED_CONFIG_SHA256[name]
+
+
+# a valid document that sets every field of every section
+FULL_DOC = {
+    "dimension": 1,
+    "sequence": {"generator": "jorgensen-pedersen", "params": {"max_k": 8}},
+    "check": {
+        "upto": 3,
+        "hadamard_upto": 2,
+        "equivalence_upto": 2,
+        "checks": ["rbc", "pcc", "rbc"],
+        "pcc_l": "1/4",
+        "three_series_radius": 1,
+    },
+    "spectrum": {
+        "milestones": [1, 2],
+        "chooser": "zero",
+        "search_radius": 2,
+        "search_depth": 2,
+        "delta0": "1/32",
+        "exactness": True,
+    },
+    "qscan": {"truncation": 2, "lambda": [[0], [1]], "grid_pitch": "1/8", "grid_cap": 100},
+    "sample": {"upto": 3, "draws": 10, "pair_with_reduced": True, "scaled": False},
+    "equipos": {
+        "tail_starts": [0],
+        "depth": 4,
+        "x_pitch": "1/8",
+        "y_radius": "1/12",
+        "y_pitch": "1/24",
+        "k_window": 0,
+        "reduced": True,
+        "transfer_upto": 10,
+        "fail_tol": 1e-9,
+        "grid_cap": 1000,
+    },
+    "seed": 7,
+    "max_atoms": 1000,
+    "tol": 1e-9,
+    "out": "levels.txt",
+    "grid_pitch": "1/4",
+}
+LEVEL = {"matrix": [[4]], "digits": [[0], [2]], "spectrum_digits": [[0], [1]]}
+INLINE_DOC = dict(FULL_DOC, sequence={"inline": [LEVEL]})
+DELETE = object()
+
+
+def _with_fault(path, value):
+    """FULL_DOC (INLINE_DOC for paths inside an inline level) with one field
+    set to `value`, or removed when `value` is DELETE."""
+    base = INLINE_DOC if path[1:2] == ("inline",) and len(path) > 2 else FULL_DOC
+    doc = copy.deepcopy(base)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _sha(doc):
+    return cli.config_sha256(cli.parse_config(json.dumps(doc)))
+
+
+def test_valid_document_emission_is_pinned():
+    assert _sha(FULL_DOC) == "6e8e0e83703010b4dd6223749dd76114879e0252cf387f02d1d1b28bc29f984e"
+    # an empty params object is dropped from the emission
+    no_params = dict(FULL_DOC, sequence={"generator": "jorgensen-pedersen"})
+    empty_params = dict(FULL_DOC, sequence={"generator": "jorgensen-pedersen", "params": {}})
+    assert _sha(no_params) == _sha(empty_params)
+    assert _sha(no_params) == "dbe866ba9659c38de52f1408ef9660cab8c4d759a1a76727929a8db0c6a530db"
+    # a big digit given as a decimal string, and a level without spectrum digits
+    big = {"matrix": [[2]], "digits": [[0], ["9007199254740993"]]}
+    inline = dict(FULL_DOC, sequence={"inline": [LEVEL, big]})
+    assert _sha(inline) == "33a62404011c2b41f0f7bb36a3d2c6ab9af0baa052ef54bd231b74690ac34255"
+
+
+SINGLE_FAULTS = [
+    ("dimension missing", ("dimension",), DELETE,
+     ValidationError, "field 'dimension' is required"),
+    ("sequence missing", ("sequence",), DELETE,
+     ValidationError, "field 'sequence' is required"),
+    ("top unknown key", ("bogus",), 1,
+     ParseError, "field 'bogus': unknown field"),
+    ("dimension boolean", ("dimension",), True,
+     ParseError, "field 'dimension': expected an integer, got a boolean"),
+    ("dimension float", ("dimension",), 1.0,
+     ParseError, "field 'dimension': expected an integer (write big values as decimal strings)"),
+    ("dimension not decimal", ("dimension",), "one",
+     ParseError, "field 'dimension': not a decimal integer: 'one'"),
+    ("dimension below minimum", ("dimension",), 0,
+     ValidationError, "field 'dimension': must be >= 1, got 0"),
+    ("dimension list", ("dimension",), [1],
+     ParseError, "field 'dimension': expected an integer"),
+    ("seed boolean", ("seed",), False,
+     ParseError, "field 'seed': expected an integer, got a boolean"),
+    ("max_atoms big string below minimum", ("max_atoms",), "-1152921504606846976",
+     ValidationError, "field 'max_atoms': must be >= 1, got -1152921504606846976"),
+    ("tol string", ("tol",), "1e-9",
+     ParseError, "field 'tol': expected a number"),
+    ("tol boolean", ("tol",), True,
+     ParseError, "field 'tol': expected a number"),
+    ("tol zero", ("tol",), 0,
+     ValidationError, "field 'tol': must be positive, got 0.0"),
+    ("out not string", ("out",), 5,
+     ParseError, "field 'out': expected a string"),
+    ("grid_pitch float", ("grid_pitch",), 0.25,
+     ParseError, "field 'grid_pitch': exact fields take integers or 'p/q' strings, not floats"),
+    ("grid_pitch boolean", ("grid_pitch",), True,
+     ParseError, "field 'grid_pitch': expected a rational, got a boolean"),
+    ("grid_pitch zero denominator", ("grid_pitch",), "1/0",
+     ParseError, "field 'grid_pitch': not a rational: '1/0'"),
+    ("grid_pitch negative", ("grid_pitch",), "-1/4",
+     ValidationError, "field 'grid_pitch': must be positive, got -1/4"),
+    ("grid_pitch list", ("grid_pitch",), [1, 4],
+     ParseError, "field 'grid_pitch': expected an integer or a 'p/q' string"),
+    ("sequence not object", ("sequence",), ["jorgensen-pedersen"],
+     ParseError, "field 'sequence': expected an object"),
+    ("sequence neither", ("sequence",), {},
+     ValidationError, "field 'sequence': give exactly one of 'generator' or 'inline'"),
+    ("sequence both", ("sequence", "inline"), [],
+     ValidationError, "field 'sequence': give exactly one of 'generator' or 'inline'"),
+    ("sequence unknown key", ("sequence", "bogus"), 1,
+     ParseError, "field 'sequence.bogus': unknown field"),
+    ("generator not string", ("sequence", "generator"), 4,
+     ParseError, "field 'sequence.generator': expected a string"),
+    ("params not object", ("sequence", "params"), [8],
+     ParseError, "field 'sequence.params': expected an object"),
+    ("params unknown key", ("sequence", "params", "min_k"), 1,
+     ParseError, "field 'sequence.params.min_k': unknown field"),
+    ("params max_k below minimum", ("sequence", "params", "max_k"), 0,
+     ValidationError, "field 'sequence.params.max_k': must be >= 1, got 0"),
+    ("inline not list", ("sequence",), {"inline": {"matrix": [[4]]}},
+     ParseError, "field 'sequence.inline': expected a list of level objects"),
+    ("inline empty", ("sequence",), {"inline": []},
+     ValidationError, "field 'sequence.inline': needs at least one level"),
+    ("inline level not object", ("sequence", "inline", 0), 5,
+     ParseError, "field 'sequence.inline[0]': expected an object"),
+    ("inline level unknown key", ("sequence", "inline", 0, "scale"), 4,
+     ParseError, "field 'sequence.inline[0].scale': unknown field"),
+    ("inline level missing digits", ("sequence", "inline", 0, "digits"), DELETE,
+     ParseError, "field 'sequence.inline[0]': each level needs 'matrix' and 'digits'"),
+    ("inline level missing matrix", ("sequence", "inline", 0, "matrix"), DELETE,
+     ParseError, "field 'sequence.inline[0]': each level needs 'matrix' and 'digits'"),
+    ("inline matrix rows", ("sequence", "inline", 0, "matrix"), [[4], [1]],
+     ValidationError, "field 'sequence.inline[0].matrix': expected 1 rows"),
+    ("inline matrix not list", ("sequence", "inline", 0, "matrix"), 4,
+     ValidationError, "field 'sequence.inline[0].matrix': expected 1 rows"),
+    ("inline matrix entry float", ("sequence", "inline", 0, "matrix"), [[4.0]],
+     ParseError, "field 'sequence.inline[0].matrix[0][0]': expected an integer (write big values as decimal strings)"),
+    ("inline one digit", ("sequence", "inline", 0, "digits"), [[0]],
+     ValidationError, "field 'sequence.inline[0].digits': needs at least 2 digits, got 1"),
+    ("inline digits not list", ("sequence", "inline", 0, "digits"), 3,
+     ParseError, "field 'sequence.inline[0].digits': expected a list of integer vectors"),
+    ("inline digit not vector", ("sequence", "inline", 0, "digits"), [0, 2],
+     ParseError, "field 'sequence.inline[0].digits[0]': expected an integer vector"),
+    ("inline digit components", ("sequence", "inline", 0, "digits"), [[0], [2, 1]],
+     ValidationError, "field 'sequence.inline[0].digits[1]': expected 1 components, got 2"),
+    ("inline spectrum digit boolean", ("sequence", "inline", 0, "spectrum_digits"), [[0], [True]],
+     ParseError, "field 'sequence.inline[0].spectrum_digits[1][0]': expected an integer, got a boolean"),
+    ("check not object", ("check",), 3,
+     ParseError, "field 'check': expected an object"),
+    ("check unknown key", ("check", "upt"), 3,
+     ParseError, "field 'check.upt': unknown field"),
+    ("check upto below minimum", ("check", "upto"), 0,
+     ValidationError, "field 'check.upto': must be >= 1, got 0"),
+    ("check hadamard_upto boolean", ("check", "hadamard_upto"), True,
+     ParseError, "field 'check.hadamard_upto': expected an integer, got a boolean"),
+    ("check equivalence_upto float", ("check", "equivalence_upto"), 2.5,
+     ParseError, "field 'check.equivalence_upto': expected an integer (write big values as decimal strings)"),
+    ("checks not list", ("check", "checks"), "rbc",
+     ParseError, "field 'check.checks': expected a list of check names"),
+    ("checks empty", ("check", "checks"), [],
+     ValidationError, "field 'check.checks': needs at least one check"),
+    ("checks unknown check", ("check", "checks"), ["rbc", "rbcc"],
+     ValidationError, "field 'check.checks[1]': unknown check 'rbcc'; available: hadamard, equivalence, rbc, pcc, contractivity, three-series"),
+    ("checks entry not string", ("check", "checks"), [1],
+     ParseError, "field 'check.checks[0]': expected a string"),
+    ("pcc_l float", ("check", "pcc_l"), 0.25,
+     ParseError, "field 'check.pcc_l': exact fields take integers or 'p/q' strings, not floats"),
+    ("three_series_radius zero", ("check", "three_series_radius"), "0",
+     ValidationError, "field 'check.three_series_radius': must be positive, got 0"),
+    ("spectrum milestones missing", ("spectrum", "milestones"), DELETE,
+     ValidationError, "field 'spectrum': 'milestones' is required"),
+    ("spectrum milestones empty", ("spectrum", "milestones"), [],
+     ValidationError, "field 'spectrum.milestones': needs at least one level"),
+    ("spectrum milestones not list", ("spectrum", "milestones"), 3,
+     ParseError, "field 'spectrum.milestones': expected a list of integers"),
+    ("spectrum milestone below minimum", ("spectrum", "milestones"), [1, 0],
+     ValidationError, "field 'spectrum.milestones[1]': must be >= 1, got 0"),
+    ("spectrum unknown chooser", ("spectrum", "chooser"), "best",
+     ValidationError, "field 'spectrum.chooser': unknown chooser 'best'; available: zero, windowed-search"),
+    ("spectrum chooser not string", ("spectrum", "chooser"), None,
+     ParseError, "field 'spectrum.chooser': expected a string"),
+    ("spectrum search_radius below minimum", ("spectrum", "search_radius"), 0,
+     ValidationError, "field 'spectrum.search_radius': must be >= 1, got 0"),
+    ("spectrum search_depth float", ("spectrum", "search_depth"), 1.5,
+     ParseError, "field 'spectrum.search_depth': expected an integer (write big values as decimal strings)"),
+    ("spectrum delta0 not rational", ("spectrum", "delta0"), "a/b",
+     ParseError, "field 'spectrum.delta0': not a rational: 'a/b'"),
+    ("spectrum exactness integer", ("spectrum", "exactness"), 1,
+     ParseError, "field 'spectrum.exactness': expected true or false"),
+    ("qscan truncation missing", ("qscan", "truncation"), DELETE,
+     ValidationError, "field 'qscan': 'truncation' is required"),
+    ("qscan truncation below minimum", ("qscan", "truncation"), -1,
+     ValidationError, "field 'qscan.truncation': must be >= 0, got -1"),
+    ("qscan neither lambda nor file", ("qscan", "lambda"), DELETE,
+     ValidationError, "field 'qscan': give exactly one of 'lambda' or 'spectrum_file'"),
+    ("qscan both lambda and file", ("qscan", "spectrum_file"), "levels.txt",
+     ValidationError, "field 'qscan': give exactly one of 'lambda' or 'spectrum_file'"),
+    ("qscan lambda components", ("qscan", "lambda"), [[0, 1]],
+     ValidationError, "field 'qscan.lambda[0]': expected 1 components, got 2"),
+    ("qscan lambda not list", ("qscan", "lambda"), "0",
+     ParseError, "field 'qscan.lambda': expected a list of integer vectors"),
+    ("qscan grid_pitch float", ("qscan", "grid_pitch"), 0.5,
+     ParseError, "field 'qscan.grid_pitch': exact fields take integers or 'p/q' strings, not floats"),
+    ("qscan grid_cap below minimum", ("qscan", "grid_cap"), 0,
+     ValidationError, "field 'qscan.grid_cap': must be >= 1, got 0"),
+    ("qscan unknown key", ("qscan", "pitch"), "1/8",
+     ParseError, "field 'qscan.pitch': unknown field"),
+    ("sample upto missing", ("sample", "upto"), DELETE,
+     ValidationError, "field 'sample': 'upto' is required"),
+    ("sample draws missing", ("sample", "draws"), DELETE,
+     ValidationError, "field 'sample': 'draws' is required"),
+    ("sample draws below minimum", ("sample", "draws"), 0,
+     ValidationError, "field 'sample.draws': must be >= 1, got 0"),
+    ("sample pair_with_reduced string", ("sample", "pair_with_reduced"), "yes",
+     ParseError, "field 'sample.pair_with_reduced': expected true or false"),
+    ("sample scaled null", ("sample", "scaled"), None,
+     ParseError, "field 'sample.scaled': expected true or false"),
+    ("equipos depth missing", ("equipos", "depth"), DELETE,
+     ValidationError, "field 'equipos': 'depth' is required"),
+    ("equipos y_radius missing", ("equipos", "y_radius"), DELETE,
+     ValidationError, "field 'equipos': 'y_radius' is required"),
+    ("equipos tail_starts empty", ("equipos", "tail_starts"), [],
+     ValidationError, "field 'equipos.tail_starts': needs at least one start"),
+    ("equipos tail_starts below minimum", ("equipos", "tail_starts"), [0, -1],
+     ValidationError, "field 'equipos.tail_starts[1]': must be >= 0, got -1"),
+    ("equipos x_pitch float", ("equipos", "x_pitch"), 0.125,
+     ParseError, "field 'equipos.x_pitch': exact fields take integers or 'p/q' strings, not floats"),
+    ("equipos y_pitch zero", ("equipos", "y_pitch"), "0/3",
+     ValidationError, "field 'equipos.y_pitch': must be positive, got 0"),
+    ("equipos y_radius negative", ("equipos", "y_radius"), -1,
+     ValidationError, "field 'equipos.y_radius': must be positive, got -1"),
+    ("equipos k_window below minimum", ("equipos", "k_window"), -1,
+     ValidationError, "field 'equipos.k_window': must be >= 0, got -1"),
+    ("equipos reduced integer", ("equipos", "reduced"), 0,
+     ParseError, "field 'equipos.reduced': expected true or false"),
+    ("equipos transfer_upto big string", ("equipos", "transfer_upto"), "0",
+     ValidationError, "field 'equipos.transfer_upto': must be >= 1, got 0"),
+    ("equipos fail_tol string", ("equipos", "fail_tol"), "1e-9",
+     ParseError, "field 'equipos.fail_tol': expected a number"),
+    ("equipos fail_tol negative", ("equipos", "fail_tol"), -1e-09,
+     ValidationError, "field 'equipos.fail_tol': must be positive, got -1e-09"),
+    ("equipos grid_cap boolean", ("equipos", "grid_cap"), False,
+     ParseError, "field 'equipos.grid_cap': expected an integer, got a boolean"),
+    ("equipos unknown key", ("equipos", "x_radius"), "1/12",
+     ParseError, "field 'equipos.x_radius': unknown field"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, exc, message",
+    [case[1:] for case in SINGLE_FAULTS],
+    ids=[case[0] for case in SINGLE_FAULTS],
+)
+def test_single_fault_error_is_pinned(path, value, exc, message):
+    with pytest.raises((ParseError, ValidationError)) as info:
+        cli.parse_config(json.dumps(_with_fault(path, value)))
+    assert (type(info.value), str(info.value)) == (exc, message)
