@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -93,22 +94,16 @@ _TABLE_ROW_LIMIT = 24  # long per-level tables show the head plus the final row
 
 
 # ---------------------------------------------------------------------------
-# config field readers: ParseError for shape/type, ValidationError for values
+# config schema: every field kind is called as kind(value, path, bound, dim)
+# and returns the normalized value, raising ParseError for shape or type and
+# ValidationError for values; dim is the config's dimension once it is read
 
 
 def _fail(path: str, msg: str):
     raise ParseError(f"field '{path}': {msg}")
 
 
-def _check_keys(obj, allowed, path: str):
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    for key in obj:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown field")
-
-
-def _as_int(value, path: str, minimum=None):
+def _as_int(value, path: str, minimum=None, dim=None):
     if isinstance(value, bool):
         _fail(path, "expected an integer, got a boolean")
     if isinstance(value, str):
@@ -125,7 +120,7 @@ def _as_int(value, path: str, minimum=None):
     return value
 
 
-def _as_rational(value, path: str, positive=False):
+def _as_rational(value, path: str, positive=False, dim=None):
     """Exact fields take ints or 'p/q' strings; floats are refused."""
     if isinstance(value, bool):
         _fail(path, "expected a rational, got a boolean")
@@ -145,34 +140,68 @@ def _as_rational(value, path: str, positive=False):
     return str(frac)
 
 
-def _as_float(value, path: str, positive=False):
+def _as_float(value, path: str, positive=False, dim=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the double range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"field '{path}': must be finite, got {value}")
     if positive and value <= 0:
         raise ValidationError(f"field '{path}': must be positive, got {value}")
     return value
 
 
-def _as_bool(value, path: str):
+def _as_bool(value, path: str, bound=None, dim=None):
     if not isinstance(value, bool):
         _fail(path, "expected true or false")
     return value
 
 
-def _as_str(value, path: str):
+def _as_str(value, path: str, bound=None, dim=None):
     if not isinstance(value, str):
         _fail(path, "expected a string")
     return value
 
 
-def _as_int_list(value, path: str, minimum=None):
+def _at_least_one(items: list, path: str, noun: str) -> list:
+    if not items:
+        raise ValidationError(f"field '{path}': needs at least one {noun}")
+    return items
+
+
+def _as_int_list(value, path: str, bound, dim=None):
+    """bound = (minimum of each entry, noun of the non-empty message)."""
+    minimum, noun = bound
     if not isinstance(value, list):
         _fail(path, "expected a list of integers")
-    return [_as_int(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(value)]
+    items = [_as_int(v, f"{path}[{i}]", minimum) for i, v in enumerate(value)]
+    return _at_least_one(items, path, noun)
 
 
-def _as_vector_list(value, path: str, dim: int):
+def _as_choice(value, path: str, bound, dim=None):
+    """bound = (noun, allowed names)."""
+    noun, names = bound
+    value = _as_str(value, path)
+    if value not in names:
+        raise ValidationError(
+            f"field '{path}': unknown {noun} {value!r}; available: {', '.join(names)}"
+        )
+    return value
+
+
+def _as_choices(value, path: str, bound, dim=None):
+    """A non-empty list of choices, duplicates dropped in first-seen order."""
+    if not isinstance(value, list):
+        _fail(path, f"expected a list of {bound[0]} names")
+    picked = dict.fromkeys(_as_choice(v, f"{path}[{i}]", bound) for i, v in enumerate(value))
+    return _at_least_one(list(picked), path, bound[0])
+
+
+def _as_vector_list(value, path: str, least=None, dim=None):
+    """Integer vectors of `dim` components; a `least` bound counts digits."""
     if not isinstance(value, list):
         _fail(path, "expected a list of integer vectors")
     out = []
@@ -184,265 +213,140 @@ def _as_vector_list(value, path: str, dim: int):
                 f"field '{path}[{i}]': expected {dim} components, got {len(vec)}"
             )
         out.append([_as_int(c, f"{path}[{i}][{j}]") for j, c in enumerate(vec)])
+    if least is not None and len(out) < least:
+        raise ValidationError(f"field '{path}': needs at least {least} digits, got {len(out)}")
     return out
 
 
-# ---------------------------------------------------------------------------
-# section normalizers
+def _as_matrix(value, path: str, bound=None, dim=None):
+    if not isinstance(value, list) or len(value) != dim:
+        raise ValidationError(f"field '{path}': expected {dim} rows")
+    return _as_vector_list(value, path, dim=dim)
 
 
-def _norm_sequence(sec, dim: int):
-    _check_keys(sec, ("generator", "params", "inline"), "sequence")
-    has_gen = "generator" in sec
-    has_inline = "inline" in sec
-    if has_gen == has_inline:
-        raise ValidationError(
-            "field 'sequence': give exactly one of 'generator' or 'inline'"
-        )
-    out = {}
-    if has_gen:
-        out["generator"] = _as_str(sec["generator"], "sequence.generator")
-        params = sec.get("params", {})
-        _check_keys(params, ("max_k",), "sequence.params")
-        norm = {}
-        if "max_k" in params:
-            norm["max_k"] = _as_int(params["max_k"], "sequence.params.max_k", minimum=1)
-        if norm:
-            out["params"] = norm
-    else:
-        rows = sec["inline"]
-        if not isinstance(rows, list):
-            _fail("sequence.inline", "expected a list of level objects")
-        if not rows:
-            raise ValidationError("field 'sequence.inline': needs at least one level")
-        levels = []
-        for i, row in enumerate(rows):
-            path = f"sequence.inline[{i}]"
-            _check_keys(row, ("matrix", "digits", "spectrum_digits"), path)
-            if "matrix" not in row or "digits" not in row:
+def _as_section(value, path: str, section, dim=None):
+    return _walk(value, path, section, dim)
+
+
+def _as_params(value, path: str, section, dim=None):
+    """A section that is left out of the normalized doc when empty."""
+    return _walk(value, path, section, dim) or None
+
+
+def _as_levels(value, path: str, section, dim=None):
+    if not isinstance(value, list):
+        _fail(path, "expected a list of level objects")
+    levels = [_walk(row, f"{path}[{i}]", section, dim) for i, row in enumerate(value)]
+    return _at_least_one(levels, path, "level")
+
+
+# Every config field, once: section -> {field: (kind, bound, required)}, in
+# the order the fields are read.  The bound is the kind's third argument: an
+# integer minimum, a positivity flag, (minimum, noun) for integer lists,
+# (noun, names) for choices, or the section a nested object follows.  The
+# normalized doc holds exactly the fields a config gives; defaults live in the
+# cmd_* drivers, so the emission and config_sha256 never depend on them.
+_FIELDS = {
+    "": {
+        "dimension": (_as_int, 1, True),
+        "sequence": (_as_section, "sequence", True),
+        "check": (_as_section, "check", False),
+        "spectrum": (_as_section, "spectrum", False),
+        "qscan": (_as_section, "qscan", False),
+        "sample": (_as_section, "sample", False),
+        "equipos": (_as_section, "equipos", False),
+        "seed": (_as_int, None, False),
+        "max_atoms": (_as_int, 1, False),
+        "tol": (_as_float, True, False),
+        "out": (_as_str, None, False),
+        "grid_pitch": (_as_rational, True, False),
+    },
+    "sequence": {
+        "generator": (_as_str, None, False),
+        "params": (_as_params, "params", False),
+        "inline": (_as_levels, "level", False),
+    },
+    "params": {"max_k": (_as_int, 1, False)},
+    "level": {
+        "matrix": (_as_matrix, None, True),
+        "digits": (_as_vector_list, 2, True),
+        "spectrum_digits": (_as_vector_list, None, False),
+    },
+    "check": {
+        "upto": (_as_int, 1, False),
+        "hadamard_upto": (_as_int, 1, False),
+        "equivalence_upto": (_as_int, 1, False),
+        "checks": (_as_choices, ("check", _CHECK_NAMES), False),
+        "pcc_l": (_as_rational, True, False),
+        "three_series_radius": (_as_rational, True, False),
+    },
+    "spectrum": {
+        "milestones": (_as_int_list, (1, "level"), True),
+        "chooser": (_as_choice, ("chooser", _CHOOSERS), False),
+        "search_radius": (_as_int, 1, False),
+        "search_depth": (_as_int, 1, False),
+        "delta0": (_as_rational, True, False),
+        "exactness": (_as_bool, None, False),
+    },
+    "qscan": {
+        "truncation": (_as_int, 0, True),
+        "lambda": (_as_vector_list, None, False),
+        "spectrum_file": (_as_str, None, False),
+        "grid_pitch": (_as_rational, True, False),
+        "grid_cap": (_as_int, 1, False),
+    },
+    "sample": {
+        "upto": (_as_int, 1, True),
+        "draws": (_as_int, 1, True),
+        "pair_with_reduced": (_as_bool, None, False),
+        "scaled": (_as_bool, None, False),
+    },
+    "equipos": {
+        "depth": (_as_int, 1, True),
+        "y_radius": (_as_rational, True, True),
+        "tail_starts": (_as_int_list, (0, "start"), False),
+        "x_pitch": (_as_rational, True, False),
+        "y_pitch": (_as_rational, True, False),
+        "k_window": (_as_int, 0, False),
+        "reduced": (_as_bool, None, False),
+        "transfer_upto": (_as_int, 1, False),
+        "fail_tol": (_as_float, True, False),
+        "grid_cap": (_as_int, 1, False),
+    },
+}
+
+# sections that take exactly one field of a pair
+_EXACTLY_ONE = {
+    "sequence": ("generator", "inline"),
+    "qscan": ("lambda", "spectrum_file"),
+}
+
+
+def _walk(obj, path: str, section: str, dim=None) -> dict:
+    """Normalize one object against its section of the field table."""
+    fields = _FIELDS[section]
+    if not isinstance(obj, dict):
+        _fail(path, "expected an object")
+    for key in obj:
+        if key not in fields:
+            _fail(f"{path}.{key}" if path else key, "unknown field")
+    for name, (_, _, required) in fields.items():
+        if required and name not in obj:
+            if section == "level":
                 _fail(path, "each level needs 'matrix' and 'digits'")
-            mat = row["matrix"]
-            if not isinstance(mat, list) or len(mat) != dim:
-                raise ValidationError(f"field '{path}.matrix': expected {dim} rows")
-            matrix = _as_vector_list(mat, f"{path}.matrix", dim)
-            digits = _as_vector_list(row["digits"], f"{path}.digits", dim)
-            if len(digits) < 2:
-                raise ValidationError(
-                    f"field '{path}.digits': needs at least 2 digits, got {len(digits)}"
-                )
-            level = {"matrix": matrix, "digits": digits}
-            if "spectrum_digits" in row:
-                level["spectrum_digits"] = _as_vector_list(
-                    row["spectrum_digits"], f"{path}.spectrum_digits", dim
-                )
-            levels.append(level)
-        out["inline"] = levels
-    return out
-
-
-def _norm_check(sec):
-    _check_keys(
-        sec,
-        ("upto", "hadamard_upto", "checks", "pcc_l", "three_series_radius", "equivalence_upto"),
-        "check",
-    )
-    out = {}
-    if "upto" in sec:
-        out["upto"] = _as_int(sec["upto"], "check.upto", minimum=1)
-    if "hadamard_upto" in sec:
-        out["hadamard_upto"] = _as_int(sec["hadamard_upto"], "check.hadamard_upto", minimum=1)
-    if "equivalence_upto" in sec:
-        out["equivalence_upto"] = _as_int(
-            sec["equivalence_upto"], "check.equivalence_upto", minimum=1
-        )
-    if "checks" in sec:
-        names = sec["checks"]
-        if not isinstance(names, list):
-            _fail("check.checks", "expected a list of check names")
-        seen = []
-        for i, name in enumerate(names):
-            name = _as_str(name, f"check.checks[{i}]")
-            if name not in _CHECK_NAMES:
-                raise ValidationError(
-                    f"field 'check.checks[{i}]': unknown check {name!r}; "
-                    f"available: {', '.join(_CHECK_NAMES)}"
-                )
-            if name not in seen:
-                seen.append(name)
-        if not seen:
-            raise ValidationError("field 'check.checks': needs at least one check")
-        out["checks"] = seen
-    if "pcc_l" in sec:
-        out["pcc_l"] = _as_rational(sec["pcc_l"], "check.pcc_l", positive=True)
-    if "three_series_radius" in sec:
-        out["three_series_radius"] = _as_rational(
-            sec["three_series_radius"], "check.three_series_radius", positive=True
-        )
-    return out
-
-
-def _norm_spectrum(sec):
-    _check_keys(
-        sec,
-        ("milestones", "chooser", "search_radius", "search_depth", "delta0", "exactness"),
-        "spectrum",
-    )
-    if "milestones" not in sec:
-        raise ValidationError("field 'spectrum': 'milestones' is required")
-    out = {"milestones": _as_int_list(sec["milestones"], "spectrum.milestones", minimum=1)}
-    if not out["milestones"]:
-        raise ValidationError("field 'spectrum.milestones': needs at least one level")
-    if "chooser" in sec:
-        chooser = _as_str(sec["chooser"], "spectrum.chooser")
-        if chooser not in _CHOOSERS:
             raise ValidationError(
-                f"field 'spectrum.chooser': unknown chooser {chooser!r}; "
-                f"available: {', '.join(_CHOOSERS)}"
+                f"field '{path}': '{name}' is required" if path else f"field '{name}' is required"
             )
-        out["chooser"] = chooser
-    if "search_radius" in sec:
-        out["search_radius"] = _as_int(sec["search_radius"], "spectrum.search_radius", minimum=1)
-    if "search_depth" in sec:
-        out["search_depth"] = _as_int(sec["search_depth"], "spectrum.search_depth", minimum=1)
-    if "delta0" in sec:
-        out["delta0"] = _as_rational(sec["delta0"], "spectrum.delta0", positive=True)
-    if "exactness" in sec:
-        out["exactness"] = _as_bool(sec["exactness"], "spectrum.exactness")
-    return out
-
-
-def _norm_qscan(sec, dim: int):
-    _check_keys(
-        sec,
-        ("truncation", "lambda", "spectrum_file", "grid_pitch", "grid_cap"),
-        "qscan",
-    )
-    if "truncation" not in sec:
-        raise ValidationError("field 'qscan': 'truncation' is required")
-    out = {"truncation": _as_int(sec["truncation"], "qscan.truncation", minimum=0)}
-    has_lam = "lambda" in sec
-    has_file = "spectrum_file" in sec
-    if has_lam == has_file:
-        raise ValidationError(
-            "field 'qscan': give exactly one of 'lambda' or 'spectrum_file'"
-        )
-    if has_lam:
-        out["lambda"] = _as_vector_list(sec["lambda"], "qscan.lambda", dim)
-    else:
-        out["spectrum_file"] = _as_str(sec["spectrum_file"], "qscan.spectrum_file")
-    if "grid_pitch" in sec:
-        out["grid_pitch"] = _as_rational(sec["grid_pitch"], "qscan.grid_pitch", positive=True)
-    if "grid_cap" in sec:
-        out["grid_cap"] = _as_int(sec["grid_cap"], "qscan.grid_cap", minimum=1)
-    return out
-
-
-def _norm_sample(sec):
-    _check_keys(sec, ("upto", "draws", "pair_with_reduced", "scaled"), "sample")
-    for req in ("upto", "draws"):
-        if req not in sec:
-            raise ValidationError(f"field 'sample': '{req}' is required")
-    out = {
-        "upto": _as_int(sec["upto"], "sample.upto", minimum=1),
-        "draws": _as_int(sec["draws"], "sample.draws", minimum=1),
-    }
-    if "pair_with_reduced" in sec:
-        out["pair_with_reduced"] = _as_bool(sec["pair_with_reduced"], "sample.pair_with_reduced")
-    if "scaled" in sec:
-        out["scaled"] = _as_bool(sec["scaled"], "sample.scaled")
-    return out
-
-
-def _norm_equipos(sec):
-    _check_keys(
-        sec,
-        (
-            "tail_starts",
-            "depth",
-            "x_pitch",
-            "y_radius",
-            "y_pitch",
-            "k_window",
-            "reduced",
-            "transfer_upto",
-            "fail_tol",
-            "grid_cap",
-        ),
-        "equipos",
-    )
-    for req in ("depth", "y_radius"):
-        if req not in sec:
-            raise ValidationError(f"field 'equipos': '{req}' is required")
-    out = {
-        "depth": _as_int(sec["depth"], "equipos.depth", minimum=1),
-        "y_radius": _as_rational(sec["y_radius"], "equipos.y_radius", positive=True),
-    }
-    if "tail_starts" in sec:
-        starts = _as_int_list(sec["tail_starts"], "equipos.tail_starts", minimum=0)
-        if not starts:
-            raise ValidationError("field 'equipos.tail_starts': needs at least one start")
-        out["tail_starts"] = starts
-    if "x_pitch" in sec:
-        out["x_pitch"] = _as_rational(sec["x_pitch"], "equipos.x_pitch", positive=True)
-    if "y_pitch" in sec:
-        out["y_pitch"] = _as_rational(sec["y_pitch"], "equipos.y_pitch", positive=True)
-    if "k_window" in sec:
-        out["k_window"] = _as_int(sec["k_window"], "equipos.k_window", minimum=0)
-    if "reduced" in sec:
-        out["reduced"] = _as_bool(sec["reduced"], "equipos.reduced")
-    if "transfer_upto" in sec:
-        out["transfer_upto"] = _as_int(sec["transfer_upto"], "equipos.transfer_upto", minimum=1)
-    if "fail_tol" in sec:
-        out["fail_tol"] = _as_float(sec["fail_tol"], "equipos.fail_tol", positive=True)
-    if "grid_cap" in sec:
-        out["grid_cap"] = _as_int(sec["grid_cap"], "equipos.grid_cap", minimum=1)
-    return out
-
-
-_TOP_KEYS = (
-    "dimension",
-    "sequence",
-    "check",
-    "spectrum",
-    "qscan",
-    "sample",
-    "equipos",
-    "seed",
-    "max_atoms",
-    "tol",
-    "out",
-    "grid_pitch",
-)
-
-
-def _normalize(doc) -> dict:
-    _check_keys(doc, _TOP_KEYS, "")
-    if "dimension" not in doc:
-        raise ValidationError("field 'dimension' is required")
-    if "sequence" not in doc:
-        raise ValidationError("field 'sequence' is required")
-    dim = _as_int(doc["dimension"], "dimension", minimum=1)
-    out = {"dimension": dim, "sequence": _norm_sequence(doc["sequence"], dim)}
-    if "check" in doc:
-        out["check"] = _norm_check(doc["check"])
-    if "spectrum" in doc:
-        out["spectrum"] = _norm_spectrum(doc["spectrum"])
-    if "qscan" in doc:
-        out["qscan"] = _norm_qscan(doc["qscan"], dim)
-    if "sample" in doc:
-        out["sample"] = _norm_sample(doc["sample"])
-    if "equipos" in doc:
-        out["equipos"] = _norm_equipos(doc["equipos"])
-    if "seed" in doc:
-        out["seed"] = _as_int(doc["seed"], "seed")
-    if "max_atoms" in doc:
-        out["max_atoms"] = _as_int(doc["max_atoms"], "max_atoms", minimum=1)
-    if "tol" in doc:
-        out["tol"] = _as_float(doc["tol"], "tol", positive=True)
-    if "out" in doc:
-        out["out"] = _as_str(doc["out"], "out")
-    if "grid_pitch" in doc:
-        out["grid_pitch"] = _as_rational(doc["grid_pitch"], "grid_pitch", positive=True)
+    pair = _EXACTLY_ONE.get(section)
+    if pair and (pair[0] in obj) == (pair[1] in obj):
+        raise ValidationError(f"field '{path}': give exactly one of '{pair[0]}' or '{pair[1]}'")
+    out = {}
+    for name, (kind, bound, _) in fields.items():
+        if name in obj:
+            value = kind(obj[name], f"{path}.{name}" if path else name, bound, dim)
+            if value is not None:
+                out[name] = value
+            dim = out.get("dimension", dim)
     return out
 
 
@@ -468,7 +372,7 @@ class RunConfig:
         for key, value in overrides.items():
             if value is not None:
                 doc[key] = value
-        return RunConfig(_normalize(doc))
+        return RunConfig(_walk(doc, "", ""))
 
     def build_sequence(self):
         spec = self.doc["sequence"]
@@ -495,14 +399,24 @@ class RunConfig:
         return seq
 
 
+def _unique_keys(pairs) -> dict:
+    """json object hook: a repeated key is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: str) -> RunConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
-    return RunConfig(_normalize(doc))
+    return RunConfig(_walk(doc, "", ""))
 
 
 def load_config(path) -> RunConfig:

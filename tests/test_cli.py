@@ -758,3 +758,60 @@ def test_single_fault_error_is_pinned(path, value, exc, message):
     with pytest.raises((ParseError, ValidationError)) as info:
         cli.parse_config(json.dumps(_with_fault(path, value)))
     assert (type(info.value), str(info.value)) == (exc, message)
+
+
+# -- non-finite floats and duplicate keys -------------------------------------
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["tol", "equipos.fail_tol"])
+def test_non_finite_float_fields_are_rejected(field, literal):
+    doc = jp_doc(equipos={"depth": 2, "y_radius": "1/12"})
+    section, _, name = field.rpartition(".")
+    (doc[section] if section else doc)[name] = "PLACEHOLDER"
+    text = json.dumps(doc).replace('"PLACEHOLDER"', literal)
+    with pytest.raises(ValidationError, match=f"field '{field}': must be finite"):
+        cli.parse_config(text)
+
+
+def test_integer_past_the_double_range_is_not_a_finite_float():
+    with pytest.raises(ValidationError, match="field 'tol': must be finite"):
+        cli.parse_config(json.dumps(jp_doc(tol=10**400)))
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1e999"])
+def test_tol_flag_rejects_non_finite_values(tmp_path, value):
+    cfg = write_config(tmp_path, jp_doc(check={"upto": 2, "checks": ["hadamard"]}))
+    rc, out, err = run_cli(["check", "--config", cfg, f"--tol={value}"])
+    assert rc == 2
+    assert "config error: field 'tol': must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"dimension": 1, "dimension": 2, "sequence": {"generator": "jorgensen-pedersen"}}',
+         "dimension"),
+        ('{"dimension": 1, "sequence": {"generator": "jorgensen-pedersen"},'
+         ' "check": {"upto": 2}, "check": {"upto": 3}}', "check"),
+        ('{"dimension": 1, "sequence": {"inline": [{"matrix": [[2]], "digits": [[0], [1]],'
+         ' "digits": [[0], [3]]}]}}', "digits"),
+    ],
+    ids=["top", "section", "inline level"],
+)
+def test_duplicate_keys_are_rejected_at_any_depth(text, key):
+    with pytest.raises(ParseError, match=f"duplicate key '{key}'"):
+        cli.parse_config(text)
+
+
+def test_duplicate_key_exits_2(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"dimension": 1, "sequence": {"generator": "jorgensen-pedersen"},'
+        ' "check": {"upto": 2}, "check": {"checks": ["rbc"]}}',
+        encoding="utf-8",
+    )
+    rc, _, err = run_cli(["check", "--config", str(path)])
+    assert rc == 2
+    assert "config error: duplicate key 'check'" in err
