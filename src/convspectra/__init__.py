@@ -19,7 +19,6 @@ from .errors import ConvspectraError
 from .exactmat import (
     IntMatrix,
     RatMatrix,
-    expansive_check,
     invert,
     product_range,
     spectral_norm_upper,
@@ -79,7 +78,6 @@ __all__ = [
     "equi_positivity_floor",
     "equi_positivity_scan",
     "equivalence_defect",
-    "expansive_check",
     "fourier",
     "fourier_many",
     "from_generator",

@@ -120,8 +120,8 @@ def _as_int(value, path: str, minimum=None, dim=None):
     return value
 
 
-def _as_rational(value, path: str, positive=False, dim=None):
-    """Exact fields take ints or 'p/q' strings; floats are refused."""
+def _as_rational(value, path: str, bound=None, dim=None):
+    """Exact fields take positive ints or 'p/q' strings; floats are refused."""
     if isinstance(value, bool):
         _fail(path, "expected a rational, got a boolean")
     if isinstance(value, float):
@@ -135,12 +135,13 @@ def _as_rational(value, path: str, positive=False, dim=None):
             _fail(path, f"not a rational: {value!r}")
     else:
         _fail(path, "expected an integer or a 'p/q' string")
-    if positive and frac <= 0:
+    if frac <= 0:
         raise ValidationError(f"field '{path}': must be positive, got {frac}")
     return str(frac)
 
 
-def _as_float(value, path: str, positive=False, dim=None):
+def _as_float(value, path: str, bound=None, dim=None):
+    """A positive, finite tolerance."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
     try:
@@ -149,7 +150,7 @@ def _as_float(value, path: str, positive=False, dim=None):
         value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"field '{path}': must be finite, got {value}")
-    if positive and value <= 0:
+    if value <= 0:
         raise ValidationError(f"field '{path}': must be positive, got {value}")
     return value
 
@@ -224,10 +225,6 @@ def _as_matrix(value, path: str, bound=None, dim=None):
     return _as_vector_list(value, path, dim=dim)
 
 
-def _as_section(value, path: str, section, dim=None):
-    return _walk(value, path, section, dim)
-
-
 def _as_params(value, path: str, section, dim=None):
     """A section that is left out of the normalized doc when empty."""
     return _walk(value, path, section, dim) or None
@@ -240,81 +237,6 @@ def _as_levels(value, path: str, section, dim=None):
     return _at_least_one(levels, path, "level")
 
 
-# Every config field, once: section -> {field: (kind, bound, required)}, in
-# the order the fields are read.  The bound is the kind's third argument: an
-# integer minimum, a positivity flag, (minimum, noun) for integer lists,
-# (noun, names) for choices, or the section a nested object follows.  The
-# normalized doc holds exactly the fields a config gives; defaults live in the
-# cmd_* drivers, so the emission and config_sha256 never depend on them.
-_FIELDS = {
-    "": {
-        "dimension": (_as_int, 1, True),
-        "sequence": (_as_section, "sequence", True),
-        "check": (_as_section, "check", False),
-        "spectrum": (_as_section, "spectrum", False),
-        "qscan": (_as_section, "qscan", False),
-        "sample": (_as_section, "sample", False),
-        "equipos": (_as_section, "equipos", False),
-        "seed": (_as_int, None, False),
-        "max_atoms": (_as_int, 1, False),
-        "tol": (_as_float, True, False),
-        "out": (_as_str, None, False),
-        "grid_pitch": (_as_rational, True, False),
-    },
-    "sequence": {
-        "generator": (_as_str, None, False),
-        "params": (_as_params, "params", False),
-        "inline": (_as_levels, "level", False),
-    },
-    "params": {"max_k": (_as_int, 1, False)},
-    "level": {
-        "matrix": (_as_matrix, None, True),
-        "digits": (_as_vector_list, 2, True),
-        "spectrum_digits": (_as_vector_list, None, False),
-    },
-    "check": {
-        "upto": (_as_int, 1, False),
-        "hadamard_upto": (_as_int, 1, False),
-        "equivalence_upto": (_as_int, 1, False),
-        "checks": (_as_choices, ("check", _CHECK_NAMES), False),
-        "pcc_l": (_as_rational, True, False),
-        "three_series_radius": (_as_rational, True, False),
-    },
-    "spectrum": {
-        "milestones": (_as_int_list, (1, "level"), True),
-        "chooser": (_as_choice, ("chooser", _CHOOSERS), False),
-        "search_radius": (_as_int, 1, False),
-        "search_depth": (_as_int, 1, False),
-        "delta0": (_as_rational, True, False),
-        "exactness": (_as_bool, None, False),
-    },
-    "qscan": {
-        "truncation": (_as_int, 0, True),
-        "lambda": (_as_vector_list, None, False),
-        "spectrum_file": (_as_str, None, False),
-        "grid_pitch": (_as_rational, True, False),
-        "grid_cap": (_as_int, 1, False),
-    },
-    "sample": {
-        "upto": (_as_int, 1, True),
-        "draws": (_as_int, 1, True),
-        "pair_with_reduced": (_as_bool, None, False),
-        "scaled": (_as_bool, None, False),
-    },
-    "equipos": {
-        "depth": (_as_int, 1, True),
-        "y_radius": (_as_rational, True, True),
-        "tail_starts": (_as_int_list, (0, "start"), False),
-        "x_pitch": (_as_rational, True, False),
-        "y_pitch": (_as_rational, True, False),
-        "k_window": (_as_int, 0, False),
-        "reduced": (_as_bool, None, False),
-        "transfer_upto": (_as_int, 1, False),
-        "fail_tol": (_as_float, True, False),
-        "grid_cap": (_as_int, 1, False),
-    },
-}
-
 # sections that take exactly one field of a pair
 _EXACTLY_ONE = {
     "sequence": ("generator", "inline"),
@@ -323,7 +245,8 @@ _EXACTLY_ONE = {
 
 
 def _walk(obj, path: str, section: str, dim=None) -> dict:
-    """Normalize one object against its section of the field table."""
+    """Normalize one object against its section of the field table; this is
+    also the field kind of a nested section."""
     fields = _FIELDS[section]
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
@@ -349,6 +272,82 @@ def _walk(obj, path: str, section: str, dim=None) -> dict:
             dim = out.get("dimension", dim)
     return out
 
+
+# Every config field, once: section -> {field: (kind, bound, required)}, in
+# the order the fields are read.  The bound is the kind's third argument: an
+# integer minimum, (minimum, noun) for integer lists, (noun, names) for
+# choices, or the section a nested object follows; rationals and floats are
+# always positive.  The normalized doc holds exactly the fields a config
+# gives; defaults live in the cmd_* drivers, so the emission and
+# config_sha256 never depend on them.
+_FIELDS = {
+    "": {
+        "dimension": (_as_int, 1, True),
+        "sequence": (_walk, "sequence", True),
+        "check": (_walk, "check", False),
+        "spectrum": (_walk, "spectrum", False),
+        "qscan": (_walk, "qscan", False),
+        "sample": (_walk, "sample", False),
+        "equipos": (_walk, "equipos", False),
+        "seed": (_as_int, None, False),
+        "max_atoms": (_as_int, 1, False),
+        "tol": (_as_float, None, False),
+        "out": (_as_str, None, False),
+        "grid_pitch": (_as_rational, None, False),
+    },
+    "sequence": {
+        "generator": (_as_str, None, False),
+        "params": (_as_params, "params", False),
+        "inline": (_as_levels, "level", False),
+    },
+    "params": {"max_k": (_as_int, 1, False)},
+    "level": {
+        "matrix": (_as_matrix, None, True),
+        "digits": (_as_vector_list, 2, True),
+        "spectrum_digits": (_as_vector_list, None, False),
+    },
+    "check": {
+        "upto": (_as_int, 1, False),
+        "hadamard_upto": (_as_int, 1, False),
+        "equivalence_upto": (_as_int, 1, False),
+        "checks": (_as_choices, ("check", _CHECK_NAMES), False),
+        "pcc_l": (_as_rational, None, False),
+        "three_series_radius": (_as_rational, None, False),
+    },
+    "spectrum": {
+        "milestones": (_as_int_list, (1, "level"), True),
+        "chooser": (_as_choice, ("chooser", _CHOOSERS), False),
+        "search_radius": (_as_int, 1, False),
+        "search_depth": (_as_int, 1, False),
+        "delta0": (_as_rational, None, False),
+        "exactness": (_as_bool, None, False),
+    },
+    "qscan": {
+        "truncation": (_as_int, 0, True),
+        "lambda": (_as_vector_list, None, False),
+        "spectrum_file": (_as_str, None, False),
+        "grid_pitch": (_as_rational, None, False),
+        "grid_cap": (_as_int, 1, False),
+    },
+    "sample": {
+        "upto": (_as_int, 1, True),
+        "draws": (_as_int, 1, True),
+        "pair_with_reduced": (_as_bool, None, False),
+        "scaled": (_as_bool, None, False),
+    },
+    "equipos": {
+        "depth": (_as_int, 1, True),
+        "y_radius": (_as_rational, None, True),
+        "tail_starts": (_as_int_list, (0, "start"), False),
+        "x_pitch": (_as_rational, None, False),
+        "y_pitch": (_as_rational, None, False),
+        "k_window": (_as_int, 0, False),
+        "reduced": (_as_bool, None, False),
+        "transfer_upto": (_as_int, 1, False),
+        "fail_tol": (_as_float, None, False),
+        "grid_cap": (_as_int, 1, False),
+    },
+}
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -21,10 +21,6 @@ class DimensionMismatch(ConvspectraError):
     """Operands carry incompatible ambient dimensions."""
 
 
-class DimensionUnsupported(ConvspectraError):
-    """The certified algorithm does not cover this dimension."""
-
-
 class DimensionTooLarge(ConvspectraError):
     """A 2^d enumeration would exceed the configured safety cap."""
 

@@ -1,10 +1,10 @@
 """Exact integer/rational linear algebra for small expanding matrices.
 
 Everything in this module is exact: matrices are tuples of Fractions or ints,
-inverses come from Gauss-Jordan elimination over Q, and the two certified
-numeric routines (spectral_norm_upper, expansive_check) reduce to counting
-real roots of exact characteristic polynomials with Sturm chains, so the
-floats they return carry genuine one-sided guarantees.
+inverses come from Gauss-Jordan elimination over Q, and the certified
+spectral_norm_upper reduces to counting real roots of an exact
+characteristic polynomial with Sturm chains, so the float it returns
+carries a genuine one-sided guarantee.
 """
 from __future__ import annotations
 
@@ -12,12 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DimensionMismatch,
-    DimensionUnsupported,
-    IndexOutOfRange,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
 IntVector = tuple  # tuple[int, ...]
 RatVector = tuple  # tuple[Fraction, ...]
@@ -92,11 +87,6 @@ class IntMatrix:
 
     def is_diagonal(self) -> bool:
         return all(x == 0 for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j)
-
-    def is_triangular(self) -> bool:
-        upper = all(x == 0 for i, row in enumerate(self.rows) for j, x in enumerate(row) if i > j)
-        lower = all(x == 0 for i, row in enumerate(self.rows) for j, x in enumerate(row) if i < j)
-        return upper or lower
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(tuple(tuple(Fraction(x) for x in row) for row in self.rows))
@@ -400,164 +390,3 @@ def spectral_norm_upper(m, tol: float = DEFAULT_NORM_TOL) -> float:
         s_hi = math.sqrt(float(hi))
     u = math.sqrt(float(hi))
     return math.nextafter(math.nextafter(u, math.inf), math.inf)
-
-
-# ===== certified expansiveness check =====
-
-
-@dataclass(frozen=True)
-class ExpansiveReport:
-    """Verdict plus the certificate behind it.
-
-    method is "triangular-exact" (eigenvalues are the diagonal, compared
-    exactly) or "modulus-polynomial" (Sturm count on the exact polynomial
-    whose roots are all pairwise eigenvalue products; min |λ|² is always a
-    real root, bracketed in modulus_sq_bracket).
-    """
-
-    expansive: bool
-    method: str
-    modulus_sq_bracket: tuple  # (lo, hi) floats bracketing min |eigenvalue|²
-    detail: str
-
-
-def _sylvester_resultant(pa, pb) -> Fraction:
-    """Res(pa, pb) for ascending-coefficient polynomials with exact degrees."""
-    pa = poly_trim(list(pa))
-    pb = poly_trim(list(pb))
-    m, n = len(pa) - 1, len(pb) - 1
-    if m == 0 and n == 0:
-        return Fraction(1)
-    if m == 0:
-        return pa[0] ** n
-    if n == 0:
-        return pb[0] ** m
-    size = m + n
-    da = list(reversed(pa))  # descending
-    db = list(reversed(pb))
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in da] + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in db] + [Fraction(0)] * (size - n - 1 - i))
-    return _rat_det(rows)
-
-
-def _lagrange_interpolate(points):
-    """Exact polynomial (ascending Fractions) through (x_i, y_i) pairs."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # build the basis polynomial Π_{j≠i} (x − x_j)/(x_i − x_j)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis  # multiply by x
-            for t in range(len(basis) - 1):
-                basis[t] -= xj * basis[t + 1]
-            denom *= xi - xj
-        scale = yi / denom
-        for t, c in enumerate(basis):
-            coeffs[t] += scale * c
-    return poly_trim(coeffs)
-
-
-def _modulus_product_poly(p):
-    """h(u) = Π_{i,j} (u − λ_i λ_j) for monic p with roots λ_i, exact.
-
-    h(u) = Res_λ(p(λ), λ^d p(u/λ)) evaluated at d²+1 integer points and
-    interpolated; h is monic of degree d².
-    """
-    d = len(p) - 1
-    points = []
-    for u in range(d * d + 1):
-        uf = Fraction(u)
-        # λ^d p(u/λ): ascending coefficient at degree j is a_{d−j} u^{d−j}
-        g = [p[d - j] * uf ** (d - j) for j in range(d + 1)]
-        points.append((uf, _sylvester_resultant(p, g)))
-    h = _lagrange_interpolate(points)
-    assert len(h) == d * d + 1 and h[-1] == 1, "modulus product polynomial must be monic"
-    return h
-
-
-def _cauchy_root_bound(p) -> Fraction:
-    lead = p[-1]
-    return 1 + max(abs(c / lead) for c in p[:-1])
-
-
-def _bracket_smallest_positive_root(h, upper: Fraction, tol: float):
-    """(lo, hi] bracketing the smallest real root of squarefree h in (0, upper]."""
-    lo, hi = Fraction(0), upper
-    if poly_eval(h, hi) == 0:
-        # h has integer coefficients and is monic, so the non-integer
-        # rational hi + 1/3 cannot be a root.
-        hi = hi + Fraction(1, 3)
-    for _ in range(200):
-        if float(hi) - float(lo) <= tol * max(1.0, float(hi)):
-            break
-        mid = (lo + hi) / 2
-        if poly_eval(h, mid) == 0:
-            return mid, mid
-        if count_real_roots(h, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _roots_in_open_zero(h, b: Fraction) -> int:
-    """Roots of squarefree h in (0, b); h(0) != 0 required."""
-    return count_real_roots(h, Fraction(0), b)
-
-
-def expansive_check(m: IntMatrix, tol: float = DEFAULT_NORM_TOL) -> ExpansiveReport:
-    """Certified check that every eigenvalue of m has modulus > 1.
-
-    Triangular matrices are decided exactly from the diagonal.  Otherwise
-    (d ≤ 4 only) the polynomial h(u) = Π(u − λ_i λ_j) is computed exactly;
-    all moduli exceed 1 iff h(1) ≠ 0 and h has no real root in (0, 1).
-    """
-    if not isinstance(m, IntMatrix):
-        raise TypeError("expansive_check expects an IntMatrix")
-    if m.is_triangular():
-        diag = [m.rows[i][i] for i in range(m.dim)]
-        mods = sorted(abs(x) for x in diag)
-        ok = mods[0] > 1
-        lo = float(mods[0] ** 2)
-        return ExpansiveReport(
-            expansive=ok,
-            method="triangular-exact",
-            modulus_sq_bracket=(lo, lo),
-            detail=f"diagonal entries {diag}",
-        )
-    if m.dim > 4:
-        raise DimensionUnsupported(
-            "certified expansiveness is implemented for triangular matrices or d <= 4"
-        )
-    det = m.det()
-    if det == 0:
-        return ExpansiveReport(False, "singular", (0.0, 0.0), "determinant is zero")
-    p = charpoly(m)
-    h = _modulus_product_poly(p)
-    h_at_1 = poly_eval(h, Fraction(1))
-    hsf = make_squarefree(h)
-    assert poly_eval(hsf, Fraction(0)) != 0  # det != 0 rules out zero products
-    if h_at_1 == 0:
-        # some eigenvalue product equals 1 exactly: a modulus <= 1 exists
-        return ExpansiveReport(
-            False, "modulus-polynomial", (0.0, 1.0), "an eigenvalue pair multiplies to 1"
-        )
-    inside = _roots_in_open_zero(hsf, Fraction(1))
-    upper = _cauchy_root_bound(hsf)
-    lo, hi = _bracket_smallest_positive_root(hsf, upper, tol)
-    report = ExpansiveReport(
-        expansive=inside == 0,
-        method="modulus-polynomial",
-        modulus_sq_bracket=(float(lo), float(hi)),
-        detail=(
-            f"char poly {[str(c) for c in p]}; roots of the pair-product polynomial in (0,1): {inside}"
-        ),
-    )
-    return report

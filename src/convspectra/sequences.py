@@ -38,7 +38,6 @@ class TripleSequence:
         validate_digits: bool = True,
         defect_term=None,
         defect_tail_bound=None,
-        version: int = 1,
     ):
         self._gen = gen
         self.dim = dim
@@ -48,7 +47,6 @@ class TripleSequence:
         self.validate_digits = validate_digits
         self.defect_term = defect_term
         self.defect_tail_bound = defect_tail_bound
-        self.version = version
         self._levels: dict = {}
         self._triples: dict = {}
         self._prefix: dict = {0: IntMatrix.identity(dim)}
@@ -162,7 +160,6 @@ class TripleSequence:
             declared_contractivity=base.declared_contractivity,
             name=(base.name + "+reduced") if base.name else "reduced",
             validate_digits=base.validate_digits,
-            version=base.version,
         )
 
 
@@ -233,7 +230,6 @@ def _make_jorgensen_pedersen(max_k: int | None = None) -> TripleSequence:
         length=max_k,
         declared_contractivity=Fraction(1, 4),
         name="jorgensen-pedersen",
-        version=1,
     )
 
 
@@ -245,7 +241,6 @@ def _make_bernoulli_quarter(max_k: int | None = None) -> TripleSequence:
         length=max_k,
         declared_contractivity=Fraction(1, 4),
         name="bernoulli-quarter",
-        version=1,
     )
 
 
@@ -266,7 +261,6 @@ def _make_example_2_6(max_k: int | None = None) -> TripleSequence:
         name="example-2.6",
         defect_term=lambda k: Fraction(1, (k + 1) ** 2),
         defect_tail_bound=lambda start: Fraction(1, start),
-        version=1,
     )
 
 

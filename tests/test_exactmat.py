@@ -5,14 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convspectra.errors import DimensionUnsupported, IndexOutOfRange, SingularMatrix
+from convspectra.errors import IndexOutOfRange, SingularMatrix
 from convspectra.exactmat import (
     IntMatrix,
     RatMatrix,
     adjugate,
     charpoly,
     count_real_roots,
-    expansive_check,
     invert,
     make_squarefree,
     poly_divmod,
@@ -196,65 +195,3 @@ def test_norm_random_vs_numpy():
         for j in range(d):
             col = math.sqrt(sum(float(m.rows[i][j]) ** 2 for i in range(d)))
             assert u >= col - 1e-10
-
-
-# ----- expansive_check -----
-
-
-def test_expansive_diagonal():
-    assert expansive_check(IntMatrix.diagonal([2, 3])).expansive
-    assert not expansive_check(IntMatrix.diagonal([1, 5])).expansive
-    assert not expansive_check(IntMatrix.diagonal([-1, 5])).expansive
-    assert expansive_check(IntMatrix.diagonal([-2, 5])).expansive
-
-
-def test_expansive_rotation_scale():
-    rep = expansive_check(IntMatrix(((0, -2), (1, 0))))
-    assert rep.expansive
-    assert rep.method == "modulus-polynomial"
-    lo, hi = rep.modulus_sq_bracket
-    assert lo <= 2.0 <= hi or math.isclose(lo, 2.0, rel_tol=1e-9)
-
-
-def test_expansive_unit_modulus_pair():
-    # eigenvalues 1 and -1
-    rep = expansive_check(IntMatrix(((0, 1), (1, 0))))
-    assert not rep.expansive
-
-
-def test_expansive_triangular():
-    assert expansive_check(IntMatrix(((2, 1), (0, 2)))).expansive
-    assert not expansive_check(IntMatrix(((1, 1), (0, 2)))).expansive
-
-
-def test_expansive_singular():
-    assert not expansive_check(IntMatrix(((1, 2), (2, 4)))).expansive
-
-
-def test_expansive_large_triangular_ok():
-    m = IntMatrix.diagonal([2] * 6)
-    assert expansive_check(m).expansive
-
-
-def test_expansive_large_dense_unsupported():
-    rows = [[1 if (i + j) % 2 else 2 for j in range(5)] for i in range(5)]
-    rows[0][4] = 3
-    m = IntMatrix(tuple(tuple(r) for r in rows))
-    if m.is_triangular():
-        pytest.skip("fixture must be non-triangular")
-    with pytest.raises(DimensionUnsupported):
-        expansive_check(m)
-
-
-def test_expansive_random_vs_numpy():
-    rng = random.Random(4006)
-    checked = 0
-    while checked < 40:
-        d = rng.randint(1, 3)
-        m = rand_invertible(rng, d, -4, 4)
-        mods = np.abs(np.linalg.eigvals(np.array(m.rows, dtype=float)))
-        if abs(mods.min() - 1.0) < 1e-6:
-            continue  # avoid float-boundary disagreements
-        rep = expansive_check(m)
-        assert rep.expansive == bool(mods.min() > 1.0), (m.rows, mods)
-        checked += 1
