@@ -366,12 +366,20 @@ class RunConfig:
         return self.doc.get(name, {})
 
     def with_top(self, **overrides) -> "RunConfig":
-        """New config with non-None overrides applied at the top level."""
+        """New config with non-None overrides applied at the top level; only
+        the overridden fields are read again, in the field table's order."""
+        given = {key: value for key, value in overrides.items() if value is not None}
+        if not given:
+            return self
+        top = _FIELDS[""]
+        for key in given:
+            if key not in top:
+                _fail(key, "unknown field")
         doc = dict(self.doc)
-        for key, value in overrides.items():
-            if value is not None:
-                doc[key] = value
-        return RunConfig(_walk(doc, "", ""))
+        for name, (kind, bound, _) in top.items():
+            if name in given:
+                doc[name] = kind(given[name], name, bound, self.dimension)
+        return RunConfig(doc)
 
     def build_sequence(self):
         spec = self.doc["sequence"]
@@ -710,14 +718,11 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
 
 def _unit_grid(pitch: Fraction, dim: int, cap: int):
     """Exact rational grid pitch * Z^d intersected with [0, 1)^d."""
-    axis = []
-    n = 0
-    while n * pitch < 1:
-        axis.append(n * pitch)
-        n += 1
-    total = len(axis) ** dim
+    count = -(-pitch.denominator // pitch.numerator)  # ⌈1/pitch⌉ points per axis
+    total = count**dim
     if total > cap:
         raise GridTooLarge(f"grid of {total} points exceeds the cap of {cap}")
+    axis = [n * pitch for n in range(count)]
     return [tuple(v) for v in cartesian(axis, repeat=dim)]
 
 

@@ -20,8 +20,8 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .exactmat import IntMatrix, adjugate, invert, spectral_norm_upper
-from .triples import DigitSet
+from .exactmat import IntMatrix, invert, spectral_norm_upper
+from .triples import DigitSet, box_mask, cone_mask, integer_rows, numerators, shared_masks
 
 VERDICT_CONVERGED = "converged-numerically"
 VERDICT_CERTIFIED = "certified"
@@ -147,10 +147,10 @@ def _finish_scalar_series(name, indices, terms, tail_bound):
 
 def defect_term(a: DigitSet, b: DigitSet) -> Fraction:
     """max{ #(B\\A)/#B, #(A\\B)/#A } for one pair of digit sets."""
-    sa, sb = a.as_set(), b.as_set()
-    shared = len(sa & sb)
+    grid, wide, _, _ = shared_masks(a, b)
+    shared = int(grid.sum()) + sum(wide)
     return max(
-        Fraction(len(sb) - shared, len(sb)), Fraction(len(sa) - shared, len(sa))
+        Fraction(len(b) - shared, len(b)), Fraction(len(a) - shared, len(a))
     )
 
 
@@ -173,77 +173,18 @@ def equivalence_defect(s1, s2, upto: int, tail_bound=None) -> SeriesDiagnostics:
 # ===== remainder split: digits outside R[-1/2,1/2)^d =====
 
 
-def _diag_positive(r: IntMatrix):
-    if not r.is_diagonal():
-        return None
-    ds = [r.rows[i][i] for i in range(r.dim)]
-    if any(d <= 0 for d in ds):
-        return None
-    return ds
-
-
-def _box_bounds(ds):
-    # integer x satisfies -1/2 <= x/d < 1/2  iff  -(d//2) <= x <= (d-1)//2
-    return [(-(d // 2), (d - 1) // 2) for d in ds]
-
-
 def _count_outside_box(r: IntMatrix, b: DigitSet) -> int:
-    ds = _diag_positive(r)
-    if ds is not None:
-        bounds = _box_bounds(ds)
-        if r.dim == 2:
-            # unrolled: this loop sees ~k^2 digits per level on long sweeps
-            (lo0, hi0), (lo1, hi1) = bounds
-            far = 0
-            for x0, x1 in b.vectors:
-                if x0 < lo0 or x0 > hi0 or x1 < lo1 or x1 > hi1:
-                    far += 1
-            return far
-        far = 0
-        for v in b.vectors:
-            for x, (lo, hi) in zip(v, bounds):
-                if x < lo or x > hi:
-                    far += 1
-                    break
-        return far
-    inv = invert(r)
-    half = Fraction(1, 2)
-    far = 0
-    for v in b.vectors:
-        if any(not (-half <= c < half) for c in inv.matvec(v)):
-            far += 1
-    return far
+    den, y_grid, y_wide = numerators(r, b)
+    return len(b) - int(box_mask(y_grid, den).sum()) - int(box_mask(y_wide, den).sum())
 
 
 def rbc_split(r: IntMatrix, b: DigitSet) -> RbcSplit:
     """Partition digits by whether R^{-1}b lands in [-1/2,1/2)^d (half-open)."""
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
-    ds = _diag_positive(r)
-    inside, outside = [], []
-    if ds is not None:
-        bounds = _box_bounds(ds)
-        for v in b.vectors:
-            ok = True
-            for x, (lo, hi) in zip(v, bounds):
-                if x < lo or x > hi:
-                    ok = False
-                    break
-            (inside if ok else outside).append(v)
-    else:
-        inv = invert(r)
-        half = Fraction(1, 2)
-        for v in b.vectors:
-            c = inv.matvec(v)
-            if all(-half <= x < half for x in c):
-                inside.append(v)
-            else:
-                outside.append(v)
-    # filtered subsequences of a sorted tuple stay sorted
-    return RbcSplit(
-        b1=DigitSet._trusted(b.dim, tuple(inside)),
-        b2=DigitSet._trusted(b.dim, tuple(outside)),
-    )
+    den, y_grid, y_wide = numerators(r, b)
+    grid, wide = box_mask(y_grid, den), box_mask(y_wide, den)
+    return RbcSplit(b1=b._subset(grid, wide), b2=b._subset(~grid, ~wide))
 
 
 def rbc_series(seq, upto: int, tail_bound=None) -> SeriesDiagnostics:
@@ -293,31 +234,9 @@ def pcc_split(r: IntMatrix, b: DigitSet, l) -> tuple[DigitSet, DigitSet]:
         raise ValidationError(f"need 0 < l < 1, got {lf}")
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
-    thr = (1 - lf) / 2
-    near, far = [], []
-    ds = _diag_positive(r)
-    if ds is not None:
-        lcm = math.lcm(*ds)
-        w = [lcm // d for d in ds]
-        # |R^{-1}v|_1 < p/q  <=>  q * sum w_i|v_i| < p * lcm
-        rhs = thr.numerator * lcm
-        q = thr.denominator
-        for v in b.vectors:
-            acc = 0
-            for x, wi in zip(v, w):
-                acc += wi * (x if x >= 0 else -x)
-            (near if q * acc < rhs else far).append(v)
-    else:
-        inv = invert(r)
-        for v in b.vectors:
-            if sum(abs(c) for c in inv.matvec(v)) < thr:
-                near.append(v)
-            else:
-                far.append(v)
-    return (
-        DigitSet._trusted(b.dim, tuple(near)),
-        DigitSet._trusted(b.dim, tuple(far)),
-    )
+    den, y_grid, y_wide = numerators(r, b)
+    grid, wide = (cone_mask(y, den, (1 - lf) / 2) for y in (y_grid, y_wide))
+    return b._subset(grid, wide), b._subset(~grid, ~wide)
 
 
 def pcc_series(seq, l, subseq=None, upto: int | None = None, tail_bound=None) -> PccSeriesDiagnostics:
@@ -372,9 +291,9 @@ def three_series(seq, r, upto: int):
     closed ball of radius r with outside mass moved to the origin.
 
     Level k's atoms P_k^{-1}b (P_k the prefix product) are written y_b / D
-    with integer numerators y_b = sign(det)·adj(P_k)·b and D = |det P_k|, so
-    the ball test and the moment sums run on integers; each term becomes an
-    exact Fraction once per level.
+    with integer numerators y_b = sign(det)·adj(P_k)·b and D = |det P_k|
+    (`triples.numerators`), so the ball test and the moment sums run on
+    integers; each term becomes an exact Fraction once per level.
     """
     radius = Fraction(r)
     if radius <= 0:
@@ -384,23 +303,21 @@ def three_series(seq, r, upto: int):
     indices = list(range(1, upto + 1))
     mass_terms, mean_terms, var_terms = [], [], []
     for k in indices:
-        det, adj = adjugate(seq.prefix_matrix(k))
-        sign, den = (1 if det > 0 else -1), abs(det)
-        # |y/D| <= p/q  <=>  |y|^2 q^2 <= p^2 D^2
-        q2, limit = radius.denominator**2, (radius.numerator * den) ** 2
         digits = seq.digits(k)
         n = len(digits)
+        den, *parts = numerators(seq.prefix_matrix(k), digits)
+        # |y/D| <= p/q  <=>  |y|^2 q^2 <= p^2 D^2
+        q2, limit = radius.denominator**2, (radius.numerator * den) ** 2
         outside, sq_sum = 0, 0
         sums = [0] * seq.dim
-        for v in digits.vectors:
-            y = adj.matvec(v)
-            sq = sum(x * x for x in y)
-            if sq * q2 > limit:
-                outside += 1
-            else:
-                sq_sum += sq
-                sums = [s + x for s, x in zip(sums, y)]
-        mean = tuple(Fraction(sign * s, n * den) for s in sums)
+        for y in parts:
+            y = y.astype(object)  # squares of int64 numerators may not fit
+            sq = (y * y).sum(axis=1)
+            inside = sq * q2 <= limit
+            outside += len(y) - int(inside.sum())
+            sq_sum += int(sq[inside].sum())
+            sums = [s + int(c) for s, c in zip(sums, y[inside].sum(axis=0))]
+        mean = tuple(Fraction(s, n * den) for s in sums)
         mass_terms.append(Fraction(outside, n))
         mean_terms.append(mean)
         var_terms.append(Fraction(sq_sum, n * den * den) - sum(x * x for x in mean))
@@ -472,7 +389,6 @@ def contractivity_report(seq, upto: int, tol: float = 1e-12) -> ContractivityRep
 # ===== interval coupling sampler =====
 
 _Q = 1 << 53  # draws are exact integers u, representing x = u / 2^53
-_FAST_SET_LIMIT = 1000  # int64 slot arithmetic is overflow-safe below this
 
 
 @dataclass(frozen=True)
@@ -502,13 +418,14 @@ class CouplingReport:
 def _aligned_tables(a: DigitSet, b: DigitSet):
     """Order both sets with the shared elements first, in the same order.
 
-    Returns (ax, ay, s) with len(ax) <= len(ay); callers track whether the
-    roles were swapped."""
-    sa, sb = a.as_set(), b.as_set()
-    shared = sorted(sa & sb)
-    ax = shared + sorted(sa - sb)
-    ay = shared + sorted(sb - sa)
-    swapped = len(ax) > len(ay)
+    Returns (ax, ay, s, swapped): each table is a pair of digit sets, the
+    shared digits then the set's own ones, with len(ax) <= len(ay); callers
+    track whether the roles were swapped."""
+    a_grid, a_wide, b_grid, b_wide = shared_masks(a, b)
+    shared = a._subset(a_grid, a_wide)
+    ax = (shared, a._subset(~a_grid, [not w for w in a_wide]))
+    ay = (shared, b._subset(~b_grid, [not w for w in b_wide]))
+    swapped = len(a) > len(b)
     if swapped:
         ax, ay = ay, ax
     return ax, ay, len(shared), swapped
@@ -522,6 +439,7 @@ def coupling_eval(a: DigitSet, b: DigitSet, x: Fraction):
     if not 0 <= x < 1:
         raise ValidationError("x must lie in [0, 1)")
     ax, ay, s, swapped = _aligned_tables(a, b)
+    ax, ay = (ax[0].vectors + ax[1].vectors), (ay[0].vectors + ay[1].vectors)
     m, n = len(ax), len(ay)
     i0 = math.floor(x * m)
     aligned = (x - Fraction(i0, m)) < Fraction(1, n)
@@ -538,43 +456,39 @@ def _level_draws(seed: int, k: int, draws: int) -> np.ndarray:
     return gen.integers(0, _Q, size=draws, dtype=np.int64)
 
 
-def _sample_level(ax, ay, s, u: np.ndarray):
-    """Vectorised coupled evaluation; returns (x_idx, y_idx, mismatch_mask)."""
-    m, n = len(ax), len(ay)
-    if max(m, n) <= _FAST_SET_LIMIT:
-        i0 = (u * m) >> 53
-        rem = u * m - (i0 << 53)
-        aligned = n * rem < (m << 53)
-        fill = ((u * n) >> 53) - i0 - 1 + m
-        y_idx = np.where(aligned, i0, fill)
-        mism = ~(aligned & (i0 < s))
-        return i0, y_idx, mism
-    # big sets: same stream, Python integer arithmetic (no int64 headroom)
-    x_idx = np.empty(len(u), dtype=np.int64)
-    y_idx = np.empty(len(u), dtype=np.int64)
-    mism = np.empty(len(u), dtype=bool)
-    for j, uv in enumerate(u.tolist()):
-        i0 = (uv * m) // _Q
-        aligned = n * (uv * m - i0 * _Q) < m * _Q
-        x_idx[j] = i0
-        y_idx[j] = i0 if aligned else (uv * n) // _Q - i0 - 1 + m
-        mism[j] = not (aligned and i0 < s)
-    return x_idx, y_idx, mism
+def _floor_q(u: np.ndarray, m: int):
+    """(⌊u·m / 2^53⌋, u·m mod 2^53) for draws u < 2^53 and m < 2^31, exact in
+    int64: u splits into 27 high and 26 low bits, so no product passes 2^58."""
+    hi = (u >> 26) * m
+    t = ((hi & ((1 << 27) - 1)) << 26) + (u & ((1 << 26) - 1)) * m
+    return (hi >> 27) + (t >> 53), t & (_Q - 1)
 
 
-def _float_rows(vectors, sc=None) -> np.ndarray:
-    """Floats of sc·v (or of v) for integer vectors v, each correctly rounded.
+def _sample_level(m: int, n: int, s: int, u: np.ndarray):
+    """Vectorised coupled evaluation of tables of m <= n < 2^31 digits sharing
+    the first s; returns (x_idx, y_idx, mismatch_mask)."""
+    i0, rem = _floor_q(u, m)
+    aligned = rem < -(-m * _Q // n)  # n·rem < m·2^53
+    fill = _floor_q(u, n)[0] - i0 - 1 + m
+    y_idx = np.where(aligned, i0, fill)
+    mism = ~(aligned & (i0 < s))
+    return i0, y_idx, mism
+
+
+def _float_rows(digits: DigitSet, sc=None) -> np.ndarray:
+    """Floats of sc·v (or of v) for the digits v in order, each correctly rounded.
 
     sc becomes an integer matrix N over one denominator D, so every entry is
     the int/int true division (N·v)_i / D: correctly rounded, hence equal to
     float() of the exact rational, without Fraction arithmetic per digit."""
     if sc is None:
-        return np.array([[float(c) for c in v] for v in vectors])
-    den = math.lcm(*(Fraction(x).denominator for row in sc.rows for x in row))
-    num = [[int(x * den) for x in row] for row in sc.rows]
-    return np.array(
-        [[sum(a * b for a, b in zip(r, v)) / den for r in num] for v in vectors]
-    )
+        parts = integer_rows(digits)
+    else:
+        den = math.lcm(*(Fraction(x).denominator for row in sc.rows for x in row))
+        num = [[int(x * den) for x in row] for row in sc.rows]
+        parts = [p / den for p in integer_rows(digits, num)]
+    grid, wide = (p.astype(float).tolist() for p in parts)
+    return np.array(digits.in_order(grid, wide), dtype=float).reshape(-1, digits.dim)
 
 
 def coupled_sample(
@@ -604,16 +518,16 @@ def coupled_sample(
             y_sums = np.zeros((draws, dim))
         ax, ay, s, swapped = _aligned_tables(a, b)
         u = _level_draws(rng_seed, k, draws)
-        x_idx, y_idx, mism = _sample_level(ax, ay, s, u)
+        m, n = (len(b), len(a)) if swapped else (len(a), len(b))
+        x_idx, y_idx, mism = _sample_level(m, n, s, u)
         sc = scale_by(k) if scale_by is not None else None
-        va, vb = _float_rows(ax, sc), _float_rows(ay, sc)
+        va, vb = (np.concatenate([_float_rows(p, sc) for p in t]) for t in (ax, ay))
         if swapped:
             x_sums += vb[y_idx]
             y_sums += va[x_idx]
         else:
             x_sums += va[x_idx]
             y_sums += vb[y_idx]
-        n = len(ay)
         exact_p = Fraction(n - s, n)
         mcount = int(mism.sum())
         levels.append(LevelCoupling(k=k, exact_p=exact_p, mismatches=mcount, draws=draws))

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as cartesian
+
+import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange, ValidationError
 from .exactmat import IntMatrix, RatMatrix, invert, product_range
@@ -207,17 +208,28 @@ def _far_digit(k: int) -> tuple:
     return (k + 8**k * math.factorial(k + 1), 0)
 
 
+def _square_grid(values) -> np.ndarray:
+    """Rows (x, y) for x, y in the increasing `values`, in lexicographic order."""
+    n = len(values)
+    rows = np.empty((n * n, 2), dtype=np.int64, order="F")
+    rows[:, 0] = np.repeat(values, n)
+    rows[:, 1] = np.tile(values, n)
+    return rows
+
+
 def _ex26_gen(k: int):
     r = IntMatrix.diagonal([8 * (k + 1), 8 * (k + 1)])
-    rows = list(cartesian(range(k + 1), repeat=2))
-    del rows[k * (k + 1)]  # drop (k, 0); its far congruent twin replaces it
-    rows.append(_far_digit(k))
-    b = DigitSet._trusted(2, tuple(rows))
+    # the grid {0..k}^2 without (k, 0), first in lexicographic order; the far
+    # digit, congruent to (k, 0), comes last
+    axis = np.arange(k + 1, dtype=np.int64)
+    rows = np.empty((k * (k + 2), 2), dtype=np.int64, order="F")
+    rows[:, 0] = np.repeat(axis, k + 1)[:-1]
+    rows[:, 1] = np.concatenate([np.tile(axis, k), axis[1:]])
+    b = DigitSet._from_rows(2, rows, [_far_digit(k)])
 
     def lazy_l():
         t = (k + 1) // 2 if k % 2 == 1 else k // 2
-        vals = [8 * (a - t) for a in range(k + 1)]  # strictly increasing
-        return DigitSet._trusted(2, tuple((x, y) for x in vals for y in vals))
+        return DigitSet._from_rows(2, _square_grid(8 * (np.arange(k + 1, dtype=np.int64) - t)))
 
     return r, b, lazy_l
 

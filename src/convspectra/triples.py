@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -22,17 +24,115 @@ from .errors import (
     SizeMismatch,
     TripleInvalid,
 )
-from .exactmat import IntMatrix, adjugate, invert
+from .exactmat import IntMatrix, adjugate
 
 DEFAULT_UNITARITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+# Digit entries below this in absolute value are stored as int64, the rest as
+# exact Python ints; `numerators` decides per call whether int64 products of
+# the stored entries stay exact.
+_HEADROOM = 1 << 31
+_INT64_SAFE = 1 << 62
+
+# Digit rows are (n, d) arrays in column-major order: each kernel below walks
+# the d columns, which are contiguous, rather than reducing along short rows.
+
+
+def _every_column(rows: np.ndarray, test) -> np.ndarray:
+    """Row mask: test(column) holds in every column."""
+    mask = test(rows[:, 0])
+    for j in range(1, rows.shape[1]):
+        mask &= test(rows[:, j])
+    return mask
+
+
+def _fits(rows: np.ndarray) -> np.ndarray:
+    """Row mask: every entry below the int64 headroom (int64 or object rows)."""
+    return _every_column(rows, lambda c: np.abs(c) < _HEADROOM)
+
+
+def _pick(rows: np.ndarray, index) -> np.ndarray:
+    """rows[index] for an index or mask array, gathered column by column."""
+    first = rows[:, 0][index]
+    out = np.empty((len(first), rows.shape[1]), dtype=rows.dtype, order="F")
+    out[:, 0] = first
+    for j in range(1, rows.shape[1]):
+        out[:, j] = rows[:, j][index]
+    return out
+
+
+def _times(rows: np.ndarray, m) -> np.ndarray:
+    """rows @ m for a d×d list of Python ints, column by column; zero
+    entries of m (most of a diagonal matrix) cost nothing."""
+    out = np.zeros(rows.shape, dtype=rows.dtype, order="F")
+    for i, col in enumerate(zip(*m)):
+        for j, x in enumerate(col):
+            if x:
+                out[:, i] += rows[:, j] * x
+    return out
+
+
+def _increasing(rows: np.ndarray) -> bool:
+    """Whether int64 rows are strictly increasing in lexicographic order."""
+    less = np.zeros(len(rows) - 1, dtype=bool)
+    tie = np.ones(len(rows) - 1, dtype=bool)
+    for j in range(rows.shape[1]):
+        step = np.diff(rows[:, j])  # entries lie below the headroom: no overflow
+        less |= tie & (step > 0)
+        tie &= step == 0
+    return bool(less.all())
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Stable lexicographic argsort of int64 rows.
+
+    When the rows' bounding box has fewer than 2^63 points, each row packs
+    into one order-preserving int64 key, and a stable sort of the keys runs
+    in linear time on the few presorted runs the kernels produce (a sorted
+    set plus a handful of moved digits, or two sorted sets back to back)."""
+    if len(rows) < 2:
+        return np.arange(len(rows))
+    lo = [int(rows[:, j].min()) for j in range(rows.shape[1])]
+    span = [int(rows[:, j].max()) - x + 1 for j, x in enumerate(lo)]
+    if math.prod(span) >= _INT64_SAFE * 2:
+        return np.lexsort(rows.T[::-1])
+    key = rows[:, 0] - lo[0]
+    for j in range(1, rows.shape[1]):
+        key = key * span[j] + (rows[:, j] - lo[j])
+    return np.argsort(key, kind="stable")
+
+
+def _sorted_unique(rows: np.ndarray) -> np.ndarray:
+    if len(rows) > 1 and not _increasing(rows):
+        rows = _pick(rows, _lex_order(rows))
+        repeat = _every_column(rows, lambda c: c[1:] == c[:-1])
+        if repeat.any():
+            rows = _pick(rows, np.concatenate([[True], ~repeat]))
+    return rows
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    rows = np.asfortranarray(rows)
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class DigitSet:
-    """A finite set of integer vectors, stored sorted and deduplicated."""
+    """A finite set of integer vectors, sorted and deduplicated, held by column.
+
+    Digits whose entries all lie below 2^31 in absolute value form `grid`, a
+    read-only, lexicographically sorted, column-major int64 (n, d) array;
+    the others form `wide`, a sorted tuple of exact Python-int rows
+    (example-2.6's far digit k + 8^k (k+1)! is one).  The split is fixed by
+    the digits alone, so two sets are equal exactly when their parts are.
+    `vectors`, the whole set as one sorted tuple, is built on first use only.
+    """
 
     dim: int
-    vectors: tuple
+    grid: np.ndarray
+    wide: tuple = ()
 
     @classmethod
     def of(cls, vectors, dim: int | None = None) -> "DigitSet":
@@ -46,24 +146,84 @@ class DigitSet:
             for x in v:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"digit entries must be ints, got {x!r}")
-        vecs = sorted(set(vecs))
-        return cls(d, tuple(vecs))
+        return cls._from_rows(d, np.empty((0, d), dtype=np.int64), vecs)
 
     @classmethod
-    def _trusted(cls, dim: int, vectors: tuple) -> "DigitSet":
-        """Internal constructor: caller guarantees sorted, unique int tuples."""
-        return cls(dim, vectors)
+    def _from_rows(cls, dim: int, rows: np.ndarray, extra=()) -> "DigitSet":
+        """Internal constructor from validated integer rows in any order, with
+        repeats: an int64 or object (n, dim) array plus Python-int tuples."""
+        small, wide = [], set()
+        for v in map(tuple, extra):
+            if all(-_HEADROOM < x < _HEADROOM for x in v):
+                small.append(v)
+            else:
+                wide.add(v)
+        if len(rows):
+            fits = _fits(rows)
+            if not fits.all():
+                wide.update(map(tuple, _pick(rows, ~fits).tolist()))
+                rows = _pick(rows, fits)
+        grid = np.asarray(rows, dtype=np.int64)
+        if small:
+            grid = np.concatenate([grid, np.array(small, dtype=np.int64)])
+        return cls(dim, _frozen(_sorted_unique(grid)), tuple(sorted(wide)))
+
+    def _subset(self, grid_mask: np.ndarray, wide_mask) -> "DigitSet":
+        """The digits picked by a mask over each part; order is kept."""
+        return DigitSet(
+            self.dim, _frozen(_pick(self.grid, grid_mask)), tuple(compress(self.wide, wide_mask))
+        )
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.grid) + len(self.wide)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DigitSet):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.wide == other.wide
+            and np.array_equal(self.grid, other.grid)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.wide, self.grid.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"DigitSet(dim={self.dim}, vectors={self.vectors!r})"
+
+    def _grid_row(self, i: int) -> tuple:
+        return tuple(self.grid[i].tolist())
+
+    def _rank(self, v: tuple) -> int:
+        """Number of grid rows lexicographically below v."""
+        return bisect_left(range(len(self.grid)), v, key=self._grid_row)
+
+    @cached_property
+    def _slots(self) -> tuple:
+        """Position of each wide row in the merged sorted order."""
+        return tuple(self._rank(w) + i for i, w in enumerate(self.wide))
+
+    def in_order(self, grid_items, wide_items) -> list:
+        """Per-digit items of the grid and wide parts, merged in set order."""
+        out = list(grid_items)
+        for slot, item in zip(self._slots, wide_items):
+            out.insert(slot, item)
+        return out
+
+    @cached_property
+    def vectors(self) -> tuple:
+        return tuple(self.in_order(map(tuple, self.grid.tolist()), self.wide))
 
     def __iter__(self):
         return iter(self.vectors)
 
     def __contains__(self, v) -> bool:
         v = tuple(v)
-        i = bisect_left(self.vectors, v)
-        return i < len(self.vectors) and self.vectors[i] == v
+        if v in self.wide:
+            return True
+        i = self._rank(v)
+        return i < len(self.grid) and self._grid_row(i) == v
 
     def translate(self, v) -> "DigitSet":
         v = tuple(v)
@@ -73,6 +233,21 @@ class DigitSet:
 
     def as_set(self) -> frozenset:
         return frozenset(self.vectors)
+
+
+def shared_masks(a: DigitSet, b: DigitSet):
+    """Masks over the grid and wide parts of a and of b marking the digits
+    the two sets share: (a_grid, a_wide, b_grid, b_wide)."""
+    both = np.concatenate([a.grid, b.grid])
+    order = _lex_order(both)  # stable: an a row precedes its b twin
+    twin = _every_column(both, lambda c: c[order[1:]] == c[order[:-1]])
+    a_grid = np.zeros(len(a.grid), dtype=bool)
+    b_grid = np.zeros(len(b.grid), dtype=bool)
+    a_grid[order[:-1][twin]] = True
+    b_grid[order[1:][twin] - len(a.grid)] = True
+    a_wide = [w in b.wide for w in a.wide]
+    b_wide = [w in a.wide for w in b.wide]
+    return a_grid, a_wide, b_grid, b_wide
 
 
 def minkowski_sum(a: DigitSet, b: DigitSet) -> DigitSet:
@@ -110,11 +285,10 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
-    det, adj = adjugate(r)
-    sign = 1 if det > 0 else -1
-    nums = [tuple(sign * x for x in adj.matvec(v)) for v in b.vectors]
+    den, y_grid, y_wide = numerators(r, b)
+    nums = b.in_order(y_grid.tolist(), y_wide.tolist())
     weights = np.full(len(l), 1 / len(b))
-    dev = gram_deviation(nums, abs(det), [(list(l.vectors), 1, weights)])
+    dev = gram_deviation(nums, den, [(l.in_order(l.grid.tolist(), l.wide), 1, weights)])
     mismatch = len(b) != len(l)
     return HadamardCheckResult(ok=(not mismatch) and dev <= tol, max_deviation=dev, size_mismatch=mismatch)
 
@@ -150,38 +324,90 @@ def shift_spectrum(t: HadamardTriple, l0) -> HadamardTriple:
 # ===== reduction mod R·Z^d =====
 
 
+def numerators(r: IntMatrix, b: DigitSet):
+    """(den, y_grid, y_wide) with R⁻¹v = y/den for every digit v: the rows
+    y = sign(det R)·adj(R)·v of the grid and wide parts, and den = |det R|.
+
+    The grid rows come out as int64 when every quantity derived from them
+    (2y + den, the l1 norm of y, and R·⌊(2y + den)/(2·den)⌋) stays below
+    2^62; otherwise, and for the wide rows always, they are exact Python
+    ints in object arrays.  Callers run the same numpy expressions on both.
+    """
+    if r.dim != b.dim:
+        raise DimensionMismatch("matrix and digit set dimensions differ")
+    det, adj = adjugate(r)
+    den, d = abs(det), r.dim
+    adj_t = [[x if det > 0 else -x for x in col] for col in zip(*adj.rows)]
+    y_max = d * max(abs(x) for row in adj.rows for x in row)
+    y_max *= max(-int(b.grid.min()), int(b.grid.max())) if len(b.grid) else 0
+    r_max = max(abs(x) for row in r.rows for x in row)
+    fast = max(2 * d * y_max + den, d * r_max * (y_max // den + 1)) < _INT64_SAFE
+    y_grid = _times(b.grid if fast else b.grid.astype(object), adj_t)
+    return den, y_grid, _times(_wide_rows(b), adj_t)
+
+
+def box_mask(y: np.ndarray, den: int) -> np.ndarray:
+    """Rows with y/den in the half-open box [-1/2, 1/2)^d: -den <= 2y < den."""
+    lo, hi = -(den // 2), (den - 1) // 2
+    return _every_column(y, lambda c: (c >= lo) & (c <= hi))
+
+
+def cone_mask(y: np.ndarray, den: int, thr: Fraction) -> np.ndarray:
+    """Rows with |y/den|_1 < thr, that is |y|_1 < ⌈thr·den⌉ on integers."""
+    bound = -(-thr.numerator * den // thr.denominator)
+    norm = np.abs(y[:, 0])
+    for j in range(1, y.shape[1]):
+        norm += np.abs(y[:, j])
+    return norm < bound
+
+
+def integer_rows(b: DigitSet, m=None):
+    """Exact rows m·v (or v) of the grid and wide parts, as object arrays of
+    Python ints; m is a list of integer rows."""
+    parts = (b.grid.astype(object), _wide_rows(b))
+    if m is None:
+        return parts
+    m_t = [list(col) for col in zip(*m)]
+    return tuple(_times(p, m_t) for p in parts)
+
+
+def _wide_rows(b: DigitSet) -> np.ndarray:
+    return np.array(b.wide, dtype=object).reshape(-1, b.dim)
+
+
 def mod_reduce(b: DigitSet, r: IntMatrix) -> DigitSet:
     """Reduce each digit to its representative in R·[-1/2, 1/2)^d.
 
-    The representative of b is b - R·n where n_i = floor((R^{-1}b)_i + 1/2);
-    a coordinate exactly at 1/2 wraps to -1/2 (half-open convention).
+    The representative of b is b - R·n where n_i = floor((R^{-1}b)_i + 1/2),
+    that is n = ⌊(2y + den)/(2·den)⌋ for R^{-1}b = y/den; a coordinate
+    exactly at 1/2 wraps to -1/2 (half-open convention).
     Raises CongruentDigits if two digits collide after reduction.
     """
     if b.dim != r.dim:
         raise DimensionMismatch("digit set and matrix dimensions differ")
-    diag_pos = r.is_diagonal() and all(r.rows[i][i] > 0 for i in range(r.dim))
-    reduced = []
-    if diag_pos:
-        ds = [r.rows[i][i] for i in range(r.dim)]
-        for v in b.vectors:
-            reduced.append(tuple(x - d * ((2 * x + d) // (2 * d)) for x, d in zip(v, ds)))
-    else:
-        inv = invert(r)
-        half = Fraction(1, 2)
-        for v in b.vectors:
-            c = inv.matvec(v)
-            n = tuple(math.floor(x + half) for x in c)
-            rn = r.matvec(n)
-            reduced.append(tuple(x - y for x, y in zip(v, rn)))
-    if len(set(reduced)) != len(reduced):
+    den, y_grid, y_wide = numerators(r, b)
+    r_t = [list(col) for col in zip(*r.rows)]
+
+    def representatives(v, y):
+        return v.astype(y.dtype) - _times((2 * y + den) // (2 * den), r_t)
+
+    # a grid digit inside the box (n = 0) is its own representative
+    inside = box_mask(y_grid, den)
+    moved = representatives(_pick(b.grid, ~inside), _pick(y_grid, ~inside))
+    wide = representatives(_wide_rows(b), y_wide).tolist()
+    out = DigitSet._from_rows(b.dim, np.concatenate([_pick(b.grid, inside), moved]), wide)
+    if len(out) != len(b):
+        grid = list(map(tuple, b.grid.tolist()))
+        for i, v in zip(np.flatnonzero(~inside).tolist(), moved.tolist()):
+            grid[i] = tuple(v)
         seen = {}
-        for src, tgt in zip(b.vectors, reduced):
+        for src, tgt in zip(b.vectors, b.in_order(grid, map(tuple, wide))):
             if tgt in seen:
                 raise CongruentDigits(
                     f"digits {seen[tgt]} and {src} are congruent mod R·Z^d (both reduce to {tgt})"
                 )
             seen[tgt] = src
-    return DigitSet.of(reduced, b.dim)
+    return out
 
 
 # ===== composition =====

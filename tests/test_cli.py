@@ -815,3 +815,50 @@ def test_duplicate_key_exits_2(tmp_path):
     rc, _, err = run_cli(["check", "--config", str(path)])
     assert rc == 2
     assert "config error: duplicate key 'check'" in err
+
+
+# -- early caps and override reading ----------------------------------------
+
+
+def test_unit_grid_refuses_a_fine_pitch_before_building_the_axis():
+    import tracemalloc
+
+    from convspectra.errors import GridTooLarge
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match=r"^grid of 500000 points exceeds the cap of 10$"):
+            cli._unit_grid(Fraction(1, 500_000), 1, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the old axis took tens of megabytes
+    with pytest.raises(GridTooLarge, match=r"^grid of 1000000000000 points exceeds"):
+        cli._unit_grid(Fraction(1, 1_000_000), 2, 10**6)
+
+
+@pytest.mark.parametrize("pitch", ["1", "3/2", "1/3", "2/5", "1/8", "7/64"])
+def test_unit_grid_points_unchanged(pitch):
+    p = Fraction(pitch)
+    axis = []
+    while len(axis) * p < 1:
+        axis.append(len(axis) * p)
+    grid = cli._unit_grid(p, 2, 10**6)
+    assert grid == [(a, b) for a in axis for b in axis]
+
+
+def test_with_top_reads_only_the_overrides(monkeypatch):
+    cfg = cli.parse_config(json.dumps(jp_doc(seed=3, check={"upto": 4})))
+    assert cfg.with_top(seed=None, out=None) is cfg
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("with_top walked the whole document")
+
+    monkeypatch.setattr(cli, "_walk", no_walk)
+    new = cfg.with_top(seed=9, tol=0.5, grid_pitch="2/4", out=None)
+    assert new.doc == {**cfg.doc, "seed": 9, "tol": 0.5, "grid_pitch": "1/2"}
+    assert cfg.doc["seed"] == 3
+    with pytest.raises(ValidationError, match=r"^field 'tol': must be finite, got nan$"):
+        cfg.with_top(tol=float("nan"))
+    with pytest.raises(ParseError, match=r"^field 'bogus': unknown field$"):
+        cfg.with_top(bogus=1)

@@ -514,16 +514,39 @@ def test_coupled_sample_deterministic():
     assert not np.array_equal(r1.x_sums, r3.x_sums)
 
 
-def test_sample_level_fast_and_python_paths_agree(monkeypatch):
-    a = dset([(0,), (1,), (4,)])
-    b = dset([(0,), (2,), (4,), (7,), (9,)])
-    ax, ay, s, _ = _aligned_tables(a, b)
-    u = conditions._level_draws(123, 1, 2000)
-    fast = _sample_level(ax, ay, s, u)
-    monkeypatch.setattr(conditions, "_FAST_SET_LIMIT", 0)
-    slow = _sample_level(ax, ay, s, u)
-    for f, g in zip(fast, slow):
+def _sample_level_loop(m, n, s, u):
+    """Oracle: the per-draw Python-int loop the sampler once used for big sets."""
+    q = 1 << 53
+    x_idx = np.empty(len(u), dtype=np.int64)
+    y_idx = np.empty(len(u), dtype=np.int64)
+    mism = np.empty(len(u), dtype=bool)
+    for j, uv in enumerate(u.tolist()):
+        i0 = (uv * m) // q
+        aligned = n * (uv * m - i0 * q) < m * q
+        x_idx[j] = i0
+        y_idx[j] = i0 if aligned else (uv * n) // q - i0 - 1 + m
+        mism[j] = not (aligned and i0 < s)
+    return x_idx, y_idx, mism
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [(1, 1), (3, 5), (999, 1000), (1000, 1001), (1001, 40401), (40400, 40401),
+     (7, 2**30 + 7), (2**30 - 3, 2**30), (2**30, 2**30 + 7)],
+)
+def test_sample_level_matches_python_loop_oracle(m, n):
+    q = 1 << 53
+    edges = [0, 1, q - 1] + [c * q // m + e for c in (1, m // 2) for e in (-1, 0, 1)]
+    if m % 2:  # draws whose remainder u·m mod 2^53 sits at the alignment threshold
+        t = m * q // n
+        edges += [(r * pow(m, -1, q)) % q for r in (t - 1, t, t + 1)]
+    edges = [e for e in edges if 0 <= e < q]
+    u = np.concatenate([np.array(edges, dtype=np.int64), conditions._level_draws(123, 1, 3000)])
+    s = m // 2
+    fast = _sample_level(m, n, s, u)
+    for f, g in zip(fast, _sample_level_loop(m, n, s, u)):
         assert np.array_equal(f, g)
+    assert 0 <= fast[0].min() and fast[0].max() < m and fast[1].max() < n
 
 
 def test_coupled_sample_partial_sums_track_levels():
