@@ -52,7 +52,8 @@ def common_denominator(vectors):
 
 @dataclass(frozen=True)
 class PointRows:
-    """Rational points rows[i] / den: exact int tuples over one den > 0."""
+    """Rational points rows[i] / den over one den > 0: rows are exact int
+    tuples or an (n, d) integer array, as `exact_phase_matrix` takes them."""
 
     rows: list
     den: int
@@ -66,30 +67,40 @@ class PointRows:
         return len(self.rows)
 
 
+def _int_rows(nums) -> np.ndarray:
+    """nums as a 2-D integer array: int64 when every entry fits, object
+    (Python ints) otherwise.  Arrays pass through unchanged."""
+    if isinstance(nums, np.ndarray):
+        return nums
+    try:
+        return np.array(nums, dtype=np.int64)
+    except OverflowError:
+        return np.array(nums, dtype=object)
+
+
 def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
     """Float matrix of frac((a_i · b_j) / (den_a · den_b)) with exact reduction.
 
-    nums_* are sequences of equal-length int tuples; den_* are positive ints.
-    Entries of the result lie in (-1, 1); only their value mod 1 is meaningful.
+    nums_* are sequences of equal-length int tuples or (n, d) integer arrays
+    (int64 or object); den_* are positive ints.  Entries of the result lie in
+    (-1, 1); only their value mod 1 is meaningful.
     """
     assert den_a > 0 and den_b > 0
     na, nb = len(nums_a), len(nums_b)
     if na == 0 or nb == 0:
         return np.zeros((na, nb), dtype=np.float64)
+    a, b = _int_rows(nums_a), _int_rows(nums_b)
     modulus = den_a * den_b
-    max_a = max((abs(x) for row in nums_a for x in row), default=0)
-    max_b = max((abs(x) for row in nums_b for x in row), default=0)
-    d = len(nums_a[0])
+    max_a = max(int(a.max()), -int(a.min()))
+    max_b = max(int(b.max()), -int(b.min()))
+    d = a.shape[1]
     bound = d * max_a * max_b
     if bound >= _INT64_SAFE and d * (modulus - 1) ** 2 < _INT64_SAFE:
         # only a·b mod m matters: operands reduced into [0, m) fit the int64 path
-        nums_a = [tuple(x % modulus for x in row) for row in nums_a]
-        nums_b = [tuple(x % modulus for x in row) for row in nums_b]
+        a, b = a % modulus, b % modulus
         bound = d * (modulus - 1) ** 2
     if bound < _INT64_SAFE:
-        a = np.array(nums_a, dtype=np.int64)
-        b = np.array(nums_b, dtype=np.int64)
-        prod = a @ b.T
+        prod = a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False).T
         if modulus < _INT64_SAFE:
             return np.mod(prod, modulus).astype(np.float64) / float(modulus)
         # |prod| < 2^62 <= modulus: the value is already in (-1, 1).
@@ -98,8 +109,9 @@ def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
             return np.zeros((na, nb), dtype=np.float64)
         return prod.astype(np.float64) / float(modulus)
     out = np.empty((na, nb), dtype=np.float64)
-    for i, ra in enumerate(nums_a):
-        for j, rb in enumerate(nums_b):
+    rows_b = b.tolist()
+    for i, ra in enumerate(a.tolist()):
+        for j, rb in enumerate(rows_b):
             n = sum(x * y for x, y in zip(ra, rb)) % modulus
             out[i, j] = n / modulus  # int/int true division is correctly rounded
     return out
@@ -123,6 +135,31 @@ def budget_rows(row_bytes: int, fixed_bytes: int, what: str) -> int:
             f"the dense byte budget is {DENSE_BYTE_BUDGET}"
         )
     return rows
+
+
+def within_budget(nbytes: int) -> bool:
+    return nbytes <= DENSE_BYTE_BUDGET
+
+
+def budget_largest(cost, most: int, what: str) -> int:
+    """The largest n in [1, most] whose cost(n) bytes fit the budget; cost
+    must not decrease in n.
+
+    Raises WorkingSetTooLarge when not even cost(1) fits.
+    """
+    if not within_budget(cost(1)):
+        raise WorkingSetTooLarge(
+            f"{what} needs {cost(1)} bytes at least; "
+            f"the dense byte budget is {DENSE_BYTE_BUDGET}"
+        )
+    lo, hi = 1, most
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if within_budget(cost(mid)):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def product_transform(points: PointRows, factors) -> np.ndarray:

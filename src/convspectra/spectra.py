@@ -13,14 +13,16 @@ from itertools import product as cartesian
 import numpy as np
 
 from ._phases import (
+    _INT64_SAFE,
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
     PointRows,
-    budget_rows,
+    budget_largest,
     common_denominator,
     exact_phase_matrix,
     gram_deviation,
     unit_exponentials,
+    within_budget,
 )
 from .errors import (
     BoundViolation,
@@ -313,12 +315,17 @@ def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     xs = [tuple(Fraction(c) for c in xi) for xi in xis]
     if not lams:
         return np.zeros(len(xs))
-    # x + lambda as integer rows over one denominator
+    # x + lambda as integer rows over one denominator, in one broadcast
     if any(len(v) != m.dim for v in xs + lams):
         raise DimensionMismatch(f"frequencies and candidates must have dimension {m.dim}")
+    if not xs:
+        return np.zeros(0)
     den, rows = common_denominator(xs + lams)
-    x_rows, lam_rows = rows[: len(xs)], rows[len(xs) :]
-    pts = [tuple(a + b for a, b in zip(x, lam)) for x in x_rows for lam in lam_rows]
+    widest = max(abs(c) for row in rows for c in row)
+    dtype = np.int64 if 2 * widest < _INT64_SAFE else object
+    x_rows = np.array(rows[: len(xs)], dtype=dtype)
+    lam_rows = np.array(rows[len(xs) :], dtype=dtype)
+    pts = (x_rows[:, None, :] + lam_rows[None, :, :]).reshape(-1, m.dim)
     vals = fourier_many(m, PointRows(pts, den)).reshape(len(xs), len(lams))
     return np.sum(np.abs(vals) ** 2, axis=1)
 
@@ -374,14 +381,15 @@ class EquiPositivityReport:
     truncation_note: str
 
 
+def _pitch_axis(pitch: Fraction) -> range:
+    """The integers n with n * pitch in [-1/2, 1/2)."""
+    half = Fraction(1, 2) / pitch
+    return range(-math.floor(half), math.ceil(half))
+
+
 def _pitch_grid(pitch: Fraction, dim: int):
     """pitch * Z^d intersected with [-1/2, 1/2)^d, exact."""
-    lo = math.ceil(Fraction(-1, 2) / pitch)
-    axis = []
-    n = lo
-    while n * pitch < Fraction(1, 2):
-        axis.append(n * pitch)
-        n += 1
+    axis = [n * pitch for n in _pitch_axis(pitch)]
     return [tuple(v) for v in cartesian(axis, repeat=dim)]
 
 
@@ -397,26 +405,90 @@ def _ball_grid(pitch: Fraction, radius: Fraction, dim: int):
     ]
 
 
-def _exp_table(rows, den: int, points: PointRows):
-    """Matrix exp(-2 pi i a.p) over atoms rows/den (rows) x points (cols)."""
-    return unit_exponentials(exact_phase_matrix(rows, den, points.rows, points.den))
+def _ball_count(t: int, dim: int, limit: int) -> int:
+    """#{n in Z^dim : |n|^2 <= t}, counted only until it passes `limit`."""
+    r = math.isqrt(t)
+    if dim == 1:
+        return 2 * r + 1
+    total = 0
+    for n in range(-r, r + 1):
+        total += _ball_count(t - n * n, dim - 1, limit - total)
+        if total > limit:
+            break
+    return total
 
 
-def _scan_slab(factors, xs: PointRows, ys: PointRows, ks):
-    """min over y of |prod_j m_j(x + y + k)| for every k (rows) and x (cols)."""
-    prod = np.ones((len(ks), len(xs), len(ys)), dtype=complex)
-    for rows, den, _ in factors:
-        ax = _exp_table(rows, den, xs)  # (nb, nx)
-        ay = _exp_table(rows, den, ys)  # (nb, ny)
-        nb = len(rows)
-        for ki, k in enumerate(ks):
-            if any(k):
-                shift = _exp_table(rows, den, PointRows([k], 1))[:, 0]
-                axk = ax * shift[:, None]
-            else:
-                axk = ax
-            prod[ki] *= (axk.T @ ay) / nb
-    return np.abs(prod).min(axis=2)
+def _ball_offsets(t: int, dim: int) -> np.ndarray:
+    """The n in Z^dim with |n|^2 <= t as rows of an int64 array."""
+    r = math.isqrt(t)
+    box = np.indices((2 * r + 1,) * dim).reshape(dim, -1).T - r
+    return box[(box * box).sum(axis=1) <= t]
+
+
+def _axis_lattice(x_nums, k_nums, y_nums):
+    """Sorted distinct sums x + k + y on one axis, and where each (x, k, y)
+    sum sits in them, shape (#x, #k, #y)."""
+    sums = x_nums[:, None, None] + k_nums[None, :, None] + y_nums[None, None, :]
+    lattice, where = np.unique(sums, return_inverse=True)
+    return lattice, where.reshape(sums.shape)
+
+
+def _lattice_moduli(factors, lattices, den: int) -> np.ndarray:
+    """|prod_j m_j(s)| at every point s of lattices[0] x ... x lattices[d-1]
+    (integer numerators over den), shaped like the lattice.
+
+    A point's phase a.s is the sum of its per-axis phases, so each level
+    needs one exact phase table per axis and one contraction:
+    m_j(s) = sum_b w_b prod_c E_c[b, s_c], the first axis against the
+    Khatri-Rao product of the others."""
+    cols = [lat.reshape(-1, 1).tolist() for lat in lattices]
+    acc = None
+    for rows, rden, weights in factors:
+        tables = [
+            unit_exponentials(exact_phase_matrix([(r[c],) for r in rows], rden, col, den))
+            for c, col in enumerate(cols)
+        ]
+        right = np.ones((len(rows), 1), dtype=complex)
+        for t in tables[1:]:
+            right = (right[:, :, None] * t[:, None, :]).reshape(len(rows), -1)
+        level = (tables[0] * np.asarray(weights)[:, None]).T @ right
+        if acc is None:
+            acc = level
+        else:
+            acc *= level
+    return np.abs(acc).reshape([len(lat) for lat in lattices])
+
+
+def _x_blocks(n: int, dim: int, axis: int, count: int):
+    """Lexicographic blocks of the x grid: one index on each axis before
+    `axis`, up to `count` consecutive ones on it, all n after it.  Yields
+    each block's per-axis index lists and the position of its first x."""
+    for head in cartesian(range(n), repeat=axis):
+        for s in range(0, n, count):
+            picks = [[i] for i in head] + [list(range(s, min(s + count, n)))]
+            picks += [list(range(n))] * (dim - 1 - axis)
+            first = 0
+            for i in (*head, s):
+                first = first * n + i
+            yield picks, first * n ** (dim - 1 - axis)
+
+
+def _ball_minima(moduli, wheres, k_at, y_at) -> np.ndarray:
+    """min over the y-ball of the lattice moduli at x + k + y, for every k
+    (rows) and every x of the block (columns, in lexicographic order).
+
+    wheres[c] maps (x, k, y) on axis c to its lattice index; k_at and y_at
+    hold the k-box's and the ball's per-axis indices."""
+    flat_moduli = moduli.ravel()
+    offsets = [where * math.prod(moduli.shape[c + 1 :]) for c, where in enumerate(wheres)]
+    out = np.empty((len(k_at), math.prod(w.shape[0] for w in wheres)))
+    for ki, k in enumerate(k_at):
+        flat = None
+        for c, off in enumerate(offsets):
+            part = off[:, k[c], y_at[:, c]]  # (#x on axis c, #ball)
+            flat = part if flat is None else flat[..., None, :] + part
+        out[ki] = flat_moduli[flat].min(axis=-1).ravel()
+    return out
 
 
 def truncation_tail_floor(
@@ -483,10 +555,14 @@ def equi_positivity_scan(
     """Scan |nu_hat(x + y + k)| for the depth-truncated tails over a rational
     grid, maximizing over a small k-box and minimizing over the y-ball.
 
-    ``x_grid`` is either a pitch (number) or an explicit list of rational
-    vectors in [-1/2, 1/2)^d.  k = 0 is forced at x = 0.  The report carries
-    the worst witnessed value and, when a contraction ratio is declared, a
-    floor for the ignored deeper factors.
+    ``x_grid`` is the pitch of the x lattice on [-1/2, 1/2)^d.  k = 0 is
+    forced at x = 0.  The report carries the worst witnessed value and, when
+    a contraction ratio is declared, a floor for the ignored deeper factors.
+
+    Every sum x + k + y lies on the product of the per-axis sets of distinct
+    sums x_c + k_c + y_c, so each level is evaluated once on that product
+    lattice and the scan reads its minima from the table.  The x grid is
+    walked in lexicographic blocks whose lattice fits the dense byte budget.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
@@ -499,52 +575,90 @@ def equi_positivity_scan(
     rad = Fraction(y_radius)
     if rad <= 0:
         raise ValidationError("y_radius must be positive")
-
-    if isinstance(x_grid, (int, float, Fraction, str)):
-        pitch = Fraction(x_grid)
-        if pitch <= 0:
-            raise ValidationError("x grid pitch must be positive")
-        xs = _pitch_grid(pitch, dim)
-        xs_note = f"pitch {pitch} on [-1/2,1/2)^{dim}: {len(xs)} points"
-    else:
-        xs = [tuple(Fraction(c) for c in v) for v in x_grid]
-        if not xs:
-            raise ValidationError("empty x grid")
-        xs_note = f"explicit grid: {len(xs)} points"
+    if not isinstance(x_grid, (int, float, Fraction, str)):
+        raise ValidationError("x grid must be a pitch")
+    pitch = Fraction(x_grid)
+    if pitch <= 0:
+        raise ValidationError("x grid pitch must be positive")
     yp = Fraction(y_pitch) if y_pitch is not None else rad / 8
-    ys = _ball_grid(yp, rad, dim)
-    if not ys:
-        raise ValidationError("y grid is empty; shrink the pitch")
-    if len(xs) * len(ys) > grid_cap:
-        raise GridTooLarge(f"{len(xs)} x {len(ys)} grid points exceed cap {grid_cap}")
-    ks = _k_search_box(k_window, dim)
 
-    zero_x = tuple(Fraction(0) for _ in range(dim))
-    x_pts, y_pts = PointRows.of(xs), PointRows.of(ys)
-    witnesses = {}
-    failed_at = None
-    scanned_min = math.inf
-
+    # grid sizes from counts, before any grid is built
+    x_axis = _pitch_axis(pitch)
+    nx = len(x_axis) ** dim
+    ball_t = math.ceil((rad / yp) ** 2) - 1  # y = n * yp with |n|^2 <= ball_t
+    ny = _ball_count(ball_t, dim, grid_cap // nx)
+    if ny > grid_cap // nx:
+        raise GridTooLarge(
+            f"{nx} x-points times at least {ny} y-points exceed cap {grid_cap}"
+        )
     for start in starts:
         if seq.length is not None and start + depth > seq.length:
             raise MilestoneGap(
                 f"tail start {start} + depth {depth} exceeds sequence length {seq.length}"
             )
-        factors = tail_factors(seq, start, depth)
-        widest = max(len(rows) for rows, _, _ in factors)
-        # per x: the (k, y) product slab and its moduli, one level's (x, y)
-        # block, and the x column of the exponential tables
-        row_bytes = len(ys) * (len(ks) * (COMPLEX_BYTES + 8) + COMPLEX_BYTES)
-        row_bytes += widest * (PHASE_ENTRY_BYTES + COMPLEX_BYTES)
-        chunk = budget_rows(
-            row_bytes,
-            widest * len(ys) * PHASE_ENTRY_BYTES,
-            f"a tail scan over {len(ks)} k-shifts x {len(ys)} y-points",
+
+    # per-axis numerators over one denominator
+    den = math.lcm(pitch.denominator, yp.denominator)
+    x_step = pitch.numerator * (den // pitch.denominator)
+    y_step = yp.numerator * (den // yp.denominator)
+    reach = math.isqrt(ball_t)
+    n_axis, nk_axis, ny_axis = len(x_axis), 2 * k_window + 1, 2 * reach + 1
+    nk = nk_axis**dim
+    widest_sum = max(-x_axis[0], x_axis[-1]) * x_step + k_window * den + reach * y_step
+    dtype = np.int64 if widest_sum < _INT64_SAFE else object
+    x_nums = np.array([n * x_step for n in x_axis], dtype=dtype)
+    k_nums = np.array([k * den for k in range(-k_window, k_window + 1)], dtype=dtype)
+    y_nums = np.array([n * y_step for n in range(-reach, reach + 1)], dtype=dtype)
+    gap = math.gcd(x_step, den, y_step)
+
+    def lattice_size(n: int) -> int:
+        """Bound on the distinct sums of one axis with n x values."""
+        span = ((n - 1) * x_step + (nk_axis - 1) * den + (ny_axis - 1) * y_step) // gap + 1
+        return min(span, n * nk_axis * ny_axis)
+
+    factor_sets = [tail_factors(seq, start, depth) for start in starts]
+    widest = max(len(rows) for factors in factor_sets for rows, _, _ in factors)
+
+    def block_bytes(axis: int, count: int) -> int:
+        """Peak bytes of an x block with one value on each axis before
+        `axis`, `count` values on it and every value after it: the lattice's
+        product, level and moduli, one level's phase tables and Khatri-Rao
+        block, the per-axis sums, the gathered minima, and the y box the
+        ball is cut from."""
+        xs_per_axis = [1] * axis + [count] + [n_axis] * (dim - 1 - axis)
+        sizes = [lattice_size(n) for n in xs_per_axis]
+        points = math.prod(xs_per_axis)
+        return (
+            math.prod(sizes) * (2 * COMPLEX_BYTES + 8)
+            + widest * sum(sizes) * PHASE_ENTRY_BYTES
+            + widest * math.prod(sizes[1:]) * COMPLEX_BYTES
+            + sum(xs_per_axis) * nk_axis * ny_axis * 32
+            + points * (ny * 16 + nk * 8)
+            + ny_axis**dim * dim * 24
         )
-        for s in range(0, len(xs), chunk):
-            x_rows = PointRows(x_pts.rows[s : s + chunk], x_pts.den)
-            per_k_min = _scan_slab(factors, x_rows, y_pts, ks)  # (nk, chunk)
-            for xi_idx, x in enumerate(xs[s : s + chunk]):
+
+    axis = next(a for a in range(dim) if a == dim - 1 or within_budget(block_bytes(a, 1)))
+    count = budget_largest(
+        lambda c: block_bytes(axis, c),
+        n_axis,
+        f"a tail scan over {nk} k-shifts x {ny} y-points",
+    )
+    ks = _k_search_box(k_window, dim)
+    k_at = np.array(ks, dtype=np.int64) + k_window
+    y_at = _ball_offsets(ball_t, dim) + reach
+    xs = _pitch_grid(pitch, dim)
+    xs_note = f"pitch {pitch} on [-1/2,1/2)^{dim}: {len(xs)} points"
+
+    zero_x = tuple(Fraction(0) for _ in range(dim))
+    witnesses = {}
+    failed_at = None
+    scanned_min = math.inf
+    for start, factors in zip(starts, factor_sets):
+        for picks, first in _x_blocks(n_axis, dim, axis, count):
+            axes = [_axis_lattice(x_nums[p], k_nums, y_nums) for p in picks]
+            moduli = _lattice_moduli(factors, [lat for lat, _ in axes], den)
+            per_k_min = _ball_minima(moduli, [where for _, where in axes], k_at, y_at)
+            for xi_idx, x in enumerate(xs[first : first + per_k_min.shape[1]]):
                 if x == zero_x:
                     k_idx = 0  # _k_search_box puts 0 first
                 else:

@@ -1,5 +1,6 @@
 """The batched product-form Fourier kernel against the dense and Fraction
 routes it replaced, which are kept here as oracles."""
+import cmath
 import contextlib
 import io
 import json
@@ -22,6 +23,7 @@ from convspectra._phases import (
     exact_phase_matrix,
     unit_exponentials,
 )
+from convspectra.errors import GridTooLarge
 from convspectra.exactmat import IntMatrix, invert, product_range
 from convspectra.measures import (
     fourier,
@@ -117,6 +119,17 @@ def test_q_eval_many_matches_dense_q():
     m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 5)
     lams = [(v,) for v in (0, 1, 4, 5, 16, 17, 20, 21)]
     xs = [(F(i, 37),) for i in range(37)]
+    q = q_eval_many(m, lams, xs)
+    for x, qv in zip(xs, q):
+        pts = [(x[0] + lam[0],) for lam in lams]
+        assert abs(qv - float(np.sum(np.abs(dense_fourier_many(m, pts)) ** 2))) <= 1e-12
+
+
+def test_q_eval_many_past_int64_matches_dense_q():
+    # x + lambda numerators past 2^62 take the object-dtype rows
+    m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 4)
+    lams = [(0,), (1,), (2**70 + 5,), (-(3 * 2**64) + 1,)]
+    xs = [(F(i, 13),) for i in range(-6, 7)]
     q = q_eval_many(m, lams, xs)
     for x, qv in zip(xs, q):
         pts = [(x[0] + lam[0],) for lam in lams]
@@ -227,16 +240,17 @@ def test_windowed_levels_match_fraction_chooser(name, milestones, radius, depth,
 # ---- the equi-positivity scan ----
 
 
-def fraction_scan_witnesses(seq, starts, depth, xs, ys, ks):
-    """The per-level Fraction tables: atoms inv.matvec(b), denominators per level."""
+def fraction_scan_tables(seq, starts, depth, xs, ys, ks):
+    """The per-level Fraction tables: atoms inv.matvec(b), denominators per
+    level.  Per start, min over y of the tail product's modulus for every k
+    (rows) and x (columns)."""
 
     def table(w, points):
         den_w, rows_w = common_denominator(w)
         den_p, rows_p = common_denominator(points)
         return unit_exponentials(exact_phase_matrix(rows_w, den_w, rows_p, den_p))
 
-    zero_x = tuple(F(0) for _ in range(seq.dim))
-    witnesses = {}
+    tables = {}
     for start in starts:
         prod = np.ones((len(ks), len(xs), len(ys)), dtype=complex)
         for j in range(1, depth + 1):
@@ -246,11 +260,48 @@ def fraction_scan_witnesses(seq, starts, depth, xs, ys, ks):
             for ki, k in enumerate(ks):
                 axk = ax * table(w, [tuple(F(c) for c in k)])[:, 0][:, None] if any(k) else ax
                 prod[ki] *= (axk.T @ ay) / len(w)
-        per_k_min = np.abs(prod).min(axis=2)
+        tables[start] = np.abs(prod).min(axis=2)
+    return tables
+
+
+def fraction_scan_witnesses(tables, xs, ks):
+    """(start, x) -> (k, value): the first k of largest value, k = 0 at x = 0."""
+    zero_x = tuple(F(0) for _ in xs[0])
+    witnesses = {}
+    for start, per_k_min in tables.items():
         for xi, x in enumerate(xs):
             ki = 0 if x == zero_x else int(np.argmax(per_k_min[:, xi]))
             witnesses[(start, x)] = (ks[ki], float(per_k_min[ki, xi]))
     return witnesses
+
+
+def assert_scan_matches_fraction_tables(seq, starts, depth, pitch, radius, k_window, y_pitch=None):
+    """Same keys, values within 1e-13, and the same k unless the oracle's top
+    two values are within 1e-12, where the chosen k must be within 1e-12 of
+    the oracle's maximum.  (The lattice kernel sums in another order than
+    the oracle, so bit equality cannot hold, and x on the -1/2 face ties its
+    mirror x + k.)"""
+    rep = equi_positivity_scan(seq, starts, depth, pitch, radius, k_window, y_pitch=y_pitch)
+    ks = _k_search_box(k_window, seq.dim)
+    xs = _pitch_grid(pitch, seq.dim)
+    ys = _ball_grid(y_pitch if y_pitch is not None else radius / 8, radius, seq.dim)
+    tables = fraction_scan_tables(seq, starts, depth, xs, ys, ks)
+    oracle = fraction_scan_witnesses(tables, xs, ks)
+    assert rep.per_x_witness.keys() == oracle.keys()
+    for xi, x in enumerate(xs):
+        for start in starts:
+            k, val = rep.per_x_witness[(start, x)]
+            want_k, want_val = oracle[(start, x)]
+            assert abs(val - want_val) <= 1e-13
+            if k != want_k:
+                col = np.sort(tables[start][:, xi])
+                assert col[-1] - col[-2] <= 1e-12
+                assert tables[start][ks.index(k), xi] >= col[-1] - 1e-12
+    vals = [v for _, v in oracle.values()]
+    if rep.status == "witnessed":
+        assert abs(rep.scanned_epsilon0 - min(vals)) <= 1e-13
+    else:
+        assert min(vals) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -266,15 +317,90 @@ def test_scan_witnesses_equal_fraction_tables(name, starts, depth, pitch, radius
         seq = skew_sequence()
     else:
         seq = builtin_sequence(name).reduced()
-    rep = equi_positivity_scan(seq, starts, depth, pitch, radius, k_window)
-    xs, ys = _pitch_grid(pitch, seq.dim), _ball_grid(radius / 8, radius, seq.dim)
-    oracle = fraction_scan_witnesses(seq, starts, depth, xs, ys, _k_search_box(k_window, seq.dim))
-    assert rep.per_x_witness == oracle
-    vals = [v for _, v in oracle.values()]
-    if rep.status == "witnessed":
-        assert rep.scanned_epsilon0 == min(vals)
+    assert_scan_matches_fraction_tables(seq, starts, depth, pitch, radius, k_window)
+
+
+def _cube_level(k):
+    # a non-diagonal 3-D level (det 13) with four or five digits
+    r = IntMatrix(((2, 1, 0), (0, 2, 1), (1, 0, 3)))
+    rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    return r, DigitSet.of(rows[: 4 + k % 2]), None
+
+
+@pytest.mark.parametrize(
+    "name, starts, depth, pitch, radius, k_window, y_pitch",
+    [
+        ("skew", [0, 1], 3, F(1, 7), F(1, 5), 1, F(1, 11)),  # x and y on no common lattice
+        ("example-2.6", [0, 1], 4, F(1, 4), F(1, 6), 1, F(1, 48)),  # y finer than x
+        ("jorgensen-pedersen", [0], 5, F(1, 64), F(1, 3), 1, F(1, 6)),  # y coarser than x
+        ("skew", [0, 1], 3, F(1, 6), F(1, 5), 0, None),
+        ("example-2.6", [1], 3, F(1, 4), F(1, 12), 2, None),
+        ("cube", [0, 1], 3, F(1, 4), F(1, 5), 1, F(1, 15)),
+        ("jorgensen-pedersen", [0, 1], 3, F(1, 4), F(1, 10**20), 1, None),  # sums past int64
+    ],
+)
+def test_scan_witnesses_on_other_lattices(name, starts, depth, pitch, radius, k_window, y_pitch):
+    if name == "skew":
+        seq = skew_sequence()
+    elif name == "cube":
+        seq = from_generator(_cube_level, 3, length=8)
     else:
-        assert min(vals) <= 1e-12
+        seq = builtin_sequence(name).reduced()
+    assert_scan_matches_fraction_tables(seq, starts, depth, pitch, radius, k_window, y_pitch)
+
+
+def fsum_ball_minimum(seq, start, depth, xi, ys):
+    """min over y of |prod_j (1/#B) sum_b e(-<M_j^{-1} b, xi + y>)|, one point
+    at a time: each phase reduced mod 1 as an exact rational, each mask
+    summed by math.fsum."""
+    levels = []
+    for j in range(1, depth + 1):
+        inv = invert(product_range(seq, start, start + j))
+        atoms = [inv.matvec(b) for b in seq.digits(start + j).vectors]
+        den = math.lcm(*(c.denominator for a in atoms for c in a))
+        levels.append(([[int(c * den) for c in a] for a in atoms], den))
+    best = math.inf
+    for y in ys:
+        point = [F(a) + b for a, b in zip(xi, y)]
+        pden = math.lcm(*(c.denominator for c in point))
+        pnum = [int(c * pden) for c in point]
+        value = 1.0
+        for rows, den in levels:
+            modulus = den * pden
+            terms = [
+                cmath.exp(-2j * math.pi * (sum(a * b for a, b in zip(row, pnum)) % modulus / modulus))
+                for row in rows
+            ]
+            total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+            value *= abs(total) / len(rows)
+        best = min(best, value)
+    return best
+
+
+def test_scan_witnesses_match_an_fsum_oracle_at_bench_size():
+    # the fourier benchmark's equipos scan: example-2.6 reduced, depth 12,
+    # x pitch 1/32, y radius 1/12, k window 1, tail starts 0..3
+    seq = builtin_sequence("example-2.6").reduced()
+    pitch, radius = F(1, 32), F(1, 12)
+    rep = equi_positivity_scan(seq, [0, 1, 2, 3], 12, pitch, radius, 1)
+    assert len(rep.per_x_witness) == 4 * 32 * 32
+    ys = _ball_grid(radius / 8, radius, 2)
+    checked = [
+        (0, (F(0), F(0))),
+        (0, (F(-1, 2), F(5, 32))),
+        (1, (F(-1, 2), F(-1, 2))),
+        (1, (F(3, 32), F(-7, 32))),
+        (2, (F(15, 32), F(15, 32))),
+        (2, (F(-11, 32), F(1, 4))),
+        (3, (F(1, 32), F(0))),
+        (3, (F(-1, 4), F(-1, 2))),
+    ]
+    for start, x in checked:
+        k, val = rep.per_x_witness[(start, x)]
+        if not any(x):
+            assert k == (0, 0)
+        xk = tuple(a + b for a, b in zip(x, k))
+        assert abs(val - fsum_ball_minimum(seq, start, 12, xk, ys)) <= 1e-12
 
 
 def test_scan_values_barely_depend_on_the_x_chunking(monkeypatch):
@@ -323,6 +449,49 @@ def test_exit_3_when_one_scan_row_exceeds_the_byte_budget(tmp_path):
     assert err.getvalue().startswith("resource cap:") and "budget" in err.getvalue()
     assert out.getvalue() == ""
     assert peak < 32 << 20  # refused before the slab was allocated
+
+
+def test_exit_3_when_one_x_point_lattice_exceeds_the_byte_budget(tmp_path):
+    # 121 k-shifts and 31 y values per axis: one x point's 2-D sum lattice
+    # has 3751 x 3751 points, about 560 MB of tables
+    doc = {
+        "dimension": 2,
+        "sequence": {"generator": "example-2.6"},
+        "equipos": {
+            "depth": 2,
+            "x_pitch": "1/2",
+            "y_radius": "1/4",
+            "y_pitch": "1/64",
+            "k_window": 60,
+        },
+    }
+    path = tmp_path / "equipos.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["equipos", "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert err.getvalue().startswith("resource cap:") and "budget" in err.getvalue()
+    assert out.getvalue() == ""
+    assert peak < 4 << 20  # refused before any lattice table was allocated
+
+
+def test_grid_cap_is_checked_before_the_grids_are_built():
+    # 2000^2 x-points times a 197-point y-ball: the cap refuses it from counts
+    seq = builtin_sequence("example-2.6").reduced()
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge):
+            equi_positivity_scan(seq, [0], 12, F(1, 2000), F(1, 12), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_python_dash_m_runs_the_cli():

@@ -76,3 +76,34 @@ def test_hadamard_deviations_unchanged_by_reduction(monkeypatch):
     want = [hadamard_check(seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)) for k in levels]
     assert [r.max_deviation for r in got] == [r.max_deviation for r in want]
     assert all(r.ok for r in got)
+
+
+def as_array(rows, dtype):
+    """rows as an (n, d) array: int64 when asked for and every entry fits."""
+    if dtype is np.int64:
+        try:
+            return np.array(rows, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array(rows, dtype=object)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize(
+    "case", ["hadamard-5", "hadamard-24", "negative", "big-modulus", "sub-resolution"]
+)
+def test_integer_arrays_give_the_tuple_results(case, dtype):
+    if case.startswith("hadamard"):
+        args = hadamard_inputs(builtin_sequence("example-2.6"), int(case.split("-")[1]))
+    elif case == "negative":
+        args = ([(-(3**50), 7), (5, -(2**70)), (-1, -1)], 6, [(1, -3), (2**65 + 1, -(5**40))], 35)
+    elif case == "big-modulus":
+        args = ([(3**45, -2), (-7, 2**64)], 2**40, [(5, 11), (-(2**63), 3)], 3**20)
+    else:
+        args = ([(3, -5), (1, 1)], 2**600, [(7, 2), (-4, 9)], 3**400)
+    nums_a, den_a, nums_b, den_b = args
+    want = exact_phase_matrix(*args)
+    got = exact_phase_matrix(as_array(nums_a, dtype), den_a, as_array(nums_b, dtype), den_b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    mixed = exact_phase_matrix(nums_a, den_a, as_array(nums_b, dtype), den_b)
+    assert np.array_equal(mixed, want)
