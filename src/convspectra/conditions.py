@@ -20,7 +20,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .exactmat import IntMatrix, invert, spectral_norm_upper
+from .exactmat import IntMatrix, RatMatrix, adjugate, spectral_norm_upper
 from .triples import DigitSet, box_mask, cone_mask, integer_rows, numerators, shared_masks
 
 VERDICT_CONVERGED = "converged-numerically"
@@ -203,18 +203,18 @@ def rbc_series(seq, upto: int, tail_bound=None) -> SeriesDiagnostics:
 
 
 def _pcc_sup_sq(r: IntMatrix) -> Fraction:
-    """Exact square of the cube sup: max over vertices xi of d * |R^{-T}xi|_2^2."""
+    """Exact square of the cube sup: max over vertices xi of d * |R^{-T}xi|_2^2,
+    enumerated on integers as R^{-T}xi = adj(R)^T xi / det R from the
+    adjugate cached on r."""
     d = r.dim
     if d > 20:
         raise DimensionTooLarge(f"vertex enumeration needs 2^{d} points")
-    inv_t = invert(r).transpose()
-    best = Fraction(0)
-    for signs in cartesian((1, -1), repeat=d):
-        v = inv_t.matvec(signs)
-        s = sum(x * x for x in v)
-        if s > best:
-            best = s
-    return d * best
+    det, adj = adjugate(r)
+    adj_t = adj.transpose()
+    best = max(
+        sum(x * x for x in adj_t.matvec(signs)) for signs in cartesian((1, -1), repeat=d)
+    )
+    return Fraction(d * best, det * det)
 
 
 def pcc_sup(r: IntMatrix) -> float:
@@ -262,8 +262,9 @@ def pcc_series(seq, l, subseq=None, upto: int | None = None, tail_bound=None) ->
     for k in indices:
         r = seq.matrix(k)
         b = seq.digits(k)
-        _, far = pcc_split(r, b, lf)
-        terms.append(Fraction(len(far), len(b)))
+        den, *parts = numerators(r, b)
+        near = sum(int(cone_mask(y, den, (1 - lf) / 2).sum()) for y in parts)
+        terms.append(Fraction(len(b) - near, len(b)))
         sup_sq = _pcc_sup_sq(r)
         if sup_sq >= one_minus_sq:  # exact comparison of squares
             margin_ok = False
@@ -361,7 +362,9 @@ def contractivity_report(seq, upto: int, tol: float = 1e-12) -> ContractivityRep
         raise ValidationError("need upto >= 1")
     worst, at = -math.inf, 0
     for k in range(1, upto + 1):
-        u = spectral_norm_upper(invert(seq.matrix(k)), tol=tol)
+        det, adj = adjugate(seq.matrix(k))  # R_k^{-1} = adj / det, shared with the digit kernels
+        inv = RatMatrix(tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows))
+        u = spectral_norm_upper(inv, tol=tol)
         if u > worst:
             worst, at = u, k
     declared = seq.declared_contractivity

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
@@ -90,6 +91,19 @@ class IntMatrix:
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(tuple(tuple(Fraction(x) for x in row) for row in self.rows))
+
+    @cached_property
+    def _adjugate(self) -> tuple:
+        """(det, adj) for `adjugate`, kept on the instance."""
+        det = self.det()
+        if det == 0:
+            raise SingularMatrix("matrix has determinant zero")
+        inv = invert(self)
+        rows = tuple(tuple((x * det).numerator for x in row) for row in inv.rows)
+        for row, irow in zip(rows, inv.rows):
+            for x, f in zip(row, irow):
+                assert Fraction(x, det) == f
+        return det, IntMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -192,16 +206,9 @@ def invert(m) -> RatMatrix:
 
 
 def adjugate(m: IntMatrix) -> tuple:
-    """(det, adj) with adj·m = det·I, both exact integers."""
-    det = m.det()
-    if det == 0:
-        raise SingularMatrix("matrix has determinant zero")
-    inv = invert(m)
-    rows = tuple(tuple((x * det).numerator for x in row) for row in inv.rows)
-    for row, irow in zip(rows, inv.rows):
-        for x, f in zip(row, irow):
-            assert Fraction(x, det) == f
-    return det, IntMatrix(rows)
+    """(det, adj) with adj·m = det·I, both exact integers; computed once per
+    matrix instance."""
+    return m._adjugate
 
 
 def product_range(seq, p: int, q: int) -> IntMatrix:

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from ._phases import PointRows, common_denominator, product_transform
+from ._phases import _INT64_SAFE, PointRows, common_denominator, product_transform
 from .errors import DimensionMismatch, TruncationTooLarge, ValidationError
 from .exactmat import IntMatrix, RatMatrix, adjugate, invert, product_range
 from .triples import DigitSet
@@ -195,17 +195,56 @@ def _capped_product(sizes, max_atoms: int) -> int:
     return proj
 
 
+def _uniform_rows(rows, den: int) -> DiscreteMeasure:
+    """The equal-weight measure on the distinct atoms rows[i] / den."""
+    w = Fraction(1, len(rows))
+    atoms = sorted(tuple(Fraction(x, den) for x in row) for row in rows)
+    return DiscreteMeasure(len(rows[0]), tuple(atoms), (w,) * len(atoms))
+
+
 def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
-    """Convolution of the first k scaled digit measures (k = 0 gives a point mass)."""
+    """Convolution of the first k scaled digit measures (k = 0 gives a point mass).
+
+    Level j's atoms (R_j···R_1)^{-1} B_j come from `scaled_atom_rows` as
+    integer rows over one denominator; every atom of the convolution is an
+    integer sum of one row per level over the lcm of those denominators, in
+    int64 when the widest sum fits and exact Python ints otherwise.  Each
+    sum carries weight 1/Π#B_j, so an atom's weight is its multiplicity over
+    that product.  The cap is checked on the projected count Π#B_j before any
+    sum is formed.
+    """
     if k < 0:
         raise ValidationError(f"truncation level must be >= 0, got {k}")
-    result = point_mass((0,) * seq.dim)
-    proj = 1
-    for j in range(1, k + 1):
-        d = seq.digits(j)
-        proj = _capped_product([proj, len(d)], max_atoms)
-        result = convolve(result, uniform_on(d, seq.prefix_inverse(j)))
-    return result
+    _capped_product((len(seq.digits(j)) for j in range(1, k + 1)), max_atoms)
+    levels = [scaled_atom_rows(seq.prefix_matrix(j), seq.digits(j)) for j in range(1, k + 1)]
+    den = lcm(*(d for _, d in levels))
+    scaled = [[[x * (den // d) for x in row] for row in rows] for rows, d in levels]
+    widest = sum(max(abs(x) for row in rows for x in row) for rows in scaled)
+    dtype = np.int64 if widest < _INT64_SAFE else object
+    sums = np.zeros((1, seq.dim), dtype=dtype)
+    for level in scaled:
+        step = np.array(level, dtype=dtype)
+        sums = (sums[:, None, :] + step[None, :, :]).reshape(-1, seq.dim)
+    if dtype is object:
+        keys = np.empty(len(sums), dtype=object)
+        keys[:] = list(map(tuple, sums.tolist()))
+        rows, counts = np.unique(keys, return_counts=True)
+    else:
+        rows, counts = np.unique(sums, axis=0, return_counts=True)
+        rows = rows.tolist()
+    total = len(sums)
+    weight = {c: Fraction(c, total) for c in set(counts.tolist())}
+    factors = tuple(
+        f
+        for f in (_uniform_rows(rows_j, d) for rows_j, d in levels)
+        if len(f) > 1 or any(f.atoms[0])  # the origin point mass is trivial
+    )
+    return DiscreteMeasure(
+        seq.dim,
+        tuple(tuple(Fraction(x, den) for x in row) for row in rows),
+        tuple(weight[c] for c in counts.tolist()),
+        factors,
+    )
 
 
 def nu_tail_truncate(

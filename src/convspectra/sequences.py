@@ -78,6 +78,11 @@ class TripleSequence:
             raise ValidationError(f"level {k} matrix is singular")
         if self.validate_digits and len(b) < 2:
             raise ValidationError(f"level {k} digit set must have at least 2 elements")
+        # a rebuilt level keeps its first R_k instance, and with it the
+        # adjugate cached on that instance
+        known = self._matrices.get(k)
+        if known is not None and known == r:
+            r = known
         entry = (r, b, l)
         self._matrices[k] = r
         if len(b) <= _DIGIT_CACHE_LIMIT:

@@ -84,25 +84,36 @@ def _window_spectrum_digits(seq, p: int, q: int):
     return vectors
 
 
+# A later k of the search box replaces the best so far only when its score is
+# larger by more than this, so exact ties go to the first k in box order.
+_K_TIE_TOL = 1e-15
+
+
+def _first_best(scores: np.ndarray) -> np.ndarray:
+    """Per column of scores (rows are the k of `_k_search_box`, in order), the
+    row of the first k whose score no later k beats by more than _K_TIE_TOL."""
+    best = np.zeros(scores.shape[1], dtype=np.intp)
+    top = scores[0].copy()
+    for i in range(1, len(scores)):
+        wins = scores[i] > top + _K_TIE_TOL
+        best[wins] = i
+        top[wins] = scores[i][wins]
+    return best
+
+
 def _windowed_choices(seq, p: int, q: int, depth: int, lams, box) -> dict:
     """For each lambda, the first k of the box order that maximizes
     |nu_hat_q(M^{-T} lambda + k)| over the depth-truncated tail after q, with
-    M = R_q ... R_{p+1}; a later k must win by more than 1e-15.  All
-    candidates of the window are scored in one batched call."""
+    M = R_q ... R_{p+1}, up to ties (`_first_best`).  All candidates of the
+    window are scored in one batched call."""
     inv_win_t = invert(product_range(seq, p, q)).transpose()
     points = []
     for lam in lams:
         base = inv_win_t.matvec(lam)
         points.extend(tuple(b + c for b, c in zip(base, cand)) for cand in box)
     scores = np.abs(tail_fourier_many(seq, q, depth, points)).reshape(len(lams), len(box))
-    chosen = {}
-    for lam, row in zip(lams, scores.tolist()):
-        best_k, best_score = box[0], -1.0
-        for cand, score in zip(box, row):
-            if score > best_score + 1e-15:
-                best_k, best_score = cand, score
-        chosen[lam] = best_k
-    return chosen
+    best = _first_best(scores.T)
+    return {lam: box[i] for lam, i in zip(lams, best.tolist())}
 
 
 def build_spectrum(
@@ -658,11 +669,9 @@ def equi_positivity_scan(
             axes = [_axis_lattice(x_nums[p], k_nums, y_nums) for p in picks]
             moduli = _lattice_moduli(factors, [lat for lat, _ in axes], den)
             per_k_min = _ball_minima(moduli, [where for _, where in axes], k_at, y_at)
+            best = _first_best(per_k_min).tolist()
             for xi_idx, x in enumerate(xs[first : first + per_k_min.shape[1]]):
-                if x == zero_x:
-                    k_idx = 0  # _k_search_box puts 0 first
-                else:
-                    k_idx = int(np.argmax(per_k_min[:, xi_idx]))
+                k_idx = 0 if x == zero_x else best[xi_idx]  # _k_search_box puts 0 first
                 val = float(per_k_min[k_idx, xi_idx])
                 witnesses[(start, x)] = (ks[k_idx], val)
                 if val <= fail_tol and failed_at is None:

@@ -277,6 +277,51 @@ def test_pcc_series_subsequence():
         pcc_series(seq, F(1, 4), subseq=[3, 3])
 
 
+def fraction_pcc_sup_sq(r):
+    """The vertex maximum d * |R^{-T} xi|^2 by Fraction inversion."""
+    inv_t = invert(r).transpose()
+    best = max(
+        sum(x * x for x in inv_t.matvec(signs)) for signs in cartesian((1, -1), repeat=r.dim)
+    )
+    return r.dim * best
+
+
+def test_pcc_sup_sq_matches_the_fraction_vertex_oracle():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 120:
+        d = rng.choice([1, 2, 3])
+        r = IntMatrix(tuple(tuple(rng.randrange(-9, 10) for _ in range(d)) for _ in range(d)))
+        if r.det() == 0:
+            continue
+        assert conditions._pcc_sup_sq(r) == fraction_pcc_sup_sq(r)
+        checked += 1
+
+
+def _wide_skew_level(k):
+    r = IntMatrix(((3, 1), (1, -2)))  # det -7
+    rows = [(0, 0), (1, 0), (0, 1), (1, 1), (2**40 + k, 3), (-5, 2**35)]
+    return r, dset(rows[: 3 + k % 4]), None
+
+
+@pytest.mark.parametrize(
+    "seq, l",
+    [
+        (builtin_sequence("example-2.6"), F(1, 4)),
+        (builtin_sequence("example-2.6").reduced(), F(3, 5)),
+        (builtin_sequence("jorgensen-pedersen"), F(1, 4)),
+        (from_generator(_wide_skew_level, 2, length=12), F(1, 3)),
+    ],
+)
+def test_pcc_series_counts_equal_the_split(seq, l):
+    d = pcc_series(seq, l, upto=12)
+    for k, t in zip(d.indices, d.terms):
+        b = seq.digits(k)
+        near, far = pcc_split(seq.matrix(k), b, l)
+        assert len(near) + len(far) == len(b)
+        assert t == F(len(far), len(b))
+
+
 def test_pcc_series_margin_fails_on_identity():
     seq = from_generator(
         lambda k: (IntMatrix.diagonal([1, 1]), dset([(0, 0), (1, 1)]), None), 2

@@ -195,3 +195,33 @@ def test_norm_random_vs_numpy():
         for j in range(d):
             col = math.sqrt(sum(float(m.rows[i][j]) ** 2 for i in range(d)))
             assert u >= col - 1e-10
+
+
+# ----- adjugate memo -----
+
+
+def test_adjugate_is_computed_once_per_instance(monkeypatch):
+    import convspectra.exactmat as exactmat
+    from convspectra.conditions import _pcc_sup_sq
+    from convspectra.measures import scaled_atom_rows
+    from convspectra.triples import DigitSet, numerators
+
+    calls = []
+    real = exactmat.invert
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(exactmat, "invert", counting)
+    m = IntMatrix(((3, 1), (-2, 5)))
+    b = DigitSet.of([(0, 0), (1, 2), (-4, 7)])
+    first = adjugate(m)
+    numerators(m, b)
+    scaled_atom_rows(m, b)
+    _pcc_sup_sq(m)
+    assert adjugate(m) is first and len(calls) == 1
+    det, adj = first
+    assert det == 17 and adj.matmul(m) == IntMatrix(((17, 0), (0, 17)))
+    with pytest.raises(SingularMatrix):
+        adjugate(IntMatrix(((1, 2), (2, 4))))

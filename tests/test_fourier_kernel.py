@@ -38,6 +38,7 @@ from convspectra.measures import (
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.spectra import (
     _ball_grid,
+    _first_best,
     _k_search_box,
     _pitch_grid,
     _window_spectrum_digits,
@@ -401,6 +402,37 @@ def test_scan_witnesses_match_an_fsum_oracle_at_bench_size():
             assert k == (0, 0)
         xk = tuple(a + b for a, b in zip(x, k))
         assert abs(val - fsum_ball_minimum(seq, start, 12, xk, ys)) <= 1e-12
+
+
+def test_first_best_takes_box_order_up_to_ties():
+    scores = np.array(
+        [
+            [1.0, 0.5, 0.7, 0.9],
+            [1.0 + 5e-16, 0.6, 0.7 + 2e-15, 0.9],
+            [1.0 + 1e-15, 0.6 + 5e-16, 0.3, 0.9 + 1e-16],
+        ]
+    )
+    assert _first_best(scores).tolist() == [0, 1, 1, 0]
+
+
+def test_mirrored_face_points_pick_the_box_order_k():
+    # x on the -1/2 face ties its mirror x + k exactly; the first k of the
+    # box order, k = 0, must win whatever the rounding
+    seq = builtin_sequence("example-2.6").reduced()
+    starts, depth, pitch, radius = [0, 1], 6, F(1, 16), F(1, 12)
+    rep = equi_positivity_scan(seq, starts, depth, pitch, radius, 1)
+    ks = _k_search_box(1, 2)
+    xs = _pitch_grid(pitch, 2)
+    face = [i for i, x in enumerate(xs) if F(-1, 2) in x]
+    tables = fraction_scan_tables(seq, starts, depth, [xs[i] for i in face], _ball_grid(radius / 8, radius, 2), ks)
+    mirrored = 0
+    for start in starts:
+        for col, i in enumerate(face):
+            values = tables[start][:, col]
+            assert values[0] >= values.max() - 1e-12  # k = 0 is a tied maximum
+            mirrored += int(np.sum(values >= values.max() - 1e-12)) > 1
+            assert rep.per_x_witness[(start, xs[i])][0] == (0, 0)
+    assert mirrored == len(starts) * len(face)
 
 
 def test_scan_values_barely_depend_on_the_x_chunking(monkeypatch):

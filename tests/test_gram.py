@@ -7,8 +7,13 @@ from itertools import product as cartesian
 import numpy as np
 import pytest
 
+from convspectra import _phases
 from convspectra._phases import (
     DENSE_BYTE_BUDGET,
+    _factor_groups,
+    _gram_plan,
+    _merged_factor,
+    common_denominator,
     exact_phase_matrix,
     gram_deviation,
     unit_exponentials,
@@ -171,3 +176,159 @@ def test_flat_factor_over_budget_raises_before_allocating():
     weights = np.full(n, 1.0 / n)
     with pytest.raises(WorkingSetTooLarge, match="budget"):
         gram_deviation(points, n, [(points, 1, weights)])
+
+
+# ----- merged factor groups -----
+
+
+def flat_factor(factors):
+    """The convolution of the factors as one factor (rows, den, weights):
+    every sum of one atom per factor, formed from Fractions."""
+    atoms, weights = [()], [1.0]
+    for rows, den, w in factors:
+        atoms = [
+            tuple(Fraction(x, den) + y for x, y in zip(row, a)) if a else tuple(Fraction(x, den) for x in row)
+            for a in atoms
+            for row in rows
+        ]
+        weights = [p * q for p in weights for q in w]
+    den, rows = common_denominator(atoms)
+    return rows, den, np.array(weights)
+
+
+def lean_dense_deviation(x_rows, x_den, factors, block=512):
+    """max |E W E^H - I| over the flat convolution, E[i, b] = exp(-2 pi i
+    x_i . a_b): E is built and multiplied in row blocks, so it is the only
+    n x #atoms array held whole."""
+    rows, den, w = flat_factor(factors) if len(factors) > 1 else factors[0]
+    n = len(x_rows)
+    e = np.empty((n, len(rows)), dtype=complex)
+    for s in range(0, n, block):
+        e[s : s + block] = unit_exponentials(exact_phase_matrix(x_rows[s : s + block], x_den, rows, den))
+    dev = 0.0
+    for s in range(0, n, block):
+        # conj(E_s W E^H), whose distance from I is that of E_s W E^H
+        g = (e[s : s + block] * w).conj() @ e.T
+        g[np.arange(len(g)), np.arange(s, s + len(g))] -= 1
+        dev = max(dev, float(np.abs(g).max()))
+    return dev
+
+
+def random_factors(rng, sizes, dim=1, dens=(3, 4, 5, 7, 8), uniform=True):
+    factors = []
+    for size in sizes:
+        rows = [tuple(rng.randint(-20, 20) for _ in range(dim)) for _ in range(size)]
+        w = [1.0] * size if uniform else [rng.uniform(0.2, 1.0) for _ in range(size)]
+        factors.append((rows, rng.choice(dens), np.array(w) / sum(w)))
+    return factors
+
+
+def test_factor_groups_merge_runs_up_to_the_cap():
+    assert _factor_groups([2] * 12, 8) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    assert _factor_groups([2] * 7, 8) == [[0, 1, 2], [3, 4, 5], [6]]
+    assert _factor_groups([2, 3, 5, 2, 2], 8) == [[0, 1], [2], [3, 4]]
+    assert _factor_groups([9, 2, 2, 9], 8) == [[0], [1, 2], [3]]
+    assert _factor_groups([2] * 5, 1) == [[0], [1], [2], [3], [4]]
+    assert _factor_groups([4], 8) == [[0]]
+
+
+@pytest.mark.parametrize("level", range(1, 13))
+def test_merged_groups_match_dense_on_jp_levels(level):
+    jp = builtin_sequence("jorgensen-pedersen")
+    mu = mu_truncate(jp, level)
+    factors = mu.phase_factors()
+    groups, _ = _gram_plan(2**level, [len(r) for r, _, _ in factors])
+    assert [len(g) for g in groups] == [3] * (level // 3) + ([level % 3] if level % 3 else [])
+    lams = jp_level(level)
+    dev = gram_deviation(lams, 1, factors)
+    dense = lean_dense_deviation(lams, 1, factors)
+    assert abs(dev - dense) <= AGREE, (level, dev, dense)
+    assert (dev <= 1e-9) == (dense <= 1e-9) and dev <= 1e-9
+
+
+def test_merged_level_14_matches_the_unmerged_walk(monkeypatch):
+    # a dense oracle at n = 16384 would hold a 4.3 GB exponential matrix; the
+    # per-factor walk, pinned to the dense Gram up to level 12 above, stands in
+    jp = builtin_sequence("jorgensen-pedersen")
+    factors = mu_truncate(jp, 14).phase_factors()
+    lams = jp_level(14)
+    merged = gram_deviation(lams, 1, factors)
+    monkeypatch.setattr(_phases, "_MERGED_ATOMS", 1)
+    assert _gram_plan(len(lams), [2] * 14)[0] == [[i] for i in range(14)]
+    unmerged = gram_deviation(lams, 1, factors)
+    assert abs(merged - unmerged) <= AGREE
+    assert merged <= 1e-9 and unmerged <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "sizes, dim, uniform",
+    [
+        ((2, 3, 5), 1, True),
+        ((2, 3, 5, 2, 2), 2, True),
+        ((9, 2, 2), 1, True),  # the 9-atom factor exceeds the cap and stays alone
+        ((3, 2, 4, 2), 2, False),  # non-uniform weights
+        ((2, 2, 2, 3, 3), 1, False),
+    ],
+)
+def test_merged_groups_match_dense_on_mixed_factors(sizes, dim, uniform):
+    rng = random.Random(hash((sizes, dim, uniform)) % 2**32)
+    factors = random_factors(rng, sizes, dim, uniform=uniform)
+    for x_den in (5, 6):
+        # points close together, so that no difference has integer phases
+        # on every atom and the deviation stays below its ceiling of 1
+        points = sorted({tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(30)})
+        dev = gram_deviation(points, x_den, factors)
+        dense = lean_dense_deviation(points, x_den, factors, block=16)
+        assert abs(dev - dense) <= AGREE, (sizes, x_den, dev, dense)
+        assert dense < 0.9
+    for group in _factor_groups(list(sizes), 8):
+        members = [factors[i] for i in group]
+        rows, den, w = _merged_factor(members)
+        want_rows, want_den, want_w = flat_factor(members)
+        got = sorted(zip((tuple(Fraction(int(x), den) for x in r) for r in rows), w.tolist()))
+        want = sorted(zip((tuple(Fraction(x, want_den) for x in r) for r in want_rows), want_w.tolist()))
+        assert [a for a, _ in got] == [a for a, _ in want]
+        assert np.allclose([x for _, x in got], [x for _, x in want], rtol=0, atol=1e-15)
+
+
+def test_merged_rows_past_int64_take_the_object_path():
+    rng = random.Random(7)
+    big = 2**61
+    factors = [
+        ([(rng.randrange(big // 2, big),) for _ in range(2)], big, np.full(2, 0.5))
+        for _ in range(3)
+    ]
+    rows, den, _ = _merged_factor(factors)
+    assert rows.dtype == object and den == big
+    assert max(abs(int(r[0])) for r in rows) >= 2**62
+    points = [(rng.randint(-50, 50),) for _ in range(24)]
+    for x_den in (1, 3):
+        dev = gram_deviation(points, x_den, factors)
+        dense = lean_dense_deviation(points, x_den, factors)
+        assert abs(dev - dense) <= AGREE
+
+
+def test_single_factor_is_walked_as_given():
+    rows = [(0,), (1,), (2,), (3,)]
+    factor = (rows, 4, np.full(4, 0.25))
+    assert _merged_factor([factor]) is factor
+    assert gram_deviation([(0,), (1,), (2,), (3,)], 1, [factor]) <= 1e-12
+
+
+def test_merging_backs_off_when_only_the_unmerged_tables_fit(monkeypatch):
+    jp = builtin_sequence("jorgensen-pedersen")
+    factors = mu_truncate(jp, 6).phase_factors()
+    lams = jp_level(6)
+    merged = gram_deviation(lams, 1, factors)
+    # 64 points: the six rank-2 tables and one tile row need 14 336 bytes,
+    # the two merged rank-8 tables and their build need 24 576
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 20_000)
+    assert _gram_plan(64, [2] * 6)[0] == [[i] for i in range(6)]
+    backed_off = gram_deviation(lams, 1, factors)
+    assert abs(backed_off - merged) <= AGREE
+    assert abs(backed_off - lean_dense_deviation(lams, 1, factors)) <= AGREE
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 14_335)
+    with pytest.raises(WorkingSetTooLarge, match="budget"):
+        gram_deviation(lams, 1, factors)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 14_336)
+    assert abs(gram_deviation(lams, 1, factors) - merged) <= AGREE

@@ -1,11 +1,13 @@
 """Exact measures: algebra, truncations, and Fourier cross-oracles."""
 import io
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from convspectra import measures
 from convspectra.errors import TruncationTooLarge, ValidationError
 from convspectra.measures import (
     DiscreteMeasure,
@@ -24,8 +26,8 @@ from convspectra.measures import (
     uniform_on,
     write_csv,
 )
-from convspectra.exactmat import RatMatrix
-from convspectra.sequences import builtin_sequence
+from convspectra.exactmat import IntMatrix, RatMatrix
+from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.triples import DigitSet
 
 F = Fraction
@@ -115,6 +117,95 @@ def test_truncation_cap():
     with pytest.raises(TruncationTooLarge):
         mu_truncate(seq, 3, max_atoms=500)  # 4*9*16 = 576 projected atoms
     mu_truncate(seq, 3, max_atoms=576)
+
+
+def convolve_loop_truncate(seq, k, max_atoms=1_000_000):
+    """The Fraction convolution loop mu_truncate used to run, as an oracle."""
+    result = point_mass((0,) * seq.dim)
+    proj = 1
+    for j in range(1, k + 1):
+        d = seq.digits(j)
+        proj *= len(d)
+        if proj > max_atoms:
+            raise TruncationTooLarge(
+                f"projected support of {proj} atoms exceeds the cap of {max_atoms}"
+            )
+        result = convolve(result, uniform_on(d, seq.prefix_inverse(j)))
+    return result
+
+
+def _skew_level(k):
+    # non-diagonal, det -7; three digits, one of them off the axes
+    return IntMatrix(((1, 2), (4, 1))), DigitSet.of([(0, 0), (1, 0), (k % 3, 1)]), None
+
+
+def _colliding_level(k):
+    # R = 2 with three digits: sums coincide, so weights are not uniform
+    return IntMatrix.diagonal([2]), DigitSet.of([(0,), (1,), (2,)]), None
+
+
+def _wide_level(k):
+    # digits past 2^62: the sums only fit Python ints
+    return IntMatrix.diagonal([4]), DigitSet.of([(0,), (2**70 + k,), (-(2**66),)]), None
+
+
+TRUNCATION_CASES = [
+    ("jorgensen-pedersen", 8),
+    ("bernoulli-quarter", 7),
+    ("example-2.6", 4),
+    ("skew", 5),
+    ("colliding", 6),
+    ("wide", 5),
+]
+
+
+def truncation_sequence(name):
+    gens = {"skew": (_skew_level, 2), "colliding": (_colliding_level, 1), "wide": (_wide_level, 1)}
+    if name in gens:
+        gen, dim = gens[name]
+        return from_generator(gen, dim, length=12)
+    return builtin_sequence(name)
+
+
+@pytest.mark.parametrize("name, top", TRUNCATION_CASES)
+def test_mu_truncate_equals_the_convolution_loop(name, top):
+    seq = truncation_sequence(name)
+    for k in range(top + 1):
+        got, want = mu_truncate(seq, k), convolve_loop_truncate(seq, k)
+        assert got.dim == want.dim
+        assert got.atoms == want.atoms and got.weights == want.weights
+        assert got.factors == want.factors
+        assert all(type(x) is F for a in got.atoms for x in a)
+    if name == "colliding":
+        assert len(set(got.weights)) > 1
+    if name == "wide":
+        assert max(abs(x) for a in got.atoms for x in a) > 2**62
+
+
+@pytest.mark.parametrize("name, top", TRUNCATION_CASES)
+def test_truncation_cap_is_raised_at_unchanged_counts(name, top):
+    seq = truncation_sequence(name)
+    sizes = [len(seq.digits(j)) for j in range(1, top + 1)]
+    caps = sorted({1, *(math.prod(sizes[:j]) + d for j in range(1, top + 1) for d in (-1, 0))})
+    for cap in caps:
+        for k in range(top + 1):
+            try:
+                want = convolve_loop_truncate(seq, k, cap)
+            except TruncationTooLarge as exc:
+                with pytest.raises(TruncationTooLarge) as got:
+                    mu_truncate(seq, k, max_atoms=cap)
+                assert str(got.value) == str(exc)
+            else:
+                assert mu_truncate(seq, k, max_atoms=cap) == want
+
+
+def test_truncation_cap_is_checked_before_any_sum(monkeypatch):
+    def boom(*args):
+        raise AssertionError("atoms formed before the cap check")
+
+    monkeypatch.setattr(measures, "scaled_atom_rows", boom)
+    with pytest.raises(TruncationTooLarge, match="576 atoms"):
+        mu_truncate(builtin_sequence("example-2.6"), 4, max_atoms=575)
 
 
 def test_tail_truncation_structure():

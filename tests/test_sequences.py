@@ -165,3 +165,17 @@ def test_missing_spectrum_digits_raise_on_triple():
     assert seq.spectrum_digits(1) is None
     with pytest.raises(ValidationError):
         seq.triple(1)
+
+
+def test_rebuilt_levels_keep_their_first_matrix_instance(monkeypatch):
+    from convspectra import sequences
+    from convspectra.exactmat import adjugate
+
+    monkeypatch.setattr(sequences, "_DIGIT_CACHE_LIMIT", 5)  # levels from 2 on are rebuilt
+    seq = builtin_sequence("example-2.6")
+    r2, b2 = seq.matrix(2), seq.digits(2)
+    first = adjugate(r2)
+    seq.digits(3)  # evicts level 2
+    again = seq.digits(2)
+    assert again is not b2 and again == b2
+    assert seq.matrix(2) is r2 and adjugate(seq.matrix(2)) is first
