@@ -27,15 +27,15 @@ from fractions import Fraction
 from itertools import product as cartesian
 from pathlib import Path
 
+import numpy as np
+
 from ._phases import PHASE_ENTRY_BYTES, budget_rows
 from .conditions import (
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
-    contractivity_report,
+    SERIES_CHECKS,
+    check_series,
     coupled_sample,
-    equivalence_defect,
-    pcc_series,
-    rbc_series,
     three_series,
 )
 from .errors import (
@@ -581,17 +581,22 @@ def cmd_check(cfg: RunConfig) -> Report:
         tables.append(_table("hadamard", ("level", "#digits", "deviation", "ok"), rows))
         verdicts["hadamard"] = "pass" if ok_h else "fail"
 
-    if "equivalence" in requested:
-        diag = equivalence_defect(
-            seq, seq.reduced(), equivalence_upto, tail_bound=seq.defect_tail_bound
-        )
+    series = check_series(
+        seq,
+        [name for name in SERIES_CHECKS if name in requested],
+        upto,
+        equivalence_upto=equivalence_upto,
+        pcc_l=pcc_l,
+    )
+    if "equivalence" in series:
+        diag = series["equivalence"]
         tab, extra = _series_table("equivalence defect vs reduced", diag, "defect")
         tables.append(tab)
         notes.extend(extra)
         verdicts["equivalence"] = "pass" if diag.verdict in _PASS_VERDICTS else "fail"
 
-    if "rbc" in requested:
-        diag = rbc_series(seq, upto)
+    if "rbc" in series:
+        diag = series["rbc"]
         tab, extra = _series_table("restricted boundedness series", diag)
         tables.append(tab)
         notes.extend(extra)
@@ -600,8 +605,8 @@ def cmd_check(cfg: RunConfig) -> Report:
         )
         verdicts["rbc"] = "pass" if diag.verdict in _PASS_VERDICTS else "fail"
 
-    if "pcc" in requested:
-        diag = pcc_series(seq, pcc_l, upto=upto)
+    if "pcc" in series:
+        diag = series["pcc"]
         tab, extra = _series_table(f"positive-cone series at l = {pcc_l}", diag, "far-fraction")
         tables.append(tab)
         notes.extend(extra)
@@ -613,8 +618,8 @@ def cmd_check(cfg: RunConfig) -> Report:
             "pass" if diag.margin_ok and diag.verdict in _PASS_VERDICTS else "fail"
         )
 
-    if "contractivity" in requested:
-        rep_c = contractivity_report(seq, upto)
+    if "contractivity" in series:
+        rep_c = series["contractivity"]
         tables.append(
             _table(
                 "uniform contractivity",
@@ -844,11 +849,9 @@ def cmd_sample(cfg: RunConfig) -> Report:
         + [f"y{i + 1}" for i in range(dim)]
     )
     out.write(",".join(header) + "\n")
-    for i in range(rep_c.draws):
-        cells = [str(i)]
-        cells.extend(f"{v:.17g}" for v in rep_c.x_sums[i])
-        cells.extend(f"{v:.17g}" for v in rep_c.y_sums[i])
-        out.write(",".join(cells) + "\n")
+    line = "%d" + ",%.17g" * (2 * dim) + "\n"
+    sums = np.hstack([rep_c.x_sums, rep_c.y_sums]).tolist()
+    out.write("".join([line % (i, *row) for i, row in enumerate(sums)]))
 
     return Report(
         command="sample",

@@ -20,8 +20,16 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .exactmat import IntMatrix, RatMatrix, adjugate, spectral_norm_upper
-from .triples import DigitSet, box_mask, cone_mask, integer_rows, numerators, shared_masks
+from .exactmat import DEFAULT_NORM_TOL, IntMatrix, adjugate, spectral_norm_upper
+from .triples import (
+    DigitSet,
+    box_mask,
+    check_reduction,
+    cone_mask,
+    integer_rows,
+    numerators,
+    shared_masks,
+)
 
 VERDICT_CONVERGED = "converged-numerically"
 VERDICT_CERTIFIED = "certified"
@@ -173,29 +181,29 @@ def equivalence_defect(s1, s2, upto: int, tail_bound=None) -> SeriesDiagnostics:
 # ===== remainder split: digits outside R[-1/2,1/2)^d =====
 
 
+def _box_masks(nums):
+    """box_mask of the grid and wide rows of nums = numerators(r, b)."""
+    den, y_grid, y_wide = nums
+    return box_mask(y_grid, den), box_mask(y_wide, den)
+
+
 def _count_outside_box(r: IntMatrix, b: DigitSet) -> int:
-    den, y_grid, y_wide = numerators(r, b)
-    return len(b) - int(box_mask(y_grid, den).sum()) - int(box_mask(y_wide, den).sum())
+    grid, wide = _box_masks(numerators(r, b))
+    return len(b) - int(grid.sum()) - int(wide.sum())
 
 
 def rbc_split(r: IntMatrix, b: DigitSet) -> RbcSplit:
     """Partition digits by whether R^{-1}b lands in [-1/2,1/2)^d (half-open)."""
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
-    den, y_grid, y_wide = numerators(r, b)
-    grid, wide = box_mask(y_grid, den), box_mask(y_wide, den)
+    grid, wide = _box_masks(numerators(r, b))
     return RbcSplit(b1=b._subset(grid, wide), b2=b._subset(~grid, ~wide))
 
 
 def rbc_series(seq, upto: int, tail_bound=None) -> SeriesDiagnostics:
     """Terms #B_{k,2}/#B_k, the fraction of digits outside R_k[-1/2,1/2)^d."""
-    if upto < 1:
-        raise ValidationError("need upto >= 1")
-    indices = list(range(1, upto + 1))
-    terms = []
-    for k in indices:
-        b = seq.digits(k)
-        terms.append(Fraction(_count_outside_box(seq.matrix(k), b), len(b)))
+    indices = _levels_to(upto)
+    terms = _walk(seq, {"rbc": indices})["rbc"]
     return _finish_scalar_series("rbc", indices, terms, tail_bound)
 
 
@@ -223,15 +231,20 @@ def pcc_sup(r: IntMatrix) -> float:
     return math.sqrt(float(_pcc_sup_sq(r)))
 
 
+def _pcc_level(l) -> Fraction:
+    lf = Fraction(l)
+    if not 0 < lf < 1:
+        raise ValidationError(f"need 0 < l < 1, got {lf}")
+    return lf
+
+
 def pcc_split(r: IntMatrix, b: DigitSet, l) -> tuple[DigitSet, DigitSet]:
     """Split digits by the strict criterion |R^{-1}b|_1 < (1-l)/2.
 
     The cube sup of (R^{-1}b).xi over xi in [-1,1]^d is exactly the l1 norm,
     so this single inequality decides membership for every xi at once.
     """
-    lf = Fraction(l)
-    if not 0 < lf < 1:
-        raise ValidationError(f"need 0 < l < 1, got {lf}")
+    lf = _pcc_level(l)
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
     den, y_grid, y_wide = numerators(r, b)
@@ -242,9 +255,7 @@ def pcc_split(r: IntMatrix, b: DigitSet, l) -> tuple[DigitSet, DigitSet]:
 def pcc_series(seq, l, subseq=None, upto: int | None = None, tail_bound=None) -> PccSeriesDiagnostics:
     """Far-digit fraction series along a subsequence, plus the uniform margin
     min_k (1 - l - pcc_sup(R_k)), which must stay positive."""
-    lf = Fraction(l)
-    if not 0 < lf < 1:
-        raise ValidationError(f"need 0 < l < 1, got {lf}")
+    lf = _pcc_level(l)
     if subseq is not None:
         indices = list(subseq)
         if not indices or any(
@@ -255,21 +266,20 @@ def pcc_series(seq, l, subseq=None, upto: int | None = None, tail_bound=None) ->
         if upto is None or upto < 1:
             raise ValidationError("need upto >= 1 when no subsequence is given")
         indices = list(range(1, upto + 1))
+    terms = _walk(seq, {"pcc": indices}, pcc_l=lf)["pcc"]
+    return _finish_pcc(lf, indices, terms, tail_bound)
+
+
+def _finish_pcc(lf: Fraction, indices, terms, tail_bound) -> PccSeriesDiagnostics:
+    """Diagnostics from per-level (far fraction, squared cube sup) pairs."""
     one_minus_sq = (1 - lf) ** 2
-    terms = []
     min_margin = math.inf
     margin_ok = True
-    for k in indices:
-        r = seq.matrix(k)
-        b = seq.digits(k)
-        den, *parts = numerators(r, b)
-        near = sum(int(cone_mask(y, den, (1 - lf) / 2).sum()) for y in parts)
-        terms.append(Fraction(len(b) - near, len(b)))
-        sup_sq = _pcc_sup_sq(r)
+    for _, sup_sq in terms:
         if sup_sq >= one_minus_sq:  # exact comparison of squares
             margin_ok = False
         min_margin = min(min_margin, 1.0 - float(lf) - math.sqrt(float(sup_sq)))
-    base = _finish_scalar_series(f"pcc[l={lf}]", indices, terms, tail_bound)
+    base = _finish_scalar_series(f"pcc[l={lf}]", indices, [t for t, _ in terms], tail_bound)
     return PccSeriesDiagnostics(
         name=base.name,
         indices=base.indices,
@@ -281,6 +291,122 @@ def pcc_series(seq, l, subseq=None, upto: int | None = None, tail_bound=None) ->
         min_margin=min_margin,
         margin_ok=margin_ok,
     )
+
+
+# ===== uniform contractivity =====
+
+
+def contractivity_report(seq, upto: int, tol: float = DEFAULT_NORM_TOL) -> ContractivityReport:
+    """Scan max_k ||R_k^{-1}||_2 (certified upper bounds) and combine with the
+    sequence's declared tail bound."""
+    indices = _levels_to(upto)
+    norms = _walk(seq, {"contractivity": indices}, tol=tol)["contractivity"]
+    return _finish_contractivity(seq, norms, tol)
+
+
+def _finish_contractivity(seq, norms, tol: float) -> ContractivityReport:
+    """The report for the norm upper bounds of levels 1..len(norms)."""
+    worst, at = -math.inf, 0
+    for k, u in enumerate(norms, 1):
+        if u > worst:
+            worst, at = u, k
+    declared = seq.declared_contractivity
+    if worst >= 1.0:
+        verdict, detail = "fails", f"level {at} has ||R^{-1}|| upper bound {worst}"
+    elif declared is None:
+        verdict, detail = (
+            "unverified-tail",
+            f"scan of {len(norms)} levels < 1 but no declared bound for the tail",
+        )
+    elif declared >= 1:
+        verdict, detail = "fails", f"declared bound {declared} is not < 1"
+    elif worst > float(declared) + tol:
+        verdict, detail = (
+            "fails",
+            f"scan max {worst} exceeds declared bound {float(declared)}",
+        )
+    else:
+        verdict, detail = "verified", f"scan max {worst} <= declared {float(declared)}"
+    return ContractivityReport(
+        max_norm_upper=worst, at_level=at, declared=declared, verdict=verdict, detail=detail
+    )
+
+
+# ===== one walk over the levels =====
+
+SERIES_CHECKS = ("equivalence", "rbc", "pcc", "contractivity")
+
+
+def _levels_to(upto: int) -> list:
+    if upto < 1:
+        raise ValidationError("need upto >= 1")
+    return list(range(1, upto + 1))
+
+
+def _walk(seq, want: dict, pcc_l: Fraction | None = None, tol: float = DEFAULT_NORM_TOL) -> dict:
+    """Per-level terms of the series in `want` (a name in SERIES_CHECKS ->
+    increasing level indices), from one walk over the union of the levels:
+    each level's R_k and B_k are fetched once and `numerators` runs at most
+    once.  pcc terms are (far fraction, squared cube sup) pairs at cone
+    level pcc_l, contractivity terms norm upper bounds."""
+    levels = {name: set(ks) for name, ks in want.items()}
+    out = {name: [] for name in want}
+    for k in sorted(set().union(*levels.values())):
+        at = {name for name, ks in levels.items() if k in ks}
+        r = seq.matrix(k)
+        if at - {"contractivity"}:
+            b = seq.digits(k)
+            den, *parts = nums = numerators(r, b)
+        if at & {"equivalence", "rbc"}:
+            inside = _box_masks(nums)
+            outside = Fraction(len(b) - sum(int(m.sum()) for m in inside), len(b))
+        if "equivalence" in at:
+            # B_k against its own reduction: a digit inside the box is its own
+            # representative and every representative lies in the box, so the
+            # shared digits are the inside ones, and both sets have #B_k
+            # digits unless two are congruent, which raises CongruentDigits
+            check_reduction(r, b, nums, inside)
+            out["equivalence"].append(outside)
+        if "rbc" in at:
+            out["rbc"].append(outside)
+        if "pcc" in at:
+            near = sum(int(cone_mask(y, den, (1 - pcc_l) / 2).sum()) for y in parts)
+            out["pcc"].append((Fraction(len(b) - near, len(b)), _pcc_sup_sq(r)))
+        if "contractivity" in at:
+            out["contractivity"].append(spectral_norm_upper(r.inverse(), tol=tol))
+    return out
+
+
+def check_series(
+    seq, names, upto: int, equivalence_upto: int | None = None, pcc_l="1/4"
+) -> dict:
+    """The series checks `names` (a subset of SERIES_CHECKS) in one walk over
+    the levels, as a name -> diagnostics dict.
+
+    Equivalence runs to `equivalence_upto` (default `upto`) against the
+    sequence's own reduction, with its declared defect tail bound; the
+    others run to `upto`.  The results equal those of
+    equivalence_defect(seq, seq.reduced(), ...), rbc_series,
+    pcc_series(seq, pcc_l, upto=upto) and contractivity_report, but every
+    level is built once and the reduced digit sets are never formed.
+    """
+    eq_upto = upto if equivalence_upto is None else equivalence_upto
+    want = {name: _levels_to(eq_upto if name == "equivalence" else upto) for name in names}
+    lf = _pcc_level(pcc_l) if "pcc" in want else None
+    terms = _walk(seq, want, pcc_l=lf)
+    out = {}
+    for name, ts in terms.items():
+        if name == "equivalence":
+            out[name] = _finish_scalar_series(
+                "equivalence-defect", want[name], ts, seq.defect_tail_bound
+            )
+        elif name == "rbc":
+            out[name] = _finish_scalar_series("rbc", want[name], ts, None)
+        elif name == "pcc":
+            out[name] = _finish_pcc(lf, want[name], ts, None)
+        else:
+            out[name] = _finish_contractivity(seq, ts, DEFAULT_NORM_TOL)
+    return out
 
 
 # ===== three-series diagnostics =====
@@ -350,43 +476,6 @@ def three_series(seq, r, upto: int):
         bound_used=used,
     )
     return s1, s2, s3
-
-
-# ===== uniform contractivity =====
-
-
-def contractivity_report(seq, upto: int, tol: float = 1e-12) -> ContractivityReport:
-    """Scan max_k ||R_k^{-1}||_2 (certified upper bounds) and combine with the
-    sequence's declared tail bound."""
-    if upto < 1:
-        raise ValidationError("need upto >= 1")
-    worst, at = -math.inf, 0
-    for k in range(1, upto + 1):
-        det, adj = adjugate(seq.matrix(k))  # R_k^{-1} = adj / det, shared with the digit kernels
-        inv = RatMatrix(tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows))
-        u = spectral_norm_upper(inv, tol=tol)
-        if u > worst:
-            worst, at = u, k
-    declared = seq.declared_contractivity
-    if worst >= 1.0:
-        verdict, detail = "fails", f"level {at} has ||R^{-1}|| upper bound {worst}"
-    elif declared is None:
-        verdict, detail = (
-            "unverified-tail",
-            f"scan of {upto} levels < 1 but no declared bound for the tail",
-        )
-    elif declared >= 1:
-        verdict, detail = "fails", f"declared bound {declared} is not < 1"
-    elif worst > float(declared) + tol:
-        verdict, detail = (
-            "fails",
-            f"scan max {worst} exceeds declared bound {float(declared)}",
-        )
-    else:
-        verdict, detail = "verified", f"scan max {worst} <= declared {float(declared)}"
-    return ContractivityReport(
-        max_norm_upper=worst, at_level=at, declared=declared, verdict=verdict, detail=detail
-    )
 
 
 # ===== interval coupling sampler =====

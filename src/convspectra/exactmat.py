@@ -92,18 +92,15 @@ class IntMatrix:
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(tuple(tuple(Fraction(x) for x in row) for row in self.rows))
 
+    def inverse(self) -> "RatMatrix":
+        """The exact inverse adj/det, from the adjugate cached on the instance."""
+        det, adj = self._adjugate
+        return RatMatrix(tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows))
+
     @cached_property
     def _adjugate(self) -> tuple:
         """(det, adj) for `adjugate`, kept on the instance."""
-        det = self.det()
-        if det == 0:
-            raise SingularMatrix("matrix has determinant zero")
-        inv = invert(self)
-        rows = tuple(tuple((x * det).numerator for x in row) for row in inv.rows)
-        for row, irow in zip(rows, inv.rows):
-            for x, f in zip(row, irow):
-                assert Fraction(x, det) == f
-        return det, IntMatrix(rows)
+        return _fraction_free_adjugate(self.rows)
 
 
 @dataclass(frozen=True)
@@ -203,6 +200,33 @@ def invert(m) -> RatMatrix:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return RatMatrix(tuple(tuple(row[d:]) for row in aug))
+
+
+def _fraction_free_adjugate(rows) -> tuple:
+    """(det, adj) of an integer matrix by fraction-free Gauss-Jordan (Bareiss).
+
+    Each step replaces every row but the pivot row by (p·row - f·pivot row)
+    divided by the previous pivot, which is exact: every entry is then a
+    minor of [M | I].  The walk ends at [det(PM)·I | det(PM)·M⁻¹] for the
+    row swaps P, so only their sign is left to apply.  Raises SingularMatrix.
+    """
+    d = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("matrix has determinant zero")
+        if pivot != col:
+            aug[pivot], aug[col] = aug[col], aug[pivot]
+            sign = -sign
+        p = aug[col][col]
+        for r in range(d):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], aug[col])]
+        prev = p
+    return sign * prev, IntMatrix(tuple(tuple(sign * x for x in row[d:]) for row in aug))
 
 
 def adjugate(m: IntMatrix) -> tuple:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange, ValidationError
-from .exactmat import IntMatrix, RatMatrix, invert, product_range
+from .exactmat import IntMatrix, RatMatrix, product_range
 from .triples import DigitSet, HadamardTriple, mod_reduce
 
 # Levels with more digits than this are rebuilt on demand instead of cached;
@@ -139,7 +139,8 @@ class TripleSequence:
         return self._prefix[k]
 
     def prefix_inverse(self, k: int) -> RatMatrix:
-        return invert(self.prefix_matrix(k))
+        """(R_k···R_1)^{-1}, from the adjugate cached on the prefix matrix."""
+        return self.prefix_matrix(k).inverse()
 
     def range_matrix(self, p: int, q: int) -> IntMatrix:
         return product_range(self, p, q)

@@ -286,9 +286,13 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
     den, y_grid, y_wide = numerators(r, b)
-    nums = b.in_order(y_grid.tolist(), y_wide.tolist())
+    # max|G - I| does not depend on the order of the points or of the atoms,
+    # so both go in as grid rows, then wide rows.  L's rows are exact Python
+    # ints: bench/tracer.py multiplies the two operands' largest entries,
+    # which overflows when one is an int64 scalar and the other is wide.
+    points = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
     weights = np.full(len(l), 1 / len(b))
-    dev = gram_deviation(nums, den, [(l.in_order(l.grid.tolist(), l.wide), 1, weights)])
+    dev = gram_deviation(points, den, [(np.concatenate(integer_rows(l)), 1, weights)])
     mismatch = len(b) != len(l)
     return HadamardCheckResult(ok=(not mismatch) and dev <= tol, max_deviation=dev, size_mismatch=mismatch)
 
@@ -375,6 +379,40 @@ def _wide_rows(b: DigitSet) -> np.ndarray:
     return np.array(b.wide, dtype=object).reshape(-1, b.dim)
 
 
+def _representatives(r: IntMatrix, den: int, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows v - R·⌊(2y + den)/(2·den)⌋: the representatives in R·[-1/2, 1/2)^d
+    of digit rows v with R⁻¹v = y/den."""
+    r_t = [list(col) for col in zip(*r.rows)]
+    return v.astype(y.dtype) - _times((2 * y + den) // (2 * den), r_t)
+
+
+def check_reduction(r: IntMatrix, b: DigitSet, nums, inside) -> None:
+    """Raise CongruentDigits, with mod_reduce's message, when two digits of b
+    share a representative mod R·Z^d.
+
+    Takes nums = numerators(r, b) and inside, the box_mask of its grid and
+    wide rows.  A digit inside the box is its own representative and every
+    representative lies in the box, so only the digits outside it are
+    reduced, and their representatives are compared with each other and
+    with b; the reduced set itself is never built.
+    """
+    den, y_grid, y_wide = nums
+    out_grid, out_wide = ~inside[0], ~inside[1]
+    moved = DigitSet._from_rows(
+        b.dim,
+        _representatives(r, den, _pick(b.grid, out_grid), _pick(y_grid, out_grid)),
+        _representatives(r, den, _pick(_wide_rows(b), out_wide), _pick(y_wide, out_wide)).tolist(),
+    )
+    # b is sorted, so the grid rows that can equal a moved one form the run
+    # whose first entries lie between the moved rows' first and last ones
+    first = b.grid[:, 0]
+    lo = np.searchsorted(first, moved.grid[0, 0], "left") if len(moved.grid) else 0
+    hi = np.searchsorted(first, moved.grid[-1, 0], "right") if len(moved.grid) else 0
+    hit_grid, hit_wide, _, _ = shared_masks(moved, DigitSet(b.dim, b.grid[lo:hi], b.wide))
+    if len(moved) < int(out_grid.sum()) + int(out_wide.sum()) or hit_grid.any() or any(hit_wide):
+        mod_reduce(b, r)  # names the first colliding pair
+
+
 def mod_reduce(b: DigitSet, r: IntMatrix) -> DigitSet:
     """Reduce each digit to its representative in R·[-1/2, 1/2)^d.
 
@@ -386,15 +424,10 @@ def mod_reduce(b: DigitSet, r: IntMatrix) -> DigitSet:
     if b.dim != r.dim:
         raise DimensionMismatch("digit set and matrix dimensions differ")
     den, y_grid, y_wide = numerators(r, b)
-    r_t = [list(col) for col in zip(*r.rows)]
-
-    def representatives(v, y):
-        return v.astype(y.dtype) - _times((2 * y + den) // (2 * den), r_t)
-
     # a grid digit inside the box (n = 0) is its own representative
     inside = box_mask(y_grid, den)
-    moved = representatives(_pick(b.grid, ~inside), _pick(y_grid, ~inside))
-    wide = representatives(_wide_rows(b), y_wide).tolist()
+    moved = _representatives(r, den, _pick(b.grid, ~inside), _pick(y_grid, ~inside))
+    wide = _representatives(r, den, _wide_rows(b), y_wide).tolist()
     out = DigitSet._from_rows(b.dim, np.concatenate([_pick(b.grid, inside), moved]), wide)
     if len(out) != len(b):
         grid = list(map(tuple, b.grid.tolist()))

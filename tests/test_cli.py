@@ -862,3 +862,31 @@ def test_with_top_reads_only_the_overrides(monkeypatch):
         cfg.with_top(tol=float("nan"))
     with pytest.raises(ParseError, match=r"^field 'bogus': unknown field$"):
         cfg.with_top(bogus=1)
+
+
+def test_check_builds_every_level_once(monkeypatch):
+    # every level is past the digit cache, so a second pass would rebuild it
+    from convspectra import sequences
+
+    monkeypatch.setattr(sequences, "_DIGIT_CACHE_LIMIT", 4)
+    built = []
+
+    def gen(k):
+        built.append(k)
+        return sequences._ex26_gen(k)
+
+    seq = sequences.from_generator(gen, 2, declared_contractivity=Fraction(1, 16))
+    monkeypatch.setattr(cli.RunConfig, "build_sequence", lambda self: seq)
+    series = ["equivalence", "rbc", "pcc", "contractivity"]
+    cfg = cli.parse_config(
+        json.dumps(
+            {
+                "dimension": 2,
+                "sequence": {"generator": "example-2.6"},
+                "check": {"upto": 12, "checks": series},
+            }
+        )
+    )
+    rep = cli.cmd_check(cfg)
+    assert list(rep.verdicts) == series
+    assert sorted(built) == list(range(1, 13))

@@ -89,6 +89,27 @@ def test_adjugate_identity():
         assert adj.matmul(m).rows == IntMatrix.diagonal([det] * m.dim).rows
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_fraction_free_adjugate_matches_the_fraction_inverse(seed):
+    # sparse rows force row swaps; wide entries reach past 2^64
+    rng = random.Random(7100 + seed)
+    checked = 0
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        pick = (0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-(2**70), 2**70))
+        m = IntMatrix(tuple(tuple(rng.choice(pick) for _ in range(d)) for _ in range(d)))
+        if m.det() == 0:
+            with pytest.raises(SingularMatrix):
+                adjugate(m)
+            continue
+        det, adj = adjugate(m)
+        assert det == m.det()
+        assert adj.matmul(m) == IntMatrix.diagonal([det] * d)
+        assert m.inverse() == invert(m)
+        checked += 1
+    assert checked > 50
+
+
 # ----- product_range -----
 
 
@@ -207,13 +228,14 @@ def test_adjugate_is_computed_once_per_instance(monkeypatch):
     from convspectra.triples import DigitSet, numerators
 
     calls = []
-    real = exactmat.invert
+    real = exactmat._fraction_free_adjugate
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
 
-    monkeypatch.setattr(exactmat, "invert", counting)
+    monkeypatch.setattr(exactmat, "_fraction_free_adjugate", counting)
+    monkeypatch.setattr(exactmat, "invert", lambda m: pytest.fail("adjugate inverts with Fractions"))
     m = IntMatrix(((3, 1), (-2, 5)))
     b = DigitSet.of([(0, 0), (1, 2), (-4, 7)])
     first = adjugate(m)

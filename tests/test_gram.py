@@ -27,7 +27,7 @@ from convspectra.spectra import (
     build_spectrum,
     spectrum_exactness,
 )
-from convspectra.triples import DigitSet, hadamard_check
+from convspectra.triples import DigitSet, hadamard_check, numerators
 
 AGREE = 1e-12
 
@@ -157,6 +157,40 @@ def test_hadamard_mismatch_and_failure_match_dense():
         dense = dense_hadamard(r, b, l)
         assert abs(res.max_deviation - dense) <= AGREE
         assert not res.ok
+
+
+def sorted_order_deviation(r, b, l):
+    """hadamard_check's deviation with points and atoms in set order, as
+    lists of Python ints: the call it made before taking integer arrays."""
+    den, y_grid, y_wide = numerators(r, b)
+    nums = b.in_order(y_grid.tolist(), y_wide.tolist())
+    weights = np.full(len(l), 1 / len(b))
+    return gram_deviation(nums, den, [(l.in_order(l.grid.tolist(), l.wide), 1, weights)])
+
+
+def _stacking_cases():
+    for name in builtin_names():
+        seq = builtin_sequence(name)
+        for k in range(1, 17 if name != "example-2.6" else 25):
+            yield seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
+    r = IntMatrix.diagonal([4])
+    yield r, DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (1,), (2,)])
+    yield r, DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), (1,)])
+    # wide rows in both sets, so the stacked order differs from the set order
+    big = 2**40
+    yield r, DigitSet.of([(0,), (2 + 4 * big,)]), DigitSet.of([(-big,), (1,)])
+    yield (
+        IntMatrix(((2, 0), (1, 2))),
+        DigitSet.of([(0, 0), (1, 0), (4 * big, 1), (1, 1)]),
+        DigitSet.of([(0, 0), (big, 1), (1, 0), (1, 1)]),
+    )
+
+
+def test_hadamard_stacked_rows_match_the_set_order():
+    cases = list(_stacking_cases())
+    assert len(cases) == 16 + 16 + 24 + 4
+    for r, b, l in cases:
+        assert abs(hadamard_check(r, b, l).max_deviation - sorted_order_deviation(r, b, l)) <= 1e-15
 
 
 # ----- scale and budget -----

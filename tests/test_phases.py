@@ -10,8 +10,10 @@ from convspectra.triples import hadamard_check
 
 
 def oracle_phases(nums_a, den_a, nums_b, den_b):
-    """frac(a·b / m) with m = den_a·den_b, one Python-int product per entry."""
+    """frac(a·b / m) with m = den_a·den_b, one Python-int product per entry.
+    Like the kernel, it takes int tuples or integer arrays."""
     m = den_a * den_b
+    nums_a, nums_b = (n.tolist() if isinstance(n, np.ndarray) else n for n in (nums_a, nums_b))
     return np.array(
         [[sum(x * y for x, y in zip(ra, rb)) % m / m for rb in nums_b] for ra in nums_a],
         dtype=np.float64,
