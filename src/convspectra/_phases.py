@@ -17,6 +17,11 @@ to _MERGED_ATOMS atoms.  Its Gram is the entrywise product of theirs, so each
 tile needs one matrix product per group instead of one per factor.  The
 budget counts the merged tables; when they do not fit, the walk falls back
 to the unmerged factors before it reports the budget exceeded.
+
+The sum-set kernel evaluates a product transform at every sum u + v of two
+point sets from one table per summand, since e(-(u + v)·a) = e(-u·a)·e(-v·a):
+each factor is one matrix product instead of one exponential per sum and
+atom.
 """
 from __future__ import annotations
 
@@ -91,6 +96,24 @@ def _int_rows(nums) -> np.ndarray:
         return np.array(nums, dtype=object)
 
 
+def _peak(a: np.ndarray) -> int:
+    """max |a| as a Python int (0 for an empty array)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _rescaled(parts, widest: int) -> list:
+    """[a * s for (a, s) in parts] in one integer dtype: int64 when `widest`,
+    a bound on every entry and every sum of entries the caller forms, is
+    below 2^62, exact Python ints otherwise.  A scale past int64 can then
+    meet only zero entries."""
+    if widest >= _INT64_SAFE:
+        return [a.astype(object) * s for a, s in parts]
+    return [
+        a.astype(np.int64) * s if s < _INT64_SAFE else np.zeros(a.shape, np.int64)
+        for a, s in parts
+    ]
+
+
 def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
     """Float matrix of frac((a_i · b_j) / (den_a · den_b)) with exact reduction.
 
@@ -104,8 +127,7 @@ def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
         return np.zeros((na, nb), dtype=np.float64)
     a, b = _int_rows(nums_a), _int_rows(nums_b)
     modulus = den_a * den_b
-    max_a = max(int(a.max()), -int(a.min()))
-    max_b = max(int(b.max()), -int(b.min()))
+    max_a, max_b = _peak(a), _peak(b)
     d = a.shape[1]
     bound = d * max_a * max_b
     if bound >= _INT64_SAFE and d * (modulus - 1) ** 2 < _INT64_SAFE:
@@ -181,26 +203,22 @@ def product_transform(points: PointRows, factors) -> np.ndarray:
     Each factor is (rows, den, weights): atoms a_b = rows[b] / den carrying
     float weights w_b.  For a convolution of the factors this is its
     transform, at points · Σ#atoms exact exponentials instead of
-    points · Π#atoms.  The factors' atoms share one phase table, built for
+    points · Π#atoms: `sum_set_transform` with the points alone, walked in
     chunks of points that fit DENSE_BYTE_BUDGET next to the result.
     """
     n = len(points)
     out = np.ones(n, dtype=complex)
     if n == 0 or not factors:
         return out
-    den = lcm(*(d for _, d, _ in factors))
-    atoms = [tuple(x * (den // d) for x in row) for rows, d, _ in factors for row in rows]
+    rows = _int_rows(points.rows)
+    axes = list(range(rows.shape[1]))
+    rank = max(len(atoms) for atoms, _, _ in factors)
     chunk = budget_rows(
-        PHASE_ENTRY_BYTES * len(atoms), COMPLEX_BYTES * n,
-        f"a {n}-point transform over {len(atoms)} factor atoms",
+        2 * COMPLEX_BYTES + PHASE_ENTRY_BYTES * rank, COMPLEX_BYTES * n,
+        f"a {n}-point transform over factors of up to {rank} atoms",
     )
     for s in range(0, n, chunk):
-        phases = exact_phase_matrix(points.rows[s : s + chunk], points.den, atoms, den)
-        table = unit_exponentials(phases)
-        col = 0
-        for rows, _, weights in factors:
-            out[s : s + chunk] *= table[:, col : col + len(rows)] @ np.asarray(weights)
-            col += len(rows)
+        out[s : s + chunk] = sum_set_transform((axes, rows[s : s + chunk]), [], points.den, factors)[:, 0]
     return out
 
 
@@ -227,15 +245,95 @@ def _merged_factor(group):
         return group[0]
     den = lcm(*(d for _, d, _ in group))
     parts = [(_int_rows(rows), den // d) for rows, d, _ in group]
-    widest = sum(s * max(int(a.max()), -int(a.min())) for a, s in parts)
-    dtype = np.int64 if widest < _INT64_SAFE else object
-    rows = np.zeros((1, parts[0][0].shape[1]), dtype=dtype)
-    weights = np.ones(1)
-    for (a, s), (_, _, w) in zip(parts, group):
-        step = a.astype(dtype) * s
+    steps = _rescaled(parts, sum(_peak(a) * s for a, s in parts))
+    rows = steps[0]
+    weights = np.asarray(group[0][2], dtype=float)
+    for step, (_, _, w) in zip(steps[1:], group[1:]):
         rows = (rows[:, None, :] + step[None, :, :]).reshape(-1, rows.shape[1])
         weights = np.outer(weights, w).ravel()
     return rows, den, weights
+
+
+def merged_factors(factors) -> list:
+    """The factors with runs of adjacent ones merged into groups of at most
+    _MERGED_ATOMS atoms, each one factor (rows, den, weights)."""
+    sizes = [len(rows) for rows, _, _ in factors]
+    return [_merged_factor([factors[i] for i in g]) for g in _factor_groups(sizes, _MERGED_ATOMS)]
+
+
+def _distinct_rows(a: np.ndarray):
+    """(distinct, inverse): the sorted distinct rows of an integer array and
+    the index of each row among them."""
+    if a.dtype != object:
+        distinct, inverse = np.unique(a, axis=0, return_inverse=True)
+        return distinct, inverse.reshape(-1)
+    keys = np.empty(len(a), dtype=object)
+    keys[:] = list(map(tuple, a.tolist()))
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    rows = np.array([list(t) for t in distinct], dtype=object).reshape(-1, a.shape[1])
+    return rows, inverse.reshape(-1)
+
+
+def _summand_table(block, den: int, rows: np.ndarray, rden: int):
+    """e(-v·a) for the points v of a block against a factor's atoms a,
+    computed over the distinct projections of the atoms onto the block's
+    axes only: (table of shape (#projections, #points), the index of each
+    atom's projection)."""
+    cols, nums = block
+    distinct, inverse = _distinct_rows(rows[:, cols])
+    if (distinct.dtype == object) != (nums.dtype == object):
+        # one operand dtype: bench/tracer.py multiplies the operands' largest
+        # entries, which overflows when an int64 one meets a wide Python int
+        distinct, nums = distinct.astype(object), nums.astype(object)
+    return unit_exponentials(exact_phase_matrix(distinct, rden, nums, den)), inverse
+
+
+def sum_set_transform(left, right, den: int, factors) -> np.ndarray:
+    """Π_j Σ_b w_jb e(-(u + v)·a_jb) at every sum u + v, shape (#u, #v): u
+    runs over the points of the block `left` and v over the product of the
+    blocks in `right`, in lexicographic order.
+
+    A block (cols, nums) holds the points whose coordinates on the axes
+    `cols` are the rows of the integer array nums over den, and 0 on the
+    other axes.  Each factor is (rows, rden, weights): atoms a_b =
+    rows[b] / rden carrying float weights w_b.  Since e(-(u + v)·a) =
+    e(-u·a)·e(-v·a), a factor is Σ_α e(-u·α) Σ_b w_b e(-v·a_b), the inner
+    sum over the atoms whose projection onto the left axes is α: one matrix
+    product over the distinct projections α.  Each block's table is
+    computed over the distinct projections of the atoms onto its own axes
+    and gathered; the right blocks' tables are joined atom by atom (a
+    Khatri-Rao product).  `sum_set_rows` sizes the left block.
+    """
+    n_right = prod(len(nums) for _, nums in right)
+    acc = np.ones((len(left[1]), n_right), dtype=complex)
+    level = np.empty_like(acc)
+    for rows, rden, weights in factors:
+        rows = _int_rows(rows)
+        table, where = _summand_table(left, den, rows, rden)
+        order = np.argsort(where, kind="stable")
+        joined = np.asarray(weights, dtype=complex)[order, None]
+        for block in right:
+            t, at = _summand_table(block, den, rows, rden)
+            joined = (joined[:, :, None] * t[at[order]][:, None, :]).reshape(len(order), -1)
+        starts = np.flatnonzero(np.diff(where[order], prepend=-1))
+        np.matmul(table.T, np.add.reduceat(joined, starts, axis=0), out=level)
+        acc *= level
+    return acc
+
+
+def sum_set_rows(n_right: int, rank: int, what: str) -> int:
+    """How many left points one `sum_set_transform` call with one right
+    block of n_right points may take when no factor has more than `rank`
+    atoms: per left point, its rows of the product, of one level and of the
+    left table; once, the right table's build, gathered copy and group sums.
+
+    Raises WorkingSetTooLarge when not even one left point fits.
+    """
+    return budget_rows(
+        2 * COMPLEX_BYTES * n_right + PHASE_ENTRY_BYTES * rank,
+        (PHASE_ENTRY_BYTES + 2 * COMPLEX_BYTES) * rank * n_right,
+        what,
+    )
 
 
 def _gram_plan(n: int, sizes) -> tuple:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._phases import PHASE_ENTRY_BYTES, budget_rows
+from ._phases import merged_factors, sum_set_rows
 from .conditions import (
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
@@ -766,12 +766,8 @@ def cmd_qscan(cfg: RunConfig) -> Report:
     mu = mu_truncate(seq, sec["truncation"], max_atoms=max_atoms)
 
     values = []
-    # budgeted as #lambda x #atoms phase entries per grid point, the dense
-    # transform's size: conservative, since the product form needs only
-    # #lambda x sum_j #B_j
-    chunk = budget_rows(
-        PHASE_ENTRY_BYTES * len(lams) * len(mu), 0, f"a Q scan over {len(mu)} atoms"
-    )
+    rank = max(len(rows) for rows, _, _ in merged_factors(mu.phase_factors()))
+    chunk = sum_set_rows(len(lams), rank, f"a Q scan over {len(lams)} candidates")
     for i in range(0, len(xs), chunk):
         values.extend(q_eval_many(mu, lams, xs[i : i + chunk]).tolist())
 

@@ -14,15 +14,23 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
 
-from ._phases import _INT64_SAFE, PointRows, common_denominator, product_transform
+from ._phases import (
+    _INT64_SAFE,
+    PointRows,
+    _distinct_rows,
+    _peak,
+    _rescaled,
+    common_denominator,
+    product_transform,
+)
 from .errors import DimensionMismatch, TruncationTooLarge, ValidationError
-from .exactmat import IntMatrix, RatMatrix, adjugate, invert, product_range
-from .triples import DigitSet
+from .exactmat import IntMatrix, RatMatrix, invert, product_range
+from .triples import DigitSet, numerators
 
 DEFAULT_ATOM_CAP = 1_000_000
 
@@ -218,25 +226,18 @@ def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMe
     _capped_product((len(seq.digits(j)) for j in range(1, k + 1)), max_atoms)
     levels = [scaled_atom_rows(seq.prefix_matrix(j), seq.digits(j)) for j in range(1, k + 1)]
     den = lcm(*(d for _, d in levels))
-    scaled = [[[x * (den // d) for x in row] for row in rows] for rows, d in levels]
-    widest = sum(max(abs(x) for row in rows for x in row) for rows in scaled)
-    dtype = np.int64 if widest < _INT64_SAFE else object
-    sums = np.zeros((1, seq.dim), dtype=dtype)
-    for level in scaled:
-        step = np.array(level, dtype=dtype)
+    parts = [(rows, den // d) for rows, d in levels]
+    widest = sum(_peak(rows) * s for rows, s in parts)
+    sums = np.zeros((1, seq.dim), dtype=np.int64 if widest < _INT64_SAFE else object)
+    for step in _rescaled(parts, widest):
         sums = (sums[:, None, :] + step[None, :, :]).reshape(-1, seq.dim)
-    if dtype is object:
-        keys = np.empty(len(sums), dtype=object)
-        keys[:] = list(map(tuple, sums.tolist()))
-        rows, counts = np.unique(keys, return_counts=True)
-    else:
-        rows, counts = np.unique(sums, axis=0, return_counts=True)
-        rows = rows.tolist()
+    distinct, where = _distinct_rows(sums)
+    rows, counts = distinct.tolist(), np.bincount(where)
     total = len(sums)
     weight = {c: Fraction(c, total) for c in set(counts.tolist())}
     factors = tuple(
         f
-        for f in (_uniform_rows(rows_j, d) for rows_j, d in levels)
+        for f in (_uniform_rows(rows_j.tolist(), d) for rows_j, d in levels)
         if len(f) > 1 or any(f.atoms[0])  # the origin point mass is trivial
     )
     return DiscreteMeasure(
@@ -310,16 +311,21 @@ def mask_many(digits: DigitSet, xis) -> np.ndarray:
 
 
 def scaled_atom_rows(m: IntMatrix, digits: DigitSet):
-    """(rows, den) with m^{-1} b = rows[i] / den for the i-th digit b: integer
-    numerators from the adjugate, reduced by their common gcd with |det m|,
-    so den is the least common denominator of the atoms."""
-    det, adj = adjugate(m)
-    sign = 1 if det > 0 else -1
-    rows = [tuple(sign * x for x in adj.matvec(b)) for b in digits.vectors]
-    g = reduce(gcd, (x for row in rows for x in row), abs(det))
+    """(rows, den) with m^{-1} b = rows[i] / den for the i-th digit b in set
+    order: the numerators of `triples.numerators`, reduced by their common
+    gcd with |det m|, so den is the least common denominator of the atoms.
+    rows is an (n, d) int64 array when every entry fits, and an object array
+    of exact Python ints otherwise."""
+    den, y_grid, y_wide = numerators(m, digits)
+    rows = y_grid
+    if len(y_wide):
+        rows = np.array(digits.in_order(y_grid.tolist(), y_wide.tolist()), dtype=object)
+    g = gcd(int(np.gcd.reduce(rows, axis=None)), den)
     if g > 1:
-        rows = [tuple(x // g for x in row) for row in rows]
-    return rows, abs(det) // g
+        rows = rows // g
+    if rows.dtype == object and _peak(rows) < _INT64_SAFE:
+        rows = rows.astype(np.int64)
+    return rows, den // g
 
 
 def tail_factors(seq, start: int, depth: int) -> list:

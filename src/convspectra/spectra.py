@@ -16,12 +16,12 @@ from ._phases import (
     _INT64_SAFE,
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
-    PointRows,
+    _int_rows,
     budget_largest,
     common_denominator,
-    exact_phase_matrix,
     gram_deviation,
-    unit_exponentials,
+    merged_factors,
+    sum_set_transform,
     within_budget,
 )
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .exactmat import invert, product_range
-from .measures import DiscreteMeasure, fourier_many, tail_factors, tail_fourier_many
+from .measures import DiscreteMeasure, tail_factors, tail_fourier_many
 
 DEFAULT_EXACTNESS_TOL = 1e-9
 DEFAULT_SPECTRUM_CAP = 1_000_000
@@ -322,23 +322,28 @@ def q_eval(m: DiscreteMeasure, lambda_set, xi) -> float:
 
 
 def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
+    """Q at every frequency of xis: mu_hat on the sum set xis + lambda_set,
+    from one table of the frequencies and one of the candidates per group of
+    convolution factors (merged into groups of at most 8 atoms)."""
     lams = list(lambda_set)
     xs = [tuple(Fraction(c) for c in xi) for xi in xis]
     if not lams:
         return np.zeros(len(xs))
-    # x + lambda as integer rows over one denominator, in one broadcast
     if any(len(v) != m.dim for v in xs + lams):
         raise DimensionMismatch(f"frequencies and candidates must have dimension {m.dim}")
     if not xs:
         return np.zeros(0)
     den, rows = common_denominator(xs + lams)
-    widest = max(abs(c) for row in rows for c in row)
-    dtype = np.int64 if 2 * widest < _INT64_SAFE else object
-    x_rows = np.array(rows[: len(xs)], dtype=dtype)
-    lam_rows = np.array(rows[len(xs) :], dtype=dtype)
-    pts = (x_rows[:, None, :] + lam_rows[None, :, :]).reshape(-1, m.dim)
-    vals = fourier_many(m, PointRows(pts, den)).reshape(len(xs), len(lams))
-    return np.sum(np.abs(vals) ** 2, axis=1)
+    axes = list(range(m.dim))
+    vals = sum_set_transform(
+        (axes, _int_rows(rows[: len(xs)])),
+        [(axes, _int_rows(rows[len(xs) :]))],
+        den,
+        merged_factors(m.phase_factors()),
+    )
+    # sum over lambda of |mu_hat|^2: squares of the real and imaginary parts
+    parts = vals.view(np.float64)
+    return np.einsum("ij,ij->i", parts, parts)
 
 
 @dataclass(frozen=True)
@@ -446,27 +451,12 @@ def _axis_lattice(x_nums, k_nums, y_nums):
 
 def _lattice_moduli(factors, lattices, den: int) -> np.ndarray:
     """|prod_j m_j(s)| at every point s of lattices[0] x ... x lattices[d-1]
-    (integer numerators over den), shaped like the lattice.
-
-    A point's phase a.s is the sum of its per-axis phases, so each level
-    needs one exact phase table per axis and one contraction:
-    m_j(s) = sum_b w_b prod_c E_c[b, s_c], the first axis against the
-    Khatri-Rao product of the others."""
-    cols = [lat.reshape(-1, 1).tolist() for lat in lattices]
-    acc = None
-    for rows, rden, weights in factors:
-        tables = [
-            unit_exponentials(exact_phase_matrix([(r[c],) for r in rows], rden, col, den))
-            for c, col in enumerate(cols)
-        ]
-        right = np.ones((len(rows), 1), dtype=complex)
-        for t in tables[1:]:
-            right = (right[:, :, None] * t[:, None, :]).reshape(len(rows), -1)
-        level = (tables[0] * np.asarray(weights)[:, None]).T @ right
-        if acc is None:
-            acc = level
-        else:
-            acc *= level
+    (integer numerators over den), shaped like the lattice: the sum set of
+    the first axis and the product of the others, evaluated by
+    `sum_set_transform` from per-axis tables over the distinct atom
+    coordinates on that axis."""
+    blocks = [([c], lat.reshape(-1, 1)) for c, lat in enumerate(lattices)]
+    acc = sum_set_transform(blocks[0], blocks[1:], den, factors)
     return np.abs(acc).reshape([len(lat) for lat in lattices])
 
 
@@ -484,21 +474,39 @@ def _x_blocks(n: int, dim: int, axis: int, count: int):
             yield picks, first * n ** (dim - 1 - axis)
 
 
-def _ball_minima(moduli, wheres, k_at, y_at) -> np.ndarray:
-    """min over the y-ball of the lattice moduli at x + k + y, for every k
-    (rows) and every x of the block (columns, in lexicographic order).
+def _ball_minima(moduli, wheres, k_at, ball_t: int) -> np.ndarray:
+    """min over the y-ball |n|^2 <= ball_t of the lattice moduli at x + k + y,
+    for every k (rows) and every x of the block (columns, in lexicographic
+    order).
 
-    wheres[c] maps (x, k, y) on axis c to its lattice index; k_at and y_at
-    hold the k-box's and the ball's per-axis indices."""
-    flat_moduli = moduli.ravel()
-    offsets = [where * math.prod(moduli.shape[c + 1 :]) for c, where in enumerate(wheres)]
+    wheres[c] maps (x, k, y) on axis c to its lattice index, y counted from
+    -isqrt(ball_t); k_at holds the k-box's per-axis indices.  The ball is a
+    union of segments along the last axis, one per point of the ball of the
+    other coordinates, and a running minimum along the last axis gives every
+    segment length at once; a k then costs one read per segment and x."""
+    dim = moduli.ndim
+    reach = math.isqrt(ball_t)
+    heads = _ball_offsets(ball_t, dim - 1).tolist() if dim > 1 else [[]]
+    radii = [math.isqrt(ball_t - sum(n * n for n in head)) for head in heads]
+    last = wheres[-1]
     out = np.empty((len(k_at), math.prod(w.shape[0] for w in wheres)))
-    for ki, k in enumerate(k_at):
-        flat = None
-        for c, off in enumerate(offsets):
-            part = off[:, k[c], y_at[:, c]]  # (#x on axis c, #ball)
-            flat = part if flat is None else flat[..., None, :] + part
-        out[ki] = flat_moduli[flat].min(axis=-1).ravel()
+    ks = k_at.tolist()
+    for kl in sorted({k[-1] for k in ks}):
+        # by_radius[r]: min over |y| <= r on the last axis, for each x there
+        by_radius = [np.take(moduli, last[:, kl, reach], axis=-1)]
+        for r in range(1, reach + 1):
+            run = np.minimum(by_radius[-1], np.take(moduli, last[:, kl, reach - r], axis=-1))
+            by_radius.append(np.minimum(run, np.take(moduli, last[:, kl, reach + r], axis=-1), out=run))
+        for ki, k in enumerate(ks):
+            if k[-1] != kl:
+                continue
+            best = None
+            for head, r in zip(heads, radii):
+                part = by_radius[r]
+                for c, n in enumerate(head):
+                    part = np.take(part, wheres[c][:, k[c], reach + n], axis=c)
+                best = part if best is None else np.minimum(best, part)
+            out[ki] = best.ravel()
     return out
 
 
@@ -633,19 +641,21 @@ def equi_positivity_scan(
     def block_bytes(axis: int, count: int) -> int:
         """Peak bytes of an x block with one value on each axis before
         `axis`, `count` values on it and every value after it: the lattice's
-        product, level and moduli, one level's phase tables and Khatri-Rao
-        block, the per-axis sums, the gathered minima, and the y box the
-        ball is cut from."""
+        product, level and moduli, one level's per-axis tables, the
+        Khatri-Rao rows being joined and their sums, the per-axis sums, the
+        running minima along the last axis (one per segment radius), the
+        minima per k, and the box the ball's segments are cut from."""
         xs_per_axis = [1] * axis + [count] + [n_axis] * (dim - 1 - axis)
         sizes = [lattice_size(n) for n in xs_per_axis]
         points = math.prod(xs_per_axis)
         return (
             math.prod(sizes) * (2 * COMPLEX_BYTES + 8)
             + widest * sum(sizes) * PHASE_ENTRY_BYTES
-            + widest * math.prod(sizes[1:]) * COMPLEX_BYTES
+            + 3 * widest * math.prod(sizes[1:]) * COMPLEX_BYTES
             + sum(xs_per_axis) * nk_axis * ny_axis * 32
-            + points * (ny * 16 + nk * 8)
-            + ny_axis**dim * dim * 24
+            + (reach + 2) * math.prod(sizes[:-1]) * xs_per_axis[-1] * 8
+            + points * (nk + 3) * 8
+            + ny_axis ** (dim - 1) * dim * 24
         )
 
     axis = next(a for a in range(dim) if a == dim - 1 or within_budget(block_bytes(a, 1)))
@@ -656,7 +666,6 @@ def equi_positivity_scan(
     )
     ks = _k_search_box(k_window, dim)
     k_at = np.array(ks, dtype=np.int64) + k_window
-    y_at = _ball_offsets(ball_t, dim) + reach
     xs = _pitch_grid(pitch, dim)
     xs_note = f"pitch {pitch} on [-1/2,1/2)^{dim}: {len(xs)} points"
 
@@ -668,7 +677,7 @@ def equi_positivity_scan(
         for picks, first in _x_blocks(n_axis, dim, axis, count):
             axes = [_axis_lattice(x_nums[p], k_nums, y_nums) for p in picks]
             moduli = _lattice_moduli(factors, [lat for lat, _ in axes], den)
-            per_k_min = _ball_minima(moduli, [where for _, where in axes], k_at, y_at)
+            per_k_min = _ball_minima(moduli, [where for _, where in axes], k_at, ball_t)
             best = _first_best(per_k_min).tolist()
             for xi_idx, x in enumerate(xs[first : first + per_k_min.shape[1]]):
                 k_idx = 0 if x == zero_x else best[xi_idx]  # _k_search_box puts 0 first

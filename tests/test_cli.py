@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from convspectra import cli
+from convspectra import _phases, cli
 from convspectra.errors import ParseError, ValidationError
 from convspectra.spectra import read_levels
 
@@ -173,13 +173,47 @@ def test_exit_3_when_a_flat_hadamard_gram_exceeds_the_byte_budget(tmp_path):
     assert out == ""
 
 
-def test_exit_3_when_one_qscan_point_exceeds_the_byte_budget(tmp_path):
-    lams = [[i] for i in range(4096)]
-    doc = jp_doc(qscan={"truncation": 12, "lambda": lams, "grid_pitch": "1/2"})
-    rc, out, err = run_cli(["qscan", "--config", write_config(tmp_path, doc)])
+# One x point of a Q scan over 4096 candidates and rank-8 factor groups
+# (truncation 12 of Jorgensen-Pedersen: twelve 2-atom levels) needs its rows
+# of the complex product and of one level, 2 * 16 * 4096 bytes, and its row of
+# the x table, 32 * 8; the candidate table's build, gathered copy and group
+# sums, (32 + 2 * 16) * 8 * 4096 bytes, are held once.
+_QSCAN_LAMS = [[i] for i in range(4096)]
+_QSCAN_ONE_ROW = 2 * 16 * 4096 + 32 * 8 + (32 + 2 * 16) * 8 * 4096
+
+
+def _qscan_doc(pitch="1/2"):
+    return jp_doc(qscan={"truncation": 12, "lambda": _QSCAN_LAMS, "grid_pitch": pitch})
+
+
+def test_exit_3_when_one_qscan_point_exceeds_the_byte_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW - 1)
+    rc, out, err = run_cli(["qscan", "--config", write_config(tmp_path, _qscan_doc())])
     assert rc == 3
     assert err.startswith("resource cap:") and "budget" in err
     assert out == ""
+
+
+def test_qscan_walks_one_point_per_chunk_at_the_one_row_budget(tmp_path, monkeypatch):
+    calls = []
+    real = cli.q_eval_many
+
+    def counting(m, lams, xs):
+        calls.append(len(xs))
+        return real(m, lams, xs)
+
+    monkeypatch.setattr(cli, "q_eval_many", counting)
+    cfg = write_config(tmp_path, _qscan_doc("1/4"))
+    rc, whole, _ = run_cli(["qscan", "--config", cfg])
+    assert rc == 0 and calls == [4]
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW)
+    rc, chunked, _ = run_cli(["qscan", "--config", cfg])
+    assert rc == 0 and calls == [4, 1, 1, 1, 1]
+    rows = lambda text: [l.split(",") for l in text.splitlines() if l.count(",") == 1]
+    want, got = rows(whole), rows(chunked)
+    assert len(want) == 5 and [r[0] for r in got] == [r[0] for r in want]
+    for (_, a), (_, b) in zip(want[1:], got[1:]):
+        assert abs(float(a) - float(b)) <= 1e-15 * max(1.0, abs(float(a)))
 
 
 def test_exit_1_on_honestly_failing_check(tmp_path):

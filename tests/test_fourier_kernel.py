@@ -171,7 +171,7 @@ def test_scaled_atoms_are_gcd_reduced_for_negative_determinant_window():
         rows, den = scaled_atom_rows(m, digits)
         inv = invert(m)
         atoms = [inv.matvec(b) for b in digits.vectors]
-        assert [tuple(F(x, den) for x in row) for row in rows] == atoms
+        assert [tuple(F(x, den) for x in row) for row in rows.tolist()] == atoms
         # den is the least common denominator of the atoms
         assert den == math.lcm(*(x.denominator for a in atoms for x in a))
     # the reduction is real here: |det| = 6, least common denominator 3
@@ -179,7 +179,8 @@ def test_scaled_atoms_are_gcd_reduced_for_negative_determinant_window():
     assert m.det() == -6
     rows, den = scaled_atom_rows(m, seq.digits(1))
     assert den == 3
-    assert rows == [(0, 0), (2, -2), (2, 1), (4, -1)]
+    assert rows.dtype == np.int64
+    assert list(map(tuple, rows.tolist())) == [(0, 0), (2, -2), (2, 1), (4, -1)]
 
 
 # ---- the windowed-search chooser ----
