@@ -5,7 +5,6 @@ finite-level spectrum construction."""
 from .conditions import (
     contractivity_report,
     coupled_sample,
-    coupling_eval,
     defect_term,
     equivalence_defect,
     pcc_series,
@@ -18,21 +17,15 @@ from .conditions import (
 from .errors import ConvspectraError
 from .exactmat import (
     IntMatrix,
-    RatMatrix,
     invert,
     product_range,
     spectral_norm_upper,
 )
 from .measures import (
     DiscreteMeasure,
-    convolve,
-    fourier,
     fourier_many,
     mu_truncate,
-    nu_tail_truncate,
-    point_mass,
     tail_fourier_product,
-    uniform_on,
 )
 from .sequences import (
     TripleSequence,
@@ -47,7 +40,6 @@ from .spectra import (
     equi_positivity_floor,
     equi_positivity_scan,
     perturbation_bound,
-    q_eval,
     q_eval_many,
     read_levels,
     spectrum_exactness,
@@ -64,35 +56,28 @@ __all__ = [
     "DiscreteMeasure",
     "HadamardTriple",
     "IntMatrix",
-    "RatMatrix",
     "TripleSequence",
     "build_spectrum",
     "builtin_names",
     "builtin_sequence",
     "contractivity_report",
-    "convolve",
     "cos_bound",
     "coupled_sample",
-    "coupling_eval",
     "defect_term",
     "equi_positivity_floor",
     "equi_positivity_scan",
     "equivalence_defect",
-    "fourier",
     "fourier_many",
     "from_generator",
     "from_triples",
     "hadamard_check",
     "invert",
     "mu_truncate",
-    "nu_tail_truncate",
     "pcc_series",
     "pcc_split",
     "pcc_sup",
     "perturbation_bound",
-    "point_mass",
     "product_range",
-    "q_eval",
     "q_eval_many",
     "rbc_series",
     "rbc_split",
@@ -102,6 +87,5 @@ __all__ = [
     "tail_constant_C",
     "tail_fourier_product",
     "three_series",
-    "uniform_on",
     "write_levels",
 ]

@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
     WorkingSetTooLarge,
 )
-from .exactmat import IntMatrix
+from .exactmat import IntMatrix, invert
 from .measures import DEFAULT_ATOM_CAP, mu_truncate
 from .sequences import builtin_sequence, from_generator
 from .spectra import (
@@ -56,6 +56,7 @@ from .spectra import (
     DEFAULT_GRID_CAP,
     build_spectrum,
     equi_positivity_scan,
+    first_lowest,
     perturbation_bound,
     q_eval_many,
     read_levels,
@@ -812,9 +813,14 @@ def cmd_sample(cfg: RunConfig) -> Report:
         raise ValidationError("sample requires a seed ('seed' or --seed)")
     upto, draws = sec["upto"], sec["draws"]
     partner = seq.reduced() if sec.get("pair_with_reduced", True) else seq
-    scale_by = seq.prefix_inverse if sec.get("scaled", True) else None
+    scaled = sec.get("scaled", True)
 
-    rep_c = coupled_sample(seq, partner, upto, draws, seed, scale_by=scale_by)
+    def level_scale(k):
+        return invert(seq.prefix_matrix(k))
+
+    rep_c = coupled_sample(
+        seq, partner, upto, draws, seed, scale_by=level_scale if scaled else None
+    )
 
     rows = [
         (lv.k, lv.exact_p, f"{lv.empirical:.6g}", lv.mismatches)
@@ -831,7 +837,7 @@ def cmd_sample(cfg: RunConfig) -> Report:
     notes = [
         f"seed {seed}, draws {draws}, "
         f"partner: {'reduced' if sec.get('pair_with_reduced', True) else 'same'}, "
-        f"sums: {'prefix-scaled' if scale_by is not None else 'raw digits'}",
+        f"sums: {'prefix-scaled' if scaled else 'raw digits'}",
         f"final exact mismatch partial: {rep_c.exact_partials[-1]}",
     ]
     if clip_note:
@@ -904,7 +910,8 @@ def cmd_equipos(cfg: RunConfig) -> Report:
     if scan.failed_at is not None:
         notes.append(f"first failure at (start, x) = {_fmt(scan.failed_at)}")
 
-    witnesses = sorted(scan.per_x_witness.items(), key=lambda kv: kv[1][1])[:5]
+    items = list(scan.per_x_witness.items())
+    witnesses = [items[i] for i in first_lowest([val for _, (_, val) in items], 5)]
     if witnesses:
         wrows = [
             (start, _fmt(x), k, f"{val:.6g}")

@@ -20,7 +20,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .exactmat import DEFAULT_NORM_TOL, IntMatrix, adjugate, spectral_norm_upper
+from .exactmat import DEFAULT_NORM_TOL, IntMatrix, invert, spectral_norm_upper
 from .triples import (
     DigitSet,
     box_mask,
@@ -213,11 +213,11 @@ def rbc_series(seq, upto: int, tail_bound=None) -> SeriesDiagnostics:
 def _pcc_sup_sq(r: IntMatrix) -> Fraction:
     """Exact square of the cube sup: max over vertices xi of d * |R^{-T}xi|_2^2,
     enumerated on integers as R^{-T}xi = adj(R)^T xi / det R from the
-    adjugate cached on r."""
+    inverse cached on r."""
     d = r.dim
     if d > 20:
         raise DimensionTooLarge(f"vertex enumeration needs 2^{d} points")
-    det, adj = adjugate(r)
+    det, adj = invert(r)
     adj_t = adj.transpose()
     best = max(
         sum(x * x for x in adj_t.matvec(signs)) for signs in cartesian((1, -1), repeat=d)
@@ -373,7 +373,8 @@ def _walk(seq, want: dict, pcc_l: Fraction | None = None, tol: float = DEFAULT_N
             near = sum(int(cone_mask(y, den, (1 - pcc_l) / 2).sum()) for y in parts)
             out["pcc"].append((Fraction(len(b) - near, len(b)), _pcc_sup_sq(r)))
         if "contractivity" in at:
-            out["contractivity"].append(spectral_norm_upper(r.inverse(), tol=tol))
+            det, adj = invert(r)
+            out["contractivity"].append(spectral_norm_upper(adj, det, tol=tol))
     return out
 
 
@@ -523,26 +524,6 @@ def _aligned_tables(a: DigitSet, b: DigitSet):
     return ax, ay, len(shared), swapped
 
 
-def coupling_eval(a: DigitSet, b: DigitSet, x: Fraction):
-    """Exact evaluation of the coupled pair (X, Y) at one rational x in [0,1).
-
-    Mirrors the integer sampler arithmetic; exists so tests can integrate the
-    construction exhaustively over a midpoint grid."""
-    if not 0 <= x < 1:
-        raise ValidationError("x must lie in [0, 1)")
-    ax, ay, s, swapped = _aligned_tables(a, b)
-    ax, ay = (ax[0].vectors + ax[1].vectors), (ay[0].vectors + ay[1].vectors)
-    m, n = len(ax), len(ay)
-    i0 = math.floor(x * m)
-    aligned = (x - Fraction(i0, m)) < Fraction(1, n)
-    xv = ax[i0]
-    if aligned:
-        yv = ay[i0]
-    else:
-        yv = ay[m + math.floor(x * n) - i0 - 1]
-    return (yv, xv) if swapped else (xv, yv)
-
-
 def _level_draws(seed: int, k: int, draws: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=[seed, k]))
     return gen.integers(0, _Q, size=draws, dtype=np.int64)
@@ -567,18 +548,18 @@ def _sample_level(m: int, n: int, s: int, u: np.ndarray):
     return i0, y_idx, mism
 
 
-def _float_rows(digits: DigitSet, sc=None) -> np.ndarray:
-    """Floats of sc·v (or of v) for the digits v in order, each correctly rounded.
+def _float_rows(digits: DigitSet, inv=None) -> np.ndarray:
+    """Floats of adj·v / det (or of v) for the digits v in order, where
+    inv = (det, adj) is an exact inverse from `invert`.
 
-    sc becomes an integer matrix N over one denominator D, so every entry is
-    the int/int true division (N·v)_i / D: correctly rounded, hence equal to
-    float() of the exact rational, without Fraction arithmetic per digit."""
-    if sc is None:
+    Every entry is the int/int true division (adj·v)_i / det: correctly
+    rounded, hence equal to float() of the exact rational, without Fraction
+    arithmetic per digit."""
+    if inv is None:
         parts = integer_rows(digits)
     else:
-        den = math.lcm(*(Fraction(x).denominator for row in sc.rows for x in row))
-        num = [[int(x * den) for x in row] for row in sc.rows]
-        parts = [p / den for p in integer_rows(digits, num)]
+        det, adj = inv
+        parts = [p / det for p in integer_rows(digits, adj.rows)]
     grid, wide = (p.astype(float).tolist() for p in parts)
     return np.array(digits.in_order(grid, wide), dtype=float).reshape(-1, digits.dim)
 
@@ -589,9 +570,10 @@ def coupled_sample(
     """Empirical mismatch frequencies for the interval coupling, level by
     level, plus the coupled partial-sum samples for both sequences.
 
-    `scale_by` (optional) maps a level index to a matrix applied to both
-    digit sets before summing, e.g. a prefix inverse so the partial sums
-    follow the scaled summands instead of the raw digits."""
+    `scale_by` (optional) maps a level index to an exact inverse (det, adj)
+    from `invert`, applied to both digit sets before summing, e.g. of the
+    prefix product so the partial sums follow the scaled summands instead of
+    the raw digits."""
     if upto < 1 or draws < 1:
         raise ValidationError("need upto >= 1 and draws >= 1")
     f1, f2 = _digits_provider(s1), _digits_provider(s2)

@@ -1,10 +1,11 @@
-"""Exact integer/rational linear algebra for small expanding matrices.
+"""Exact integer linear algebra for small expanding matrices.
 
-Everything in this module is exact: matrices are tuples of Fractions or ints,
-inverses come from Gauss-Jordan elimination over Q, and the certified
-spectral_norm_upper reduces to counting real roots of an exact
-characteristic polynomial with Sturm chains, so the float it returns
-carries a genuine one-sided guarantee.
+Everything in this module is exact and integer.  The inverse of a matrix M
+is the pair (det M, adj M) with adj·M = det·I, from one fraction-free
+elimination cached on the matrix, so no rational matrix is ever formed.
+The certified spectral_norm_upper of N/D reduces to counting real roots of
+the exact characteristic polynomial of the integer Gram NᵀN with Sturm
+chains, so the float it returns carries a genuine one-sided guarantee.
 """
 from __future__ import annotations
 
@@ -16,17 +17,8 @@ from functools import cached_property
 from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
 IntVector = tuple  # tuple[int, ...]
-RatVector = tuple  # tuple[Fraction, ...]
 
 DEFAULT_NORM_TOL = 1e-12
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 # ===== matrices =====
@@ -82,133 +74,25 @@ class IntMatrix:
         )
 
     def det(self) -> int:
-        d = _rat_det([[Fraction(x) for x in row] for row in self.rows])
-        assert d.denominator == 1
-        return d.numerator
+        return self._det_adj[0]
 
     def is_diagonal(self) -> bool:
         return all(x == 0 for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j)
-
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(x) for x in row) for row in self.rows))
-
-    def inverse(self) -> "RatMatrix":
-        """The exact inverse adj/det, from the adjugate cached on the instance."""
-        det, adj = self._adjugate
-        return RatMatrix(tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows))
 
     @cached_property
-    def _adjugate(self) -> tuple:
-        """(det, adj) for `adjugate`, kept on the instance."""
-        return _fraction_free_adjugate(self.rows)
+    def _det_adj(self) -> tuple:
+        """(det, adj) for `det` and `invert`, kept on the instance."""
+        return _bareiss(self.rows)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Square matrix with Fraction entries."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        d = len(self.rows)
-        if d == 0:
-            raise DimensionMismatch("matrix must have at least one row")
-        norm = []
-        for row in self.rows:
-            if len(row) != d:
-                raise DimensionMismatch("matrix must be square")
-            norm.append(tuple(_as_fraction(x) for x in row))
-        object.__setattr__(self, "rows", tuple(norm))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, d: int) -> "RatMatrix":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)))
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.rows)))
-
-    def matvec(self, v) -> RatVector:
-        if len(v) != self.dim:
-            raise DimensionMismatch("vector length != matrix dimension")
-        w = tuple(_as_fraction(x) for x in v)
-        return tuple(sum(r[j] * w[j] for j in range(self.dim)) for r in self.rows)
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch("matrix dimensions differ")
-        cols = other.transpose().rows
-        return RatMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
-
-    def det(self) -> Fraction:
-        return _rat_det([list(row) for row in self.rows])
-
-    def is_diagonal(self) -> bool:
-        return all(x == 0 for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
-
-def _coerce_rat(m) -> RatMatrix:
-    if isinstance(m, IntMatrix):
-        return m.to_rat()
-    if isinstance(m, RatMatrix):
-        return m
-    raise TypeError(f"expected IntMatrix or RatMatrix, got {type(m).__name__}")
-
-
-def _rat_det(rows) -> Fraction:
-    """Determinant by fraction Gaussian elimination (exact)."""
-    d = len(rows)
-    det = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[pivot], rows[col] = rows[col], rows[pivot]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / Fraction(rows[col][col])
-        for r in range(col + 1, d):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-def invert(m) -> RatMatrix:
-    """Exact inverse over Q via Gauss-Jordan; raises SingularMatrix."""
-    rm = _coerce_rat(m)
-    d = rm.dim
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(d)] for i, row in enumerate(rm.rows)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix has determinant zero")
-        aug[pivot], aug[col] = aug[col], aug[pivot]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return RatMatrix(tuple(tuple(row[d:]) for row in aug))
-
-
-def _fraction_free_adjugate(rows) -> tuple:
+def _bareiss(rows) -> tuple:
     """(det, adj) of an integer matrix by fraction-free Gauss-Jordan (Bareiss).
 
     Each step replaces every row but the pivot row by (p·row - f·pivot row)
     divided by the previous pivot, which is exact: every entry is then a
     minor of [M | I].  The walk ends at [det(PM)·I | det(PM)·M⁻¹] for the
-    row swaps P, so only their sign is left to apply.  Raises SingularMatrix.
+    row swaps P, so only their sign is left to apply.  A singular matrix
+    gives (0, None).
     """
     d = len(rows)
     aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
@@ -216,7 +100,7 @@ def _fraction_free_adjugate(rows) -> tuple:
     for col in range(d):
         pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
         if pivot is None:
-            raise SingularMatrix("matrix has determinant zero")
+            return 0, None
         if pivot != col:
             aug[pivot], aug[col] = aug[col], aug[pivot]
             sign = -sign
@@ -229,10 +113,14 @@ def _fraction_free_adjugate(rows) -> tuple:
     return sign * prev, IntMatrix(tuple(tuple(sign * x for x in row[d:]) for row in aug))
 
 
-def adjugate(m: IntMatrix) -> tuple:
-    """(det, adj) with adj·m = det·I, both exact integers; computed once per
-    matrix instance."""
-    return m._adjugate
+def invert(m: IntMatrix) -> tuple:
+    """The exact inverse of m as the integer pair (det, adj), adj·m = det·I,
+    so m⁻¹ = adj/det; computed once per matrix instance.  Raises
+    SingularMatrix."""
+    pair = m._det_adj
+    if pair[0] == 0:
+        raise SingularMatrix("matrix has determinant zero")
+    return pair
 
 
 def product_range(seq, p: int, q: int) -> IntMatrix:
@@ -348,72 +236,80 @@ def count_real_roots(p, a: Fraction, b: Fraction) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-def charpoly(m) -> list:
-    """Monic characteristic polynomial det(λI − m), ascending Fraction coefficients.
+def charpoly(n: IntMatrix, d: int = 1) -> list:
+    """Monic characteristic polynomial det(λI − n/d), ascending Fraction
+    coefficients, for an integer matrix n and a nonzero integer d.
 
-    Faddeev–LeVerrier over exact rationals.
+    Faddeev–LeVerrier on n: the coefficient c_k of λ^{dim−k} in det(λI − n)
+    is an integer, so each division by k is exact, and the coefficient for
+    n/d is c_k / d^k.
     """
-    a = _coerce_rat(m)
-    n = a.dim
-    ident = RatMatrix.identity(n)
-    mk = RatMatrix(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
-    coeffs = [Fraction(1)]  # coefficient of λ^n
-    for k in range(1, n + 1):
-        mk = a.matmul(mk)
-        mk = RatMatrix(
+    size = n.dim
+    mk = IntMatrix(((0,) * size,) * size)
+    coeffs = [1]  # coefficient of λ^size
+    for k in range(1, size + 1):
+        mk = n.matmul(mk)
+        mk = IntMatrix(
             tuple(
-                tuple(mk.rows[i][j] + coeffs[-1] * ident.rows[i][j] for j in range(n))
-                for i in range(n)
+                tuple(x + coeffs[-1] if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(mk.rows)
             )
         )
-        am = a.matmul(mk)
-        ck = -sum(am.rows[i][i] for i in range(n)) / k
+        am = n.matmul(mk)
+        ck, rest = divmod(-sum(am.rows[i][i] for i in range(size)), k)
+        assert rest == 0
         coeffs.append(ck)
-    # det(λI − A) = Σ_k coeffs[k] λ^{n−k}; convert to ascending order
-    return list(reversed(coeffs))
+    # det(λI − n/d) = Σ_k c_k d^{−k} λ^{size−k}; convert to ascending order
+    return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
 
 
 # ===== certified spectral norm upper bound =====
 
 
-def _gershgorin_upper(g: RatMatrix) -> Fraction:
+def _gershgorin_upper(g: IntMatrix) -> int:
     return max(sum(abs(x) for x in row) for row in g.rows)
 
 
-def spectral_norm_upper(m, tol: float = DEFAULT_NORM_TOL) -> float:
-    """Certified upper bound u for the spectral norm: ‖m‖₂ ≤ u ≤ ‖m‖₂ + tol.
+def spectral_norm_upper(n: IntMatrix, d: int = 1, tol: float = DEFAULT_NORM_TOL) -> float:
+    """Certified upper bound u for the spectral norm of n/d, for an integer
+    matrix n and a nonzero integer d: ‖n/d‖₂ ≤ u ≤ ‖n/d‖₂ + tol.
 
-    The Gram matrix G = mᵀm is formed exactly; the largest eigenvalue of G is
-    bracketed by Sturm-count bisection on the exact characteristic polynomial,
-    and the returned float is the upward-rounded square root of the upper end.
+    The Gram matrix of n/d is G = nᵀn/d², with nᵀn formed exactly in
+    integers.  The largest eigenvalue λ of G is bracketed by Sturm-count
+    bisection, each count taken on the characteristic polynomial of nᵀn at
+    d²·λ, and the returned float is the upward-rounded square root of the
+    upper end.  With (n, d) = (adj R, det R) from `invert` this bounds
+    ‖R⁻¹‖₂.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    rm = _coerce_rat(m)
-    if rm.is_zero():
+    if d == 0:
+        raise ValueError("denominator must be nonzero")
+    top = max(abs(x) for row in n.rows for x in row)
+    if top == 0:
         return 0.0
-    if rm.is_diagonal():
-        top = max(abs(x) for row in rm.rows for x in row)
-        return math.nextafter(float(top), math.inf)
-    g = rm.transpose().matmul(rm)
+    if n.is_diagonal():
+        return math.nextafter(float(Fraction(top, abs(d))), math.inf)
+    g = n.transpose().matmul(n)
+    s = d * d  # the eigenvalue λ of G is a root of p at s·λ
     p = make_squarefree(charpoly(g))
-    hi = _gershgorin_upper(g) + 1  # strictly above every eigenvalue
+    hi = Fraction(_gershgorin_upper(g), s) + 1  # strictly above every eigenvalue
     lo = Fraction(-1)  # strictly below (G is PSD)
     s_lo, s_hi = 0.0, math.sqrt(float(hi))
     for _ in range(300):
         if s_hi - s_lo <= tol / 2:
             break
         mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0:
+        if poly_eval(p, s * mid) == 0:
             # mid is a simple root (p squarefree); divide it out to ask
             # whether any root lies above it.
-            q, _ = poly_divmod(p, [-mid, Fraction(1)])
-            if len(q) > 1 and count_real_roots(q, mid, hi) >= 1:
+            q, _ = poly_divmod(p, [-s * mid, Fraction(1)])
+            if len(q) > 1 and count_real_roots(q, s * mid, s * hi) >= 1:
                 lo = mid
             else:
                 lo = hi = mid
                 break
-        elif count_real_roots(p, mid, hi) >= 1:
+        elif count_real_roots(p, s * mid, s * hi) >= 1:
             lo = mid
         else:
             hi = mid

@@ -4,14 +4,11 @@ Atoms are rational vectors, weights are positive rationals summing to exactly
 one.  Fourier evaluation reduces the phase mod 1 in exact integer arithmetic
 before any floating-point call, so large integer atoms cost no accuracy.
 
-The batched transforms (`fourier_many`, `tail_fourier_many`) are products
-over per-level factors, evaluated by `_phases.product_transform`; the scalar
-`fourier` is the dense single-factor sum and serves as their oracle.
+The transforms (`fourier_many`, `tail_fourier_many`) are products over
+per-level factors, evaluated by `_phases.product_transform`.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -29,12 +26,10 @@ from ._phases import (
     product_transform,
 )
 from .errors import DimensionMismatch, TruncationTooLarge, ValidationError
-from .exactmat import IntMatrix, RatMatrix, invert, product_range
+from .exactmat import IntMatrix
 from .triples import DigitSet, numerators
 
 DEFAULT_ATOM_CAP = 1_000_000
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _as_frac_vec(v, dim=None):
@@ -49,8 +44,8 @@ class DiscreteMeasure:
     dim: int
     atoms: tuple  # sorted tuples of Fraction
     weights: tuple  # positive Fractions summing to 1
-    # measures whose convolution this is, recorded by `convolve`; empty when
-    # the measure is its own single factor.  Not part of equality.
+    # measures whose convolution this is, recorded by `mu_truncate`; empty
+    # when the measure is its own single factor.  Not part of equality.
     factors: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
@@ -81,24 +76,6 @@ class DiscreteMeasure:
         """Measures whose convolution is this one (at least the measure itself)."""
         return self.factors or (self,)
 
-    def mean(self):
-        out = [Fraction(0)] * self.dim
-        for a, w in zip(self.atoms, self.weights):
-            for i in range(self.dim):
-                out[i] += w * a[i]
-        return tuple(out)
-
-    def second_moment(self) -> Fraction:
-        return sum(
-            (w * sum(x * x for x in a) for a, w in zip(self.atoms, self.weights)),
-            Fraction(0),
-        )
-
-    def variance_total(self) -> Fraction:
-        """Trace of the covariance: E|X|^2 - |EX|^2 (always >= 0)."""
-        m = self.mean()
-        return self.second_moment() - sum(x * x for x in m)
-
     @cached_property
     def _phase_data(self):
         den, rows = common_denominator(self.atoms)
@@ -118,81 +95,11 @@ class DiscreteMeasure:
         return factors
 
 
-def point_mass(atom, dim: int | None = None) -> DiscreteMeasure:
-    return DiscreteMeasure.make([(atom, Fraction(1))], dim)
-
-
-def uniform_on(digits: DigitSet, transform: RatMatrix | None = None) -> DiscreteMeasure:
-    """Equal weights on a digit set, optionally mapped through a rational matrix."""
-    n = len(digits)
-    w = Fraction(1, n)
-    if transform is None:
-        pairs = [(v, w) for v in digits.vectors]
-    else:
-        pairs = [(transform.matvec(v), w) for v in digits.vectors]
-    return DiscreteMeasure.make(pairs, digits.dim)
-
-
-def pushforward(m: DiscreteMeasure, transform: RatMatrix) -> DiscreteMeasure:
-    return DiscreteMeasure.make(
-        ((transform.matvec(a), w) for a, w in zip(m.atoms, m.weights))
-    )
-
-
-def convolve(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
-    if a.dim != b.dim:
-        raise DimensionMismatch("cannot convolve measures of different dimensions")
-    acc: dict = {}
-    for xa, wa in zip(a.atoms, a.weights):
-        for xb, wb in zip(b.atoms, b.weights):
-            key = tuple(p + q for p, q in zip(xa, xb))
-            prev = acc.get(key)
-            acc[key] = wa * wb if prev is None else prev + wa * wb
-    atoms = tuple(sorted(acc))
-    factors = tuple(
-        f
-        for f in a.convolution_factors() + b.convolution_factors()
-        if len(f) > 1 or any(f.atoms[0])  # the origin point mass is trivial
-    )
-    return DiscreteMeasure(a.dim, atoms, tuple(acc[x] for x in atoms), factors)
-
-
-def mass_outside_ball(m: DiscreteMeasure, radius) -> Fraction:
-    """Exact mass carried by atoms with |x|_2 > radius (strict)."""
-    r2 = Fraction(radius) ** 2
-    return sum(
-        (w for a, w in zip(m.atoms, m.weights) if sum(x * x for x in a) > r2),
-        Fraction(0),
-    )
-
-
-def clip_to_ball(m: DiscreteMeasure, radius) -> DiscreteMeasure:
-    """Move all mass outside the closed ball of the given radius to the origin."""
-    r2 = Fraction(radius) ** 2
-    zero = tuple(Fraction(0) for _ in range(m.dim))
-    pairs = []
-    moved = Fraction(0)
-    for a, w in zip(m.atoms, m.weights):
-        if sum(x * x for x in a) > r2:
-            moved += w
-        else:
-            pairs.append((a, w))
-    if moved:
-        pairs.append((zero, moved))
-    return DiscreteMeasure.make(pairs, m.dim)
-
-
 # ===== truncations of the infinite convolution =====
 
 
-@dataclass(frozen=True)
-class TailTruncation:
-    start: int  # tail begins after this level
-    depth: int  # number of tail levels included
-    measure: DiscreteMeasure
-
-
-def _capped_product(sizes, max_atoms: int) -> int:
+def _check_cap(sizes, max_atoms: int) -> None:
+    """Raise TruncationTooLarge once the running product of sizes passes the cap."""
     proj = 1
     for s in sizes:
         proj *= s
@@ -200,7 +107,6 @@ def _capped_product(sizes, max_atoms: int) -> int:
             raise TruncationTooLarge(
                 f"projected support of {proj} atoms exceeds the cap of {max_atoms}"
             )
-    return proj
 
 
 def _uniform_rows(rows, den: int) -> DiscreteMeasure:
@@ -223,7 +129,7 @@ def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMe
     """
     if k < 0:
         raise ValidationError(f"truncation level must be >= 0, got {k}")
-    _capped_product((len(seq.digits(j)) for j in range(1, k + 1)), max_atoms)
+    _check_cap((len(seq.digits(j)) for j in range(1, k + 1)), max_atoms)
     levels = [scaled_atom_rows(seq.prefix_matrix(j), seq.digits(j)) for j in range(1, k + 1)]
     den = lcm(*(d for _, d in levels))
     parts = [(rows, den // d) for rows, d in levels]
@@ -248,42 +154,7 @@ def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMe
     )
 
 
-def nu_tail_truncate(
-    seq, start: int, depth: int, *, max_atoms: int = DEFAULT_ATOM_CAP
-) -> TailTruncation:
-    """Finite stretch of the tail measure after `start`, rescaled to start at level 1."""
-    if start < 0 or depth < 0:
-        raise ValidationError("tail start and depth must be >= 0")
-    result = point_mass((0,) * seq.dim)
-    proj = 1
-    for j in range(1, depth + 1):
-        d = seq.digits(start + j)
-        proj = _capped_product([proj, len(d)], max_atoms)
-        scale = invert(product_range(seq, start, start + j))
-        result = convolve(result, uniform_on(d, scale))
-    return TailTruncation(start=start, depth=depth, measure=result)
-
-
 # ===== Fourier transforms =====
-
-
-def fourier(m: DiscreteMeasure, xi) -> complex:
-    """Fourier transform at one rational frequency, phases reduced exactly.
-
-    Atoms whose phase is an exact integer contribute through a rational
-    subtotal, so e.g. the transform at zero frequency is exactly 1.
-    """
-    x = _as_frac_vec(xi, m.dim)
-    exact = Fraction(0)
-    rest = 0j
-    for a, w in zip(m.atoms, m.weights):
-        dot = sum(p * q for p, q in zip(a, x))
-        t = dot - math.floor(dot)
-        if t == 0:
-            exact += w
-        else:
-            rest += float(w) * cmath.exp(-1j * _TWO_PI * float(t))
-    return complex(float(exact)) + rest
 
 
 def _points(xis, dim: int) -> PointRows:
@@ -299,15 +170,6 @@ def fourier_many(m: DiscreteMeasure, xis) -> np.ndarray:
     if not len(pts):
         return np.zeros(0, dtype=complex)
     return product_transform(pts, m.phase_factors())
-
-
-def mask(digits: DigitSet, xi) -> complex:
-    """Uniform exponential average (1/#B) sum_b e^{-2 pi i b.xi}."""
-    return fourier(uniform_on(digits), xi)
-
-
-def mask_many(digits: DigitSet, xis) -> np.ndarray:
-    return fourier_many(uniform_on(digits), xis)
 
 
 def scaled_atom_rows(m: IntMatrix, digits: DigitSet):
@@ -354,11 +216,3 @@ def tail_fourier_product(seq, start: int, depth: int, xi) -> complex:
     """The truncated tail transform at one frequency: the one-point case of
     `tail_fourier_many`."""
     return complex(tail_fourier_many(seq, start, depth, [xi])[0])
-
-
-def write_csv(m: DiscreteMeasure, stream) -> None:
-    """Exact CSV dump: rational coordinates and weights as p/q strings."""
-    cols = [f"x{i + 1}" for i in range(m.dim)] + ["weight"]
-    stream.write(",".join(cols) + "\n")
-    for a, w in zip(m.atoms, m.weights):
-        stream.write(",".join(str(x) for x in list(a) + [w]) + "\n")

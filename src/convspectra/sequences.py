@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange, ValidationError
-from .exactmat import IntMatrix, RatMatrix, product_range
+from .exactmat import IntMatrix
 from .triples import DigitSet, HadamardTriple, mod_reduce
 
 # Levels with more digits than this are rebuilt on demand instead of cached;
@@ -79,7 +79,7 @@ class TripleSequence:
         if self.validate_digits and len(b) < 2:
             raise ValidationError(f"level {k} digit set must have at least 2 elements")
         # a rebuilt level keeps its first R_k instance, and with it the
-        # adjugate cached on that instance
+        # inverse cached on that instance
         known = self._matrices.get(k)
         if known is not None and known == r:
             r = known
@@ -126,7 +126,7 @@ class TripleSequence:
             self._triples[k] = t
         return t
 
-    # -- products and scalings --
+    # -- products --
 
     def prefix_matrix(self, k: int) -> IntMatrix:
         """R_k · R_{k-1} · ... · R_1 (identity for k = 0), cached."""
@@ -137,18 +137,6 @@ class TripleSequence:
                 acc = self.matrix(j).matmul(acc)
                 self._prefix[j] = acc
         return self._prefix[k]
-
-    def prefix_inverse(self, k: int) -> RatMatrix:
-        """(R_k···R_1)^{-1}, from the adjugate cached on the prefix matrix."""
-        return self.prefix_matrix(k).inverse()
-
-    def range_matrix(self, p: int, q: int) -> IntMatrix:
-        return product_range(self, p, q)
-
-    def scaled_digit_atoms(self, k: int):
-        """(R_k···R_1)^{-1} B_k as exact rational vectors."""
-        inv = self.prefix_inverse(k)
-        return tuple(inv.matvec(v) for v in self.digits(k))
 
     # -- derived sequences --
 

@@ -101,15 +101,31 @@ def _first_best(scores: np.ndarray) -> np.ndarray:
     return best
 
 
+def first_lowest(values, count: int) -> list:
+    """Indices of the `count` lowest values, lowest first: each pick is the
+    first remaining index, in order, whose value lies within _K_TIE_TOL of
+    the remaining minimum, so values that differ only by rounding are picked
+    in their given order."""
+    v = np.asarray(values, dtype=float)
+    left = np.ones(len(v), dtype=bool)
+    picks = []
+    for _ in range(min(count, len(v))):
+        i = int(np.flatnonzero(left & (v <= v[left].min() + _K_TIE_TOL))[0])
+        picks.append(i)
+        left[i] = False
+    return picks
+
+
 def _windowed_choices(seq, p: int, q: int, depth: int, lams, box) -> dict:
     """For each lambda, the first k of the box order that maximizes
     |nu_hat_q(M^{-T} lambda + k)| over the depth-truncated tail after q, with
     M = R_q ... R_{p+1}, up to ties (`_first_best`).  All candidates of the
     window are scored in one batched call."""
-    inv_win_t = invert(product_range(seq, p, q)).transpose()
+    det, adj = invert(product_range(seq, p, q))
+    adj_t = adj.transpose()
     points = []
     for lam in lams:
-        base = inv_win_t.matvec(lam)
+        base = [Fraction(x, det) for x in adj_t.matvec(lam)]
         points.extend(tuple(b + c for b, c in zip(base, cand)) for cand in box)
     scores = np.abs(tail_fourier_many(seq, q, depth, points)).reshape(len(lams), len(box))
     best = _first_best(scores.T)
@@ -160,12 +176,14 @@ def build_spectrum(
 
     dim = seq.dim
     zero_vec = (0,) * dim
-    half_delta_sq = None
+    ball = None
     if delta0 is not None:
         d0 = Fraction(delta0)
         if d0 <= 0:
             raise ValidationError("delta0 must be positive")
-        half_delta_sq = (d0 / 2) ** 2
+        # |M^{-T} lam|^2 < (delta0/2)^2 with M^{-T} lam = adj^T lam / det and
+        # delta0 = a/b, on integers: 4 b^2 |adj^T lam|^2 < a^2 det^2
+        ball = (4 * d0.denominator**2, d0.numerator**2)
 
     # every level used must carry a validated triple (triple() raises on failure)
     def ensure_levels_valid(p, q):
@@ -179,18 +197,16 @@ def build_spectrum(
     p = 0
     for j, requested in enumerate(ms, start=1):
         q = max(requested, p + 1)
-        if half_delta_sq is not None:
+        if ball is not None:
             while True:
                 if seq.length is not None and q > seq.length:
                     raise MilestoneGap(
                         f"no admissible milestone >= {requested} within length {seq.length}"
                     )
-                inv_t = invert(seq.prefix_matrix(q)).transpose()
-                ok = all(
-                    sum(c * c for c in inv_t.matvec(lam)) < half_delta_sq
-                    for lam in lam_prev
-                )
-                if ok:
+                det, adj = invert(seq.prefix_matrix(q))
+                adj_t = adj.transpose()
+                limit = ball[1] * det * det
+                if all(ball[0] * sum(c * c for c in adj_t.matvec(lam)) < limit for lam in lam_prev):
                     break
                 q += 1
         elif seq.length is not None and q > seq.length:
@@ -316,11 +332,6 @@ def read_levels(stream) -> SpectrumLevels:
 # ===== the Q criterion =====
 
 
-def q_eval(m: DiscreteMeasure, lambda_set, xi) -> float:
-    """Q(xi) = sum over the candidate set of |mu_hat(xi + lambda)|^2."""
-    return float(q_eval_many(m, lambda_set, [xi])[0])
-
-
 def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     """Q at every frequency of xis: mu_hat on the sum set xis + lambda_set,
     from one table of the frequencies and one of the candidates per group of
@@ -364,8 +375,8 @@ def spectrum_exactness(
     convolution mu = mu_1 * ... * mu_K it factors entrywise,
     G = G_1 o ... o G_K with G_j[i, k] = mu_j_hat(lambda_i - lambda_k), so
     the deviation, max over i != k of |mu_hat(lambda_i - lambda_k)| (and of
-    |G[i, i] - 1|), is computed from the per-level factors that `convolve`
-    recorded, in tiles under the dense byte budget."""
+    |G[i, i] - 1|), is computed from the per-level factors that
+    `mu_truncate` recorded, in tiles under the dense byte budget."""
     lams = sorted(set(tuple(int(c) for c in v) for v in lambda_set))
     n = len(m)
     if any(w != Fraction(1, n) for w in m.weights):

@@ -24,7 +24,7 @@ from .errors import (
     SizeMismatch,
     TripleInvalid,
 )
-from .exactmat import IntMatrix, adjugate
+from .exactmat import IntMatrix, invert
 
 DEFAULT_UNITARITY_TOL = 1e-9
 
@@ -225,12 +225,6 @@ class DigitSet:
         i = self._rank(v)
         return i < len(self.grid) and self._grid_row(i) == v
 
-    def translate(self, v) -> "DigitSet":
-        v = tuple(v)
-        if len(v) != self.dim:
-            raise DimensionMismatch("translation vector has wrong dimension")
-        return DigitSet.of([tuple(x + y for x, y in zip(w, v)) for w in self.vectors], self.dim)
-
     def as_set(self) -> frozenset:
         return frozenset(self.vectors)
 
@@ -248,20 +242,6 @@ def shared_masks(a: DigitSet, b: DigitSet):
     a_wide = [w in b.wide for w in a.wide]
     b_wide = [w in a.wide for w in b.wide]
     return a_grid, a_wide, b_grid, b_wide
-
-
-def minkowski_sum(a: DigitSet, b: DigitSet) -> DigitSet:
-    if a.dim != b.dim:
-        raise DimensionMismatch("digit sets live in different dimensions")
-    return DigitSet.of(
-        [tuple(x + y for x, y in zip(u, v)) for u in a.vectors for v in b.vectors], a.dim
-    )
-
-
-def map_digits(m: IntMatrix, b: DigitSet) -> DigitSet:
-    if m.dim != b.dim:
-        raise DimensionMismatch("matrix and digit set dimensions differ")
-    return DigitSet.of([m.matvec(v) for v in b.vectors], b.dim)
 
 
 # ===== unitarity check =====
@@ -320,11 +300,6 @@ class HadamardTriple:
         return self.r.dim
 
 
-def shift_spectrum(t: HadamardTriple, l0) -> HadamardTriple:
-    """Translate the spectrum digit set; unitarity is preserved exactly."""
-    return HadamardTriple.make(t.r, t.b, t.l.translate(l0))
-
-
 # ===== reduction mod R·Z^d =====
 
 
@@ -339,7 +314,7 @@ def numerators(r: IntMatrix, b: DigitSet):
     """
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
-    det, adj = adjugate(r)
+    det, adj = invert(r)
     den, d = abs(det), r.dim
     adj_t = [[x if det > 0 else -x for x in col] for col in zip(*adj.rows)]
     y_max = d * max(abs(x) for row in adj.rows for x in row)
@@ -441,41 +416,3 @@ def mod_reduce(b: DigitSet, r: IntMatrix) -> DigitSet:
                 )
             seen[tgt] = src
     return out
-
-
-# ===== composition =====
-
-
-def compose_triples(triples) -> HadamardTriple:
-    """Collapse consecutive triples (R_1,B_1,L_1),...,(R_n,B_n,L_n) into one.
-
-    R = R_n···R_1,  B = R_n···R_2 B_1 + ··· + B_n (Horner form),
-    L = L_1 + R_1ᵀ L_2 + ··· + (R_{n-1}···R_1)ᵀ L_n.
-    Digit collisions cannot happen for genuine triples and are reported.
-    """
-    ts = list(triples)
-    if not ts:
-        raise EmptySet("need at least one triple to compose")
-    dim = ts[0].dim
-    for t in ts:
-        if t.dim != dim:
-            raise DimensionMismatch("triples live in different dimensions")
-    r_acc = ts[0].r
-    b_acc = ts[0].b
-    expected_b = len(ts[0].b)
-    for t in ts[1:]:
-        r_acc = t.r.matmul(r_acc)
-        b_acc = minkowski_sum(map_digits(t.r, b_acc), t.b)
-        expected_b *= len(t.b)
-        if len(b_acc) != expected_b:
-            raise TripleInvalid("composed digit sets collided; inputs are not a Hadamard chain")
-    l_acc = ts[0].l
-    m_acc = IntMatrix.identity(dim)
-    expected_l = len(ts[0].l)
-    for j in range(1, len(ts)):
-        m_acc = m_acc.matmul(ts[j - 1].r.transpose())
-        l_acc = minkowski_sum(l_acc, map_digits(m_acc, ts[j].l))
-        expected_l *= len(ts[j].l)
-        if len(l_acc) != expected_l:
-            raise TripleInvalid("composed spectra collided; inputs are not a Hadamard chain")
-    return HadamardTriple.make(r_acc, b_acc, l_acc)

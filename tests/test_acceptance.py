@@ -28,10 +28,11 @@ from convspectra.spectra import (
     cos_bound,
     equi_positivity_scan,
     perturbation_bound,
-    q_eval,
+    q_eval_many,
     spectrum_exactness,
 )
-from convspectra.triples import DigitSet, compose_triples, hadamard_check
+from convspectra.triples import DigitSet, hadamard_check
+from oracles import compose_triples, fraction_inverse
 
 
 def seeded_rationals(rng, count, max_den=10_000, spread=10):
@@ -74,7 +75,7 @@ def test_acceptance_02_quarter_scaling_finite_level_spectra():
         assert res.ok and res.size == 2**n
         worst_dev = max(worst_dev, res.deviation)
         for xi in xis:
-            q = q_eval(mu, lams, (xi,))
+            q = q_eval_many(mu, lams, [(xi,)])[0]
             assert 1 - 1e-8 <= q <= 1 + 1e-8
             worst_q = max(worst_q, abs(q - 1.0))
     elapsed = time.perf_counter() - t0
@@ -166,7 +167,7 @@ def test_acceptance_06_split_agrees_with_vertex_enumeration():
         l = Fraction(rng.randint(1, 99), 100)
 
         near, far = pcc_split(r, b, l)
-        inv = invert(r)
+        inv = fraction_inverse(r)
         threshold = (1 - l) / 2
         brute_near, brute_far = set(), set()
         for v in b.vectors:
@@ -259,7 +260,7 @@ def test_acceptance_09_bessel_bound_on_partial_levels():
         for j in range(1, top + 1):
             level = sp.levels[j - 1]
             for xi in xis:
-                q = q_eval(mu, level, (xi,))
+                q = q_eval_many(mu, level, [(xi,)])[0]
                 assert q <= 1 + 1e-9
                 worst = max(worst, q)
     print(
@@ -333,7 +334,8 @@ def test_acceptance_13_unbounded_support_witness():
     for k in range(1, 41):
         far = rbc_split(seq.matrix(k), seq.digits(k)).b2
         assert len(far) == 1
-        scaled = seq.prefix_inverse(k).matvec(far.vectors[0])
+        det, adj = invert(seq.prefix_matrix(k))
+        scaled = [Fraction(x, det) for x in adj.matvec(far.vectors[0])]
         scale = 8**k * math.factorial(k + 1)
         assert scaled[0] == Fraction(k + scale, scale)
         partial += scaled[0]

@@ -4,17 +4,13 @@ Each oracle below is one of the old per-check loops over k, kept here as
 the reference: the walk's terms, partial sums, verdicts, margins and
 contractivity report must equal theirs, and every level must be built once.
 """
-import json
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-import convspectra.cli as cli
 import convspectra.conditions as conditions
-import convspectra.exactmat as exactmat
 from convspectra.conditions import (
     SERIES_CHECKS,
     PccSeriesDiagnostics,
@@ -26,9 +22,10 @@ from convspectra.conditions import (
     rbc_series,
 )
 from convspectra.errors import CongruentDigits
-from convspectra.exactmat import IntMatrix, RatMatrix, invert, spectral_norm_upper
+from convspectra.exactmat import IntMatrix, invert, spectral_norm_upper
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.triples import DigitSet, box_mask, cone_mask, mod_reduce, numerators
+from oracles import fraction_inverse, over_common_denominator
 
 F = Fraction
 
@@ -70,10 +67,12 @@ def oracle_pcc(seq, l, indices):
 
 
 def oracle_contractivity(seq, upto, tol=1e-12):
-    """The old scan, on Fraction Gauss-Jordan inverses."""
+    """The old scan, on Fraction Gauss-Jordan inverses over their least
+    common denominator."""
     worst, at = -math.inf, 0
     for k in range(1, upto + 1):
-        u = spectral_norm_upper(invert(seq.matrix(k)), tol=tol)
+        n, d = over_common_denominator(fraction_inverse(seq.matrix(k)))
+        u = spectral_norm_upper(n, d, tol=tol)
         if u > worst:
             worst, at = u, k
     return worst, at
@@ -83,7 +82,7 @@ def oracle_contractivity(seq, upto, tol=1e-12):
 
 
 def _representative(r, v):
-    inv = invert(r)
+    inv = fraction_inverse(r)
     n = [math.floor(c + F(1, 2)) for c in inv.matvec(v)]
     return tuple(x - y for x, y in zip(v, r.matvec(n)))
 
@@ -268,36 +267,12 @@ def test_random_instances_cover_both_outcomes_and_wide_digits():
 # ---- prefix inverse ----
 
 
-@pytest.mark.parametrize("name", ["example-2.6", "skew-2d", "skew-3d"])
+@pytest.mark.parametrize(
+    "name", ["example-2.6", "jorgensen-pedersen", "bernoulli-quarter", "skew-2d", "skew-3d"]
+)
 def test_prefix_inverse_equals_the_fraction_inverse(name):
     seq = SEQUENCES[name]()
     for k in range(0, 7):
-        inv = seq.prefix_inverse(k)
-        assert isinstance(inv, RatMatrix)
-        assert inv == invert(seq.prefix_matrix(k))
-
-
-def test_sample_calls_no_fraction_inverse(monkeypatch):
-    calls = []
-    real = exactmat.invert
-
-    def counting(m):
-        calls.append(m)
-        return real(m)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("convspectra") and getattr(mod, "invert", None) is real:
-            monkeypatch.setattr(mod, "invert", counting)
-    cfg = cli.parse_config(
-        json.dumps(
-            {
-                "dimension": 2,
-                "sequence": {"generator": "example-2.6"},
-                "seed": 5,
-                "sample": {"upto": 6, "draws": 50, "scaled": True},
-            }
-        )
-    )
-    rep = cli.cmd_sample(cfg)
-    assert rep.artifact.count("\n") == 51
-    assert calls == []
+        det, adj = invert(seq.prefix_matrix(k))
+        want = fraction_inverse(seq.prefix_matrix(k))
+        assert tuple(tuple(F(x, det) for x in row) for row in adj.rows) == want.rows

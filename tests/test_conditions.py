@@ -12,7 +12,6 @@ from convspectra.conditions import (
     ContractivityReport,
     contractivity_report,
     coupled_sample,
-    coupling_eval,
     defect_term,
     equivalence_defect,
     pcc_series,
@@ -25,10 +24,18 @@ from convspectra.conditions import (
     _sample_level,
 )
 from convspectra.errors import DimensionTooLarge, ValidationError
-from convspectra.exactmat import IntMatrix, invert
-from convspectra.measures import DiscreteMeasure, clip_to_ball, mass_outside_ball
+from convspectra.exactmat import IntMatrix
+from convspectra.measures import DiscreteMeasure
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.triples import DigitSet, mod_reduce
+from oracles import (
+    clip_to_ball,
+    coupling_eval,
+    fraction_inverse,
+    mass_outside_ball,
+    mean,
+    variance_total,
+)
 
 F = Fraction
 
@@ -128,7 +135,7 @@ def test_rbc_split_general_matrix_agrees_with_diagonal_logic():
     r = IntMatrix(((2, 1), (0, 2)))
     b = dset([(0, 0), (1, 0), (1, 1), (-1, -1), (2, 0)])
     sp = rbc_split(r, b)
-    inv = invert(r)
+    inv = fraction_inverse(r)
     half = F(1, 2)
     for v in b.vectors:
         inside = all(-half <= c < half for c in inv.matvec(v))
@@ -248,7 +255,7 @@ def test_pcc_membership_equals_vertex_brute_force():
         v = tuple(rng.randrange(-16, 17) for _ in range(d))
         l = F(rng.randrange(1, 8), 8)
         near, far = pcc_split(r, DigitSet.of([v], d), l)
-        c = invert(r).matvec(v)
+        c = fraction_inverse(r).matvec(v)
         thr = (1 - l) / 2
         sup = max(
             abs(sum(ci * si for ci, si in zip(c, signs)))
@@ -279,7 +286,7 @@ def test_pcc_series_subsequence():
 
 def fraction_pcc_sup_sq(r):
     """The vertex maximum d * |R^{-T} xi|^2 by Fraction inversion."""
-    inv_t = invert(r).transpose()
+    inv_t = fraction_inverse(r).transpose()
     best = max(
         sum(x * x for x in inv_t.matvec(signs)) for signs in cartesian((1, -1), repeat=r.dim)
     )
@@ -382,15 +389,16 @@ def fraction_three_series(seq, radii, upto):
     Returns {radius: (mass terms, mean terms, variance terms)}."""
     out = {r: ([], [], []) for r in radii}
     for k in range(1, upto + 1):
-        atoms = seq.scaled_digit_atoms(k)
+        inv = fraction_inverse(seq.prefix_matrix(k))
+        atoms = [inv.matvec(v) for v in seq.digits(k)]
         w = F(1, len(atoms))
         eta = DiscreteMeasure.make([(a, w) for a in atoms], seq.dim)
         for r in radii:
-            mass, mean, var = out[r]
+            mass, means, var = out[r]
             mass.append(mass_outside_ball(eta, r))
             clipped = clip_to_ball(eta, r)
-            mean.append(clipped.mean())
-            var.append(clipped.variance_total())
+            means.append(mean(clipped))
+            var.append(variance_total(clipped))
     return out
 
 

@@ -10,15 +10,15 @@ import pytest
 from convspectra.conditions import (
     _aligned_tables,
     _count_outside_box,
-    coupling_eval,
     defect_term,
     pcc_split,
     rbc_split,
 )
 from convspectra.errors import CongruentDigits, DimensionMismatch, EmptySet
-from convspectra.exactmat import IntMatrix, invert
+from convspectra.exactmat import IntMatrix
 from convspectra.sequences import builtin_sequence
 from convspectra.triples import DigitSet, mod_reduce, numerators
+from oracles import coupling_eval, fraction_inverse
 
 H = 1 << 31  # the int64 headroom of DigitSet.grid
 HALF = Fraction(1, 2)
@@ -29,7 +29,7 @@ HALF = Fraction(1, 2)
 
 def oracle_reduce(vectors, r):
     """(sorted representatives, CongruentDigits message or None)."""
-    inv = invert(r)
+    inv = fraction_inverse(r)
     seen, reps = {}, []
     message = None
     for v in vectors:
@@ -43,11 +43,11 @@ def oracle_reduce(vectors, r):
 
 
 def oracle_in_box(r, v):
-    return all(-HALF <= c < HALF for c in invert(r).matvec(v))
+    return all(-HALF <= c < HALF for c in fraction_inverse(r).matvec(v))
 
 
 def oracle_near(r, v, l):
-    return sum(abs(c) for c in invert(r).matvec(v)) < (1 - Fraction(l)) / 2
+    return sum(abs(c) for c in fraction_inverse(r).matvec(v)) < (1 - Fraction(l)) / 2
 
 
 def oracle_defect(a, b):
@@ -182,7 +182,7 @@ def test_numerators_choose_int64_only_with_headroom():
               IntMatrix(((1, 4), (3, -2)))):
         den, y_grid, y_wide = numerators(r, b)
         ys = b.in_order([tuple(row) for row in y_grid.tolist()], [tuple(row) for row in y_wide.tolist()])
-        inv = invert(r)
+        inv = fraction_inverse(r)
         for v, y in zip(b.vectors, ys):
             assert tuple(Fraction(x, den) for x in y) == inv.matvec(v)
 

@@ -8,8 +8,6 @@ import pytest
 from convspectra.errors import IndexOutOfRange, SingularMatrix
 from convspectra.exactmat import (
     IntMatrix,
-    RatMatrix,
-    adjugate,
     charpoly,
     count_real_roots,
     invert,
@@ -19,6 +17,7 @@ from convspectra.exactmat import (
     product_range,
     spectral_norm_upper,
 )
+from oracles import FractionMatrix, fraction_det, fraction_inverse, over_common_denominator
 
 F = Fraction
 
@@ -43,21 +42,25 @@ class SeqStub:
 # ----- invert -----
 
 
+def as_fractions(pair):
+    det, adj = pair
+    return tuple(tuple(F(x, det) for x in row) for row in adj.rows)
+
+
 def test_invert_identity():
     i3 = IntMatrix.identity(3)
-    assert invert(i3).rows == RatMatrix.identity(3).rows
+    assert invert(i3) == (1, i3)
 
 
 def test_invert_diag16():
     m = IntMatrix.diagonal([16, 16])
-    inv = invert(m)
-    assert inv.rows == ((F(1, 16), F(0)), (F(0), F(1, 16)))
+    assert as_fractions(invert(m)) == ((F(1, 16), F(0)), (F(0), F(1, 16)))
 
 
 def test_invert_upper_triangular():
     m = IntMatrix(((2, 1), (0, 2)))
-    inv = invert(m)
-    assert inv.rows == ((F(1, 2), F(-1, 4)), (F(0), F(1, 2)))
+    assert invert(m) == (4, IntMatrix(((2, -1), (0, 2))))
+    assert as_fractions(invert(m)) == ((F(1, 2), F(-1, 4)), (F(0), F(1, 2)))
 
 
 def test_invert_singular_raises():
@@ -70,22 +73,23 @@ def test_invert_roundtrip_random():
     for _ in range(50):
         d = rng.randint(1, 4)
         m = rand_invertible(rng, d)
-        prod = m.to_rat().matmul(invert(m))
-        assert prod.rows == RatMatrix.identity(d).rows
+        det, adj = invert(m)
+        assert m.matmul(adj) == adj.matmul(m) == IntMatrix.diagonal([det] * d)
 
 
 def test_transpose_invert_commute():
     rng = random.Random(4002)
     for _ in range(20):
         m = rand_invertible(rng, rng.randint(1, 4))
-        assert invert(m.transpose()).rows == invert(m).transpose().rows
+        det, adj = invert(m)
+        assert invert(m.transpose()) == (det, adj.transpose())
 
 
 def test_adjugate_identity():
     rng = random.Random(4003)
     for _ in range(20):
         m = rand_invertible(rng, rng.randint(1, 3))
-        det, adj = adjugate(m)
+        det, adj = invert(m)
         assert adj.matmul(m).rows == IntMatrix.diagonal([det] * m.dim).rows
 
 
@@ -98,14 +102,15 @@ def test_fraction_free_adjugate_matches_the_fraction_inverse(seed):
         d = rng.randint(1, 5)
         pick = (0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-(2**70), 2**70))
         m = IntMatrix(tuple(tuple(rng.choice(pick) for _ in range(d)) for _ in range(d)))
-        if m.det() == 0:
+        if fraction_det(m) == 0:
+            assert m.det() == 0
             with pytest.raises(SingularMatrix):
-                adjugate(m)
+                invert(m)
             continue
-        det, adj = adjugate(m)
-        assert det == m.det()
+        det, adj = invert(m)
+        assert det == m.det() == fraction_det(m)
         assert adj.matmul(m) == IntMatrix.diagonal([det] * d)
-        assert m.inverse() == invert(m)
+        assert as_fractions((det, adj)) == fraction_inverse(m).rows
         checked += 1
     assert checked > 50
 
@@ -180,24 +185,36 @@ def test_make_squarefree():
 # ----- spectral_norm_upper -----
 
 
+def test_charpoly_of_a_scaled_matrix():
+    # det(λI − n/4) for n = [[2, -1], [0, 2]]: (λ − 1/2)^2
+    assert charpoly(IntMatrix(((2, -1), (0, 2))), 4) == [F(1, 4), F(-1), F(1)]
+    n = IntMatrix(((3, 1, 0), (-2, 5, 7), (1, 0, -4)))
+    for d in (1, -3, 10):
+        p = charpoly(n, d)
+        # det(λI − n/d) = d^−dim det(dλI − n), and p(0) = det(−n/d)
+        assert p == [c * F(d) ** (i - 3) for i, c in enumerate(charpoly(n))]
+        assert p[0] == -fraction_det(n) / F(d) ** 3
+
+
 def test_norm_zero_matrix():
-    z = RatMatrix(((F(0), F(0)), (F(0), F(0))))
-    assert spectral_norm_upper(z) == 0.0
+    z = IntMatrix(((0, 0), (0, 0)))
+    assert spectral_norm_upper(z, 1) == 0.0
 
 
 def test_norm_diag_inverse():
-    u = spectral_norm_upper(invert(IntMatrix.diagonal([16, 16])), tol=1e-12)
+    det, adj = invert(IntMatrix.diagonal([16, 16]))
+    u = spectral_norm_upper(adj, det, tol=1e-12)
     assert 1 / 16 <= u <= 1 / 16 + 1e-12
 
 
 def test_norm_triangular_vs_svd_oracle():
-    m = RatMatrix(((F(1, 2), F(-1, 4)), (F(0), F(1, 2))))
+    m = FractionMatrix(((F(1, 2), F(-1, 4)), (F(0), F(1, 2))))
     # closed-form largest singular value of a 2x2 matrix
     s = F(1, 4) + F(1, 16) + F(1, 4)
     d = F(1, 4)
     sigma_sq = (s + math.sqrt(float(s * s - 4 * d * d))) / 2
     sigma = math.sqrt(float(sigma_sq))
-    u = spectral_norm_upper(m, tol=1e-12)
+    u = spectral_norm_upper(*over_common_denominator(m), tol=1e-12)
     assert sigma - 1e-9 <= u <= sigma + 1e-9
 
 
@@ -205,10 +222,10 @@ def test_norm_random_vs_numpy():
     rng = random.Random(4005)
     for _ in range(25):
         d = rng.randint(1, 4)
-        m = RatMatrix(
+        m = FractionMatrix(
             tuple(tuple(F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d)) for _ in range(d))
         )
-        u = spectral_norm_upper(m, tol=1e-10)
+        u = spectral_norm_upper(*over_common_denominator(m), tol=1e-10)
         ref = np.linalg.svd(np.array([[float(x) for x in row] for row in m.rows]), compute_uv=False)[0]
         assert u >= ref - 1e-7
         assert u <= ref + 1e-7 + 1e-10
@@ -218,7 +235,19 @@ def test_norm_random_vs_numpy():
             assert u >= col - 1e-10
 
 
-# ----- adjugate memo -----
+def test_norm_does_not_depend_on_the_representation():
+    # n/d, (-n)/(-d) and (k·n)/(k·d) are one matrix: the same bound
+    rng = random.Random(4006)
+    for _ in range(40):
+        m = rand_invertible(rng, rng.randint(1, 3))
+        det, adj = invert(m)
+        u = spectral_norm_upper(adj, det)
+        assert u == spectral_norm_upper(IntMatrix(tuple(tuple(-x for x in r) for r in adj.rows)), -det)
+        assert u == spectral_norm_upper(IntMatrix(tuple(tuple(3 * x for x in r) for r in adj.rows)), 3 * det)
+        assert u == spectral_norm_upper(*over_common_denominator(fraction_inverse(m)))
+
+
+# ----- the inverse cache -----
 
 
 def test_adjugate_is_computed_once_per_instance(monkeypatch):
@@ -228,22 +257,25 @@ def test_adjugate_is_computed_once_per_instance(monkeypatch):
     from convspectra.triples import DigitSet, numerators
 
     calls = []
-    real = exactmat._fraction_free_adjugate
+    real = exactmat._bareiss
 
     def counting(rows):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(exactmat, "_fraction_free_adjugate", counting)
-    monkeypatch.setattr(exactmat, "invert", lambda m: pytest.fail("adjugate inverts with Fractions"))
+    monkeypatch.setattr(exactmat, "_bareiss", counting)
     m = IntMatrix(((3, 1), (-2, 5)))
     b = DigitSet.of([(0, 0), (1, 2), (-4, 7)])
-    first = adjugate(m)
+    first = invert(m)
+    assert m.det() == 17
     numerators(m, b)
     scaled_atom_rows(m, b)
     _pcc_sup_sq(m)
-    assert adjugate(m) is first and len(calls) == 1
+    assert invert(m) is first and len(calls) == 1
     det, adj = first
     assert det == 17 and adj.matmul(m) == IntMatrix(((17, 0), (0, 17)))
+    singular = IntMatrix(((1, 2), (2, 4)))
+    assert singular.det() == 0
     with pytest.raises(SingularMatrix):
-        adjugate(IntMatrix(((1, 2), (2, 4))))
+        invert(singular)
+    assert len(calls) == 2

@@ -24,13 +24,10 @@ from convspectra._phases import (
     unit_exponentials,
 )
 from convspectra.errors import GridTooLarge
-from convspectra.exactmat import IntMatrix, invert, product_range
+from convspectra.exactmat import IntMatrix, product_range
 from convspectra.measures import (
-    fourier,
     fourier_many,
-    mask,
     mu_truncate,
-    nu_tail_truncate,
     scaled_atom_rows,
     tail_fourier_many,
     tail_fourier_product,
@@ -47,6 +44,7 @@ from convspectra.spectra import (
     q_eval_many,
 )
 from convspectra.triples import DigitSet
+from oracles import fourier, fraction_inverse, nu_tail_truncate, uniform_on
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,12 +57,12 @@ def dense_fourier_many(m, xis):
 
 
 def fraction_tail_product(seq, start, depth, xi):
-    """prod_j mask(B_{start+j}, M_j^{-T} xi) with M_j^{-T} xi in Fractions."""
+    """prod_j m_{B_{start+j}}(M_j^{-T} xi) with M_j^{-T} xi in Fractions."""
     x = tuple(F(c) for c in xi)
     out = complex(1.0)
     for j in range(1, depth + 1):
-        m_inv_t = invert(product_range(seq, start, start + j)).transpose()
-        out *= mask(seq.digits(start + j), m_inv_t.matvec(x))
+        m_inv_t = fraction_inverse(product_range(seq, start, start + j)).transpose()
+        out *= fourier(uniform_on(seq.digits(start + j)), m_inv_t.matvec(x))
     return out
 
 
@@ -169,7 +167,7 @@ def test_scaled_atoms_are_gcd_reduced_for_negative_determinant_window():
         assert m.rows[0][1] != 0  # not diagonal
         digits = seq.digits(start + depth)
         rows, den = scaled_atom_rows(m, digits)
-        inv = invert(m)
+        inv = fraction_inverse(m)
         atoms = [inv.matvec(b) for b in digits.vectors]
         assert [tuple(F(x, den) for x in row) for row in rows.tolist()] == atoms
         # den is the least common denominator of the atoms
@@ -194,7 +192,7 @@ def fraction_windowed_table(seq, milestones, radius, depth):
     table = {}
     p = 0
     for j, q in enumerate(milestones, start=1):
-        inv_win_t = invert(product_range(seq, p, q)).transpose()
+        inv_win_t = fraction_inverse(product_range(seq, p, q)).transpose()
         depth_left = depth if seq.length is None else min(depth, seq.length - q)
         for lam in _window_spectrum_digits(seq, p, q):
             if lam == zero or depth_left < 1:
@@ -256,7 +254,7 @@ def fraction_scan_tables(seq, starts, depth, xs, ys, ks):
     for start in starts:
         prod = np.ones((len(ks), len(xs), len(ys)), dtype=complex)
         for j in range(1, depth + 1):
-            inv = invert(product_range(seq, start, start + j))
+            inv = fraction_inverse(product_range(seq, start, start + j))
             w = [inv.matvec(b) for b in seq.digits(start + j).vectors]
             ax, ay = table(w, xs), table(w, ys)
             for ki, k in enumerate(ks):
@@ -357,7 +355,7 @@ def fsum_ball_minimum(seq, start, depth, xi, ys):
     summed by math.fsum."""
     levels = []
     for j in range(1, depth + 1):
-        inv = invert(product_range(seq, start, start + j))
+        inv = fraction_inverse(product_range(seq, start, start + j))
         atoms = [inv.matvec(b) for b in seq.digits(start + j).vectors]
         den = math.lcm(*(c.denominator for a in atoms for c in a))
         levels.append(([[int(c * den) for c in a] for a in atoms], den))

@@ -19,8 +19,8 @@ from convspectra._phases import (
     unit_exponentials,
 )
 from convspectra.errors import WorkingSetTooLarge
-from convspectra.exactmat import IntMatrix, adjugate
-from convspectra.measures import DiscreteMeasure, convolve, mu_truncate, uniform_on
+from convspectra.exactmat import IntMatrix, invert
+from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_names, builtin_sequence
 from convspectra.spectra import (
     _window_spectrum_digits,
@@ -28,6 +28,7 @@ from convspectra.spectra import (
     spectrum_exactness,
 )
 from convspectra.triples import DigitSet, hadamard_check, numerators
+from oracles import convolve, fraction_inverse, uniform_on
 
 AGREE = 1e-12
 
@@ -47,7 +48,7 @@ def dense_exactness(m, lams):
 
 
 def dense_hadamard(r, b, l):
-    det, adj = adjugate(r)
+    det, adj = invert(r)
     sign = 1 if det > 0 else -1
     nums = [tuple(sign * x for x in adj.matvec(v)) for v in b.vectors]
     return dense_gram_deviation(nums, abs(det), list(l.vectors), 1, len(b))
@@ -79,7 +80,7 @@ def test_convolve_records_levels_outside_equality():
     flat = DiscreteMeasure.make(zip(mu.atoms, mu.weights))
     assert flat.factors == () and flat.convolution_factors() == (flat,)
     assert flat == mu and hash(flat) == hash(mu) and len(flat) == len(mu) == 8
-    again = convolve(mu, uniform_on(jp.digits(4), jp.prefix_inverse(4)))
+    again = convolve(mu, uniform_on(jp.digits(4), fraction_inverse(jp.prefix_matrix(4))))
     assert again == mu_truncate(jp, 4) and len(again.factors) == 4
 
 

@@ -1,5 +1,4 @@
 """Exact measures: algebra, truncations, and Fourier cross-oracles."""
-import io
 import math
 import random
 from fractions import Fraction
@@ -11,24 +10,27 @@ from convspectra import measures
 from convspectra.errors import TruncationTooLarge, ValidationError
 from convspectra.measures import (
     DiscreteMeasure,
+    fourier_many,
+    mu_truncate,
+    tail_fourier_product,
+)
+from convspectra.exactmat import IntMatrix
+from convspectra.sequences import builtin_sequence, from_generator
+from convspectra.triples import DigitSet
+from oracles import (
     clip_to_ball,
     convolve,
     fourier,
-    fourier_many,
-    mask,
-    mask_many,
+    fraction_inverse,
     mass_outside_ball,
-    mu_truncate,
+    mean,
     nu_tail_truncate,
     point_mass,
-    pushforward,
-    tail_fourier_product,
+    pushed,
+    second_moment,
     uniform_on,
-    write_csv,
+    variance_total,
 )
-from convspectra.exactmat import IntMatrix, RatMatrix
-from convspectra.sequences import builtin_sequence, from_generator
-from convspectra.triples import DigitSet
 
 F = Fraction
 
@@ -64,21 +66,12 @@ def test_convolution_mass_and_support():
     assert all(w == F(1, 4) for w in c.weights)
 
 
-def test_pushforward_identity_and_collapse():
-    m = halves((0, 0), (1, 2))
-    ident = RatMatrix.identity(2)
-    assert pushforward(m, ident) == m
-    zero = RatMatrix(((F(0), F(0)), (F(0), F(0))))
-    collapsed = pushforward(m, zero)
-    assert len(collapsed) == 1 and collapsed.weights == (F(1),)
-
-
 def test_moments_quarter_level_one():
     m = halves((0,), (F(1, 2),))
-    assert m.mean() == (F(1, 4),)
-    assert m.second_moment() == F(1, 8)
-    assert m.variance_total() == F(1, 16)
-    assert point_mass((5, -3)).variance_total() == 0
+    assert mean(m) == (F(1, 4),)
+    assert second_moment(m) == F(1, 8)
+    assert variance_total(m) == F(1, 16)
+    assert variance_total(point_mass((5, -3))) == 0
 
 
 def test_ball_surgery_exact():
@@ -130,7 +123,7 @@ def convolve_loop_truncate(seq, k, max_atoms=1_000_000):
             raise TruncationTooLarge(
                 f"projected support of {proj} atoms exceeds the cap of {max_atoms}"
             )
-        result = convolve(result, uniform_on(d, seq.prefix_inverse(j)))
+        result = convolve(result, uniform_on(d, fraction_inverse(seq.prefix_matrix(j))))
     return result
 
 
@@ -227,7 +220,7 @@ def test_tail_splices_into_full_truncation():
         whole = mu_truncate(seq, k + depth)
         head = mu_truncate(seq, k)
         tail = nu_tail_truncate(seq, k, depth).measure
-        spliced = convolve(head, pushforward(tail, seq.prefix_inverse(k)))
+        spliced = convolve(head, pushed(tail, fraction_inverse(seq.prefix_matrix(k))))
         assert spliced == whole
 
 
@@ -255,11 +248,11 @@ def test_fourier_modulus_bounded():
 
 
 def test_mask_oracles_quarter_digits():
-    d = DigitSet.of([(0,), (2,)])
-    assert abs(mask(d, (F(1, 4),))) < 1e-15  # (1 + e^{-i pi})/2
-    v = mask(d, (F(1, 8),))  # (1 + e^{-i pi/2})/2 = (1 - i)/2
+    d = uniform_on(DigitSet.of([(0,), (2,)]))
+    assert abs(fourier(d, (F(1, 4),))) < 1e-15  # (1 + e^{-i pi})/2
+    v = fourier(d, (F(1, 8),))  # (1 + e^{-i pi/2})/2 = (1 - i)/2
     assert abs(v - (0.5 - 0.5j)) < 1e-15
-    many = mask_many(d, [(F(1, 4),), (F(1, 8),), (0,)])
+    many = fourier_many(d, [(F(1, 4),), (F(1, 8),), (0,)])
     assert abs(many[0]) < 1e-15
     assert abs(many[1] - (0.5 - 0.5j)) < 1e-15
     assert abs(many[2] - 1.0) < 1e-15
@@ -268,9 +261,7 @@ def test_mask_oracles_quarter_digits():
 def test_fourier_convolution_homomorphism():
     seq = builtin_sequence("example-2.6")
     a = mu_truncate(seq, 1)
-    b = pushforward(
-        nu_tail_truncate(seq, 1, 1).measure, seq.prefix_inverse(1)
-    )
+    b = pushed(nu_tail_truncate(seq, 1, 1).measure, fraction_inverse(seq.prefix_matrix(1)))
     c = convolve(a, b)
     rng = random.Random(11)
     for _ in range(25):
@@ -308,14 +299,3 @@ def test_tail_product_cross_oracle():
             via_measure = fourier(tail, xi)
             via_product = tail_fourier_product(seq, start, depth, xi)
             assert abs(via_measure - via_product) < 1e-10
-
-
-def test_write_csv_exact():
-    m = DiscreteMeasure.make([((0, F(1, 2)), F(1, 3)), ((F(-3, 4), 1), F(2, 3))])
-    buf = io.StringIO()
-    write_csv(m, buf)
-    assert buf.getvalue() == (
-        "x1,x2,weight\n"
-        "-3/4,1,2/3\n"
-        "0,1/2,1/3\n"
-    )

@@ -4,7 +4,7 @@ import pytest
 
 from convspectra import _phases
 from convspectra._phases import exact_phase_matrix
-from convspectra.exactmat import adjugate
+from convspectra.exactmat import invert
 from convspectra.sequences import builtin_sequence
 from convspectra.triples import hadamard_check
 
@@ -23,7 +23,7 @@ def oracle_phases(nums_a, den_a, nums_b, den_b):
 def hadamard_inputs(seq, k):
     """The operands hadamard_check hands to the phase kernel at level k."""
     r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
-    det, adj = adjugate(r)
+    det, adj = invert(r)
     sign = 1 if det > 0 else -1
     nums = [tuple(sign * x for x in adj.matvec(v)) for v in b.vectors]
     return list(l.vectors), 1, nums, abs(det)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from convspectra.errors import IndexOutOfRange, ValidationError
-from convspectra.exactmat import IntMatrix
+from convspectra.exactmat import IntMatrix, invert, product_range
+from convspectra.measures import scaled_atom_rows
 from convspectra.sequences import (
     builtin_names,
     builtin_sequence,
@@ -37,15 +38,15 @@ def test_prefix_matrices_and_inverse():
     seq = builtin_sequence("jorgensen-pedersen")
     assert seq.prefix_matrix(0) == IntMatrix.identity(1)
     assert seq.prefix_matrix(3).rows == ((64,),)
-    inv = seq.prefix_inverse(2)
-    assert inv.rows == ((Fraction(1, 16),),)
-    assert seq.range_matrix(1, 3).rows == ((16,),)
+    assert invert(seq.prefix_matrix(2)) == (16, IntMatrix(((1,),)))
+    assert product_range(seq, 1, 3).rows == ((16,),)
 
 
 def test_scaled_digit_atoms():
     seq = builtin_sequence("jorgensen-pedersen")
-    assert seq.scaled_digit_atoms(1) == ((Fraction(0),), (Fraction(1, 2),))
-    assert seq.scaled_digit_atoms(2) == ((Fraction(0),), (Fraction(1, 8),))
+    for k, den in ((1, 2), (2, 8)):
+        rows, got = scaled_atom_rows(seq.prefix_matrix(k), seq.digits(k))
+        assert (rows.tolist(), got) == ([[0], [1]], den)
 
 
 def test_level_index_errors():
@@ -169,13 +170,12 @@ def test_missing_spectrum_digits_raise_on_triple():
 
 def test_rebuilt_levels_keep_their_first_matrix_instance(monkeypatch):
     from convspectra import sequences
-    from convspectra.exactmat import adjugate
 
     monkeypatch.setattr(sequences, "_DIGIT_CACHE_LIMIT", 5)  # levels from 2 on are rebuilt
     seq = builtin_sequence("example-2.6")
     r2, b2 = seq.matrix(2), seq.digits(2)
-    first = adjugate(r2)
+    first = invert(r2)
     seq.digits(3)  # evicts level 2
     again = seq.digits(2)
     assert again is not b2 and again == b2
-    assert seq.matrix(2) is r2 and adjugate(seq.matrix(2)) is first
+    assert seq.matrix(2) is r2 and invert(seq.matrix(2)) is first

@@ -26,15 +26,16 @@ from convspectra.spectra import (
     cos_bound,
     equi_positivity_floor,
     equi_positivity_scan,
+    first_lowest,
     perturbation_bound,
-    q_eval,
     q_eval_many,
     read_levels,
     spectrum_exactness,
     tail_constant_C,
     write_levels,
 )
-from convspectra.triples import DigitSet, compose_triples
+from convspectra.triples import DigitSet
+from oracles import compose_triples, fourier
 
 
 def _telescoped_level(seq, m):
@@ -194,19 +195,19 @@ def test_write_read_roundtrip():
 def test_q_oracle_line_level_two():
     jp = builtin_sequence("jorgensen-pedersen")
     m2 = mu_truncate(jp, 2)
-    q = q_eval(m2, [(0,), (1,), (4,), (5,)], (Fraction(17, 31),))
+    q = q_eval_many(m2, [(0,), (1,), (4,), (5,)], [(Fraction(17, 31),)])[0]
     assert abs(q - 1.0) < 1e-10
 
 
 def test_q_empty_set_is_zero():
     jp = builtin_sequence("jorgensen-pedersen")
-    assert q_eval(mu_truncate(jp, 2), [], (Fraction(1, 3),)) == 0.0
+    assert q_eval_many(mu_truncate(jp, 2), [], [(Fraction(1, 3),)])[0] == 0.0
 
 
 def test_q_subset_is_bessel_but_incomplete():
     jp = builtin_sequence("jorgensen-pedersen")
     m2 = mu_truncate(jp, 2)
-    q = q_eval(m2, [(0,), (1,)], (Fraction(1, 3),))
+    q = q_eval_many(m2, [(0,), (1,)], [(Fraction(1, 3),)])[0]
     assert 0.0 < q < 1.0
 
 
@@ -214,7 +215,7 @@ def test_q_detects_non_spectrum():
     # {0,1,2,3} is not a spectrum here: Q(0) = 1 + |mu_hat(2)|^2 = 1.5
     jp = builtin_sequence("jorgensen-pedersen")
     m2 = mu_truncate(jp, 2)
-    q = q_eval(m2, [(0,), (1,), (2,), (3,)], (Fraction(0),))
+    q = q_eval_many(m2, [(0,), (1,), (2,), (3,)], [(Fraction(0),)])[0]
     assert abs(q - 1.5) < 1e-12
     res = spectrum_exactness(m2, [(0,), (1,), (2,), (3,)])
     assert not res.ok and res.deviation > 0.4
@@ -228,7 +229,8 @@ def test_q_many_matches_scalar():
     xis = [(Fraction(rng.randint(-50, 50), rng.randint(1, 97)),) for _ in range(12)]
     batch = q_eval_many(m2, lams, xis)
     for xi, qb in zip(xis, batch):
-        assert abs(q_eval(m2, lams, xi) - qb) < 1e-12
+        scalar = sum(abs(fourier(m2, (xi[0] + lam[0],))) ** 2 for lam in lams)
+        assert abs(scalar - qb) < 1e-12
 
 
 def test_q_bessel_bound_along_levels():
@@ -240,7 +242,7 @@ def test_q_bessel_bound_along_levels():
         for j in range(1, top + 1):
             for _ in range(5):
                 xi = (Fraction(rng.randint(-200, 200), rng.randint(1, 211)),)
-                q = q_eval(m, sp.levels[j - 1], xi)
+                q = q_eval_many(m, sp.levels[j - 1], [xi])[0]
                 assert q <= 1.0 + 1e-9
 
 
@@ -419,3 +421,31 @@ def test_floor_report_parameters():
     )
     with pytest.raises(ValidationError):
         equi_positivity_floor(plain, Fraction(1, 4))  # no declared contraction
+
+
+# ----- tie-stable selection of the worst witnesses -----
+
+
+def test_first_lowest_takes_the_first_value_within_the_tie_tolerance():
+    vals = [0.5, 0.2 + 4e-16, 0.9, 0.2, 0.3, 0.2 + 5e-15]
+    assert first_lowest(vals, 4) == [1, 3, 5, 4]
+    assert first_lowest(vals, 10) == [1, 3, 5, 4, 0, 2]
+    assert first_lowest([], 5) == []
+
+
+def test_worst_witnesses_are_stable_under_mirrored_summation():
+    # the reduced example-2.6 digits are symmetric under swapping the axes, so
+    # |nu_hat| at (a, b) and (b, a) agree exactly; the lattice kernel sums
+    # them in different orders (axis 0 is its left block), which moves the
+    # values by rounding alone
+    seq = builtin_sequence("example-2.6").reduced()
+    scan = equi_positivity_scan(seq, [0, 1], 6, Fraction(1, 16), Fraction(1, 12), 1)
+    keys = list(scan.per_x_witness)
+    vals = [scan.per_x_witness[key][1] for key in keys]
+    mirrored = [scan.per_x_witness[(s, (x[1], x[0]))][1] for s, x in keys]
+    moved = [abs(a - b) for a, b in zip(vals, mirrored)]
+    assert 0 < max(moved) <= 1e-15
+    # a plain sort by value picks different rows from the two orders
+    by_value = [sorted(range(len(keys)), key=v.__getitem__)[:5] for v in (vals, mirrored)]
+    assert by_value[0] != by_value[1]
+    assert first_lowest(vals, 5) == first_lowest(mirrored, 5)

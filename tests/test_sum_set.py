@@ -19,19 +19,18 @@ from convspectra._phases import (
     sum_set_transform,
 )
 from convspectra.errors import WorkingSetTooLarge
-from convspectra.exactmat import IntMatrix, invert
+from convspectra.exactmat import IntMatrix
 from convspectra.measures import (
-    fourier,
     fourier_many,
     mu_truncate,
     scaled_atom_rows,
     tail_factors,
     tail_fourier_many,
-    uniform_on,
 )
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.spectra import _lattice_moduli, q_eval_many
 from convspectra.triples import DigitSet
+from oracles import fourier, fraction_inverse, uniform_on
 
 
 def explicit_q(m, lams, xs):
@@ -215,9 +214,9 @@ def test_lattice_moduli_in_1d_are_the_weighted_sums():
 # ---- scaled_atom_rows from triples.numerators ----
 
 
-def adjugate_rows(m, digits):
+def fraction_rows(m, digits):
     """The rows m^{-1} b over their least common denominator, from Fractions."""
-    inv = invert(m)
+    inv = fraction_inverse(m)
     atoms = [inv.matvec(b) for b in digits.vectors]
     den = math.lcm(*(x.denominator for a in atoms for x in a))
     return [[int(x * den) for x in a] for a in atoms], den
@@ -232,7 +231,7 @@ def test_scaled_atom_rows_equal_the_fraction_rows_in_set_order(gen, dim):
     for k in range(1, 6):
         m = seq.prefix_matrix(k)
         rows, den = scaled_atom_rows(m, seq.digits(k))
-        want_rows, want_den = adjugate_rows(m, seq.digits(k))
+        want_rows, want_den = fraction_rows(m, seq.digits(k))
         assert den == want_den and rows.tolist() == want_rows
         wide = max(abs(x) for row in want_rows for x in row) >= _INT64_SAFE
         assert rows.dtype == (object if wide else np.int64)
@@ -243,7 +242,7 @@ def test_scaled_atom_rows_keep_set_order_with_wide_digits():
     assert len(digits.wide) == 2
     m = IntMatrix(((2, 1), (1, 3)))
     rows, den = scaled_atom_rows(m, digits)
-    assert (rows.tolist(), den) == tuple(adjugate_rows(m, digits))
+    assert (rows.tolist(), den) == tuple(fraction_rows(m, digits))
     assert rows.dtype == np.int64  # wide digits, but every numerator fits
 
 
@@ -297,7 +296,7 @@ def test_uniform_tail_factor_matches_the_uniform_measure():
     seq = from_generator(_scattered_level, 2, length=8)
     (rows, den, w), = tail_factors(seq, 2, 1)
     digits = seq.digits(3)
-    measure = uniform_on(digits, invert(seq.matrix(3)))
+    measure = uniform_on(digits, fraction_inverse(seq.matrix(3)))
     xi = (F(3, 11), F(-7, 5))
     got = product_transform(PointRows.of([xi]), [(rows, den, w)])[0]
     assert abs(got - fourier(measure, xi)) <= 1e-13

@@ -1,20 +1,13 @@
-"""Digit sets, unitarity checks, modular reduction, and composition."""
+"""Digit sets, unitarity checks, modular reduction, and the composition
+oracle."""
 import random
 
 import pytest
 
 from convspectra.errors import CongruentDigits, EmptySet, SizeMismatch, TripleInvalid
 from convspectra.exactmat import IntMatrix
-from convspectra.triples import (
-    DigitSet,
-    HadamardTriple,
-    compose_triples,
-    hadamard_check,
-    map_digits,
-    minkowski_sum,
-    mod_reduce,
-    shift_spectrum,
-)
+from convspectra.triples import DigitSet, HadamardTriple, hadamard_check, mod_reduce
+from oracles import compose_triples, map_digits, minkowski_sum
 
 
 def dset(rows, dim=None):
@@ -40,12 +33,6 @@ def test_digitset_empty_raises():
 def test_digitset_dim_enforced():
     with pytest.raises(Exception):
         dset([(1, 2), (3,)])
-
-
-def test_digitset_translate():
-    d = dset([(0, 0), (1, 2)])
-    t = d.translate((5, -1))
-    assert t.vectors == ((5, -1), (6, 1))
 
 
 def test_minkowski_and_map():
@@ -99,13 +86,6 @@ def test_make_accepts_and_freezes():
     t = HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
     assert t.dim == 1
     assert t.deviation < 1e-12
-
-
-def test_shift_spectrum_preserves_unitarity():
-    t = HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
-    s = shift_spectrum(t, (-1,))
-    assert s.l.vectors == ((-1,), (0,))
-    assert s.deviation < 1e-9
 
 
 # ---- modular reduction ----
