@@ -4,13 +4,17 @@ Each oracle below is one of the old per-check loops over k, kept here as
 the reference: the walk's terms, partial sums, verdicts, margins and
 contractivity report must equal theirs, and every level must be built once.
 """
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import convspectra.cli as cli
 import convspectra.conditions as conditions
+import convspectra.exactmat as exactmat
 from convspectra.conditions import (
     SERIES_CHECKS,
     PccSeriesDiagnostics,
@@ -276,3 +280,34 @@ def test_prefix_inverse_equals_the_fraction_inverse(name):
         det, adj = invert(seq.prefix_matrix(k))
         want = fraction_inverse(seq.prefix_matrix(k))
         assert tuple(tuple(F(x, det) for x in row) for row in adj.rows) == want.rows
+
+
+def test_sample_calls_no_fraction_inverse(monkeypatch):
+    results = []
+    real = exactmat.invert
+
+    def recording(m):
+        out = real(m)
+        results.append(out)
+        return out
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("convspectra") and getattr(mod, "invert", None) is real:
+            monkeypatch.setattr(mod, "invert", recording)
+    cfg = cli.parse_config(
+        json.dumps(
+            {
+                "dimension": 2,
+                "sequence": {"generator": "example-2.6"},
+                "seed": 5,
+                "sample": {"upto": 6, "draws": 50, "scaled": True},
+            }
+        )
+    )
+    rep = cli.cmd_sample(cfg)
+    assert rep.artifact.count("\n") == 51
+    assert results
+    for det, adj in results:
+        assert type(det) is int and det != 0
+        assert isinstance(adj, IntMatrix)
+        assert all(type(x) is int for row in adj.rows for x in row)
