@@ -1,4 +1,4 @@
-"""Exact phase reduction shared by the Fourier and Gram kernels.
+"""Exact phase reduction shared by the Fourier and unitarity kernels.
 
 A phase is a rational number (a·b)/(den_a·den_b) that only matters mod 1.
 Reduction happens in exact integer arithmetic *before* any float conversion,
@@ -11,17 +11,12 @@ Points and atoms are held as exact integer rows over one positive
 denominator.  Every dense kernel works under one byte budget, checked before
 it allocates.
 
-The Gram kernel walks factor groups: runs of adjacent convolution factors
-merged into one factor whose atoms are the exact integer sums of theirs, up
-to _MERGED_ATOMS atoms.  Its Gram is the entrywise product of theirs, so each
-tile needs one matrix product per group instead of one per factor.  The
-budget counts the merged tables; when they do not fit, the walk falls back
-to the unmerged factors before it reports the budget exceeded.
-
 The sum-set kernel evaluates a product transform at every sum u + v of two
 point sets from one table per summand, since e(-(u + v)·a) = e(-u·a)·e(-v·a):
 each factor is one matrix product instead of one exponential per sum and
-atom.
+atom.  Unitarity is the same kernel on a difference set: a Gram matrix
+G[i, k] = F(x_i - x_k) gives max |G - I| = max |F(δ) - [δ = 0]| over the
+differences δ of the points.
 """
 from __future__ import annotations
 
@@ -35,23 +30,22 @@ from .errors import WorkingSetTooLarge
 
 _INT64_SAFE = 2**62
 
-# Byte budget shared by the dense kernels: a Gram walk's factor tables plus
-# one tile, or one chunk of phase rows in a Q scan.
+# Byte budget shared by the dense kernels: one sum-set evaluation, or one run
+# of it, with its tables.
 DENSE_BYTE_BUDGET = 256 << 20
 # Peak bytes per entry while one phase table is built: int64 product and
 # residue, float phases, complex exponentials.
 PHASE_ENTRY_BYTES = 32
 COMPLEX_BYTES = 16
-# Per Gram tile entry: the complex product and one complex factor, whose
-# bytes the float modulus reuses.  Tiles of about 4 MiB stay cache-resident;
-# on a 2-CPU EPYC they ran the n = 4096 Jorgensen-Pedersen Gram about twice
-# as fast as 64 MiB tiles.
-_TILE_ENTRY_BYTES = 32
-_TILE_TARGET_BYTES = 4 << 20
-# Most atoms of a merged Gram factor group.  On a 2-CPU Xeon with OpenBLAS at
-# two threads, the n = 4096 Jorgensen-Pedersen Gram (twelve rank-2 factors)
-# took 0.355 s unmerged, 0.20 s at rank 4, 0.155 s at rank 8 and 0.14 s at
-# rank 16; rank 16 held 1.6 MB more peak RSS than rank 8.
+# Target bytes of one run of `difference_deviation`: its product, level and
+# modulus buffers.  On a 2-CPU machine, runs of 1, 4, 16 and 64 MiB took
+# 0.036, 0.033, 0.036 and 0.071 s on the Jorgensen-Pedersen level-12
+# summands, and 0.31, 0.21, 0.21 and 0.25 s on those of level 14.
+_RUN_TARGET_BYTES = 4 << 20
+# Most atoms of a merged factor group.  On a 2-CPU Xeon with OpenBLAS at two
+# threads, the n = 4096 Jorgensen-Pedersen Gram (twelve rank-2 factors) took
+# 0.355 s unmerged, 0.20 s at rank 4, 0.155 s at rank 8 and 0.14 s at rank
+# 16; rank 16 held 1.6 MB more peak RSS than rank 8.
 _MERGED_ATOMS = 8
 
 
@@ -99,19 +93,6 @@ def _int_rows(nums) -> np.ndarray:
 def _peak(a: np.ndarray) -> int:
     """max |a| as a Python int (0 for an empty array)."""
     return max(int(a.max()), -int(a.min())) if a.size else 0
-
-
-def _rescaled(parts, widest: int) -> list:
-    """[a * s for (a, s) in parts] in one integer dtype: int64 when `widest`,
-    a bound on every entry and every sum of entries the caller forms, is
-    below 2^62, exact Python ints otherwise.  A scale past int64 can then
-    meet only zero entries."""
-    if widest >= _INT64_SAFE:
-        return [a.astype(object) * s for a, s in parts]
-    return [
-        a.astype(np.int64) * s if s < _INT64_SAFE else np.zeros(a.shape, np.int64)
-        for a, s in parts
-    ]
 
 
 def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
@@ -244,14 +225,10 @@ def _merged_factor(group):
     if len(group) == 1:
         return group[0]
     den = lcm(*(d for _, d, _ in group))
-    parts = [(_int_rows(rows), den // d) for rows, d, _ in group]
-    steps = _rescaled(parts, sum(_peak(a) * s for a, s in parts))
-    rows = steps[0]
     weights = np.asarray(group[0][2], dtype=float)
-    for step, (_, _, w) in zip(steps[1:], group[1:]):
-        rows = (rows[:, None, :] + step[None, :, :]).reshape(-1, rows.shape[1])
+    for _, _, w in group[1:]:
         weights = np.outer(weights, w).ravel()
-    return rows, den, weights
+    return sum_rows([(rows, den // d) for rows, d, _ in group]), den, weights
 
 
 def merged_factors(factors) -> list:
@@ -261,9 +238,36 @@ def merged_factors(factors) -> list:
     return [_merged_factor([factors[i] for i in g]) for g in _factor_groups(sizes, _MERGED_ATOMS)]
 
 
+def _lex_key(rows: np.ndarray):
+    """One order-preserving int64 key per int64 row, or None when the rows'
+    bounding box has 2^63 points or more."""
+    lo = [int(rows[:, j].min()) for j in range(rows.shape[1])]
+    span = [int(rows[:, j].max()) - x + 1 for j, x in enumerate(lo)]
+    if prod(span) >= _INT64_SAFE * 2:
+        return None
+    key = rows[:, 0] - lo[0]
+    for j in range(1, rows.shape[1]):
+        key = key * span[j] + (rows[:, j] - lo[j])
+    return key
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Stable lexicographic argsort of int64 rows: a stable sort of their
+    keys runs in linear time on the few presorted runs the kernels produce
+    (a sorted set plus a handful of moved digits, or two sorted sets)."""
+    key = _lex_key(rows) if len(rows) > 1 else np.arange(len(rows))
+    return np.argsort(key, kind="stable") if key is not None else np.lexsort(rows.T[::-1])
+
+
 def _distinct_rows(a: np.ndarray):
     """(distinct, inverse): the sorted distinct rows of an integer array and
     the index of each row among them."""
+    key = _lex_key(a) if a.dtype != object and len(a) else None
+    if key is not None and bool((key[1:] > key[:-1]).all()):
+        return a, np.arange(len(a))  # already sorted and distinct
+    if key is not None:
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return a[first], inverse
     if a.dtype != object:
         distinct, inverse = np.unique(a, axis=0, return_inverse=True)
         return distinct, inverse.reshape(-1)
@@ -274,18 +278,72 @@ def _distinct_rows(a: np.ndarray):
     return rows, inverse.reshape(-1)
 
 
-def _summand_table(block, den: int, rows: np.ndarray, rden: int):
-    """e(-v·a) for the points v of a block against a factor's atoms a,
-    computed over the distinct projections of the atoms onto the block's
-    axes only: (table of shape (#projections, #points), the index of each
-    atom's projection)."""
-    cols, nums = block
-    distinct, inverse = _distinct_rows(rows[:, cols])
+def _block_table(block, den: int, distinct: np.ndarray, rden: int) -> np.ndarray:
+    """e(-v·α) for the points v of a block against the distinct projections
+    α of a factor's atoms onto the block's axes, shape (#α, #points)."""
+    nums = block[1]
     if (distinct.dtype == object) != (nums.dtype == object):
         # one operand dtype: bench/tracer.py multiplies the operands' largest
         # entries, which overflows when an int64 one meets a wide Python int
         distinct, nums = distinct.astype(object), nums.astype(object)
-    return unit_exponentials(exact_phase_matrix(distinct, rden, nums, den)), inverse
+    return unit_exponentials(exact_phase_matrix(distinct, rden, nums, den))
+
+
+def _right_sums(cols, right, den: int, factors):
+    """Per factor (rows, rden, weights): the distinct projections α of its
+    atoms onto the left axes `cols`, rden, and Σ_b w_b e(-v·a_b) over the
+    atoms projecting to α at every point v of the right product, (#α, #v).
+    The right blocks' tables are joined atom by atom (a Khatri-Rao product)."""
+    for rows, rden, weights in factors:
+        rows = _int_rows(rows)
+        distinct, where = _distinct_rows(rows[:, cols])
+        order = np.argsort(where, kind="stable")
+        joined = np.asarray(weights, dtype=complex)[order, None]
+        for block in right:
+            projections, at = _distinct_rows(rows[:, block[0]])
+            t = _block_table(block, den, projections, rden)
+            joined = (joined[:, :, None] * t[at[order]][:, None, :]).reshape(len(order), -1)
+        starts = np.flatnonzero(np.diff(where[order], prepend=-1))
+        yield distinct, rden, np.add.reduceat(joined, starts, axis=0)
+
+
+def sum_set_sizes(right_sizes, rank: int) -> tuple:
+    """(bytes per left point, bytes once) of a `sum_set_transform` call with
+    right blocks of these sizes and factors of at most `rank` atoms: per left
+    point, its rows of the product, of one level and of the left table; once,
+    the right tables as built, and the Khatri-Rao join with its group sums."""
+    n_right = prod(right_sizes)
+    once = PHASE_ENTRY_BYTES * rank * sum(right_sizes) + 2 * COMPLEX_BYTES * rank * n_right
+    return 2 * COMPLEX_BYTES * n_right + PHASE_ENTRY_BYTES * rank, once
+
+
+def sum_set_runs(left, right, den: int, factors, run_bytes: int | None = None):
+    """`sum_set_transform` in runs of left points, yielding (start, values of
+    the run): one run, or runs whose rows of the product, level and a float
+    modulus take about `run_bytes`, with every factor's right group sums
+    formed once and kept.  The bytes are checked against DENSE_BYTE_BUDGET
+    before anything is allocated (WorkingSetTooLarge)."""
+    cols, nums = left
+    n, sizes = len(nums), [len(b[1]) for b in right]
+    ranks = [len(rows) for rows, _, _ in factors]
+    row, fixed = sum_set_sizes(sizes, max(ranks, default=0))
+    what = f"a sum set of {n} x {prod(sizes)} points over factors of up to {max(ranks, default=0)} atoms"
+    sums = _right_sums(cols, right, den, factors)
+    if run_bytes is None:
+        count = max(n, 1)
+        budget_rows(row * count, fixed, what)
+    else:
+        row, fixed = row + 8 * prod(sizes), fixed + COMPLEX_BYTES * prod(sizes) * sum(ranks)
+        count = min(budget_rows(row, fixed, what), max(1, run_bytes // row))
+        sums = list(sums) if count < n else sums
+    for s in range(0, max(n, 1), count):
+        run = (cols, nums[s : s + count])
+        acc = np.ones((len(run[1]), prod(sizes)), dtype=complex)
+        level = np.empty_like(acc)
+        for distinct, rden, grouped in sums:
+            np.matmul(_block_table(run, den, distinct, rden).T, grouped, out=level)
+            acc *= level
+        yield s, acc
 
 
 def sum_set_transform(left, right, den: int, factors) -> np.ndarray:
@@ -299,103 +357,64 @@ def sum_set_transform(left, right, den: int, factors) -> np.ndarray:
     rows[b] / rden carrying float weights w_b.  Since e(-(u + v)·a) =
     e(-u·a)·e(-v·a), a factor is Σ_α e(-u·α) Σ_b w_b e(-v·a_b), the inner
     sum over the atoms whose projection onto the left axes is α: one matrix
-    product over the distinct projections α.  Each block's table is
-    computed over the distinct projections of the atoms onto its own axes
-    and gathered; the right blocks' tables are joined atom by atom (a
-    Khatri-Rao product).  `sum_set_rows` sizes the left block.
+    product over the distinct projections α.  `sum_set_sizes` sizes the
+    left block.
     """
-    n_right = prod(len(nums) for _, nums in right)
-    acc = np.ones((len(left[1]), n_right), dtype=complex)
-    level = np.empty_like(acc)
-    for rows, rden, weights in factors:
-        rows = _int_rows(rows)
-        table, where = _summand_table(left, den, rows, rden)
-        order = np.argsort(where, kind="stable")
-        joined = np.asarray(weights, dtype=complex)[order, None]
-        for block in right:
-            t, at = _summand_table(block, den, rows, rden)
-            joined = (joined[:, :, None] * t[at[order]][:, None, :]).reshape(len(order), -1)
-        starts = np.flatnonzero(np.diff(where[order], prepend=-1))
-        np.matmul(table.T, np.add.reduceat(joined, starts, axis=0), out=level)
-        acc *= level
+    ((_, acc),) = sum_set_runs(left, right, den, factors)
     return acc
 
 
-def sum_set_rows(n_right: int, rank: int, what: str) -> int:
-    """How many left points one `sum_set_transform` call with one right
-    block of n_right points may take when no factor has more than `rank`
-    atoms: per left point, its rows of the product, of one level and of the
-    left table; once, the right table's build, gathered copy and group sums.
-
-    Raises WorkingSetTooLarge when not even one left point fits.
-    """
-    return budget_rows(
-        2 * COMPLEX_BYTES * n_right + PHASE_ENTRY_BYTES * rank,
-        (PHASE_ENTRY_BYTES + 2 * COMPLEX_BYTES) * rank * n_right,
-        what,
-    )
-
-
-def _gram_plan(n: int, sizes) -> tuple:
-    """(factor groups, tile rows) for an n-point Gram over factors of the
-    given atom counts: merged groups when their tables fit the budget,
-    otherwise the factors alone.  Raises WorkingSetTooLarge when neither fits."""
-    for cap in (_MERGED_ATOMS, 1):
-        groups = _factor_groups(sizes, cap)
-        ranks = [prod(sizes[i] for i in g) for g in groups]
-        table_bytes = COMPLEX_BYTES * n * sum(ranks)
-        build_bytes = (PHASE_ENTRY_BYTES - COMPLEX_BYTES) * n * max(ranks)
-        row_bytes = max(_TILE_ENTRY_BYTES * n, build_bytes)
-        if cap == 1 or within_budget(table_bytes + row_bytes):
-            rows = budget_rows(row_bytes, table_bytes, f"a {n}-point Gram over {sizes} atoms")
-            return groups, rows
+def sum_rows(parts) -> np.ndarray:
+    """Every sum of one row a·s of each (integer rows a, scale s), in
+    lexicographic order of the picks: int64 when the widest sum fits, exact
+    Python ints otherwise (a scale past int64 then meets only zeros)."""
+    parts = [(_int_rows(a), s) for a, s in parts]
+    if sum(_peak(a) * s for a, s in parts) >= _INT64_SAFE:
+        steps = [a.astype(object) * s for a, s in parts]
+    else:
+        steps = [a.astype(np.int64) * s if s < _INT64_SAFE else 0 * a.astype(np.int64) for a, s in parts]
+    rows = steps[0]
+    for step in steps[1:]:
+        rows = (rows[:, None, :] + step[None, :, :]).reshape(-1, rows.shape[1])
+    return rows
 
 
-def gram_deviation(x_rows, x_den: int, factors) -> float:
-    """max |G - I| for the Hermitian Gram matrix G = ∘_j U_j diag(w_j) U_j^H.
+def difference_deviation(summands, den: int, factors) -> float:
+    """max |G - I| for the Gram G[i, k] = F(x_i - x_k) over the points x of
+    the collision-free Minkowski sum X of the summands (integer rows over
+    den), F the product transform of the factors, merged first.
 
-    U_j[i, b] = exp(-2πi x_i · a_b) with points x_i = x_rows[i] / x_den, and
-    each factor is (rows, den, weights): atoms a_b = rows[b] / den carrying
-    float weights w_b.  G is the entrywise product of the factors' Grams,
-    so with one factor per convolution level it costs n · Σ#atoms
-    exponentials, each reduced exactly, instead of n².  Adjacent factors are
-    merged into groups of up to _MERGED_ATOMS atoms first, which leaves G
-    unchanged and cuts the matrix products per tile.  G is never held whole:
-    its upper triangle is walked in row tiles.  The group tables plus one
-    tile row are checked against DENSE_BYTE_BUDGET before anything is
-    allocated.
-    """
-    n = len(x_rows)
-    if n == 0:
-        return 0.0
-    groups, rows = _gram_plan(n, [len(rows) for rows, _, _ in factors])
-    # tile entries: cache-sized, at least one full row, inside the budget
-    tile = min(max(n, _TILE_TARGET_BYTES // COMPLEX_BYTES), rows * n)
-
-    # tables[j][b, k] = conj(U_j[k, b]) for the j-th group
-    tables = []
-    for group in groups:
-        rows, den, weights = _merged_factor([factors[i] for i in group])
-        phases = exact_phase_matrix(rows, den, x_rows, x_den)
-        np.negative(phases, out=phases)
-        tables.append((unit_exponentials(phases), np.asarray(weights)[:, None]))
-    prod_buf = np.empty(tile, dtype=complex)
-    factor_buf = np.empty(tile, dtype=complex)
-    mod_buf = factor_buf.view(np.float64)  # the modulus pass reuses the factor tile
+    G - I is F(δ) - [δ = 0] over the differences δ, and X - X is the sum set
+    Σ_j (M_j - M_j): the distinct differences of a low run of summands go on
+    the left of `sum_set_runs` and those of the high run on the right, each
+    on the axes where they are not all zero, so a sum is 0 only where both
+    parts are.  When a summand's pairwise differences do not fit the budget,
+    X goes on the left and -X on the right.  The left block is walked in
+    runs of about _RUN_TARGET_BYTES."""
+    # all pairs of a summand at 32 bytes per coordinate: the differences,
+    # their sorted copy and the sort's index arrays
+    if all(within_budget(32 * len(m) * np.size(m)) for m in summands):
+        diffs = []
+        for m in map(_int_rows, summands):
+            m = m.astype(object) if _peak(m) >= _INT64_SAFE else m
+            diffs.append(_distinct_rows(sum_rows([(m, 1), (-m, 1)]))[0])
+        sizes = [len(d) for d in diffs]
+        k = min(range(1, len(diffs) + 1), key=lambda k: max(prod(sizes[:k]), prod(sizes[k:])))
+        blocks = []
+        for run in (diffs[:k], diffs[k:] or [np.zeros_like(diffs[0][:1])]):
+            rows = _distinct_rows(sum_rows([(d, 1) for d in run]))[0]
+            cols = [c for c in range(rows.shape[1]) if rows[:, c].any()] or [0]
+            blocks.append(((cols, rows[:, cols]), np.flatnonzero((rows == 0).all(axis=1))))
+        (left, at), (right, right_at) = blocks
+        zero = np.full(len(left[1]), -1)
+        zero[at] = right_at  # the index of the right point v with u + v = 0, or -1
+    else:
+        x = sum_rows([(m, 1) for m in summands])
+        axes = list(range(x.shape[1]))
+        left, right, zero = (axes, x), (axes, -x), np.arange(len(x))
     dev = 0.0
-    s = 0
-    while s < n:
-        cols = n - s
-        m = min(cols, tile // cols)
-        g = prod_buf[: m * cols].reshape(m, cols)
-        t = factor_buf[: m * cols].reshape(m, cols)
-        for j, (table, w) in enumerate(tables):
-            left = (table[:, s : s + m].conj() * w).T
-            np.matmul(left, table[:, s:], out=t if j else g)
-            if j:
-                g *= t
-        diag = np.arange(m)
-        g[diag, diag] -= 1
-        dev = max(dev, float(np.abs(g, out=mod_buf[: m * cols].reshape(m, cols)).max()))
-        s += m
+    for s, values in sum_set_runs(left, [right], den, merged_factors(factors), _RUN_TARGET_BYTES):
+        hit = np.flatnonzero(zero[s : s + len(values)] >= 0)
+        values[hit, zero[s + hit]] -= 1
+        dev = max(dev, float(np.abs(values).max(initial=0.0)))
     return dev

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._phases import merged_factors, sum_set_rows
+from ._phases import budget_rows, merged_factors, sum_set_sizes
 from .conditions import (
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
@@ -693,7 +693,7 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     for j, (m, level) in enumerate(zip(sp.milestones, sp.levels), start=1):
         if want_exactness:
             mu = mu_truncate(seq, m, max_atoms=max_atoms)
-            res = spectrum_exactness(mu, level, tol)
+            res = spectrum_exactness(mu, sp.blocks[:j], tol)
             rows.append((j, m, len(level), f"{res.deviation:.3e}", res.ok))
             ok = ok and res.ok
         else:
@@ -768,7 +768,7 @@ def cmd_qscan(cfg: RunConfig) -> Report:
 
     values = []
     rank = max(len(rows) for rows, _, _ in merged_factors(mu.phase_factors()))
-    chunk = sum_set_rows(len(lams), rank, f"a Q scan over {len(lams)} candidates")
+    chunk = budget_rows(*sum_set_sizes([len(lams)], rank), f"a Q scan over {len(lams)} candidates")
     for i in range(0, len(xs), chunk):
         values.extend(q_eval_many(mu, lams, xs[i : i + chunk]).tolist())
 

@@ -21,9 +21,9 @@ from ._phases import (
     PointRows,
     _distinct_rows,
     _peak,
-    _rescaled,
     common_denominator,
     product_transform,
+    sum_rows,
 )
 from .errors import DimensionMismatch, TruncationTooLarge, ValidationError
 from .exactmat import IntMatrix
@@ -132,11 +132,7 @@ def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMe
     _check_cap((len(seq.digits(j)) for j in range(1, k + 1)), max_atoms)
     levels = [scaled_atom_rows(seq.prefix_matrix(j), seq.digits(j)) for j in range(1, k + 1)]
     den = lcm(*(d for _, d in levels))
-    parts = [(rows, den // d) for rows, d in levels]
-    widest = sum(_peak(rows) * s for rows, s in parts)
-    sums = np.zeros((1, seq.dim), dtype=np.int64 if widest < _INT64_SAFE else object)
-    for step in _rescaled(parts, widest):
-        sums = (sums[:, None, :] + step[None, :, :]).reshape(-1, seq.dim)
+    sums = sum_rows([(rows, den // d) for rows, d in levels]) if levels else np.zeros((1, seq.dim), np.int64)
     distinct, where = _distinct_rows(sums)
     rows, counts = distinct.tolist(), np.bincount(where)
     total = len(sums)

@@ -16,11 +16,13 @@ from ._phases import (
     _INT64_SAFE,
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
+    _distinct_rows,
     _int_rows,
     budget_largest,
     common_denominator,
-    gram_deviation,
+    difference_deviation,
     merged_factors,
+    sum_rows,
     sum_set_transform,
     within_budget,
 )
@@ -56,9 +58,9 @@ class SpectrumLevels:
     levels: tuple  # per level: sorted tuple of integer vectors
     chooser: str
     k_choices: tuple  # ((level_index j, lambda), k) records for nonzero k
-
-    def level_sets(self):
-        return [frozenset(l) for l in self.levels]
+    # per milestone j, the mapped block M_j as integer rows: level j is the
+    # collision-free Minkowski sum M_1 + ... + M_j (empty when read from file)
+    blocks: tuple = field(default=(), compare=False, repr=False)
 
     def final(self):
         return self.levels[-1]
@@ -191,7 +193,7 @@ def build_spectrum(
             seq.triple(i)
 
     lam_prev = [zero_vec]
-    levels = []
+    levels, blocks = [], []
     used_milestones = []
     k_records = []
     p = 0
@@ -259,6 +261,7 @@ def build_spectrum(
             )
         lam_prev = sorted(new_level)
         levels.append(tuple(lam_prev))
+        blocks.append(_int_rows(mapped))
         used_milestones.append(q)
         p = q
 
@@ -268,6 +271,7 @@ def build_spectrum(
         levels=tuple(levels),
         chooser=mode,
         k_choices=tuple(k_records),
+        blocks=tuple(blocks),
     )
 
 
@@ -368,24 +372,32 @@ def spectrum_exactness(
     m: DiscreteMeasure, lambda_set, tol: float = DEFAULT_EXACTNESS_TOL
 ) -> ExactnessResult:
     """Finite criterion: for an n-atom equal-weight measure and n candidate
-    frequencies, spectrality means the normalized exponential matrix is
+    frequencies Λ, spectrality means the normalized exponential matrix is
     unitary.  Returns the max Gram deviation from the identity.
 
-    The Gram matrix is G[i, k] = mu_hat(lambda_i - lambda_k).  For a
-    convolution mu = mu_1 * ... * mu_K it factors entrywise,
-    G = G_1 o ... o G_K with G_j[i, k] = mu_j_hat(lambda_i - lambda_k), so
-    the deviation, max over i != k of |mu_hat(lambda_i - lambda_k)| (and of
-    |G[i, i] - 1|), is computed from the per-level factors that
-    `mu_truncate` recorded, in tiles under the dense byte budget."""
-    lams = sorted(set(tuple(int(c) for c in v) for v in lambda_set))
+    lambda_set is Λ, or the summands M_1, ..., M_J (2-D integer arrays, as
+    `SpectrumLevels.blocks` holds them) whose Minkowski sum Λ is.  The Gram
+    is G[i, k] = mu_hat(λ_i - λ_k) over the per-level factors `mu_truncate`
+    recorded, and `_phases.difference_deviation` evaluates it on the sum set
+    Λ - Λ = Σ_j (M_j - M_j)."""
     n = len(m)
     if any(w != Fraction(1, n) for w in m.weights):
         raise NonUniformWeights(
             "exactness criterion supports equal-weight measures only"
         )
+    parts = list(lambda_set)
+    if not parts or any(np.ndim(p) != 2 for p in parts):
+        parts = [parts]  # the vectors themselves: one summand
+    blocks = [_int_rows(p) if len(p) else np.zeros((0, m.dim), np.int64) for p in parts]
+    if any(b.shape[1:] != (m.dim,) for b in blocks):
+        raise DimensionMismatch(f"candidate vectors must have dimension {m.dim}")
+    blocks = [_distinct_rows(b)[0] for b in blocks]
+    lams = _distinct_rows(sum_rows([(b, 1) for b in blocks]))[0]
     if len(lams) != n:
         raise SizeMismatch(f"{len(lams)} candidate vectors vs {n} atoms")
-    dev = gram_deviation(lams, 1, m.phase_factors())
+    if n != math.prod(map(len, blocks)):
+        blocks = [lams]  # colliding summands: the set itself is the one summand
+    dev = difference_deviation(blocks, 1, m.phase_factors())
     return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
 
 

@@ -16,7 +16,7 @@ from itertools import compress
 
 import numpy as np
 
-from ._phases import gram_deviation
+from ._phases import _distinct_rows, _lex_order, difference_deviation
 from .errors import (
     CongruentDigits,
     DimensionMismatch,
@@ -73,45 +73,6 @@ def _times(rows: np.ndarray, m) -> np.ndarray:
     return out
 
 
-def _increasing(rows: np.ndarray) -> bool:
-    """Whether int64 rows are strictly increasing in lexicographic order."""
-    less = np.zeros(len(rows) - 1, dtype=bool)
-    tie = np.ones(len(rows) - 1, dtype=bool)
-    for j in range(rows.shape[1]):
-        step = np.diff(rows[:, j])  # entries lie below the headroom: no overflow
-        less |= tie & (step > 0)
-        tie &= step == 0
-    return bool(less.all())
-
-
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Stable lexicographic argsort of int64 rows.
-
-    When the rows' bounding box has fewer than 2^63 points, each row packs
-    into one order-preserving int64 key, and a stable sort of the keys runs
-    in linear time on the few presorted runs the kernels produce (a sorted
-    set plus a handful of moved digits, or two sorted sets back to back)."""
-    if len(rows) < 2:
-        return np.arange(len(rows))
-    lo = [int(rows[:, j].min()) for j in range(rows.shape[1])]
-    span = [int(rows[:, j].max()) - x + 1 for j, x in enumerate(lo)]
-    if math.prod(span) >= _INT64_SAFE * 2:
-        return np.lexsort(rows.T[::-1])
-    key = rows[:, 0] - lo[0]
-    for j in range(1, rows.shape[1]):
-        key = key * span[j] + (rows[:, j] - lo[j])
-    return np.argsort(key, kind="stable")
-
-
-def _sorted_unique(rows: np.ndarray) -> np.ndarray:
-    if len(rows) > 1 and not _increasing(rows):
-        rows = _pick(rows, _lex_order(rows))
-        repeat = _every_column(rows, lambda c: c[1:] == c[:-1])
-        if repeat.any():
-            rows = _pick(rows, np.concatenate([[True], ~repeat]))
-    return rows
-
-
 def _frozen(rows: np.ndarray) -> np.ndarray:
     rows = np.asfortranarray(rows)
     rows.flags.writeable = False
@@ -166,7 +127,7 @@ class DigitSet:
         grid = np.asarray(rows, dtype=np.int64)
         if small:
             grid = np.concatenate([grid, np.array(small, dtype=np.int64)])
-        return cls(dim, _frozen(_sorted_unique(grid)), tuple(sorted(wide)))
+        return cls(dim, _frozen(_distinct_rows(grid)[0]), tuple(sorted(wide)))
 
     def _subset(self, grid_mask: np.ndarray, wide_mask) -> "DigitSet":
         """The digits picked by a mask over each part; order is kept."""
@@ -225,9 +186,6 @@ class DigitSet:
         i = self._rank(v)
         return i < len(self.grid) and self._grid_row(i) == v
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.vectors)
-
 
 def shared_masks(a: DigitSet, b: DigitSet):
     """Masks over the grid and wide parts of a and of b marking the digits
@@ -257,22 +215,30 @@ class HadamardCheckResult:
 def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_UNITARITY_TOL) -> HadamardCheckResult:
     """Measure how far [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is from unitary.
 
-    The Gram matrix is G[b, b'] = (1/#B) Σ_ℓ e^{-2πi (R^{-1}(b - b'))·ℓ}: the
-    single factor with points R^{-1}B, atoms L and weight 1/#B, computed in
-    tiles under the dense byte budget.  A size mismatch (#B ≠ #L) is reported
-    in the result rather than raised: the matrix is then rectangular and
-    cannot be unitary.
+    The Gram matrix is G[b, b'] = F(R^{-1}(b - b')) with F the transform of
+    the single factor with atoms L and weight 1/#B, evaluated by
+    `_phases.difference_deviation` on the points R^{-1}B = y/den.  L is
+    integer, so F(y/den) depends on y only mod den.  Distinct reduced rows
+    are the one summand, or, when they form the product of their axis
+    projections, those projections are, and B - B is the lattice of per-axis
+    differences.  A size mismatch (#B ≠ #L) is reported in the result rather
+    than raised: the matrix is then rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
     den, y_grid, y_wide = numerators(r, b)
-    # max|G - I| does not depend on the order of the points or of the atoms,
-    # so both go in as grid rows, then wide rows.  L's rows are exact Python
-    # ints: bench/tracer.py multiplies the two operands' largest entries,
-    # which overflows when one is an int64 scalar and the other is wide.
-    points = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
-    weights = np.full(len(l), 1 / len(b))
-    dev = gram_deviation(points, den, [(np.concatenate(integer_rows(l)), 1, weights)])
+    # L's rows are exact Python ints: bench/tracer.py multiplies the two
+    # operands' largest entries, which overflows when one is an int64 scalar
+    # and the other is wide.
+    y = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
+    factors = [(np.concatenate(integer_rows(l)), 1, np.full(len(l), 1 / len(b)))]
+    reduced = y % den
+    axes = [_distinct_rows(reduced[:, [c]])[0] for c in range(b.dim)]
+    distinct = len(_distinct_rows(reduced)[0]) == len(b)
+    summands = [reduced if distinct else y]  # congruent digits: the rows y themselves
+    if distinct and len(b) == math.prod(len(a) for a in axes):
+        summands = [a * np.eye(b.dim, dtype=np.int64)[c] for c, a in enumerate(axes)]
+    dev = difference_deviation(summands, den, factors)
     mismatch = len(b) != len(l)
     return HadamardCheckResult(ok=(not mismatch) and dev <= tol, max_deviation=dev, size_mismatch=mismatch)
 

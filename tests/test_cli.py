@@ -173,6 +173,26 @@ def test_exit_3_when_a_flat_hadamard_gram_exceeds_the_byte_budget(tmp_path):
     assert out == ""
 
 
+def _ex26_hadamard_doc(level):
+    return {
+        "dimension": 2,
+        "sequence": {"generator": "example-2.6"},
+        "check": {"checks": ["hadamard"], "upto": level, "hadamard_upto": level},
+    }
+
+
+def test_exit_3_when_an_example_2_6_hadamard_level_exceeds_the_byte_budget(tmp_path, monkeypatch):
+    # at 1 MiB, level 17's difference lattice (35 x 35 points, 324 atoms of
+    # L) fits and level 18's (37 x 37, 361 atoms) does not
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 1 << 20)
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(17))])
+    assert rc == 0 and "verdicts: hadamard=pass" in out
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(18))])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "budget" in err
+    assert "Traceback" not in err and out == ""
+
+
 # One x point of a Q scan over 4096 candidates and rank-8 factor groups
 # (truncation 12 of Jorgensen-Pedersen: twelve 2-atom levels) needs its rows
 # of the complex product and of one level, 2 * 16 * 4096 bytes, and its row of

@@ -136,7 +136,6 @@ def test_layout_splits_at_the_headroom():
 def test_vectors_equality_and_hash_follow_the_tuple_form(d, i, seed):
     _, b, rows = case(d, i, seed)
     assert b.vectors == tuple(sorted(set(rows)))
-    assert b.as_set() == frozenset(rows)
     assert list(b) == sorted(set(rows))
     shuffled = list(rows) * 2
     random.Random(seed).shuffle(shuffled)

@@ -1,4 +1,5 @@
-"""The factored, tiled Gram kernel against the dense Gram it replaced."""
+"""The unitarity kernel (`_phases.difference_deviation` on difference sum
+sets) against the dense Gram."""
 import math
 import random
 from fractions import Fraction
@@ -11,23 +12,23 @@ from convspectra import _phases
 from convspectra._phases import (
     DENSE_BYTE_BUDGET,
     _factor_groups,
-    _gram_plan,
+    _int_rows,
     _merged_factor,
     common_denominator,
     exact_phase_matrix,
-    gram_deviation,
+    difference_deviation,
     unit_exponentials,
 )
 from convspectra.errors import WorkingSetTooLarge
 from convspectra.exactmat import IntMatrix, invert
 from convspectra.measures import DiscreteMeasure, mu_truncate
-from convspectra.sequences import builtin_names, builtin_sequence
+from convspectra.sequences import builtin_names, builtin_sequence, from_generator
 from convspectra.spectra import (
     _window_spectrum_digits,
     build_spectrum,
     spectrum_exactness,
 )
-from convspectra.triples import DigitSet, hadamard_check, numerators
+from convspectra.triples import DigitSet, hadamard_check, integer_rows, numerators
 from oracles import convolve, fraction_inverse, uniform_on
 
 AGREE = 1e-12
@@ -54,11 +55,20 @@ def dense_hadamard(r, b, l):
     return dense_gram_deviation(nums, abs(det), list(l.vectors), 1, len(b))
 
 
-def assert_matches_dense(m, lams, tol=1e-9):
-    res = spectrum_exactness(m, lams, tol)
+def set_deviation(points, den, factors):
+    """max |G - I| for the Gram G[i, k] = F(x_i - x_k) of a point set, the
+    set as the one summand of `difference_deviation`."""
+    return difference_deviation([_int_rows(points)], den, factors)
+
+
+def assert_matches_dense(m, lams, tol=1e-9, summands=None):
+    """spectrum_exactness on the flat level, and on its summands when given,
+    against the dense Gram."""
     dense = dense_exactness(m, lams)
-    assert abs(res.deviation - dense) <= AGREE, (res.deviation, dense)
-    assert res.ok == (dense <= tol)
+    for given in [lams] + ([summands] if summands is not None else []):
+        res = spectrum_exactness(m, given, tol)
+        assert abs(res.deviation - dense) <= AGREE, (res.deviation, dense)
+        assert res.ok == (dense <= tol)
     return res
 
 
@@ -99,8 +109,10 @@ def test_flat_and_factored_measures_agree():
 
 def test_jp_levels_match_dense():
     jp = builtin_sequence("jorgensen-pedersen")
+    sp = build_spectrum(jp, range(1, 11))
     for n in range(1, 11):
-        res = assert_matches_dense(mu_truncate(jp, n), jp_level(n))
+        assert list(sp.levels[n - 1]) == jp_level(n)
+        res = assert_matches_dense(mu_truncate(jp, n), jp_level(n), summands=sp.blocks[:n])
         assert res.ok and res.size == 2**n
 
 
@@ -108,7 +120,7 @@ def test_example_2_6_levels_match_dense():
     seq = builtin_sequence("example-2.6")
     sp = build_spectrum(seq, (1, 2, 3))
     for j, m in enumerate(sp.milestones, start=1):
-        res = assert_matches_dense(mu_truncate(seq, m), sp.levels[j - 1], tol=1e-8)
+        res = assert_matches_dense(mu_truncate(seq, m), sp.levels[j - 1], 1e-8, sp.blocks[:j])
         assert res.ok
 
 
@@ -122,8 +134,39 @@ def test_random_k_table_spectra_match_dense():
         for lam in _window_spectrum_digits(jp, p, m):
             table[(lam, j)] = (rng.randint(-3, 3),)
     sp = build_spectrum(jp, [1, 2, 3], k_chooser=table)
+    assert sp.k_choices
     for j, m in enumerate(sp.milestones, start=1):
-        assert assert_matches_dense(mu_truncate(jp, m), sp.levels[j - 1]).ok
+        assert assert_matches_dense(mu_truncate(jp, m), sp.levels[j - 1], summands=sp.blocks[:j]).ok
+
+
+def _far_spectrum_level(k):
+    # spectrum digits {0, 3}: the windowed search shifts the candidate 3/4 to 3/4 - 1
+    return IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (3,)])
+
+
+@pytest.mark.parametrize(
+    "seq, milestones, radius, depth",
+    [
+        (builtin_sequence("example-2.6"), [1, 3], 1, 2),
+        (from_generator(_far_spectrum_level, 1, length=8), [1, 2, 3, 4], 2, 3),
+    ],
+)
+def test_windowed_chooser_spectra_match_dense(seq, milestones, radius, depth):
+    sp = build_spectrum(seq, milestones, "windowed-search", search_radius=radius, search_depth=depth)
+    assert sp.k_choices  # summands shifted by nonzero k
+    for j, m in enumerate(sp.milestones, start=1):
+        res = assert_matches_dense(mu_truncate(seq, m), sp.levels[j - 1], 1e-8, sp.blocks[:j])
+        assert res.ok
+
+
+def test_colliding_summands_are_checked_as_their_sum_set():
+    jp = builtin_sequence("jorgensen-pedersen")
+    m2 = mu_truncate(jp, 2)
+    # {0, 1} + {0, 1, 2} holds 4 distinct sums, not 6: the flat route sees them
+    summands = [np.array([[0], [1]]), np.array([[0], [1], [2]])]
+    res = spectrum_exactness(m2, summands)
+    assert res.size == 4
+    assert abs(res.deviation - dense_exactness(m2, [(0,), (1,), (2,), (3,)])) <= AGREE
 
 
 def test_non_spectrum_matches_dense():
@@ -160,13 +203,72 @@ def test_hadamard_mismatch_and_failure_match_dense():
         assert not res.ok
 
 
-def sorted_order_deviation(r, b, l):
-    """hadamard_check's deviation with points and atoms in set order, as
-    lists of Python ints: the call it made before taking integer arrays."""
+def test_hadamard_with_digits_congruent_mod_r_fails_like_dense():
+    # 1 and 5 are congruent mod 4: the reduced rows repeat, so the flat route
+    # runs, and the Gram has an off-diagonal entry of modulus 1
+    r = IntMatrix.diagonal([4])
+    b, l = DigitSet.of([(0,), (1,), (5,)]), DigitSet.of([(0,), (1,), (2,)])
+    res = hadamard_check(r, b, l)
+    assert abs(res.max_deviation - dense_hadamard(r, b, l)) <= AGREE
+    assert res.max_deviation >= 1 - 1e-12 and not res.ok
+    # (4, 0) repeats (0, 0) mod R, and the reduced rows' axis projections
+    # {0, 1} x {0, 1} count 4 points though (0, 1) is missing
+    r = IntMatrix.diagonal([4, 4])
+    b, l = DigitSet.of([(0, 0), (4, 0), (1, 1), (1, 0)]), DigitSet.of([(0, 0), (1, 0), (0, 1), (1, 1)])
+    res = hadamard_check(r, b, l)
+    assert abs(res.max_deviation - dense_hadamard(r, b, l)) <= AGREE
+    assert res.max_deviation >= 1 - 1e-12 and not res.ok
+    seq = builtin_sequence("example-2.6")
+    r, b = seq.matrix(3), seq.digits(3)
+    twin = DigitSet.of(list(b.vectors) + [(3, 0)])  # the far digit's residue, twice
+    l = DigitSet.of(list(seq.spectrum_digits(3).vectors) + [(1, 1)])
+    res = hadamard_check(r, twin, l)
+    assert abs(res.max_deviation - dense_hadamard(r, twin, l)) <= AGREE
+    assert res.max_deviation >= 1 - 1e-12 and not res.ok
+
+
+@pytest.mark.parametrize(
+    "r, b, l",
+    [
+        # a diagonal line mod 3: its projections are {0, 1, 2} each, 9 points
+        (IntMatrix.diagonal([3, 3]), [(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 0), (2, 0)]),
+        # a non-diagonal R, with wide rows in both sets
+        (IntMatrix(((2, 0), (1, 2))), [(0, 0), (1, 0), (4 * 2**40, 1), (1, 1)], [(0, 0), (2**40, 1), (1, 0), (1, 1)]),
+        (IntMatrix(((4, 1), (0, 4))), [(0, 0), (1, 0), (0, 1), (2, 3), (3, 1)], [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]),
+    ],
+)
+def test_hadamard_on_a_non_product_set_takes_the_flat_route(r, b, l):
+    b, l = DigitSet.of(b), DigitSet.of(l)
     den, y_grid, y_wide = numerators(r, b)
-    nums = b.in_order(y_grid.tolist(), y_wide.tolist())
+    reduced = np.concatenate([y_grid, y_wide]) % den
+    projections = [len(set(reduced[:, c].tolist())) for c in range(2)]
+    assert math.prod(projections) != len(b)
+    res = hadamard_check(r, b, l)
+    dense = dense_hadamard(r, b, l)
+    assert abs(res.max_deviation - dense) <= AGREE
+    assert res.ok == (dense <= 1e-9)
+
+
+def test_example_2_6_hadamard_at_level_100():
+    seq = builtin_sequence("example-2.6")
+    r, b, l = seq.matrix(100), seq.digits(100), seq.spectrum_digits(100)
+    res = hadamard_check(r, b, l)
+    assert len(b) == 101**2 and not res.size_mismatch
+    assert res.ok and res.max_deviation <= 1e-12
+
+
+def sorted_order_deviation(r, b, l, stacked=False):
+    """hadamard_check's deviation with the rows y mod den as the one
+    summand, with points and atoms in set order as lists of Python ints, or
+    stacked as grid rows then wide rows the way hadamard_check passes them.
+    The cases' reduced rows are distinct."""
+    den, y_grid, y_wide = numerators(r, b)
     weights = np.full(len(l), 1 / len(b))
-    return gram_deviation(nums, den, [(l.in_order(l.grid.tolist(), l.wide), 1, weights)])
+    if stacked:
+        nums = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
+        return set_deviation(nums % den, den, [(np.concatenate(integer_rows(l)), 1, weights)])
+    nums = [tuple(x % den for x in v) for v in b.in_order(y_grid.tolist(), y_wide.tolist())]
+    return set_deviation(nums, den, [(l.in_order(l.grid.tolist(), l.wide), 1, weights)])
 
 
 def _stacking_cases():
@@ -191,7 +293,11 @@ def test_hadamard_stacked_rows_match_the_set_order():
     cases = list(_stacking_cases())
     assert len(cases) == 16 + 16 + 24 + 4
     for r, b, l in cases:
-        assert abs(hadamard_check(r, b, l).max_deviation - sorted_order_deviation(r, b, l)) <= 1e-15
+        in_order = sorted_order_deviation(r, b, l)
+        assert abs(sorted_order_deviation(r, b, l, stacked=True) - in_order) <= 1e-15
+        # hadamard_check takes the per-axis summands of product sets, which
+        # round differently from the one summand y
+        assert abs(hadamard_check(r, b, l).max_deviation - in_order) <= AGREE
 
 
 # ----- scale and budget -----
@@ -205,12 +311,28 @@ def test_jp_level_14_verifies_under_the_budget():
     assert res.ok and res.deviation < 1e-9
 
 
+@pytest.mark.parametrize("level", [6, 8])
+def test_the_set_and_its_negatives_match_the_difference_route(level, monkeypatch):
+    # below 32 * n^2 bytes a set's pairwise differences do not fit, and the
+    # set goes on the left and its negatives on the right
+    jp = builtin_sequence("jorgensen-pedersen")
+    mu = mu_truncate(jp, level)
+    lams = jp_level(level)
+    dense = dense_exactness(mu, lams)
+    by_differences = spectrum_exactness(mu, lams).deviation
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 32 * len(lams) ** 2 - 1)
+    flat = spectrum_exactness(mu, lams).deviation
+    assert abs(by_differences - dense) <= AGREE and abs(flat - dense) <= AGREE
+
+
 def test_flat_factor_over_budget_raises_before_allocating():
+    # the pairwise differences need 32 * n^2 bytes, and the set and its
+    # negatives with their tables more
     n = 1 + math.isqrt(DENSE_BYTE_BUDGET // 32)
     points = [(i,) for i in range(n)]
     weights = np.full(n, 1.0 / n)
     with pytest.raises(WorkingSetTooLarge, match="budget"):
-        gram_deviation(points, n, [(points, 1, weights)])
+        set_deviation(points, n, [(points, 1, weights)])
 
 
 # ----- merged factor groups -----
@@ -272,25 +394,26 @@ def test_merged_groups_match_dense_on_jp_levels(level):
     jp = builtin_sequence("jorgensen-pedersen")
     mu = mu_truncate(jp, level)
     factors = mu.phase_factors()
-    groups, _ = _gram_plan(2**level, [len(r) for r, _, _ in factors])
+    groups = _factor_groups([len(r) for r, _, _ in factors], _phases._MERGED_ATOMS)
     assert [len(g) for g in groups] == [3] * (level // 3) + ([level % 3] if level % 3 else [])
     lams = jp_level(level)
-    dev = gram_deviation(lams, 1, factors)
     dense = lean_dense_deviation(lams, 1, factors)
-    assert abs(dev - dense) <= AGREE, (level, dev, dense)
-    assert (dev <= 1e-9) == (dense <= 1e-9) and dev <= 1e-9
+    sp = build_spectrum(jp, range(1, level + 1))
+    for dev in (set_deviation(lams, 1, factors), spectrum_exactness(mu, sp.blocks).deviation):
+        assert abs(dev - dense) <= AGREE, (level, dev, dense)
+        assert (dev <= 1e-9) == (dense <= 1e-9) and dev <= 1e-9
 
 
 def test_merged_level_14_matches_the_unmerged_walk(monkeypatch):
     # a dense oracle at n = 16384 would hold a 4.3 GB exponential matrix; the
     # per-factor walk, pinned to the dense Gram up to level 12 above, stands in
     jp = builtin_sequence("jorgensen-pedersen")
-    factors = mu_truncate(jp, 14).phase_factors()
-    lams = jp_level(14)
-    merged = gram_deviation(lams, 1, factors)
+    mu = mu_truncate(jp, 14)
+    sp = build_spectrum(jp, range(2, 15, 2))
+    merged = spectrum_exactness(mu, sp.blocks).deviation
     monkeypatch.setattr(_phases, "_MERGED_ATOMS", 1)
-    assert _gram_plan(len(lams), [2] * 14)[0] == [[i] for i in range(14)]
-    unmerged = gram_deviation(lams, 1, factors)
+    assert _phases.merged_factors(mu.phase_factors()) == mu.phase_factors()
+    unmerged = spectrum_exactness(mu, sp.blocks).deviation
     assert abs(merged - unmerged) <= AGREE
     assert merged <= 1e-9 and unmerged <= 1e-9
 
@@ -312,7 +435,7 @@ def test_merged_groups_match_dense_on_mixed_factors(sizes, dim, uniform):
         # points close together, so that no difference has integer phases
         # on every atom and the deviation stays below its ceiling of 1
         points = sorted({tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(30)})
-        dev = gram_deviation(points, x_den, factors)
+        dev = set_deviation(points, x_den, factors)
         dense = lean_dense_deviation(points, x_den, factors, block=16)
         assert abs(dev - dense) <= AGREE, (sizes, x_den, dev, dense)
         assert dense < 0.9
@@ -336,9 +459,9 @@ def test_merged_rows_past_int64_take_the_object_path():
     rows, den, _ = _merged_factor(factors)
     assert rows.dtype == object and den == big
     assert max(abs(int(r[0])) for r in rows) >= 2**62
-    points = [(rng.randint(-50, 50),) for _ in range(24)]
+    points = sorted({(rng.randint(-50, 50),) for _ in range(24)})
     for x_den in (1, 3):
-        dev = gram_deviation(points, x_den, factors)
+        dev = set_deviation(points, x_den, factors)
         dense = lean_dense_deviation(points, x_den, factors)
         assert abs(dev - dense) <= AGREE
 
@@ -347,23 +470,4 @@ def test_single_factor_is_walked_as_given():
     rows = [(0,), (1,), (2,), (3,)]
     factor = (rows, 4, np.full(4, 0.25))
     assert _merged_factor([factor]) is factor
-    assert gram_deviation([(0,), (1,), (2,), (3,)], 1, [factor]) <= 1e-12
-
-
-def test_merging_backs_off_when_only_the_unmerged_tables_fit(monkeypatch):
-    jp = builtin_sequence("jorgensen-pedersen")
-    factors = mu_truncate(jp, 6).phase_factors()
-    lams = jp_level(6)
-    merged = gram_deviation(lams, 1, factors)
-    # 64 points: the six rank-2 tables and one tile row need 14 336 bytes,
-    # the two merged rank-8 tables and their build need 24 576
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 20_000)
-    assert _gram_plan(64, [2] * 6)[0] == [[i] for i in range(6)]
-    backed_off = gram_deviation(lams, 1, factors)
-    assert abs(backed_off - merged) <= AGREE
-    assert abs(backed_off - lean_dense_deviation(lams, 1, factors)) <= AGREE
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 14_335)
-    with pytest.raises(WorkingSetTooLarge, match="budget"):
-        gram_deviation(lams, 1, factors)
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 14_336)
-    assert abs(gram_deviation(lams, 1, factors) - merged) <= AGREE
+    assert set_deviation([(0,), (1,), (2,), (3,)], 1, [factor]) <= 1e-12

@@ -140,6 +140,28 @@ def test_product_transform_walks_points_in_budgeted_chunks(monkeypatch):
         product_transform(xs, factors)
 
 
+def test_sum_set_transform_checks_its_bytes_before_allocating(monkeypatch):
+    m = mu_truncate(from_generator(_skew_level, 2, length=12), 3)
+    factors = m.phase_factors()
+    rng = random.Random(13)
+    u = np.array([[rng.randrange(-50, 51) for _ in range(2)] for _ in range(9)])
+    v = np.array([[rng.randrange(-50, 51)] for _ in range(7)])
+    w = np.array([[rng.randrange(-50, 51)] for _ in range(5)])
+    right = [([0], v), ([1], w)]
+    whole = sum_set_transform(([0, 1], u), right, 29, factors)
+    # the product and level buffers, the left and right tables as built, and
+    # the Khatri-Rao join of the right tables with its group sums
+    rank = max(len(rows) for rows, _, _ in factors)
+    need = 2 * 16 * 9 * 35 + 32 * rank * (9 + 7 + 5) + 2 * 16 * rank * 35
+    row, once = _phases.sum_set_sizes([7, 5], rank)
+    assert once + 9 * row == need
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", need)
+    assert np.array_equal(sum_set_transform(([0, 1], u), right, 29, factors), whole)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", need - 1)
+    with pytest.raises(WorkingSetTooLarge, match="budget"):
+        sum_set_transform(([0, 1], u), right, 29, factors)
+
+
 def test_merged_groups_multiply_to_the_factors():
     m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 8)
     merged = merged_factors(m.phase_factors())
