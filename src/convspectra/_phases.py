@@ -95,6 +95,14 @@ def _peak(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def _narrowest(a) -> np.ndarray:
+    """Integers (an array, or nested lists of ints) as int64 when every entry
+    lies below 2^62 in absolute value, as exact Python ints otherwise: one
+    dtype per set of values."""
+    a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+    return a.astype(np.int64 if _peak(a) < _INT64_SAFE else object, copy=False)
+
+
 def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
     """Float matrix of frac((a_i · b_j) / (den_a · den_b)) with exact reduction.
 
@@ -317,12 +325,16 @@ def sum_set_sizes(right_sizes, rank: int) -> tuple:
     return 2 * COMPLEX_BYTES * n_right + PHASE_ENTRY_BYTES * rank, once
 
 
-def sum_set_runs(left, right, den: int, factors, run_bytes: int | None = None):
+def sum_set_runs(left, right, den: int, factors, run_bytes: int | None = None, upper: bool = False):
     """`sum_set_transform` in runs of left points, yielding (start, values of
     the run): one run, or runs whose rows of the product, level and a float
     modulus take about `run_bytes`, with every factor's right group sums
     formed once and kept.  The bytes are checked against DENSE_BYTE_BUDGET
-    before anything is allocated (WorkingSetTooLarge)."""
+    before anything is allocated (WorkingSetTooLarge).
+
+    With `upper`, the right is one block whose points pair with the left
+    points in order, and the run from left point s takes only the right
+    points from s on: its values start at column s."""
     cols, nums = left
     n, sizes = len(nums), [len(b[1]) for b in right]
     ranks = [len(rows) for rows, _, _ in factors]
@@ -338,10 +350,11 @@ def sum_set_runs(left, right, den: int, factors, run_bytes: int | None = None):
         sums = list(sums) if count < n else sums
     for s in range(0, max(n, 1), count):
         run = (cols, nums[s : s + count])
-        acc = np.ones((len(run[1]), prod(sizes)), dtype=complex)
+        first = s if upper else 0
+        acc = np.ones((len(run[1]), prod(sizes) - first), dtype=complex)
         level = np.empty_like(acc)
         for distinct, rden, grouped in sums:
-            np.matmul(_block_table(run, den, distinct, rden).T, grouped, out=level)
+            np.matmul(_block_table(run, den, distinct, rden).T, grouped[:, first:], out=level)
             acc *= level
         yield s, acc
 
@@ -388,12 +401,17 @@ def difference_deviation(summands, den: int, factors) -> float:
     Σ_j (M_j - M_j): the distinct differences of a low run of summands go on
     the left of `sum_set_runs` and those of the high run on the right, each
     on the axes where they are not all zero, so a sum is 0 only where both
-    parts are.  When a summand's pairwise differences do not fit the budget,
-    X goes on the left and -X on the right.  The left block is walked in
-    runs of about _RUN_TARGET_BYTES."""
+    parts are.  F is the transform of a probability measure, so |F(-δ)| =
+    |F(δ)|, and both sides are symmetric: the left rows from the zero row on
+    (u >= 0 in lexicographic order), with every right point, cover every
+    |F|.  When a summand's pairwise differences do not fit the budget, X
+    goes on the left and -X on the right, and each x_i meets only the x_k
+    with k >= i.  The left block is walked in runs of about
+    _RUN_TARGET_BYTES."""
     # all pairs of a summand at 32 bytes per coordinate: the differences,
     # their sorted copy and the sort's index arrays
-    if all(within_budget(32 * len(m) * np.size(m)) for m in summands):
+    upper = not all(within_budget(32 * len(m) * np.size(m)) for m in summands)
+    if not upper:
         diffs = []
         for m in map(_int_rows, summands):
             m = m.astype(object) if _peak(m) >= _INT64_SAFE else m
@@ -404,17 +422,19 @@ def difference_deviation(summands, den: int, factors) -> float:
         for run in (diffs[:k], diffs[k:] or [np.zeros_like(diffs[0][:1])]):
             rows = _distinct_rows(sum_rows([(d, 1) for d in run]))[0]
             cols = [c for c in range(rows.shape[1]) if rows[:, c].any()] or [0]
-            blocks.append(((cols, rows[:, cols]), np.flatnonzero((rows == 0).all(axis=1))))
-        (left, at), (right, right_at) = blocks
+            at = int(np.flatnonzero((rows == 0).all(axis=1))[0])
+            blocks.append(((cols, rows[:, cols]), at))
+        ((cols, rows), left_at), (right, right_at) = blocks
+        left = (cols, rows[left_at:])  # u >= 0: the zero row and those after it
         zero = np.full(len(left[1]), -1)
-        zero[at] = right_at  # the index of the right point v with u + v = 0, or -1
+        zero[0] = right_at  # the index of the right point v with u + v = 0, or -1
     else:
         x = sum_rows([(m, 1) for m in summands])
         axes = list(range(x.shape[1]))
         left, right, zero = (axes, x), (axes, -x), np.arange(len(x))
     dev = 0.0
-    for s, values in sum_set_runs(left, [right], den, merged_factors(factors), _RUN_TARGET_BYTES):
+    for s, values in sum_set_runs(left, [right], den, merged_factors(factors), _RUN_TARGET_BYTES, upper):
         hit = np.flatnonzero(zero[s : s + len(values)] >= 0)
-        values[hit, zero[s + hit]] -= 1
+        values[hit, zero[s + hit] - s * upper] -= 1  # upper runs start at column s
         dev = max(dev, float(np.abs(values).max(initial=0.0)))
     return dev

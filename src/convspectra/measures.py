@@ -1,7 +1,8 @@
 """Exact finitely-supported probability measures and their Fourier transforms.
 
-Atoms are rational vectors, weights are positive rationals summing to exactly
-one.  Fourier evaluation reduces the phase mod 1 in exact integer arithmetic
+Atoms are rational vectors, held as exact integer rows over one denominator;
+weights are positive rationals summing to exactly one, held as integer
+multiplicities.  Fourier evaluation reduces the phase mod 1 in exact integer arithmetic
 before any floating-point call, so large integer atoms cost no accuracy.
 
 The transforms (`fourier_many`, `tail_fourier_many`) are products over
@@ -17,11 +18,9 @@ from math import gcd, lcm
 import numpy as np
 
 from ._phases import (
-    _INT64_SAFE,
     PointRows,
     _distinct_rows,
-    _peak,
-    common_denominator,
+    _narrowest,
     product_transform,
     sum_rows,
 )
@@ -39,17 +38,31 @@ def _as_frac_vec(v, dim=None):
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    dim: int
-    atoms: tuple  # sorted tuples of Fraction
-    weights: tuple  # positive Fractions summing to 1
+    """A finitely supported probability measure with rational atoms, held as
+    exact integers: atom i is rows[i] / den, with weight counts[i] / Σ counts.
+
+    rows are the distinct atoms' numerators, lexicographically sorted, over
+    the least common denominator den; counts are positive integer
+    multiplicities with gcd 1.  Both are int64 arrays when every entry lies
+    below 2^62 and object arrays of Python ints otherwise, so the form is
+    canonical and equality and hash are defined on it.  `atoms` (tuples of
+    Fractions) and `weights` (Fractions) are built on first use only.
+    """
+
+    rows: np.ndarray
+    den: int
+    counts: np.ndarray
     # measures whose convolution this is, recorded by `mu_truncate`; empty
     # when the measure is its own single factor.  Not part of equality.
-    factors: tuple = field(default=(), compare=False, repr=False)
+    factors: tuple = field(default=(), repr=False)
 
     @classmethod
     def make(cls, pairs, dim: int | None = None) -> "DiscreteMeasure":
+        """The measure of (atom, weight) pairs: atoms are rational vectors,
+        weights nonnegative rationals summing to exactly one; repeated atoms
+        are merged and zero weights dropped."""
         acc: dict = {}
         for atom, w in pairs:
             a = _as_frac_vec(atom, dim)
@@ -66,33 +79,60 @@ class DiscreteMeasure:
         total = sum(acc.values())
         if total != 1:
             raise ValidationError(f"weights sum to {total}, expected exactly 1")
-        atoms = tuple(sorted(acc))
-        return cls(dim, atoms, tuple(acc[a] for a in atoms))
+        atoms = sorted(acc)
+        den = lcm(*(x.denominator for a in atoms for x in a))
+        scale = lcm(*(w.denominator for w in acc.values()))
+        rows = [[x.numerator * (den // x.denominator) for x in a] for a in atoms]
+        counts = [acc[a].numerator * (scale // acc[a].denominator) for a in atoms]
+        return cls(_narrowest(rows).reshape(-1, dim), den, _narrowest(counts))
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return (
+            self.den == other.den
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.rows.shape, tuple(self.rows.ravel().tolist()), tuple(self.counts.tolist())))
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """The atoms as sorted tuples of Fractions."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows.tolist())
+
+    @cached_property
+    def weights(self) -> tuple:
+        """The weights as Fractions summing to one, in atom order."""
+        counts = self.counts.tolist()
+        total = sum(counts)
+        weight = {c: Fraction(c, total) for c in set(counts)}
+        return tuple(weight[c] for c in counts)
 
     def convolution_factors(self) -> tuple:
         """Measures whose convolution is this one (at least the measure itself)."""
         return self.factors or (self,)
 
     @cached_property
-    def _phase_data(self):
-        den, rows = common_denominator(self.atoms)
-        return den, rows
-
-    @cached_property
     def _float_weights(self):
-        return np.array([float(w) for w in self.weights])
+        total = int(self.counts.sum())
+        if total < 2**53:
+            return self.counts / total  # both exact in binary64: correctly rounded
+        return np.array([float(Fraction(c, total)) for c in self.counts.tolist()])
 
     def phase_factors(self) -> list:
         """(rows, den, float weights) of each convolution factor, as the
         product and Gram kernels of `_phases` take them."""
-        factors = []
-        for f in self.convolution_factors():
-            den, rows = f._phase_data
-            factors.append((rows, den, f._float_weights))
-        return factors
+        return [(f.rows, f.den, f._float_weights) for f in self.convolution_factors()]
 
 
 # ===== truncations of the infinite convolution =====
@@ -109,11 +149,16 @@ def _check_cap(sizes, max_atoms: int) -> None:
             )
 
 
-def _uniform_rows(rows, den: int) -> DiscreteMeasure:
-    """The equal-weight measure on the distinct atoms rows[i] / den."""
-    w = Fraction(1, len(rows))
-    atoms = sorted(tuple(Fraction(x, den) for x in row) for row in rows)
-    return DiscreteMeasure(len(rows[0]), tuple(atoms), (w,) * len(atoms))
+def _from_sums(rows: np.ndarray, den: int, factors=()) -> DiscreteMeasure:
+    """The measure giving each integer row over den a weight proportional to
+    how often it occurs: rows and den reduced by their common gcd, counts by
+    theirs."""
+    distinct, where = _distinct_rows(rows)
+    counts = np.bincount(where)
+    g = gcd(int(np.gcd.reduce(distinct, axis=None)), den)
+    if g > 1:
+        distinct, den = distinct // g, den // g
+    return DiscreteMeasure(_narrowest(distinct), den, counts // np.gcd.reduce(counts), factors)
 
 
 def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
@@ -123,9 +168,10 @@ def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMe
     integer rows over one denominator; every atom of the convolution is an
     integer sum of one row per level over the lcm of those denominators, in
     int64 when the widest sum fits and exact Python ints otherwise.  Each
-    sum carries weight 1/Π#B_j, so an atom's weight is its multiplicity over
-    that product.  The cap is checked on the projected count Π#B_j before any
-    sum is formed.
+    sum carries weight 1/Π#B_j, so an atom's multiplicity among the sums is
+    its count.  The per-level uniform measures are recorded as the factors.
+    No Fraction is formed, and the cap is checked on the projected count
+    Π#B_j before any sum is.
     """
     if k < 0:
         raise ValidationError(f"truncation level must be >= 0, got {k}")
@@ -133,21 +179,12 @@ def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMe
     levels = [scaled_atom_rows(seq.prefix_matrix(j), seq.digits(j)) for j in range(1, k + 1)]
     den = lcm(*(d for _, d in levels))
     sums = sum_rows([(rows, den // d) for rows, d in levels]) if levels else np.zeros((1, seq.dim), np.int64)
-    distinct, where = _distinct_rows(sums)
-    rows, counts = distinct.tolist(), np.bincount(where)
-    total = len(sums)
-    weight = {c: Fraction(c, total) for c in set(counts.tolist())}
     factors = tuple(
         f
-        for f in (_uniform_rows(rows_j.tolist(), d) for rows_j, d in levels)
-        if len(f) > 1 or any(f.atoms[0])  # the origin point mass is trivial
+        for f in (_from_sums(rows_j, d) for rows_j, d in levels)
+        if len(f) > 1 or f.rows.any()  # the origin point mass is trivial
     )
-    return DiscreteMeasure(
-        seq.dim,
-        tuple(tuple(Fraction(x, den) for x in row) for row in rows),
-        tuple(weight[c] for c in counts.tolist()),
-        factors,
-    )
+    return _from_sums(sums, den, factors)
 
 
 # ===== Fourier transforms =====
@@ -181,9 +218,7 @@ def scaled_atom_rows(m: IntMatrix, digits: DigitSet):
     g = gcd(int(np.gcd.reduce(rows, axis=None)), den)
     if g > 1:
         rows = rows // g
-    if rows.dtype == object and _peak(rows) < _INT64_SAFE:
-        rows = rows.astype(np.int64)
-    return rows, den // g
+    return _narrowest(rows), den // g
 
 
 def tail_factors(seq, start: int, depth: int) -> list:

@@ -18,6 +18,8 @@ from ._phases import (
     PHASE_ENTRY_BYTES,
     _distinct_rows,
     _int_rows,
+    _narrowest,
+    _peak,
     budget_largest,
     common_denominator,
     difference_deviation,
@@ -72,18 +74,34 @@ def _k_search_box(radius: int, dim: int):
     return box
 
 
-def _window_spectrum_digits(seq, p: int, q: int):
-    """Composed spectrum digits L_{p+1} + R_{p+1}^T L_{p+2} + ... over (p, q]."""
-    vectors = list(seq.spectrum_digits(p + 1).vectors)
+def _mapped(rows: np.ndarray, m) -> np.ndarray:
+    """The rows m·v of integer rows v, exact: int64 when every product and
+    sum stays below 2^62, Python ints otherwise (narrowed back to int64 when
+    the results fit)."""
+    peak = max(abs(x) for row in m.rows for x in row)
+    if peak >= _INT64_SAFE or rows.shape[1] * _peak(rows) * peak >= _INT64_SAFE:
+        return _narrowest(rows.astype(object) @ np.array(m.rows, dtype=object).T)
+    return rows.astype(np.int64) @ np.array(m.rows, dtype=np.int64).T
+
+
+def _digit_rows(digits) -> np.ndarray:
+    """A digit set's rows in set order: its int64 grid, or, with wide
+    digits, every digit as exact Python ints."""
+    if not digits.wide:
+        return digits.grid
+    return np.array(digits.vectors, dtype=object).reshape(-1, digits.dim)
+
+
+def _window_spectrum_digits(seq, p: int, q: int) -> np.ndarray:
+    """Composed spectrum digits L_{p+1} + R_{p+1}^T L_{p+2} + ... over (p, q]
+    as integer rows, in lexicographic order of the picks."""
+    parts = [(_digit_rows(seq.spectrum_digits(p + 1)), 1)]
     mt = None
     for i in range(p + 2, q + 1):
         prev_t = seq.matrix(i - 1).transpose()
         mt = prev_t if mt is None else mt.matmul(prev_t)
-        step = [mt.matvec(l) for l in seq.spectrum_digits(i).vectors]
-        vectors = [
-            tuple(a + b for a, b in zip(v, w)) for v in vectors for w in step
-        ]
-    return vectors
+        parts.append((_mapped(_digit_rows(seq.spectrum_digits(i)), mt), 1))
+    return sum_rows(parts)
 
 
 # A later k of the search box replaces the best so far only when its score is
@@ -156,6 +174,11 @@ def build_spectrum(
     When ``delta0`` is given, each requested milestone is advanced to the
     first index where every previously built vector scales strictly inside
     the radius-delta0/2 ball (exact rational comparison).
+
+    Levels are carried as integer rows (int64 under a headroom test, Python
+    ints past it): level j is the distinct sums of level j - 1 and the
+    mapped block, which must number #level × #block (TripleInvalid
+    otherwise), and `levels` holds each as sorted tuples, built once.
     """
     ms = [int(m) for m in milestones]
     if not ms or any(m < 1 for m in ms):
@@ -192,7 +215,7 @@ def build_spectrum(
         for i in range(p + 1, q + 1):
             seq.triple(i)
 
-    lam_prev = [zero_vec]
+    lam_prev = np.zeros((1, dim), dtype=np.int64)
     levels, blocks = [], []
     used_milestones = []
     k_records = []
@@ -206,9 +229,8 @@ def build_spectrum(
                         f"no admissible milestone >= {requested} within length {seq.length}"
                     )
                 det, adj = invert(seq.prefix_matrix(q))
-                adj_t = adj.transpose()
-                limit = ball[1] * det * det
-                if all(ball[0] * sum(c * c for c in adj_t.matvec(lam)) < limit for lam in lam_prev):
+                v = _mapped(lam_prev, adj.transpose()).astype(object)
+                if ball[0] * int((v * v).sum(axis=1).max()) < ball[1] * det * det:
                     break
                 q += 1
         elif seq.length is not None and q > seq.length:
@@ -221,47 +243,41 @@ def build_spectrum(
                 f"level {j} would hold {len(lam_prev) * len(block)} vectors "
                 f"(cap {max_atoms})"
             )
-        rt_window = product_range(seq, p, q).transpose()
-        rt_prefix = seq.prefix_matrix(p).transpose()
 
-        chosen = {}
-        if mode == "windowed":
-            depth_left = search_depth
-            if seq.length is not None:
-                depth_left = min(search_depth, seq.length - q)
-            searched = [lam for lam in block if lam != zero_vec]
-            if depth_left >= 1 and searched:
-                chosen = _windowed_choices(
-                    seq, p, q, depth_left, searched, _k_search_box(search_radius, dim)
-                )
-
-        mapped = []
-        for lam in block:
-            if lam == zero_vec or mode == "zero":
-                k = zero_vec
-            elif mode == "table":
-                k = tuple(table.get((lam, j), zero_vec))
+        if mode != "zero":
+            vecs = list(map(tuple, block.tolist()))
+            chosen = {}
+            if mode == "windowed":
+                depth_left = search_depth
+                if seq.length is not None:
+                    depth_left = min(search_depth, seq.length - q)
+                searched = [lam for lam in vecs if lam != zero_vec]
+                if depth_left >= 1 and searched:
+                    chosen = _windowed_choices(
+                        seq, p, q, depth_left, searched, _k_search_box(search_radius, dim)
+                    )
+            else:
+                chosen = {lam: tuple(table.get((lam, j), zero_vec)) for lam in vecs if lam != zero_vec}
+            ks = [chosen.get(lam, zero_vec) for lam in vecs]
+            for lam, k in zip(vecs, ks):
                 if len(k) != dim:
                     raise ValidationError(f"k table entry for {lam} has wrong dimension")
-            else:  # windowed
-                k = chosen.get(lam, zero_vec)
-            if k != zero_vec:
-                k_records.append(((j, lam), k))
-                shift = rt_window.matvec(k)
-                lam = tuple(a + b for a, b in zip(lam, shift))
-            mapped.append(rt_prefix.matvec(lam))
+                if k != zero_vec:
+                    k_records.append(((j, lam), k))
+            if any(map(any, ks)):
+                shift = _mapped(_int_rows(ks), product_range(seq, p, q).transpose())
+                block = _narrowest(block.astype(object) + shift)
+        mapped = _mapped(block, seq.prefix_matrix(p).transpose())
 
-        new_level = {
-            tuple(a + b for a, b in zip(prev, v)) for prev in lam_prev for v in mapped
-        }
-        if len(new_level) != len(lam_prev) * len(block):
+        level = _distinct_rows(sum_rows([(lam_prev, 1), (mapped, 1)]))[0]
+        if len(level) != len(lam_prev) * len(mapped):
             raise TripleInvalid(
-                f"level {j} collided: {len(new_level)} vectors from "
-                f"{len(lam_prev)}x{len(block)} products"
+                f"level {j} collided: {len(level)} vectors from "
+                f"{len(lam_prev)}x{len(mapped)} products"
             )
-        lam_prev = sorted(new_level)
-        levels.append(tuple(lam_prev))
-        blocks.append(_int_rows(mapped))
+        lam_prev = level
+        levels.append(tuple(map(tuple, level.tolist())))
+        blocks.append(mapped)
         used_milestones.append(q)
         p = q
 
@@ -379,9 +395,10 @@ def spectrum_exactness(
     `SpectrumLevels.blocks` holds them) whose Minkowski sum Λ is.  The Gram
     is G[i, k] = mu_hat(λ_i - λ_k) over the per-level factors `mu_truncate`
     recorded, and `_phases.difference_deviation` evaluates it on the sum set
-    Λ - Λ = Σ_j (M_j - M_j)."""
+    Λ - Λ = Σ_j (M_j - M_j).  Equal weights are read from the measure's
+    integer multiplicities; no Fraction is formed."""
     n = len(m)
-    if any(w != Fraction(1, n) for w in m.weights):
+    if (m.counts != m.counts[0]).any():
         raise NonUniformWeights(
             "exactness criterion supports equal-weight measures only"
         )

@@ -217,12 +217,16 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
 
     The Gram matrix is G[b, b'] = F(R^{-1}(b - b')) with F the transform of
     the single factor with atoms L and weight 1/#B, evaluated by
-    `_phases.difference_deviation` on the points R^{-1}B = y/den.  L is
-    integer, so F(y/den) depends on y only mod den.  Distinct reduced rows
-    are the one summand, or, when they form the product of their axis
-    projections, those projections are, and B - B is the lattice of per-axis
-    differences.  A size mismatch (#B ≠ #L) is reported in the result rather
-    than raised: the matrix is then rectangular and cannot be unitary.
+    `_phases.difference_deviation` on the points R^{-1}B = y/den.  When L
+    holds no wide digit and is the product of its axis projections L_c, F
+    is the product of the transforms of the uniform measures on the L_c,
+    the first scaled by #L/#B, and those are the factors: their tables hold
+    #L_c atoms, not #L.  L is integer, so F(y/den) depends on y only mod
+    den.  Distinct reduced rows are the one summand, or, when they form the
+    product of their axis projections, those projections are, and B - B is
+    the lattice of per-axis differences.  A size mismatch (#B ≠ #L) is
+    reported in the result rather than raised: the matrix is then
+    rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
@@ -232,6 +236,15 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     # and the other is wide.
     y = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
     factors = [(np.concatenate(integer_rows(l)), 1, np.full(len(l), 1 / len(b)))]
+    l_axes = [_distinct_rows(l.grid[:, [c]])[0] for c in range(l.dim)]
+    if not l.wide and len(l) == math.prod(map(len, l_axes)):
+        # the uniform measure on L = L_0 x ... x L_{d-1} is the convolution of
+        # those on the L_c, and F carries the mass #L/#B
+        weights = [len(l) / (len(b) * len(a)) if c == 0 else 1 / len(a) for c, a in enumerate(l_axes)]
+        factors = [
+            (a * np.eye(l.dim, dtype=object)[c], 1, np.full(len(a), w))
+            for c, (a, w) in enumerate(zip(l_axes, weights))
+        ]
     reduced = y % den
     axes = [_distinct_rows(reduced[:, [c]])[0] for c in range(b.dim)]
     distinct = len(_distinct_rows(reduced)[0]) == len(b)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from convspectra.conditions import _aligned_tables
@@ -144,13 +144,12 @@ def convolve(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
             key = tuple(p + q for p, q in zip(xa, xb))
             prev = acc.get(key)
             acc[key] = wa * wb if prev is None else prev + wa * wb
-    atoms = tuple(sorted(acc))
     factors = tuple(
         f
         for f in a.convolution_factors() + b.convolution_factors()
         if len(f) > 1 or any(f.atoms[0])  # the origin point mass is trivial
     )
-    return DiscreteMeasure(a.dim, atoms, tuple(acc[x] for x in atoms), factors)
+    return replace(DiscreteMeasure.make(acc.items(), a.dim), factors=factors)
 
 
 @dataclass(frozen=True)
@@ -294,6 +293,52 @@ def compose_triples(triples) -> HadamardTriple:
         if len(l_acc) != expected_l:
             raise TripleInvalid("composed spectra collided; inputs are not a Hadamard chain")
     return HadamardTriple.make(r_acc, b_acc, l_acc)
+
+
+# ===== candidate spectra =====
+
+
+def tuple_spectrum(seq, milestones, k_choices=None, delta0=None):
+    """(milestones used, levels) of `build_spectrum` by its definition, on
+    sets of tuples: level j adds P_p^T (λ + W^T k) to level j - 1 for every λ
+    of the window's composed spectrum digits L_{p+1} + R_{p+1}^T L_{p+2} +
+    ..., W = R_q ... R_{p+1}, P_p the prefix product, and k taken from
+    k_choices {(j, λ): k} (0 where absent, and always at λ = 0).  With delta0, each milestone is
+    advanced until every vector of the level before maps strictly inside
+    the radius-delta0/2 ball under P_q^{-T}."""
+    dim = seq.dim
+    zero = (0,) * dim
+    k_choices = k_choices or {}
+    level, p = {zero}, 0
+    used, levels = [], []
+    for j, q in enumerate(milestones, start=1):
+        q = max(q, p + 1)
+        if delta0 is not None:
+            r2 = (Fraction(delta0) / 2) ** 2
+            while any(
+                sum(x * x for x in fraction_inverse(seq.prefix_matrix(q)).transpose().matvec(lam)) >= r2
+                for lam in level
+            ):
+                q += 1
+        block, mt = [zero], IntMatrix.identity(dim)
+        for i in range(p + 1, q + 1):
+            if i > p + 1:
+                mt = mt.matmul(seq.matrix(i - 1).transpose())
+            step = [mt.matvec(v) for v in seq.spectrum_digits(i).vectors]
+            block = [tuple(a + b for a, b in zip(u, v)) for u in block for v in step]
+        w_t = mt.matmul(seq.matrix(q).transpose())
+        p_t = seq.prefix_matrix(p).transpose()
+        mapped = []
+        for lam in block:
+            shift = w_t.matvec(zero if lam == zero else k_choices.get((j, lam), zero))
+            mapped.append(p_t.matvec(tuple(a + b for a, b in zip(lam, shift))))
+        new = {tuple(a + b for a, b in zip(u, v)) for u in level for v in mapped}
+        if len(new) != len(level) * len(mapped):
+            raise TripleInvalid(f"level {j} collided")
+        level, p = new, q
+        used.append(q)
+        levels.append(tuple(sorted(new)))
+    return tuple(used), tuple(levels)
 
 
 # ===== the interval coupling at one point =====

@@ -12,6 +12,8 @@ import pytest
 
 from convspectra import _phases, cli
 from convspectra.errors import ParseError, ValidationError
+from convspectra.measures import DiscreteMeasure, mu_truncate
+from convspectra.sequences import builtin_sequence
 from convspectra.spectra import read_levels
 
 
@@ -182,15 +184,33 @@ def _ex26_hadamard_doc(level):
 
 
 def test_exit_3_when_an_example_2_6_hadamard_level_exceeds_the_byte_budget(tmp_path, monkeypatch):
-    # at 1 MiB, level 17's difference lattice (35 x 35 points, 324 atoms of
-    # L) fits and level 18's (37 x 37, 361 atoms) does not
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 1 << 20)
-    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(17))])
+    # at 256 KiB, level 35's difference lattice (the 36 differences u >= 0 of
+    # one axis against the 71 of the other, factors of 36 atoms per axis of
+    # L) fits and level 36's (37 x 73, 37 atoms) does not
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 1 << 18)
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(35))])
     assert rc == 0 and "verdicts: hadamard=pass" in out
-    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(18))])
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(36))])
     assert rc == 3
     assert err.startswith("resource cap:") and "budget" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_spectrum_exactness_reads_no_fraction_atom_or_weight(tmp_path, monkeypatch):
+    # the spectrum path carries integer rows and multiplicities from end to end
+    reads = []
+    for name in ("atoms", "weights"):
+        real = getattr(DiscreteMeasure, name).func
+        monkeypatch.setattr(
+            DiscreteMeasure, name, property(lambda m, real=real, name=name: reads.append(name) or real(m))
+        )
+    doc = jp_doc(spectrum={"milestones": [2, 4, 6, 8, 10, 12], "exactness": True})
+    cfg = write_config(tmp_path, doc)
+    rc, out, _ = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
+    assert rc == 0 and "verdicts: exactness=pass" in out and "4096" in out
+    assert reads == []
+    assert mu_truncate(builtin_sequence("jorgensen-pedersen"), 2).weights[0] == Fraction(1, 4)
+    assert reads == ["weights"]  # the wrapper sees a read
 
 
 # One x point of a Q scan over 4096 candidates and rank-8 factor groups

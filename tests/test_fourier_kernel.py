@@ -52,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def dense_fourier_many(m, xis):
     """The single-factor transform: one exact phase per point and atom."""
     den_x, rows_x = common_denominator([tuple(F(c) for c in x) for x in xis])
-    den_a, rows_a = m._phase_data
+    den_a, rows_a = m.den, m.rows
     return unit_exponentials(exact_phase_matrix(rows_x, den_x, rows_a, den_a)) @ m._float_weights
 
 
@@ -194,7 +194,7 @@ def fraction_windowed_table(seq, milestones, radius, depth):
     for j, q in enumerate(milestones, start=1):
         inv_win_t = fraction_inverse(product_range(seq, p, q)).transpose()
         depth_left = depth if seq.length is None else min(depth, seq.length - q)
-        for lam in _window_spectrum_digits(seq, p, q):
+        for lam in map(tuple, _window_spectrum_digits(seq, p, q).tolist()):
             if lam == zero or depth_left < 1:
                 continue
             base = inv_win_t.matvec(lam)

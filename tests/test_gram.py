@@ -8,7 +8,7 @@ from itertools import product as cartesian
 import numpy as np
 import pytest
 
-from convspectra import _phases
+from convspectra import _phases, triples
 from convspectra._phases import (
     DENSE_BYTE_BUDGET,
     _factor_groups,
@@ -44,7 +44,7 @@ def dense_gram_deviation(x_rows, x_den, atom_rows, atom_den, count):
 
 def dense_exactness(m, lams):
     lams = sorted(set(tuple(int(c) for c in v) for v in lams))
-    den, rows = m._phase_data
+    den, rows = m.den, m.rows
     return dense_gram_deviation(lams, 1, rows, den, len(m))
 
 
@@ -131,7 +131,7 @@ def test_random_k_table_spectra_match_dense():
     table = {}
     for j, m in enumerate(base.milestones, start=1):
         p = base.milestones[j - 2] if j >= 2 else 0
-        for lam in _window_spectrum_digits(jp, p, m):
+        for lam in map(tuple, _window_spectrum_digits(jp, p, m).tolist()):
             table[(lam, j)] = (rng.randint(-3, 3),)
     sp = build_spectrum(jp, [1, 2, 3], k_chooser=table)
     assert sp.k_choices
@@ -257,6 +257,39 @@ def test_example_2_6_hadamard_at_level_100():
     assert res.ok and res.max_deviation <= 1e-12
 
 
+def test_example_2_6_hadamard_at_level_130():
+    # the Khatri-Rao join of one factor of all (k + 1)^2 atoms of L exceeded
+    # the budget from level 118 on; per-axis factors hold k + 1 atoms each
+    seq = builtin_sequence("example-2.6")
+    r, b, l = seq.matrix(130), seq.digits(130), seq.spectrum_digits(130)
+    res = hadamard_check(r, b, l)
+    assert len(b) == 131**2 and not res.size_mismatch
+    assert res.ok and res.max_deviation <= 1e-12
+
+
+def test_per_axis_factors_of_l_agree_with_the_one_factor(monkeypatch):
+    seq = builtin_sequence("example-2.6")
+    seen = []
+    real = triples.difference_deviation
+
+    def spy(summands, den, factors):
+        seen.append(len(factors))
+        return real(summands, den, factors)
+
+    monkeypatch.setattr(triples, "difference_deviation", spy)
+    for k in range(1, 31):
+        r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
+        per_axis = hadamard_check(r, b, l).max_deviation
+        assert seen[-1] == 2  # L = L_0 x L_1 went in as two factors
+        den, y_grid, y_wide = numerators(r, b)
+        reduced = np.concatenate([y_grid, y_wide]) % den
+        summands = [np.unique(reduced[:, c]) for c in range(2)]
+        summands = [np.outer(a, np.eye(2, dtype=np.int64)[c]) for c, a in enumerate(summands)]
+        one = real(summands, den, [(np.concatenate(integer_rows(l)), 1, np.full(len(l), 1 / len(b)))])
+        assert abs(per_axis - one) <= AGREE, (k, per_axis, one)
+        assert per_axis <= 1e-12
+
+
 def sorted_order_deviation(r, b, l, stacked=False):
     """hadamard_check's deviation with the rows y mod den as the one
     summand, with points and atoms in set order as lists of Python ints, or
@@ -323,6 +356,22 @@ def test_the_set_and_its_negatives_match_the_difference_route(level, monkeypatch
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 32 * len(lams) ** 2 - 1)
     flat = spectrum_exactness(mu, lams).deviation
     assert abs(by_differences - dense) <= AGREE and abs(flat - dense) <= AGREE
+
+
+@pytest.mark.parametrize("run_bytes", [1, 1 << 16])
+def test_the_flat_route_in_short_runs_matches_dense(run_bytes, monkeypatch):
+    # each run of the set against its negatives starts at its own diagonal
+    jp = builtin_sequence("jorgensen-pedersen")
+    mu = mu_truncate(jp, 7)
+    lams = jp_level(7)
+    dense = dense_exactness(mu, lams)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 32 * len(lams) ** 2 - 1)
+    monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", run_bytes)
+    assert abs(spectrum_exactness(mu, lams).deviation - dense) <= AGREE
+    # a set that fails, so the largest |F| sits off the diagonal
+    line = [(i,) for i in range(len(lams))]
+    res = spectrum_exactness(mu, line)
+    assert abs(res.deviation - dense_exactness(mu, line)) <= AGREE and not res.ok
 
 
 def test_flat_factor_over_budget_raises_before_allocating():

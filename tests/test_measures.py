@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convspectra import measures
-from convspectra.errors import TruncationTooLarge, ValidationError
+from convspectra import measures, sequences
+from convspectra.errors import DimensionMismatch, NonUniformWeights, TruncationTooLarge, ValidationError
 from convspectra.measures import (
     DiscreteMeasure,
     fourier_many,
@@ -16,6 +16,7 @@ from convspectra.measures import (
 )
 from convspectra.exactmat import IntMatrix
 from convspectra.sequences import builtin_sequence, from_generator
+from convspectra.spectra import spectrum_exactness
 from convspectra.triples import DigitSet
 from oracles import (
     clip_to_ball,
@@ -173,6 +174,84 @@ def test_mu_truncate_equals_the_convolution_loop(name, top):
         assert len(set(got.weights)) > 1
     if name == "wide":
         assert max(abs(x) for a in got.atoms for x in a) > 2**62
+
+
+def _far_example_2_6_level(k):
+    # example-2.6's level-20 triple first: its far digit 20 + 8^20 21! and
+    # the atoms it gives lie past int64; then its levels 2, 3, ...
+    return sequences._ex26_gen(20 if k == 1 else k)
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("jorgensen-pedersen", 7), ("bernoulli-quarter", 7), ("colliding", 6), ("example-2.6-far", 2)],
+)
+def test_truncations_are_canonical_integer_rows(name, top):
+    if name == "example-2.6-far":
+        seq = from_generator(_far_example_2_6_level, 2, length=3)
+    else:
+        seq = truncation_sequence(name)
+    for k in range(top + 1):
+        got, want = mu_truncate(seq, k), convolve_loop_truncate(seq, k)
+        # rows over the least common denominator, coprime multiplicities
+        assert math.gcd(got.den, *got.rows.ravel().tolist()) == 1
+        assert math.gcd(*got.counts.tolist()) == 1
+        assert got.rows.tolist() == sorted(got.rows.tolist())
+        assert got.atoms == want.atoms and got.weights == want.weights
+        assert got == want and hash(got) == hash(want)
+        for f, g in zip(got.factors, want.factors):
+            assert f == g and hash(f) == hash(g) and set(f.counts.tolist()) == {1}
+    wide = name == "example-2.6-far"
+    assert got.rows.dtype == (object if wide else np.int64)
+    assert (max(abs(x) for a in got.atoms for x in a) > 2**63) == wide
+    # bernoulli-quarter's sums {±1/4} + {±1/16} + ... are distinct; only the
+    # colliding sequence gives unequal weights
+    uniform = name != "colliding"
+    assert (len(set(got.counts.tolist())) == 1) == uniform
+    lams = [(i,) * seq.dim for i in range(len(got))]
+    if uniform:
+        spectrum_exactness(got, lams)  # raises nothing on the weights
+    else:
+        assert len(set(got.weights)) > 1
+        with pytest.raises(NonUniformWeights):
+            spectrum_exactness(got, lams)
+
+
+def test_equality_and_hash_hold_across_unreduced_denominators():
+    a = DiscreteMeasure.make([((F(1, 2),), F(1, 2)), ((F(3, 4),), F(1, 2))])
+    assert a.den == 4 and a.rows.tolist() == [[2], [3]] and a.counts.tolist() == [1, 1]
+    # a repeated atom, weights over 6
+    b = DiscreteMeasure.make([((F(6, 8),), F(2, 6)), ((F(2, 4),), F(1, 2)), ((F(3, 4),), F(1, 6))])
+    # rows over 8 and counts 2, 2: both reduced on construction
+    c = measures._from_sums(np.array([[4], [6], [4], [6]]), 8)
+    for m in (b, c):
+        assert m == a and hash(m) == hash(a) and m.den == 4
+        assert m.rows.tolist() == a.rows.tolist() and m.counts.tolist() == [1, 1]
+    assert a != DiscreteMeasure.make([((F(1, 2),), F(1, 3)), ((F(3, 4),), F(2, 3))])
+    assert a != DiscreteMeasure.make([((F(1, 2),), F(1, 2)), ((F(3, 2),), F(1, 2))])
+    assert a != DiscreteMeasure.make([((F(1, 2), 0), F(1, 2)), ((F(3, 4), 0), F(1, 2))])
+    # past int64: object rows, the same canonical form from either side
+    big = DiscreteMeasure.make([((F(2**70, 3),), F(1, 2)), ((F(-1, 3),), F(1, 2))])
+    wide = measures._from_sums(np.array([[2**71], [-2]], dtype=object), 6)
+    assert big.rows.dtype == wide.rows.dtype == object
+    assert big == wide and hash(big) == hash(wide) and big.den == wide.den == 3
+    # int64 rows held as Python ints compare equal to their int64 form
+    assert measures._from_sums(np.array([[4], [6]], dtype=object), 8) == a
+
+
+def test_make_still_validates_its_input():
+    with pytest.raises(DimensionMismatch):
+        DiscreteMeasure.make([((0,), F(1, 2)), ((0, 1), F(1, 2))])
+    with pytest.raises(DimensionMismatch):
+        DiscreteMeasure.make([((0,), 1)], dim=2)
+    with pytest.raises(ValidationError, match="negative weight"):
+        DiscreteMeasure.make([((0,), F(3, 2)), ((1,), F(-1, 2))])
+    with pytest.raises(ValidationError, match="at least one"):
+        DiscreteMeasure.make([((0,), 0)])
+    with pytest.raises(ValidationError, match="sum to"):
+        DiscreteMeasure.make([((0,), F(1, 3)), ((0,), F(1, 3))])
+    m = DiscreteMeasure.make([((0, 0), 0), ((F(1, 3), 2), 1)])
+    assert m.atoms == ((F(1, 3), F(2)),) and m.weights == (F(1),) and m.dim == 2
 
 
 @pytest.mark.parametrize("name, top", TRUNCATION_CASES)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import product as cartesian
 
+import numpy as np
 import pytest
 
 from convspectra.errors import (
@@ -35,7 +36,7 @@ from convspectra.spectra import (
     write_levels,
 )
 from convspectra.triples import DigitSet
-from oracles import compose_triples, fourier
+from oracles import compose_triples, fourier, tuple_spectrum
 
 
 def _telescoped_level(seq, m):
@@ -151,7 +152,69 @@ def test_random_k_table_keeps_exactness():
 def _window_block_vectors(seq, p, q):
     from convspectra.spectra import _window_spectrum_digits
 
-    return _window_spectrum_digits(seq, p, q)
+    return map(tuple, _window_spectrum_digits(seq, p, q).tolist())
+
+
+def _wide_line_level(k):
+    # R = 2^20 with L = {0, 1}: level j reaches 2^(20 (j - 1)), past int64 at j = 5
+    return IntMatrix.diagonal([2**20]), DigitSet.of([(0,), (2**19,)]), DigitSet.of([(0,), (1,)])
+
+
+def _k_table(seq, milestones, seed):
+    """Random k in [-2, 2]^d for every vector of every window, as
+    build_spectrum's table chooser takes them: {(lambda, j): k}."""
+    rng = random.Random(seed)
+    table, p = {}, 0
+    for j, q in enumerate(milestones, start=1):
+        for lam in _window_block_vectors(seq, p, q):
+            table[(lam, j)] = tuple(rng.randint(-2, 2) for _ in range(seq.dim))
+        p = q
+    return table
+
+
+def _wide_digit_level(k):
+    # L = {0, 2^32 + 1}: an odd spectrum digit past the int64 digit grid
+    return IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (2**32 + 1,)])
+
+
+_JP = builtin_sequence("jorgensen-pedersen")
+_EX26 = builtin_sequence("example-2.6")
+_WIDE = from_generator(_wide_line_level, 1, length=8)
+
+
+@pytest.mark.parametrize(
+    "seq, milestones, chooser, extra",
+    [
+        (_JP, [1, 2, 3, 5, 8], "zero", {}),
+        (_EX26, [1, 2, 3], "zero", {}),
+        (_EX26, [1, 3], "windowed-search", {"search_radius": 1, "search_depth": 2}),
+        (_JP, [1, 2, 4], "table", {}),
+        (_EX26, [1, 2], "table", {}),
+        (_JP, [1, 2, 3], "zero", {"delta0": Fraction(1, 32)}),
+        (_WIDE, [1, 2, 3, 4, 5], "zero", {}),
+        (from_generator(_wide_digit_level, 1, length=8), [1, 3, 4], "table", {}),
+        (_WIDE, [1, 2, 3], "table", {"delta0": Fraction(1, 2**50)}),
+    ],
+)
+def test_levels_match_tuple_sets(seq, milestones, chooser, extra):
+    if chooser == "table":
+        # the table is keyed by the requested milestones, which delta0 keeps here
+        chooser = _k_table(seq, milestones, 40917)
+    sp = build_spectrum(seq, milestones, chooser, **extra)
+    if isinstance(chooser, dict):
+        choices = {(j, lam): k for (lam, j), k in chooser.items()}
+        assert dict(sp.k_choices) == {key: k for key, k in choices.items() if any(k) and any(key[1])}
+    else:
+        choices = dict(sp.k_choices)
+    used, levels = tuple_spectrum(seq, milestones, choices, extra.get("delta0"))
+    assert sp.milestones == used and sp.levels == levels
+    assert all(type(x) is int for level in sp.levels for v in level for x in v)
+    for j, level in enumerate(sp.levels, start=1):
+        sums = {tuple(map(sum, zip(*vs))) for vs in cartesian(*(b.tolist() for b in sp.blocks[:j]))}
+        assert sorted(sums) == list(level)
+    if seq is _WIDE and "delta0" not in extra:
+        assert max(abs(x) for v in sp.final() for x in v) >= 2**63
+        assert sp.blocks[-1].dtype == object and sp.blocks[0].dtype == np.int64
 
 
 def test_windowed_chooser_keeps_exactness():

@@ -16,6 +16,7 @@ from convspectra._phases import (
     common_denominator,
     merged_factors,
     product_transform,
+    sum_set_runs,
     sum_set_transform,
 )
 from convspectra.errors import WorkingSetTooLarge
@@ -123,6 +124,24 @@ def test_sum_set_transform_equals_the_product_transform_on_every_sum():
     for fs in (factors, merged_factors(factors)):
         got = sum_set_transform(([0, 1], u), [([0, 1], v)], 97, fs)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("run_bytes", [None, 1, 4000])
+def test_upper_runs_hold_the_upper_triangle_of_the_sum_set(run_bytes):
+    m = mu_truncate(from_generator(_skew_level, 2, length=12), 3)
+    factors = m.phase_factors()
+    rng = random.Random(17)
+    x = np.array([[rng.randrange(-300, 301) for _ in range(2)] for _ in range(21)])
+    want = sum_set_transform(([0, 1], x), [([0, 1], -x)], 31, factors)
+    seen = np.zeros(want.shape, dtype=bool)
+    runs = list(sum_set_runs(([0, 1], x), [([0, 1], -x)], 31, factors, run_bytes, upper=True))
+    assert len(runs) == {None: 1, 1: 21}.get(run_bytes, len(runs)) and (run_bytes != 4000 or 1 < len(runs) < 21)
+    for s, values in runs:
+        # the run from left point s takes the right points from s on
+        assert values.shape[1] == 21 - s
+        assert np.max(np.abs(values - want[s : s + len(values), s:])) <= 1e-15
+        seen[s : s + len(values), s:] = True
+    assert seen[np.triu_indices(21)].all()
 
 
 def test_product_transform_walks_points_in_budgeted_chunks(monkeypatch):
