@@ -92,6 +92,7 @@ _CHOOSERS = ("zero", "windowed-search")
 _PASS_VERDICTS = (VERDICT_CERTIFIED, VERDICT_CONVERGED)
 
 _TABLE_ROW_LIMIT = 24  # long per-level tables show the head plus the final row
+_CSV_BLOCK_ROWS = 4096  # sample CSV rows formatted per block
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +805,20 @@ def cmd_qscan(cfg: RunConfig) -> Report:
     )
 
 
+def _sample_bytes(draws: int, dim: int) -> tuple:
+    """(bytes per draw, fixed bytes) that `sample` holds at most.
+
+    Per draw: the float x and y sums, one level's draws, indices and masks
+    (ten int64 and two bool arrays) with the digit rows they gather, and the
+    CSV text twice (the buffer and its value).  Fixed: one CSV block as
+    floats, Python lists and line strings.  A "%.17g" field takes at most 24
+    characters."""
+    text = len(str(draws - 1)) + 2 * dim * 25 + 1
+    per_draw = 16 * dim + 82 + 8 * dim + 2 * text
+    per_row = 16 * dim + 2 * dim * 32 + 64 + 49 + 2 * text
+    return per_draw, _CSV_BLOCK_ROWS * per_row
+
+
 def cmd_sample(cfg: RunConfig) -> Report:
     t0 = time.perf_counter()
     seq = cfg.build_sequence()
@@ -812,6 +827,14 @@ def cmd_sample(cfg: RunConfig) -> Report:
     if seed is None:
         raise ValidationError("sample requires a seed ('seed' or --seed)")
     upto, draws = sec["upto"], sec["draws"]
+    dim = seq.dim
+    per_draw, fixed = _sample_bytes(draws, dim)
+    fits = budget_rows(per_draw, fixed, f"a sample in dimension {dim}")
+    if draws > fits:
+        raise WorkingSetTooLarge(
+            f"a sample of {draws} draws in dimension {dim} needs {fixed + draws * per_draw} "
+            f"bytes; at most {fits} draws fit the dense byte budget"
+        )
     partner = seq.reduced() if sec.get("pair_with_reduced", True) else seq
     scaled = sec.get("scaled", True)
 
@@ -843,7 +866,6 @@ def cmd_sample(cfg: RunConfig) -> Report:
     if clip_note:
         notes.append(clip_note)
 
-    dim = seq.dim
     out = io.StringIO()
     header = (
         ["draw"]
@@ -852,8 +874,10 @@ def cmd_sample(cfg: RunConfig) -> Report:
     )
     out.write(",".join(header) + "\n")
     line = "%d" + ",%.17g" * (2 * dim) + "\n"
-    sums = np.hstack([rep_c.x_sums, rep_c.y_sums]).tolist()
-    out.write("".join([line % (i, *row) for i, row in enumerate(sums)]))
+    for lo in range(0, draws, _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        block = np.hstack([rep_c.x_sums[lo:hi], rep_c.y_sums[lo:hi]]).tolist()
+        out.write("".join([line % (i, *row) for i, row in enumerate(block, lo)]))
 
     return Report(
         command="sample",

@@ -15,15 +15,20 @@ from .errors import EmptySet, IndexOutOfRange, ValidationError
 from .exactmat import IntMatrix
 from .triples import DigitSet, HadamardTriple, mod_reduce
 
-# Levels with more digits than this are rebuilt on demand instead of cached;
-# long sweeps (K ~ 1000 with #B_k ~ k^2) would otherwise pin gigabytes.
+# Budget on the digits of all cached levels together: a level is cached only
+# while it fits next to those already held, and every other level is rebuilt
+# on demand, keeping just the most recent one.  Long sweeps (K ~ 1000 with
+# #B_k ~ k^2) would otherwise pin gigabytes.
 _DIGIT_CACHE_LIMIT = 10_000
 
 
 class TripleSequence:
     """Lazy, cached view of a level sequence.
 
-    Levels are 1-based.  `length` is None for unbounded generators.
+    Levels are 1-based.  Levels are cached in the order they are first built
+    until their digits together would pass `_DIGIT_CACHE_LIMIT`; a level past
+    that budget is held only until the next uncached level is built, and its
+    triple is not cached.  `length` is None for unbounded generators.
     `declared_contractivity` is an optional exact bound c < 1 with
     ‖R_k^{-1}‖₂ ≤ c for every k, declared by the generator for its tail.
     """
@@ -49,6 +54,7 @@ class TripleSequence:
         self.defect_term = defect_term
         self.defect_tail_bound = defect_tail_bound
         self._levels: dict = {}
+        self._held = 0  # digits of the levels in _levels
         self._triples: dict = {}
         self._prefix: dict = {0: IntMatrix.identity(dim)}
         self._last_big = None  # (k, entry) for the most recent uncached level
@@ -85,8 +91,9 @@ class TripleSequence:
             r = known
         entry = (r, b, l)
         self._matrices[k] = r
-        if len(b) <= _DIGIT_CACHE_LIMIT:
+        if self._held + len(b) <= _DIGIT_CACHE_LIMIT:
             self._levels[k] = entry
+            self._held += len(b)
         else:
             self._last_big = (k, entry)
         return entry
@@ -122,7 +129,7 @@ class TripleSequence:
         if l is None:
             raise ValidationError(f"level {k} has no spectrum digit set")
         t = HadamardTriple.make(r, b, l)
-        if len(b) <= _DIGIT_CACHE_LIMIT:
+        if k in self._levels:
             self._triples[k] = t
         return t
 

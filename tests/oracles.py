@@ -4,7 +4,8 @@ Each is the plain definition in Fraction arithmetic, slow and independent of
 the integer kernels: Gauss-Jordan inversion over Q, the dense scalar Fourier
 sum, the convolution of uniform digit measures and the tail truncation built
 from it, composition of Hadamard triples, the pointwise interval coupling,
-and ball clipping with exact moments.  None of it is library code.
+and ball clipping with exact moments.  The `sample` CSV is written here in
+one pass, where the library writes it in blocks.  None of it is library code.
 """
 from __future__ import annotations
 
@@ -362,3 +363,14 @@ def coupling_eval(a: DigitSet, b: DigitSet, x: Fraction):
     else:
         yv = ay[m + math.floor(x * n) - i0 - 1]
     return (yv, xv) if swapped else (xv, yv)
+
+
+def sample_csv(x_sums, y_sums) -> str:
+    """The `sample` artifact written in one pass: a header, then each draw's
+    x and y partial sums to 17 significant digits."""
+    dim = len(x_sums[0])
+    header = ["draw"] + [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(dim)]
+    lines = [",".join(header)]
+    for i, (x, y) in enumerate(zip(x_sums.tolist(), y_sums.tolist())):
+        lines.append(",".join([str(i)] + [format(v, ".17g") for v in x + y]))
+    return "\n".join(lines) + "\n"

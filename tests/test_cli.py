@@ -15,6 +15,7 @@ from convspectra.errors import ParseError, ValidationError
 from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_sequence
 from convspectra.spectra import read_levels
+from oracles import sample_csv
 
 
 def run_cli(args):
@@ -484,6 +485,67 @@ def test_sample_identical_pair_never_mismatches(tmp_path):
     assert all(r[1:3] == r[3:5] for r in rows)
 
 
+def test_exit_3_when_a_sample_exceeds_the_byte_budget(tmp_path, monkeypatch):
+    # 10^11 draws: the float sums alone would take 3.2 TB; the working set is
+    # sized from the counts, so the sampler never runs
+    monkeypatch.setattr(cli, "coupled_sample", None)
+    doc = planar_sample_doc(sample={"upto": 2, "draws": 100_000_000_000})
+    dest = tmp_path / "draws.csv"
+    rc, out, err = run_cli(["sample", "--config", write_config(tmp_path, doc), "--out", str(dest)])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "budget" in err
+    assert "Traceback" not in err and out == "" and not dest.exists()
+
+
+def test_sample_fits_the_budget_up_to_its_sized_draws(tmp_path, monkeypatch):
+    per_draw, fixed = cli._sample_bytes(100, 2)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", fixed + 100 * per_draw)
+    for draws, want in ((100, 0), (101, 3)):
+        doc = planar_sample_doc(sample={"upto": 2, "draws": draws})
+        rc, _, err = run_cli(["sample", "--config", write_config(tmp_path, doc)])
+        assert rc == want, err
+
+
+@pytest.mark.parametrize("generator, dim", [("jorgensen-pedersen", 1), ("example-2.6", 2)])
+def test_sample_working_set_bounds_the_traced_peak(generator, dim):
+    import tracemalloc
+
+    doc = {"dimension": dim, "sequence": {"generator": generator}, "seed": 3,
+           "sample": {"upto": 6, "draws": 20_000}}
+    cfg = cli.parse_config(json.dumps(doc))
+    cli.cmd_sample(cfg)  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        rep = cli.cmd_sample(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_draw, fixed = cli._sample_bytes(20_000, dim)
+    assert len(rep.artifact) < peak <= fixed + 20_000 * per_draw
+
+
+_B = cli._CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("draws", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("generator, dim", [("jorgensen-pedersen", 1), ("example-2.6", 2)])
+def test_sample_csv_blocks_match_a_one_shot_format(monkeypatch, draws, generator, dim):
+    sampled = []
+    real = cli.coupled_sample
+
+    def recording(*args, **kwargs):
+        sampled.append(real(*args, **kwargs))
+        return sampled[-1]
+
+    monkeypatch.setattr(cli, "coupled_sample", recording)
+    doc = {"dimension": dim, "sequence": {"generator": generator}, "seed": 5,
+           "sample": {"upto": 3, "draws": draws}}
+    rep = cli.cmd_sample(cli.parse_config(json.dumps(doc)))
+    (c,) = sampled
+    assert rep.artifact == sample_csv(c.x_sums, c.y_sums)
+    assert rep.artifact.count("\n") == draws + 1
+
+
 # -- equipos ----------------------------------------------------------------
 
 
@@ -938,11 +1000,10 @@ def test_with_top_reads_only_the_overrides(monkeypatch):
         cfg.with_top(bogus=1)
 
 
-def test_check_builds_every_level_once(monkeypatch):
-    # every level is past the digit cache, so a second pass would rebuild it
+def _counting_check(monkeypatch, check):
+    """cmd_check on an example-2.6 generator that records each level it builds."""
     from convspectra import sequences
 
-    monkeypatch.setattr(sequences, "_DIGIT_CACHE_LIMIT", 4)
     built = []
 
     def gen(k):
@@ -951,16 +1012,22 @@ def test_check_builds_every_level_once(monkeypatch):
 
     seq = sequences.from_generator(gen, 2, declared_contractivity=Fraction(1, 16))
     monkeypatch.setattr(cli.RunConfig, "build_sequence", lambda self: seq)
+    doc = {"dimension": 2, "sequence": {"generator": "example-2.6"}, "check": check}
+    return cli.cmd_check(cli.parse_config(json.dumps(doc))), built
+
+
+def test_check_builds_every_level_once(monkeypatch):
+    from convspectra import sequences
+
+    # hadamard's levels 1..24 (5500 digits) stay inside the digit budget, so
+    # the three-series walk to 50 that follows builds only levels 25..50
+    checks = ["hadamard", "three-series"]
+    rep, built = _counting_check(monkeypatch, {"upto": 50, "hadamard_upto": 24, "checks": checks})
+    assert list(rep.verdicts) == checks
+    assert sorted(built) == list(range(1, 51))
+    # every level is past the digit cache, so a second pass would rebuild it
+    monkeypatch.setattr(sequences, "_DIGIT_CACHE_LIMIT", 4)
     series = ["equivalence", "rbc", "pcc", "contractivity"]
-    cfg = cli.parse_config(
-        json.dumps(
-            {
-                "dimension": 2,
-                "sequence": {"generator": "example-2.6"},
-                "check": {"upto": 12, "checks": series},
-            }
-        )
-    )
-    rep = cli.cmd_check(cfg)
+    rep, built = _counting_check(monkeypatch, {"upto": 12, "checks": series})
     assert list(rep.verdicts) == series
     assert sorted(built) == list(range(1, 13))
