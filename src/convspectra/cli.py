@@ -24,12 +24,11 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as cartesian
 from pathlib import Path
 
 import numpy as np
 
-from ._phases import budget_rows, merged_factors, sum_set_sizes
+from ._phases import _INT64_SAFE, PointRows, budget_rows, merged_factors, sum_set_sizes
 from .conditions import (
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
@@ -724,13 +723,19 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
 
 
 def _unit_grid(pitch: Fraction, dim: int, cap: int):
-    """Exact rational grid pitch * Z^d intersected with [0, 1)^d."""
-    count = -(-pitch.denominator // pitch.numerator)  # ⌈1/pitch⌉ points per axis
+    """pitch * Z^d ∩ [0, 1)^d in lexicographic order, as (points, axis): the
+    points as integer rows over the pitch's denominator (int64 below 2^62)
+    and one string per value of an axis."""
+    step, den = pitch.numerator, pitch.denominator
+    count = -(-den // step)  # ⌈1/pitch⌉ points per axis
     total = count**dim
     if total > cap:
         raise GridTooLarge(f"grid of {total} points exceeds the cap of {cap}")
-    axis = [n * pitch for n in range(count)]
-    return [tuple(v) for v in cartesian(axis, repeat=dim)]
+    n = np.arange(count, dtype=np.int64 if den < _INT64_SAFE else object)
+    rows = np.stack(np.meshgrid(*[n * step] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    g = np.gcd(n, den)  # the gcd of n * step and den, as gcd(step, den) = 1
+    axis = [f"{a}/{b}" if b > 1 else f"{a}" for a, b in zip((n * step // g).tolist(), (den // g).tolist())]
+    return PointRows(rows, den), axis
 
 
 def cmd_qscan(cfg: RunConfig) -> Report:
@@ -746,7 +751,7 @@ def cmd_qscan(cfg: RunConfig) -> Report:
     max_atoms = cfg.top("max_atoms", DEFAULT_ATOM_CAP)
 
     if "lambda" in sec:
-        lams = [tuple(v) for v in sec["lambda"]]
+        lams = sec["lambda"]
         source = f"explicit list of {len(lams)} vectors"
     else:
         path = sec["spectrum_file"]
@@ -754,44 +759,35 @@ def cmd_qscan(cfg: RunConfig) -> Report:
             with open(path, "r", encoding="utf-8") as fh:
                 sp = read_levels(fh)
         except OSError as exc:
-            raise ValidationError(
-                f"cannot read spectrum file {path}: {exc.strerror or exc}"
-            ) from None
+            raise ValidationError(f"cannot read spectrum file {path}: {exc.strerror or exc}") from None
         if sp.dim != dim:
-            raise ValidationError(
-                f"spectrum file has dimension {sp.dim}, config says {dim}"
-            )
-        lams = list(sp.final())
+            raise ValidationError(f"spectrum file has dimension {sp.dim}, config says {dim}")
+        lams = sp.final()
         source = f"final level of {path} ({len(lams)} vectors)"
 
-    xs = _unit_grid(pitch, dim, cap)
+    xs, axis = _unit_grid(pitch, dim, cap)
     mu = mu_truncate(seq, sec["truncation"], max_atoms=max_atoms)
 
     values = []
     rank = max(len(rows) for rows, _, _ in merged_factors(mu.phase_factors()))
     chunk = budget_rows(*sum_set_sizes([len(lams)], rank), f"a Q scan over {len(lams)} candidates")
     for i in range(0, len(xs), chunk):
-        values.extend(q_eval_many(mu, lams, xs[i : i + chunk]).tolist())
+        values.extend(q_eval_many(mu, lams, PointRows(xs.rows[i : i + chunk], xs.den)).tolist())
 
+    # the coordinate cells of every point, in grid order
+    cells = axis
+    for _ in range(dim - 1):
+        cells = [f"{a},{b}" for a in cells for b in axis]
     out = io.StringIO()
     out.write(",".join([f"xi{i + 1}" for i in range(dim)] + ["q"]) + "\n")
-    for x, q in zip(xs, values):
-        out.write(",".join([str(c) for c in x] + [f"{q:.17g}"]) + "\n")
+    out.writelines(f"{x},{q:.17g}\n" for x, q in zip(cells, values))
 
-    if values:
-        lo = min(range(len(values)), key=values.__getitem__)
-        hi = max(range(len(values)), key=values.__getitem__)
-        rows = [
-            ("points", len(xs), "-"),
-            ("min q", f"{values[lo]:.17g}", _fmt(xs[lo])),
-            ("max q", f"{values[hi]:.17g}", _fmt(xs[hi])),
-        ]
-    else:
-        rows = [("points", 0, "-")]
+    rows = [("points", len(xs), "-")]  # the grid holds at least the origin
+    for name, pick in (("min q", min), ("max q", max)):
+        i = pick(range(len(values)), key=values.__getitem__)  # the first extreme
+        rows.append((name, f"{values[i]:.17g}", f"({cells[i].replace(',', ', ')})"))
     tables = [_table("completeness functional scan", ("quantity", "value", "at"), rows)]
-    notes = [
-        f"truncation level {sec['truncation']}, pitch {pitch}, lambda from {source}",
-    ]
+    notes = [f"truncation level {sec['truncation']}, pitch {pitch}, lambda from {source}"]
     return Report(
         command="qscan",
         config_sha256=config_sha256(cfg),

@@ -16,12 +16,12 @@ from ._phases import (
     _INT64_SAFE,
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
+    PointRows,
     _distinct_rows,
     _int_rows,
     _narrowest,
     _peak,
     budget_largest,
-    common_denominator,
     difference_deviation,
     merged_factors,
     sum_rows,
@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .exactmat import invert, product_range
-from .measures import DiscreteMeasure, tail_factors, tail_fourier_many
+from .measures import DiscreteMeasure, _points, tail_factors, tail_fourier_many
 
 DEFAULT_EXACTNESS_TOL = 1e-9
 DEFAULT_SPECTRUM_CAP = 1_000_000
@@ -53,18 +53,28 @@ DEFAULT_GRID_CAP = 4_000_000
 # ===== spectrum construction =====
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumLevels:
+    """Candidate spectrum levels, each its sorted distinct integer vectors as
+    one (n, dim) array: int64 when every entry lies below 2^62, object (exact
+    Python ints) otherwise, so the form is canonical; equality is on rows."""
+
     dim: int
     milestones: tuple  # milestone indices actually used
-    levels: tuple  # per level: sorted tuple of integer vectors
+    levels: tuple  # per level: its vectors as sorted distinct integer rows
     chooser: str
     k_choices: tuple  # ((level_index j, lambda), k) records for nonzero k
     # per milestone j, the mapped block M_j as integer rows: level j is the
     # collision-free Minkowski sum M_1 + ... + M_j (empty when read from file)
-    blocks: tuple = field(default=(), compare=False, repr=False)
+    blocks: tuple = field(default=(), repr=False)
 
-    def final(self):
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpectrumLevels):
+            return NotImplemented
+        key = lambda s: (s.dim, s.milestones, s.chooser, s.k_choices, len(s.levels))
+        return key(self) == key(other) and all(map(np.array_equal, self.levels, other.levels))
+
+    def final(self) -> np.ndarray:
         return self.levels[-1]
 
 
@@ -136,20 +146,20 @@ def first_lowest(values, count: int) -> list:
     return picks
 
 
-def _windowed_choices(seq, p: int, q: int, depth: int, lams, box) -> dict:
-    """For each lambda, the first k of the box order that maximizes
-    |nu_hat_q(M^{-T} lambda + k)| over the depth-truncated tail after q, with
-    M = R_q ... R_{p+1}, up to ties (`_first_best`).  All candidates of the
-    window are scored in one batched call."""
+def _windowed_choices(seq, p: int, q: int, depth: int, lams: np.ndarray, box) -> np.ndarray:
+    """For each integer row lambda of lams, the row k of the first box entry
+    that maximizes |nu_hat_q(M^{-T} lambda + k)| over the depth-truncated
+    tail after q, M = R_q ... R_{p+1}, up to ties (`_first_best`).  With
+    (det, adj) = `invert(M)` the candidates are the rows adj^T lambda + det k
+    over det, sign-normalised and reduced by their common gcd with |det| (the
+    least common denominator), all scored in one batched call."""
     det, adj = invert(product_range(seq, p, q))
-    adj_t = adj.transpose()
-    points = []
-    for lam in lams:
-        base = [Fraction(x, det) for x in adj_t.matvec(lam)]
-        points.extend(tuple(b + c for b, c in zip(base, cand)) for cand in box)
+    ks = np.array(box, dtype=np.int64)
+    nums = sum_rows([(_mapped(lams, adj.transpose()) * (1 if det > 0 else -1), 1), (ks, abs(det))])
+    g = math.gcd(int(np.gcd.reduce(nums, axis=None)), det)
+    points = PointRows(nums // g, abs(det) // g)
     scores = np.abs(tail_fourier_many(seq, q, depth, points)).reshape(len(lams), len(box))
-    best = _first_best(scores.T)
-    return {lam: box[i] for lam, i in zip(lams, best.tolist())}
+    return ks[_first_best(scores.T)]
 
 
 def build_spectrum(
@@ -178,7 +188,8 @@ def build_spectrum(
     Levels are carried as integer rows (int64 under a headroom test, Python
     ints past it): level j is the distinct sums of level j - 1 and the
     mapped block, which must number #level × #block (TripleInvalid
-    otherwise), and `levels` holds each as sorted tuples, built once.
+    otherwise), and `levels` holds those rows.  Only the table chooser's
+    lookup and the `k_choices` records form tuples.
     """
     ms = [int(m) for m in milestones]
     if not ms or any(m < 1 for m in ms):
@@ -210,16 +221,8 @@ def build_spectrum(
         # delta0 = a/b, on integers: 4 b^2 |adj^T lam|^2 < a^2 det^2
         ball = (4 * d0.denominator**2, d0.numerator**2)
 
-    # every level used must carry a validated triple (triple() raises on failure)
-    def ensure_levels_valid(p, q):
-        for i in range(p + 1, q + 1):
-            seq.triple(i)
-
     lam_prev = np.zeros((1, dim), dtype=np.int64)
-    levels, blocks = [], []
-    used_milestones = []
-    k_records = []
-    p = 0
+    levels, blocks, used_milestones, k_records, p = [], [], [], [], 0
     for j, requested in enumerate(ms, start=1):
         q = max(requested, p + 1)
         if ball is not None:
@@ -236,7 +239,8 @@ def build_spectrum(
         elif seq.length is not None and q > seq.length:
             raise MilestoneGap(f"milestone {q} exceeds sequence length {seq.length}")
 
-        ensure_levels_valid(p, q)
+        for i in range(p + 1, q + 1):
+            seq.triple(i)  # every level used must carry a validated triple
         block = _window_spectrum_digits(seq, p, q)
         if len(lam_prev) * len(block) > max_atoms:
             raise TruncationTooLarge(
@@ -244,51 +248,48 @@ def build_spectrum(
                 f"(cap {max_atoms})"
             )
 
-        if mode != "zero":
-            vecs = list(map(tuple, block.tolist()))
-            chosen = {}
-            if mode == "windowed":
-                depth_left = search_depth
-                if seq.length is not None:
-                    depth_left = min(search_depth, seq.length - q)
-                searched = [lam for lam in vecs if lam != zero_vec]
-                if depth_left >= 1 and searched:
-                    chosen = _windowed_choices(
-                        seq, p, q, depth_left, searched, _k_search_box(search_radius, dim)
-                    )
-            else:
-                chosen = {lam: tuple(table.get((lam, j), zero_vec)) for lam in vecs if lam != zero_vec}
-            ks = [chosen.get(lam, zero_vec) for lam in vecs]
-            for lam, k in zip(vecs, ks):
+        if mode == "windowed":
+            ks = np.zeros(block.shape, dtype=np.int64)
+            searched = (block != 0).any(axis=1)
+            depth_left = search_depth
+            if seq.length is not None:
+                depth_left = min(search_depth, seq.length - q)
+            if depth_left >= 1 and searched.any():
+                ks[searched] = _windowed_choices(
+                    seq, p, q, depth_left, block[searched], _k_search_box(search_radius, dim)
+                )
+        elif mode == "table":
+            ks = []
+            for lam in map(tuple, block.tolist()):
+                k = tuple(table.get((lam, j), zero_vec)) if any(lam) else zero_vec
                 if len(k) != dim:
                     raise ValidationError(f"k table entry for {lam} has wrong dimension")
-                if k != zero_vec:
-                    k_records.append(((j, lam), k))
-            if any(map(any, ks)):
-                shift = _mapped(_int_rows(ks), product_range(seq, p, q).transpose())
+                ks.append(k)
+            ks = _int_rows(ks)
+        if mode != "zero":
+            moved = (ks != 0).any(axis=1)
+            k_records.extend(
+                ((j, tuple(lam)), tuple(k))
+                for lam, k in zip(block[moved].tolist(), ks[moved].tolist())
+            )
+            if moved.any():
+                shift = _mapped(ks, product_range(seq, p, q).transpose())
                 block = _narrowest(block.astype(object) + shift)
         mapped = _mapped(block, seq.prefix_matrix(p).transpose())
 
-        level = _distinct_rows(sum_rows([(lam_prev, 1), (mapped, 1)]))[0]
+        level = _narrowest(_distinct_rows(sum_rows([(lam_prev, 1), (mapped, 1)]))[0])
         if len(level) != len(lam_prev) * len(mapped):
             raise TripleInvalid(
                 f"level {j} collided: {len(level)} vectors from "
                 f"{len(lam_prev)}x{len(mapped)} products"
             )
         lam_prev = level
-        levels.append(tuple(map(tuple, level.tolist())))
+        levels.append(level)
         blocks.append(mapped)
         used_milestones.append(q)
         p = q
 
-    return SpectrumLevels(
-        dim=dim,
-        milestones=tuple(used_milestones),
-        levels=tuple(levels),
-        chooser=mode,
-        k_choices=tuple(k_records),
-        blocks=tuple(blocks),
-    )
+    return SpectrumLevels(dim, tuple(used_milestones), tuple(levels), mode, tuple(k_records), tuple(blocks))
 
 
 def write_levels(sp: SpectrumLevels, stream) -> None:
@@ -296,80 +297,82 @@ def write_levels(sp: SpectrumLevels, stream) -> None:
     stream.write(f"# spectrum dim={sp.dim} chooser={sp.chooser}\n")
     for j, (m, level) in enumerate(zip(sp.milestones, sp.levels), start=1):
         stream.write(f"# level {j}: milestone {m}, {len(level)} vectors\n")
-        for v in level:
-            stream.write(" ".join(str(c) for c in v) + "\n")
+        stream.writelines(" ".join(map(str, v)) + "\n" for v in level.tolist())
 
 
 def read_levels(stream) -> SpectrumLevels:
-    dim = None
-    chooser = "unknown"
-    milestones = []
-    levels = []
-    current = None
-    for line in stream:
+    """The levels of a file `write_levels` wrote, as lexicographically sorted
+    integer rows (int64 below 2^62, object past it).  A line that does not
+    parse (a non-integer token, dim= below 1, a missing milestone number, a
+    vector of the wrong length) or a vector its level already holds raises
+    ValidationError naming the line."""
+    dim, chooser, milestones = None, "unknown", []
+    levels = []  # per level: its vectors and their line numbers
+    for n, line in enumerate(stream, start=1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("spectrum"):
-                for tok in body.split():
-                    if tok.startswith("dim="):
-                        dim = int(tok[4:])
-                    elif tok.startswith("chooser="):
-                        chooser = tok[8:]
-            elif body.startswith("level"):
-                if current is not None:
-                    levels.append(tuple(current))
-                current = []
-                toks = body.replace(",", " ").split()
-                if "milestone" in toks:
-                    milestones.append(int(toks[toks.index("milestone") + 1]))
-            continue
-        if current is None:
-            current = []
-        vec = tuple(int(t) for t in line.split())
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ValidationError(f"vector {vec} does not match dim {dim}")
-        current.append(vec)
-    if current is not None:
-        levels.append(tuple(current))
-    if not levels:
+        try:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("spectrum"):
+                    for tok in body.split():
+                        if tok.startswith("dim="):
+                            dim = int(tok[4:])
+                            if dim < 1:
+                                raise ValueError
+                        elif tok.startswith("chooser="):
+                            chooser = tok[8:]
+                elif body.startswith("level"):
+                    levels.append(([], []))
+                    toks = body.replace(",", " ").split()
+                    if "milestone" in toks:
+                        milestones.append(int(toks[toks.index("milestone") + 1]))
+            elif line:
+                vec = [int(t) for t in line.split()]
+                dim = dim or len(vec)
+                if len(vec) != dim:
+                    raise ValueError
+                if not levels:
+                    levels.append(([], []))
+                levels[-1][0].append(vec)
+                levels[-1][1].append(n)
+        except (ValueError, IndexError):
+            raise ValidationError(f"spectrum file line {n}: cannot read {line!r} (dim {dim})") from None
+    if not levels or dim is None:
         raise ValidationError("no spectrum vectors found")
+    rows = []
+    for vecs, lines in levels:
+        level, where = _distinct_rows(_narrowest(vecs).reshape(-1, dim))
+        if len(level) != len(vecs):
+            i = int(np.setdiff1d(np.arange(len(vecs)), np.unique(where, return_index=True)[1])[0])
+            raise ValidationError(f"spectrum file line {lines[i]}: vector {vecs[i]} repeats in its level")
+        rows.append(level)
     if len(milestones) != len(levels):
         milestones = list(range(1, len(levels) + 1))
-    return SpectrumLevels(
-        dim=dim,
-        milestones=tuple(milestones),
-        levels=tuple(tuple(sorted(l)) for l in levels),
-        chooser=chooser,
-        k_choices=(),
-    )
+    return SpectrumLevels(dim, tuple(milestones), tuple(rows), chooser, ())
 
 
 # ===== the Q criterion =====
 
 
 def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
-    """Q at every frequency of xis: mu_hat on the sum set xis + lambda_set,
-    from one table of the frequencies and one of the candidates per group of
-    convolution factors (merged into groups of at most 8 atoms)."""
-    lams = list(lambda_set)
-    xs = [tuple(Fraction(c) for c in xi) for xi in xis]
-    if not lams:
-        return np.zeros(len(xs))
-    if any(len(v) != m.dim for v in xs + lams):
+    """Q(xi) = Σ_λ |mu_hat(xi + λ)|² at every frequency of xis (rational
+    vectors or `PointRows`, as `fourier_many` takes them) for the integer
+    rows λ of lambda_set (anything `_int_rows` takes): mu_hat on the sum
+    set, from one table of the frequencies and one of the candidates per
+    group of convolution factors (merged into groups of at most 8 atoms)."""
+    pts = _points(xis, m.dim)
+    if not len(lambda_set):
+        return np.zeros(len(pts))
+    lams = _int_rows(lambda_set)
+    if lams.ndim != 2 or lams.shape[1] != m.dim:
         raise DimensionMismatch(f"frequencies and candidates must have dimension {m.dim}")
-    if not xs:
+    if not len(pts):
         return np.zeros(0)
-    den, rows = common_denominator(xs + lams)
     axes = list(range(m.dim))
     vals = sum_set_transform(
-        (axes, _int_rows(rows[: len(xs)])),
-        [(axes, _int_rows(rows[len(xs) :]))],
-        den,
+        (axes, _int_rows(pts.rows)),
+        [(axes, sum_rows([(lams, pts.den)]))],
+        pts.den,
         merged_factors(m.phase_factors()),
     )
     # sum over lambda of |mu_hat|^2: squares of the real and imaginary parts
@@ -402,7 +405,7 @@ def spectrum_exactness(
         raise NonUniformWeights(
             "exactness criterion supports equal-weight measures only"
         )
-    parts = list(lambda_set)
+    parts = [lambda_set] if isinstance(lambda_set, np.ndarray) else list(lambda_set)
     if not parts or any(np.ndim(p) != 2 for p in parts):
         parts = [parts]  # the vectors themselves: one summand
     blocks = [_int_rows(p) if len(p) else np.zeros((0, m.dim), np.int64) for p in parts]

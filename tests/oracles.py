@@ -5,11 +5,14 @@ the integer kernels: Gauss-Jordan inversion over Q, the dense scalar Fourier
 sum, the convolution of uniform digit measures and the tail truncation built
 from it, composition of Hadamard triples, the pointwise interval coupling,
 and ball clipping with exact moments.  The `sample` CSV is written here in
-one pass, where the library writes it in blocks.  None of it is library code.
+one pass, where the library writes it in blocks, and the `qscan` CSV from
+Fraction points, where the library formats integer rows.  None of it is
+library code.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -374,3 +377,31 @@ def sample_csv(x_sums, y_sums) -> str:
     for i, (x, y) in enumerate(zip(x_sums.tolist(), y_sums.tolist())):
         lines.append(",".join([str(i)] + [format(v, ".17g") for v in x + y]))
     return "\n".join(lines) + "\n"
+
+
+# ===== spectrum levels and the Q scan artifact =====
+
+
+def level_tuples(level) -> tuple:
+    """A spectrum level's integer rows as a sorted tuple of int tuples."""
+    return tuple(map(tuple, level.tolist()))
+
+
+def qscan_csv(pitch, dim: int, values) -> tuple:
+    """The `qscan` artifact written in one pass over Fraction points: the
+    grid pitch·Z^d ∩ [0, 1)^d in lexicographic order, each point with its q
+    to 17 significant digits; and the "at" cells of the first minimum and
+    the first maximum of the values."""
+    pitch = Fraction(pitch)
+    axis = []
+    while len(axis) * pitch < 1:
+        axis.append(len(axis) * pitch)
+    points = list(itertools.product(axis, repeat=dim))
+    assert len(points) == len(values)
+    lines = [",".join([f"xi{i + 1}" for i in range(dim)] + ["q"])]
+    for x, q in zip(points, values):
+        lines.append(",".join([str(c) for c in x] + [f"{q:.17g}"]))
+    lo = min(range(len(values)), key=values.__getitem__)
+    hi = max(range(len(values)), key=values.__getitem__)
+    at = lambda x: "(" + ", ".join(str(c) for c in x) + ")"
+    return "\n".join(lines) + "\n", at(points[lo]), at(points[hi])

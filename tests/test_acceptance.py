@@ -32,7 +32,7 @@ from convspectra.spectra import (
     spectrum_exactness,
 )
 from convspectra.triples import DigitSet, hadamard_check
-from oracles import compose_triples, fraction_inverse
+from oracles import compose_triples, fraction_inverse, level_tuples
 
 
 def seeded_rationals(rng, count, max_den=10_000, spread=10):
@@ -275,7 +275,7 @@ def test_acceptance_10_recursion_matches_composed_triples():
         sp = build_spectrum(seq, tuple(range(1, top + 1)))
         for m in range(1, top + 1):
             composed = compose_triples([seq.triple(i) for i in range(1, m + 1)])
-            assert set(sp.levels[m - 1]) == set(composed.l.vectors)
+            assert set(level_tuples(sp.levels[m - 1])) == set(composed.l.vectors)
     print(
         "ACCEPTANCE 10 PASS — level recursion reproduces composed spectrum "
         "digit sets exactly for both builtin families"

@@ -15,7 +15,7 @@ from convspectra.errors import ParseError, ValidationError
 from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_sequence
 from convspectra.spectra import read_levels
-from oracles import sample_csv
+from oracles import level_tuples, qscan_csv, sample_csv
 
 
 def run_cli(args):
@@ -214,6 +214,25 @@ def test_spectrum_exactness_reads_no_fraction_atom_or_weight(tmp_path, monkeypat
     assert reads == ["weights"]  # the wrapper sees a read
 
 
+def test_windowed_spectrum_and_qscan_form_no_fraction_per_vector(tmp_path, monkeypatch):
+    # candidates, levels, lambda and the grid stay integer rows; only the
+    # config's rationals (a few) become Fractions
+    made = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(1) or real(cls, *a, **k))
+    ex26 = {"dimension": 2, "sequence": {"generator": "example-2.6"}}
+    spec = {"milestones": [1, 3], "chooser": "windowed-search", "search_radius": 1,
+            "search_depth": 2, "exactness": False}
+    levels = tmp_path / "levels.txt"
+    rc, out, _ = run_cli(["spectrum", "--config", write_config(tmp_path, {**ex26, "spectrum": spec}, "s.json"),
+                          "--out", str(levels)])
+    assert rc == 0 and "nonzero offset choices: 0" not in out and len(made) < 10
+    made.clear()
+    doc = {**ex26, "qscan": {"truncation": 3, "spectrum_file": str(levels), "grid_pitch": "1/64"}}
+    rc, out, _ = run_cli(["qscan", "--config", write_config(tmp_path, doc, "q.json"), "--out", str(tmp_path / "q.csv")])
+    assert rc == 0 and "576 vectors" in out and len(made) < 10  # 576 x 4096 sums
+
+
 # One x point of a Q scan over 4096 candidates and rank-8 factor groups
 # (truncation 12 of Jorgensen-Pedersen: twelve 2-atom levels) needs its rows
 # of the complex product and of one level, 2 * 16 * 4096 bytes, and its row of
@@ -315,7 +334,7 @@ def test_spectrum_writes_level_file(tmp_path):
     with open(dest, "r", encoding="utf-8") as fh:
         sp = read_levels(fh)
     assert sp.dim == 1
-    assert sp.final() == ((0,), (1,), (4,), (5,), (16,), (17,), (20,), (21,))
+    assert level_tuples(sp.final()) == ((0,), (1,), (4,), (5,), (16,), (17,), (20,), (21,))
 
 
 def test_spectrum_level_sizes_for_planar_generator(tmp_path):
@@ -392,6 +411,72 @@ def test_qscan_reads_spectrum_file(tmp_path):
     _, rows = parse_csv(out)
     assert len(rows) == 13
     assert all(abs(float(r[1]) - 1.0) < 1e-9 for r in rows)
+
+
+def test_qscan_from_a_level_file_matches_the_same_lambda_inline(tmp_path):
+    ex26 = {"dimension": 2, "sequence": {"generator": "example-2.6"}}
+    spec = {"milestones": [1, 3], "chooser": "windowed-search", "search_radius": 1,
+            "search_depth": 2, "exactness": False}
+    levels = tmp_path / "levels.txt"
+    rc, _, _ = run_cli(["spectrum", "--config", write_config(tmp_path, {**ex26, "spectrum": spec}, "s.json"),
+                        "--out", str(levels)])
+    assert rc == 0
+    with open(levels, "r", encoding="utf-8") as fh:
+        final = read_levels(fh).final().tolist()
+    assert min(min(v) for v in final) < 0  # the search moved some vectors
+    csv = {}
+    for key, source in (("file", {"spectrum_file": str(levels)}), ("inline", {"lambda": final})):
+        doc = {**ex26, "qscan": {"truncation": 3, "grid_pitch": "1/8", **source}}
+        dest = tmp_path / f"{key}.csv"
+        rc, _, _ = run_cli(["qscan", "--config", write_config(tmp_path, doc, f"{key}.json"), "--out", str(dest)])
+        assert rc == 0
+        csv[key] = dest.read_bytes()
+    assert csv["file"] == csv["inline"]
+
+
+@pytest.mark.parametrize(
+    "dim, pitch", [(1, "1"), (1, "5/3"), (1, "7/64"), (2, "3/2"), (2, "1/6"), (2, "3/16")]
+)
+def test_qscan_csv_matches_the_fraction_formatter(tmp_path, dim, pitch):
+    doc = {
+        "dimension": dim,
+        "sequence": {"generator": "jorgensen-pedersen" if dim == 1 else "example-2.6"},
+        "qscan": {"truncation": 2, "grid_pitch": pitch,
+                  "lambda": [[0], [1], [4]] if dim == 1 else [[0, 0], [1, 0], [0, 3], [-2, 1]]},
+    }
+    dest = tmp_path / "q.csv"
+    rc, out, _ = run_cli(["qscan", "--config", write_config(tmp_path, doc), "--out", str(dest)])
+    assert rc == 0
+    text = dest.read_text(encoding="utf-8")
+    values = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()[1:]]
+    want, lo, hi = qscan_csv(pitch, dim, values)
+    assert text == want
+    cells = {line[:5]: line[line.index("("):] for line in out.splitlines()
+             if line.startswith(("min q", "max q"))}
+    assert cells == {"min q": lo, "max q": hi}
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("# spectrum dim=1 chooser=zero\n# level 1: milestone 1, 2 vectors\n0\n1.5\n", 4),
+        ("# spectrum dim=x chooser=zero\n# level 1: milestone 1, 1 vectors\n0\n", 1),
+        ("# spectrum dim=0 chooser=zero\n# level 1: milestone 1, 1 vectors\n0\n", 1),
+        ("# spectrum dim=1 chooser=zero\n# level 1: milestone one, 1 vectors\n0\n", 2),
+        ("# spectrum dim=1 chooser=zero\n# level 1: milestone\n0\n", 2),
+        ("# spectrum dim=1 chooser=zero\n# level 1: milestone 1, 3 vectors\n0\n1\n\n0\n", 6),
+        ("# spectrum dim=1 chooser=zero\n# level 1: milestone 1, 2 vectors\n0\n1 2\n", 4),
+    ],
+    ids=["non-integer", "bad-dim", "zero-dim", "bad-milestone", "no-milestone", "repeat", "wrong-dim"],
+)
+def test_qscan_refuses_a_malformed_level_file(tmp_path, text, line):
+    path = tmp_path / "levels.txt"
+    path.write_text(text, encoding="utf-8")
+    doc = jp_doc(qscan={"truncation": 2, "spectrum_file": str(path), "grid_pitch": "1/4"})
+    rc, out, err = run_cli(["qscan", "--config", write_config(tmp_path, doc)])
+    assert rc == 2 and out == ""
+    assert err.startswith(f"config error: spectrum file line {line}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_qscan_exact_grid_column(tmp_path):
@@ -979,8 +1064,10 @@ def test_unit_grid_points_unchanged(pitch):
     axis = []
     while len(axis) * p < 1:
         axis.append(len(axis) * p)
-    grid = cli._unit_grid(p, 2, 10**6)
-    assert grid == [(a, b) for a in axis for b in axis]
+    grid, names = cli._unit_grid(p, 2, 10**6)
+    points = [tuple(Fraction(x, grid.den) for x in row) for row in grid.rows.tolist()]
+    assert points == [(a, b) for a in axis for b in axis]
+    assert names == [str(a) for a in axis]
 
 
 def test_with_top_reads_only_the_overrides(monkeypatch):

@@ -214,17 +214,25 @@ def _far_spectrum_level(k):
     return IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (3,)])
 
 
+def _negative_det_level(k):
+    # R = -4: the candidates adj^T lambda + det k over det change sign
+    return IntMatrix.diagonal([-4]), DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (3,)])
+
+
 @pytest.mark.parametrize(
     "name, milestones, radius, depth, shifted",
     [
         ("example-2.6", [1, 2, 3], 2, 4, False),
         ("example-2.6", [1, 3], 1, 2, True),
         ("far-spectrum", [1, 2, 3, 4], 2, 3, True),
+        ("negative-det", [1, 2, 3, 4], 2, 3, True),
     ],
 )
 def test_windowed_levels_match_fraction_chooser(name, milestones, radius, depth, shifted):
     if name == "far-spectrum":
         seq = from_generator(_far_spectrum_level, 1, length=8)
+    elif name == "negative-det":
+        seq = from_generator(_negative_det_level, 1, length=8)
     else:
         seq = builtin_sequence(name)
     table = fraction_windowed_table(seq, milestones, radius, depth)
@@ -233,8 +241,11 @@ def test_windowed_levels_match_fraction_chooser(name, milestones, radius, depth,
         seq, milestones, "windowed-search", search_radius=radius, search_depth=depth
     )
     oracle = build_spectrum(seq, milestones, table)
-    assert fast.levels == oracle.levels
+    assert len(fast.levels) == len(oracle.levels)
+    assert all(map(np.array_equal, fast.levels, oracle.levels))
     assert fast.k_choices == oracle.k_choices
+    if name == "negative-det":
+        assert fast.k_choices == tuple(((j, (3,)), (1,)) for j in milestones)
 
 
 # ---- the equi-positivity scan ----

@@ -36,7 +36,7 @@ from convspectra.spectra import (
     write_levels,
 )
 from convspectra.triples import DigitSet
-from oracles import compose_triples, fourier, tuple_spectrum
+from oracles import compose_triples, fourier, level_tuples, tuple_spectrum
 
 
 def _telescoped_level(seq, m):
@@ -56,18 +56,18 @@ def _telescoped_level(seq, m):
 def test_line_levels_match_closed_form():
     jp = builtin_sequence("jorgensen-pedersen")
     sp = build_spectrum(jp, [1, 2, 3])
-    assert sp.levels[0] == ((0,), (1,))
-    assert sp.levels[1] == ((0,), (1,), (4,), (5,))
-    assert sp.levels[2] == ((0,), (1,), (4,), (5,), (16,), (17,), (20,), (21,))
+    assert level_tuples(sp.levels[0]) == ((0,), (1,))
+    assert level_tuples(sp.levels[1]) == ((0,), (1,), (4,), (5,))
+    assert level_tuples(sp.levels[2]) == ((0,), (1,), (4,), (5,), (16,), (17,), (20,), (21,))
     for j, m in enumerate(sp.milestones):
-        assert set(sp.levels[j]) == _telescoped_level(jp, m)
+        assert set(level_tuples(sp.levels[j])) == _telescoped_level(jp, m)
 
 
 def test_planar_levels_match_closed_form():
     seq = builtin_sequence("example-2.6")
     sp = build_spectrum(seq, [1, 2])
     assert [len(l) for l in sp.levels] == [4, 36]
-    assert set(sp.levels[1]) == _telescoped_level(seq, 2)
+    assert set(level_tuples(sp.levels[1])) == _telescoped_level(seq, 2)
 
 
 def test_levels_match_triple_composition():
@@ -78,7 +78,7 @@ def test_levels_match_triple_composition():
         sp = build_spectrum(seq, list(range(1, tops + 1)))
         for j in range(1, tops + 1):
             composed = compose_triples([seq.triple(i) for i in range(1, j + 1)])
-            assert set(sp.levels[j - 1]) == set(composed.l.vectors)
+            assert set(level_tuples(sp.levels[j - 1])) == set(composed.l.vectors)
 
 
 def test_zero_membership_and_nesting():
@@ -88,7 +88,7 @@ def test_zero_membership_and_nesting():
         zero = (0,) * seq.dim
         prev = set()
         for level in sp.levels:
-            cur = set(level)
+            cur = set(level_tuples(level))
             assert zero in cur
             assert prev <= cur
             prev = cur
@@ -138,13 +138,13 @@ def test_random_k_table_keeps_exactness():
             table[(lam, j)] = (rng.randint(-3, 3),)
     sp = build_spectrum(jp, [1, 2, 3], k_chooser=table)
     assert [len(l) for l in sp.levels] == [2, 4, 8]
-    assert (0,) in set(sp.levels[2])  # k forced to 0 at lambda = 0
+    assert (0,) in set(level_tuples(sp.levels[2]))  # k forced to 0 at lambda = 0
     for j, m in enumerate(sp.milestones, start=1):
         res = spectrum_exactness(mu_truncate(jp, m), sp.levels[j - 1])
         assert res.ok, res
     # shifted levels genuinely differ from the zero-choice ones
     assert any(
-        set(a) != set(b) for a, b in zip(sp.levels, base.levels)
+        set(level_tuples(a)) != set(level_tuples(b)) for a, b in zip(sp.levels, base.levels)
     )
     assert sp.k_choices  # nonzero choices were recorded
 
@@ -207,13 +207,15 @@ def test_levels_match_tuple_sets(seq, milestones, chooser, extra):
     else:
         choices = dict(sp.k_choices)
     used, levels = tuple_spectrum(seq, milestones, choices, extra.get("delta0"))
-    assert sp.milestones == used and sp.levels == levels
-    assert all(type(x) is int for level in sp.levels for v in level for x in v)
+    assert sp.milestones == used and tuple(map(level_tuples, sp.levels)) == levels
+    assert all(type(x) is int for level in sp.levels for v in level.tolist() for x in v)
     for j, level in enumerate(sp.levels, start=1):
         sums = {tuple(map(sum, zip(*vs))) for vs in cartesian(*(b.tolist() for b in sp.blocks[:j]))}
-        assert sorted(sums) == list(level)
+        assert sorted(sums) == list(level_tuples(level))
+        # one dtype per level: int64 exactly when every entry lies below 2^62
+        assert level.dtype == (np.int64 if all(abs(x) < 2**62 for v in level.tolist() for x in v) else object)
     if seq is _WIDE and "delta0" not in extra:
-        assert max(abs(x) for v in sp.final() for x in v) >= 2**63
+        assert max(abs(x) for v in sp.final().tolist() for x in v) >= 2**63
         assert sp.blocks[-1].dtype == object and sp.blocks[0].dtype == np.int64
 
 
@@ -249,7 +251,24 @@ def test_write_read_roundtrip():
     back = read_levels(io.StringIO(buf.getvalue()))
     assert back.dim == sp.dim
     assert back.milestones == sp.milestones
-    assert back.levels == sp.levels
+    assert tuple(map(level_tuples, back.levels)) == tuple(map(level_tuples, sp.levels))
+
+
+def test_wide_line_levels_survive_the_level_file():
+    # levels 1-4 of the R = 2^20 line fit int64; level 5 reaches 2^80
+    sp = build_spectrum(_WIDE, [1, 2, 3, 4, 5])
+    buf = io.StringIO()
+    write_levels(sp, buf)
+    back = read_levels(io.StringIO(buf.getvalue()))
+    assert back == sp
+    assert [l.dtype for l in back.levels] == [np.dtype(np.int64)] * 4 + [np.dtype(object)]
+    assert [l.dtype for l in sp.levels] == [l.dtype for l in back.levels]
+    assert level_tuples(back.final()) == tuple_spectrum(_WIDE, [1, 2, 3, 4, 5])[1][-1]
+    # rows in any order read back sorted
+    lines = buf.getvalue().splitlines(True)
+    head, body = lines[:-32], lines[-32:]
+    shuffled = read_levels(io.StringIO("".join(head + body[::-1])))
+    assert shuffled == sp
 
 
 # ----- the Q criterion -----
