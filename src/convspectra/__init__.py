@@ -36,14 +36,11 @@ from .sequences import (
 )
 from .spectra import (
     build_spectrum,
-    cos_bound,
-    equi_positivity_floor,
     equi_positivity_scan,
     perturbation_bound,
     q_eval_many,
     read_levels,
     spectrum_exactness,
-    tail_constant_C,
     write_levels,
 )
 from .triples import DigitSet, HadamardTriple, hadamard_check
@@ -61,10 +58,8 @@ __all__ = [
     "builtin_names",
     "builtin_sequence",
     "contractivity_report",
-    "cos_bound",
     "coupled_sample",
     "defect_term",
-    "equi_positivity_floor",
     "equi_positivity_scan",
     "equivalence_defect",
     "fourier_many",
@@ -84,7 +79,6 @@ __all__ = [
     "read_levels",
     "spectral_norm_upper",
     "spectrum_exactness",
-    "tail_constant_C",
     "tail_fourier_product",
     "three_series",
     "write_levels",

@@ -187,11 +187,6 @@ def _box_masks(nums):
     return box_mask(y_grid, den), box_mask(y_wide, den)
 
 
-def _count_outside_box(r: IntMatrix, b: DigitSet) -> int:
-    grid, wide = _box_masks(numerators(r, b))
-    return len(b) - int(grid.sum()) - int(wide.sum())
-
-
 def rbc_split(r: IntMatrix, b: DigitSet) -> RbcSplit:
     """Partition digits by whether R^{-1}b lands in [-1/2,1/2)^d (half-open)."""
     if r.dim != b.dim:

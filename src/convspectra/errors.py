@@ -53,14 +53,6 @@ class NonUniformWeights(ConvspectraError):
     """The operation requires a uniform (equal-weight) measure."""
 
 
-class ThetaOutOfRange(ConvspectraError):
-    """Arc width argument must lie in [0, pi)."""
-
-
-class EpsilonOutOfRange(ConvspectraError):
-    """Contraction ratio must lie strictly between 0 and 1."""
-
-
 class BoundViolation(ConvspectraError):
     """A perturbation consumed the entire positivity margin."""
 

@@ -236,13 +236,12 @@ def count_real_roots(p, a: Fraction, b: Fraction) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-def charpoly(n: IntMatrix, d: int = 1) -> list:
-    """Monic characteristic polynomial det(λI − n/d), ascending Fraction
-    coefficients, for an integer matrix n and a nonzero integer d.
+def charpoly(n: IntMatrix) -> list:
+    """Monic characteristic polynomial det(λI − n), ascending Fraction
+    coefficients, for an integer matrix n.
 
-    Faddeev–LeVerrier on n: the coefficient c_k of λ^{dim−k} in det(λI − n)
-    is an integer, so each division by k is exact, and the coefficient for
-    n/d is c_k / d^k.
+    Faddeev–LeVerrier: the coefficient c_k of λ^{dim−k} is an integer, so
+    each division by k is exact.
     """
     size = n.dim
     mk = IntMatrix(((0,) * size,) * size)
@@ -259,8 +258,7 @@ def charpoly(n: IntMatrix, d: int = 1) -> list:
         ck, rest = divmod(-sum(am.rows[i][i] for i in range(size)), k)
         assert rest == 0
         coeffs.append(ck)
-    # det(λI − n/d) = Σ_k c_k d^{−k} λ^{size−k}; convert to ascending order
-    return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
+    return [Fraction(c) for c in reversed(coeffs)]
 
 
 # ===== certified spectral norm upper bound =====

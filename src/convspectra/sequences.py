@@ -42,7 +42,6 @@ class TripleSequence:
         declared_contractivity: Fraction | None = None,
         name: str = "",
         validate_digits: bool = True,
-        defect_term=None,
         defect_tail_bound=None,
     ):
         self._gen = gen
@@ -51,7 +50,6 @@ class TripleSequence:
         self.declared_contractivity = declared_contractivity
         self.name = name
         self.validate_digits = validate_digits
-        self.defect_term = defect_term
         self.defect_tail_bound = defect_tail_bound
         self._levels: dict = {}
         self._held = 0  # digits of the levels in _levels
@@ -272,7 +270,6 @@ def _make_example_2_6(max_k: int | None = None) -> TripleSequence:
         length=max_k,
         declared_contractivity=Fraction(1, 16),
         name="example-2.6",
-        defect_term=lambda k: Fraction(1, (k + 1) ** 2),
         defect_tail_bound=lambda start: Fraction(1, start),
     )
 

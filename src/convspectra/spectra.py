@@ -1,6 +1,5 @@
 """Candidate spectra: level-by-level construction, the Q-function criterion,
-exact finite-level verification, and the equi-positivity grid scan with its
-quantitative floor.
+exact finite-level verification, and the equi-positivity grid scan.
 """
 from __future__ import annotations
 
@@ -31,12 +30,10 @@ from ._phases import (
 from .errors import (
     BoundViolation,
     DimensionMismatch,
-    EpsilonOutOfRange,
     GridTooLarge,
     MilestoneGap,
     NonUniformWeights,
     SizeMismatch,
-    ThetaOutOfRange,
     TripleInvalid,
     TruncationTooLarge,
     ValidationError,
@@ -48,6 +45,7 @@ DEFAULT_EXACTNESS_TOL = 1e-9
 DEFAULT_SPECTRUM_CAP = 1_000_000
 DEFAULT_FAIL_TOL = 1e-12
 DEFAULT_GRID_CAP = 4_000_000
+_TAIL_FLOOR_TERMS = 200
 
 
 # ===== spectrum construction =====
@@ -553,20 +551,20 @@ def _ball_minima(moduli, wheres, k_at, ball_t: int) -> np.ndarray:
     return out
 
 
-def truncation_tail_floor(
-    c: float, depth: int, dim: int, xi_max: float, terms: int = 200
-):
+def truncation_tail_floor(c: float, depth: int, dim: int, xi_max: float):
     """Lower bound for the product of the mask moduli a depth-truncated scan
     ignores.  Valid when every ignored digit set sits inside its half-open
     box after scaling by its own matrix: the j-th tail factor then averages
     unit exponentials with phases within +-theta_j where
     theta_j = pi sqrt(d) xi_max c^{j-1}, so it is at least cos(theta_j)
-    while theta_j < pi/2.  Returns (floor, note); floor is None when the
-    bound does not apply."""
+    while theta_j < pi/2.  At most `_TAIL_FLOOR_TERMS` factors are taken one
+    by one; the rest, from phase theta on, cost at most theta^2 / (1 - c^2)
+    in the logarithm, since -ln cos x <= x^2 on [0, 1].  Returns
+    (floor, note); floor is None when the bound does not apply."""
     if not 0 < c < 1:
         return None, "no contraction ratio declared; truncation error unbounded"
     acc = 0.0
-    for j in range(depth + 1, depth + 1 + terms):
+    for j in range(depth + 1, depth + 1 + _TAIL_FLOOR_TERMS):
         theta = math.pi * math.sqrt(dim) * xi_max * c ** (j - 1)
         if theta >= math.pi / 2:
             return None, (
@@ -576,7 +574,13 @@ def truncation_tail_floor(
         acc += math.log(math.cos(theta))
         if theta < 1e-18:
             break
-    floor = math.exp(acc)
+    theta *= c  # the phase bound of the first factor not taken
+    if theta > 1:
+        return None, (
+            f"phase bound {theta:.3f} after {_TAIL_FLOOR_TERMS} tail factors "
+            "is above 1; no truncation floor at this depth"
+        )
+    floor = math.exp(acc - theta * theta / (1 - c * c))
     note = (
         f"ignored factors beyond depth {depth} bounded below by {floor:.15g} "
         f"(assumes in-box digits and contraction ratio {c:g})"
@@ -765,36 +769,6 @@ def equi_positivity_scan(
 # ===== quantitative helpers =====
 
 
-def cos_bound(theta: float) -> float:
-    """Lower bound cos(theta/2) for the modulus of any average of unit
-    exponentials whose phases all lie within an arc of width theta < pi."""
-    if not 0 <= theta < math.pi:
-        raise ThetaOutOfRange(f"need 0 <= theta < pi, got {theta}")
-    return math.cos(theta / 2)
-
-
-@dataclass(frozen=True)
-class TailConstant:
-    value: float  # partial sum of ln cos(eps^j), j = 0..terms
-    lo: float  # certified bracket: lo <= true constant <= hi
-    hi: float
-    terms: int
-
-
-def tail_constant_C(epsilon: float, terms: int) -> TailConstant:
-    """Partial sum of sum_j ln cos(eps^j) with a certified tail bracket
-    (|tail| <= sum_{j>terms} eps^{2j}, since -ln cos x <= x^2 on [0,1])."""
-    if not 0 < epsilon < 1:
-        raise EpsilonOutOfRange(f"need 0 < epsilon < 1, got {epsilon}")
-    if terms < 0:
-        raise ValidationError("terms must be >= 0")
-    total = 0.0
-    for j in range(terms + 1):
-        total += math.log(math.cos(epsilon**j))
-    tail = epsilon ** (2 * (terms + 1)) / (1 - epsilon**2)
-    return TailConstant(value=total, lo=total - tail, hi=total, terms=terms)
-
-
 def perturbation_bound(phi1_to_phi2_tv: float, epsilon0: float) -> float:
     """Transfer an equi-positivity constant across a total-variation distance."""
     if phi1_to_phi2_tv < 0:
@@ -804,87 +778,3 @@ def perturbation_bound(phi1_to_phi2_tv: float, epsilon0: float) -> float:
             f"tv distance {phi1_to_phi2_tv} is not below epsilon0 {epsilon0}"
         )
     return epsilon0 - phi1_to_phi2_tv
-
-
-@dataclass(frozen=True)
-class FloorReport:
-    epsilon0_floor: float
-    r_value: float
-    a_value: float
-    j_index: int
-    c_bracket: tuple
-    checked_levels: tuple
-    valid: bool
-    detail: str
-
-
-def equi_positivity_floor(
-    seq,
-    l,
-    tail_start: int = 0,
-    *,
-    a=None,
-    check_depth: int = 16,
-    c_terms: int = 80,
-) -> FloorReport:
-    """Numeric evaluation of the constructive lower bound e^C r^{J-1} a for
-    tails of a concentration-compliant sequence with margin l.
-
-    r = cos_bound((1 - l/2) pi); J is the first index where the phase bound
-    (3 d pi / 4) c^{J-1} drops below c per extra level; a must satisfy
-    (1-a) r - a > a and dominate the far-digit fractions of the checked
-    levels (verified exactly level by level)."""
-    from .conditions import pcc_split  # local import: avoid a module cycle
-
-    lf = Fraction(l)
-    if not 0 < lf < 1:
-        raise ValidationError(f"need 0 < l < 1, got {lf}")
-    c = seq.declared_contractivity
-    if c is None:
-        raise ValidationError("sequence declares no contraction ratio")
-    cf = float(c)
-    if not 0 < cf < 1:
-        raise ValidationError("declared contraction ratio must be in (0, 1)")
-    d = seq.dim
-    theta = (1 - float(lf) / 2) * math.pi
-    r = cos_bound(theta)
-    if a is None:
-        a = r / (2 * (r + 2))
-    af = float(a)
-    if not (1 - af) * r - af > af:
-        raise BoundViolation(
-            f"a = {af:g} violates the smallness requirement (1-a)r - a > a"
-        )
-    arg = 4.0 / (3.0 * d * math.pi)
-    jj = 1 if arg >= 1 else 1 + math.ceil(math.log(arg) / math.log(cf))
-    tc = tail_constant_C(cf, c_terms)
-    floor = math.exp(tc.lo) * r ** (jj - 1) * af
-    checked = []
-    valid = True
-    bad = None
-    top = tail_start + check_depth
-    if seq.length is not None:
-        top = min(top, seq.length)
-    a_frac = Fraction(af)
-    for k in range(tail_start + 1, top + 1):
-        b = seq.digits(k)
-        _, far = pcc_split(seq.matrix(k), b, lf)
-        frac = Fraction(len(far), len(b))
-        checked.append((k, frac))
-        if frac > a_frac and bad is None:
-            valid = False
-            bad = k
-    detail = (
-        f"far-digit fractions checked exactly for levels {tail_start + 1}..{top}"
-        + ("" if valid else f"; level {bad} exceeds a = {af:g}")
-    )
-    return FloorReport(
-        epsilon0_floor=floor,
-        r_value=r,
-        a_value=af,
-        j_index=jj,
-        c_bracket=(tc.lo, tc.hi),
-        checked_levels=tuple(checked),
-        valid=valid,
-        detail=detail,
-    )

@@ -9,7 +9,6 @@ import pytest
 
 from convspectra.conditions import (
     _aligned_tables,
-    _count_outside_box,
     defect_term,
     pcc_split,
     rbc_split,
@@ -207,7 +206,7 @@ def test_box_and_cone_splits_match_fraction_oracle(d, i, seed):
     sp = rbc_split(r, b)
     assert sp.b1.vectors == tuple(inside)
     assert sp.b2.vectors == tuple(v for v in b.vectors if v not in inside)
-    assert _count_outside_box(r, b) == len(b) - len(inside)
+    assert len(sp.b2) == len(b) - len(inside)
     for l in (Fraction(1, 4), Fraction(2, 3), Fraction(1, 1000)):
         near, far = pcc_split(r, b, l)
         want = tuple(v for v in b.vectors if oracle_near(r, v, l))
@@ -246,7 +245,7 @@ def test_example_2_6_levels_match_oracles(k):
     red = mod_reduce(b, r)
     assert red.vectors == want and red.wide == ()
     assert seq.reduced().digits(k) == red
-    assert _count_outside_box(r, b) == 1
+    assert len(rbc_split(r, b).b2) == 1
     assert rbc_split(r, b).b2.vectors == (far,)
     near, far_set = pcc_split(r, b, Fraction(1, 4))
     assert far_set.vectors == (far,)
@@ -255,7 +254,7 @@ def test_example_2_6_levels_match_oracles(k):
     fresh = builtin_sequence("example-2.6")
     for fn in (lambda s: s.digits(k), lambda s: s.reduced().digits(k)):
         d = fn(fresh)
-        _count_outside_box(r, d)
+        rbc_split(r, d)
         pcc_split(r, d, Fraction(1, 4))
         mod_reduce(d, r)
         assert "vectors" not in d.__dict__

@@ -96,7 +96,6 @@ def test_planar_family_spectra_are_unitary_through_k6():
 
 def test_planar_family_defect_metadata():
     seq = builtin_sequence("example-2.6")
-    assert seq.defect_term(3) == Fraction(1, 16)
     assert seq.defect_tail_bound(100) == Fraction(1, 100)
 
 

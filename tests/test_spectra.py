@@ -1,6 +1,5 @@
 """Spectrum construction, the Q criterion, exactness, and the scan helpers."""
 import io
-import math
 import random
 from fractions import Fraction
 from itertools import product as cartesian
@@ -10,11 +9,9 @@ import pytest
 
 from convspectra.errors import (
     BoundViolation,
-    EpsilonOutOfRange,
     MilestoneGap,
     NonUniformWeights,
     SizeMismatch,
-    ThetaOutOfRange,
     TripleInvalid,
     TruncationTooLarge,
     ValidationError,
@@ -24,15 +21,13 @@ from convspectra.measures import mu_truncate
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.spectra import (
     build_spectrum,
-    cos_bound,
-    equi_positivity_floor,
     equi_positivity_scan,
     first_lowest,
     perturbation_bound,
     q_eval_many,
     read_levels,
     spectrum_exactness,
-    tail_constant_C,
+    truncation_tail_floor,
     write_levels,
 )
 from convspectra.triples import DigitSet
@@ -364,9 +359,6 @@ def test_scan_witnessed_and_beats_analytic_floor():
     zero_x = (Fraction(0), Fraction(0))
     k0, v0 = rep.per_x_witness[(0, zero_x)]
     assert k0 == (0, 0) and v0 > 0.9
-    floor = equi_positivity_floor(red, Fraction(1, 4), tail_start=0)
-    assert floor.valid
-    assert rep.epsilon0 >= floor.epsilon0_floor
 
 
 def test_scan_failed_fixture():
@@ -435,46 +427,57 @@ def test_scan_k_window_helps_far_x():
 # ----- quantitative helpers -----
 
 
-def test_cos_bound_values_and_domain():
-    assert cos_bound(0.0) == 1.0
-    assert abs(cos_bound(math.pi / 2) - math.sqrt(2) / 2) < 1e-15
-    with pytest.raises(ThetaOutOfRange):
-        cos_bound(math.pi)
-    with pytest.raises(ThetaOutOfRange):
-        cos_bound(-0.1)
+@pytest.mark.parametrize(
+    "name, reduce, floor_applies",
+    [
+        ("bernoulli-quarter", False, True),
+        ("example-2.6", True, True),
+        ("jorgensen-pedersen", False, False),
+        ("example-2.6", False, False),
+    ],
+)
+def test_scan_applies_or_withholds_the_truncation_floor(name, reduce, floor_applies):
+    seq = builtin_sequence(name)
+    if reduce:
+        seq = seq.reduced()
+    rep = equi_positivity_scan(
+        seq, [0], depth=4, x_grid=Fraction(1, 8), y_radius=Fraction(1, 12)
+    )
+    assert rep.status == "witnessed"
+    if floor_applies:
+        assert 0 < rep.truncation_floor < 1
+        assert rep.epsilon0 == rep.scanned_epsilon0 * rep.truncation_floor
+        assert rep.truncation_note.startswith("ignored factors beyond depth 4 bounded below by ")
+    else:
+        # level 5, the first ignored level, has a digit outside R_5[-1/2, 1/2)^d
+        assert rep.truncation_floor is None
+        assert rep.epsilon0 == rep.scanned_epsilon0
+        assert rep.truncation_note == (
+            "level 5 digit set leaves its half-open box; truncation floor withheld"
+        )
 
 
-def test_cos_bound_monte_carlo_property():
-    rng = random.Random(61103)
-    for _ in range(2000):
-        theta = rng.uniform(0.0, 2.9)
-        m = rng.randint(1, 20)
-        xs = [rng.uniform(0.0, theta) for _ in range(m)]
-        s = sum(complex(math.cos(-x), math.sin(-x)) for x in xs) / m
-        assert abs(s) >= cos_bound(theta) - 1e-12
-
-
-def test_tail_constant_against_high_precision():
+@pytest.mark.parametrize("c", [0.25, 0.9, 0.99])
+def test_truncation_tail_floor_is_below_the_infinite_product(c):
     import mpmath
 
-    tc = tail_constant_C(0.5, 60)
-    assert tc.hi - tc.lo < 1e-30
-    with mpmath.workdps(60):
-        true = mpmath.nsum(lambda j: mpmath.log(mpmath.cos(mpmath.mpf(0.5) ** j)),
-                           [0, mpmath.inf])
-    assert abs(tc.value - float(true)) < 1e-12
-    assert tc.lo - 1e-12 <= float(true) <= tc.hi + 1e-12
+    # depth 1 in one dimension with xi_max = 0.1: the factors cos(pi/10 c^(j-1)), j >= 2
+    floor, _ = truncation_tail_floor(c, 1, 1, 0.1)
+    with mpmath.workdps(40):
+        ratio, theta = mpmath.mpf(c), mpmath.pi / 10 * mpmath.mpf(c)
+        log_true = mpmath.mpf(0)
+        while theta > mpmath.mpf(10) ** -25:
+            log_true += mpmath.log(mpmath.cos(theta))
+            theta *= ratio
+        true = float(mpmath.exp(log_true))
+    assert 0 < floor <= true * (1 + 1e-14)
 
 
-def test_tail_constant_single_term_and_monotone():
-    tc = tail_constant_C(1e-9, 0)
-    assert abs(tc.value - math.log(math.cos(1.0))) < 1e-15
-    grid = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85]
-    vals = [tail_constant_C(e, 200).value for e in grid]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    for bad in (0.0, 1.0, 1.5, -0.3):
-        with pytest.raises(EpsilonOutOfRange):
-            tail_constant_C(bad, 10)
+def test_truncation_tail_floor_withheld_past_the_factor_cap():
+    # after 200 factors the phase bound 0.45 pi * 0.9999^200 is still above 1
+    floor, note = truncation_tail_floor(0.9999, 0, 1, 0.45)
+    assert floor is None
+    assert note.endswith("is above 1; no truncation floor at this depth")
 
 
 def test_perturbation_arithmetic():
@@ -486,23 +489,6 @@ def test_perturbation_arithmetic():
         perturbation_bound(0.9, 0.5)
     with pytest.raises(ValidationError):
         perturbation_bound(-0.1, 0.5)
-
-
-def test_floor_report_parameters():
-    red = builtin_sequence("example-2.6").reduced()
-    fl = equi_positivity_floor(red, Fraction(1, 4), tail_start=0)
-    assert fl.j_index == 2
-    assert abs(fl.r_value - math.cos(7 * math.pi / 16)) < 1e-15
-    assert 0 < fl.a_value < fl.r_value
-    assert fl.epsilon0_floor > 0
-    assert fl.c_bracket[0] <= fl.c_bracket[1]
-    with pytest.raises(BoundViolation):
-        equi_positivity_floor(red, Fraction(1, 4), a=0.2)
-    plain = from_generator(
-        lambda k: (IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), None), 1
-    )
-    with pytest.raises(ValidationError):
-        equi_positivity_floor(plain, Fraction(1, 4))  # no declared contraction
 
 
 # ----- tie-stable selection of the worst witnesses -----
