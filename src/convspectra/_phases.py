@@ -11,12 +11,13 @@ Points and atoms are held as exact integer rows over one positive
 denominator.  Every dense kernel works under one byte budget, checked before
 it allocates.
 
-The sum-set kernel evaluates a product transform at every sum u + v of two
-point sets from one table per summand, since e(-(u + v)·a) = e(-u·a)·e(-v·a):
-each factor is one matrix product instead of one exponential per sum and
-atom.  Unitarity is the same kernel on a difference set: a Gram matrix
-G[i, k] = F(x_i - x_k) gives max |G - I| = max |F(δ) - [δ = 0]| over the
-differences δ of the points.
+The sum-set kernel, `sum_set_runs`, evaluates a product transform at every
+sum u + v of two point sets from one table per summand, since e(-(u + v)·a)
+= e(-u·a)·e(-v·a): each factor is one matrix product instead of one
+exponential per sum and atom.  It walks the left points in runs, which its
+callers write into their results.  Unitarity is the same kernel on a
+difference set: a Gram matrix G[i, k] = F(x_i - x_k) gives max |G - I| =
+max |F(δ) - [δ = 0]| over the differences δ of the points.
 """
 from __future__ import annotations
 
@@ -30,17 +31,17 @@ from .errors import WorkingSetTooLarge
 
 _INT64_SAFE = 2**62
 
-# Byte budget shared by the dense kernels: one sum-set evaluation, or one run
-# of it, with its tables.
+# Byte budget shared by the dense kernels: one run of the sum-set kernel with
+# its tables.
 DENSE_BYTE_BUDGET = 256 << 20
 # Peak bytes per entry while one phase table is built: int64 product and
 # residue, float phases, complex exponentials.
 PHASE_ENTRY_BYTES = 32
 COMPLEX_BYTES = 16
-# Target bytes of one run of `difference_deviation`: its product, level and
-# modulus buffers.  On a 2-CPU machine, runs of 1, 4, 16 and 64 MiB took
-# 0.036, 0.033, 0.036 and 0.071 s on the Jorgensen-Pedersen level-12
-# summands, and 0.31, 0.21, 0.21 and 0.25 s on those of level 14.
+# Target bytes of one run of `sum_set_runs`: its product, level and modulus
+# buffers.  On a 2-CPU machine, `difference_deviation` in runs of 1, 4, 16
+# and 64 MiB took 0.036, 0.033, 0.036 and 0.071 s on the Jorgensen-Pedersen
+# level-12 summands, and 0.31, 0.21, 0.21 and 0.25 s on those of level 14.
 _RUN_TARGET_BYTES = 4 << 20
 # Most atoms of a merged factor group.  On a 2-CPU Xeon with OpenBLAS at two
 # threads, the n = 4096 Jorgensen-Pedersen Gram (twelve rank-2 factors) took
@@ -147,22 +148,27 @@ def unit_exponentials(phases: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def within_budget(nbytes: int) -> bool:
+    return nbytes <= DENSE_BYTE_BUDGET
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise WorkingSetTooLarge when `nbytes` do not fit the budget."""
+    if not within_budget(nbytes):
+        raise WorkingSetTooLarge(
+            f"{what} needs {nbytes} bytes at least; "
+            f"the dense byte budget is {DENSE_BYTE_BUDGET}"
+        )
+
+
 def budget_rows(row_bytes: int, fixed_bytes: int, what: str) -> int:
     """How many rows of `row_bytes` fit in the budget next to `fixed_bytes`.
 
     Raises WorkingSetTooLarge when not even one row fits.
     """
-    rows = (DENSE_BYTE_BUDGET - fixed_bytes) // max(1, row_bytes)
-    if rows < 1:
-        raise WorkingSetTooLarge(
-            f"{what} needs {fixed_bytes + row_bytes} bytes at least; "
-            f"the dense byte budget is {DENSE_BYTE_BUDGET}"
-        )
-    return rows
-
-
-def within_budget(nbytes: int) -> bool:
-    return nbytes <= DENSE_BYTE_BUDGET
+    row_bytes = max(1, row_bytes)
+    check_budget(fixed_bytes + row_bytes, what)
+    return (DENSE_BYTE_BUDGET - fixed_bytes) // row_bytes
 
 
 def budget_largest(cost, most: int, what: str) -> int:
@@ -171,11 +177,7 @@ def budget_largest(cost, most: int, what: str) -> int:
 
     Raises WorkingSetTooLarge when not even cost(1) fits.
     """
-    if not within_budget(cost(1)):
-        raise WorkingSetTooLarge(
-            f"{what} needs {cost(1)} bytes at least; "
-            f"the dense byte budget is {DENSE_BYTE_BUDGET}"
-        )
+    check_budget(cost(1), what)
     lo, hi = 1, most
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -192,22 +194,19 @@ def product_transform(points: PointRows, factors) -> np.ndarray:
     Each factor is (rows, den, weights): atoms a_b = rows[b] / den carrying
     float weights w_b.  For a convolution of the factors this is its
     transform, at points · Σ#atoms exact exponentials instead of
-    points · Π#atoms: `sum_set_transform` with the points alone, walked in
-    chunks of points that fit DENSE_BYTE_BUDGET next to the result.
+    points · Π#atoms: the runs of `sum_set_runs` with the points alone.  The
+    result, 16 bytes per point, is checked against DENSE_BYTE_BUDGET before
+    it is allocated.
     """
     n = len(points)
-    out = np.ones(n, dtype=complex)
     if n == 0 or not factors:
-        return out
-    rows = _int_rows(points.rows)
-    axes = list(range(rows.shape[1]))
+        return np.ones(n, dtype=complex)
     rank = max(len(atoms) for atoms, _, _ in factors)
-    chunk = budget_rows(
-        2 * COMPLEX_BYTES + PHASE_ENTRY_BYTES * rank, COMPLEX_BYTES * n,
-        f"a {n}-point transform over factors of up to {rank} atoms",
-    )
-    for s in range(0, n, chunk):
-        out[s : s + chunk] = sum_set_transform((axes, rows[s : s + chunk]), [], points.den, factors)[:, 0]
+    check_budget(COMPLEX_BYTES * n, f"a {n}-point transform over factors of up to {rank} atoms")
+    rows = _int_rows(points.rows)
+    out = np.empty(n, dtype=complex)
+    for s, values in sum_set_runs((list(range(rows.shape[1])), rows), [], points.den, factors):
+        out[s : s + len(values)] = values[:, 0]
     return out
 
 
@@ -315,52 +314,20 @@ def _right_sums(cols, right, den: int, factors):
         yield distinct, rden, np.add.reduceat(joined, starts, axis=0)
 
 
-def sum_set_sizes(right_sizes, rank: int) -> tuple:
-    """(bytes per left point, bytes once) of a `sum_set_transform` call with
-    right blocks of these sizes and factors of at most `rank` atoms: per left
-    point, its rows of the product, of one level and of the left table; once,
-    the right tables as built, and the Khatri-Rao join with its group sums."""
-    n_right = prod(right_sizes)
-    once = PHASE_ENTRY_BYTES * rank * sum(right_sizes) + 2 * COMPLEX_BYTES * rank * n_right
-    return 2 * COMPLEX_BYTES * n_right + PHASE_ENTRY_BYTES * rank, once
+def sum_set_sizes(right_sizes, ranks) -> tuple:
+    """(bytes per left point, bytes once) of `sum_set_runs` with right blocks
+    of these sizes and factors of these atom counts: per left point, its rows
+    of the product, of one level and of a float modulus, and its row of the
+    left table; once, the right tables as built, the Khatri-Rao join with its
+    group sums, and every factor's group sums, kept across runs."""
+    n_right, rank = prod(right_sizes), max(ranks, default=0)
+    once = PHASE_ENTRY_BYTES * rank * sum(right_sizes) + COMPLEX_BYTES * n_right * (2 * rank + sum(ranks))
+    return (2 * COMPLEX_BYTES + 8) * n_right + PHASE_ENTRY_BYTES * rank, once
 
 
-def sum_set_runs(left, right, den: int, factors, run_bytes: int | None = None, upper: bool = False):
-    """`sum_set_transform` in runs of left points, yielding (start, values of
-    the run): one run, or runs whose rows of the product, level and a float
-    modulus take about `run_bytes`, with every factor's right group sums
-    formed once and kept.  The bytes are checked against DENSE_BYTE_BUDGET
-    before anything is allocated (WorkingSetTooLarge).
-
-    With `upper`, the right is one block whose points pair with the left
-    points in order, and the run from left point s takes only the right
-    points from s on: its values start at column s."""
-    cols, nums = left
-    n, sizes = len(nums), [len(b[1]) for b in right]
-    ranks = [len(rows) for rows, _, _ in factors]
-    row, fixed = sum_set_sizes(sizes, max(ranks, default=0))
-    what = f"a sum set of {n} x {prod(sizes)} points over factors of up to {max(ranks, default=0)} atoms"
-    sums = _right_sums(cols, right, den, factors)
-    if run_bytes is None:
-        count = max(n, 1)
-        budget_rows(row * count, fixed, what)
-    else:
-        row, fixed = row + 8 * prod(sizes), fixed + COMPLEX_BYTES * prod(sizes) * sum(ranks)
-        count = min(budget_rows(row, fixed, what), max(1, run_bytes // row))
-        sums = list(sums) if count < n else sums
-    for s in range(0, max(n, 1), count):
-        run = (cols, nums[s : s + count])
-        first = s if upper else 0
-        acc = np.ones((len(run[1]), prod(sizes) - first), dtype=complex)
-        level = np.empty_like(acc)
-        for distinct, rden, grouped in sums:
-            np.matmul(_block_table(run, den, distinct, rden).T, grouped[:, first:], out=level)
-            acc *= level
-        yield s, acc
-
-
-def sum_set_transform(left, right, den: int, factors) -> np.ndarray:
-    """Π_j Σ_b w_jb e(-(u + v)·a_jb) at every sum u + v, shape (#u, #v): u
+def sum_set_runs(left, right, den: int, factors, upper: bool = False):
+    """Π_j Σ_b w_jb e(-(u + v)·a_jb) at every sum u + v, in runs of left
+    points: yields (start, values of the run), shape (#run, #v), where u
     runs over the points of the block `left` and v over the product of the
     blocks in `right`, in lexicographic order.
 
@@ -370,11 +337,33 @@ def sum_set_transform(left, right, den: int, factors) -> np.ndarray:
     rows[b] / rden carrying float weights w_b.  Since e(-(u + v)·a) =
     e(-u·a)·e(-v·a), a factor is Σ_α e(-u·α) Σ_b w_b e(-v·a_b), the inner
     sum over the atoms whose projection onto the left axes is α: one matrix
-    product over the distinct projections α.  `sum_set_sizes` sizes the
-    left block.
-    """
-    ((_, acc),) = sum_set_runs(left, right, den, factors)
-    return acc
+    product over the distinct projections α.
+
+    A run holds about _RUN_TARGET_BYTES of the per-point bytes
+    `sum_set_sizes` counts, and every factor's right group sums are formed
+    once.  One run's bytes are checked against DENSE_BYTE_BUDGET before
+    anything is allocated (WorkingSetTooLarge).
+
+    With `upper`, the right is one block whose points pair with the left
+    points in order, and the run from left point s takes only the right
+    points from s on: its values start at column s."""
+    cols, nums = left
+    n, sizes = len(nums), [len(b[1]) for b in right]
+    ranks = [len(rows) for rows, _, _ in factors]
+    row, fixed = sum_set_sizes(sizes, ranks)
+    what = f"a sum set of {n} x {prod(sizes)} points over factors of up to {max(ranks, default=0)} atoms"
+    count = min(budget_rows(row, fixed, what), max(1, _RUN_TARGET_BYTES // row))
+    sums = _right_sums(cols, right, den, factors)
+    sums = list(sums) if count < n else sums
+    for s in range(0, max(n, 1), count):
+        run = (cols, nums[s : s + count])
+        first = s if upper else 0
+        acc = np.ones((len(run[1]), prod(sizes) - first), dtype=complex)
+        level = np.empty_like(acc)
+        for distinct, rden, grouped in sums:
+            np.matmul(_block_table(run, den, distinct, rden).T, grouped[:, first:], out=level)
+            acc *= level
+        yield s, acc
 
 
 def sum_rows(parts) -> np.ndarray:
@@ -406,8 +395,7 @@ def difference_deviation(summands, den: int, factors) -> float:
     (u >= 0 in lexicographic order), with every right point, cover every
     |F|.  When a summand's pairwise differences do not fit the budget, X
     goes on the left and -X on the right, and each x_i meets only the x_k
-    with k >= i.  The left block is walked in runs of about
-    _RUN_TARGET_BYTES."""
+    with k >= i."""
     # all pairs of a summand at 32 bytes per coordinate: the differences,
     # their sorted copy and the sort's index arrays
     upper = not all(within_budget(32 * len(m) * np.size(m)) for m in summands)
@@ -433,7 +421,7 @@ def difference_deviation(summands, den: int, factors) -> float:
         axes = list(range(x.shape[1]))
         left, right, zero = (axes, x), (axes, -x), np.arange(len(x))
     dev = 0.0
-    for s, values in sum_set_runs(left, [right], den, merged_factors(factors), _RUN_TARGET_BYTES, upper):
+    for s, values in sum_set_runs(left, [right], den, merged_factors(factors), upper):
         hit = np.flatnonzero(zero[s : s + len(values)] >= 0)
         values[hit, zero[s + hit] - s * upper] -= 1  # upper runs start at column s
         dev = max(dev, float(np.abs(values).max(initial=0.0)))

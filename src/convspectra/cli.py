@@ -9,8 +9,9 @@ sample    draw coupled random partial sums for a sequence pair (CSV)
 equipos   scan tail transforms for a positive lower bound, then transfer it
 
 Exit codes: 0 success, 1 a requested check failed (or another runtime
-error), 2 config problem, 3 a resource cap was hit (an atom or grid cap, or
-the byte budget of the dense kernels).
+error), 2 config problem (levels past a finite sequence's length included),
+3 a resource cap was hit (an atom or grid cap, or the byte budget of the
+dense kernels).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._phases import _INT64_SAFE, PointRows, budget_rows, merged_factors, sum_set_sizes
+from ._phases import _INT64_SAFE, PointRows, budget_rows
 from .conditions import (
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
@@ -41,6 +42,8 @@ from .errors import (
     ConvspectraError,
     DimensionTooLarge,
     GridTooLarge,
+    IndexOutOfRange,
+    MilestoneGap,
     ParseError,
     TruncationTooLarge,
     ValidationError,
@@ -768,11 +771,7 @@ def cmd_qscan(cfg: RunConfig) -> Report:
     xs, axis = _unit_grid(pitch, dim, cap)
     mu = mu_truncate(seq, sec["truncation"], max_atoms=max_atoms)
 
-    values = []
-    rank = max(len(rows) for rows, _, _ in merged_factors(mu.phase_factors()))
-    chunk = budget_rows(*sum_set_sizes([len(lams)], rank), f"a Q scan over {len(lams)} candidates")
-    for i in range(0, len(xs), chunk):
-        values.extend(q_eval_many(mu, lams, PointRows(xs.rows[i : i + chunk], xs.den)).tolist())
+    values = q_eval_many(mu, lams, xs).tolist()
 
     # the coordinate cells of every point, in grid order
     cells = axis
@@ -1042,7 +1041,7 @@ def main(argv=None) -> int:
             grid_pitch=args.grid_pitch,
         )
         rep = _COMMANDS[args.command](cfg)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, IndexOutOfRange, MilestoneGap) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (TruncationTooLarge, GridTooLarge, DimensionTooLarge, WorkingSetTooLarge) as exc:

@@ -24,7 +24,7 @@ from ._phases import (
     difference_deviation,
     merged_factors,
     sum_rows,
-    sum_set_transform,
+    sum_set_runs,
     within_budget,
 )
 from .errors import (
@@ -303,9 +303,10 @@ def read_levels(stream) -> SpectrumLevels:
     integer rows (int64 below 2^62, object past it).  A line that does not
     parse (a non-integer token, dim= below 1, a missing milestone number, a
     vector of the wrong length) or a vector its level already holds raises
-    ValidationError naming the line."""
+    ValidationError naming the line, and so does a level header whose level
+    holds no vectors, or not the `N vectors` it states."""
     dim, chooser, milestones = None, "unknown", []
-    levels = []  # per level: its vectors and their line numbers
+    levels = []  # per level: its vectors, their line numbers, header line, stated count
     for n, line in enumerate(stream, start=1):
         line = line.strip()
         try:
@@ -320,17 +321,18 @@ def read_levels(stream) -> SpectrumLevels:
                         elif tok.startswith("chooser="):
                             chooser = tok[8:]
                 elif body.startswith("level"):
-                    levels.append(([], []))
                     toks = body.replace(",", " ").split()
                     if "milestone" in toks:
                         milestones.append(int(toks[toks.index("milestone") + 1]))
+                    count = int(toks[toks.index("vectors") - 1]) if "vectors" in toks else None
+                    levels.append(([], [], n, count))
             elif line:
                 vec = [int(t) for t in line.split()]
                 dim = dim or len(vec)
                 if len(vec) != dim:
                     raise ValueError
                 if not levels:
-                    levels.append(([], []))
+                    levels.append(([], [], None, None))
                 levels[-1][0].append(vec)
                 levels[-1][1].append(n)
         except (ValueError, IndexError):
@@ -338,7 +340,11 @@ def read_levels(stream) -> SpectrumLevels:
     if not levels or dim is None:
         raise ValidationError("no spectrum vectors found")
     rows = []
-    for vecs, lines in levels:
+    for vecs, lines, header, count in levels:
+        if not vecs:
+            raise ValidationError(f"spectrum file line {header}: level holds no vectors")
+        if count not in (None, len(vecs)):
+            raise ValidationError(f"spectrum file line {header}: level holds {len(vecs)} vectors, not {count}")
         level, where = _distinct_rows(_narrowest(vecs).reshape(-1, dim))
         if len(level) != len(vecs):
             i = int(np.setdiff1d(np.arange(len(vecs)), np.unique(where, return_index=True)[1])[0])
@@ -357,7 +363,8 @@ def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     vectors or `PointRows`, as `fourier_many` takes them) for the integer
     rows λ of lambda_set (anything `_int_rows` takes): mu_hat on the sum
     set, from one table of the frequencies and one of the candidates per
-    group of convolution factors (merged into groups of at most 8 atoms)."""
+    group of convolution factors (merged into groups of at most 8 atoms),
+    summed over λ one run of frequencies at a time."""
     pts = _points(xis, m.dim)
     if not len(lambda_set):
         return np.zeros(len(pts))
@@ -367,15 +374,13 @@ def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     if not len(pts):
         return np.zeros(0)
     axes = list(range(m.dim))
-    vals = sum_set_transform(
-        (axes, _int_rows(pts.rows)),
-        [(axes, sum_rows([(lams, pts.den)]))],
-        pts.den,
-        merged_factors(m.phase_factors()),
-    )
-    # sum over lambda of |mu_hat|^2: squares of the real and imaginary parts
-    parts = vals.view(np.float64)
-    return np.einsum("ij,ij->i", parts, parts)
+    q = np.empty(len(pts))
+    left, right = (axes, _int_rows(pts.rows)), [(axes, sum_rows([(lams, pts.den)]))]
+    for s, vals in sum_set_runs(left, right, pts.den, merged_factors(m.phase_factors())):
+        # sum over lambda of |mu_hat|^2: squares of the real and imaginary parts
+        parts = vals.view(np.float64)
+        np.einsum("ij,ij->i", parts, parts, out=q[s : s + len(vals)])
+    return q
 
 
 @dataclass(frozen=True)
@@ -493,12 +498,15 @@ def _axis_lattice(x_nums, k_nums, y_nums):
 def _lattice_moduli(factors, lattices, den: int) -> np.ndarray:
     """|prod_j m_j(s)| at every point s of lattices[0] x ... x lattices[d-1]
     (integer numerators over den), shaped like the lattice: the sum set of
-    the first axis and the product of the others, evaluated by
-    `sum_set_transform` from per-axis tables over the distinct atom
-    coordinates on that axis."""
+    the first axis and the product of the others, evaluated run by run by
+    `sum_set_runs` from per-axis tables over the distinct atom coordinates
+    on that axis."""
     blocks = [([c], lat.reshape(-1, 1)) for c, lat in enumerate(lattices)]
-    acc = sum_set_transform(blocks[0], blocks[1:], den, factors)
-    return np.abs(acc).reshape([len(lat) for lat in lattices])
+    moduli = np.empty([len(lat) for lat in lattices])
+    rows = moduli.reshape(len(lattices[0]), -1)
+    for s, acc in sum_set_runs(blocks[0], blocks[1:], den, factors):
+        np.abs(acc, out=rows[s : s + len(acc)])
+    return moduli
 
 
 def _x_blocks(n: int, dim: int, axis: int, count: int):
@@ -691,7 +699,10 @@ def equi_positivity_scan(
         product, level and moduli, one level's per-axis tables, the
         Khatri-Rao rows being joined and their sums, the per-axis sums, the
         running minima along the last axis (one per segment radius), the
-        minima per k, and the box the ball's segments are cut from."""
+        minima per k, and the box the ball's segments are cut from.  The
+        kernel holds the product and level of one run only, so those terms
+        are an upper bound; they stay so that blocks and refusals do not
+        move."""
         xs_per_axis = [1] * axis + [count] + [n_axis] * (dim - 1 - axis)
         sizes = [lattice_size(n) for n in xs_per_axis]
         points = math.prod(xs_per_axis)

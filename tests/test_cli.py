@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from convspectra import _phases, cli
+from convspectra import _phases, cli, spectra
 from convspectra.errors import ParseError, ValidationError
 from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_sequence
@@ -233,13 +233,15 @@ def test_windowed_spectrum_and_qscan_form_no_fraction_per_vector(tmp_path, monke
     assert rc == 0 and "576 vectors" in out and len(made) < 10  # 576 x 4096 sums
 
 
-# One x point of a Q scan over 4096 candidates and rank-8 factor groups
+# One x point of a Q scan over 4096 candidates and four rank-8 factor groups
 # (truncation 12 of Jorgensen-Pedersen: twelve 2-atom levels) needs its rows
-# of the complex product and of one level, 2 * 16 * 4096 bytes, and its row of
-# the x table, 32 * 8; the candidate table's build, gathered copy and group
-# sums, (32 + 2 * 16) * 8 * 4096 bytes, are held once.
+# of the complex product, of one level and of a float modulus,
+# (2 * 16 + 8) * 4096 bytes, and its row of the x table, 32 * 8.  Held once:
+# the candidate table's build, gathered copy and group sums,
+# (32 + 2 * 16) * 8 * 4096 bytes, and the four groups' sums kept across runs,
+# 16 * 4096 * 32.
 _QSCAN_LAMS = [[i] for i in range(4096)]
-_QSCAN_ONE_ROW = 2 * 16 * 4096 + 32 * 8 + (32 + 2 * 16) * 8 * 4096
+_QSCAN_ONE_ROW = (2 * 16 + 8) * 4096 + 32 * 8 + (32 + 2 * 16) * 8 * 4096 + 16 * 4096 * 32
 
 
 def _qscan_doc(pitch="1/2"):
@@ -247,30 +249,35 @@ def _qscan_doc(pitch="1/2"):
 
 
 def test_exit_3_when_one_qscan_point_exceeds_the_byte_budget(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, _qscan_doc())
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW)
+    rc, out, _ = run_cli(["qscan", "--config", cfg])
+    assert rc == 0 and out.startswith("xi1,q\n")
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW - 1)
-    rc, out, err = run_cli(["qscan", "--config", write_config(tmp_path, _qscan_doc())])
+    rc, out, err = run_cli(["qscan", "--config", cfg])
     assert rc == 3
     assert err.startswith("resource cap:") and "budget" in err
     assert out == ""
 
 
-def test_qscan_walks_one_point_per_chunk_at_the_one_row_budget(tmp_path, monkeypatch):
-    calls = []
-    real = cli.q_eval_many
+def test_qscan_in_one_point_runs_matches_the_default_run(tmp_path, monkeypatch):
+    runs = []
+    real = spectra.sum_set_runs
 
-    def counting(m, lams, xs):
-        calls.append(len(xs))
-        return real(m, lams, xs)
+    def recording(*args, **kwargs):
+        for s, values in real(*args, **kwargs):
+            runs.append(len(values))
+            yield s, values
 
-    monkeypatch.setattr(cli, "q_eval_many", counting)
+    monkeypatch.setattr(spectra, "sum_set_runs", recording)
     cfg = write_config(tmp_path, _qscan_doc("1/4"))
     rc, whole, _ = run_cli(["qscan", "--config", cfg])
-    assert rc == 0 and calls == [4]
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW)
-    rc, chunked, _ = run_cli(["qscan", "--config", cfg])
-    assert rc == 0 and calls == [4, 1, 1, 1, 1]
+    assert rc == 0 and runs == [4]
+    monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", 1)
+    rc, walked, _ = run_cli(["qscan", "--config", cfg])
+    assert rc == 0 and runs == [4, 1, 1, 1, 1]
     rows = lambda text: [l.split(",") for l in text.splitlines() if l.count(",") == 1]
-    want, got = rows(whole), rows(chunked)
+    want, got = rows(whole), rows(walked)
     assert len(want) == 5 and [r[0] for r in got] == [r[0] for r in want]
     for (_, a), (_, b) in zip(want[1:], got[1:]):
         assert abs(float(a) - float(b)) <= 1e-15 * max(1.0, abs(float(a)))
@@ -284,6 +291,28 @@ def test_exit_1_on_honestly_failing_check(tmp_path):
     assert rc == 1
     assert "overall: FAIL" in out
     assert "equivalence=fail" in out
+
+
+_TWO_LEVELS = {"inline": [{"matrix": [[4]], "digits": [[0], [2]]}] * 2}
+
+
+@pytest.mark.parametrize(
+    "verb, section",
+    [
+        ("qscan", {"qscan": {"truncation": 5, "lambda": [[0], [1]], "grid_pitch": "1/4"}}),
+        ("spectrum", {"spectrum": {"milestones": [1, 5]}, "out": "levels.txt"}),
+        ("equipos", {"equipos": {"tail_starts": [0], "depth": 5, "x_pitch": "1/8", "y_radius": "1/16",
+                                 "k_window": 0}}),
+        ("sample", {"sample": {"upto": 5, "draws": 10}, "seed": 1}),
+    ],
+    ids=["qscan", "spectrum", "equipos", "sample"],
+)
+def test_exit_2_when_a_level_exceeds_an_inline_sequence(tmp_path, monkeypatch, verb, section):
+    monkeypatch.chdir(tmp_path)
+    doc = {"dimension": 1, "sequence": _TWO_LEVELS, **section}
+    rc, out, err = run_cli([verb, "--config", write_config(tmp_path, doc)])
+    assert rc == 2 and out == ""
+    assert err.startswith("config error: ") and "exceeds sequence length 2" in err
 
 
 # -- check ------------------------------------------------------------------
@@ -466,8 +495,11 @@ def test_qscan_csv_matches_the_fraction_formatter(tmp_path, dim, pitch):
         ("# spectrum dim=1 chooser=zero\n# level 1: milestone\n0\n", 2),
         ("# spectrum dim=1 chooser=zero\n# level 1: milestone 1, 3 vectors\n0\n1\n\n0\n", 6),
         ("# spectrum dim=1 chooser=zero\n# level 1: milestone 1, 2 vectors\n0\n1 2\n", 4),
+        ("# spectrum dim=1 chooser=zero\n# level 1: milestone 2, 4 vectors\n0\n1\n", 2),
+        ("# spectrum dim=1 chooser=zero\n# level 1: milestone 1, 1 vectors\n0\n# level 2: milestone 2\n", 4),
     ],
-    ids=["non-integer", "bad-dim", "zero-dim", "bad-milestone", "no-milestone", "repeat", "wrong-dim"],
+    ids=["non-integer", "bad-dim", "zero-dim", "bad-milestone", "no-milestone", "repeat", "wrong-dim",
+         "short-level", "empty-level"],
 )
 def test_qscan_refuses_a_malformed_level_file(tmp_path, text, line):
     path = tmp_path / "levels.txt"

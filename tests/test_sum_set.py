@@ -1,6 +1,6 @@
-"""The sum-set kernel `_phases.sum_set_transform` against the per-point
-product transform it replaces on the Q scan and the equi-positivity lattice,
-and the integer rows its factors are built from."""
+"""The sum-set kernel `_phases.sum_set_runs` against the per-point product
+transform it replaces on the Q scan and the equi-positivity lattice, and the
+integer rows its factors are built from."""
 import cmath
 import math
 import random
@@ -17,7 +17,6 @@ from convspectra._phases import (
     merged_factors,
     product_transform,
     sum_set_runs,
-    sum_set_transform,
 )
 from convspectra.errors import WorkingSetTooLarge
 from convspectra.exactmat import IntMatrix
@@ -41,6 +40,11 @@ def explicit_q(m, lams, xs):
         pts = [tuple(F(a) + b for a, b in zip(x, lam)) for lam in lams]
         out.append(float(np.sum(np.abs(fourier_many(m, pts)) ** 2)))
     return np.array(out)
+
+
+def stacked(left, right, den, factors):
+    """The runs of `sum_set_runs` stacked into the whole (#u, #v) array."""
+    return np.concatenate([values for _, values in sum_set_runs(left, right, den, factors)])
 
 
 def _skew_level(k):
@@ -122,20 +126,23 @@ def test_sum_set_transform_equals_the_product_transform_on_every_sum():
     sums = (u[:, None, :] + v[None, :, :]).reshape(-1, 2)
     want = product_transform(PointRows(sums, 97), factors).reshape(23, 17)
     for fs in (factors, merged_factors(factors)):
-        got = sum_set_transform(([0, 1], u), [([0, 1], v)], 97, fs)
+        got = stacked(([0, 1], u), [([0, 1], v)], 97, fs)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("run_bytes", [None, 1, 4000])
-def test_upper_runs_hold_the_upper_triangle_of_the_sum_set(run_bytes):
+@pytest.mark.parametrize("target", [None, 1, 4000])
+def test_upper_runs_hold_the_upper_triangle_of_the_sum_set(target, monkeypatch):
+    # None keeps the default run target, which holds the 21 points in one run
     m = mu_truncate(from_generator(_skew_level, 2, length=12), 3)
     factors = m.phase_factors()
     rng = random.Random(17)
     x = np.array([[rng.randrange(-300, 301) for _ in range(2)] for _ in range(21)])
-    want = sum_set_transform(([0, 1], x), [([0, 1], -x)], 31, factors)
+    want = stacked(([0, 1], x), [([0, 1], -x)], 31, factors)
     seen = np.zeros(want.shape, dtype=bool)
-    runs = list(sum_set_runs(([0, 1], x), [([0, 1], -x)], 31, factors, run_bytes, upper=True))
-    assert len(runs) == {None: 1, 1: 21}.get(run_bytes, len(runs)) and (run_bytes != 4000 or 1 < len(runs) < 21)
+    if target is not None:
+        monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", target)
+    runs = list(sum_set_runs(([0, 1], x), [([0, 1], -x)], 31, factors, upper=True))
+    assert len(runs) == {None: 1, 1: 21}.get(target, len(runs)) and (target != 4000 or 1 < len(runs) < 21)
     for s, values in runs:
         # the run from left point s takes the right points from s on
         assert values.shape[1] == 21 - s
@@ -150,12 +157,21 @@ def test_product_transform_walks_points_in_budgeted_chunks(monkeypatch):
     rng = random.Random(11)
     xs = PointRows.of([(F(rng.randrange(-90, 91), 13), F(rng.randrange(-90, 91), 7)) for _ in range(40)])
     whole = product_transform(xs, factors)
-    # the result, then per point its product, one level and its table row
-    need = 16 * 40 + 2 * 16 + 32 * max(len(rows) for rows, _, _ in factors)
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", need)
+    ranks = [len(rows) for rows, _, _ in factors]
+    # one run of one point: its rows of the product, one level and a modulus
+    # (16 + 16 + 8 bytes, one right point) and its table row (32 per atom);
+    # once, the empty right's table, join and kept group sums
+    kernel = 40 + 32 * max(ranks) + 2 * 16 * max(ranks) + 16 * sum(ranks)
+    assert 16 * 40 < kernel
+    monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", 1)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", kernel)
     assert np.max(np.abs(product_transform(xs, factors) - whole)) <= 1e-15
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", need - 1)
-    with pytest.raises(WorkingSetTooLarge):
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", kernel - 1)
+    with pytest.raises(WorkingSetTooLarge, match="40 x 1 points"):
+        product_transform(xs, factors)
+    # the result, 16 bytes per point, is refused before it is allocated
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 16 * 40 - 1)
+    with pytest.raises(WorkingSetTooLarge, match="40-point transform"):
         product_transform(xs, factors)
 
 
@@ -167,18 +183,22 @@ def test_sum_set_transform_checks_its_bytes_before_allocating(monkeypatch):
     v = np.array([[rng.randrange(-50, 51)] for _ in range(7)])
     w = np.array([[rng.randrange(-50, 51)] for _ in range(5)])
     right = [([0], v), ([1], w)]
-    whole = sum_set_transform(([0, 1], u), right, 29, factors)
-    # the product and level buffers, the left and right tables as built, and
-    # the Khatri-Rao join of the right tables with its group sums
-    rank = max(len(rows) for rows, _, _ in factors)
-    need = 2 * 16 * 9 * 35 + 32 * rank * (9 + 7 + 5) + 2 * 16 * rank * 35
-    row, once = _phases.sum_set_sizes([7, 5], rank)
-    assert once + 9 * row == need
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", need)
-    assert np.array_equal(sum_set_transform(([0, 1], u), right, 29, factors), whole)
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", need - 1)
+    whole = stacked(([0, 1], u), right, 29, factors)
+    # per left point, its rows of the product, level and a float modulus over
+    # the 7 x 5 right points and its left table row; once, the right tables
+    # as built, the Khatri-Rao join of the right tables with its group sums,
+    # and every factor's group sums kept across runs
+    ranks = [len(rows) for rows, _, _ in factors]
+    rank = max(ranks)
+    row, once = (2 * 16 + 8) * 35 + 32 * rank, 32 * rank * (7 + 5) + 2 * 16 * rank * 35 + 16 * 35 * sum(ranks)
+    assert _phases.sum_set_sizes([7, 5], ranks) == (row, once)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", once + 9 * row)  # one run
+    assert np.array_equal(stacked(([0, 1], u), right, 29, factors), whole)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", once + row)  # runs of one point
+    assert np.max(np.abs(stacked(([0, 1], u), right, 29, factors) - whole)) <= 1e-15
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", once + row - 1)
     with pytest.raises(WorkingSetTooLarge, match="budget"):
-        sum_set_transform(([0, 1], u), right, 29, factors)
+        stacked(([0, 1], u), right, 29, factors)
 
 
 def test_merged_groups_multiply_to_the_factors():
@@ -327,7 +347,7 @@ def test_sum_set_transform_with_uneven_weights_and_shared_coordinates():
     rng = random.Random(9)
     u = np.array([[rng.randrange(-300, 301)] for _ in range(19)])
     v = np.array([[rng.randrange(-300, 301)] for _ in range(13)])
-    got = sum_set_transform(([0], u), [([1], v)], 35, factors)
+    got = stacked(([0], u), [([1], v)], 35, factors)
     sums = np.array([[a, b] for a in u[:, 0] for b in v[:, 0]])
     want = product_transform(PointRows(sums, 35), factors).reshape(19, 13)
     assert np.max(np.abs(got - want)) <= 1e-13

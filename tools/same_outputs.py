@@ -1,0 +1,91 @@
+"""Check that two source trees give the same outputs on the shipped configs
+and on the benchmark's commands.
+
+Usage (from the repository root):
+
+    python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC
+
+Each *_SRC is a directory holding the `convspectra` package, such as the
+`src/` of a checkout.  Every `configs/*.json` (run as the verb of the section
+it holds) and every `full` command of `bench/workloads.py` (the `sample`
+commands at seeds 1 and 2) runs once under each tree, in a fresh temporary
+directory of its own, as
+
+    python3 -m convspectra VERB --config c.json --out out.txt
+
+The relative paths keep the config sha256 the same on both sides.  The exit
+codes, the stdout reports (without their `wall time:` line) and the --out
+files (the level files and CSVs, or the report) are compared byte for byte.
+One line is printed per command; the exit code is 1 when any command
+differs, 0 otherwise.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+VERBS = ("check", "spectrum", "qscan", "sample", "equipos")
+SAMPLE_SEEDS = (1, 2)
+
+
+def cases():
+    """(name, verb, config text) of every command to compare."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        verb = next(v for v in VERBS if v in json.loads(text))
+        yield f"configs/{path.name}", verb, text
+    seen = set()
+    for workload in workloads.WORKLOADS:
+        for seed in SAMPLE_SEEDS:
+            for cmd in workloads.commands(workload, "full", seed):
+                text = json.dumps(cmd.config, sort_keys=True)
+                if (cmd.key, text) in seen:
+                    continue
+                seen.add((cmd.key, text))
+                suffix = f" (seed {seed})" if cmd.verb == "sample" else ""
+                yield f"{workload}/{cmd.key}{suffix}", cmd.verb, text
+
+
+def run(src: Path, verb: str, text: str) -> tuple:
+    """(exit code, stdout without wall time, --out file) of one command."""
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        Path(tmp, "c.json").write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "convspectra", verb, "--config", "c.json", "--out", "out.txt"],
+            cwd=tmp, env=env, capture_output=True,
+        )
+        out = Path(tmp, "out.txt")
+        artifact = out.read_bytes() if out.exists() else None
+    report = b"".join(l for l in proc.stdout.splitlines(True) if not l.startswith(b"wall time:"))
+    if artifact is not None:
+        artifact = b"".join(l for l in artifact.splitlines(True) if not l.startswith(b"wall time:"))
+    return proc.returncode, report, artifact
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    differ = 0
+    for name, verb, text in cases():
+        a, b = run(parent, verb, text), run(change, verb, text)
+        parts = [what for what, x, y in zip(("exit code", "report", "out file"), a, b) if x != y]
+        differ += bool(parts)
+        print(f"{'DIFF' if parts else 'same'}  {name}  exit {a[0]}/{b[0]}" + (f"  ({', '.join(parts)})" if parts else ""))
+    print(f"{differ} of the commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
