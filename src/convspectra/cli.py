@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._phases import _INT64_SAFE, PointRows, budget_rows
+from ._phases import _INT64_SAFE, PointRows, budget_rows, check_budget
 from .conditions import (
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
@@ -725,15 +725,28 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     )
 
 
+def _qscan_point_bytes(den: int, dim: int) -> int:
+    """Bytes per grid point that `qscan` holds at most: its integer row twice
+    (the axis grids and their stack), q as a float and as a listed Python
+    float, its cell string, and its CSV line three times (a bound on the
+    StringIO buffer with its slack and the value it returns).  A cell takes
+    at most dim·(2·len(str(den)) + 2) characters and a "%.17g" field 24."""
+    cell = dim * (2 * len(str(den)) + 2)
+    return 16 * dim + 8 + 32 + 64 + cell + 3 * (cell + 26)
+
+
 def _unit_grid(pitch: Fraction, dim: int, cap: int):
     """pitch * Z^d ∩ [0, 1)^d in lexicographic order, as (points, axis): the
     points as integer rows over the pitch's denominator (int64 below 2^62)
-    and one string per value of an axis."""
+    and one string per value of an axis.  The point count is checked against
+    `cap`, and what `qscan` holds for that many points against the byte
+    budget, before anything is built."""
     step, den = pitch.numerator, pitch.denominator
     count = -(-den // step)  # ⌈1/pitch⌉ points per axis
     total = count**dim
     if total > cap:
         raise GridTooLarge(f"grid of {total} points exceeds the cap of {cap}")
+    check_budget(total * _qscan_point_bytes(den, dim), f"a qscan over {total} points in dimension {dim}")
     n = np.arange(count, dtype=np.int64 if den < _INT64_SAFE else object)
     rows = np.stack(np.meshgrid(*[n * step] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     g = np.gcd(n, den)  # the gcd of n * step and den, as gcd(step, den) = 1
@@ -896,6 +909,8 @@ def cmd_equipos(cfg: RunConfig) -> Report:
         raise ValidationError("equipos requires an x pitch ('equipos.x_pitch' or --grid-pitch)")
     use_reduced = sec.get("reduced", True)
     scan_seq = seq.reduced() if use_reduced else seq
+    if "transfer_upto" in sec and seq.defect_tail_bound is None:
+        raise ValidationError("transfer requested but the sequence declares no defect tail bound")
 
     scan = equi_positivity_scan(
         scan_seq,
@@ -945,10 +960,6 @@ def cmd_equipos(cfg: RunConfig) -> Report:
 
     if "transfer_upto" in sec:
         upto = sec["transfer_upto"]
-        if seq.defect_tail_bound is None:
-            raise ValidationError(
-                "transfer requested but the sequence declares no defect tail bound"
-            )
         tv = 2 * Fraction(seq.defect_tail_bound(upto))
         if ok:
             try:

@@ -3,9 +3,10 @@
 Everything in this module is exact and integer.  The inverse of a matrix M
 is the pair (det M, adj M) with adj·M = det·I, from one fraction-free
 elimination cached on the matrix, so no rational matrix is ever formed.
-The certified spectral_norm_upper of N/D reduces to counting real roots of
-the exact characteristic polynomial of the integer Gram NᵀN with Sturm
-chains, so the float it returns carries a genuine one-sided guarantee.
+The certified spectral_norm_upper of N/D bisects on the largest eigenvalue
+of the integer Gram NᵀN, deciding each step by the signs of leading
+principal minors from the same elimination (Sylvester's criterion), so the
+float it returns carries a genuine one-sided guarantee.
 """
 from __future__ import annotations
 
@@ -141,126 +142,6 @@ def product_range(seq, p: int, q: int) -> IntMatrix:
     return acc
 
 
-# ===== rational polynomial toolkit (ascending coefficient lists) =====
-
-
-def poly_trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    if not p:
-        return [Fraction(0)]
-    return p
-
-
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(p):
-    return poly_trim([c * i for i, c in enumerate(p)][1:] or [Fraction(0)])
-
-
-def poly_divmod(a, b):
-    a = list(a)
-    b = poly_trim(list(b))
-    if b == [Fraction(0)] or b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = [Fraction(f) for f in a]
-    dlead = Fraction(b[-1])
-    while len(poly_trim(r)) >= len(b) and poly_trim(r) != [Fraction(0)]:
-        r = poly_trim(r)
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        f = r[-1] / dlead
-        q[shift] += f
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
-        r = r[:-1]
-    return poly_trim(q), poly_trim([Fraction(c) for c in r])
-
-
-def poly_gcd(a, b):
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    while poly_trim(b) != [Fraction(0)] and poly_trim(b) != [0]:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    a = poly_trim(a)
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def make_squarefree(p):
-    g = poly_gcd(p, poly_deriv(p))
-    if len(g) == 1:
-        return poly_trim(list(p))
-    q, r = poly_divmod(p, g)
-    assert poly_trim(r) == [Fraction(0)]
-    return q
-
-
-def sturm_chain(p):
-    chain = [poly_trim(list(p)), poly_deriv(p)]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        r = poly_trim(r)
-        if r == [Fraction(0)] or r == [0]:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of squarefree p in the open interval (a, b).
-
-    Requires p(a) != 0 and p(b) != 0.
-    """
-    if poly_eval(p, a) == 0 or poly_eval(p, b) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
-    chain = sturm_chain(p)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
-def charpoly(n: IntMatrix) -> list:
-    """Monic characteristic polynomial det(λI − n), ascending Fraction
-    coefficients, for an integer matrix n.
-
-    Faddeev–LeVerrier: the coefficient c_k of λ^{dim−k} is an integer, so
-    each division by k is exact.
-    """
-    size = n.dim
-    mk = IntMatrix(((0,) * size,) * size)
-    coeffs = [1]  # coefficient of λ^size
-    for k in range(1, size + 1):
-        mk = n.matmul(mk)
-        mk = IntMatrix(
-            tuple(
-                tuple(x + coeffs[-1] if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(mk.rows)
-            )
-        )
-        am = n.matmul(mk)
-        ck, rest = divmod(-sum(am.rows[i][i] for i in range(size)), k)
-        assert rest == 0
-        coeffs.append(ck)
-    return [Fraction(c) for c in reversed(coeffs)]
-
-
 # ===== certified spectral norm upper bound =====
 
 
@@ -273,9 +154,10 @@ def spectral_norm_upper(n: IntMatrix, d: int = 1, tol: float = DEFAULT_NORM_TOL)
     matrix n and a nonzero integer d: ‖n/d‖₂ ≤ u ≤ ‖n/d‖₂ + tol.
 
     The Gram matrix of n/d is G = nᵀn/d², with nᵀn formed exactly in
-    integers.  The largest eigenvalue λ of G is bracketed by Sturm-count
-    bisection, each count taken on the characteristic polynomial of nᵀn at
-    d²·λ, and the returned float is the upward-rounded square root of the
+    integers.  The largest eigenvalue λ of G is bracketed by bisection: with
+    mid = a/b, λ < mid iff the integer matrix a·d²·I − b·nᵀn is positive
+    definite, decided by Sylvester's criterion on its leading principal
+    minors.  The returned float is the upward-rounded square root of the
     upper end.  With (n, d) = (adj R, det R) from `invert` this bounds
     ‖R⁻¹‖₂.
     """
@@ -289,8 +171,7 @@ def spectral_norm_upper(n: IntMatrix, d: int = 1, tol: float = DEFAULT_NORM_TOL)
     if n.is_diagonal():
         return math.nextafter(float(Fraction(top, abs(d))), math.inf)
     g = n.transpose().matmul(n)
-    s = d * d  # the eigenvalue λ of G is a root of p at s·λ
-    p = make_squarefree(charpoly(g))
+    s = d * d
     hi = Fraction(_gershgorin_upper(g), s) + 1  # strictly above every eigenvalue
     lo = Fraction(-1)  # strictly below (G is PSD)
     s_lo, s_hi = 0.0, math.sqrt(float(hi))
@@ -298,19 +179,12 @@ def spectral_norm_upper(n: IntMatrix, d: int = 1, tol: float = DEFAULT_NORM_TOL)
         if s_hi - s_lo <= tol / 2:
             break
         mid = (lo + hi) / 2
-        if poly_eval(p, s * mid) == 0:
-            # mid is a simple root (p squarefree); divide it out to ask
-            # whether any root lies above it.
-            q, _ = poly_divmod(p, [-s * mid, Fraction(1)])
-            if len(q) > 1 and count_real_roots(q, s * mid, s * hi) >= 1:
-                lo = mid
-            else:
-                lo = hi = mid
-                break
-        elif count_real_roots(p, s * mid, s * hi) >= 1:
-            lo = mid
-        else:
+        a, b = mid.numerator * s, mid.denominator
+        t = [[a * (i == j) - b * x for j, x in enumerate(row)] for i, row in enumerate(g.rows)]
+        if all(_bareiss([r[:k] for r in t[:k]])[0] > 0 for k in range(1, len(t) + 1)):
             hi = mid
+        else:
+            lo = mid
         s_lo = math.sqrt(max(float(lo), 0.0))
         s_hi = math.sqrt(float(hi))
     u = math.sqrt(float(hi))

@@ -21,6 +21,7 @@ from ._phases import (
     _narrowest,
     _peak,
     budget_largest,
+    check_budget,
     difference_deviation,
     merged_factors,
     sum_rows,
@@ -364,8 +365,10 @@ def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     rows λ of lambda_set (anything `_int_rows` takes): mu_hat on the sum
     set, from one table of the frequencies and one of the candidates per
     group of convolution factors (merged into groups of at most 8 atoms),
-    summed over λ one run of frequencies at a time."""
+    summed over λ one run of frequencies at a time.  The result, 8 bytes per
+    frequency, is checked against DENSE_BYTE_BUDGET before it is allocated."""
     pts = _points(xis, m.dim)
+    check_budget(8 * len(pts), f"Q at {len(pts)} frequencies")
     if not len(lambda_set):
         return np.zeros(len(pts))
     lams = _int_rows(lambda_set)

@@ -260,6 +260,48 @@ def test_exit_3_when_one_qscan_point_exceeds_the_byte_budget(tmp_path, monkeypat
     assert out == ""
 
 
+def test_exit_3_when_a_qscan_grid_exceeds_the_byte_budget(tmp_path, monkeypatch):
+    # 4096 points fit a budget of 4096 sized points and 4097 do not; the
+    # grid is refused before it, the measure or Q is built
+    per_point = cli._qscan_point_bytes(4096, 1)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 4096 * per_point)
+    cfg = write_config(tmp_path, jp_doc(qscan={"truncation": 2, "lambda": [[0]], "grid_pitch": "1/4096"}))
+    rc, out, err = run_cli(["qscan", "--config", cfg])
+    assert rc == 0, err
+    monkeypatch.setattr(cli, "mu_truncate", None)
+    monkeypatch.setattr(cli, "q_eval_many", None)
+    cfg = write_config(tmp_path, jp_doc(qscan={"truncation": 2, "lambda": [[0]], "grid_pitch": "1/4097"}))
+    rc, out, err = run_cli(["qscan", "--config", cfg])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "budget" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("dim, pitch", [(1, "1/16384"), (1, "7/65536"), (2, "1/128"), (2, "3/512")])
+def test_qscan_point_bytes_bound_the_traced_peak(monkeypatch, dim, pitch):
+    import tracemalloc
+
+    import numpy as np
+
+    gen = "jorgensen-pedersen" if dim == 1 else "example-2.6"
+    doc = {"dimension": dim, "sequence": {"generator": gen},
+           "qscan": {"truncation": 2, "lambda": [[0] * dim], "grid_pitch": pitch}}
+    cfg = cli.parse_config(json.dumps(doc))
+    # Q's own kernel is budgeted by sum_set_runs; a stand-in of the same
+    # result leaves what qscan itself holds per point
+    monkeypatch.setattr(cli, "q_eval_many", lambda m, lams, xs: np.linspace(1 / 3, 2 / 3, len(xs)))
+    cli.cmd_qscan(cfg)  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        rep = cli.cmd_qscan(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = Fraction(pitch)
+    points = (-(-p.denominator // p.numerator)) ** dim
+    assert 2 * len(rep.artifact) < peak <= points * cli._qscan_point_bytes(p.denominator, dim)
+
+
 def test_qscan_in_one_point_runs_matches_the_default_run(tmp_path, monkeypatch):
     runs = []
     real = spectra.sum_set_runs
@@ -706,6 +748,20 @@ def test_equipos_failing_scan_exits_nonzero(tmp_path):
     assert rc == 1
     assert "witnessed=fail" in out
     assert "first failure" in out
+
+
+def test_equipos_transfer_without_tail_bound_fails_before_the_scan(tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the config was checked")
+
+    monkeypatch.setattr(cli, "equi_positivity_scan", no_scan)
+    cfg = write_config(
+        tmp_path,
+        jp_doc(equipos={"depth": 4, "x_pitch": "1/4", "y_radius": "1/12", "transfer_upto": 10}),
+    )
+    rc, _, err = run_cli(["equipos", "--config", cfg])
+    assert rc == 2
+    assert err.startswith("config error:") and "no defect tail bound" in err
 
 
 def test_shipped_configs_parse(tmp_path):

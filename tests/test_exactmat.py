@@ -2,21 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from convspectra.errors import IndexOutOfRange, SingularMatrix
-from convspectra.exactmat import (
-    IntMatrix,
-    charpoly,
-    count_real_roots,
-    invert,
-    make_squarefree,
-    poly_divmod,
-    poly_eval,
-    product_range,
-    spectral_norm_upper,
-)
+from convspectra.exactmat import DEFAULT_NORM_TOL, IntMatrix, invert, product_range, spectral_norm_upper
 from oracles import FractionMatrix, fraction_det, fraction_inverse, over_common_denominator
 
 F = Fraction
@@ -152,45 +143,7 @@ def test_product_range_bad_indices():
         product_range(seq, 0, 3)
 
 
-# ----- charpoly / polynomial helpers -----
-
-
-def test_charpoly_diagonal():
-    p = charpoly(IntMatrix.diagonal([2, 3]))
-    assert p == [F(6), F(-5), F(1)]
-
-
-def test_charpoly_rotation_like():
-    p = charpoly(IntMatrix(((0, -2), (1, 0))))
-    assert p == [F(2), F(0), F(1)]
-
-
-def test_poly_divmod_and_roots():
-    # (x-1)(x-3) = 3 - 4x + x^2
-    p = [F(3), F(-4), F(1)]
-    q, r = poly_divmod(p, [F(-1), F(1)])
-    assert r == [F(0)] and q == [F(-3), F(1)]
-    assert count_real_roots(p, F(0), F(4)) == 2
-    assert count_real_roots(p, F(2), F(4)) == 1
-    assert count_real_roots(p, F(4), F(9)) == 0
-
-
-def test_make_squarefree():
-    # (x-2)^2 = 4 - 4x + x^2
-    sf = make_squarefree([F(4), F(-4), F(1)])
-    assert poly_eval(sf, F(2)) == 0
-    assert len(sf) == 2
-
-
 # ----- spectral_norm_upper -----
-
-
-def test_charpoly_of_a_scaled_matrix():
-    # det(λI − n) for n = [[2, -1], [0, 2]]: (λ − 2)^2
-    assert charpoly(IntMatrix(((2, -1), (0, 2)))) == [F(4), F(-4), F(1)]
-    n = IntMatrix(((3, 1, 0), (-2, 5, 7), (1, 0, -4)))
-    # p(0) = det(−n)
-    assert charpoly(n)[0] == -fraction_det(n)
 
 
 def test_norm_zero_matrix():
@@ -242,6 +195,53 @@ def test_norm_does_not_depend_on_the_representation():
         assert u == spectral_norm_upper(IntMatrix(tuple(tuple(-x for x in r) for r in adj.rows)), -det)
         assert u == spectral_norm_upper(IntMatrix(tuple(tuple(3 * x for x in r) for r in adj.rows)), 3 * det)
         assert u == spectral_norm_upper(*over_common_denominator(fraction_inverse(m)))
+
+
+def sigma_max(n, d):
+    """Largest singular value of n/d, from the eigenvalues of nᵀn at the
+    working precision."""
+    g = n.transpose().matmul(n)
+    return mpmath.sqrt(max(mpmath.eigsy(mpmath.matrix([list(r) for r in g.rows]))[0])) / abs(d)
+
+
+def test_norm_vs_mpmath_oracle():
+    # singular, rank-one and midpoint-hit n included: n = [[1, 1], [0, 0]]
+    # has λ_max(nᵀn) = 2, which the bisection meets as an exact midpoint
+    rng = random.Random(4007)
+    cases = [(IntMatrix(((1, 1), (0, 0))), 1), (IntMatrix(((1, 0, 1), (0, 0, 0), (0, 0, 0))), 1)]
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        kind = rng.choice(("full", "singular", "rank one"))
+        if kind == "rank one":
+            u, v = ([rng.randint(-9, 9) for _ in range(dim)] for _ in range(2))
+            rows = [[a * b for b in v] for a in u]
+        else:
+            rows = [[rng.randint(-30, 30) for _ in range(dim)] for _ in range(dim)]
+            if kind == "singular" and dim > 1:
+                rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]
+        cases.append((IntMatrix(tuple(map(tuple, rows))), rng.choice((1, -3, 7, 64))))
+    with mpmath.workdps(50):
+        for n, d in cases:
+            u, sigma = spectral_norm_upper(n, d), sigma_max(n, d)
+            assert sigma <= mpmath.mpf(u) <= sigma + DEFAULT_NORM_TOL
+
+
+@pytest.mark.parametrize(
+    "m, bound",
+    [
+        (((4, 1), (0, 4)), 0.28319555463463586),
+        (((2, 1), (0, 2)), 0.6403882032024351),
+        (((3, 1), (-2, 5)), 0.3170609330243408),
+        (((5, 2, 0), (1, 7, -3), (0, 4, 6)), 0.22635425591924802),
+        (((9, -4, 2, 1), (0, 8, 3, -5), (2, 1, 10, 0), (-3, 0, 4, 12)), 0.2635871293248142),
+        (((2, 1, 0, 0, 0), (0, 2, 1, 0, 0), (0, 0, 2, 1, 0), (0, 0, 0, 2, 1), (1, 0, 0, 0, 2)), 0.752937760164693),
+    ],
+)
+def test_norm_of_non_diagonal_inverses_is_pinned(m, bound):
+    # the exact floats of the bisection on (adj R, det R); a change to its
+    # start, steps or stopping rule shows here
+    det, adj = invert(IntMatrix(m))
+    assert spectral_norm_upper(adj, det) == bound
 
 
 # ----- the inverse cache -----

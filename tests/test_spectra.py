@@ -15,7 +15,9 @@ from convspectra.errors import (
     TripleInvalid,
     TruncationTooLarge,
     ValidationError,
+    WorkingSetTooLarge,
 )
+from convspectra import _phases
 from convspectra.exactmat import IntMatrix
 from convspectra.measures import mu_truncate
 from convspectra.sequences import builtin_sequence, from_generator
@@ -308,6 +310,17 @@ def test_q_many_matches_scalar():
     for xi, qb in zip(xis, batch):
         scalar = sum(abs(fourier(m2, (xi[0] + lam[0],))) ** 2 for lam in lams)
         assert abs(scalar - qb) < 1e-12
+
+
+def test_q_many_checks_its_result_before_allocating(monkeypatch):
+    # one-point runs of the kernel fit in far less than the 8000-byte result
+    m2 = mu_truncate(builtin_sequence("jorgensen-pedersen"), 2)
+    points = _phases.PointRows(np.arange(1000).reshape(-1, 1), 1000)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 8 * 1000)
+    assert len(q_eval_many(m2, [(0,), (1,)], points)) == 1000
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 8 * 1000 - 1)
+    with pytest.raises(WorkingSetTooLarge, match="Q at 1000 frequencies"):
+        q_eval_many(m2, [(0,), (1,)], points)
 
 
 def test_q_bessel_bound_along_levels():

@@ -7,9 +7,9 @@ Usage (from the repository root):
 
 Each *_SRC is a directory holding the `convspectra` package, such as the
 `src/` of a checkout.  Every `configs/*.json` (run as the verb of the section
-it holds) and every `full` command of `bench/workloads.py` (the `sample`
-commands at seeds 1 and 2) runs once under each tree, in a fresh temporary
-directory of its own, as
+it holds), every `full` command of `bench/workloads.py` (the `sample`
+commands at seeds 1 and 2) and every case of `INLINE` runs once under each
+tree, in a fresh temporary directory of its own, as
 
     python3 -m convspectra VERB --config c.json --out out.txt
 
@@ -36,6 +36,17 @@ import workloads  # noqa: E402
 VERBS = ("check", "spectrum", "qscan", "sample", "equipos")
 SAMPLE_SEEDS = (1, 2)
 
+# The configs and the bench commands all have diagonal R; this check on
+# skew levels reaches the bisection of the certified norm ‖R⁻¹‖₂.
+_SKEW_LEVEL = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+INLINE = (
+    ("inline/skew-check", "check", {
+        "dimension": 2,
+        "sequence": {"inline": [_SKEW_LEVEL] * 3},
+        "check": {"checks": ["contractivity", "rbc", "pcc"], "upto": 3},
+    }),
+)
+
 
 def cases():
     """(name, verb, config text) of every command to compare."""
@@ -53,6 +64,8 @@ def cases():
                 seen.add((cmd.key, text))
                 suffix = f" (seed {seed})" if cmd.verb == "sample" else ""
                 yield f"{workload}/{cmd.key}{suffix}", cmd.verb, text
+    for name, verb, doc in INLINE:
+        yield name, verb, json.dumps(doc, sort_keys=True)
 
 
 def run(src: Path, verb: str, text: str) -> tuple:
