@@ -195,17 +195,16 @@ def product_transform(points: PointRows, factors) -> np.ndarray:
     float weights w_b.  For a convolution of the factors this is its
     transform, at points · Σ#atoms exact exponentials instead of
     points · Π#atoms: the runs of `sum_set_runs` with the points alone.  The
-    result, 16 bytes per point, is checked against DENSE_BYTE_BUDGET before
-    it is allocated.
+    result, 16 bytes per point, is checked against DENSE_BYTE_BUDGET with
+    the kernel's run, before either is allocated.
     """
     n = len(points)
     if n == 0 or not factors:
         return np.ones(n, dtype=complex)
-    rank = max(len(atoms) for atoms, _, _ in factors)
-    check_budget(COMPLEX_BYTES * n, f"a {n}-point transform over factors of up to {rank} atoms")
     rows = _int_rows(points.rows)
+    runs = sum_set_runs((list(range(rows.shape[1])), rows), [], points.den, factors, held=COMPLEX_BYTES * n)
     out = np.empty(n, dtype=complex)
-    for s, values in sum_set_runs((list(range(rows.shape[1])), rows), [], points.den, factors):
+    for s, values in runs:
         out[s : s + len(values)] = values[:, 0]
     return out
 
@@ -273,8 +272,16 @@ def _distinct_rows(a: np.ndarray):
     if key is not None and bool((key[1:] > key[:-1]).all()):
         return a, np.arange(len(a))  # already sorted and distinct
     if key is not None:
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        return a[first], inverse
+        # np.unique's first occurrences, without its first-call import of numpy.ma
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+        inverse = np.empty(len(a), dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        return a[order[new]], inverse
     if a.dtype != object:
         distinct, inverse = np.unique(a, axis=0, return_inverse=True)
         return distinct, inverse.reshape(-1)
@@ -300,18 +307,41 @@ def _right_sums(cols, right, den: int, factors):
     """Per factor (rows, rden, weights): the distinct projections α of its
     atoms onto the left axes `cols`, rden, and Σ_b w_b e(-v·a_b) over the
     atoms projecting to α at every point v of the right product, (#α, #v).
-    The right blocks' tables are joined atom by atom (a Khatri-Rao product)."""
+    The right blocks' tables are joined atom by atom (a Khatri-Rao product)
+    in runs of about _RUN_TARGET_BYTES; a factor that fits one run is
+    summed in one pass, the others run by run."""
+    n_right = prod(len(block[1]) for block in right)
+    step = max(1, _RUN_TARGET_BYTES // (COMPLEX_BYTES * n_right))
     for rows, rden, weights in factors:
         rows = _int_rows(rows)
         distinct, where = _distinct_rows(rows[:, cols])
         order = np.argsort(where, kind="stable")
-        joined = np.asarray(weights, dtype=complex)[order, None]
+        group = where[order]
+        weights = np.asarray(weights, dtype=complex)[order]
+        tables = []
         for block in right:
             projections, at = _distinct_rows(rows[:, block[0]])
-            t = _block_table(block, den, projections, rden)
-            joined = (joined[:, :, None] * t[at[order]][:, None, :]).reshape(len(order), -1)
-        starts = np.flatnonzero(np.diff(where[order], prepend=-1))
-        yield distinct, rden, np.add.reduceat(joined, starts, axis=0)
+            if len(projections) * len(block[1]) > step * n_right:
+                # past one run: each run tables its own atoms' projections
+                tables.append((block, projections[at[order]], None))
+            else:
+                tables.append((block, _block_table(block, den, projections, rden), at[order]))
+        grouped = None
+        for lo in range(0, len(order), step):
+            hi = min(lo + step, len(order))
+            joined = weights[lo:hi, None]
+            for block, t, at in tables:
+                t = t[at[lo:hi]] if at is not None else _block_table(block, den, t[lo:hi], rden)
+                joined = (joined[:, :, None] * t[:, None, :]).reshape(hi - lo, -1)
+            starts = np.flatnonzero(np.diff(group[lo:hi], prepend=-1))
+            sums = np.add.reduceat(joined, starts, axis=0)
+            if hi - lo == len(order):
+                grouped = sums
+            else:
+                if grouped is None:
+                    grouped = np.zeros((len(distinct), n_right), dtype=complex)
+                grouped[group[lo + starts]] += sums
+        yield distinct, rden, grouped
 
 
 def sum_set_sizes(right_sizes, ranks) -> tuple:
@@ -325,11 +355,11 @@ def sum_set_sizes(right_sizes, ranks) -> tuple:
     return (2 * COMPLEX_BYTES + 8) * n_right + PHASE_ENTRY_BYTES * rank, once
 
 
-def sum_set_runs(left, right, den: int, factors, upper: bool = False):
+def sum_set_runs(left, right, den: int, factors, upper: bool = False, held: int = 0):
     """Π_j Σ_b w_jb e(-(u + v)·a_jb) at every sum u + v, in runs of left
-    points: yields (start, values of the run), shape (#run, #v), where u
-    runs over the points of the block `left` and v over the product of the
-    blocks in `right`, in lexicographic order.
+    points: an iterator of (start, values of the run), shape (#run, #v),
+    where u runs over the points of the block `left` and v over the product
+    of the blocks in `right`, in lexicographic order.
 
     A block (cols, nums) holds the points whose coordinates on the axes
     `cols` are the rows of the integer array nums over den, and 0 on the
@@ -341,24 +371,33 @@ def sum_set_runs(left, right, den: int, factors, upper: bool = False):
 
     A run holds about _RUN_TARGET_BYTES of the per-point bytes
     `sum_set_sizes` counts, and every factor's right group sums are formed
-    once.  One run's bytes are checked against DENSE_BYTE_BUDGET before
+    once.  One run's bytes, together with the `held` bytes of the caller's
+    result, are checked against DENSE_BYTE_BUDGET by this call, before
     anything is allocated (WorkingSetTooLarge).
 
     With `upper`, the right is one block whose points pair with the left
     points in order, and the run from left point s takes only the right
     points from s on: its values start at column s."""
-    cols, nums = left
-    n, sizes = len(nums), [len(b[1]) for b in right]
+    n, sizes = len(left[1]), [len(b[1]) for b in right]
     ranks = [len(rows) for rows, _, _ in factors]
     row, fixed = sum_set_sizes(sizes, ranks)
     what = f"a sum set of {n} x {prod(sizes)} points over factors of up to {max(ranks, default=0)} atoms"
-    count = min(budget_rows(row, fixed, what), max(1, _RUN_TARGET_BYTES // row))
+    if held:
+        what += f", next to a {held}-byte result"
+    count = min(budget_rows(row, fixed + held, what), max(1, _RUN_TARGET_BYTES // row))
+    return _runs(left, right, den, factors, upper, count)
+
+
+def _runs(left, right, den: int, factors, upper: bool, count: int):
+    """The runs of `sum_set_runs`, `count` left points each."""
+    cols, nums = left
+    n, width = len(nums), prod(len(b[1]) for b in right)
     sums = _right_sums(cols, right, den, factors)
     sums = list(sums) if count < n else sums
     for s in range(0, max(n, 1), count):
         run = (cols, nums[s : s + count])
         first = s if upper else 0
-        acc = np.ones((len(run[1]), prod(sizes) - first), dtype=complex)
+        acc = np.ones((len(run[1]), width - first), dtype=complex)
         level = np.empty_like(acc)
         for distinct, rden, grouped in sums:
             np.matmul(_block_table(run, den, distinct, rden).T, grouped[:, first:], out=level)
@@ -403,7 +442,11 @@ def difference_deviation(summands, den: int, factors) -> float:
         diffs = []
         for m in map(_int_rows, summands):
             m = m.astype(object) if _peak(m) >= _INT64_SAFE else m
-            diffs.append(_distinct_rows(sum_rows([(m, 1), (-m, 1)]))[0])
+            # the pairs differ only on the summand's nonzero axes
+            cols = [c for c in range(m.shape[1]) if m[:, c].any()] or [0]
+            d = _distinct_rows(sum_rows([(m[:, cols], 1), (-m[:, cols], 1)]))[0]
+            diffs.append(np.zeros((len(d), m.shape[1]), dtype=d.dtype))
+            diffs[-1][:, cols] = d
         sizes = [len(d) for d in diffs]
         k = min(range(1, len(diffs) + 1), key=lambda k: max(prod(sizes[:k]), prod(sizes[k:])))
         blocks = []

@@ -483,13 +483,24 @@ class Report:
     artifact_name: str = ""
 
 
+def _int_str(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit (4300
+    digits by default): the digits go out in chunks of a thousand."""
+    try:
+        return str(n)
+    except ValueError:
+        head, tail = divmod(abs(n), 10**1000)
+        return ("-" if n < 0 else "") + _int_str(head) + f"{tail:01000d}"
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.6g}"
     if isinstance(value, Fraction):
-        return str(value)
+        num = _int_str(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_int_str(value.denominator)}"
     if isinstance(value, tuple):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
     return str(value)
@@ -541,11 +552,7 @@ def render_report(rep: Report, wall_time: bool = True) -> str:
 
 
 def _series_table(title, diag, value_header="term"):
-    rows = [
-        (k, _fmt(t), _fmt(p))
-        for k, t, p in zip(diag.indices, diag.terms, diag.partial_sums)
-    ]
-    kept, clip_note = _clip_rows(rows)
+    kept, clip_note = _clip_rows(zip(diag.indices, diag.terms, diag.partial_sums))
     notes = [f"{title}: verdict {diag.verdict} ({diag.bound_used})"]
     if clip_note:
         notes.append(f"{title}: {clip_note}")
@@ -605,7 +612,7 @@ def cmd_check(cfg: RunConfig) -> Report:
         tables.append(tab)
         notes.extend(extra)
         notes.append(
-            f"restricted boundedness series: final partial (exact) {diag.partial_sums[-1]}"
+            f"restricted boundedness series: final partial (exact) {_fmt(diag.partial_sums[-1])}"
         )
         verdicts["rbc"] = "pass" if diag.verdict in _PASS_VERDICTS else "fail"
 
@@ -869,7 +876,7 @@ def cmd_sample(cfg: RunConfig) -> Report:
         f"seed {seed}, draws {draws}, "
         f"partner: {'reduced' if sec.get('pair_with_reduced', True) else 'same'}, "
         f"sums: {'prefix-scaled' if scaled else 'raw digits'}",
-        f"final exact mismatch partial: {rep_c.exact_partials[-1]}",
+        f"final exact mismatch partial: {_fmt(rep_c.exact_partials[-1])}",
     ]
     if clip_note:
         notes.append(clip_note)

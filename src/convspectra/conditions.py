@@ -8,8 +8,10 @@ it in to upgrade the verdict to "certified".
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from itertools import product as cartesian
 
 import numpy as np
@@ -22,9 +24,13 @@ from .errors import (
 )
 from .exactmat import DEFAULT_NORM_TOL, IntMatrix, invert, spectral_norm_upper
 from .triples import (
+    AxisNumerators,
     DigitSet,
+    axis_numerators,
+    box_count,
     box_mask,
     check_reduction,
+    cone_count,
     cone_mask,
     integer_rows,
     numerators,
@@ -181,17 +187,12 @@ def equivalence_defect(s1, s2, upto: int, tail_bound=None) -> SeriesDiagnostics:
 # ===== remainder split: digits outside R[-1/2,1/2)^d =====
 
 
-def _box_masks(nums):
-    """box_mask of the grid and wide rows of nums = numerators(r, b)."""
-    den, y_grid, y_wide = nums
-    return box_mask(y_grid, den), box_mask(y_wide, den)
-
-
 def rbc_split(r: IntMatrix, b: DigitSet) -> RbcSplit:
     """Partition digits by whether R^{-1}b lands in [-1/2,1/2)^d (half-open)."""
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
-    grid, wide = _box_masks(numerators(r, b))
+    den, y_grid, y_wide = numerators(r, b)
+    grid, wide = box_mask(y_grid, den), box_mask(y_wide, den)
     return RbcSplit(b1=b._subset(grid, wide), b2=b._subset(~grid, ~wide))
 
 
@@ -341,9 +342,10 @@ def _levels_to(upto: int) -> list:
 def _walk(seq, want: dict, pcc_l: Fraction | None = None, tol: float = DEFAULT_NORM_TOL) -> dict:
     """Per-level terms of the series in `want` (a name in SERIES_CHECKS ->
     increasing level indices), from one walk over the union of the levels:
-    each level's R_k and B_k are fetched once and `numerators` runs at most
-    once.  pcc terms are (far fraction, squared cube sup) pairs at cone
-    level pcc_l, contractivity terms norm upper bounds."""
+    each level's R_k and B_k are fetched once and its numerators are formed
+    at most once, by axis for a structured B_k under a diagonal R_k.  pcc
+    terms are (far fraction, squared cube sup) pairs at cone level pcc_l,
+    contractivity terms norm upper bounds."""
     levels = {name: set(ks) for name, ks in want.items()}
     out = {name: [] for name in want}
     for k in sorted(set().union(*levels.values())):
@@ -351,21 +353,20 @@ def _walk(seq, want: dict, pcc_l: Fraction | None = None, tol: float = DEFAULT_N
         r = seq.matrix(k)
         if at - {"contractivity"}:
             b = seq.digits(k)
-            den, *parts = nums = numerators(r, b)
+            nums = axis_numerators(r, b) or numerators(r, b)
         if at & {"equivalence", "rbc"}:
-            inside = _box_masks(nums)
-            outside = Fraction(len(b) - sum(int(m.sum()) for m in inside), len(b))
+            outside = Fraction(len(b) - box_count(nums), len(b))
         if "equivalence" in at:
             # B_k against its own reduction: a digit inside the box is its own
             # representative and every representative lies in the box, so the
             # shared digits are the inside ones, and both sets have #B_k
             # digits unless two are congruent, which raises CongruentDigits
-            check_reduction(r, b, nums, inside)
+            check_reduction(r, b, nums)
             out["equivalence"].append(outside)
         if "rbc" in at:
             out["rbc"].append(outside)
         if "pcc" in at:
-            near = sum(int(cone_mask(y, den, (1 - pcc_l) / 2).sum()) for y in parts)
+            near = cone_count(nums, (1 - pcc_l) / 2)
             out["pcc"].append((Fraction(len(b) - near, len(b)), _pcc_sup_sq(r)))
         if "contractivity" in at:
             det, adj = invert(r)
@@ -415,8 +416,9 @@ def three_series(seq, r, upto: int):
 
     Level k's atoms P_k^{-1}b (P_k the prefix product) are written y_b / D
     with integer numerators y_b = sign(det)·adj(P_k)·b and D = |det P_k|
-    (`triples.numerators`), so the ball test and the moment sums run on
-    integers; each term becomes an exact Fraction once per level.
+    (`triples.numerators`, or `axis_numerators` for a structured B_k under
+    a diagonal P_k), so the ball test and the moment sums run on integers;
+    each term becomes an exact Fraction once per level.
     """
     radius = Fraction(r)
     if radius <= 0:
@@ -428,20 +430,13 @@ def three_series(seq, r, upto: int):
     for k in indices:
         digits = seq.digits(k)
         n = len(digits)
-        den, *parts = numerators(seq.prefix_matrix(k), digits)
+        m = seq.prefix_matrix(k)
+        nums = axis_numerators(m, digits) or numerators(m, digits)
+        den = nums.den if isinstance(nums, AxisNumerators) else nums[0]
         # |y/D| <= p/q  <=>  |y|^2 q^2 <= p^2 D^2
-        q2, limit = radius.denominator**2, (radius.numerator * den) ** 2
-        outside, sq_sum = 0, 0
-        sums = [0] * seq.dim
-        for y in parts:
-            y = y.astype(object)  # squares of int64 numerators may not fit
-            sq = (y * y).sum(axis=1)
-            inside = sq * q2 <= limit
-            outside += len(y) - int(inside.sum())
-            sq_sum += int(sq[inside].sum())
-            sums = [s + int(c) for s, c in zip(sums, y[inside].sum(axis=0))]
+        inside, sq_sum, sums = _ball_moments(nums, radius.denominator**2, (radius.numerator * den) ** 2)
         mean = tuple(Fraction(s, n * den) for s in sums)
-        mass_terms.append(Fraction(outside, n))
+        mass_terms.append(Fraction(n - inside, n))
         mean_terms.append(mean)
         var_terms.append(Fraction(sq_sum, n * den * den) - sum(x * x for x in mean))
 
@@ -472,6 +467,49 @@ def three_series(seq, r, upto: int):
         bound_used=used,
     )
     return s1, s2, s3
+
+
+def _ball_moments(nums, q2: int, limit: int) -> tuple:
+    """(count, Σ|y|², Σy) over the rows y of nums with |y|²·q2 <= limit.
+
+    For an AxisNumerators, each choice of the first coordinates leaves the
+    last ones with y_d² <= ⌊(limit - q2·Σ_{i<d} y_i²)/q2⌋: one interval of
+    the sorted last axis, summed by prefix sums; the removed rows are then
+    taken out and the added ones put in."""
+    if not isinstance(nums, AxisNumerators):
+        count, sq_sum, sums = 0, 0, [0] * nums[1].shape[1]
+        for y in nums[1:]:
+            y = y.astype(object)  # squares of int64 numerators may not fit
+            sq = (y * y).sum(axis=1)
+            inside = sq * q2 <= limit
+            count += int(inside.sum())
+            sq_sum += int(sq[inside].sum())
+            sums = [s + int(c) for s, c in zip(sums, y[inside].sum(axis=0))]
+        return count, sq_sum, sums
+    *heads, last = (sorted(y.tolist()) for y in nums.axes)
+    first = [0, *accumulate(last)]
+    second = [0, *accumulate(x * x for x in last)]
+    count, sq_sum, sums = 0, 0, [0] * len(nums.axes)
+    for head in cartesian(*heads):
+        head_sq = sum(x * x for x in head)
+        rest = limit - q2 * head_sq
+        if rest < 0:
+            continue
+        t = math.isqrt(rest // q2)
+        lo, hi = bisect_left(last, -t), bisect_right(last, t)
+        count += hi - lo
+        sq_sum += head_sq * (hi - lo) + second[hi] - second[lo]
+        for i, x in enumerate(head):
+            sums[i] += x * (hi - lo)
+        sums[-1] += first[hi] - first[lo]
+    for rows, sign in ((nums.removed, -1), (nums.added, 1)):
+        for y in rows.tolist():
+            sq = sum(x * x for x in y)
+            if sq * q2 <= limit:
+                count += sign
+                sq_sum += sign * sq
+                sums = [s + sign * x for s, x in zip(sums, y)]
+    return count, sq_sum, sums
 
 
 # ===== interval coupling sampler =====
@@ -508,11 +546,22 @@ def _aligned_tables(a: DigitSet, b: DigitSet):
 
     Returns (ax, ay, s, swapped): each table is a pair of digit sets, the
     shared digits then the set's own ones, with len(ax) <= len(ay); callers
-    track whether the roles were swapped."""
-    a_grid, a_wide, b_grid, b_wide = shared_masks(a, b)
-    shared = a._subset(a_grid, a_wide)
-    ax = (shared, a._subset(~a_grid, [not w for w in a_wide]))
-    ay = (shared, b._subset(~b_grid, [not w for w in b_wide]))
+    track whether the roles were swapped.  Two structured sets on the same
+    axes share a structured set, and their own digits are exceptions."""
+    p, q = a.product, b.product
+    if p is not None and q is not None and all(map(np.array_equal, p.axes, q.axes)):
+        none = np.empty((0, a.dim), dtype=np.int64)
+        shared = DigitSet._product(p.axes, p.removed + q.removed, set(p.added) & set(q.added))
+        own_a, own_b = (
+            DigitSet._from_rows(a.dim, none, set(y.removed) - set(x.removed) | set(x.added) - set(y.added))
+            for x, y in ((p, q), (q, p))
+        )
+    else:
+        a_grid, a_wide, b_grid, b_wide = shared_masks(a, b)
+        shared = a._subset(a_grid, a_wide)
+        own_a = a._subset(~a_grid, [not w for w in a_wide])
+        own_b = b._subset(~b_grid, [not w for w in b_wide])
+    ax, ay = (shared, own_a), (shared, own_b)
     swapped = len(a) > len(b)
     if swapped:
         ax, ay = ay, ax
@@ -559,6 +608,36 @@ def _float_rows(digits: DigitSet, inv=None) -> np.ndarray:
     return np.array(digits.in_order(grid, wide), dtype=float).reshape(-1, digits.dim)
 
 
+def _table_rows(table, inv, index: np.ndarray) -> np.ndarray:
+    """The `_float_rows` of the digits at `index` in a table (shared, own)
+    of `_aligned_tables`.  A structured shared set with no added rows,
+    under a diagonal (or no) inverse, gives one exact float per axis value,
+    gathered by mixed-radix index; any other part gives its rows whole."""
+    shared, own = table
+    n = len(shared)
+    if not n:
+        return _float_rows(own, inv)[index]
+    at_own = np.flatnonzero(index >= n)
+    own_index = index[at_own] - n
+    index = np.minimum(index, n - 1)
+    p = shared.product
+    if p is None or p.added or (inv is not None and not inv[1].is_diagonal()):
+        rows = _float_rows(shared, inv)[index]
+    else:
+        # with fewer digits than draws, every digit is located once
+        whole = n < len(index)
+        where = shared._locate(np.arange(n) if whole else index)
+        rows = np.empty((len(where[0]), shared.dim))
+        for i, (a, w) in enumerate(zip(p.axes, where)):
+            values = a.tolist() if inv is None else [inv[1].rows[i][i] * x / inv[0] for x in a.tolist()]
+            rows[:, i] = np.array(values, dtype=float)[w]
+        if whole:
+            rows = rows[index]
+    if len(at_own):
+        rows[at_own] = _float_rows(own, inv)[own_index]
+    return rows
+
+
 def coupled_sample(
     s1, s2, upto: int, draws: int, rng_seed: int, scale_by=None
 ) -> CouplingReport:
@@ -590,13 +669,11 @@ def coupled_sample(
         m, n = (len(b), len(a)) if swapped else (len(a), len(b))
         x_idx, y_idx, mism = _sample_level(m, n, s, u)
         sc = scale_by(k) if scale_by is not None else None
-        va, vb = (np.concatenate([_float_rows(p, sc) for p in t]) for t in (ax, ay))
+        va, vb = _table_rows(ax, sc, x_idx), _table_rows(ay, sc, y_idx)
         if swapped:
-            x_sums += vb[y_idx]
-            y_sums += va[x_idx]
-        else:
-            x_sums += va[x_idx]
-            y_sums += vb[y_idx]
+            va, vb = vb, va
+        x_sums += va
+        y_sums += vb
         exact_p = Fraction(n - s, n)
         mcount = int(mism.sum())
         levels.append(LevelCoupling(k=k, exact_p=exact_p, mismatches=mcount, draws=draws))

@@ -5,8 +5,9 @@ is the pair (det M, adj M) with adj·M = det·I, from one fraction-free
 elimination cached on the matrix, so no rational matrix is ever formed.
 The certified spectral_norm_upper of N/D bisects on the largest eigenvalue
 of the integer Gram NᵀN, deciding each step by the signs of leading
-principal minors from the same elimination (Sylvester's criterion), so the
-float it returns carries a genuine one-sided guarantee.
+principal minors, all taken from one fraction-free elimination
+(Sylvester's criterion), so the float it returns carries a genuine
+one-sided guarantee.
 """
 from __future__ import annotations
 
@@ -149,6 +150,24 @@ def _gershgorin_upper(g: IntMatrix) -> int:
     return max(sum(abs(x) for x in row) for row in g.rows)
 
 
+def _positive_definite(t) -> bool:
+    """Sylvester's criterion for a symmetric integer matrix (a list of row
+    lists, consumed): every leading principal minor is > 0.  One
+    fraction-free elimination without row swaps gives them all: while the
+    pivots so far are nonzero, the k-th pivot is the k-th leading principal
+    minor, so the walk stops at the first pivot <= 0."""
+    prev = 1
+    for k, pivot_row in enumerate(t):
+        p = pivot_row[k]
+        if p <= 0:
+            return False
+        for row in t[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
+        prev = p
+    return True
+
+
 def spectral_norm_upper(n: IntMatrix, d: int = 1, tol: float = DEFAULT_NORM_TOL) -> float:
     """Certified upper bound u for the spectral norm of n/d, for an integer
     matrix n and a nonzero integer d: ‖n/d‖₂ ≤ u ≤ ‖n/d‖₂ + tol.
@@ -157,9 +176,9 @@ def spectral_norm_upper(n: IntMatrix, d: int = 1, tol: float = DEFAULT_NORM_TOL)
     integers.  The largest eigenvalue λ of G is bracketed by bisection: with
     mid = a/b, λ < mid iff the integer matrix a·d²·I − b·nᵀn is positive
     definite, decided by Sylvester's criterion on its leading principal
-    minors.  The returned float is the upward-rounded square root of the
-    upper end.  With (n, d) = (adj R, det R) from `invert` this bounds
-    ‖R⁻¹‖₂.
+    minors, the pivots of one elimination.  The returned float is the
+    upward-rounded square root of the upper end.  With (n, d) = (adj R,
+    det R) from `invert` this bounds ‖R⁻¹‖₂.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -181,7 +200,7 @@ def spectral_norm_upper(n: IntMatrix, d: int = 1, tol: float = DEFAULT_NORM_TOL)
         mid = (lo + hi) / 2
         a, b = mid.numerator * s, mid.denominator
         t = [[a * (i == j) - b * x for j, x in enumerate(row)] for i, row in enumerate(g.rows)]
-        if all(_bareiss([r[:k] for r in t[:k]])[0] > 0 for k in range(1, len(t) + 1)):
+        if _positive_definite(t):
             hi = mid
         else:
             lo = mid

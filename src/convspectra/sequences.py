@@ -191,15 +191,15 @@ def from_generator(fn, dim: int, **kwargs) -> TripleSequence:
 
 def _jp_gen(k: int):
     r = IntMatrix.diagonal([4])
-    b = DigitSet.of([(0,), (2,)])
-    l = DigitSet.of([(0,), (1,)])
+    b = DigitSet._product([[0, 2]])
+    l = DigitSet._product([[0, 1]])
     return r, b, l
 
 
 def _bernoulli_gen(k: int):
     r = IntMatrix.diagonal([4])
-    b = DigitSet.of([(-1,), (1,)])
-    l = DigitSet.of([(0,), (1,)])
+    b = DigitSet._product([[-1, 1]])
+    l = DigitSet._product([[0, 1]])
     return r, b, l
 
 
@@ -207,28 +207,16 @@ def _far_digit(k: int) -> tuple:
     return (k + 8**k * math.factorial(k + 1), 0)
 
 
-def _square_grid(values) -> np.ndarray:
-    """Rows (x, y) for x, y in the increasing `values`, in lexicographic order."""
-    n = len(values)
-    rows = np.empty((n * n, 2), dtype=np.int64, order="F")
-    rows[:, 0] = np.repeat(values, n)
-    rows[:, 1] = np.tile(values, n)
-    return rows
-
-
 def _ex26_gen(k: int):
     r = IntMatrix.diagonal([8 * (k + 1), 8 * (k + 1)])
-    # the grid {0..k}^2 without (k, 0), first in lexicographic order; the far
-    # digit, congruent to (k, 0), comes last
+    # the grid {0..k}^2 with the corner (k, 0) replaced by the far digit,
+    # which is congruent to it
     axis = np.arange(k + 1, dtype=np.int64)
-    rows = np.empty((k * (k + 2), 2), dtype=np.int64, order="F")
-    rows[:, 0] = np.repeat(axis, k + 1)[:-1]
-    rows[:, 1] = np.concatenate([np.tile(axis, k), axis[1:]])
-    b = DigitSet._from_rows(2, rows, [_far_digit(k)])
+    b = DigitSet._product((axis, axis), removed=[(k, 0)], added=[_far_digit(k)])
 
     def lazy_l():
         t = (k + 1) // 2 if k % 2 == 1 else k // 2
-        return DigitSet._from_rows(2, _square_grid(8 * (np.arange(k + 1, dtype=np.int64) - t)))
+        return DigitSet._product((8 * (axis - t),) * 2)
 
     return r, b, lazy_l
 

@@ -366,10 +366,11 @@ def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     set, from one table of the frequencies and one of the candidates per
     group of convolution factors (merged into groups of at most 8 atoms),
     summed over λ one run of frequencies at a time.  The result, 8 bytes per
-    frequency, is checked against DENSE_BYTE_BUDGET before it is allocated."""
+    frequency, is checked against DENSE_BYTE_BUDGET with the kernel's run,
+    before either is allocated."""
     pts = _points(xis, m.dim)
-    check_budget(8 * len(pts), f"Q at {len(pts)} frequencies")
     if not len(lambda_set):
+        check_budget(8 * len(pts), f"Q at {len(pts)} frequencies")
         return np.zeros(len(pts))
     lams = _int_rows(lambda_set)
     if lams.ndim != 2 or lams.shape[1] != m.dim:
@@ -377,9 +378,10 @@ def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     if not len(pts):
         return np.zeros(0)
     axes = list(range(m.dim))
-    q = np.empty(len(pts))
     left, right = (axes, _int_rows(pts.rows)), [(axes, sum_rows([(lams, pts.den)]))]
-    for s, vals in sum_set_runs(left, right, pts.den, merged_factors(m.phase_factors())):
+    runs = sum_set_runs(left, right, pts.den, merged_factors(m.phase_factors()), held=8 * len(pts))
+    q = np.empty(len(pts))
+    for s, vals in runs:
         # sum over lambda of |mu_hat|^2: squares of the real and imaginary parts
         parts = vals.view(np.float64)
         np.einsum("ij,ij->i", parts, parts, out=q[s : s + len(vals)])
@@ -505,9 +507,11 @@ def _lattice_moduli(factors, lattices, den: int) -> np.ndarray:
     `sum_set_runs` from per-axis tables over the distinct atom coordinates
     on that axis."""
     blocks = [([c], lat.reshape(-1, 1)) for c, lat in enumerate(lattices)]
-    moduli = np.empty([len(lat) for lat in lattices])
+    shape = [len(lat) for lat in lattices]
+    runs = sum_set_runs(blocks[0], blocks[1:], den, factors, held=8 * math.prod(shape))
+    moduli = np.empty(shape)
     rows = moduli.reshape(len(lattices[0]), -1)
-    for s, acc in sum_set_runs(blocks[0], blocks[1:], den, factors):
+    for s, acc in runs:
         np.abs(acc, out=rows[s : s + len(acc)])
     return moduli
 

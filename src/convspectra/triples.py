@@ -73,13 +73,55 @@ def _times(rows: np.ndarray, m) -> np.ndarray:
     return out
 
 
+def _increasing(values) -> np.ndarray:
+    """The distinct entries of a 1-D integer array, in increasing order, as
+    np.unique gives them (without its first-call import of numpy.ma)."""
+    a = np.asarray(values)
+    if len(a) > 1 and not (a[1:] > a[:-1]).all():
+        a = np.sort(a)
+        a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a
+
+
+def _holds(a: np.ndarray, x) -> bool:
+    """Whether the increasing integer array a holds the int x."""
+    i = np.searchsorted(a, x)
+    return i < len(a) and a[i] == x
+
+
 def _frozen(rows: np.ndarray) -> np.ndarray:
     rows = np.asfortranarray(rows)
     rows.flags.writeable = False
     return rows
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
+class Product:
+    """The digits (A_0 × ... × A_{d-1} minus `removed`) plus `added`: `axes`
+    holds per axis the increasing int64 values A_i, all below 2^31 in
+    absolute value; `removed` the sorted rows of the product left out, and
+    `added` the sorted exact-int rows outside the product put in."""
+
+    axes: tuple
+    removed: tuple = ()
+    added: tuple = ()
+
+    def __contains__(self, v) -> bool:
+        """Whether the row v lies in the product of the axes."""
+        return all(_holds(a, x) for a, x in zip(self.axes, v))
+
+    @cached_property
+    def size(self) -> int:
+        return math.prod(map(len, self.axes))
+
+    def ranks(self, rows) -> np.ndarray:
+        """Lexicographic positions among the product rows of rows in it."""
+        rank = np.zeros(len(rows), dtype=np.int64)
+        for a, col in zip(self.axes, np.array(rows, dtype=np.int64).reshape(-1, len(self.axes)).T):
+            rank = rank * len(a) + np.searchsorted(a, col)
+        return rank
+
+
 class DigitSet:
     """A finite set of integer vectors, sorted and deduplicated, held by column.
 
@@ -89,11 +131,23 @@ class DigitSet:
     (example-2.6's far digit k + 8^k (k+1)! is one).  The split is fixed by
     the digits alone, so two sets are equal exactly when their parts are.
     `vectors`, the whole set as one sorted tuple, is built on first use only.
+
+    A set may instead be held in structured form, `product`: a product of
+    per-axis values with a few removed and added rows (`Product`), as the
+    builtin generators and `mod_reduce` give it.  `grid` and `wide` are then
+    built on first use, by the kernels that need rows; the kernels that read
+    `product` (see `axis_numerators`) never build them.  A structured set
+    equals and hashes like its explicit twin.
     """
 
-    dim: int
-    grid: np.ndarray
-    wide: tuple = ()
+    def __init__(self, dim: int, grid: np.ndarray | None = None, wide=(), product: Product | None = None):
+        self.dim = dim
+        self.product = product
+        if product is None:
+            self.grid, self.wide = grid, tuple(wide)
+            self._len = len(grid) + len(self.wide)
+        else:
+            self._len = product.size - len(product.removed) + len(product.added)
 
     @classmethod
     def of(cls, vectors, dim: int | None = None) -> "DigitSet":
@@ -129,6 +183,51 @@ class DigitSet:
             grid = np.concatenate([grid, np.array(small, dtype=np.int64)])
         return cls(dim, _frozen(_distinct_rows(grid)[0]), tuple(sorted(wide)))
 
+    @classmethod
+    def _product(cls, axes, removed=(), added=()) -> "DigitSet":
+        """Internal constructor of the structured set (A_0 × ... × A_{d-1}
+        minus `removed`) plus `added`, from integer axis values in any order
+        with repeats, all below the int64 headroom, and exact-int rows.  A
+        removed row outside the product and an added row inside it are
+        dropped, and a row both removed and added stays in."""
+        p = Product(tuple(_frozen(_increasing(a).astype(np.int64)) for a in axes))
+        out = {tuple(v) for v in removed if tuple(v) in p}
+        extra = set()
+        for v in map(tuple, added):
+            if v in p:
+                out.discard(v)
+            else:
+                extra.add(v)
+        return cls(len(p.axes), product=Product(p.axes, tuple(sorted(out)), tuple(sorted(extra))))
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """(grid, wide) of a structured set: the product rows in
+        lexicographic order, without the removed ones, with the added ones."""
+        p, d = self.product, self.dim
+        rows = np.empty((p.size, d), dtype=np.int64, order="F")
+        outer = 1
+        for j, a in enumerate(p.axes):
+            inner = p.size // (outer * len(a))
+            rows[:, j] = np.tile(np.repeat(a, inner), outer)
+            outer *= len(a)
+        if p.removed:
+            keep = np.ones(p.size, dtype=bool)
+            keep[p.ranks(p.removed)] = False
+            rows = _pick(rows, keep)
+        if any(all(-_HEADROOM < x < _HEADROOM for x in v) for v in p.added):
+            merged = DigitSet._from_rows(d, rows, p.added)
+            return merged.grid, merged.wide
+        return _frozen(rows), p.added
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return self._rows[0]
+
+    @cached_property
+    def wide(self) -> tuple:
+        return self._rows[1]
+
     def _subset(self, grid_mask: np.ndarray, wide_mask) -> "DigitSet":
         """The digits picked by a mask over each part; order is kept."""
         return DigitSet(
@@ -136,13 +235,14 @@ class DigitSet:
         )
 
     def __len__(self) -> int:
-        return len(self.grid) + len(self.wide)
+        return self._len
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitSet):
             return NotImplemented
         return (
             self.dim == other.dim
+            and len(self) == len(other)
             and self.wide == other.wide
             and np.array_equal(self.grid, other.grid)
         )
@@ -186,6 +286,19 @@ class DigitSet:
         i = self._rank(v)
         return i < len(self.grid) and self._grid_row(i) == v
 
+    def _locate(self, positions: np.ndarray) -> list:
+        """For a structured set with no added rows, per axis the index of the
+        value of the digit at each set-order position (mixed radix)."""
+        p = self.product
+        # the q-th kept product row has rank q + #{i : removed_i - i <= q}
+        gaps = p.ranks(p.removed) - np.arange(len(p.removed))
+        rank = positions + np.searchsorted(gaps, positions, "right")
+        index = []
+        for a in reversed(p.axes):
+            rank, i = np.divmod(rank, len(a))
+            index.append(i)
+        return index[::-1]
+
 
 def shared_masks(a: DigitSet, b: DigitSet):
     """Masks over the grid and wide parts of a and of b marking the digits
@@ -217,27 +330,27 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
 
     The Gram matrix is G[b, b'] = F(R^{-1}(b - b')) with F the transform of
     the single factor with atoms L and weight 1/#B, evaluated by
-    `_phases.difference_deviation` on the points R^{-1}B = y/den.  When L
-    holds no wide digit and is the product of its axis projections L_c, F
-    is the product of the transforms of the uniform measures on the L_c,
-    the first scaled by #L/#B, and those are the factors: their tables hold
-    #L_c atoms, not #L.  L is integer, so F(y/den) depends on y only mod
-    den.  Distinct reduced rows are the one summand, or, when they form the
-    product of their axis projections, those projections are, and B - B is
-    the lattice of per-axis differences.  A size mismatch (#B ≠ #L) is
-    reported in the result rather than raised: the matrix is then
+    `_phases.difference_deviation` on the points R^{-1}B = y/den.  When L is
+    the product of its axis sets L_c, F is the product of the transforms of
+    the uniform measures on the L_c, the first scaled by #L/#B, and those
+    are the factors: their tables hold #L_c atoms, not #L.  L is integer, so
+    F(y/den) depends on y only mod den.  The distinct reduced rows are the
+    one summand, or, when they form the product of their axis sets, those
+    sets are, and B - B is the lattice of per-axis differences.  Structured
+    sets under a diagonal R give their axis sets as they are; explicit ones
+    are tested for a product form on their rows.  A size mismatch (#B ≠ #L)
+    is reported in the result rather than raised: the matrix is then
     rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
-    den, y_grid, y_wide = numerators(r, b)
-    # L's rows are exact Python ints: bench/tracer.py multiplies the two
-    # operands' largest entries, which overflows when one is an int64 scalar
-    # and the other is wide.
-    y = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
-    factors = [(np.concatenate(integer_rows(l)), 1, np.full(len(l), 1 / len(b)))]
-    l_axes = [_distinct_rows(l.grid[:, [c]])[0] for c in range(l.dim)]
-    if not l.wide and len(l) == math.prod(map(len, l_axes)):
+    l_axes = _product_axes(l)
+    if l_axes is None:
+        # L's rows are exact Python ints: bench/tracer.py multiplies the two
+        # operands' largest entries, which overflows when one is an int64
+        # scalar and the other is wide.
+        factors = [(np.concatenate(integer_rows(l)), 1, np.full(len(l), 1 / len(b)))]
+    else:
         # the uniform measure on L = L_0 x ... x L_{d-1} is the convolution of
         # those on the L_c, and F carries the mass #L/#B
         weights = [len(l) / (len(b) * len(a)) if c == 0 else 1 / len(a) for c, a in enumerate(l_axes)]
@@ -245,15 +358,45 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
             (a * np.eye(l.dim, dtype=object)[c], 1, np.full(len(a), w))
             for c, (a, w) in enumerate(zip(l_axes, weights))
         ]
-    reduced = y % den
-    axes = [_distinct_rows(reduced[:, [c]])[0] for c in range(b.dim)]
-    distinct = len(_distinct_rows(reduced)[0]) == len(b)
-    summands = [reduced if distinct else y]  # congruent digits: the rows y themselves
-    if distinct and len(b) == math.prod(len(a) for a in axes):
-        summands = [a * np.eye(b.dim, dtype=np.int64)[c] for c, a in enumerate(axes)]
+    den, summands = _reduced_summands(r, b)
     dev = difference_deviation(summands, den, factors)
     mismatch = len(b) != len(l)
     return HadamardCheckResult(ok=(not mismatch) and dev <= tol, max_deviation=dev, size_mismatch=mismatch)
+
+
+def _product_axes(l: DigitSet):
+    """The axis sets of l as (n_c, 1) columns when l is their product, else None."""
+    p = l.product
+    if p is not None and not p.removed and not p.added:
+        return [a[:, None] for a in p.axes]
+    axes = [_distinct_rows(l.grid[:, [c]])[0] for c in range(l.dim)]
+    return axes if not l.wide and len(l) == math.prod(map(len, axes)) else None
+
+
+def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
+    """(den, summands) for `hadamard_check`: R⁻¹B = y/den, and integer rows
+    whose collision-free Minkowski sum is {y mod den}, or [y] itself when
+    two digits are congruent."""
+    eye = np.eye(b.dim, dtype=np.int64)
+    an = axis_numerators(r, b)
+    if an is not None:
+        den = an.den
+        axes = [_increasing(y % den) for y in an.axes]
+        removed, added = ({tuple(v) for v in (y % den).tolist()} for y in (an.removed, an.added))
+        # every added digit lands on a removed one: the reduced rows are the
+        # whole product of the reduced axes
+        distinct = all(len(a) == len(y) for a, y in zip(axes, an.axes)) and len(added) == len(an.added)
+        if distinct and added == removed:
+            return den, [a[:, None] * eye[c] for c, a in enumerate(axes)]
+    den, y_grid, y_wide = numerators(r, b)
+    y = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
+    reduced = y % den
+    if len(_distinct_rows(reduced)[0]) < len(b):
+        return den, [y]  # congruent digits: the rows y themselves
+    axes = [_distinct_rows(reduced[:, [c]])[0] for c in range(b.dim)]
+    if len(b) == math.prod(len(a) for a in axes):
+        return den, [a * eye[c] for c, a in enumerate(axes)]
+    return den, [reduced]
 
 
 @dataclass(frozen=True)
@@ -340,18 +483,114 @@ def _representatives(r: IntMatrix, den: int, v: np.ndarray, y: np.ndarray) -> np
     return v.astype(y.dtype) - _times((2 * y + den) // (2 * den), r_t)
 
 
-def check_reduction(r: IntMatrix, b: DigitSet, nums, inside) -> None:
+@dataclass(frozen=True)
+class AxisNumerators:
+    """`numerators` of a structured digit set under a diagonal R, by axis.
+
+    R⁻¹v = y/den with y_i = c_i·v_i, so the numerators of the product rows
+    are the product of `axes`, the per-axis numerators c_i·A_i (int64 under
+    the bounds `numerators` keeps for its int64 rows, exact Python ints
+    otherwise); `removed` and `added` are the rows y of the exceptions, as
+    object arrays."""
+
+    den: int
+    axes: tuple
+    removed: np.ndarray
+    added: np.ndarray
+
+
+def axis_numerators(r: IntMatrix, b: DigitSet) -> AxisNumerators | None:
+    """The numerators of b under r by axis when b is structured and r is
+    diagonal, else None."""
+    p = b.product
+    if p is None or not r.is_diagonal():
+        return None
+    if r.dim != b.dim:
+        raise DimensionMismatch("matrix and digit set dimensions differ")
+    det, adj = invert(r)
+    den, d = abs(det), r.dim
+    c = [adj.rows[i][i] if det > 0 else -adj.rows[i][i] for i in range(d)]
+    y_max = max(abs(ci) * max(-int(a[0]), int(a[-1])) for a, ci in zip(p.axes, c))
+    r_max = max(abs(x) for row in r.rows for x in row)
+    fast = max(2 * d * y_max + den, d * r_max * (y_max // den + 1), *map(abs, c)) < _INT64_SAFE
+    axes = [a * ci if fast else a.astype(object) * ci for a, ci in zip(p.axes, c)]
+    c_row = np.array(c, dtype=object)
+    return AxisNumerators(
+        den,
+        tuple(axes),
+        *(np.array(rows, dtype=object).reshape(-1, d) * c_row for rows in (p.removed, p.added)),
+    )
+
+
+def box_count(nums) -> int:
+    """Digits with R⁻¹v in [-1/2, 1/2)^d, for nums from `numerators` or
+    `axis_numerators`: the box is the product of its per-axis intervals."""
+    if not isinstance(nums, AxisNumerators):
+        return sum(int(box_mask(y, nums[0]).sum()) for y in nums[1:])
+    den = nums.den
+    inside = math.prod(int(box_mask(y[:, None], den).sum()) for y in nums.axes)
+    return inside - int(box_mask(nums.removed, den).sum()) + int(box_mask(nums.added, den).sum())
+
+
+def cone_count(nums, thr: Fraction) -> int:
+    """Digits with |R⁻¹v|_1 < thr, for nums from `numerators` or
+    `axis_numerators`: on the axes, each sum of the first coordinates
+    leaves the last ones one interval of the sorted last axis."""
+    if not isinstance(nums, AxisNumerators):
+        return sum(int(cone_mask(y, nums[0], thr).sum()) for y in nums[1:])
+    den = nums.den
+    bound = -(-thr.numerator * den // thr.denominator)
+    # int64 axes keep d·max|y| and den below 2^62 (see axis_numerators)
+    *heads, last = (np.abs(y) for y in nums.axes)
+    sums = np.zeros(1, dtype=last.dtype)
+    for y in heads:
+        sums = np.add.outer(sums, y).ravel()
+    near = int(np.searchsorted(np.sort(last), bound - sums).sum())
+    return near - sum(int(cone_mask(y, den, thr).sum()) * s for y, s in ((nums.removed, 1), (nums.added, -1)))
+
+
+def _reduce_product(r: IntMatrix, b: DigitSet, an: AxisNumerators) -> DigitSet | None:
+    """mod_reduce(b, r) for a structured b under a diagonal r, from the axes
+    and the exceptions alone, structured again; None when two digits may be
+    congruent: two values of an axis are, or a reduced added row lands on a
+    digit; and None when a reduced axis passes the int64 headroom."""
+    p, den = b.product, an.den
+    axes = []
+    for i, (a, y) in enumerate(zip(p.axes, an.axes)):
+        rep = _increasing(a - r.rows[i][i] * ((2 * y + den) // (2 * den)))
+        if len(rep) < len(a) or rep[0] <= -_HEADROOM or rep[-1] >= _HEADROOM:
+            return None
+        axes.append(rep)
+    removed, added = (
+        _representatives(r, den, np.array(rows, dtype=object).reshape(-1, b.dim), y).tolist()
+        for rows, y in ((p.removed, an.removed), (p.added, an.added))
+    )
+    removed = set(map(tuple, removed))
+    seen = set()
+    for w in map(tuple, added):
+        if w in seen or (w not in removed and all(map(_holds, axes, w))):
+            return None
+        seen.add(w)
+    return DigitSet._product(axes, removed, seen)
+
+
+def check_reduction(r: IntMatrix, b: DigitSet, nums) -> None:
     """Raise CongruentDigits, with mod_reduce's message, when two digits of b
     share a representative mod R·Z^d.
 
-    Takes nums = numerators(r, b) and inside, the box_mask of its grid and
-    wide rows.  A digit inside the box is its own representative and every
-    representative lies in the box, so only the digits outside it are
-    reduced, and their representatives are compared with each other and
-    with b; the reduced set itself is never built.
+    Takes nums = numerators(r, b), or axis_numerators(r, b), which reduces
+    the axes and the exceptions alone.  On rows, a digit inside the box is
+    its own representative and every representative lies in the box, so
+    only the digits outside it are reduced, and their representatives are
+    compared with each other and with b; the reduced set itself is never
+    built.
     """
+    if isinstance(nums, AxisNumerators):
+        if _reduce_product(r, b, nums) is None:
+            mod_reduce(b, r)  # names the first colliding pair, if any
+        return
     den, y_grid, y_wide = nums
-    out_grid, out_wide = ~inside[0], ~inside[1]
+    out_grid, out_wide = ~box_mask(y_grid, den), ~box_mask(y_wide, den)
     moved = DigitSet._from_rows(
         b.dim,
         _representatives(r, den, _pick(b.grid, out_grid), _pick(y_grid, out_grid)),
@@ -377,6 +616,10 @@ def mod_reduce(b: DigitSet, r: IntMatrix) -> DigitSet:
     """
     if b.dim != r.dim:
         raise DimensionMismatch("digit set and matrix dimensions differ")
+    an = axis_numerators(r, b)
+    out = _reduce_product(r, b, an) if an is not None else None
+    if out is not None:
+        return out
     den, y_grid, y_wide = numerators(r, b)
     # a grid digit inside the box (n = 0) is its own representative
     inside = box_mask(y_grid, den)

@@ -249,15 +249,27 @@ def _qscan_doc(pitch="1/2"):
 
 
 def test_exit_3_when_one_qscan_point_exceeds_the_byte_budget(tmp_path, monkeypatch):
+    # the two points' 16-byte result is counted with the one-point run
     cfg = write_config(tmp_path, _qscan_doc())
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW + 16)
     rc, out, _ = run_cli(["qscan", "--config", cfg])
     assert rc == 0 and out.startswith("xi1,q\n")
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW - 1)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW + 15)
     rc, out, err = run_cli(["qscan", "--config", cfg])
     assert rc == 3
     assert err.startswith("resource cap:") and "budget" in err
     assert out == ""
+
+
+def test_exit_3_when_a_qscan_result_and_run_fit_only_apart(tmp_path, monkeypatch):
+    # a budget of one run admits the run alone and the 16-byte result
+    # alone, but not both
+    cfg = write_config(tmp_path, _qscan_doc())
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", _QSCAN_ONE_ROW)
+    rc, out, err = run_cli(["qscan", "--config", cfg])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "next to a 16-byte result" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_exit_3_when_a_qscan_grid_exceeds_the_byte_budget(tmp_path, monkeypatch):
@@ -1206,3 +1218,42 @@ def test_check_builds_every_level_once(monkeypatch):
     rep, built = _counting_check(monkeypatch, {"upto": 12, "checks": series})
     assert list(rep.verdicts) == series
     assert sorted(built) == list(range(1, 13))
+
+
+def _digits_past_the_limit(n: int) -> str:
+    """str(n) with the interpreter's int-to-str digit limit lifted."""
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_cells_past_the_int_digit_limit_are_printed_whole():
+    from convspectra import conditions
+
+    # Σ_{k<=5000} 1/(k+1)^2 has a 4340-digit denominator, past str()'s 4300
+    terms = [Fraction(1, (k + 1) ** 2) for k in range(1, 5001)]
+    diag = conditions._finish_scalar_series("rbc", list(range(1, 5001)), terms, None)
+    last = diag.partial_sums[-1]
+    assert len(_digits_past_the_limit(last.denominator)) > 4300
+    with pytest.raises(ValueError):
+        str(last)
+    want = f"{_digits_past_the_limit(last.numerator)}/{_digits_past_the_limit(last.denominator)}"
+    assert cli._fmt(last) == want
+    assert cli._fmt(-last) == "-" + want and cli._fmt(Fraction(10**5000)) == "1" + "0" * 5000
+    tab, notes = cli._series_table("rbc", diag)
+    assert len(tab.rows) == cli._TABLE_ROW_LIMIT and tab.rows[-1] == ("5000", "1/25010001", want)
+    assert "table clipped" in notes[-1]
+
+
+def test_check_series_past_the_int_digit_limit_exits_0(tmp_path):
+    cfg = write_config(tmp_path, {"dimension": 2, "sequence": {"generator": "example-2.6"},
+                                  "check": {"upto": 5000, "checks": ["rbc"]}})
+    rc, out, err = run_cli(["check", "--config", cfg])
+    assert rc == 0 and err == ""
+    note = next(l for l in out.splitlines() if "final partial (exact)" in l)
+    assert len(note.split()[-1]) > 8600

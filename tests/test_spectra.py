@@ -313,14 +313,23 @@ def test_q_many_matches_scalar():
 
 
 def test_q_many_checks_its_result_before_allocating(monkeypatch):
-    # one-point runs of the kernel fit in far less than the 8000-byte result
+    # one-point runs of the kernel fit in far less than the 8000-byte
+    # result, and the two are checked together
     m2 = mu_truncate(builtin_sequence("jorgensen-pedersen"), 2)
     points = _phases.PointRows(np.arange(1000).reshape(-1, 1), 1000)
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 8 * 1000)
+    ranks = [len(rows) for rows, _, _ in _phases.merged_factors(m2.phase_factors())]
+    row, fixed = _phases.sum_set_sizes([2], ranks)
+    assert row + fixed < 8 * 1000
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 8 * 1000 + fixed + row)
     assert len(q_eval_many(m2, [(0,), (1,)], points)) == 1000
+    for budget in (8 * 1000 + fixed + row - 1, 8 * 1000):
+        monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", budget)
+        with pytest.raises(WorkingSetTooLarge, match="1000 x 2 points .* next to a 8000-byte result"):
+            q_eval_many(m2, [(0,), (1,)], points)
+    # with no candidates, the result alone
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 8 * 1000 - 1)
     with pytest.raises(WorkingSetTooLarge, match="Q at 1000 frequencies"):
-        q_eval_many(m2, [(0,), (1,)], points)
+        q_eval_many(m2, [], points)
 
 
 def test_q_bessel_bound_along_levels():

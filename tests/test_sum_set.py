@@ -163,16 +163,15 @@ def test_product_transform_walks_points_in_budgeted_chunks(monkeypatch):
     # once, the empty right's table, join and kept group sums
     kernel = 40 + 32 * max(ranks) + 2 * 16 * max(ranks) + 16 * sum(ranks)
     assert 16 * 40 < kernel
+    # the result, 16 bytes per point, is counted with the run, and both are
+    # refused before either is allocated
     monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", 1)
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", kernel)
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", kernel + 16 * 40)
     assert np.max(np.abs(product_transform(xs, factors) - whole)) <= 1e-15
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", kernel - 1)
-    with pytest.raises(WorkingSetTooLarge, match="40 x 1 points"):
-        product_transform(xs, factors)
-    # the result, 16 bytes per point, is refused before it is allocated
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 16 * 40 - 1)
-    with pytest.raises(WorkingSetTooLarge, match="40-point transform"):
-        product_transform(xs, factors)
+    for budget in (kernel + 16 * 40 - 1, kernel, 16 * 40):
+        monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", budget)
+        with pytest.raises(WorkingSetTooLarge, match="40 x 1 points .* next to a 640-byte result"):
+            product_transform(xs, factors)
 
 
 def test_sum_set_transform_checks_its_bytes_before_allocating(monkeypatch):

@@ -36,14 +36,49 @@ import workloads  # noqa: E402
 VERBS = ("check", "spectrum", "qscan", "sample", "equipos")
 SAMPLE_SEEDS = (1, 2)
 
-# The configs and the bench commands all have diagonal R; this check on
-# skew levels reaches the bisection of the certified norm ‖R⁻¹‖₂.
+# The configs and the bench commands all have diagonal R; the check on
+# skew levels reaches the bisection of the certified norm ‖R⁻¹‖₂.  The
+# example-2.6 checks run the kernels that read structured digit sets past
+# the bench sizes, and the inline product levels run the explicit digit
+# sets' product detection in `hadamard_check`.
 _SKEW_LEVEL = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+
+
+def _product_level(r, b, l):
+    """An inline level with R = diag(r) and the digit sets B = b[0] × b[1]
+    and L = l[0] × l[1], written out row by row."""
+    return {
+        "matrix": [[r[0], 0], [0, r[1]]],
+        "digits": [[x, y] for x in b[0] for y in b[1]],
+        "spectrum_digits": [[x, y] for x in l[0] for y in l[1]],
+    }
+
+
 INLINE = (
     ("inline/skew-check", "check", {
         "dimension": 2,
         "sequence": {"inline": [_SKEW_LEVEL] * 3},
         "check": {"checks": ["contractivity", "rbc", "pcc"], "upto": 3},
+    }),
+    ("inline/product-check", "check", {
+        "dimension": 2,
+        "sequence": {"inline": [
+            _product_level((4, 6), ([0, 2], [0, 2, 4]), ([0, 1], [0, 1, 2])),
+            _product_level((8, 6), ([0, 2, 4, 6], [0, 2, 4]), ([0, 1, 2, 3], [0, 1, 2])),
+            _product_level((8, 10), ([0, 2, 4, 6], [0, 2, 4, 6, 8]), ([0, 1, 2, 3], [0, -1, 1, 2, -2])),
+        ]},
+        "check": {"upto": 3, "hadamard_upto": 3, "checks": [
+            "hadamard", "three-series", "equivalence", "rbc", "pcc", "contractivity"]},
+    }),
+    ("example-2.6/check-series-1000", "check", {
+        "dimension": 2,
+        "sequence": {"generator": "example-2.6"},
+        "check": {"upto": 1000, "checks": ["equivalence", "rbc", "pcc", "contractivity"]},
+    }),
+    ("example-2.6/check-hadamard-100", "check", {
+        "dimension": 2,
+        "sequence": {"generator": "example-2.6"},
+        "check": {"upto": 200, "hadamard_upto": 100, "checks": ["hadamard", "three-series"]},
     }),
 )
 
