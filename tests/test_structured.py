@@ -265,3 +265,24 @@ def test_builtin_kernels_never_build_rows():
     for k in (1, 15, 30):
         for b in (seq.digits(k), seq.reduced().digits(k)):
             assert b.product is not None and "grid" not in b.__dict__ and "wide" not in b.__dict__
+
+
+def test_negative_diagonals_and_wide_exceptions_match_the_explicit_twin():
+    def gen(k):
+        r = IntMatrix.diagonal([-3, 5 + k % 2])
+        b = DigitSet._product([[-1, 0, 1], [0, 1, 2, 3 + k]], removed=[(0, 1)], added=[(3, 1), (2**45 + k, -7)])
+        return r, b, None
+
+    seq = from_generator(gen, 2)
+    for radius in (1, Fraction(7, 3), Fraction(1, 5)):
+        assert three_series(seq, radius, 9) == three_series(twin(seq), radius, 9)
+    names = ["rbc", "pcc", "contractivity"]
+    assert check_series(seq, names, 6) == check_series(twin(seq), names, 6)
+    # (-1, 0) and (-1, 5) are congruent under diag(-3, 5) at level 2
+    message = same_congruence(
+        lambda: check_series(seq, SERIES_CHECKS, 6), lambda: check_series(twin(seq), SERIES_CHECKS, 6)
+    )
+    assert message is not None and "(-1, 5)" in message
+    scale = lambda k: invert(seq.prefix_matrix(k))  # noqa: E731
+    got, want = coupled_sample(seq, seq, 6, 500, 3, scale_by=scale), coupled_sample(twin(seq), twin(seq), 6, 500, 3, scale_by=scale)
+    assert np.array_equal(got.x_sums, want.x_sums) and np.array_equal(got.y_sums, want.y_sums)
