@@ -311,7 +311,7 @@ def _right_sums(cols, right, den: int, factors):
     in runs of about _RUN_TARGET_BYTES; a factor that fits one run is
     summed in one pass, the others run by run."""
     n_right = prod(len(block[1]) for block in right)
-    step = max(1, _RUN_TARGET_BYTES // (COMPLEX_BYTES * n_right))
+    step = _join_step(n_right)
     for rows, rden, weights in factors:
         rows = _int_rows(rows)
         distinct, where = _distinct_rows(rows[:, cols])
@@ -344,14 +344,22 @@ def _right_sums(cols, right, den: int, factors):
         yield distinct, rden, grouped
 
 
+def _join_step(n_right: int) -> int:
+    """Atoms per run of the Khatri-Rao join over n_right right points."""
+    return max(1, _RUN_TARGET_BYTES // (COMPLEX_BYTES * n_right))
+
+
 def sum_set_sizes(right_sizes, ranks) -> tuple:
     """(bytes per left point, bytes once) of `sum_set_runs` with right blocks
     of these sizes and factors of these atom counts: per left point, its rows
     of the product, of one level and of a float modulus, and its row of the
-    left table; once, the right tables as built, the Khatri-Rao join with its
-    group sums, and every factor's group sums, kept across runs."""
+    left table; once, the right tables as built, one run of the Khatri-Rao
+    join (min(rank, step) rows: it is formed in runs of `_join_step` atoms)
+    with its group sums (at most rank rows), and every factor's group sums,
+    kept across runs."""
     n_right, rank = prod(right_sizes), max(ranks, default=0)
-    once = PHASE_ENTRY_BYTES * rank * sum(right_sizes) + COMPLEX_BYTES * n_right * (2 * rank + sum(ranks))
+    join = rank + min(rank, _join_step(n_right))
+    once = PHASE_ENTRY_BYTES * rank * sum(right_sizes) + COMPLEX_BYTES * n_right * (join + sum(ranks))
     return (2 * COMPLEX_BYTES + 8) * n_right + PHASE_ENTRY_BYTES * rank, once
 
 

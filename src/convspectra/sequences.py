@@ -203,8 +203,20 @@ def _bernoulli_gen(k: int):
     return r, b, l
 
 
+# (k, (k + 1)!) of the last far digit: a walk asks for the levels in order,
+# so the next factorial is one multiply from this one
+_last_factorial = (0, 1)
+
+
 def _far_digit(k: int) -> tuple:
-    return (k + 8**k * math.factorial(k + 1), 0)
+    global _last_factorial
+    last, f = _last_factorial
+    if k == last + 1:
+        f *= k + 1
+    elif k != last:
+        f = math.factorial(k + 1)
+    _last_factorial = (k, f)
+    return (k + (f << 3 * k), 0)
 
 
 def _ex26_gen(k: int):

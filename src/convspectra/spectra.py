@@ -13,6 +13,7 @@ import numpy as np
 
 from ._phases import (
     _INT64_SAFE,
+    _RUN_TARGET_BYTES,
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
     PointRows,
@@ -393,6 +394,60 @@ class ExactnessResult:
     ok: bool
     deviation: float
     size: int
+    route: str  # "tower": a bound certified block by block; "sum-set": evaluated
+
+
+def _integral_phases(rows, den: int, points: np.ndarray) -> bool:
+    """Whether every phase a·v is an integer, for the atoms a = rows[b] / den
+    and the integer rows v of points: exact, from operands reduced mod den,
+    in runs of points of about _RUN_TARGET_BYTES."""
+    if den == 1 or not len(points):
+        return True
+    a, v = _int_rows(rows), points
+    if den >= _INT64_SAFE:
+        a, v = a.astype(object), v.astype(object)
+    a, v = a % den, v % den
+    pa, pv = _peak(a), _peak(v)
+    dtype = object if max(pa, pv, a.shape[1] * pa * pv) >= _INT64_SAFE else np.int64
+    a, v = a.astype(dtype), v.astype(dtype)
+    step = max(1, _RUN_TARGET_BYTES // (8 * len(a)))
+    for s in range(0, len(v), step):
+        phases = a @ v[s : s + step].T
+        if phases.dtype == object or den < _INT64_SAFE:
+            phases %= den  # int64 products lie below 2^62 <= den otherwise
+        if phases.any():
+            return False
+    return True
+
+
+def _tower_bound(blocks, factors, tol: float):
+    """A bound on max |G - I| over the Minkowski sum of the blocks M_1, ...,
+    M_J, or None when it exceeds tol.
+
+    Let λ ≠ λ' first differ in block j, by δ_j ∈ M_j - M_j.  Each factor whose
+    atoms meet integer phases on the differences of every later block gives
+    |m(λ - λ')| = |m(δ_j)|, and every factor has modulus at most 1.  So with
+    the factors assigned to the last block whose differences give them a
+    non-integer phase (for a tower of Hadamard triples, the levels of the
+    block's window), max |G - I| <= max_j max |F_j(δ_j) - [δ_j = 0]|, F_j the
+    product of block j's factors: `difference_deviation` on M_j alone.  A
+    block of two or more points with no factor certifies nothing."""
+    shifted = [b[1:] - b[0] for b in blocks]  # M_j - M_j is spanned by these
+    own = [[] for _ in blocks]
+    for rows, den, weights in factors:
+        later = (j for j in reversed(range(len(blocks))) if not _integral_phases(rows, den, shifted[j]))
+        j = next(later, None)
+        if j is not None:
+            own[j].append((rows, den, weights))
+    bound = 0.0
+    for block, mine in zip(blocks, own):
+        if len(block) < 2:
+            continue
+        dev = difference_deviation([block], 1, mine) if mine else 1.0
+        if dev > tol:
+            return None
+        bound = max(bound, dev)
+    return bound
 
 
 def spectrum_exactness(
@@ -400,14 +455,23 @@ def spectrum_exactness(
 ) -> ExactnessResult:
     """Finite criterion: for an n-atom equal-weight measure and n candidate
     frequencies Λ, spectrality means the normalized exponential matrix is
-    unitary.  Returns the max Gram deviation from the identity.
+    unitary.  Returns the max Gram deviation from the identity, or a bound
+    on it.
 
     lambda_set is Λ, or the summands M_1, ..., M_J (2-D integer arrays, as
     `SpectrumLevels.blocks` holds them) whose Minkowski sum Λ is.  The Gram
     is G[i, k] = mu_hat(λ_i - λ_k) over the per-level factors `mu_truncate`
-    recorded, and `_phases.difference_deviation` evaluates it on the sum set
-    Λ - Λ = Σ_j (M_j - M_j).  Equal weights are read from the measure's
-    integer multiplicities; no Fraction is formed."""
+    recorded.  Equal weights are read from the measure's integer
+    multiplicities; no Fraction is formed.
+
+    Two or more collision-free summands first take the tower route
+    (`_tower_bound`): each summand's differences against the factors of its
+    own levels, at a cost summed over the summands instead of multiplied.
+    When that bound is at most tol it is returned as the deviation (route
+    "tower"), so a printed deviation is then a bound on max |G - I|.
+    Otherwise, and for one summand or colliding ones, which are checked as
+    their sum set Λ, `_phases.difference_deviation` evaluates the Gram on
+    the sum set Λ - Λ = Σ_j (M_j - M_j) (route "sum-set")."""
     n = len(m)
     if (m.counts != m.counts[0]).any():
         raise NonUniformWeights(
@@ -425,8 +489,12 @@ def spectrum_exactness(
         raise SizeMismatch(f"{len(lams)} candidate vectors vs {n} atoms")
     if n != math.prod(map(len, blocks)):
         blocks = [lams]  # colliding summands: the set itself is the one summand
-    dev = difference_deviation(blocks, 1, m.phase_factors())
-    return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
+    factors = m.phase_factors()
+    bound = _tower_bound(blocks, factors, tol) if len(blocks) > 1 else None
+    if bound is not None:
+        return ExactnessResult(ok=True, deviation=bound, size=n, route="tower")
+    dev = difference_deviation(blocks, 1, factors)
+    return ExactnessResult(ok=dev <= tol, deviation=dev, size=n, route="sum-set")
 
 
 # ===== equi-positivity scan =====

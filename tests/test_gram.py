@@ -2,13 +2,14 @@
 sets) against the dense Gram."""
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product as cartesian
 
 import numpy as np
 import pytest
 
-from convspectra import _phases, triples
+from convspectra import _phases, spectra, triples
 from convspectra._phases import (
     DENSE_BYTE_BUDGET,
     _factor_groups,
@@ -124,8 +125,9 @@ def test_example_2_6_levels_match_dense():
         assert res.ok
 
 
-def test_random_k_table_spectra_match_dense():
-    rng = random.Random(40917)
+def random_k_table_spectrum(seed=40917):
+    """Jorgensen-Pedersen levels 1..3 with a random k in [-3, 3] per vector."""
+    rng = random.Random(seed)
     jp = builtin_sequence("jorgensen-pedersen")
     base = build_spectrum(jp, [1, 2, 3])
     table = {}
@@ -135,6 +137,11 @@ def test_random_k_table_spectra_match_dense():
             table[(lam, j)] = (rng.randint(-3, 3),)
     sp = build_spectrum(jp, [1, 2, 3], k_chooser=table)
     assert sp.k_choices
+    return jp, sp
+
+
+def test_random_k_table_spectra_match_dense():
+    jp, sp = random_k_table_spectrum()
     for j, m in enumerate(sp.milestones, start=1):
         assert assert_matches_dense(mu_truncate(jp, m), sp.levels[j - 1], summands=sp.blocks[:j]).ok
 
@@ -165,7 +172,7 @@ def test_colliding_summands_are_checked_as_their_sum_set():
     # {0, 1} + {0, 1, 2} holds 4 distinct sums, not 6: the flat route sees them
     summands = [np.array([[0], [1]]), np.array([[0], [1], [2]])]
     res = spectrum_exactness(m2, summands)
-    assert res.size == 4
+    assert res.size == 4 and res.route == "sum-set"
     assert abs(res.deviation - dense_exactness(m2, [(0,), (1,), (2,), (3,)])) <= AGREE
 
 
@@ -174,6 +181,85 @@ def test_non_spectrum_matches_dense():
     res = assert_matches_dense(m2, [(0,), (1,), (2,), (3,)])
     assert not res.ok
     assert abs(res.deviation - math.sqrt(0.5)) < 1e-12  # |mu_hat(1)| = |mu_hat(3)|
+
+
+# ----- the tower bound -----
+
+
+def tower_spectrum(name):
+    """(sequence, spectrum levels) of one case of the tower bound's tests."""
+    jp = builtin_sequence("jorgensen-pedersen")
+    ex = builtin_sequence("example-2.6")
+    if name == "jp":
+        return jp, build_spectrum(jp, range(2, 17, 2))
+    if name == "jp-uneven-windows":
+        return jp, build_spectrum(jp, [1, 4, 5, 9])
+    if name == "ex26-zero":
+        return ex, build_spectrum(ex, (1, 2, 3))
+    if name == "ex26-windowed":
+        sp = build_spectrum(ex, [1, 3], "windowed-search", search_radius=1, search_depth=2)
+        assert sp.k_choices
+        return ex, sp
+    return random_k_table_spectrum()
+
+
+@pytest.mark.parametrize("name", ["jp", "jp-uneven-windows", "ex26-zero", "ex26-windowed", "k-table"])
+def test_the_tower_bound_covers_the_evaluated_deviation(name):
+    seq, sp = tower_spectrum(name)
+    for j, m in enumerate(sp.milestones, start=1):
+        mu = mu_truncate(seq, m)
+        res = spectrum_exactness(mu, sp.blocks[:j])
+        evaluated = difference_deviation(list(sp.blocks[:j]), 1, mu.phase_factors())
+        assert res.route == ("sum-set" if j == 1 else "tower"), j
+        assert res.ok and res.size == len(sp.levels[j - 1])
+        assert res.deviation >= evaluated - 1e-15, (j, res.deviation, evaluated)
+
+
+@pytest.mark.parametrize("den", [1, 6, 2**40, 2**62 + 6, 3 * 2**70])
+def test_integral_phases_match_fractions(den):
+    rng = random.Random(den)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        width = rng.choice([10, 2**20, 2**70])
+        rows = [[rng.randint(-width, width) for _ in range(dim)] for _ in range(rng.randint(1, 4))]
+        points = [[rng.randint(-width, width) for _ in range(dim)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:  # make the points integral against the atoms
+            points = [[c * den for c in p] for p in points]
+        want = all(sum(Fraction(a * x, den) for a, x in zip(r, p)).denominator == 1 for r in rows for p in points)
+        got = spectra._integral_phases(_int_rows(rows), den, _int_rows(points))
+        assert got == want, (rows, points, den)
+
+
+def test_a_non_hadamard_block_falls_back_and_fails():
+    # 16·{0, 1, 2, 3} is no spectrum for levels 3 and 4 of Jorgensen-Pedersen
+    m4 = mu_truncate(builtin_sequence("jorgensen-pedersen"), 4)
+    summands = [np.array([[0], [1], [4], [5]]), np.array([[0], [16], [32], [48]])]
+    res = spectrum_exactness(m4, summands)
+    lams = [(a + b,) for a in (0, 1, 4, 5) for b in (0, 16, 32, 48)]
+    assert res.route == "sum-set" and not res.ok
+    assert abs(res.deviation - dense_exactness(m4, lams)) <= AGREE
+
+
+def test_blocks_orthogonal_alone_but_not_together_fall_back():
+    # under both factors |mu_hat| vanishes at 1 and at 3 but not at 2 = 3 - 1;
+    # each factor meets a non-integer phase on {0, 3}, so none certifies {0, 1}
+    m2 = mu_truncate(builtin_sequence("jorgensen-pedersen"), 2)
+    summands = [np.array([[0], [1]]), np.array([[0], [3]])]
+    assert all(difference_deviation([s], 1, m2.phase_factors()) < 1e-15 for s in summands)
+    res = spectrum_exactness(m2, summands)
+    assert res.route == "sum-set" and not res.ok
+    assert abs(res.deviation - dense_exactness(m2, [(0,), (1,), (3,), (4,)])) <= AGREE
+
+
+def test_a_measure_without_level_factors_falls_back():
+    # one factor, the measure itself, certifies no block but the last
+    jp = builtin_sequence("jorgensen-pedersen")
+    sp = build_spectrum(jp, [2, 4, 6])
+    mu = mu_truncate(jp, 6)
+    flat = DiscreteMeasure.make(zip(mu.atoms, mu.weights))
+    res = spectrum_exactness(flat, sp.blocks)
+    assert res.route == "sum-set" and res.ok
+    assert abs(res.deviation - dense_exactness(mu, sp.final())) <= AGREE
 
 
 # ----- hadamard_check against the dense oracle -----
@@ -255,6 +341,25 @@ def test_example_2_6_hadamard_at_level_100():
     res = hadamard_check(r, b, l)
     assert len(b) == 101**2 and not res.size_mismatch
     assert res.ok and res.max_deviation <= 1e-12
+
+
+def test_example_2_6_hadamard_at_level_1185_fits_the_budget(monkeypatch):
+    # the Khatri-Rao join is formed in runs of atoms, so it is sized by one
+    # run and no longer by 2 x rank rows: level 1185 was refused at 270 MB
+    seq = builtin_sequence("example-2.6")
+    r, b, l = seq.matrix(1185), seq.digits(1185), seq.spectrum_digits(1185)
+    sizes = []
+    real = _phases.sum_set_sizes
+    monkeypatch.setattr(_phases, "sum_set_sizes", lambda *a: sizes.append(real(*a)) or sizes[-1])
+    tracemalloc.start()
+    try:
+        res = hadamard_check(r, b, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(b) == 1186**2 and res.ok and res.max_deviation <= 1e-12
+    (row, once), = sizes
+    assert peak <= once + max(row, _phases._RUN_TARGET_BYTES) + row <= DENSE_BYTE_BUDGET
 
 
 def test_example_2_6_hadamard_at_level_130():

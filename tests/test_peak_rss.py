@@ -15,6 +15,12 @@ time, so its peak should not grow with the number of candidates.  On the
 same machine, the 16 384-point Jorgensen-Pedersen scans below over 16 and
 1024 candidates peaked at 51.6 and 294.8 MB when each budgeted chunk of
 points held its whole sum set, and at 43.7 and 44.8 MB in runs.
+
+A `spectrum` with exactness bounds each level's Gram block by block (the
+tower route), so it should peak about where the same command without
+exactness does.  On the same machine, Jorgensen-Pedersen milestones 2..12
+peaked about 5 MB above the run without exactness when every level's
+difference sum set was walked in 4 MiB runs, and 0.2 MB above it by blocks.
 """
 import json
 import os
@@ -25,6 +31,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 BOUND_MB = 7.5
 QSCAN_SPREAD_MB = 8.0
+EXACTNESS_SPREAD_MB = 2.0
 
 _RUNNER = r"""
 import json, os, subprocess, sys
@@ -74,3 +81,15 @@ def test_a_qscan_peak_does_not_grow_with_the_candidates(tmp_path):
         argvs.append(cli("qscan", cfg, "--out", str(tmp_path / f"q-{level}.csv")))
     few, many = child_peaks_mb(*argvs)
     assert abs(many - few) < QSCAN_SPREAD_MB, (few, many)
+
+
+def test_spectrum_exactness_peaks_near_the_run_without_it(tmp_path):
+    argvs = []
+    for exactness in (False, True):
+        doc = {"dimension": 1, "sequence": {"generator": "jorgensen-pedersen"},
+               "spectrum": {"milestones": [2, 4, 6, 8, 10, 12], "exactness": exactness}}
+        cfg = tmp_path / f"spectrum-{exactness}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        argvs.append(cli("spectrum", cfg, "--out", str(tmp_path / f"levels-{exactness}.txt")))
+    without, with_exactness = child_peaks_mb(*argvs)
+    assert with_exactness - without < EXACTNESS_SPREAD_MB, (without, with_exactness)

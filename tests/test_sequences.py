@@ -6,6 +6,7 @@ import pytest
 
 from convspectra.errors import IndexOutOfRange, ValidationError
 from convspectra.exactmat import IntMatrix, invert, product_range
+from convspectra import sequences
 from convspectra.measures import scaled_atom_rows
 from convspectra.sequences import (
     builtin_names,
@@ -72,6 +73,13 @@ def test_planar_family_shapes():
         far = (k + 8**k * math.factorial(k + 1), 0)
         assert far in b
         assert (0, k) in b and (k, k) in b
+
+
+def test_far_digits_out_of_order_match_the_factorial():
+    # the far digit carries the last factorial forward: in order, repeated,
+    # backwards, and past gaps it must equal the closed form
+    for k in (1, 2, 3, 3, 40, 41, 7, 0, 1, 500, 499, 501, 2, 1000, 1001):
+        assert sequences._far_digit(k) == (k + 8**k * math.factorial(k + 1), 0)
 
 
 def test_planar_family_level_one_exact():

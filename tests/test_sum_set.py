@@ -160,15 +160,16 @@ def test_product_transform_walks_points_in_budgeted_chunks(monkeypatch):
     ranks = [len(rows) for rows, _, _ in factors]
     # one run of one point: its rows of the product, one level and a modulus
     # (16 + 16 + 8 bytes, one right point) and its table row (32 per atom);
-    # once, the empty right's table, join and kept group sums
-    kernel = 40 + 32 * max(ranks) + 2 * 16 * max(ranks) + 16 * sum(ranks)
-    assert 16 * 40 < kernel
+    # once, the empty right's table, join and kept group sums, where at a run
+    # target of one byte the join is formed one atom at a time (one row) and
+    # its group sums take at most max(ranks) rows
+    kernel = 40 + 32 * max(ranks) + 16 * (max(ranks) + 1) + 16 * sum(ranks)
     # the result, 16 bytes per point, is counted with the run, and both are
-    # refused before either is allocated
+    # refused before either is allocated, also at a budget each fits alone
     monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", 1)
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", kernel + 16 * 40)
     assert np.max(np.abs(product_transform(xs, factors) - whole)) <= 1e-15
-    for budget in (kernel + 16 * 40 - 1, kernel, 16 * 40):
+    for budget in (kernel + 16 * 40 - 1, max(kernel, 16 * 40), min(kernel, 16 * 40)):
         monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", budget)
         with pytest.raises(WorkingSetTooLarge, match="40 x 1 points .* next to a 640-byte result"):
             product_transform(xs, factors)

@@ -40,7 +40,10 @@ SAMPLE_SEEDS = (1, 2)
 # skew levels reaches the bisection of the certified norm ‖R⁻¹‖₂.  The
 # example-2.6 checks run the kernels that read structured digit sets past
 # the bench sizes, and the inline product levels run the explicit digit
-# sets' product detection in `hadamard_check`.
+# sets' product detection in `hadamard_check`.  The spectra with exactness
+# run its tower bound past the bench sizes and with nonzero k; every level
+# of a CLI spectrum is a validated Hadamard triple, so a `tol` below the
+# rounding floor is what sends the inline spectrum to the evaluated route.
 _SKEW_LEVEL = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 
 
@@ -79,6 +82,27 @@ INLINE = (
         "dimension": 2,
         "sequence": {"generator": "example-2.6"},
         "check": {"upto": 200, "hadamard_upto": 100, "checks": ["hadamard", "three-series"]},
+    }),
+    ("jorgensen-pedersen/spectrum-16", "spectrum", {
+        "dimension": 1,
+        "sequence": {"generator": "jorgensen-pedersen"},
+        "spectrum": {"milestones": [2, 4, 6, 8, 10, 12, 14, 16], "exactness": True},
+    }),
+    ("example-2.6/spectrum-windowed", "spectrum", {
+        "dimension": 2,
+        "sequence": {"generator": "example-2.6"},
+        "spectrum": {"milestones": [1, 3], "chooser": "windowed-search", "search_radius": 1,
+                     "search_depth": 2, "exactness": True},
+    }),
+    ("inline/spectrum-fallback", "spectrum", {
+        "dimension": 2,
+        "sequence": {"inline": [
+            _product_level((4, 6), ([0, 2], [0, 2, 4]), ([0, 1], [0, 1, 2])),
+            _product_level((8, 6), ([0, 2, 4, 6], [0, 2, 4]), ([0, 1, 2, 3], [0, 1, 2])),
+            _product_level((8, 10), ([0, 2, 4, 6], [0, 2, 4, 6, 8]), ([0, 1, 2, 3], [0, -1, 1, 2, -2])),
+        ]},
+        "tol": 1e-18,
+        "spectrum": {"milestones": [1, 2, 3], "exactness": True},
     }),
 )
 
