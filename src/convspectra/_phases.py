@@ -118,6 +118,9 @@ def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
     a, b = _int_rows(nums_a), _int_rows(nums_b)
     modulus = den_a * den_b
     max_a, max_b = _peak(a), _peak(b)
+    if max_a == 0 or max_b == 0:
+        # every product is 0; the int64 path below would cast a wide operand
+        return np.zeros((na, nb), dtype=np.float64)
     d = a.shape[1]
     bound = d * max_a * max_b
     if bound >= _INT64_SAFE and d * (modulus - 1) ** 2 < _INT64_SAFE:

@@ -17,7 +17,6 @@ dense kernels).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
@@ -28,6 +27,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+# CPython's built-in SHA-256, which hashlib itself falls back to: importing
+# hashlib loads OpenSSL's libcrypto (about 3.5 MB of RSS) only for the digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from ._phases import _INT64_SAFE, PointRows, budget_rows, check_budget
 from .conditions import (
@@ -456,7 +465,7 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def config_sha256(cfg: RunConfig) -> str:
-    return hashlib.sha256(emit_config(cfg).encode("utf-8")).hexdigest()
+    return sha256(emit_config(cfg).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

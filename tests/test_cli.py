@@ -3,10 +3,14 @@ codes, artifact routing, and byte-level determinism of CSV output."""
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -420,6 +424,18 @@ def test_spectrum_writes_level_file(tmp_path):
     assert level_tuples(sp.final()) == ((0,), (1,), (4,), (5,), (16,), (17,), (20,), (21,))
 
 
+def test_spectrum_exactness_over_digits_past_int64(tmp_path):
+    # one summand per level puts an all-zero row beside 2 + 4·2^70 in the phase kernel
+    level = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
+    doc = {"dimension": 1, "sequence": {"inline": [level] * 3},
+           "spectrum": {"milestones": [1, 2, 3], "exactness": True}}
+    cfg = write_config(tmp_path, doc)
+    rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
+    assert rc == 0, err
+    rows = [line.split() for line in out.splitlines() if line[:1] in "123" and line[1:2] == " "]
+    assert [row[3:] for row in rows] == [["6.123e-17", "yes"]] * 3
+
+
 def test_spectrum_level_sizes_for_planar_generator(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -803,10 +819,41 @@ SHIPPED_CONFIG_SHA256 = {
 }
 
 
+def _hashlib_sha256(cfg):
+    return hashlib.sha256(cli.emit_config(cfg).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_SHA256))
 def test_shipped_config_sha256_is_pinned(name):
-    path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
-    assert cli.config_sha256(cli.load_config(path)) == SHIPPED_CONFIG_SHA256[name]
+    cfg = cli.load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    assert cli.config_sha256(cfg) == SHIPPED_CONFIG_SHA256[name] == _hashlib_sha256(cfg)
+
+
+def _bench_full_configs():
+    """The config of every `full` command of bench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    workloads = runpy.run_path(str(path), run_name="workloads")
+    return [pytest.param(cmd.config, id=f"{w}/{cmd.key}") for w in workloads["WORKLOADS"]
+            for cmd in workloads["commands"](w, "full", 1)]
+
+
+@pytest.mark.parametrize("doc", _bench_full_configs())
+def test_bench_config_digest_matches_hashlib(doc):
+    cfg = cli.parse_config(json.dumps(doc))
+    assert cli.config_sha256(cfg) == _hashlib_sha256(cfg)
+
+
+def test_digest_of_an_integer_past_the_str_digit_limit_matches_hashlib():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        wide = 2 * 10**5000  # parsing and emitting it both pass through str()
+        level = {"matrix": [[2]], "digits": [[0], [str(wide)]]}
+        cfg = cli.parse_config(json.dumps(dict(FULL_DOC, sequence={"inline": [level]})))
+        assert str(wide) in cli.emit_config(cfg)
+        assert cli.config_sha256(cfg) == _hashlib_sha256(cfg)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # a valid document that sets every field of every section

@@ -21,14 +21,24 @@ tower route), so it should peak about where the same command without
 exactness does.  On the same machine, Jorgensen-Pedersen milestones 2..12
 peaked about 5 MB above the run without exactness when every level's
 difference sum set was walked in 4 MiB runs, and 0.2 MB above it by blocks.
+
+Every command but `sample` should run without loading OpenSSL's libcrypto or
+numpy.random.  The config digest uses CPython's built-in SHA-256 (`_sha2`,
+or `_sha256` before Python 3.12), where hashlib would load `_hashlib` and so
+libcrypto: about 3.5 MB of every child's peak.  The footprint is checked by
+module name, since the MB differ between machines.  `sample` is the known
+exception: it draws with numpy.random, which imports secrets, hmac and so
+`_hashlib`.
 """
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 BOUND_MB = 7.5
 QSCAN_SPREAD_MB = 8.0
 EXACTNESS_SPREAD_MB = 2.0
@@ -93,3 +103,30 @@ def test_spectrum_exactness_peaks_near_the_run_without_it(tmp_path):
         argvs.append(cli("spectrum", cfg, "--out", str(tmp_path / f"levels-{exactness}.txt")))
     without, with_exactness = child_peaks_mb(*argvs)
     assert with_exactness - without < EXACTNESS_SPREAD_MB, (without, with_exactness)
+
+
+_FOOTPRINT = r"""
+import contextlib, io, json, sys
+from convspectra import cli
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps([name for name in ("_hashlib", "numpy.random") if name in sys.modules]))
+"""
+
+
+def test_commands_but_sample_load_neither_libcrypto_nor_numpy_random(tmp_path):
+    configs = {"check": ["bernoulli-quarter-check", "jorgensen-pedersen-check"],
+               "spectrum": ["jorgensen-pedersen-spectrum"], "qscan": ["jorgensen-pedersen-qscan"],
+               "equipos": ["example-2.6-equipos"]}
+    argvs = [[verb, "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path / name)]
+             for verb, names in configs.items() for name in names]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argvs)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        loaded = [name for name in loaded if name != "_hashlib"]  # hashlib hashes then
+    assert loaded == [], loaded

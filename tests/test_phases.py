@@ -58,6 +58,14 @@ def test_modulus_too_large_to_reduce_keeps_the_big_int_path():
     assert_bit_identical((nums_a, den_a, nums_b, den_b))
 
 
+def test_an_all_zero_operand_gives_zeros_beside_a_wide_one():
+    # the bound d·max|a|·max|b| is 0 here, yet the wide operand cannot be cast
+    wide, zero = np.array([[2**70, 1]], dtype=object), np.array([[0, 0]])
+    for args in ((wide, 3, zero, 5), (zero, 5, wide, 3)):
+        assert np.array_equal(exact_phase_matrix(*args), np.zeros((1, 1)))
+    assert_bit_identical(([(2**70, 1), (-(2**80), 3)], 3, [(0, 0)] * 3, 5))
+
+
 def test_sub_resolution_phases_stay_zeroed():
     nums_a = [(3, -5), (1, 1)]
     nums_b = [(7, 2), (-4, 9)]

@@ -16,8 +16,11 @@ tree, in a fresh temporary directory of its own, as
 The relative paths keep the config sha256 the same on both sides.  The exit
 codes, the stdout reports (without their `wall time:` line) and the --out
 files (the level files and CSVs, or the report) are compared byte for byte.
-One line is printed per command; the exit code is 1 when any command
-differs, 0 otherwise.
+The report prints the contractivity bound as `%.6g`, so for a `check` that
+asks for contractivity the `repr` of the library's bound
+(`contractivity_report(...).max_norm_upper`) is compared as well.  One line
+is printed per command; the exit code is 1 when any command differs, 0
+otherwise.
 """
 from __future__ import annotations
 
@@ -56,6 +59,8 @@ def _product_level(r, b, l):
         "spectrum_digits": [[x, y] for x in l[0] for y in l[1]],
     }
 
+
+_WIDE_LEVEL = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
 
 INLINE = (
     ("inline/skew-check", "check", {
@@ -104,7 +109,28 @@ INLINE = (
         "tol": 1e-18,
         "spectrum": {"milestones": [1, 2, 3], "exactness": True},
     }),
+    # B = {0, 2 + 4·2⁷⁰} puts an all-zero row beside a digit past int64 in
+    # the phase kernel.  Trees before the zero-operand fix of
+    # `exact_phase_matrix` crash here (exit 1), so against such a parent
+    # this is the one case expected to differ.
+    ("inline/spectrum-wide", "spectrum", {
+        "dimension": 1,
+        "sequence": {"inline": [_WIDE_LEVEL] * 3},
+        "spectrum": {"milestones": [1, 2, 3], "exactness": True},
+    }),
 )
+
+# The contractivity bound of a `check` config, as the library computes it
+# under the tree on PYTHONPATH.
+_CONTRACTIVITY = r"""
+import sys
+from convspectra import cli, contractivity_report
+
+cfg = cli.load_config(sys.argv[1])
+seq = cfg.build_sequence()
+upto = cfg.section("check").get("upto", 20)
+print(repr(contractivity_report(seq, upto if seq.length is None else min(upto, seq.length)).max_norm_upper))
+"""
 
 
 def cases():
@@ -127,8 +153,14 @@ def cases():
         yield name, verb, json.dumps(doc, sort_keys=True)
 
 
+def _asks_contractivity(verb: str, text: str) -> bool:
+    return verb == "check" and "contractivity" in json.loads(text)["check"].get("checks", ["contractivity"])
+
+
 def run(src: Path, verb: str, text: str) -> tuple:
-    """(exit code, stdout without wall time, --out file) of one command."""
+    """(exit code, stdout without wall time, --out file, contractivity bound)
+    of one command; the bound is (exit code, stdout) of the library call, or
+    None unless a `check` asks for it."""
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         Path(tmp, "c.json").write_text(text, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -138,10 +170,15 @@ def run(src: Path, verb: str, text: str) -> tuple:
         )
         out = Path(tmp, "out.txt")
         artifact = out.read_bytes() if out.exists() else None
+        bound = None
+        if _asks_contractivity(verb, text):
+            done = subprocess.run([sys.executable, "-c", _CONTRACTIVITY, "c.json"],
+                                  cwd=tmp, env=env, capture_output=True)
+            bound = done.returncode, done.stdout
     report = b"".join(l for l in proc.stdout.splitlines(True) if not l.startswith(b"wall time:"))
     if artifact is not None:
         artifact = b"".join(l for l in artifact.splitlines(True) if not l.startswith(b"wall time:"))
-    return proc.returncode, report, artifact
+    return proc.returncode, report, artifact, bound
 
 
 def main(argv) -> int:
@@ -152,7 +189,7 @@ def main(argv) -> int:
     differ = 0
     for name, verb, text in cases():
         a, b = run(parent, verb, text), run(change, verb, text)
-        parts = [what for what, x, y in zip(("exit code", "report", "out file"), a, b) if x != y]
+        parts = [what for what, x, y in zip(("exit code", "report", "out file", "contractivity"), a, b) if x != y]
         differ += bool(parts)
         print(f"{'DIFF' if parts else 'same'}  {name}  exit {a[0]}/{b[0]}" + (f"  ({', '.join(parts)})" if parts else ""))
     print(f"{differ} of the commands differ")
