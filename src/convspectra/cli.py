@@ -121,7 +121,7 @@ def _as_int(value, path: str, minimum=None, dim=None):
         _fail(path, "expected an integer, got a boolean")
     if isinstance(value, str):
         try:
-            value = int(value, 10)
+            value = _str_int(value)
         except ValueError:
             _fail(path, f"not a decimal integer: {value!r}")
     if isinstance(value, float):
@@ -451,7 +451,7 @@ def _stringify_big(node):
     if isinstance(node, bool):
         return node
     if isinstance(node, int):
-        return str(node) if abs(node) >= _BIG_INT else node
+        return _int_str(node) if abs(node) >= _BIG_INT else node
     if isinstance(node, list):
         return [_stringify_big(v) for v in node]
     if isinstance(node, dict):
@@ -500,6 +500,21 @@ def _int_str(n: int) -> str:
     except ValueError:
         head, tail = divmod(abs(n), 10**1000)
         return ("-" if n < 0 else "") + _int_str(head) + f"{tail:01000d}"
+
+
+def _str_int(text: str) -> int:
+    """int(text, 10), also past the interpreter's str-to-int digit limit:
+    a plain run of ASCII digits, with an optional sign, is read in chunks of
+    a thousand digits."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        body = text.strip()
+        sign, digits = (body[0], body[1:]) if body[:1] in ("+", "-") else ("", body)
+        if len(digits) <= 1000 or not (digits.isascii() and digits.isdigit()):
+            raise
+        head, tail = _str_int(sign + digits[:-1000]), int(digits[-1000:])
+        return head * 10**1000 + (-tail if sign == "-" else tail)
 
 
 def _fmt(value) -> str:
@@ -833,12 +848,14 @@ def _sample_bytes(draws: int, dim: int) -> tuple:
     """(bytes per draw, fixed bytes) that `sample` holds at most.
 
     Per draw: the float x and y sums, one level's draws, indices and masks
-    (ten int64 and two bool arrays) with the digit rows they gather, and the
-    CSV text twice (the buffer and its value).  Fixed: one CSV block as
-    floats, Python lists and line strings.  A "%.17g" field takes at most 24
+    (ten int64 and two bool arrays) with the digit rows they gather, the
+    Philox kernel's scratch beside its output (a copy of each draw's word
+    and two words of partial products: 24 bytes), and the CSV text twice
+    (the buffer and its value).  Fixed: one CSV block as floats,
+    Python lists and line strings.  A "%.17g" field takes at most 24
     characters."""
     text = len(str(draws - 1)) + 2 * dim * 25 + 1
-    per_draw = 16 * dim + 82 + 8 * dim + 2 * text
+    per_draw = 16 * dim + 82 + 24 + 8 * dim + 2 * text
     per_row = 16 * dim + 2 * dim * 32 + 64 + 49 + 2 * text
     return per_draw, _CSV_BLOCK_ROWS * per_row
 

@@ -568,9 +568,71 @@ def _aligned_tables(a: DigitSet, b: DigitSet):
     return ax, ay, len(shared), swapped
 
 
+# Philox4x64-10 (Salmon et al., SC'11): the round multipliers, one per
+# multiplied word, and the Weyl increments of the two key words
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _philox4x64(blocks: np.ndarray, key) -> np.ndarray:
+    """Philox4x64-10 of every row of `blocks`, a (b, 4) uint64 array of
+    counters, under key = (k0, k1), two ints in [0, 2^64); the rows are
+    overwritten with the cipher blocks and returned.
+
+    The even and odd words of all rows go as two (2, b) arrays.  A round
+    takes the 128-bit products of the even words (c0, c2) with their
+    multipliers, hi·2^64 + lo, and sets (c0, c1, c2, c3) to
+    (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0): the new even words are the his
+    reversed, the new odd ones the los reversed.  lo is the wrapping uint64
+    product; hi sums 32-bit partial products, no sum passing 2^64.  Besides
+    `blocks`, the even and odd words and four scratch arrays of their shape:
+    twelve words, 96 bytes, a row."""
+    even, odd = blocks[:, 0::2].T.copy(), blocks[:, 1::2].T.copy()
+    bl, bh, ll, lh = (np.empty_like(even) for _ in range(4))
+    m_lo, m_hi = _PHILOX_M & _LOW32, _PHILOX_M >> _S32
+    for r in range(10):
+        k = np.array([[(key[1] + r * _PHILOX_W[1]) % (1 << 64)],
+                      [(key[0] + r * _PHILOX_W[0]) % (1 << 64)]], dtype=np.uint64)
+        np.bitwise_and(even, _LOW32, out=bl)
+        np.right_shift(even, _S32, out=bh)
+        np.multiply(even, _PHILOX_M, out=even)  # lo
+        np.multiply(bl, m_lo, out=ll)
+        np.multiply(bh, m_lo, out=lh)
+        np.multiply(bl, m_hi, out=bl)  # hl
+        np.multiply(bh, m_hi, out=bh)  # hh
+        np.right_shift(ll, _S32, out=ll)
+        np.add(lh, ll, out=lh)  # t = lh + (ll >> 32) < 2^64
+        np.bitwise_and(lh, _LOW32, out=ll)
+        np.add(bl, ll, out=bl)  # hl + (t mod 2^32) < 2^64
+        np.right_shift(lh, _S32, out=lh)
+        np.right_shift(bl, _S32, out=bl)
+        np.add(bh, lh, out=bh)
+        np.add(bh, bl, out=bh)  # hi = hh + (t >> 32) + ((hl + t mod 2^32) >> 32)
+        np.bitwise_xor(bh, odd[::-1], out=bh)
+        np.bitwise_xor(bh, k, out=bh)
+        even, odd, bh, bl = bh[::-1], even[::-1], bl, odd  # the old odd words are scratch now
+    blocks[:, 0::2] = even.T
+    blocks[:, 1::2] = odd.T
+    return blocks
+
+
 def _level_draws(seed: int, k: int, draws: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=[seed, k]))
-    return gen.integers(0, _Q, size=draws, dtype=np.int64)
+    """The draws u < 2^53 of level k, as numpy's
+    Generator(Philox(key=[seed, k])).integers(0, 2^53, draws, np.int64)
+    gives them for a seed in [-2^63, 2^63).
+
+    The key is (seed mod 2^64, k) and the counters are (c, 0, 0, 0) for
+    c = 1, 2, ... (numpy steps the counter before each block); each block
+    gives four raw words r in order, and u = r >> 11.  That is Lemire's
+    bounded draw ⌊r·2^53 / 2^64⌋, whose rejection threshold
+    (2^64 - 2^53) mod 2^53 is 0, so it never rejects."""
+    nb = -(-draws // 4)
+    blocks = np.zeros((nb, 4), dtype=np.uint64)
+    blocks[:, 0] = np.arange(1, nb + 1, dtype=np.uint64)
+    raw = _philox4x64(blocks, (seed % (1 << 64), k)).reshape(-1)[:draws]
+    raw >>= np.uint64(11)
+    return raw.view(np.int64)
 
 
 def _floor_q(u: np.ndarray, m: int):
@@ -647,9 +709,12 @@ def coupled_sample(
     `scale_by` (optional) maps a level index to an exact inverse (det, adj)
     from `invert`, applied to both digit sets before summing, e.g. of the
     prefix product so the partial sums follow the scaled summands instead of
-    the raw digits."""
+    the raw digits.  The seed is an int64, in [-2^63, 2^63); see
+    `_level_draws`."""
     if upto < 1 or draws < 1:
         raise ValidationError("need upto >= 1 and draws >= 1")
+    if not -(1 << 63) <= rng_seed < 1 << 63:
+        raise ValidationError(f"the seed must be in [-2^63, 2^63), got {rng_seed}")
     f1, f2 = _digits_provider(s1), _digits_provider(s2)
     levels = []
     exact_partials, empirical_partials = [], []

@@ -48,6 +48,7 @@ DEFAULT_SPECTRUM_CAP = 1_000_000
 DEFAULT_FAIL_TOL = 1e-12
 DEFAULT_GRID_CAP = 4_000_000
 _TAIL_FLOOR_TERMS = 200
+_LEVEL_BLOCK_ROWS = 4096  # level-file rows formatted per block
 
 
 # ===== spectrum construction =====
@@ -293,11 +294,15 @@ def build_spectrum(
 
 
 def write_levels(sp: SpectrumLevels, stream) -> None:
-    """One integer vector per line; level boundaries are comment lines."""
+    """One integer vector per line; level boundaries are comment lines.  A
+    level goes out in blocks of rows, so its rows are never all Python
+    lists at once."""
     stream.write(f"# spectrum dim={sp.dim} chooser={sp.chooser}\n")
     for j, (m, level) in enumerate(zip(sp.milestones, sp.levels), start=1):
         stream.write(f"# level {j}: milestone {m}, {len(level)} vectors\n")
-        stream.writelines(" ".join(map(str, v)) + "\n" for v in level.tolist())
+        for lo in range(0, len(level), _LEVEL_BLOCK_ROWS):
+            block = level[lo : lo + _LEVEL_BLOCK_ROWS].tolist()
+            stream.write("".join([" ".join(map(str, v)) + "\n" for v in block]))
 
 
 def read_levels(stream) -> SpectrumLevels:

@@ -4,10 +4,10 @@ Each is the plain definition in Fraction arithmetic, slow and independent of
 the integer kernels: Gauss-Jordan inversion over Q, the dense scalar Fourier
 sum, the convolution of uniform digit measures and the tail truncation built
 from it, composition of Hadamard triples, the pointwise interval coupling,
-and ball clipping with exact moments.  The `sample` CSV is written here in
-one pass, where the library writes it in blocks, and the `qscan` CSV from
-Fraction points, where the library formats integer rows.  None of it is
-library code.
+ball clipping with exact moments, and the Philox4x64-10 cipher in Python
+integers.  The `sample` CSV is written here in one pass, where the library
+writes it in blocks, and the `qscan` CSV from Fraction points, where the
+library formats integer rows.  None of it is library code.
 """
 from __future__ import annotations
 
@@ -377,6 +377,24 @@ def sample_csv(x_sums, y_sums) -> str:
     for i, (x, y) in enumerate(zip(x_sums.tolist(), y_sums.tolist())):
         lines.append(",".join([str(i)] + [format(v, ".17g") for v in x + y]))
     return "\n".join(lines) + "\n"
+
+
+# ===== the Philox4x64-10 block function =====
+
+
+def philox4x64(counter, key) -> tuple:
+    """Philox4x64-10 of one counter (four words) under one key (two words),
+    from the specification in Python integers (Salmon et al., SC'11): ten
+    rounds of full 128-bit products, the key bumped between rounds."""
+    mask = (1 << 64) - 1
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & mask, (p0 >> 64) ^ c3 ^ k1, p0 & mask
+    return c0, c1, c2, c3
 
 
 # ===== spectrum levels and the Q scan artifact =====

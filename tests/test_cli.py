@@ -660,6 +660,24 @@ def test_sample_seed_flag_changes_draws(tmp_path):
     assert out1 != out2
 
 
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64 - 1, 2**64, -(2**63) - 1])
+def test_sample_refuses_a_seed_outside_int64(tmp_path, seed):
+    # numpy's Philox key used to cast these through float64: 2^63 and 2^63 + 1
+    # drew alike, and the ends past 2^64 or below -2^63 crashed
+    cfg = write_config(tmp_path, planar_sample_doc())
+    rc, out, err = run_cli(["sample", "--config", cfg, "--seed", str(seed)])
+    assert rc == 2 and out == ""
+    assert err.startswith("config error:") and "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+def test_sample_takes_the_int64_edge_seeds(tmp_path, seed):
+    cfg = write_config(tmp_path, planar_sample_doc())
+    rc, out, _ = run_cli(["sample", "--config", cfg, "--seed", str(seed)])
+    assert rc == 0
+    assert len(parse_csv(out)[1]) == 40
+
+
 def test_sample_identical_pair_never_mismatches(tmp_path):
     cfg = write_config(
         tmp_path, planar_sample_doc(sample={"upto": 2, "draws": 60, "pair_with_reduced": False})
@@ -844,16 +862,33 @@ def test_bench_config_digest_matches_hashlib(doc):
 
 
 def test_digest_of_an_integer_past_the_str_digit_limit_matches_hashlib():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        wide = 2 * 10**5000  # parsing and emitting it both pass through str()
-        level = {"matrix": [[2]], "digits": [[0], [str(wide)]]}
-        cfg = cli.parse_config(json.dumps(dict(FULL_DOC, sequence={"inline": [level]})))
-        assert str(wide) in cli.emit_config(cfg)
-        assert cli.config_sha256(cfg) == _hashlib_sha256(cfg)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # 5001 digits, past int()'s and str()'s 4300-digit limit: the config
+    # reads and emits them in chunks, under the interpreter's own limit
+    text = "2" + "0" * 5000
+    level = {"matrix": [[2]], "digits": [[0], [text]]}
+    cfg = cli.parse_config(json.dumps(dict(FULL_DOC, sequence={"inline": [level]})))
+    assert cfg.doc["sequence"]["inline"][0]["digits"][1] == [2 * 10**5000]
+    assert f'"{text}"' in cli.emit_config(cfg)
+    assert cli.config_sha256(cfg) == _hashlib_sha256(cfg)
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+@pytest.mark.parametrize("digits", [4301, 5000, 12345])
+def test_config_integers_read_past_the_str_digit_limit(sign, digits):
+    body = ("7" + "0123456789" * digits)[:digits]
+    want = 0
+    for i in range(0, digits, 700):  # left-aligned chunks, each under any limit
+        want = want * 10 ** len(body[i : i + 700]) + int(body[i : i + 700])
+    text = sign + body
+    value = cli._as_int(text, "x")
+    assert value == (-want if sign == "-" else want)
+    assert cli._int_str(value) == text.lstrip("+")
+
+
+@pytest.mark.parametrize("text", ["1_" + "0" * 5000, "0x" + "1" * 5000, "1" * 2500 + " " + "1" * 2500])
+def test_malformed_long_config_integers_are_refused(text):
+    with pytest.raises(ParseError, match="not a decimal integer"):
+        cli._as_int(text, "x")
 
 
 # a valid document that sets every field of every section

@@ -34,6 +34,7 @@ from oracles import (
     fraction_inverse,
     mass_outside_ball,
     mean,
+    philox4x64,
     variance_total,
 )
 
@@ -565,6 +566,64 @@ def test_coupled_sample_deterministic():
     assert np.array_equal(r1.x_sums, r2.x_sums)
     r3 = coupled_sample(seq, red, upto=3, draws=500, rng_seed=43)
     assert not np.array_equal(r1.x_sums, r3.x_sums)
+
+
+_INT64_EDGES = (-(2**63), 2**63 - 1)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64 - 1, 2**64, -(2**63) - 1])
+def test_coupled_sample_refuses_seeds_outside_int64(seed):
+    seq = builtin_sequence("jorgensen-pedersen")
+    with pytest.raises(ValidationError, match="seed"):
+        coupled_sample(seq, seq, upto=2, draws=10, rng_seed=seed)
+
+
+@pytest.mark.parametrize("seed", _INT64_EDGES)
+def test_coupled_sample_takes_the_int64_edges(seed):
+    seq = builtin_sequence("example-2.6")
+    rep = coupled_sample(seq, seq.reduced(), upto=2, draws=10, rng_seed=seed)
+    assert rep.seed == seed and rep.x_sums.shape == (10, 2)
+
+
+# the raw blocks of Random123's known-answer vectors for philox4x64 10:
+# (counter, key, output), counter and key all 0, all ones, and pi's digits
+_PHILOX_KAT = [
+    ((0, 0, 0, 0), (0, 0),
+     (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+    ((2**64 - 1,) * 4, (2**64 - 1,) * 2,
+     (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+    ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+     (0x452821E638D01377, 0xBE5466CF34E90C6C),
+     (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+]
+
+
+@pytest.mark.parametrize("counter, key, want", _PHILOX_KAT)
+def test_philox_block_matches_the_known_answers(counter, key, want):
+    got = conditions._philox4x64(np.array([counter], dtype=np.uint64), key)
+    assert tuple(got[0].tolist()) == want
+    assert philox4x64(counter, key) == want
+
+
+def test_philox_blocks_match_the_big_int_oracle():
+    rng = random.Random(22)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    word = lambda: rng.choice(edges) if rng.random() < 0.3 else rng.getrandbits(64)
+    for _ in range(20):
+        key = (word(), word())
+        counters = [tuple(word() for _ in range(4)) for _ in range(rng.randint(1, 9))]
+        got = conditions._philox4x64(np.array(counters, dtype=np.uint64), key)
+        assert [tuple(row) for row in got.tolist()] == [philox4x64(c, key) for c in counters]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, *_INT64_EDGES, *range(20260816, 20260848)])
+def test_level_draws_match_numpy_philox_integers(seed):
+    for k in (1, 2, 40, 2**40):
+        for n in (1, 2, 3, 4, 5, 4095, 20_000):  # every partial last block
+            gen = np.random.Generator(np.random.Philox(key=[seed, k]))
+            got = conditions._level_draws(seed, k, n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, gen.integers(0, 2**53, n, dtype=np.int64)), (seed, k, n)
 
 
 def _sample_level_loop(m, n, s, u):

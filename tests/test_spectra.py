@@ -17,11 +17,12 @@ from convspectra.errors import (
     ValidationError,
     WorkingSetTooLarge,
 )
-from convspectra import _phases
+from convspectra import _phases, spectra
 from convspectra.exactmat import IntMatrix
 from convspectra.measures import mu_truncate
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.spectra import (
+    SpectrumLevels,
     build_spectrum,
     equi_positivity_scan,
     first_lowest,
@@ -266,6 +267,34 @@ def test_wide_line_levels_survive_the_level_file():
     head, body = lines[:-32], lines[-32:]
     shuffled = read_levels(io.StringIO("".join(head + body[::-1])))
     assert shuffled == sp
+
+
+_B = spectra._LEVEL_BLOCK_ROWS
+
+
+def _one_shot_level_file(sp) -> str:
+    """The level file of `sp` with every level formatted at once."""
+    lines = [f"# spectrum dim={sp.dim} chooser={sp.chooser}\n"]
+    for j, (m, level) in enumerate(zip(sp.milestones, sp.levels), start=1):
+        lines.append(f"# level {j}: milestone {m}, {len(level)} vectors\n")
+        lines += [" ".join(str(x) for x in row) + "\n" for row in level.tolist()]
+    return "".join(lines)
+
+
+def test_level_file_blocks_match_a_one_shot_format():
+    rng = random.Random(4096)
+    levels = []
+    for n in (1, _B - 1, _B, _B + 1, 2 * _B + 1):
+        rows = sorted({(rng.randrange(-(2**40), 2**40), rng.randrange(9)) for _ in range(n + 50)})[:n]
+        levels.append(np.array(rows, dtype=np.int64))
+    # an object level past int64, one row per block edge
+    wide = [(2**70 + i, -(3**50) * i) for i in range(_B + 1)]
+    levels.append(np.array(wide, dtype=object))
+    sp = SpectrumLevels(2, tuple(range(1, 7)), tuple(levels), "zero", ())
+    buf = io.StringIO()
+    write_levels(sp, buf)
+    assert buf.getvalue() == _one_shot_level_file(sp)
+    assert read_levels(io.StringIO(buf.getvalue())) == sp
 
 
 # ----- the Q criterion -----

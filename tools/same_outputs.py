@@ -118,6 +118,20 @@ INLINE = (
         "sequence": {"inline": [_WIDE_LEVEL] * 3},
         "spectrum": {"milestones": [1, 2, 3], "exactness": True},
     }),
+    # the sampler's seeds at both int64 edges and around 0, and draw counts
+    # that leave the last Philox block of four words partly used
+    *((f"example-2.6/sample-seed={seed}", "sample", {
+        "dimension": 2,
+        "seed": seed,
+        "sequence": {"generator": "example-2.6"},
+        "sample": {"upto": 12, "draws": 1000},
+    }) for seed in (-(2**63), -1, 0, 2**63 - 1)),
+    *((f"jorgensen-pedersen/sample-draws={draws}", "sample", {
+        "dimension": 1,
+        "seed": 7,
+        "sequence": {"generator": "jorgensen-pedersen"},
+        "sample": {"upto": 6, "draws": draws},
+    }) for draws in (4093, 4094, 4095)),
 )
 
 # The contractivity bound of a `check` config, as the library computes it
