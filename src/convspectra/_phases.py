@@ -21,7 +21,6 @@ max |F(δ) - [δ = 0]| over the differences δ of the points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -63,13 +62,13 @@ def common_denominator(vectors):
     return den, rows
 
 
-@dataclass(frozen=True)
 class PointRows:
     """Rational points rows[i] / den over one den > 0: rows are exact int
     tuples or an (n, d) integer array, as `exact_phase_matrix` takes them."""
 
-    rows: list
-    den: int
+    def __init__(self, rows, den: int):
+        self.rows = rows
+        self.den = den
 
     @classmethod
     def of(cls, vectors) -> "PointRows":

@@ -17,14 +17,15 @@ dense kernels).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -362,8 +363,7 @@ _FIELDS = {
     },
 }
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A parsed, normalized configuration document."""
 
     doc: dict
@@ -472,15 +472,13 @@ def config_sha256(cfg: RunConfig) -> str:
 # reports
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     title: str
     headers: tuple
     rows: tuple
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     config_sha256: str
     tables: tuple
@@ -847,15 +845,16 @@ def cmd_qscan(cfg: RunConfig) -> Report:
 def _sample_bytes(draws: int, dim: int) -> tuple:
     """(bytes per draw, fixed bytes) that `sample` holds at most.
 
-    Per draw: the float x and y sums, one level's draws, indices and masks
-    (ten int64 and two bool arrays) with the digit rows they gather, the
+    Per draw: the float x and y sums, and the larger of the two phases that
+    follow each other.  Sampling holds one level's draws, indices and masks
+    (ten int64 and two bool arrays) with the digit rows they gather, and the
     Philox kernel's scratch beside its output (a copy of each draw's word
-    and two words of partial products: 24 bytes), and the CSV text twice
-    (the buffer and its value).  Fixed: one CSV block as floats,
-    Python lists and line strings.  A "%.17g" field takes at most 24
-    characters."""
+    and two words of partial products: 24 bytes); they are gone when
+    `coupled_sample` returns.  Writing holds the CSV text twice (the buffer
+    and its value).  Fixed: one CSV block as floats, Python lists and line
+    strings.  A "%.17g" field takes at most 24 characters."""
     text = len(str(draws - 1)) + 2 * dim * 25 + 1
-    per_draw = 16 * dim + 82 + 24 + 8 * dim + 2 * text
+    per_draw = 16 * dim + max(82 + 24 + 8 * dim, 2 * text)
     per_row = 16 * dim + 2 * dim * 32 + 64 + 49 + 2 * text
     return per_draw, _CSV_BLOCK_ROWS * per_row
 
@@ -1110,6 +1109,9 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
+    # The imports' objects live as long as the process: frozen, they are
+    # skipped by the collections during the command and at shutdown.
+    gc.freeze()
     sys.exit(main(sys.argv[1:]))
 
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from itertools import product as cartesian
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ VERDICT_DIVERGING = "diverging"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SeriesDiagnostics:
+class SeriesDiagnostics(NamedTuple):
     name: str
     indices: tuple  # the level indices the terms belong to
     terms: tuple  # exact rationals (or rational vectors)
@@ -54,20 +53,27 @@ class SeriesDiagnostics:
     tail_bound: float | None = None
 
 
-@dataclass(frozen=True)
-class PccSeriesDiagnostics(SeriesDiagnostics):
+class PccSeriesDiagnostics(NamedTuple):
+    """A SeriesDiagnostics' fields, in its order, then the margin's (a
+    NamedTuple cannot add fields in a subclass)."""
+
+    name: str
+    indices: tuple
+    terms: tuple
+    partial_sums: tuple
+    verdict: str
+    bound_used: str
+    tail_bound: float | None = None
     min_margin: float = 0.0
     margin_ok: bool = False
 
 
-@dataclass(frozen=True)
-class RbcSplit:
+class RbcSplit(NamedTuple):
     b1: DigitSet  # digits landing inside R[-1/2,1/2)^d
     b2: DigitSet  # the remainder
 
 
-@dataclass(frozen=True)
-class ContractivityReport:
+class ContractivityReport(NamedTuple):
     max_norm_upper: float
     at_level: int
     declared: Fraction | None
@@ -276,17 +282,7 @@ def _finish_pcc(lf: Fraction, indices, terms, tail_bound) -> PccSeriesDiagnostic
             margin_ok = False
         min_margin = min(min_margin, 1.0 - float(lf) - math.sqrt(float(sup_sq)))
     base = _finish_scalar_series(f"pcc[l={lf}]", indices, [t for t, _ in terms], tail_bound)
-    return PccSeriesDiagnostics(
-        name=base.name,
-        indices=base.indices,
-        terms=base.terms,
-        partial_sums=base.partial_sums,
-        verdict=base.verdict,
-        bound_used=base.bound_used,
-        tail_bound=base.tail_bound,
-        min_margin=min_margin,
-        margin_ok=margin_ok,
-    )
+    return PccSeriesDiagnostics(*base, min_margin, margin_ok)
 
 
 # ===== uniform contractivity =====
@@ -517,8 +513,7 @@ def _ball_moments(nums, q2: int, limit: int) -> tuple:
 _Q = 1 << 53  # draws are exact integers u, representing x = u / 2^53
 
 
-@dataclass(frozen=True)
-class LevelCoupling:
+class LevelCoupling(NamedTuple):
     k: int
     exact_p: Fraction
     mismatches: int
@@ -529,8 +524,7 @@ class LevelCoupling:
         return self.mismatches / self.draws
 
 
-@dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(NamedTuple):
     levels: tuple
     exact_partials: tuple
     empirical_partials: tuple

@@ -12,7 +12,6 @@ one-sided guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,25 +25,33 @@ DEFAULT_NORM_TOL = 1e-12
 # ===== matrices =====
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Square matrix with integer entries, stored as a tuple of row tuples."""
 
-    rows: tuple
-
-    def __post_init__(self):
-        d = len(self.rows)
+    def __init__(self, rows):
+        d = len(rows)
         if d == 0:
             raise DimensionMismatch("matrix must have at least one row")
         norm = []
-        for row in self.rows:
+        for row in rows:
             if len(row) != d:
                 raise DimensionMismatch("matrix must be square")
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError("IntMatrix entries must be ints")
             norm.append(tuple(row))
-        object.__setattr__(self, "rows", tuple(norm))
+        self.rows = tuple(norm)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows!r})"
 
     @property
     def dim(self) -> int:

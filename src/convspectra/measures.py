@@ -10,7 +10,6 @@ per-level factors, evaluated by `_phases.product_transform`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -38,7 +37,6 @@ def _as_frac_vec(v, dim=None):
     return t
 
 
-@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """A finitely supported probability measure with rational atoms, held as
     exact integers: atom i is rows[i] / den, with weight counts[i] / Σ counts.
@@ -51,12 +49,13 @@ class DiscreteMeasure:
     Fractions) and `weights` (Fractions) are built on first use only.
     """
 
-    rows: np.ndarray
-    den: int
-    counts: np.ndarray
-    # measures whose convolution this is, recorded by `mu_truncate`; empty
-    # when the measure is its own single factor.  Not part of equality.
-    factors: tuple = field(default=(), repr=False)
+    def __init__(self, rows: np.ndarray, den: int, counts: np.ndarray, factors: tuple = ()):
+        self.rows = rows
+        self.den = den
+        self.counts = counts
+        # measures whose convolution this is, recorded by `mu_truncate`; empty
+        # when the measure is its own single factor.  Not part of equality.
+        self.factors = factors
 
     @classmethod
     def make(cls, pairs, dim: int | None = None) -> "DiscreteMeasure":
@@ -104,6 +103,9 @@ class DiscreteMeasure:
 
     def __hash__(self) -> int:
         return hash((self.den, self.rows.shape, tuple(self.rows.ravel().tolist()), tuple(self.counts.tolist())))
+
+    def __repr__(self) -> str:
+        return f"DiscreteMeasure(rows={self.rows!r}, den={self.den!r}, counts={self.counts!r})"
 
     @cached_property
     def atoms(self) -> tuple:

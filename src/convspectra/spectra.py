@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as cartesian
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,20 +54,21 @@ _LEVEL_BLOCK_ROWS = 4096  # level-file rows formatted per block
 # ===== spectrum construction =====
 
 
-@dataclass(frozen=True, eq=False)
 class SpectrumLevels:
     """Candidate spectrum levels, each its sorted distinct integer vectors as
     one (n, dim) array: int64 when every entry lies below 2^62, object (exact
     Python ints) otherwise, so the form is canonical; equality is on rows."""
 
-    dim: int
-    milestones: tuple  # milestone indices actually used
-    levels: tuple  # per level: its vectors as sorted distinct integer rows
-    chooser: str
-    k_choices: tuple  # ((level_index j, lambda), k) records for nonzero k
-    # per milestone j, the mapped block M_j as integer rows: level j is the
-    # collision-free Minkowski sum M_1 + ... + M_j (empty when read from file)
-    blocks: tuple = field(default=(), repr=False)
+    def __init__(self, dim: int, milestones: tuple, levels: tuple, chooser: str, k_choices: tuple,
+                 blocks: tuple = ()):
+        self.dim = dim
+        self.milestones = milestones  # milestone indices actually used
+        self.levels = levels  # per level: its vectors as sorted distinct integer rows
+        self.chooser = chooser
+        self.k_choices = k_choices  # ((level_index j, lambda), k) records for nonzero k
+        # per milestone j, the mapped block M_j as integer rows: level j is the
+        # collision-free Minkowski sum M_1 + ... + M_j (empty when read from file)
+        self.blocks = blocks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectrumLevels):
@@ -394,8 +395,7 @@ def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class ExactnessResult:
+class ExactnessResult(NamedTuple):
     ok: bool
     deviation: float
     size: int
@@ -505,8 +505,7 @@ def spectrum_exactness(
 # ===== equi-positivity scan =====
 
 
-@dataclass(frozen=True)
-class EquiPositivityReport:
+class EquiPositivityReport(NamedTuple):
     status: str  # "witnessed" | "failed"
     epsilon0: float  # defensible lower bound (includes truncation floor)
     scanned_epsilon0: float  # raw grid minimum over the truncated tails

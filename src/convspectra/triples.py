@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,16 +95,16 @@ def _frozen(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
 class Product:
     """The digits (A_0 × ... × A_{d-1} minus `removed`) plus `added`: `axes`
     holds per axis the increasing int64 values A_i, all below 2^31 in
     absolute value; `removed` the sorted rows of the product left out, and
     `added` the sorted exact-int rows outside the product put in."""
 
-    axes: tuple
-    removed: tuple = ()
-    added: tuple = ()
+    def __init__(self, axes: tuple, removed: tuple = (), added: tuple = ()):
+        self.axes = axes
+        self.removed = removed
+        self.added = added
 
     def __contains__(self, v) -> bool:
         """Whether the row v lies in the product of the axes."""
@@ -318,8 +318,7 @@ def shared_masks(a: DigitSet, b: DigitSet):
 # ===== unitarity check =====
 
 
-@dataclass(frozen=True)
-class HadamardCheckResult:
+class HadamardCheckResult(NamedTuple):
     ok: bool
     max_deviation: float
     size_mismatch: bool
@@ -399,8 +398,7 @@ def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
     return den, [reduced]
 
 
-@dataclass(frozen=True)
-class HadamardTriple:
+class HadamardTriple(NamedTuple):
     r: IntMatrix
     b: DigitSet
     l: DigitSet
@@ -483,8 +481,7 @@ def _representatives(r: IntMatrix, den: int, v: np.ndarray, y: np.ndarray) -> np
     return v.astype(y.dtype) - _times((2 * y + den) // (2 * den), r_t)
 
 
-@dataclass(frozen=True)
-class AxisNumerators:
+class AxisNumerators(NamedTuple):
     """`numerators` of a structured digit set under a diagonal R, by axis.
 
     R⁻¹v = y/den with y_i = c_i·v_i, so the numerators of the product rows

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from convspectra.conditions import _aligned_tables
@@ -153,7 +153,8 @@ def convolve(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
         for f in a.convolution_factors() + b.convolution_factors()
         if len(f) > 1 or any(f.atoms[0])  # the origin point mass is trivial
     )
-    return replace(DiscreteMeasure.make(acc.items(), a.dim), factors=factors)
+    m = DiscreteMeasure.make(acc.items(), a.dim)
+    return DiscreteMeasure(m.rows, m.den, m.counts, factors)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def oracle_pcc(seq, l, indices):
             margin_ok = False
         min_margin = min(min_margin, 1.0 - float(lf) - math.sqrt(float(sup_sq)))
     base = conditions._finish_scalar_series(f"pcc[l={lf}]", list(indices), terms, None)
-    return PccSeriesDiagnostics(**vars(base), min_margin=min_margin, margin_ok=margin_ok)
+    return PccSeriesDiagnostics(**base._asdict(), min_margin=min_margin, margin_ok=margin_ok)
 
 
 def oracle_contractivity(seq, upto, tol=1e-12):

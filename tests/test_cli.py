@@ -3,6 +3,7 @@ codes, artifact routing, and byte-level determinism of CSV output."""
 
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -373,6 +374,36 @@ def test_exit_2_when_a_level_exceeds_an_inline_sequence(tmp_path, monkeypatch, v
     assert err.startswith("config error: ") and "exceeds sequence length 2" in err
 
 
+# -- entry point ------------------------------------------------------------
+
+
+def test_main_entry_freezes_the_collector_once_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 3)
+    monkeypatch.setattr(sys, "argv", ["convspectra", "check", "--config", "c.json"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main_entry()
+    assert exc.value.code == 3
+    assert calls == ["freeze", ["check", "--config", "c.json"]]
+
+
+def test_python_m_convspectra_runs_main_entry(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main_entry", lambda: calls.append("entry"))
+    runpy.run_module("convspectra", run_name="__main__")
+    assert calls == ["entry"]
+
+
+def test_main_itself_does_not_freeze(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    config = Path(__file__).resolve().parent.parent / "configs" / "bernoulli-quarter-check.json"
+    rc, _, err = run_cli(["check", "--config", str(config)])
+    assert rc == 0, err
+    assert calls == []
+
+
 # -- check ------------------------------------------------------------------
 
 
@@ -726,7 +757,11 @@ def test_sample_working_set_bounds_the_traced_peak(generator, dim):
     finally:
         tracemalloc.stop()
     per_draw, fixed = cli._sample_bytes(20_000, dim)
-    assert len(rep.artifact) < peak <= fixed + 20_000 * per_draw
+    bound = fixed + 20_000 * per_draw
+    assert len(rep.artifact) < peak <= bound
+    # the sampler's arrays and the CSV text never coexist, so the bound does
+    # not add them: it stays within twice the traced peak
+    assert bound <= 2 * peak, (bound, peak)
 
 
 _B = cli._CSV_BLOCK_ROWS

@@ -28,8 +28,11 @@ digest uses CPython's built-in SHA-256 (`_sha2`, or `_sha256` before Python
 every child's peak.  `sample` draws with an in-house Philox kernel, where
 numpy.random would import secrets, hmac and so `_hashlib`: on the same
 machine, a `sample` of example-2.6 to level 40 with 20 000 draws peaked at
-43.8 MB drawing with numpy.random and at 39.8 MB with the kernel.  The
-footprint is checked by module name, since the MB differ between machines.
+43.8 MB drawing with numpy.random and at 39.8 MB with the kernel.  Nor
+should any command import `dataclasses`: the result records are NamedTuples
+and plain classes, since generating the code of 19 dataclasses took 19-26 ms
+of every process's start on the same machine.  The footprint is checked by
+module name, since the MB and ms differ between machines.
 """
 import importlib.util
 import json
@@ -113,11 +116,12 @@ from convspectra import cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(json.dumps([name for name in ("_hashlib", "hmac", "secrets", "numpy.random") if name in sys.modules]))
+print(json.dumps([name for name in ("_hashlib", "hmac", "secrets", "numpy.random", "dataclasses")
+                  if name in sys.modules]))
 """
 
 
-def test_no_command_loads_libcrypto_or_numpy_random(tmp_path):
+def test_no_command_loads_libcrypto_numpy_random_or_dataclasses(tmp_path):
     configs = {"check": ["bernoulli-quarter-check", "jorgensen-pedersen-check"],
                "spectrum": ["jorgensen-pedersen-spectrum"], "qscan": ["jorgensen-pedersen-qscan"],
                "sample": ["planar-sample"], "equipos": ["example-2.6-equipos"]}
