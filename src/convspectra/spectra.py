@@ -13,7 +13,6 @@ import numpy as np
 
 from ._phases import (
     _INT64_SAFE,
-    _RUN_TARGET_BYTES,
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
     PointRows,
@@ -42,8 +41,8 @@ from .errors import (
 )
 from .exactmat import invert, product_range
 from .measures import DiscreteMeasure, _points, tail_factors, tail_fourier_many
+from .triples import DEFAULT_UNITARITY_TOL, hadamard_check
 
-DEFAULT_EXACTNESS_TOL = 1e-9
 DEFAULT_SPECTRUM_CAP = 1_000_000
 DEFAULT_FAIL_TOL = 1e-12
 DEFAULT_GRID_CAP = 4_000_000
@@ -399,84 +398,22 @@ class ExactnessResult(NamedTuple):
     ok: bool
     deviation: float
     size: int
-    route: str  # "tower": a bound certified block by block; "sum-set": evaluated
-
-
-def _integral_phases(rows, den: int, points: np.ndarray) -> bool:
-    """Whether every phase a·v is an integer, for the atoms a = rows[b] / den
-    and the integer rows v of points: exact, from operands reduced mod den,
-    in runs of points of about _RUN_TARGET_BYTES."""
-    if den == 1 or not len(points):
-        return True
-    a, v = _int_rows(rows), points
-    if den >= _INT64_SAFE:
-        a, v = a.astype(object), v.astype(object)
-    a, v = a % den, v % den
-    pa, pv = _peak(a), _peak(v)
-    dtype = object if max(pa, pv, a.shape[1] * pa * pv) >= _INT64_SAFE else np.int64
-    a, v = a.astype(dtype), v.astype(dtype)
-    step = max(1, _RUN_TARGET_BYTES // (8 * len(a)))
-    for s in range(0, len(v), step):
-        phases = a @ v[s : s + step].T
-        if phases.dtype == object or den < _INT64_SAFE:
-            phases %= den  # int64 products lie below 2^62 <= den otherwise
-        if phases.any():
-            return False
-    return True
-
-
-def _tower_bound(blocks, factors, tol: float):
-    """A bound on max |G - I| over the Minkowski sum of the blocks M_1, ...,
-    M_J, or None when it exceeds tol.
-
-    Let λ ≠ λ' first differ in block j, by δ_j ∈ M_j - M_j.  Each factor whose
-    atoms meet integer phases on the differences of every later block gives
-    |m(λ - λ')| = |m(δ_j)|, and every factor has modulus at most 1.  So with
-    the factors assigned to the last block whose differences give them a
-    non-integer phase (for a tower of Hadamard triples, the levels of the
-    block's window), max |G - I| <= max_j max |F_j(δ_j) - [δ_j = 0]|, F_j the
-    product of block j's factors: `difference_deviation` on M_j alone.  A
-    block of two or more points with no factor certifies nothing."""
-    shifted = [b[1:] - b[0] for b in blocks]  # M_j - M_j is spanned by these
-    own = [[] for _ in blocks]
-    for rows, den, weights in factors:
-        later = (j for j in reversed(range(len(blocks))) if not _integral_phases(rows, den, shifted[j]))
-        j = next(later, None)
-        if j is not None:
-            own[j].append((rows, den, weights))
-    bound = 0.0
-    for block, mine in zip(blocks, own):
-        if len(block) < 2:
-            continue
-        dev = difference_deviation([block], 1, mine) if mine else 1.0
-        if dev > tol:
-            return None
-        bound = max(bound, dev)
-    return bound
 
 
 def spectrum_exactness(
-    m: DiscreteMeasure, lambda_set, tol: float = DEFAULT_EXACTNESS_TOL
+    m: DiscreteMeasure, lambda_set, tol: float = DEFAULT_UNITARITY_TOL
 ) -> ExactnessResult:
     """Finite criterion: for an n-atom equal-weight measure and n candidate
     frequencies Λ, spectrality means the normalized exponential matrix is
-    unitary.  Returns the max Gram deviation from the identity, or a bound
-    on it.
+    unitary.  Returns the max Gram deviation from the identity.
 
     lambda_set is Λ, or the summands M_1, ..., M_J (2-D integer arrays, as
     `SpectrumLevels.blocks` holds them) whose Minkowski sum Λ is.  The Gram
     is G[i, k] = mu_hat(λ_i - λ_k) over the per-level factors `mu_truncate`
     recorded.  Equal weights are read from the measure's integer
-    multiplicities; no Fraction is formed.
-
-    Two or more collision-free summands first take the tower route
-    (`_tower_bound`): each summand's differences against the factors of its
-    own levels, at a cost summed over the summands instead of multiplied.
-    When that bound is at most tol it is returned as the deviation (route
-    "tower"), so a printed deviation is then a bound on max |G - I|.
-    Otherwise, and for one summand or colliding ones, which are checked as
-    their sum set Λ, `_phases.difference_deviation` evaluates the Gram on
-    the sum set Λ - Λ = Σ_j (M_j - M_j) (route "sum-set")."""
+    multiplicities; no Fraction is formed.  `_phases.difference_deviation`
+    evaluates the Gram on the sum set Λ - Λ = Σ_j (M_j - M_j); colliding
+    summands are checked as their sum set Λ."""
     n = len(m)
     if (m.counts != m.counts[0]).any():
         raise NonUniformWeights(
@@ -494,12 +431,32 @@ def spectrum_exactness(
         raise SizeMismatch(f"{len(lams)} candidate vectors vs {n} atoms")
     if n != math.prod(map(len, blocks)):
         blocks = [lams]  # colliding summands: the set itself is the one summand
-    factors = m.phase_factors()
-    bound = _tower_bound(blocks, factors, tol) if len(blocks) > 1 else None
-    if bound is not None:
-        return ExactnessResult(ok=True, deviation=bound, size=n, route="tower")
-    dev = difference_deviation(blocks, 1, factors)
-    return ExactnessResult(ok=dev <= tol, deviation=dev, size=n, route="sum-set")
+    dev = difference_deviation(blocks, 1, m.phase_factors())
+    return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
+
+
+def _level_bounds(seq, milestones) -> list:
+    """Per milestone q_j, a bound on max |G - I| for the level Λ_j that
+    `build_spectrum` grew to q_j against μ_{q_j}: the running maximum over
+    the levels i ≤ q_j of the dual triple's deviation
+    `hadamard_check(R_iᵀ, L_i, B_i).max_deviation`, which is
+    max_{ℓ ≠ ℓ'} |m_{B_i}(R_i⁻ᵀ(ℓ - ℓ'))|, the L-side Gram of triple i.
+
+    Let λ ≠ λ' first differ at level i.  The factors of the levels before i
+    meet integer phases; factor i meets R_i⁻ᵀ(ℓ_i - ℓ'_i) plus an integer
+    vector, which absorbs the later levels and every k-shift of a window
+    ending at or after i; every other factor has modulus at most 1.  Since
+    #Λ_j = Π #L_i = Π #B_i ≥ #supp μ_{q_j}, a bound b with #Λ_j · b < 1
+    also makes μ_{q_j}'s atoms distinct and equally weighted.  Neither the
+    level nor the measure is formed."""
+    bounds, bound, done = [], 0.0, 0
+    for q in milestones:
+        for i in range(done + 1, q + 1):
+            dual = hadamard_check(seq.matrix(i).transpose(), seq.spectrum_digits(i), seq.digits(i))
+            bound = max(bound, dual.max_deviation)
+        bounds.append(bound)
+        done = q
+    return bounds
 
 
 # ===== equi-positivity scan =====

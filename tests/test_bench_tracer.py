@@ -37,7 +37,7 @@ def test_traced_spectrum_run_finds_every_patched_name(tmp_path):
     levels = tmp_path / "levels.txt"
     _, names = traced(tmp_path, "spectrum", "jorgensen-pedersen-spectrum.json", "--out", str(levels))
     assert levels.read_text().startswith("# spectrum dim=1")
-    assert {"spectra.build_spectrum", "spectra.spectrum_exactness"} <= names
+    assert {"spectra.build_spectrum", "triples.hadamard_check"} <= names
 
 
 def test_traced_qscan_run_records_the_q_evaluations(tmp_path):

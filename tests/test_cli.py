@@ -443,6 +443,10 @@ def test_check_level_bounds_clamped_to_finite_sequence(tmp_path, field):
 # -- spectrum ---------------------------------------------------------------
 
 
+def _exactness_cells(out):
+    return [line.split()[3:] for line in out.splitlines() if line[:1].isdigit() and line[1:2] == " "]
+
+
 def test_spectrum_writes_level_file(tmp_path):
     cfg = write_config(tmp_path, jp_doc(spectrum={"milestones": [1, 2, 3]}))
     dest = tmp_path / "levels.txt"
@@ -463,8 +467,29 @@ def test_spectrum_exactness_over_digits_past_int64(tmp_path):
     cfg = write_config(tmp_path, doc)
     rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
     assert rc == 0, err
-    rows = [line.split() for line in out.splitlines() if line[:1] in "123" and line[1:2] == " "]
-    assert [row[3:] for row in rows] == [["6.123e-17", "yes"]] * 3
+    assert _exactness_cells(out) == [["6.123e-17", "yes"]] * 3
+
+
+def test_spectrum_exactness_forms_no_measure(tmp_path, monkeypatch):
+    # the levels' dual triples bound the Gram: no mu_truncate call
+    monkeypatch.setattr(cli, "mu_truncate", None)
+    cfg = write_config(tmp_path, jp_doc(spectrum={"milestones": [2, 4, 6], "exactness": True}))
+    rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
+    assert rc == 0, err
+    assert "verdicts: exactness=pass" in out
+    assert _exactness_cells(out) == [["6.123e-17", "yes"]] * 3
+
+
+def test_spectrum_exactness_on_skew_levels_reads_the_transposed_triple(tmp_path):
+    # hadamard_check(R, L, B) gives 1.0 here; the dual triple is (Rᵀ, L, B)
+    level = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [0, 2], [2, 0], [2, 2]],
+             "spectrum_digits": [[0, 0], [0, 1], [-3, -3], [-3, -2]]}
+    doc = {"dimension": 2, "sequence": {"inline": [level] * 3},
+           "spectrum": {"milestones": [1, 2, 3], "exactness": True}}
+    rc, out, err = run_cli(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "l.txt")])
+    assert rc == 0, err
+    cells = _exactness_cells(out)
+    assert len(cells) == 3 and all(float(dev) < 1e-15 and ok == "yes" for dev, ok in cells)
 
 
 def test_spectrum_level_sizes_for_planar_generator(tmp_path):

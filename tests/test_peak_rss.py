@@ -16,11 +16,14 @@ same machine, the 16 384-point Jorgensen-Pedersen scans below over 16 and
 1024 candidates peaked at 51.6 and 294.8 MB when each budgeted chunk of
 points held its whole sum set, and at 43.7 and 44.8 MB in runs.
 
-A `spectrum` with exactness bounds each level's Gram block by block (the
-tower route), so it should peak about where the same command without
-exactness does.  On the same machine, Jorgensen-Pedersen milestones 2..12
-peaked about 5 MB above the run without exactness when every level's
-difference sum set was walked in 4 MiB runs, and 0.2 MB above it by blocks.
+A `spectrum` with exactness bounds each milestone's Gram by its levels' dual
+Hadamard triples, one small check per level, and forms neither the measure
+nor the level's sum set, so it should peak about where the same command
+without exactness does.  On the same machine, Jorgensen-Pedersen milestones
+2..12 peaked about 5 MB above the run without exactness when every level's
+difference sum set was walked in 4 MiB runs.  Milestones 2..20 peaked 24 MB
+above it when the measure was built and the level's sum set formed to count
+it, and the Gram bounded milestone block by milestone block.
 
 No command should load OpenSSL's libcrypto or numpy.random.  The config
 digest uses CPython's built-in SHA-256 (`_sha2`, or `_sha256` before Python
@@ -98,15 +101,16 @@ def test_a_qscan_peak_does_not_grow_with_the_candidates(tmp_path):
 
 
 def test_spectrum_exactness_peaks_near_the_run_without_it(tmp_path):
-    argvs = []
-    for exactness in (False, True):
-        doc = {"dimension": 1, "sequence": {"generator": "jorgensen-pedersen"},
-               "spectrum": {"milestones": [2, 4, 6, 8, 10, 12], "exactness": exactness}}
-        cfg = tmp_path / f"spectrum-{exactness}.json"
-        cfg.write_text(json.dumps(doc), encoding="utf-8")
-        argvs.append(cli("spectrum", cfg, "--out", str(tmp_path / f"levels-{exactness}.txt")))
-    without, with_exactness = child_peaks_mb(*argvs)
-    assert with_exactness - without < EXACTNESS_SPREAD_MB, (without, with_exactness)
+    for top, extra in ((12, {}), (20, {"max_atoms": 2**20})):
+        argvs = []
+        for exactness in (False, True):
+            doc = {"dimension": 1, "sequence": {"generator": "jorgensen-pedersen"}, **extra,
+                   "spectrum": {"milestones": list(range(2, top + 1, 2)), "exactness": exactness}}
+            cfg = tmp_path / f"spectrum-{top}-{exactness}.json"
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            argvs.append(cli("spectrum", cfg, "--out", str(tmp_path / f"levels-{top}-{exactness}.txt")))
+        without, with_exactness = child_peaks_mb(*argvs)
+        assert with_exactness - without < EXACTNESS_SPREAD_MB, (top, without, with_exactness)
 
 
 _FOOTPRINT = r"""

@@ -43,11 +43,15 @@ SAMPLE_SEEDS = (1, 2)
 # skew levels reaches the bisection of the certified norm ‖R⁻¹‖₂.  The
 # example-2.6 checks run the kernels that read structured digit sets past
 # the bench sizes, and the inline product levels run the explicit digit
-# sets' product detection in `hadamard_check`.  The spectra with exactness
-# run its tower bound past the bench sizes and with nonzero k; every level
-# of a CLI spectrum is a validated Hadamard triple, so a `tol` below the
-# rounding floor is what sends the inline spectrum to the evaluated route.
+# sets' product detection in `hadamard_check`.  A CLI spectrum certifies its
+# exactness by the level bound, the running maximum of each level's dual
+# deviation `hadamard_check(R_iᵀ, L_i, B_i)`.  The spectra with exactness run
+# that bound past the bench sizes and with nonzero k, a `tol` below the
+# rounding floor makes the inline product spectrum fail it, and the skew
+# spectrum needs the transpose: untransposed, its levels give 1.0.
 _SKEW_LEVEL = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+_SKEW_TRIPLE = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [0, 2], [2, 0], [2, 2]],
+                "spectrum_digits": [[0, 0], [0, 1], [-3, -3], [-3, -2]]}
 
 
 def _product_level(r, b, l):
@@ -107,6 +111,11 @@ INLINE = (
             _product_level((8, 10), ([0, 2, 4, 6], [0, 2, 4, 6, 8]), ([0, 1, 2, 3], [0, -1, 1, 2, -2])),
         ]},
         "tol": 1e-18,
+        "spectrum": {"milestones": [1, 2, 3], "exactness": True},
+    }),
+    ("inline/spectrum-skew", "spectrum", {
+        "dimension": 2,
+        "sequence": {"inline": [_SKEW_TRIPLE] * 3},
         "spectrum": {"milestones": [1, 2, 3], "exactness": True},
     }),
     # B = {0, 2 + 4·2⁷⁰} puts an all-zero row beside a digit past int64 in
