@@ -41,6 +41,7 @@ except ImportError:
 
 from ._phases import _INT64_SAFE, PointRows, budget_rows, check_budget
 from .conditions import (
+    _PARTIALS_HEAD,
     VERDICT_CERTIFIED,
     VERDICT_CONVERGED,
     SERIES_CHECKS,
@@ -102,7 +103,7 @@ _CHECK_NAMES = ("hadamard", "equivalence", "rbc", "pcc", "contractivity", "three
 _CHOOSERS = ("zero", "windowed-search")
 _PASS_VERDICTS = (VERDICT_CERTIFIED, VERDICT_CONVERGED)
 
-_TABLE_ROW_LIMIT = 24  # long per-level tables show the head plus the final row
+_TABLE_ROW_LIMIT = _PARTIALS_HEAD + 1  # long per-level tables show the head plus the final row
 _CSV_BLOCK_ROWS = 4096  # sample CSV rows formatted per block
 
 
@@ -573,7 +574,10 @@ def render_report(rep: Report, wall_time: bool = True) -> str:
 
 
 def _series_table(title, diag, value_header="term"):
-    kept, clip_note = _clip_rows(zip(diag.indices, diag.terms, diag.partial_sums))
+    # the series holds the partial sums of the rows a clipped table keeps
+    held = diag.partial_sums
+    sums = held[:-1] + (None,) * (len(diag.terms) - len(held)) + held[-1:]
+    kept, clip_note = _clip_rows(zip(diag.indices, diag.terms, sums))
     notes = [f"{title}: verdict {diag.verdict} ({diag.bound_used})"]
     if clip_note:
         notes.append(f"{title}: {clip_note}")
@@ -844,17 +848,22 @@ def cmd_qscan(cfg: RunConfig) -> Report:
 def _sample_bytes(draws: int, dim: int) -> tuple:
     """(bytes per draw, fixed bytes) that `sample` holds at most.
 
-    Per draw: the float x and y sums, and the larger of the two phases that
-    follow each other.  Sampling holds one level's draws, indices and masks
-    (ten int64 and two bool arrays) with the digit rows they gather, and the
-    Philox kernel's scratch beside its output (a copy of each draw's word
-    and two words of partial products: 24 bytes); they are gone when
-    `coupled_sample` returns.  Writing holds the CSV text twice (the buffer
-    and its value).  Fixed: one CSV block as floats, Python lists and line
-    strings.  A "%.17g" field takes at most 24 characters."""
+    Per draw: the float x and y sums, and the largest of three phases that
+    follow each other.  Drawing holds one level's draws, indices and masks
+    (ten int64 and two bool arrays) and the Philox kernel's scratch beside
+    its output (a copy of each draw's word and two words of partial
+    products: 24 bytes).  Gathering holds the draws, both index arrays and
+    the mismatch mask (25 bytes) with at most four arrays of float rows: a
+    side's table of the level's digits (built only when it has at most
+    `draws` rows), the parts it is joined from, and both sides' gathered
+    rows.  These are gone when `coupled_sample` returns.  Writing holds the
+    CSV text twice (the buffer and its value).  Fixed: one CSV block, its
+    fields as Python floats and ints in a list and a tuple, its format
+    string (no longer than its text) and its text.  A "%.17g" field takes
+    at most 24 characters."""
     text = len(str(draws - 1)) + 2 * dim * 25 + 1
-    per_draw = 16 * dim + max(82 + 24 + 8 * dim, 2 * text)
-    per_row = 16 * dim + 2 * dim * 32 + 64 + 49 + 2 * text
+    per_draw = 16 * dim + max(82 + 24, 25 + 32 * dim, 2 * text)
+    per_row = 2 * dim * 32 + (2 * dim + 1) * 16 + 32 + 2 * text
     return per_draw, _CSV_BLOCK_ROWS * per_row
 
 
@@ -913,10 +922,15 @@ def cmd_sample(cfg: RunConfig) -> Report:
     )
     out.write(",".join(header) + "\n")
     line = "%d" + ",%.17g" * (2 * dim) + "\n"
+    width = 2 * dim + 1  # fields per row
     for lo in range(0, draws, _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
-        block = np.hstack([rep_c.x_sums[lo:hi], rep_c.y_sums[lo:hi]]).tolist()
-        out.write("".join([line % (i, *row) for i, row in enumerate(block, lo)]))
+        hi = min(lo + _CSV_BLOCK_ROWS, draws)
+        # one format of the whole block, its fields interleaved row by row
+        fields = [0] * ((hi - lo) * width)
+        fields[::width] = range(lo, hi)
+        for j, col in enumerate([*rep_c.x_sums[lo:hi].T, *rep_c.y_sums[lo:hi].T], 1):
+            fields[j::width] = col.tolist()
+        out.write(line * (hi - lo) % tuple(fields))
 
     return Report(
         command="sample",

@@ -8,6 +8,7 @@ it in to upgrade the verdict to "certified".
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -42,12 +43,18 @@ VERDICT_CERTIFIED = "certified"
 VERDICT_DIVERGING = "diverging"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# A series holds the partial sums that a report prints: the first
+# _PARTIALS_HEAD and the last (the CLI clips a long table to its head and
+# its final row).  Exact sums' denominators grow with the level, so holding
+# them all would cost memory quadratic in the levels.
+_PARTIALS_HEAD = 23
+
 
 class SeriesDiagnostics(NamedTuple):
     name: str
     indices: tuple  # the level indices the terms belong to
     terms: tuple  # exact rationals (or rational vectors)
-    partial_sums: tuple  # same kind, cumulative
+    partial_sums: tuple  # same kind, cumulative: see _held_partials
     verdict: str
     bound_used: str
     tail_bound: float | None = None
@@ -139,11 +146,20 @@ def _scalar_verdict(indices, fterms):
     return VERDICT_INCONCLUSIVE, "no tail pattern recognised"
 
 
+def _held_partials(terms, add, acc) -> tuple:
+    """The partial sums after the first _PARTIALS_HEAD terms, then, when
+    there are more terms, the sum of all of them; add(acc, t) adds a term."""
+    held = []
+    for i, t in enumerate(terms):
+        acc = add(acc, t)
+        if i < _PARTIALS_HEAD:
+            held.append(acc)
+    if len(terms) > _PARTIALS_HEAD:
+        held.append(acc)
+    return tuple(held)
+
+
 def _finish_scalar_series(name, indices, terms, tail_bound):
-    partials, acc = [], Fraction(0)
-    for t in terms:
-        acc += t
-        partials.append(acc)
     if tail_bound is not None:
         nxt = (indices[-1] + 1) if indices else 1
         tb = float(tail_bound(nxt)) if callable(tail_bound) else float(tail_bound)
@@ -155,7 +171,7 @@ def _finish_scalar_series(name, indices, terms, tail_bound):
         name=name,
         indices=tuple(indices),
         terms=tuple(terms),
-        partial_sums=tuple(partials),
+        partial_sums=_held_partials(terms, operator.add, Fraction(0)),
         verdict=verdict,
         bound_used=used,
         tail_bound=tb,
@@ -215,11 +231,14 @@ def rbc_series(seq, upto: int, tail_bound=None) -> SeriesDiagnostics:
 def _pcc_sup_sq(r: IntMatrix) -> Fraction:
     """Exact square of the cube sup: max over vertices xi of d * |R^{-T}xi|_2^2,
     enumerated on integers as R^{-T}xi = adj(R)^T xi / det R from the
-    inverse cached on r."""
+    inverse cached on r; under a diagonal R, d·Σ adj_ii² / det²."""
     d = r.dim
     if d > 20:
         raise DimensionTooLarge(f"vertex enumeration needs 2^{d} points")
     det, adj = invert(r)
+    if r.is_diagonal():
+        # R^{-T} = diag(adj)/det: every vertex has the same image norm
+        return Fraction(d * sum(adj.rows[i][i] ** 2 for i in range(d)), det * det)
     adj_t = adj.transpose()
     best = max(
         sum(x * x for x in adj_t.matvec(signs)) for signs in cartesian((1, -1), repeat=d)
@@ -440,11 +459,7 @@ def three_series(seq, r, upto: int):
     s3 = _finish_scalar_series("truncated-variance", indices, var_terms, None)
 
     # vector series: cumulative sums, Cauchy increments in l2 over last quarter
-    partials = []
-    acc = tuple(Fraction(0) for _ in range(seq.dim))
-    for t in mean_terms:
-        acc = tuple(p + q for p, q in zip(acc, t))
-        partials.append(acc)
+    partials = _held_partials(mean_terms, lambda acc, t: tuple(map(operator.add, acc, t)), (Fraction(0),) * seq.dim)
     incs = [math.sqrt(float(sum(x * x for x in t))) for t in mean_terms]
     quarter = incs[(3 * len(incs)) // 4 :]
     if all(i < 1e-10 for i in quarter):
@@ -458,7 +473,7 @@ def three_series(seq, r, upto: int):
         name="truncated-mean",
         indices=tuple(indices),
         terms=tuple(mean_terms),
-        partial_sums=tuple(partials),
+        partial_sums=partials,
         verdict=verdict,
         bound_used=used,
     )
@@ -468,10 +483,12 @@ def three_series(seq, r, upto: int):
 def _ball_moments(nums, q2: int, limit: int) -> tuple:
     """(count, Σ|y|², Σy) over the rows y of nums with |y|²·q2 <= limit.
 
-    For an AxisNumerators, each choice of the first coordinates leaves the
-    last ones with y_d² <= ⌊(limit - q2·Σ_{i<d} y_i²)/q2⌋: one interval of
-    the sorted last axis, summed by prefix sums; the removed rows are then
-    taken out and the added ones put in."""
+    For an AxisNumerators whose product rows all lie in the ball, as the
+    row of the axes' largest |y| tells, the sums are taken per axis;
+    otherwise each choice of the first coordinates leaves the last ones
+    with y_d² <= ⌊(limit - q2·Σ_{i<d} y_i²)/q2⌋: one interval of the sorted
+    last axis, summed by prefix sums.  The removed rows are then taken out
+    and the added ones put in."""
     if not isinstance(nums, AxisNumerators):
         count, sq_sum, sums = 0, 0, [0] * nums[1].shape[1]
         for y in nums[1:]:
@@ -482,24 +499,34 @@ def _ball_moments(nums, q2: int, limit: int) -> tuple:
             sq_sum += int(sq[inside].sum())
             sums = [s + int(c) for s, c in zip(sums, y[inside].sum(axis=0))]
         return count, sq_sum, sums
-    *heads, last = (sorted(y.tolist()) for y in nums.axes)
-    first = [0, *accumulate(last)]
-    second = [0, *accumulate(x * x for x in last)]
-    count, sq_sum, sums = 0, 0, [0] * len(nums.axes)
-    for head in cartesian(*heads):
-        head_sq = sum(x * x for x in head)
-        rest = limit - q2 * head_sq
-        if rest < 0:
-            continue
-        t = math.isqrt(rest // q2)
-        lo, hi = bisect_left(last, -t), bisect_right(last, t)
-        count += hi - lo
-        sq_sum += head_sq * (hi - lo) + second[hi] - second[lo]
-        for i, x in enumerate(head):
-            sums[i] += x * (hi - lo)
-        sums[-1] += first[hi] - first[lo]
+    if q2 * sum(max(least * least, most * most) for least, most in nums.ends) <= limit:
+        # every product row lies in the ball: each axis value meets every
+        # row of the other axes
+        count = math.prod(map(len, nums.axes))
+        sq_sum, sums = 0, []
+        for y in nums.axes:
+            ys = y.tolist()
+            sq_sum += sum(x * x for x in ys) * (count // len(ys))
+            sums.append(sum(ys) * (count // len(ys)))
+    else:
+        *heads, last = (sorted(y.tolist()) for y in nums.axes)
+        first = [0, *accumulate(last)]
+        second = [0, *accumulate(x * x for x in last)]
+        count, sq_sum, sums = 0, 0, [0] * len(nums.axes)
+        for head in cartesian(*heads):
+            head_sq = sum(x * x for x in head)
+            rest = limit - q2 * head_sq
+            if rest < 0:
+                continue
+            t = math.isqrt(rest // q2)
+            lo, hi = bisect_left(last, -t), bisect_right(last, t)
+            count += hi - lo
+            sq_sum += head_sq * (hi - lo) + second[hi] - second[lo]
+            for i, x in enumerate(head):
+                sums[i] += x * (hi - lo)
+            sums[-1] += first[hi] - first[lo]
     for rows, sign in ((nums.removed, -1), (nums.added, 1)):
-        for y in rows.tolist():
+        for y in rows:
             sq = sum(x * x for x in y)
             if sq * q2 <= limit:
                 count += sign
@@ -639,8 +666,11 @@ def _floor_q(u: np.ndarray, m: int):
 
 def _sample_level(m: int, n: int, s: int, u: np.ndarray):
     """Vectorised coupled evaluation of tables of m <= n < 2^31 digits sharing
-    the first s; returns (x_idx, y_idx, mismatch_mask)."""
+    the first s; returns (x_idx, y_idx, mismatch_mask).  Tables of one size
+    align every draw, on the same slot."""
     i0, rem = _floor_q(u, m)
+    if m == n:
+        return i0, i0, i0 >= s
     aligned = rem < -(-m * _Q // n)  # n·rem < m·2^53
     fill = _floor_q(u, n)[0] - i0 - 1 + m
     y_idx = np.where(aligned, i0, fill)
@@ -664,33 +694,36 @@ def _float_rows(digits: DigitSet, inv=None) -> np.ndarray:
     return np.array(digits.in_order(grid, wide), dtype=float).reshape(-1, digits.dim)
 
 
-def _table_rows(table, inv, index: np.ndarray) -> np.ndarray:
-    """The `_float_rows` of the digits at `index` in a table (shared, own)
-    of `_aligned_tables`.  A structured shared set with no added rows,
-    under a diagonal (or no) inverse, gives one exact float per axis value,
-    gathered by mixed-radix index; any other part gives its rows whole."""
-    shared, own = table
-    n = len(shared)
-    if not n:
-        return _float_rows(own, inv)[index]
-    at_own = np.flatnonzero(index >= n)
-    own_index = index[at_own] - n
-    index = np.minimum(index, n - 1)
+def _shared_rows(shared: DigitSet, inv, index: np.ndarray) -> np.ndarray:
+    """The `_float_rows` of the digits of `shared` at `index`.  A structured
+    set with no added rows, under a diagonal (or no) inverse, gives one
+    exact float per axis value, gathered by mixed-radix index; any other
+    set gives its rows whole."""
     p = shared.product
     if p is None or p.added or (inv is not None and not inv[1].is_diagonal()):
-        rows = _float_rows(shared, inv)[index]
-    else:
-        # with fewer digits than draws, every digit is located once
-        whole = n < len(index)
-        where = shared._locate(np.arange(n) if whole else index)
-        rows = np.empty((len(where[0]), shared.dim))
-        for i, (a, w) in enumerate(zip(p.axes, where)):
-            values = a.tolist() if inv is None else [inv[1].rows[i][i] * x / inv[0] for x in a.tolist()]
-            rows[:, i] = np.array(values, dtype=float)[w]
-        if whole:
-            rows = rows[index]
+        return _float_rows(shared, inv).take(index, axis=0)
+    rows = np.empty((len(index), shared.dim))
+    for i, (a, w) in enumerate(zip(p.axes, shared._locate(index))):
+        values = a.tolist() if inv is None else [inv[1].rows[i][i] * x / inv[0] for x in a.tolist()]
+        rows[:, i] = np.array(values, dtype=float)[w]
+    return rows
+
+
+def _table_rows(table, inv, index: np.ndarray) -> np.ndarray:
+    """The `_float_rows` of the digits at `index` in a table (shared, own)
+    of `_aligned_tables`.  With no more digits than draws, or none shared,
+    the rows of every digit form one float table, shared then own, that
+    the draws gather from; otherwise the shared rows are formed per draw
+    and the own ones put in."""
+    shared, own = table
+    n = len(shared)
+    if not n or n + len(own) <= len(index):
+        rows = np.concatenate([_shared_rows(shared, inv, np.arange(n)), _float_rows(own, inv)])
+        return rows.take(index, axis=0)
+    at_own = np.flatnonzero(index >= n)
+    rows = _shared_rows(shared, inv, np.minimum(index, n - 1))
     if len(at_own):
-        rows[at_own] = _float_rows(own, inv)[own_index]
+        rows[at_own] = _float_rows(own, inv).take(index[at_own] - n, axis=0)
     return rows
 
 

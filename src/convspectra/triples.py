@@ -106,9 +106,22 @@ class Product:
         self.removed = removed
         self.added = added
 
+    @cached_property
+    def spans(self) -> tuple:
+        """Per axis (first value, last value, whether the values between run
+        without gaps), as Python ints; an empty axis spans nothing."""
+        return tuple(
+            (int(a[0]), int(a[-1]), int(a[-1]) - int(a[0]) == len(a) - 1) if len(a) else (1, 0, False)
+            for a in self.axes
+        )
+
     def __contains__(self, v) -> bool:
-        """Whether the row v lies in the product of the axes."""
-        return all(_holds(a, x) for a, x in zip(self.axes, v))
+        """Whether the row v lies in the product of the axes: every entry
+        lies between its axis' ends and, on an axis with gaps, is one of
+        its values."""
+        return all(
+            lo <= x <= hi and (whole or _holds(a, x)) for a, (lo, hi, whole), x in zip(self.axes, self.spans, v)
+        )
 
     @cached_property
     def size(self) -> int:
@@ -181,7 +194,9 @@ class DigitSet:
         grid = np.asarray(rows, dtype=np.int64)
         if small:
             grid = np.concatenate([grid, np.array(small, dtype=np.int64)])
-        return cls(dim, _frozen(_distinct_rows(grid)[0]), tuple(sorted(wide)))
+        if len(grid) > 1:
+            grid = _distinct_rows(grid)[0]
+        return cls(dim, _frozen(grid), tuple(sorted(wide)))
 
     @classmethod
     def _product(cls, axes, removed=(), added=()) -> "DigitSet":
@@ -198,7 +213,8 @@ class DigitSet:
                 out.discard(v)
             else:
                 extra.add(v)
-        return cls(len(p.axes), product=Product(p.axes, tuple(sorted(out)), tuple(sorted(extra))))
+        p.removed, p.added = tuple(sorted(out)), tuple(sorted(extra))
+        return cls(len(p.axes), product=p)
 
     @cached_property
     def _rows(self) -> tuple:
@@ -381,7 +397,7 @@ def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
     if an is not None:
         den = an.den
         axes = [_increasing(y % den) for y in an.axes]
-        removed, added = ({tuple(v) for v in (y % den).tolist()} for y in (an.removed, an.added))
+        removed, added = ({tuple(x % den for x in y) for y in rows} for rows in (an.removed, an.added))
         # every added digit lands on a removed one: the reduced rows are the
         # whole product of the reduced axes
         distinct = all(len(a) == len(y) for a, y in zip(axes, an.axes)) and len(added) == len(an.added)
@@ -445,15 +461,25 @@ def numerators(r: IntMatrix, b: DigitSet):
     return den, y_grid, _times(_wide_rows(b), adj_t)
 
 
+def _box(den: int) -> tuple:
+    """(lo, hi): y/den lies in [-1/2, 1/2) exactly when lo <= y <= hi."""
+    return -(den // 2), (den - 1) // 2
+
+
 def box_mask(y: np.ndarray, den: int) -> np.ndarray:
     """Rows with y/den in the half-open box [-1/2, 1/2)^d: -den <= 2y < den."""
-    lo, hi = -(den // 2), (den - 1) // 2
+    lo, hi = _box(den)
     return _every_column(y, lambda c: (c >= lo) & (c <= hi))
+
+
+def _cone_bound(den: int, thr: Fraction) -> int:
+    """⌈thr·den⌉: |y/den|_1 < thr exactly when |y|_1 is below it."""
+    return -(-thr.numerator * den // thr.denominator)
 
 
 def cone_mask(y: np.ndarray, den: int, thr: Fraction) -> np.ndarray:
     """Rows with |y/den|_1 < thr, that is |y|_1 < ⌈thr·den⌉ on integers."""
-    bound = -(-thr.numerator * den // thr.denominator)
+    bound = _cone_bound(den, thr)
     norm = np.abs(y[:, 0])
     for j in range(1, y.shape[1]):
         norm += np.abs(y[:, j])
@@ -487,13 +513,15 @@ class AxisNumerators(NamedTuple):
     R⁻¹v = y/den with y_i = c_i·v_i, so the numerators of the product rows
     are the product of `axes`, the per-axis numerators c_i·A_i (int64 under
     the bounds `numerators` keeps for its int64 rows, exact Python ints
-    otherwise); `removed` and `added` are the rows y of the exceptions, as
-    object arrays."""
+    otherwise); `ends` holds per axis the least and the greatest of them,
+    and `removed` and `added` the rows y of the exceptions, as tuples of
+    Python ints."""
 
     den: int
     axes: tuple
-    removed: np.ndarray
-    added: np.ndarray
+    ends: tuple
+    removed: tuple
+    added: tuple
 
 
 def axis_numerators(r: IntMatrix, b: DigitSet) -> AxisNumerators | None:
@@ -507,68 +535,88 @@ def axis_numerators(r: IntMatrix, b: DigitSet) -> AxisNumerators | None:
     det, adj = invert(r)
     den, d = abs(det), r.dim
     c = [adj.rows[i][i] if det > 0 else -adj.rows[i][i] for i in range(d)]
-    y_max = max(abs(ci) * max(-int(a[0]), int(a[-1])) for a, ci in zip(p.axes, c))
+    ends = tuple(tuple(sorted((ci * lo, ci * hi))) for (lo, hi, _), ci in zip(p.spans, c))
+    y_max = max(max(-lo, hi) for lo, hi in ends)
     r_max = max(abs(x) for row in r.rows for x in row)
     fast = max(2 * d * y_max + den, d * r_max * (y_max // den + 1), *map(abs, c)) < _INT64_SAFE
     axes = [a * ci if fast else a.astype(object) * ci for a, ci in zip(p.axes, c)]
-    c_row = np.array(c, dtype=object)
     return AxisNumerators(
         den,
         tuple(axes),
-        *(np.array(rows, dtype=object).reshape(-1, d) * c_row for rows in (p.removed, p.added)),
+        ends,
+        *(tuple(tuple(ci * x for ci, x in zip(c, v)) for v in rows) for rows in (p.removed, p.added)),
     )
 
 
 def box_count(nums) -> int:
     """Digits with R⁻¹v in [-1/2, 1/2)^d, for nums from `numerators` or
-    `axis_numerators`: the box is the product of its per-axis intervals."""
+    `axis_numerators`: the box is the product of its per-axis intervals,
+    and an axis whose ends lie in its interval lies in it whole."""
     if not isinstance(nums, AxisNumerators):
         return sum(int(box_mask(y, nums[0]).sum()) for y in nums[1:])
     den = nums.den
-    inside = math.prod(int(box_mask(y[:, None], den).sum()) for y in nums.axes)
-    return inside - int(box_mask(nums.removed, den).sum()) + int(box_mask(nums.added, den).sum())
+    lo, hi = _box(den)
+    inside = math.prod(
+        len(y) if lo <= least and most <= hi else int(box_mask(y[:, None], den).sum())
+        for y, (least, most) in zip(nums.axes, nums.ends)
+    )
+    out, put = (sum(all(lo <= x <= hi for x in y) for y in rows) for rows in (nums.removed, nums.added))
+    return inside - out + put
 
 
 def cone_count(nums, thr: Fraction) -> int:
     """Digits with |R⁻¹v|_1 < thr, for nums from `numerators` or
-    `axis_numerators`: on the axes, each sum of the first coordinates
-    leaves the last ones one interval of the sorted last axis."""
+    `axis_numerators`.  On the axes, the product rows all lie in the cone
+    when their largest norm, the sum of the axes' largest |y|, does;
+    otherwise each sum of the first coordinates leaves the last ones one
+    interval of the sorted last axis."""
     if not isinstance(nums, AxisNumerators):
         return sum(int(cone_mask(y, nums[0], thr).sum()) for y in nums[1:])
-    den = nums.den
-    bound = -(-thr.numerator * den // thr.denominator)
-    # int64 axes keep d·max|y| and den below 2^62 (see axis_numerators)
-    *heads, last = (np.abs(y) for y in nums.axes)
-    sums = np.zeros(1, dtype=last.dtype)
-    for y in heads:
-        sums = np.add.outer(sums, y).ravel()
-    near = int(np.searchsorted(np.sort(last), bound - sums).sum())
-    return near - sum(int(cone_mask(y, den, thr).sum()) * s for y, s in ((nums.removed, 1), (nums.added, -1)))
+    bound = _cone_bound(nums.den, thr)
+    if sum(max(-least, most) for least, most in nums.ends) < bound:
+        near = math.prod(map(len, nums.axes))
+    else:
+        # int64 axes keep d·max|y| and den below 2^62 (see axis_numerators)
+        *heads, last = (np.abs(y) for y in nums.axes)
+        sums = np.zeros(1, dtype=last.dtype)
+        for y in heads:
+            sums = np.add.outer(sums, y).ravel()
+        near = int(np.searchsorted(np.sort(last), bound - sums).sum())
+    out, put = (sum(sum(map(abs, y)) < bound for y in rows) for rows in (nums.removed, nums.added))
+    return near - out + put
 
 
-def _reduce_product(r: IntMatrix, b: DigitSet, an: AxisNumerators) -> DigitSet | None:
-    """mod_reduce(b, r) for a structured b under a diagonal r, from the axes
-    and the exceptions alone, structured again; None when two digits may be
-    congruent: two values of an axis are, or a reduced added row lands on a
-    digit; and None when a reduced axis passes the int64 headroom."""
+def _reduced_parts(r: IntMatrix, b: DigitSet, an: AxisNumerators):
+    """(axes, removed, added) of mod_reduce(b, r) for a structured b under a
+    diagonal r, from the axes and the exceptions alone, as
+    `DigitSet._product` takes them; None when two digits may be congruent:
+    two values of an axis are, or a reduced added row lands on a digit; and
+    None when a reduced axis passes the int64 headroom.  When every axis
+    lies in the box, the product rows are their own representatives and
+    only the added rows are reduced."""
     p, den = b.product, an.den
-    axes = []
-    for i, (a, y) in enumerate(zip(p.axes, an.axes)):
-        rep = _increasing(a - r.rows[i][i] * ((2 * y + den) // (2 * den)))
-        if len(rep) < len(a) or rep[0] <= -_HEADROOM or rep[-1] >= _HEADROOM:
-            return None
-        axes.append(rep)
-    removed, added = (
-        _representatives(r, den, np.array(rows, dtype=object).reshape(-1, b.dim), y).tolist()
-        for rows, y in ((p.removed, an.removed), (p.added, an.added))
-    )
-    removed = set(map(tuple, removed))
+    lo, hi = _box(den)
+    diag = [r.rows[i][i] for i in range(b.dim)]
+
+    def reduce(v, y):
+        return tuple(x - ri * ((2 * yi + den) // (2 * den)) for x, ri, yi in zip(v, diag, y))
+
+    if all(lo <= least and most <= hi for least, most in an.ends):
+        q, removed = p, set(p.removed)
+    else:
+        axes = []
+        for a, ri, y in zip(p.axes, diag, an.axes):
+            rep = _increasing(a - ri * ((2 * y + den) // (2 * den)))
+            if len(rep) < len(a) or rep[0] <= -_HEADROOM or rep[-1] >= _HEADROOM:
+                return None
+            axes.append(rep)
+        q, removed = Product(tuple(axes)), set(map(reduce, p.removed, an.removed))
     seen = set()
-    for w in map(tuple, added):
-        if w in seen or (w not in removed and all(map(_holds, axes, w))):
+    for w in map(reduce, p.added, an.added):
+        if w in seen or (w not in removed and w in q):
             return None
         seen.add(w)
-    return DigitSet._product(axes, removed, seen)
+    return q.axes, removed, seen
 
 
 def check_reduction(r: IntMatrix, b: DigitSet, nums) -> None:
@@ -576,14 +624,14 @@ def check_reduction(r: IntMatrix, b: DigitSet, nums) -> None:
     share a representative mod R·Z^d.
 
     Takes nums = numerators(r, b), or axis_numerators(r, b), which reduces
-    the axes and the exceptions alone.  On rows, a digit inside the box is
-    its own representative and every representative lies in the box, so
-    only the digits outside it are reduced, and their representatives are
-    compared with each other and with b; the reduced set itself is never
-    built.
+    the axes and the exceptions alone (`_reduced_parts`).  On rows, a digit
+    inside the box is its own representative and every representative lies
+    in the box, so only the digits outside it are reduced, and their
+    representatives are compared with each other and with b; the reduced
+    set itself is never built.
     """
     if isinstance(nums, AxisNumerators):
-        if _reduce_product(r, b, nums) is None:
+        if _reduced_parts(r, b, nums) is None:
             mod_reduce(b, r)  # names the first colliding pair, if any
         return
     den, y_grid, y_wide = nums
@@ -614,9 +662,9 @@ def mod_reduce(b: DigitSet, r: IntMatrix) -> DigitSet:
     if b.dim != r.dim:
         raise DimensionMismatch("digit set and matrix dimensions differ")
     an = axis_numerators(r, b)
-    out = _reduce_product(r, b, an) if an is not None else None
-    if out is not None:
-        return out
+    parts = _reduced_parts(r, b, an) if an is not None else None
+    if parts is not None:
+        return DigitSet._product(*parts)
     den, y_grid, y_wide = numerators(r, b)
     # a grid digit inside the box (n = 0) is its own representative
     inside = box_mask(y_grid, den)

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 from itertools import product as cartesian
 
 from convspectra.conditions import (
@@ -235,12 +236,15 @@ def test_acceptance_08_three_series_of_geometric_family():
     s1, s2, s3 = three_series(seq, Fraction(1), 35)
     assert all(t == 0 for t in s1.terms)
     third = Fraction(1, 3)
-    for k, part in zip(s2.indices, s2.partial_sums):
+    # the series hold only the partial sums a report prints, so the others
+    # are summed here from the terms
+    means = list(accumulate(t[0] for t in s2.terms))
+    assert s2.partial_sums[-1] == (means[-1],)
+    for k, part in zip(s2.indices, means):
         if k >= 30:
-            assert abs(float(part[0] - third)) < 1e-9
-    for i, k in enumerate(s3.indices):
+            assert abs(float(part - third)) < 1e-9
+    for k, inc in zip(s3.indices, s3.terms):
         if k > 30:
-            inc = s3.partial_sums[i] - s3.partial_sums[i - 1]
             assert abs(float(inc)) < 1e-12
     print(
         "ACCEPTANCE 08 PASS — at radius 1: tail series identically 0, means "

@@ -306,6 +306,18 @@ def test_pcc_sup_sq_matches_the_fraction_vertex_oracle():
         checked += 1
 
 
+def test_diagonal_pcc_sup_sq_matches_the_vertex_enumeration():
+    # the closed form d·Σ adj_ii²/det² against the vertices, with negative
+    # and mixed-sign diagonals
+    rng = random.Random(20261019)
+    for _ in range(80):
+        d = rng.choice([1, 2, 3, 4])
+        r = IntMatrix.diagonal([rng.choice((-1, 1)) * rng.randrange(1, 40) for _ in range(d)])
+        assert conditions._pcc_sup_sq(r) == fraction_pcc_sup_sq(r)
+    r = IntMatrix.diagonal([-(2**40) - 3, 7, -5])
+    assert conditions._pcc_sup_sq(r) == fraction_pcc_sup_sq(r)
+
+
 def _wide_skew_level(k):
     r = IntMatrix(((3, 1), (1, -2)))  # det -7
     rows = [(0, 0), (1, 0), (0, 1), (1, 1), (2**40 + k, 3), (-5, 2**35)]
@@ -437,10 +449,13 @@ def test_three_series_matches_fraction_oracle(seq, upto):
             "truncated-variance", indices, var, None
         )
         assert s2.terms == tuple(mean)
-        acc = (F(0),) * seq.dim
-        for t, p in zip(mean, s2.partial_sums):
+        sums, acc = [], (F(0),) * seq.dim
+        for t in mean:
             acc = tuple(a + x for a, x in zip(acc, t))
-            assert p == acc
+            sums.append(acc)
+        # the head of the partial sums and the last, as a report prints them
+        head = conditions._PARTIALS_HEAD
+        assert s2.partial_sums == tuple(sums[:head] + sums[head:][-1:])
         incs = [math.sqrt(float(sum(x * x for x in t))) for t in mean]
         settled = all(i < 1e-10 for i in incs[(3 * upto) // 4 :])
         assert (s2.verdict == "converged-numerically") == settled
@@ -644,7 +659,7 @@ def _sample_level_loop(m, n, s, u):
 @pytest.mark.parametrize(
     "m, n",
     [(1, 1), (3, 5), (999, 1000), (1000, 1001), (1001, 40401), (40400, 40401),
-     (7, 2**30 + 7), (2**30 - 3, 2**30), (2**30, 2**30 + 7)],
+     (7, 2**30 + 7), (2**30 - 3, 2**30), (2**30, 2**30 + 7), (40401, 40401), (2**30 + 7, 2**30 + 7)],
 )
 def test_sample_level_matches_python_loop_oracle(m, n):
     q = 1 << 53

@@ -11,6 +11,7 @@ import pytest
 from convspectra.conditions import (
     SERIES_CHECKS,
     _aligned_tables,
+    _ball_moments,
     _float_rows,
     _table_rows,
     check_series,
@@ -22,6 +23,7 @@ from convspectra.exactmat import IntMatrix, invert
 from convspectra.sequences import TripleSequence, builtin_sequence, from_generator
 from convspectra.triples import (
     DigitSet,
+    _box,
     axis_numerators,
     box_count,
     check_reduction,
@@ -190,6 +192,86 @@ def test_congruent_axes_and_exceptions_raise_mod_reduce_messages():
     b = DigitSet._product([[0, 6], [0]], removed=[(6, 0)], added=[(1, 7)])
     assert mod_reduce(b, r) == mod_reduce(explicit(b), r) == DigitSet.of([(0, 0), (1, 1)])
     check_reduction(r, b, axis_numerators(r, b))
+
+
+def test_closed_forms_on_the_axes_match_the_rows():
+    # Diagonals from 2 to 60 leave some axes whole in the box [-1/2, 1/2)^d
+    # and some partly outside it, and the cones and balls take in every
+    # product row or only some, so the closed forms on the axes' ends and
+    # the per-axis code both run; exceptions lie inside and outside the box.
+    rng = random.Random(20261019)
+    whole = partial = 0
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        axes = [sorted(rng.sample(range(-12, 13), rng.randint(1, 5))) for _ in range(dim)]
+        removed = [tuple(rng.choice(a) for a in axes) for _ in range(rng.randint(0, 3))]
+        added = [tuple(rng.randint(-40, 40) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+        b = DigitSet._product(axes, removed, added)
+        if not len(b):
+            continue
+        r = IntMatrix.diagonal([rng.choice((-1, 1)) * rng.randint(2, 60) for _ in range(dim)])
+        an, nums = axis_numerators(r, b), numerators(r, explicit(b))
+        lo, hi = _box(an.den)
+        if all(lo <= least and most <= hi for least, most in an.ends):
+            whole += 1
+        else:
+            partial += 1
+        assert box_count(an) == box_count(nums)
+        for thr in (Fraction(1, 50), Fraction(1, 4), Fraction(1, 2), Fraction(3, 2), Fraction(dim, 1)):
+            assert cone_count(an, thr) == cone_count(nums, thr)
+        # balls |y/den| <= p/q, from ones that hold few product rows to ones
+        # that hold them all
+        for p, q in ((1, 9), (1, 2), (2, 1), (dim * 13, 1)):
+            q2, limit = q * q, (p * an.den) ** 2
+            assert _ball_moments(an, q2, limit) == _ball_moments(nums, q2, limit)
+        reduced = []
+        same_congruence(lambda: reduced.append(mod_reduce(b, r)), lambda: reduced.append(mod_reduce(explicit(b), r)))
+        if reduced:
+            assert reduced[0] == reduced[1] and reduced[0].vectors == reduced[1].vectors
+        same_congruence(lambda: check_reduction(r, b, an), lambda: check_reduction(r, explicit(b), nums))
+    assert whole > 50 and partial > 50
+
+
+def test_congruent_digits_on_axes_inside_the_box_raise_mod_reduce_messages():
+    # every axis value of {0..3}² lies in the box of diag(20, 20), so only
+    # the added rows are reduced
+    r = IntMatrix.diagonal([20, 20])
+    axes = [[0, 1, 2, 3], [0, 1, 2, 3]]
+    cases = [
+        DigitSet._product(axes, added=[(21, 1)]),  # lands on (1, 1)
+        DigitSet._product(axes, removed=[(1, 0)], added=[(21, 0), (41, 0)]),  # both land on (1, 0)
+        DigitSet._product(axes, removed=[(3, 3)], added=[(-17, 23), (2, -18)]),  # (3, 3), then (2, 2)
+    ]
+    for b in cases:
+        message = same_congruence(lambda: mod_reduce(b, r), lambda: mod_reduce(explicit(b), r))
+        assert message is not None and "are congruent mod R·Z^d" in message
+        an, nums = axis_numerators(r, b), numerators(r, explicit(b))
+        assert same_congruence(lambda: check_reduction(r, b, an), lambda: check_reduction(r, explicit(b), nums)) == message
+    # an added row that restores a removed one, and one inside the box
+    b = DigitSet._product(axes, removed=[(1, 0), (2, 2)], added=[(21, 0), (-5, 4)])
+    assert mod_reduce(b, r) == mod_reduce(explicit(b), r)
+    check_reduction(r, b, axis_numerators(r, b))
+
+
+@pytest.mark.parametrize("k", (29, 30, 31, 32))
+@pytest.mark.parametrize("draws", (900, 1000, 1100))
+def test_sampler_gathers_the_float_rows_on_both_sides_of_the_draw_count(k, draws):
+    # example-2.6 tables hold (k + 1)² shared digits and one own digit:
+    # at 1000 draws, no more digits than draws up to k = 30 and more from
+    # k = 31 on; 900 and 1100 draws move that crossover
+    seq = builtin_sequence("example-2.6")
+    a, b = seq.digits(k), seq.reduced().digits(k)
+    index = np.random.default_rng(k).integers(0, len(a), size=draws)
+    for inv in (None, invert(seq.prefix_matrix(k)), invert(IntMatrix.diagonal([-3, 5]))):
+        for table in _aligned_tables(a, b)[:2]:
+            want = np.concatenate([_float_rows(explicit(p), inv) for p in table])
+            assert np.array_equal(_table_rows(table, inv, index), want[index])
+    # no shared digits: the own rows alone, fewer or more than the draws
+    own = DigitSet._product([range(k + 1), range(k + 1)])
+    for n in (10, 2 * len(own)):
+        index = np.random.default_rng(n).integers(0, len(own), size=n)
+        got = _table_rows((DigitSet(2, np.empty((0, 2), dtype=np.int64)), own), None, index)
+        assert np.array_equal(got, _float_rows(explicit(own))[index])
 
 
 # ---- the sequence kernels ----

@@ -135,6 +135,15 @@ INLINE = (
         "sequence": {"generator": "example-2.6"},
         "sample": {"upto": 12, "draws": 1000},
     }) for seed in (-(2**63), -1, 0, 2**63 - 1)),
+    # example-2.6 levels hold about (k + 1)² digits, more than the 1000
+    # draws from k = 31 on: the sampler gathers from one table of every digit
+    # below that level and per draw above it
+    ("example-2.6/sample-upto=40", "sample", {
+        "dimension": 2,
+        "seed": 11,
+        "sequence": {"generator": "example-2.6"},
+        "sample": {"upto": 40, "draws": 1000},
+    }),
     *((f"jorgensen-pedersen/sample-draws={draws}", "sample", {
         "dimension": 1,
         "seed": 7,

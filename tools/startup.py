@@ -12,13 +12,15 @@ one later in the list each time so that no child always runs first:
     python3 -c pass
     python3 -c "import numpy"
     python3 -c "import convspectra.cli"
-    python3 -m convspectra VERB --config CONFIG     (one per --command)
+    python3 -m convspectra VERB --config CONFIG --out OUT  (one per --command)
 
 with the environment bench/run.py gives its children, PYTHONPATH=SRC, and
-stdout discarded.  Each child is timed from spawn to exit, and its peak RSS
-is read through os.wait4.  One line per child gives the quartiles of the
-wall ms and the median peak RSS in MB.  The exit code is 1 when a child
-fails, 0 otherwise.
+stdout discarded.  OUT is a file of each command's own in a temporary
+directory, so that a command that needs an output path, such as
+`spectrum`, has one.  Each child is timed from spawn to exit, and its peak
+RSS is read through os.wait4.  One line per child gives the quartiles of
+the wall ms and the median peak RSS in MB.  The exit code is 1 when a
+child fails, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,19 +51,21 @@ def main() -> int:
     env = dict(run.child_env(), PYTHONPATH=str(args.src.resolve()))
     children = {"-c pass": ["-c", "pass"], "import numpy": ["-c", "import numpy"],
                 "import convspectra.cli": ["-c", "import convspectra.cli"]}
-    for verb, config in args.command:
-        children[f"{verb} {config}"] = ["-m", "convspectra", verb, "--config", config]
-    names = list(children)
-    wall, peak, failed = {n: [] for n in names}, {n: [] for n in names}, 0
-    for rep in range(args.reps):
-        for name in names[rep % len(names):] + names[: rep % len(names)]:
-            t0 = time.perf_counter()
-            proc = subprocess.Popen([sys.executable, *children[name]], stdout=subprocess.DEVNULL, env=env)
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall[name].append((time.perf_counter() - t0) * 1e3)
-            peak[name].append(usage.ru_maxrss / 1024)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            failed += proc.returncode != 0
+    with tempfile.TemporaryDirectory(prefix="startup-") as out:
+        for i, (verb, config) in enumerate(args.command):
+            children[f"{verb} {config}"] = ["-m", "convspectra", verb, "--config", config,
+                                            "--out", os.path.join(out, f"{i}.out")]
+        names = list(children)
+        wall, peak, failed = {n: [] for n in names}, {n: [] for n in names}, 0
+        for rep in range(args.reps):
+            for name in names[rep % len(names):] + names[: rep % len(names)]:
+                t0 = time.perf_counter()
+                proc = subprocess.Popen([sys.executable, *children[name]], stdout=subprocess.DEVNULL, env=env)
+                _, status, usage = os.wait4(proc.pid, 0)
+                wall[name].append((time.perf_counter() - t0) * 1e3)
+                peak[name].append(usage.ru_maxrss / 1024)
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                failed += proc.returncode != 0
     w = max(map(len, names))
     print(f"{'child':<{w}} {'wall ms: q1':>11} {'median':>7} {'q3':>7} {'peak MB':>8}  ({args.reps} runs)")
     for name in names:
