@@ -989,8 +989,7 @@ def cmd_equipos(cfg: RunConfig) -> Report:
     if scan.failed_at is not None:
         notes.append(f"first failure at (start, x) = {_fmt(scan.failed_at)}")
 
-    items = list(scan.per_x_witness.items())
-    witnesses = [items[i] for i in first_lowest([val for _, (_, val) in items], 5)]
+    witnesses = [scan.witness(i) for i in first_lowest(scan.witness_values.ravel(), 5)]
     if witnesses:
         wrows = [
             (start, _fmt(x), k, f"{val:.6g}")

@@ -16,6 +16,7 @@ from ._phases import (
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
     PointRows,
+    _block_table,
     _distinct_rows,
     _int_rows,
     _narrowest,
@@ -471,10 +472,30 @@ class EquiPositivityReport(NamedTuple):
     depth: int
     k_window: int
     scanned_xs: str
-    per_x_witness: dict  # (start, x) -> (k, min |nu_hat| over the y-ball)
+    x_pitch: Fraction  # the x grid is x_pitch * Z^d in [-1/2, 1/2)^d, in lexicographic order
+    k_box: tuple  # the k-shifts searched, in `_k_search_box` order
+    witness_values: np.ndarray  # [start, x] indices -> min |nu_hat| over the y-ball at the best k
+    witness_k: np.ndarray  # [start, x] indices -> the index of that best k in k_box
     failed_at: tuple | None
     truncation_floor: float | None
     truncation_note: str
+
+    def witness(self, i: int) -> tuple:
+        """((start, x), (k, value)) at flat index i of the witness arrays."""
+        row, j = divmod(i, self.witness_values.shape[1])
+        x = _pitch_point(self.x_pitch, len(self.k_box[0]), j)
+        return (self.tail_starts[row], x), (self.k_box[self.witness_k[row, j]], float(self.witness_values[row, j]))
+
+    @property
+    def per_x_witness(self) -> dict:
+        """(start, x) -> (k, min |nu_hat| over the y-ball), built from the
+        witness arrays on each access."""
+        xs = _pitch_grid(self.x_pitch, len(self.k_box[0]))
+        return {
+            (start, x): (self.k_box[k], val)
+            for start, ks, vals in zip(self.tail_starts, self.witness_k.tolist(), self.witness_values.tolist())
+            for x, k, val in zip(xs, ks, vals)
+        }
 
 
 def _pitch_axis(pitch: Fraction) -> range:
@@ -487,6 +508,12 @@ def _pitch_grid(pitch: Fraction, dim: int):
     """pitch * Z^d intersected with [-1/2, 1/2)^d, exact."""
     axis = [n * pitch for n in _pitch_axis(pitch)]
     return [tuple(v) for v in cartesian(axis, repeat=dim)]
+
+
+def _pitch_point(pitch: Fraction, dim: int, j: int) -> tuple:
+    """The j-th point of `_pitch_grid(pitch, dim)`, exact."""
+    axis = _pitch_axis(pitch)
+    return tuple(axis[j // len(axis) ** (dim - 1 - c) % len(axis)] * pitch for c in range(dim))
 
 
 def _ball_grid(pitch: Fraction, radius: Fraction, dim: int):
@@ -529,12 +556,44 @@ def _axis_lattice(x_nums, k_nums, y_nums):
     return lattice, where.reshape(sums.shape)
 
 
-def _lattice_moduli(factors, lattices, den: int) -> np.ndarray:
+def _product_axes(factors):
+    """Per factor, the sorted distinct values of its atoms on each axis, as
+    one-column integer arrays, when every factor is uniform on distinct atoms
+    that make up exactly the product of those values; None otherwise."""
+    split = []
+    for rows, _, weights in factors:
+        rows = _int_rows(rows)
+        weights = np.asarray(weights)
+        if not len(rows) or np.any(weights != weights[0]):
+            return None
+        axes = [_distinct_rows(rows[:, [c]])[0] for c in range(rows.shape[1])]
+        if math.prod(map(len, axes)) != len(rows) or len(_distinct_rows(rows)[0]) != len(rows):
+            return None
+        split.append(axes)
+    return split
+
+
+def _lattice_moduli(factors, lattices, den: int, axes=None) -> np.ndarray:
     """|prod_j m_j(s)| at every point s of lattices[0] x ... x lattices[d-1]
-    (integer numerators over den), shaped like the lattice: the sum set of
-    the first axis and the product of the others, evaluated run by run by
-    `sum_set_runs` from per-axis tables over the distinct atom coordinates
-    on that axis."""
+    (integer numerators over den), shaped like the lattice.
+
+    With `axes`, the `_product_axes` of the factors, each m_j is a product
+    over the axes of uniform masks m_jc(s_c) on its values there, so the
+    table is the outer product of the per-axis products of |m_jc|, each from
+    one phase table per factor over the axis' lattice.  Otherwise the table
+    is the sum set of the first axis and the product of the others,
+    evaluated run by run by `sum_set_runs` from per-axis tables over the
+    distinct atom coordinates on that axis."""
+    if axes is not None:
+        moduli = np.ones(())
+        for c, lat in enumerate(lattices):
+            block = ([c], lat.reshape(-1, 1))
+            per_axis = np.ones(len(lat))
+            for (_, rden, _), values in zip(factors, axes):
+                sums = _block_table(block, den, values[c], rden).sum(axis=0)
+                per_axis *= np.abs(sums) / len(values[c])
+            moduli = np.multiply.outer(moduli, per_axis)
+        return moduli
     blocks = [([c], lat.reshape(-1, 1)) for c, lat in enumerate(lattices)]
     shape = [len(lat) for lat in lattices]
     runs = sum_set_runs(blocks[0], blocks[1:], den, factors, held=8 * math.prod(shape))
@@ -671,14 +730,17 @@ def equi_positivity_scan(
 
     Every sum x + k + y lies on the product of the per-axis sets of distinct
     sums x_c + k_c + y_c, so each level is evaluated once on that product
-    lattice and the scan reads its minima from the table.  The x grid is
-    walked in lexicographic blocks whose lattice fits the dense byte budget.
+    lattice (per axis when the tail's atoms are axis products, see
+    `_lattice_moduli`) and the scan reads its minima from the table.  The x
+    grid is walked in lexicographic blocks whose lattice fits the dense byte
+    budget.  The witnesses are held as arrays over (start, x), each start
+    scanned once.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     if k_window < 0:
         raise ValidationError("k_window must be >= 0")
-    starts = [int(s) for s in tail_starts]
+    starts = list(dict.fromkeys(int(s) for s in tail_starts))  # each start scanned once
     if not starts or any(s < 0 for s in starts):
         raise ValidationError("tail starts must be nonnegative")
     dim = seq.dim
@@ -760,26 +822,28 @@ def equi_positivity_scan(
     )
     ks = _k_search_box(k_window, dim)
     k_at = np.array(ks, dtype=np.int64) + k_window
-    xs = _pitch_grid(pitch, dim)
-    xs_note = f"pitch {pitch} on [-1/2,1/2)^{dim}: {len(xs)} points"
+    zero = sum(x_axis.index(0) * n_axis**c for c in range(dim))  # the flat index of x = 0
+    xs_note = f"pitch {pitch} on [-1/2,1/2)^{dim}: {nx} points"
 
-    zero_x = tuple(Fraction(0) for _ in range(dim))
-    witnesses = {}
-    failed_at = None
-    scanned_min = math.inf
-    for start, factors in zip(starts, factor_sets):
+    values = np.empty((len(starts), nx))
+    best_k = np.empty((len(starts), nx), dtype=np.intp)
+    for row, factors in enumerate(factor_sets):
+        split = _product_axes(factors)
         for picks, first in _x_blocks(n_axis, dim, axis, count):
             axes = [_axis_lattice(x_nums[p], k_nums, y_nums) for p in picks]
-            moduli = _lattice_moduli(factors, [lat for lat, _ in axes], den)
+            moduli = _lattice_moduli(factors, [lat for lat, _ in axes], den, split)
             per_k_min = _ball_minima(moduli, [where for _, where in axes], k_at, ball_t)
-            best = _first_best(per_k_min).tolist()
-            for xi_idx, x in enumerate(xs[first : first + per_k_min.shape[1]]):
-                k_idx = 0 if x == zero_x else best[xi_idx]  # _k_search_box puts 0 first
-                val = float(per_k_min[k_idx, xi_idx])
-                witnesses[(start, x)] = (ks[k_idx], val)
-                if val <= fail_tol and failed_at is None:
-                    failed_at = (start, x)
-                scanned_min = min(scanned_min, val)
+            best = _first_best(per_k_min)
+            if first <= zero < first + len(best):
+                best[zero - first] = 0  # k = 0 is forced at x = 0; _k_search_box puts it first
+            best_k[row, first : first + len(best)] = best
+            values[row, first : first + len(best)] = per_k_min[best, np.arange(len(best))]
+    failed = np.flatnonzero(values <= fail_tol)
+    failed_at = None
+    if len(failed):
+        i, j = divmod(int(failed[0]), nx)
+        failed_at = (starts[i], _pitch_point(pitch, dim, j))
+    scanned_min = float(values.min())
 
     floor, note = (None, "no contraction ratio declared")
     c = seq.declared_contractivity
@@ -806,7 +870,10 @@ def equi_positivity_scan(
         depth=depth,
         k_window=k_window,
         scanned_xs=xs_note,
-        per_x_witness=witnesses,
+        x_pitch=pitch,
+        k_box=tuple(ks),
+        witness_values=values,
+        witness_k=best_k,
         failed_at=failed_at,
         truncation_floor=floor,
         truncation_note=note,

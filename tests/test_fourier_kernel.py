@@ -3,6 +3,7 @@ routes it replaced, which are kept here as oracles."""
 import cmath
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convspectra import _phases, cli
+from convspectra import _phases, cli, spectra
 from convspectra._phases import (
     PointRows,
     common_denominator,
@@ -29,6 +30,7 @@ from convspectra.measures import (
     fourier_many,
     mu_truncate,
     scaled_atom_rows,
+    tail_factors,
     tail_fourier_many,
     tail_fourier_product,
 )
@@ -459,6 +461,132 @@ def test_scan_values_barely_depend_on_the_x_chunking(monkeypatch):
         assert chunked.per_x_witness[key][0] == k
         assert abs(chunked.per_x_witness[key][1] - val) <= 1e-15
     assert abs(chunked.epsilon0 - whole.epsilon0) <= 1e-15
+
+
+# ---- the separable scan path against the dense one ----
+
+
+def _product_sequence(dim, seed, length=8):
+    """Levels under R = diag(±r_c), 2 <= |r_c| <= 5, whose digit sets are
+    products of random distinct integers on each axis, written out row by
+    row in random order."""
+    rng = random.Random(seed)
+    levels = []
+    for _ in range(length):
+        r = [rng.choice((-1, 1)) * rng.randrange(2, 6) for _ in range(dim)]
+        counts = [rng.randrange(2 if c == 0 else 1, abs(rc) + 1) for c, rc in enumerate(r)]
+        rows = list(itertools.product(*(rng.sample(range(-7, 8), n) for n in counts)))
+        rng.shuffle(rows)
+        levels.append((IntMatrix.diagonal(r), DigitSet.of(rows), None))
+    return from_generator(lambda k: levels[k - 1], dim, length=length)
+
+
+def _record_lattice_axes(patch):
+    """Patch `spectra._lattice_moduli` through `patch` to record the axes
+    argument of each call: None on the dense path."""
+    taken = []
+    lattice_moduli = spectra._lattice_moduli
+
+    def spy(factors, lattices, den, axes=None):
+        taken.append(axes)
+        return lattice_moduli(factors, lattices, den, axes)
+
+    patch.setattr(spectra, "_lattice_moduli", spy)
+    return taken
+
+
+def _scan_routes(monkeypatch, *args, **kw):
+    """(separable, dense, lattice tables per scan) of the same arguments: the
+    first scan must read every level from per-axis tables, the second reads
+    them from the dense lattice kernel."""
+    taken = _record_lattice_axes(monkeypatch)
+    separable = equi_positivity_scan(*args, **kw)
+    tables = len(taken)
+    assert tables and all(axes is not None for axes in taken)
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_product_axes", lambda factors: None)
+        dense = equi_positivity_scan(*args, **kw)
+    assert len(taken) == 2 * tables and all(axes is None for axes in taken[tables:])
+    return separable, dense, tables
+
+
+def assert_routes_agree(routes):
+    separable, dense, _ = routes
+    assert separable.witness_values.shape == dense.witness_values.shape
+    assert np.max(np.abs(separable.witness_values - dense.witness_values)) <= 1e-15
+    assert np.array_equal(separable.witness_k, dense.witness_k)
+    assert separable.failed_at == dense.failed_at
+    assert separable.status == dense.status
+    assert abs(separable.scanned_epsilon0 - dense.scanned_epsilon0) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "dim, seed, pitch, radius, y_pitch",
+    [
+        (1, 1, F(1, 64), F(1, 6), None),
+        (1, 2, F(1, 16), F(1, 5), F(1, 35)),
+        (2, 3, F(1, 8), F(1, 6), None),
+        (2, 4, F(1, 6), F(1, 5), F(1, 11)),
+        (3, 5, F(1, 4), F(1, 5), F(1, 10)),
+        (3, 6, F(1, 2), F(1, 3), F(1, 7)),
+    ],
+)
+def test_separable_scan_matches_the_dense_kernel(monkeypatch, dim, seed, pitch, radius, y_pitch):
+    seq = _product_sequence(dim, seed)
+    # random digits make masks vanish on the lattice, so the default
+    # tolerance fails at the first x; a negative one fails nowhere, and the
+    # scanned minimum over every x is compared
+    for fail_tol in (1e-12, -1.0):
+        routes = _scan_routes(monkeypatch, seq, [0, 1, 3], 4, pitch, radius, 1, y_pitch=y_pitch, fail_tol=fail_tol)
+        assert_routes_agree(routes)
+
+
+def test_separable_scan_matches_the_dense_kernel_past_int64(monkeypatch):
+    # a y pitch of 10^-20 puts the lattice numerators past int64: both routes
+    # take the exact Python-int phase path
+    seq = _product_sequence(2, 7)
+    assert_routes_agree(_scan_routes(monkeypatch, seq, [0, 2], 3, F(1, 4), F(1, 10**20), 1))
+    factors = tail_factors(seq, 0, 3)
+    lattice = spectra._axis_lattice(
+        np.array([-10**20, 0], dtype=object), np.array([0], dtype=object), np.array([1, 3], dtype=object)
+    )[0]
+    assert lattice.dtype == object
+    moduli = spectra._lattice_moduli(factors, [lattice, lattice], 4 * 10**20, spectra._product_axes(factors))
+    assert np.max(np.abs(moduli - spectra._lattice_moduli(factors, [lattice, lattice], 4 * 10**20))) <= 1e-15
+
+
+def test_separable_scan_matches_the_dense_kernel_in_small_x_blocks(monkeypatch):
+    # room for a handful of x rows only: both routes walk x in many blocks
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 400_000)
+    cases = [
+        (_product_sequence(2, 8), F(1, 16), F(1, 6), F(1, 48)),
+        (_product_sequence(3, 9), F(1, 4), F(1, 6), F(1, 12)),
+        (builtin_sequence("example-2.6").reduced(), F(1, 8), F(1, 12), F(1, 96)),
+    ]
+    for seq, pitch, radius, y_pitch in cases:
+        routes = _scan_routes(monkeypatch, seq, [0, 1], 3, pitch, radius, 1, y_pitch=y_pitch)
+        assert routes[2] > 2 * 2  # more than one x block per start
+        assert_routes_agree(routes)
+
+
+def test_the_dense_kernel_keeps_factors_that_are_not_exact_axis_products(monkeypatch):
+    quarter = np.full(4, 0.25)
+    product = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    assert spectra._product_axes([(product, 2, quarter)]) is not None
+    # as many rows as the axis counts multiply to, but repeated
+    assert spectra._product_axes([(np.array([[0, 0], [0, 0], [1, 1], [1, 1]]), 2, quarter)]) is None
+    # a product with exceptions
+    assert spectra._product_axes([(np.array([[0, 0], [0, 1], [1, 0], [2, 2]]), 2, quarter)]) is None
+    assert spectra._product_axes([(product, 2, np.array([0.1, 0.2, 0.3, 0.4]))]) is None
+    # one such factor among products sends the whole tail to the dense kernel
+    assert spectra._product_axes([(product, 2, quarter), (product[:3], 2, np.full(3, 1 / 3))]) is None
+    # unreduced example-2.6 levels add digits outside the product; the skew
+    # levels' atoms M_j^{-1} B are no axis products
+    for seq in (builtin_sequence("example-2.6"), skew_sequence()):
+        with monkeypatch.context() as m:
+            taken = _record_lattice_axes(m)
+            equi_positivity_scan(seq, [0, 1], 3, F(1, 8), F(1, 10), 1)
+        assert taken and all(axes is None for axes in taken)
 
 
 # ---- command line ----

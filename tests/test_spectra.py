@@ -552,19 +552,38 @@ def test_first_lowest_takes_the_first_value_within_the_tie_tolerance():
     assert first_lowest([], 5) == []
 
 
-def test_worst_witnesses_are_stable_under_mirrored_summation():
+def test_worst_witnesses_are_stable_under_mirrored_summation(monkeypatch):
     # the reduced example-2.6 digits are symmetric under swapping the axes, so
-    # |nu_hat| at (a, b) and (b, a) agree exactly; the lattice kernel sums
-    # them in different orders (axis 0 is its left block), which moves the
-    # values by rounding alone
+    # |nu_hat| at (a, b) and (b, a) agree exactly.  Its tails are axis
+    # products, so the scan takes one table per axis and their outer product,
+    # and mirrored values agree to the bit
     seq = builtin_sequence("example-2.6").reduced()
-    scan = equi_positivity_scan(seq, [0, 1], 6, Fraction(1, 16), Fraction(1, 12), 1)
-    keys = list(scan.per_x_witness)
-    vals = [scan.per_x_witness[key][1] for key in keys]
-    mirrored = [scan.per_x_witness[(s, (x[1], x[0]))][1] for s, x in keys]
+    args = (seq, [0, 1], 6, Fraction(1, 16), Fraction(1, 12), 1)
+
+    def mirrored_values(scan):
+        keys = list(scan.per_x_witness)
+        vals = [scan.per_x_witness[key][1] for key in keys]
+        return vals, [scan.per_x_witness[(s, (x[1], x[0]))][1] for s, x in keys]
+
+    vals, mirrored = mirrored_values(equi_positivity_scan(*args))
+    assert vals == mirrored
+    # the dense lattice kernel sums them in different orders (axis 0 is its
+    # left block), which moves the values by rounding alone
+    monkeypatch.setattr(spectra, "_product_axes", lambda factors: None)
+    vals, mirrored = mirrored_values(equi_positivity_scan(*args))
     moved = [abs(a - b) for a, b in zip(vals, mirrored)]
     assert 0 < max(moved) <= 1e-15
     # a plain sort by value picks different rows from the two orders
-    by_value = [sorted(range(len(keys)), key=v.__getitem__)[:5] for v in (vals, mirrored)]
+    by_value = [sorted(range(len(vals)), key=v.__getitem__)[:5] for v in (vals, mirrored)]
     assert by_value[0] != by_value[1]
     assert first_lowest(vals, 5) == first_lowest(mirrored, 5)
+
+
+def test_a_repeated_tail_start_is_scanned_once():
+    # the witness arrays hold one row per start, so the worst witnesses of
+    # `equipos` list no row twice, as the dict keyed by (start, x) did not
+    seq = builtin_sequence("example-2.6").reduced()
+    once = equi_positivity_scan(seq, [1, 0], 3, Fraction(1, 4), Fraction(1, 12), 1)
+    again = equi_positivity_scan(seq, [1, 0, 1], 3, Fraction(1, 4), Fraction(1, 12), 1)
+    assert again.tail_starts == (1, 0) and again.witness_values.shape == (2, 16)
+    assert list(again.per_x_witness.items()) == list(once.per_x_witness.items())

@@ -127,6 +127,23 @@ INLINE = (
         "sequence": {"inline": [_WIDE_LEVEL] * 3},
         "spectrum": {"milestones": [1, 2, 3], "exactness": True},
     }),
+    # `equipos` reads the levels of a tail whose atoms are axis products from
+    # per-axis tables, as on the reduced example-2.6 of the bench; these two
+    # tails keep the dense lattice kernel: the unreduced example-2.6 levels
+    # add digits outside the product, and the skew levels' atoms M_j⁻¹ B are
+    # no axis products
+    ("example-2.6/equipos-unreduced", "equipos", {
+        "dimension": 2,
+        "sequence": {"generator": "example-2.6"},
+        "equipos": {"tail_starts": [0, 1], "depth": 6, "x_pitch": "1/16", "y_radius": "1/12",
+                    "k_window": 1, "reduced": False},
+    }),
+    ("inline/equipos-skew", "equipos", {
+        "dimension": 2,
+        "sequence": {"inline": [_SKEW_LEVEL] * 8},
+        "equipos": {"tail_starts": [0, 1, 2], "depth": 5, "x_pitch": "1/16", "y_radius": "1/10",
+                    "k_window": 1},
+    }),
     # the sampler's seeds at both int64 edges and around 0, and draw counts
     # that leave the last Philox block of four words partly used
     *((f"example-2.6/sample-seed={seed}", "sample", {

@@ -17,8 +17,11 @@ one later in the list each time so that no child always runs first:
 with the environment bench/run.py gives its children, PYTHONPATH=SRC, and
 stdout discarded.  OUT is a file of each command's own in a temporary
 directory, so that a command that needs an output path, such as
-`spectrum`, has one.  Each child is timed from spawn to exit, and its peak
-RSS is read through os.wait4.  One line per child gives the quartiles of
+`spectrum`, has one.  OUT is removed after each child, outside its timed
+span, so every child writes a new file, as the bench's children do:
+overwriting a file can cost far more than creating one (55-65 ms against
+0.02 ms on an ext4 volume mounted with `discard`).  Each child is timed from
+spawn to exit, and its peak RSS is read through os.wait4.  One line per child gives the quartiles of
 the wall ms and the median peak RSS in MB.  The exit code is 1 when a
 child fails, 0 otherwise.
 """
@@ -42,6 +45,19 @@ def quartiles(xs: list) -> list:
     return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
 
 
+def run_child(argv: list, env: dict, out: str | None = None) -> tuple:
+    """(wall ms, peak RSS MB, exit code) of one `python3 ARGV` child; then
+    removes its output file `out`, if given."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = (time.perf_counter() - t0) * 1e3
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if out is not None:
+        Path(out).unlink(missing_ok=True)
+    return wall, usage.ru_maxrss / 1024, proc.returncode
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path)
@@ -49,23 +65,21 @@ def main() -> int:
     parser.add_argument("--command", nargs=2, action="append", default=[], metavar=("VERB", "CONFIG"))
     args = parser.parse_args()
     env = dict(run.child_env(), PYTHONPATH=str(args.src.resolve()))
-    children = {"-c pass": ["-c", "pass"], "import numpy": ["-c", "import numpy"],
-                "import convspectra.cli": ["-c", "import convspectra.cli"]}
-    with tempfile.TemporaryDirectory(prefix="startup-") as out:
+    children = {"-c pass": (["-c", "pass"], None), "import numpy": (["-c", "import numpy"], None),
+                "import convspectra.cli": (["-c", "import convspectra.cli"], None)}
+    with tempfile.TemporaryDirectory(prefix="startup-") as tmp:
         for i, (verb, config) in enumerate(args.command):
-            children[f"{verb} {config}"] = ["-m", "convspectra", verb, "--config", config,
-                                            "--out", os.path.join(out, f"{i}.out")]
+            out = os.path.join(tmp, f"{i}.out")
+            children[f"{verb} {config}"] = (["-m", "convspectra", verb, "--config", config, "--out", out], out)
         names = list(children)
         wall, peak, failed = {n: [] for n in names}, {n: [] for n in names}, 0
         for rep in range(args.reps):
             for name in names[rep % len(names):] + names[: rep % len(names)]:
-                t0 = time.perf_counter()
-                proc = subprocess.Popen([sys.executable, *children[name]], stdout=subprocess.DEVNULL, env=env)
-                _, status, usage = os.wait4(proc.pid, 0)
-                wall[name].append((time.perf_counter() - t0) * 1e3)
-                peak[name].append(usage.ru_maxrss / 1024)
-                proc.returncode = os.waitstatus_to_exitcode(status)
-                failed += proc.returncode != 0
+                argv, out = children[name]
+                ms, mb, code = run_child(argv, env, out)
+                wall[name].append(ms)
+                peak[name].append(mb)
+                failed += code != 0
     w = max(map(len, names))
     print(f"{'child':<{w}} {'wall ms: q1':>11} {'median':>7} {'q3':>7} {'peak MB':>8}  ({args.reps} runs)")
     for name in names:
