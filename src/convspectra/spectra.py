@@ -626,31 +626,33 @@ def _ball_minima(moduli, wheres, k_at, ball_t: int) -> np.ndarray:
     wheres[c] maps (x, k, y) on axis c to its lattice index, y counted from
     -isqrt(ball_t); k_at holds the k-box's per-axis indices.  The ball is a
     union of segments along the last axis, one per point of the ball of the
-    other coordinates, and a running minimum along the last axis gives every
-    segment length at once; a k then costs one read per segment and x."""
+    other coordinates.  One running minimum along the last axis grows
+    through every segment radius, and each segment is folded into the
+    minima of its k when the running radius reaches its own; a k then costs
+    one read per segment and x.  A minimum is exact in any order."""
     dim = moduli.ndim
     reach = math.isqrt(ball_t)
     heads = _ball_offsets(ball_t, dim - 1).tolist() if dim > 1 else [[]]
-    radii = [math.isqrt(ball_t - sum(n * n for n in head)) for head in heads]
+    by_radius = {}
+    for head in heads:
+        by_radius.setdefault(math.isqrt(ball_t - sum(n * n for n in head)), []).append(head)
     last = wheres[-1]
-    out = np.empty((len(k_at), math.prod(w.shape[0] for w in wheres)))
+    out = np.full((len(k_at), math.prod(w.shape[0] for w in wheres)), np.inf)
     ks = k_at.tolist()
     for kl in sorted({k[-1] for k in ks}):
-        # by_radius[r]: min over |y| <= r on the last axis, for each x there
-        by_radius = [np.take(moduli, last[:, kl, reach], axis=-1)]
-        for r in range(1, reach + 1):
-            run = np.minimum(by_radius[-1], np.take(moduli, last[:, kl, reach - r], axis=-1))
-            by_radius.append(np.minimum(run, np.take(moduli, last[:, kl, reach + r], axis=-1), out=run))
-        for ki, k in enumerate(ks):
-            if k[-1] != kl:
-                continue
-            best = None
-            for head, r in zip(heads, radii):
-                part = by_radius[r]
-                for c, n in enumerate(head):
-                    part = np.take(part, wheres[c][:, k[c], reach + n], axis=c)
-                best = part if best is None else np.minimum(best, part)
-            out[ki] = best.ravel()
+        at = [ki for ki, k in enumerate(ks) if k[-1] == kl]
+        # min over |y| <= r on the last axis, for each x there
+        run = np.take(moduli, last[:, kl, reach], axis=-1)
+        for r in range(reach + 1):
+            if r:
+                np.minimum(run, np.take(moduli, last[:, kl, reach - r], axis=-1), out=run)
+                np.minimum(run, np.take(moduli, last[:, kl, reach + r], axis=-1), out=run)
+            for head in by_radius.get(r, ()):
+                for ki in at:
+                    part = run
+                    for c, n in enumerate(head):
+                        part = np.take(part, wheres[c][:, ks[ki][c], reach + n], axis=c)
+                    np.minimum(out[ki], part.ravel(), out=out[ki])
     return out
 
 
@@ -798,9 +800,9 @@ def equi_positivity_scan(
         Khatri-Rao rows being joined and their sums, the per-axis sums, the
         running minima along the last axis (one per segment radius), the
         minima per k, and the box the ball's segments are cut from.  The
-        kernel holds the product and level of one run only, so those terms
-        are an upper bound; they stay so that blocks and refusals do not
-        move."""
+        kernel holds the product and level of one run only, and
+        `_ball_minima` one running minimum, so those terms are upper
+        bounds; they stay so that blocks and refusals do not move."""
         xs_per_axis = [1] * axis + [count] + [n_axis] * (dim - 1 - axis)
         sizes = [lattice_size(n) for n in xs_per_axis]
         points = math.prod(xs_per_axis)
@@ -838,6 +840,7 @@ def equi_positivity_scan(
                 best[zero - first] = 0  # k = 0 is forced at x = 0; _k_search_box puts it first
             best_k[row, first : first + len(best)] = best
             values[row, first : first + len(best)] = per_k_min[best, np.arange(len(best))]
+            del axes, moduli, per_k_min, best  # before the next block is built
     failed = np.flatnonzero(values <= fail_tol)
     failed_at = None
     if len(failed):

@@ -679,6 +679,26 @@ def test_qscan_out_routes_csv_to_file_and_report_to_stdout(tmp_path):
     assert header == ["xi1", "q"] and len(rows) == 5
 
 
+@pytest.mark.parametrize("old", ["", "stale\n", "z" * 100_000], ids=["empty", "shorter", "longer"])
+def test_out_rewrites_an_existing_file_to_exactly_the_new_bytes(tmp_path, old):
+    cfg = write_config(tmp_path, jp_doc(qscan={"truncation": 2, "lambda": [[0], [1]], "grid_pitch": "1/16"}))
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli(["qscan", "--config", cfg, "--out", str(fresh)])[0] == 0
+    want = fresh.read_bytes()
+    assert len("stale\n") < len(want) < 100_000
+    dest = tmp_path / "q.csv"
+    dest.write_text(old, encoding="utf-8")
+    assert run_cli(["qscan", "--config", cfg, "--out", str(dest)])[0] == 0
+    assert dest.read_bytes() == want
+    # a report goes to the file as it goes to stdout
+    check = write_config(tmp_path, jp_doc(check={"upto": 4, "checks": ["rbc"]}), "check.json")
+    dest.write_text(old, encoding="utf-8")
+    _, out, _ = run_cli(["check", "--config", check, "--out", str(dest)])
+    assert out.startswith("convspectra check") and dest.read_bytes() == out.encode("utf-8")
+    # a device or a pipe is written and not truncated
+    assert run_cli(["qscan", "--config", cfg, "--out", os.devnull])[0] == 0
+
+
 # -- sample -----------------------------------------------------------------
 
 

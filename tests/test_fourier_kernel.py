@@ -592,6 +592,42 @@ def test_the_dense_kernel_keeps_factors_that_are_not_exact_axis_products(monkeyp
 # ---- command line ----
 
 
+def brute_ball_minima(moduli, wheres, k_at, ball_t):
+    """min over every n with |n|^2 <= ball_t of the moduli at x + k + y_n, one
+    (k, x, n) at a time."""
+    dim, reach = moduli.ndim, math.isqrt(ball_t)
+    ball = [n for n in itertools.product(range(-reach, reach + 1), repeat=dim) if sum(c * c for c in n) <= ball_t]
+    xs = list(itertools.product(*(range(w.shape[0]) for w in wheres)))
+    out = np.empty((len(k_at), len(xs)))
+    for ki, k in enumerate(k_at.tolist()):
+        for xi, x in enumerate(xs):
+            out[ki, xi] = min(
+                moduli[tuple(wheres[c][x[c], k[c], reach + n[c]] for c in range(dim))] for n in ball
+            )
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ball_minima_equal_a_brute_force_minimum_over_the_ball(dim, seed):
+    # random moduli, so that no two entries tie and any misread index shows
+    rng = np.random.default_rng(7 * dim + seed)
+    for ball_t, k_window in [(0, 0), (1, 1), (2, 0), (5, 1), (8, 2)][: 5 if dim < 3 else 4]:
+        reach = math.isqrt(ball_t)
+        den, y_step = 60, int(rng.integers(1, 20))
+        k_nums = np.arange(-k_window, k_window + 1) * den
+        y_nums = np.arange(-reach, reach + 1) * y_step
+        axes = []
+        for _ in range(dim):  # x values of each axis' own
+            x_nums = np.sort(rng.choice(np.arange(-40, 40), size=int(rng.integers(1, 5)), replace=False))
+            axes.append(spectra._axis_lattice(x_nums * int(rng.integers(1, 30)), k_nums, y_nums))
+        moduli = rng.random(tuple(len(lat) for lat, _ in axes))
+        wheres = [where for _, where in axes]
+        k_at = np.array(_k_search_box(k_window, dim), dtype=np.int64) + k_window
+        got = spectra._ball_minima(moduli, wheres, k_at, ball_t)
+        assert np.array_equal(got, brute_ball_minima(moduli, wheres, k_at, ball_t))
+
+
 def test_exit_3_when_one_scan_row_exceeds_the_byte_budget(tmp_path):
     # 6001 k-shifts x 2047 y-points: one x row of the slab needs about 295 MB
     doc = {

@@ -201,6 +201,134 @@ def test_sum_set_transform_checks_its_bytes_before_allocating(monkeypatch):
         stacked(([0, 1], u), right, 29, factors)
 
 
+def spanned_runs(monkeypatch, target, *args, **kwargs):
+    """The runs of `sum_set_runs` at a run target of `target` bytes, listed,
+    with the (count, span) in left points it chose."""
+    chosen = []
+    real = _phases._runs
+
+    def spy(*a):
+        chosen.append(a[-2:])
+        return real(*a)
+
+    monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", target)
+    monkeypatch.setattr(_phases, "_runs", spy)
+    runs = list(sum_set_runs(*args, **kwargs))
+    monkeypatch.undo()
+    (count, span), = chosen
+    return runs, count, span
+
+
+def assert_runs_tile(runs, want, upper=False):
+    """The listed runs hold the rows of want in order, each its own array."""
+    at = 0
+    for s, values in runs:
+        assert s == at
+        assert np.max(np.abs(values - want[s : s + len(values), s if upper else 0 :]), initial=0) <= 1e-15
+        at += len(values)
+    assert at == len(want)
+    for (_, a), (_, b) in zip(runs, runs[1:]):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("target", [6000, 12000, 40000])
+def test_span_tables_match_one_run(monkeypatch, target):
+    # runs of a few left points over 60 right points; each factor's left
+    # table is built once per span of several runs, and several spans walk u
+    m = mu_truncate(from_generator(_skew_level, 2, length=12), 3)
+    factors = m.phase_factors()
+    rng = random.Random(23)
+    u = np.array([[rng.randrange(-500, 501) for _ in range(2)] for _ in range(97)])
+    v = np.array([[rng.randrange(-500, 501) for _ in range(2)] for _ in range(60)])
+    args = (([0, 1], u), [([0, 1], v)], 97, factors)
+    whole = list(sum_set_runs(*args))
+    assert len(whole) == 1
+    runs, count, span = spanned_runs(monkeypatch, target, *args)
+    assert 1 < count < span < len(u) and span % count == 0
+    assert_runs_tile(runs, whole[0][1])
+
+
+@pytest.mark.parametrize("target", [5000, 12000])
+def test_span_tables_match_one_run_on_upper_runs(monkeypatch, target):
+    m = mu_truncate(from_generator(_skew_level, 2, length=12), 3)
+    factors = m.phase_factors()
+    rng = random.Random(29)
+    x = np.array([[rng.randrange(-300, 301) for _ in range(2)] for _ in range(45)])
+    args = (([0, 1], x), [([0, 1], -x)], 31, factors)
+    want = stacked(*args)
+    runs, count, span = spanned_runs(monkeypatch, target, *args, upper=True)
+    assert 1 < count < span < len(x)
+    for s, values in runs:
+        assert values.shape[1] == len(x) - s
+    assert_runs_tile(runs, want, upper=True)
+
+
+def test_span_tables_match_one_run_on_exact_integer_atoms(monkeypatch):
+    # atoms past 2^62: the tables take the exact Python-int phase path
+    m = mu_truncate(from_generator(_wide_level, 2, length=8), 3)
+    factors = m.phase_factors()
+    assert any(rows.dtype == object for rows, _, _ in factors)
+    rng = random.Random(31)
+    u = np.array([[rng.randrange(-90, 91) for _ in range(2)] for _ in range(30)])
+    v = np.array([[rng.randrange(-90, 91) for _ in range(2)] for _ in range(40)])
+    args = (([0, 1], u), [([0, 1], v)], 17, factors)
+    want = stacked(*args)
+    runs, count, span = spanned_runs(monkeypatch, 5000, *args)
+    assert 1 < count < span < len(u)
+    assert_runs_tile(runs, want)
+
+
+def test_span_tables_are_counted_in_the_budget(monkeypatch):
+    # the room for spans is what the budget leaves next to one run: with
+    # none left, each run builds its own tables, as at a span of one run
+    m = mu_truncate(from_generator(_skew_level, 2, length=12), 3)
+    factors = m.phase_factors()
+    rng = random.Random(37)
+    u = np.array([[rng.randrange(-500, 501) for _ in range(2)] for _ in range(40)])
+    v = np.array([[rng.randrange(-500, 501) for _ in range(2)] for _ in range(60)])
+    args = (([0, 1], u), [([0, 1], v)], 97, factors)
+    want = stacked(*args)
+    ranks = [len(rows) for rows, _, _ in factors]
+    row, once = _phases.sum_set_sizes([60], ranks)
+    table = 16 * sum(ranks) + 32 * max(ranks)  # per left point of a span
+    for extra, spans in [(0, False), (table * 4 - 1, False), (table * 4, True)]:
+        monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", once + 2 * row + extra)
+        runs, count, span = spanned_runs(monkeypatch, 1 << 20, *args)
+        assert count == 2 and span == (4 if spans else 2)
+        assert_runs_tile(runs, want)
+
+
+def right_sums(cols, right, den, factors):
+    groups = [_phases._distinct_rows(rows[:, cols]) for rows, _, _ in factors]
+    return list(_phases._right_sums(groups, right, den, factors))
+
+
+@pytest.mark.parametrize("steps", [1, 3, 8])
+@pytest.mark.parametrize("wide", [False, True])
+def test_join_sums_do_not_depend_on_the_runs(monkeypatch, steps, wide):
+    # groups of 1 to 11 atoms with one projection onto the left axis 0, and
+    # repeated atoms; a run of `steps` atoms ends where a group ends, and a
+    # larger group goes in runs of right points, over two right blocks whose
+    # tables are built whole or per run
+    rng = random.Random(41 + steps)
+    big = 2**70 if wide else 1
+    sizes = [1 + 3 * a // 2 for a in range(8)]
+    rows = [(a * big, rng.randrange(-60, 61), rng.randrange(-60, 61)) for a, n in enumerate(sizes) for _ in range(n)]
+    rows += rows[:3]
+    factors = [
+        (np.array(rows, dtype=object if wide else np.int64), 7, np.array([rng.random() for _ in rows])),
+        (np.array([(i, i % 3, -i) for i in range(6)]), 5, np.full(6, 1 / 6)),
+    ]
+    right = [([1], np.array([[rng.randrange(-99, 100)] for _ in range(12)])),
+             ([2], np.array([[rng.randrange(-99, 100)] for _ in range(9)]))]
+    want = right_sums([0], right, 23, factors)
+    monkeypatch.setattr(_phases, "_RUN_TARGET_BYTES", 16 * 12 * 9 * steps)
+    assert _phases._join_step(12 * 9) == steps
+    got = right_sums([0], right, 23, factors)
+    for (d1, r1, g1), (d2, r2, g2) in zip(want, got):
+        assert np.array_equal(d1, d2) and r1 == r2 and np.array_equal(g1, g2)
+
+
 def test_merged_groups_multiply_to_the_factors():
     m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 8)
     merged = merged_factors(m.phase_factors())

@@ -144,6 +144,20 @@ INLINE = (
         "equipos": {"tail_starts": [0, 1, 2], "depth": 5, "x_pitch": "1/16", "y_radius": "1/10",
                     "k_window": 1},
     }),
+    # the sum-set kernel past one run: Q at 65 536 frequencies over the
+    # level-8 spectrum walks 37 spans of 18 runs, each span's left tables
+    # read by its runs, and the hadamard checks to level 300 split both the
+    # left points and the Khatri-Rao join of every Gram deviation into runs
+    ("jorgensen-pedersen/qscan-wide", "qscan", {
+        "dimension": 1,
+        "sequence": {"generator": "jorgensen-pedersen"},
+        "qscan": {"truncation": 8, "lambda": workloads.jp_level_spectrum(8), "grid_pitch": "1/65536"},
+    }),
+    ("example-2.6/check-hadamard-300", "check", {
+        "dimension": 2,
+        "sequence": {"generator": "example-2.6"},
+        "check": {"upto": 300, "hadamard_upto": 300, "checks": ["hadamard"]},
+    }),
     # the sampler's seeds at both int64 edges and around 0, and draw counts
     # that leave the last Philox block of four words partly used
     *((f"example-2.6/sample-seed={seed}", "sample", {
