@@ -63,11 +63,12 @@ from .errors import (
     WorkingSetTooLarge,
 )
 from .exactmat import IntMatrix, invert
-from .measures import DEFAULT_ATOM_CAP, mu_truncate
+from .measures import tail_factors
 from .sequences import builtin_sequence, from_generator
 from .spectra import (
     DEFAULT_FAIL_TOL,
     DEFAULT_GRID_CAP,
+    DEFAULT_SPECTRUM_CAP,
     _level_bounds,
     build_spectrum,
     equi_positivity_scan,
@@ -712,7 +713,7 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     milestones = sec["milestones"]
     chooser = sec.get("chooser", "zero")
     delta0 = Fraction(sec["delta0"]) if "delta0" in sec else None
-    max_atoms = cfg.top("max_atoms", DEFAULT_ATOM_CAP)
+    max_atoms = cfg.top("max_atoms", DEFAULT_SPECTRUM_CAP)
     tol = cfg.top("tol", DEFAULT_UNITARITY_TOL)
     want_exactness = sec.get("exactness", True)
 
@@ -798,7 +799,7 @@ def cmd_qscan(cfg: RunConfig) -> Report:
         raise ValidationError("qscan requires a grid pitch ('qscan.grid_pitch' or --grid-pitch)")
     pitch = Fraction(pitch_raw)
     cap = sec.get("grid_cap", 1_000_000)
-    max_atoms = cfg.top("max_atoms", DEFAULT_ATOM_CAP)
+    truncation = sec["truncation"]
 
     if "lambda" in sec:
         lams = sec["lambda"]
@@ -816,9 +817,10 @@ def cmd_qscan(cfg: RunConfig) -> Report:
         source = f"final level of {path} ({len(lams)} vectors)"
 
     xs, axis = _unit_grid(pitch, dim, cap)
-    mu = mu_truncate(seq, sec["truncation"], max_atoms=max_atoms)
-
-    values = q_eval_many(mu, lams, xs).tolist()
+    # the N per-level factors of mu_hat_N: Σ#B_j atoms, each an int64 row and a float weight at least
+    atoms = sum(len(seq.digits(j)) for j in range(1, truncation + 1))
+    check_budget(8 * (dim + 1) * atoms, f"the factor rows of {truncation} levels ({atoms} atoms)")
+    values = q_eval_many(tail_factors(seq, 0, truncation), lams, xs).tolist()
 
     # the coordinate cells of every point, in grid order
     cells = axis
@@ -833,7 +835,7 @@ def cmd_qscan(cfg: RunConfig) -> Report:
         i = pick(range(len(values)), key=values.__getitem__)  # the first extreme
         rows.append((name, f"{values[i]:.17g}", f"({cells[i].replace(',', ', ')})"))
     tables = [_table("completeness functional scan", ("quantity", "value", "at"), rows)]
-    notes = [f"truncation level {sec['truncation']}, pitch {pitch}, lambda from {source}"]
+    notes = [f"truncation level {truncation}, pitch {pitch}, lambda from {source}"]
     return Report(
         command="qscan",
         config_sha256=config_sha256(cfg),
@@ -1054,9 +1056,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to a JSON config")
     common.add_argument("--out", help="write the artifact (or report) to this path")
     common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument(
-        "--max-atoms", type=int, dest="max_atoms", help="override the atom cap"
-    )
+    common.add_argument("--max-atoms", type=int, dest="max_atoms", help="override the spectrum level cap")
     common.add_argument(
         "--grid-pitch", dest="grid_pitch", help="override the scan pitch (p/q)"
     )

@@ -166,7 +166,7 @@ def _from_sums(rows: np.ndarray, den: int, factors=()) -> DiscreteMeasure:
 def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
     """Convolution of the first k scaled digit measures (k = 0 gives a point mass).
 
-    Level j's atoms (R_j···R_1)^{-1} B_j come from `scaled_atom_rows` as
+    Level j's atoms (R_j···R_1)^{-1} B_j are the rows of `tail_factors`,
     integer rows over one denominator; every atom of the convolution is an
     integer sum of one row per level over the lcm of those denominators, in
     int64 when the widest sum fits and exact Python ints otherwise.  Each
@@ -178,14 +178,11 @@ def mu_truncate(seq, k: int, *, max_atoms: int = DEFAULT_ATOM_CAP) -> DiscreteMe
     if k < 0:
         raise ValidationError(f"truncation level must be >= 0, got {k}")
     _check_cap((len(seq.digits(j)) for j in range(1, k + 1)), max_atoms)
-    levels = [scaled_atom_rows(seq.prefix_matrix(j), seq.digits(j)) for j in range(1, k + 1)]
-    den = lcm(*(d for _, d in levels))
-    sums = sum_rows([(rows, den // d) for rows, d in levels]) if levels else np.zeros((1, seq.dim), np.int64)
-    factors = tuple(
-        f
-        for f in (_from_sums(rows_j, d) for rows_j, d in levels)
-        if len(f) > 1 or f.rows.any()  # the origin point mass is trivial
-    )
+    levels = tail_factors(seq, 0, k)
+    den = lcm(*(d for _, d, _ in levels))
+    sums = sum_rows([(rows, den // d) for rows, d, _ in levels]) if levels else np.zeros((1, seq.dim), np.int64)
+    factors = (_from_sums(rows, d) for rows, d, _ in levels)
+    factors = tuple(f for f in factors if len(f) > 1 or f.rows.any())  # the origin point mass is trivial
     return _from_sums(sums, den, factors)
 
 

@@ -366,27 +366,27 @@ def read_levels(stream) -> SpectrumLevels:
 # ===== the Q criterion =====
 
 
-def q_eval_many(m: DiscreteMeasure, lambda_set, xis) -> np.ndarray:
+def q_eval_many(factors, lambda_set, xis) -> np.ndarray:
     """Q(xi) = Σ_λ |mu_hat(xi + λ)|² at every frequency of xis (rational
-    vectors or `PointRows`, as `fourier_many` takes them) for the integer
-    rows λ of lambda_set (anything `_int_rows` takes): mu_hat on the sum
-    set, from one table of the frequencies and one of the candidates per
-    group of convolution factors (merged into groups of at most 8 atoms),
-    summed over λ one run of frequencies at a time.  The result, 8 bytes per
-    frequency, is checked against DENSE_BYTE_BUDGET with the kernel's run,
-    before either is allocated."""
-    pts = _points(xis, m.dim)
+    vectors or `PointRows`) for the integer rows λ of lambda_set, mu_hat the
+    product over the per-level factors (rows, den, weights) of a truncation,
+    as `measures.tail_factors` gives them: on the sum set, from one table of
+    the frequencies and one of the candidates per group of factors (merged
+    to at most 8 atoms), summed over λ one run of frequencies at a time.  The
+    result (8 bytes per frequency) and the kernel's run are checked together
+    against DENSE_BYTE_BUDGET before either is allocated."""
+    pts = _points(xis, np.shape(factors[0][0])[1] if factors else None)
     if not len(lambda_set):
         check_budget(8 * len(pts), f"Q at {len(pts)} frequencies")
         return np.zeros(len(pts))
-    lams = _int_rows(lambda_set)
-    if lams.ndim != 2 or lams.shape[1] != m.dim:
-        raise DimensionMismatch(f"frequencies and candidates must have dimension {m.dim}")
     if not len(pts):
         return np.zeros(0)
-    axes = list(range(m.dim))
-    left, right = (axes, _int_rows(pts.rows)), [(axes, sum_rows([(lams, pts.den)]))]
-    runs = sum_set_runs(left, right, pts.den, merged_factors(m.phase_factors()), held=8 * len(pts))
+    left, lams = _int_rows(pts.rows), _int_rows(lambda_set)
+    axes = list(range(left.shape[1]))
+    if lams.ndim != 2 or lams.shape[1] != len(axes):
+        raise DimensionMismatch(f"frequencies and candidates must have dimension {len(axes)}")
+    right = [(axes, sum_rows([(lams, pts.den)]))]
+    runs = sum_set_runs((axes, left), right, pts.den, merged_factors(factors), held=8 * len(pts))
     q = np.empty(len(pts))
     for s, vals in runs:
         # sum over lambda of |mu_hat|^2: squares of the real and imaginary parts

@@ -2,9 +2,10 @@
 
 Each is the plain definition in Fraction arithmetic, slow and independent of
 the integer kernels: Gauss-Jordan inversion over Q, the dense scalar Fourier
-sum, the convolution of uniform digit measures and the tail truncation built
-from it, composition of Hadamard triples, the pointwise interval coupling,
-ball clipping with exact moments, and the Philox4x64-10 cipher in Python
+sum, the Q functional (its phases in Fractions, its sums in mpmath), the
+convolution of uniform digit measures and the tail truncation built from it,
+composition of Hadamard triples, the pointwise interval coupling, ball
+clipping with exact moments, and the Philox4x64-10 cipher in Python
 integers.  The `sample` CSV is written here in one pass, where the library
 writes it in blocks, and the `qscan` CSV from Fraction points, where the
 library formats integer rows.  None of it is library code.
@@ -201,6 +202,29 @@ def fourier(m: DiscreteMeasure, xi) -> complex:
         else:
             rest += float(w) * cmath.exp(-1j * _TWO_PI * float(t))
     return complex(float(exact)) + rest
+
+
+def mp_q(seq, depth: int, lams, xi, dps: int = 40):
+    """Q_depth(xi) = Σ_λ Π_j |m_{B_j}((R_j···R_1)⁻ᵀ(xi + λ))|² in mpmath at
+    `dps` digits: each atom (R_j···R_1)⁻¹b and its phase in Fractions,
+    reduced mod 1 before the exponential."""
+    import mpmath
+
+    inverses = [fraction_inverse(product_range(seq, 0, j)) for j in range(1, depth + 1)]
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        for lam in lams:
+            x = tuple(Fraction(a) + b for a, b in zip(xi, lam))
+            term = mpmath.mpf(1)
+            for j, inv in enumerate(inverses, start=1):
+                digits = seq.digits(j)
+                s = mpmath.mpc(0)
+                for b in digits.vectors:
+                    t = sum(p * q for p, q in zip(inv.matvec(b), x)) % 1
+                    s += mpmath.expjpi(-2 * mpmath.mpf(t.numerator) / t.denominator)
+                term *= abs(s / len(digits)) ** 2
+            total += term
+        return total
 
 
 # ===== ball clipping and moments =====

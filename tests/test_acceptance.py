@@ -22,7 +22,7 @@ from convspectra.conditions import (
     three_series,
 )
 from convspectra.exactmat import IntMatrix, invert
-from convspectra.measures import mu_truncate
+from convspectra.measures import mu_truncate, tail_factors
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.spectra import (
     build_spectrum,
@@ -70,12 +70,12 @@ def test_acceptance_02_quarter_scaling_finite_level_spectra():
             (sum(bit << (2 * i) for i, bit in enumerate(bits)),)
             for bits in cartesian((0, 1), repeat=n)
         )
-        mu = mu_truncate(seq, n)
+        mu, factors = mu_truncate(seq, n), tail_factors(seq, 0, n)
         res = spectrum_exactness(mu, lams)
         assert res.ok and res.size == 2**n
         worst_dev = max(worst_dev, res.deviation)
         for xi in xis:
-            q = q_eval_many(mu, lams, [(xi,)])[0]
+            q = q_eval_many(factors, lams, [(xi,)])[0]
             assert 1 - 1e-8 <= q <= 1 + 1e-8
             worst_q = max(worst_q, abs(q - 1.0))
     elapsed = time.perf_counter() - t0
@@ -259,11 +259,11 @@ def test_acceptance_09_bessel_bound_on_partial_levels():
     sp = build_spectrum(seq, tuple(range(1, 9)))
     worst = 0.0
     for top in range(1, 9):
-        mu = mu_truncate(seq, top)
+        factors = tail_factors(seq, 0, top)
         for j in range(1, top + 1):
             level = sp.levels[j - 1]
             for xi in xis:
-                q = q_eval_many(mu, level, [(xi,)])[0]
+                q = q_eval_many(factors, level, [(xi,)])[0]
                 assert q <= 1 + 1e-9
                 worst = max(worst, q)
     print(

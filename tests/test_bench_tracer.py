@@ -45,7 +45,7 @@ def test_traced_qscan_run_records_the_q_evaluations(tmp_path):
     csv = tmp_path / "q.csv"
     _, names = traced(tmp_path, "qscan", "jorgensen-pedersen-qscan.json", "--out", str(csv))
     assert csv.read_text().startswith("xi1,q\n")
-    assert {"spectra.q_eval_many", "measures.mu_truncate"} <= names
+    assert "spectra.q_eval_many" in names
 
 
 def test_traced_equipos_run_records_the_scan(tmp_path):

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from convspectra import _phases, cli, spectra
+from convspectra import _phases, cli, measures, spectra
 from convspectra.errors import ParseError, ValidationError
 from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_sequence
 from convspectra.spectra import read_levels
-from oracles import level_tuples, qscan_csv, sample_csv
+from oracles import level_tuples, mp_q, qscan_csv, sample_csv
 
 
 def run_cli(args):
@@ -279,19 +279,53 @@ def test_exit_3_when_a_qscan_result_and_run_fit_only_apart(tmp_path, monkeypatch
 
 def test_exit_3_when_a_qscan_grid_exceeds_the_byte_budget(tmp_path, monkeypatch):
     # 4096 points fit a budget of 4096 sized points and 4097 do not; the
-    # grid is refused before it, the measure or Q is built
+    # grid is refused before it, the factors or Q are built
     per_point = cli._qscan_point_bytes(4096, 1)
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 4096 * per_point)
     cfg = write_config(tmp_path, jp_doc(qscan={"truncation": 2, "lambda": [[0]], "grid_pitch": "1/4096"}))
     rc, out, err = run_cli(["qscan", "--config", cfg])
     assert rc == 0, err
-    monkeypatch.setattr(cli, "mu_truncate", None)
+    monkeypatch.setattr(cli, "tail_factors", None)
     monkeypatch.setattr(cli, "q_eval_many", None)
     cfg = write_config(tmp_path, jp_doc(qscan={"truncation": 2, "lambda": [[0]], "grid_pitch": "1/4097"}))
     rc, out, err = run_cli(["qscan", "--config", cfg])
     assert rc == 3
     assert err.startswith("resource cap:") and "budget" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_exit_3_when_the_qscan_factor_rows_exceed_the_byte_budget(tmp_path, monkeypatch):
+    # truncation 40 of Jorgensen-Pedersen: 80 atoms, each an int64 row and a
+    # float weight; the two-point grid fits below them and is built first.
+    # At the factors' own bytes the check passes, and Q's kernel refuses its run
+    factor_bytes = 80 * (8 + 8)
+    assert 2 * cli._qscan_point_bytes(2, 1) < factor_bytes
+    cfg = write_config(tmp_path, jp_doc(qscan={"truncation": 40, "lambda": [[0]], "grid_pitch": "1/2"}))
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", factor_bytes)
+    rc, out, err = run_cli(["qscan", "--config", cfg])
+    assert rc == 3 and err.startswith("resource cap: a sum set of 2 x 1 points")
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", factor_bytes - 1)
+    monkeypatch.setattr(cli, "tail_factors", None)
+    monkeypatch.setattr(cli, "q_eval_many", None)
+    rc, out, err = run_cli(["qscan", "--config", cfg])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "factor rows of 40 levels (80 atoms)" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_qscan_past_the_atom_convolution_matches_an_mpmath_oracle(tmp_path):
+    # mu_hat_40 has 2^40 atoms but 80 per-level factor atoms: Q is read
+    # from the factors, so truncation 40 runs and agrees with Q in mpmath
+    lams = [[sum(4**j for j in range(3) if i >> j & 1)] for i in range(8)]
+    cfg = write_config(tmp_path, jp_doc(qscan={"truncation": 40, "lambda": lams, "grid_pitch": "1/64"}))
+    rc, out, err = run_cli(["qscan", "--config", cfg])
+    assert rc == 0, err
+    _, rows = parse_csv(out)
+    assert len(rows) == 64
+    jp = builtin_sequence("jorgensen-pedersen")
+    for i in (0, 5, 17, 32, 63):
+        oracle = mp_q(jp, 40, [tuple(lam) for lam in lams], (Fraction(i, 64),))
+        assert abs(float(rows[i][1]) - float(oracle)) <= 1e-12, (i, rows[i], oracle)
 
 
 @pytest.mark.parametrize("dim, pitch", [(1, "1/16384"), (1, "7/65536"), (2, "1/128"), (2, "3/512")])
@@ -472,7 +506,7 @@ def test_spectrum_exactness_over_digits_past_int64(tmp_path):
 
 def test_spectrum_exactness_forms_no_measure(tmp_path, monkeypatch):
     # the levels' dual triples bound the Gram: no mu_truncate call
-    monkeypatch.setattr(cli, "mu_truncate", None)
+    monkeypatch.setattr(measures, "mu_truncate", None)
     cfg = write_config(tmp_path, jp_doc(spectrum={"milestones": [2, 4, 6], "exactness": True}))
     rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
     assert rc == 0, err

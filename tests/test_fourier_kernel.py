@@ -117,10 +117,11 @@ def test_point_rows_input_equals_rational_points():
 
 
 def test_q_eval_many_matches_dense_q():
-    m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 5)
+    jp = builtin_sequence("jorgensen-pedersen")
+    m = mu_truncate(jp, 5)
     lams = [(v,) for v in (0, 1, 4, 5, 16, 17, 20, 21)]
     xs = [(F(i, 37),) for i in range(37)]
-    q = q_eval_many(m, lams, xs)
+    q = q_eval_many(tail_factors(jp, 0, 5), lams, xs)
     for x, qv in zip(xs, q):
         pts = [(x[0] + lam[0],) for lam in lams]
         assert abs(qv - float(np.sum(np.abs(dense_fourier_many(m, pts)) ** 2))) <= 1e-12
@@ -128,10 +129,11 @@ def test_q_eval_many_matches_dense_q():
 
 def test_q_eval_many_past_int64_matches_dense_q():
     # x + lambda numerators past 2^62 take the object-dtype rows
-    m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 4)
+    jp = builtin_sequence("jorgensen-pedersen")
+    m = mu_truncate(jp, 4)
     lams = [(0,), (1,), (2**70 + 5,), (-(3 * 2**64) + 1,)]
     xs = [(F(i, 13),) for i in range(-6, 7)]
-    q = q_eval_many(m, lams, xs)
+    q = q_eval_many(tail_factors(jp, 0, 4), lams, xs)
     for x, qv in zip(xs, q):
         pts = [(x[0] + lam[0],) for lam in lams]
         assert abs(qv - float(np.sum(np.abs(dense_fourier_many(m, pts)) ** 2))) <= 1e-12

@@ -14,7 +14,11 @@ A `qscan` sums |mu_hat|^2 over the candidates one run of grid points at a
 time, so its peak should not grow with the number of candidates.  On the
 same machine, the 16 384-point Jorgensen-Pedersen scans below over 16 and
 1024 candidates peaked at 51.6 and 294.8 MB when each budgeted chunk of
-points held its whole sum set, and at 43.7 and 44.8 MB in runs.
+points held its whole sum set, and at 43.7 and 44.8 MB in runs.  Nor should
+it grow with the truncation: Q reads mu_hat_N from its N per-level factors.
+Scans of 64 points over 8 candidates at truncations 8 and 19 peaked at 32.5
+and 47.6 MB when the 2^19 atoms of the convolution were formed, and at 32.3
+and 32.4 MB from the factors.
 
 A `spectrum` with exactness bounds each milestone's Gram by its levels' dual
 Hadamard triples, one small check per level, and forms neither the measure
@@ -48,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BOUND_MB = 7.5
 QSCAN_SPREAD_MB = 8.0
+TRUNCATION_SPREAD_MB = 2.0
 EXACTNESS_SPREAD_MB = 2.0
 
 _RUNNER = r"""
@@ -98,6 +103,19 @@ def test_a_qscan_peak_does_not_grow_with_the_candidates(tmp_path):
         argvs.append(cli("qscan", cfg, "--out", str(tmp_path / f"q-{level}.csv")))
     few, many = child_peaks_mb(*argvs)
     assert abs(many - few) < QSCAN_SPREAD_MB, (few, many)
+
+
+def test_a_qscan_peak_does_not_grow_with_the_truncation(tmp_path):
+    argvs = []
+    for truncation in (8, 19):
+        doc = {"dimension": 1, "sequence": {"generator": "jorgensen-pedersen"},
+               "qscan": {"truncation": truncation, "lambda": [[v] for v in (0, 1, 4, 5, 16, 17, 20, 21)],
+                         "grid_pitch": "1/64"}}
+        cfg = tmp_path / f"qscan-{truncation}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        argvs.append(cli("qscan", cfg, "--out", str(tmp_path / f"q-{truncation}.csv")))
+    shallow, deep = child_peaks_mb(*argvs)
+    assert deep - shallow < TRUNCATION_SPREAD_MB, (shallow, deep)
 
 
 def test_spectrum_exactness_peaks_near_the_run_without_it(tmp_path):

@@ -19,7 +19,7 @@ from convspectra.errors import (
 )
 from convspectra import _phases, spectra
 from convspectra.exactmat import IntMatrix
-from convspectra.measures import mu_truncate
+from convspectra.measures import mu_truncate, tail_factors
 from convspectra.sequences import builtin_sequence, from_generator
 from convspectra.spectra import (
     SpectrumLevels,
@@ -302,20 +302,18 @@ def test_level_file_blocks_match_a_one_shot_format():
 
 def test_q_oracle_line_level_two():
     jp = builtin_sequence("jorgensen-pedersen")
-    m2 = mu_truncate(jp, 2)
-    q = q_eval_many(m2, [(0,), (1,), (4,), (5,)], [(Fraction(17, 31),)])[0]
+    q = q_eval_many(tail_factors(jp, 0, 2), [(0,), (1,), (4,), (5,)], [(Fraction(17, 31),)])[0]
     assert abs(q - 1.0) < 1e-10
 
 
 def test_q_empty_set_is_zero():
     jp = builtin_sequence("jorgensen-pedersen")
-    assert q_eval_many(mu_truncate(jp, 2), [], [(Fraction(1, 3),)])[0] == 0.0
+    assert q_eval_many(tail_factors(jp, 0, 2), [], [(Fraction(1, 3),)])[0] == 0.0
 
 
 def test_q_subset_is_bessel_but_incomplete():
     jp = builtin_sequence("jorgensen-pedersen")
-    m2 = mu_truncate(jp, 2)
-    q = q_eval_many(m2, [(0,), (1,)], [(Fraction(1, 3),)])[0]
+    q = q_eval_many(tail_factors(jp, 0, 2), [(0,), (1,)], [(Fraction(1, 3),)])[0]
     assert 0.0 < q < 1.0
 
 
@@ -323,7 +321,7 @@ def test_q_detects_non_spectrum():
     # {0,1,2,3} is not a spectrum here: Q(0) = 1 + |mu_hat(2)|^2 = 1.5
     jp = builtin_sequence("jorgensen-pedersen")
     m2 = mu_truncate(jp, 2)
-    q = q_eval_many(m2, [(0,), (1,), (2,), (3,)], [(Fraction(0),)])[0]
+    q = q_eval_many(tail_factors(jp, 0, 2), [(0,), (1,), (2,), (3,)], [(Fraction(0),)])[0]
     assert abs(q - 1.5) < 1e-12
     res = spectrum_exactness(m2, [(0,), (1,), (2,), (3,)])
     assert not res.ok and res.deviation > 0.4
@@ -335,7 +333,7 @@ def test_q_many_matches_scalar():
     lams = [(0,), (1,), (4,), (5,)]
     rng = random.Random(5521)
     xis = [(Fraction(rng.randint(-50, 50), rng.randint(1, 97)),) for _ in range(12)]
-    batch = q_eval_many(m2, lams, xis)
+    batch = q_eval_many(tail_factors(jp, 0, 2), lams, xis)
     for xi, qb in zip(xis, batch):
         scalar = sum(abs(fourier(m2, (xi[0] + lam[0],))) ** 2 for lam in lams)
         assert abs(scalar - qb) < 1e-12
@@ -344,21 +342,21 @@ def test_q_many_matches_scalar():
 def test_q_many_checks_its_result_before_allocating(monkeypatch):
     # one-point runs of the kernel fit in far less than the 8000-byte
     # result, and the two are checked together
-    m2 = mu_truncate(builtin_sequence("jorgensen-pedersen"), 2)
+    f2 = tail_factors(builtin_sequence("jorgensen-pedersen"), 0, 2)
     points = _phases.PointRows(np.arange(1000).reshape(-1, 1), 1000)
-    ranks = [len(rows) for rows, _, _ in _phases.merged_factors(m2.phase_factors())]
+    ranks = [len(rows) for rows, _, _ in _phases.merged_factors(f2)]
     row, fixed = _phases.sum_set_sizes([2], ranks)
     assert row + fixed < 8 * 1000
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 8 * 1000 + fixed + row)
-    assert len(q_eval_many(m2, [(0,), (1,)], points)) == 1000
+    assert len(q_eval_many(f2, [(0,), (1,)], points)) == 1000
     for budget in (8 * 1000 + fixed + row - 1, 8 * 1000):
         monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", budget)
         with pytest.raises(WorkingSetTooLarge, match="1000 x 2 points .* next to a 8000-byte result"):
-            q_eval_many(m2, [(0,), (1,)], points)
+            q_eval_many(f2, [(0,), (1,)], points)
     # with no candidates, the result alone
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 8 * 1000 - 1)
     with pytest.raises(WorkingSetTooLarge, match="Q at 1000 frequencies"):
-        q_eval_many(m2, [], points)
+        q_eval_many(f2, [], points)
 
 
 def test_q_bessel_bound_along_levels():
@@ -366,11 +364,11 @@ def test_q_bessel_bound_along_levels():
     jp = builtin_sequence("jorgensen-pedersen")
     sp = build_spectrum(jp, [1, 2, 3, 4])
     for top in range(1, 5):
-        m = mu_truncate(jp, top)
+        factors = tail_factors(jp, 0, top)
         for j in range(1, top + 1):
             for _ in range(5):
                 xi = (Fraction(rng.randint(-200, 200), rng.randint(1, 211)),)
-                q = q_eval_many(m, sp.levels[j - 1], [xi])[0]
+                q = q_eval_many(factors, sp.levels[j - 1], [xi])[0]
                 assert q <= 1.0 + 1e-9
 
 

@@ -91,18 +91,19 @@ def test_q_matches_explicit_sums_for_the_skew_sequence():
     lams = sorted({(rng.randrange(-40, 41), rng.randrange(-40, 41)) for _ in range(60)})
     xs = [(F(rng.randrange(-50, 51), rng.randrange(1, 31)), F(rng.randrange(-50, 51), 37)) for _ in range(45)]
     xs.append((F(0), F(0)))
-    q = q_eval_many(m, lams, xs)
+    q = q_eval_many(tail_factors(seq, 0, 4), lams, xs)
     assert np.max(np.abs(q - explicit_q(m, lams, xs))) <= 1e-12
 
 
 def test_q_matches_explicit_sums_past_int64():
     # numerators past 2^62 and past 2^63 (object dtype) on both summands
-    m = mu_truncate(builtin_sequence("jorgensen-pedersen"), 7)
+    jp = builtin_sequence("jorgensen-pedersen")
+    m = mu_truncate(jp, 7)
     lams = [(0,), (1,), (2**62 + 3,), (2**70 + 5,), (-(3 * 2**64) + 1,), (4**30,)]
     xs = [(F(i, 13),) for i in range(-6, 7)] + [(F(2**65 + 1, 7),), (F(-(2**61), 3),)]
     den, rows = common_denominator([tuple(map(F, v)) for v in xs + lams])
     assert max(abs(c) for row in rows for c in row) >= 2**63
-    q = q_eval_many(m, lams, xs)
+    q = q_eval_many(tail_factors(jp, 0, 7), lams, xs)
     assert np.max(np.abs(q - explicit_q(m, lams, xs))) <= 1e-12
 
 
@@ -113,8 +114,38 @@ def test_q_matches_explicit_sums_on_wide_atoms():
     rng = random.Random(7)
     lams = [(rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(12)]
     xs = [(F(rng.randrange(-20, 21), 17), F(rng.randrange(-20, 21), 11)) for _ in range(10)]
-    q = q_eval_many(m, lams, xs)
+    q = q_eval_many(tail_factors(seq, 0, 3), lams, xs)
     assert np.max(np.abs(q - explicit_q(m, lams, xs))) <= 1e-12
+
+
+def _upper_skew_level(k):
+    # R = [[4, 1], [0, 4]] on the unit square's corners
+    return IntMatrix(((4, 1), (0, 4))), DigitSet.of([(0, 0), (1, 0), (0, 1), (1, 1)]), None
+
+
+def _negative_level(k):
+    # negative diagonal R
+    return IntMatrix.diagonal([-4, -3]), DigitSet.of([(0, 0), (2, 0), (0, 1), (2, 2)]), None
+
+
+@pytest.mark.parametrize("seq, top", [
+    (builtin_sequence("jorgensen-pedersen"), 16),
+    (builtin_sequence("example-2.6"), 4),
+    (from_generator(_upper_skew_level, 2), 8),
+    (from_generator(_negative_level, 2), 8),
+], ids=["jorgensen-pedersen", "example-2.6", "upper-skew", "negative-diagonal"])
+def test_q_from_the_tail_factors_equals_q_from_the_atom_convolution(seq, top):
+    # the factors mu_truncate records are gcd-reduced, sorted and without
+    # point masses at the origin; none of that changes a bit of Q
+    rng = random.Random(top)
+    dim = seq.dim
+    lams = sorted({tuple(rng.randrange(-30, 31) for _ in range(dim)) for _ in range(16)})
+    xs = [tuple(F(rng.randrange(-40, 41), rng.randrange(1, 29)) for _ in range(dim)) for _ in range(40)]
+    for k in (0, 1, top // 2, top):
+        q = q_eval_many(tail_factors(seq, 0, k), lams, xs)
+        assert np.array_equal(q, q_eval_many(mu_truncate(seq, k).phase_factors(), lams, xs)), k
+        if k == 0:
+            assert (q == len(lams)).all()
 
 
 def test_sum_set_transform_equals_the_product_transform_on_every_sum():

@@ -153,6 +153,19 @@ INLINE = (
         "sequence": {"generator": "jorgensen-pedersen"},
         "qscan": {"truncation": 8, "lambda": workloads.jp_level_spectrum(8), "grid_pitch": "1/65536"},
     }),
+    # Q from the per-level factors: at truncation 19, the deepest whose 2^19
+    # atoms fit the atom cap of the convolution route, and on skew levels
+    ("jorgensen-pedersen/qscan-19", "qscan", {
+        "dimension": 1,
+        "sequence": {"generator": "jorgensen-pedersen"},
+        "qscan": {"truncation": 19, "lambda": workloads.jp_level_spectrum(3), "grid_pitch": "1/64"},
+    }),
+    ("inline/qscan-skew", "qscan", {
+        "dimension": 2,
+        "sequence": {"inline": [_SKEW_LEVEL] * 4},
+        "qscan": {"truncation": 4, "lambda": [[0, 0], [1, 0], [0, 1], [1, 1], [2, -1], [-3, 2]],
+                  "grid_pitch": "1/16"},
+    }),
     ("example-2.6/check-hadamard-300", "check", {
         "dimension": 2,
         "sequence": {"generator": "example-2.6"},
