@@ -102,12 +102,12 @@ def _peak(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _narrowest(a) -> np.ndarray:
+def _narrowest(a, bound: int = _INT64_SAFE) -> np.ndarray:
     """Integers (an array, or nested lists of ints) as int64 when every entry
-    lies below 2^62 in absolute value, as exact Python ints otherwise: one
-    dtype per set of values."""
+    lies below `bound` (by default 2^62) in absolute value, as exact Python
+    ints otherwise: one dtype per set of values."""
     a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
-    return a.astype(np.int64 if _peak(a) < _INT64_SAFE else object, copy=False)
+    return a.astype(np.int64 if _peak(a) < bound else object, copy=False)
 
 
 def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
@@ -125,7 +125,7 @@ def exact_phase_matrix(nums_a, den_a: int, nums_b, den_b: int) -> np.ndarray:
     modulus = den_a * den_b
     max_a, max_b = _peak(a), _peak(b)
     if max_a == 0 or max_b == 0:
-        # every product is 0; the int64 path below would cast a wide operand
+        # every product is 0; the int64 path below would cast an operand past int64
         return np.zeros((na, nb), dtype=np.float64)
     d = a.shape[1]
     bound = d * max_a * max_b
@@ -301,13 +301,24 @@ def _distinct_rows(a: np.ndarray):
     return rows, inverse.reshape(-1)
 
 
+def _axis_sets(rows: np.ndarray):
+    """Per axis the sorted distinct values of integer rows, as one-column
+    arrays, when the rows are distinct and make up exactly the product of
+    those values; None otherwise (and for no rows)."""
+    rows = _int_rows(rows)
+    if not len(rows):
+        return None
+    axes = [_distinct_rows(rows[:, [c]])[0] for c in range(rows.shape[1])]
+    return axes if prod(map(len, axes)) == len(rows) == len(_distinct_rows(rows)[0]) else None
+
+
 def _block_table(block, den: int, distinct: np.ndarray, rden: int) -> np.ndarray:
     """e(-v·α) for the points v of a block against the distinct projections
     α of a factor's atoms onto the block's axes, shape (#α, #points)."""
     nums = block[1]
     if (distinct.dtype == object) != (nums.dtype == object):
         # one operand dtype: bench/tracer.py multiplies the operands' largest
-        # entries, which overflows when an int64 one meets a wide Python int
+        # entries, which overflows when an int64 one meets a Python int past int64
         distinct, nums = distinct.astype(object), nums.astype(object)
     return unit_exponentials(exact_phase_matrix(distinct, rden, nums, den))
 

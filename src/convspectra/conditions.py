@@ -183,8 +183,7 @@ def _finish_scalar_series(name, indices, terms, tail_bound):
 
 def defect_term(a: DigitSet, b: DigitSet) -> Fraction:
     """max{ #(B\\A)/#B, #(A\\B)/#A } for one pair of digit sets."""
-    grid, wide, _, _ = shared_masks(a, b)
-    shared = int(grid.sum()) + sum(wide)
+    shared = int(shared_masks(a, b)[0].sum())
     return max(
         Fraction(len(b) - shared, len(b)), Fraction(len(a) - shared, len(a))
     )
@@ -213,9 +212,9 @@ def rbc_split(r: IntMatrix, b: DigitSet) -> RbcSplit:
     """Partition digits by whether R^{-1}b lands in [-1/2,1/2)^d (half-open)."""
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
-    den, y_grid, y_wide = numerators(r, b)
-    grid, wide = box_mask(y_grid, den), box_mask(y_wide, den)
-    return RbcSplit(b1=b._subset(grid, wide), b2=b._subset(~grid, ~wide))
+    den, y = numerators(r, b)
+    inside = box_mask(y, den)
+    return RbcSplit(b1=b._subset(inside), b2=b._subset(~inside))
 
 
 def rbc_series(seq, upto: int, tail_bound=None) -> SeriesDiagnostics:
@@ -268,9 +267,9 @@ def pcc_split(r: IntMatrix, b: DigitSet, l) -> tuple[DigitSet, DigitSet]:
     lf = _pcc_level(l)
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
-    den, y_grid, y_wide = numerators(r, b)
-    grid, wide = (cone_mask(y, den, (1 - lf) / 2) for y in (y_grid, y_wide))
-    return b._subset(grid, wide), b._subset(~grid, ~wide)
+    den, y = numerators(r, b)
+    near = cone_mask(y, den, (1 - lf) / 2)
+    return b._subset(near), b._subset(~near)
 
 
 def pcc_series(seq, l, subseq=None, upto: int | None = None, tail_bound=None) -> PccSeriesDiagnostics:
@@ -490,15 +489,10 @@ def _ball_moments(nums, q2: int, limit: int) -> tuple:
     last axis, summed by prefix sums.  The removed rows are then taken out
     and the added ones put in."""
     if not isinstance(nums, AxisNumerators):
-        count, sq_sum, sums = 0, 0, [0] * nums[1].shape[1]
-        for y in nums[1:]:
-            y = y.astype(object)  # squares of int64 numerators may not fit
-            sq = (y * y).sum(axis=1)
-            inside = sq * q2 <= limit
-            count += int(inside.sum())
-            sq_sum += int(sq[inside].sum())
-            sums = [s + int(c) for s, c in zip(sums, y[inside].sum(axis=0))]
-        return count, sq_sum, sums
+        y = nums[1].astype(object)  # squares of int64 numerators may not fit
+        sq = (y * y).sum(axis=1)
+        inside = sq * q2 <= limit
+        return int(inside.sum()), int(sq[inside].sum()), [int(c) for c in y[inside].sum(axis=0)]
     if q2 * sum(max(least * least, most * most) for least, most in nums.ends) <= limit:
         # every product row lies in the ball: each axis value meets every
         # row of the other axes
@@ -571,17 +565,14 @@ def _aligned_tables(a: DigitSet, b: DigitSet):
     axes share a structured set, and their own digits are exceptions."""
     p, q = a.product, b.product
     if p is not None and q is not None and all(map(np.array_equal, p.axes, q.axes)):
-        none = np.empty((0, a.dim), dtype=np.int64)
         shared = DigitSet._product(p.axes, p.removed + q.removed, set(p.added) & set(q.added))
         own_a, own_b = (
-            DigitSet._from_rows(a.dim, none, set(y.removed) - set(x.removed) | set(x.added) - set(y.added))
+            DigitSet._from_rows(a.dim, list(set(y.removed) - set(x.removed) | set(x.added) - set(y.added)))
             for x, y in ((p, q), (q, p))
         )
     else:
-        a_grid, a_wide, b_grid, b_wide = shared_masks(a, b)
-        shared = a._subset(a_grid, a_wide)
-        own_a = a._subset(~a_grid, [not w for w in a_wide])
-        own_b = b._subset(~b_grid, [not w for w in b_wide])
+        a_mask, b_mask = shared_masks(a, b)
+        shared, own_a, own_b = a._subset(a_mask), a._subset(~a_mask), b._subset(~b_mask)
     ax, ay = (shared, own_a), (shared, own_b)
     swapped = len(a) > len(b)
     if swapped:
@@ -686,12 +677,9 @@ def _float_rows(digits: DigitSet, inv=None) -> np.ndarray:
     rounded, hence equal to float() of the exact rational, without Fraction
     arithmetic per digit."""
     if inv is None:
-        parts = integer_rows(digits)
-    else:
-        det, adj = inv
-        parts = [p / det for p in integer_rows(digits, adj.rows)]
-    grid, wide = (p.astype(float).tolist() for p in parts)
-    return np.array(digits.in_order(grid, wide), dtype=float).reshape(-1, digits.dim)
+        return digits.rows.astype(float)
+    det, adj = inv
+    return (integer_rows(digits, adj.rows) / det).astype(float)
 
 
 def _shared_rows(shared: DigitSet, inv, index: np.ndarray) -> np.ndarray:

@@ -210,10 +210,7 @@ def scaled_atom_rows(m: IntMatrix, digits: DigitSet):
     gcd with |det m|, so den is the least common denominator of the atoms.
     rows is an (n, d) int64 array when every entry fits, and an object array
     of exact Python ints otherwise."""
-    den, y_grid, y_wide = numerators(m, digits)
-    rows = y_grid
-    if len(y_wide):
-        rows = np.array(digits.in_order(y_grid.tolist(), y_wide.tolist()), dtype=object)
+    den, rows = numerators(m, digits)
     g = gcd(int(np.gcd.reduce(rows, axis=None)), den)
     if g > 1:
         rows = rows // g

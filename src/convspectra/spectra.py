@@ -16,6 +16,7 @@ from ._phases import (
     COMPLEX_BYTES,
     PHASE_ENTRY_BYTES,
     PointRows,
+    _axis_sets,
     _block_table,
     _distinct_rows,
     _int_rows,
@@ -96,23 +97,15 @@ def _mapped(rows: np.ndarray, m) -> np.ndarray:
     return rows.astype(np.int64) @ np.array(m.rows, dtype=np.int64).T
 
 
-def _digit_rows(digits) -> np.ndarray:
-    """A digit set's rows in set order: its int64 grid, or, with wide
-    digits, every digit as exact Python ints."""
-    if not digits.wide:
-        return digits.grid
-    return np.array(digits.vectors, dtype=object).reshape(-1, digits.dim)
-
-
 def _window_spectrum_digits(seq, p: int, q: int) -> np.ndarray:
     """Composed spectrum digits L_{p+1} + R_{p+1}^T L_{p+2} + ... over (p, q]
     as integer rows, in lexicographic order of the picks."""
-    parts = [(_digit_rows(seq.spectrum_digits(p + 1)), 1)]
+    parts = [(seq.spectrum_digits(p + 1).rows, 1)]
     mt = None
     for i in range(p + 2, q + 1):
         prev_t = seq.matrix(i - 1).transpose()
         mt = prev_t if mt is None else mt.matmul(prev_t)
-        parts.append((_mapped(_digit_rows(seq.spectrum_digits(i)), mt), 1))
+        parts.append((_mapped(seq.spectrum_digits(i).rows, mt), 1))
     return sum_rows(parts)
 
 
@@ -559,15 +552,13 @@ def _axis_lattice(x_nums, k_nums, y_nums):
 def _product_axes(factors):
     """Per factor, the sorted distinct values of its atoms on each axis, as
     one-column integer arrays, when every factor is uniform on distinct atoms
-    that make up exactly the product of those values; None otherwise."""
+    that make up exactly the product of those values (`_axis_sets`); None
+    otherwise."""
     split = []
     for rows, _, weights in factors:
-        rows = _int_rows(rows)
         weights = np.asarray(weights)
-        if not len(rows) or np.any(weights != weights[0]):
-            return None
-        axes = [_distinct_rows(rows[:, [c]])[0] for c in range(rows.shape[1])]
-        if math.prod(map(len, axes)) != len(rows) or len(_distinct_rows(rows)[0]) != len(rows):
+        axes = _axis_sets(rows) if np.all(weights == weights[:1]) else None
+        if axes is None:
             return None
         split.append(axes)
     return split

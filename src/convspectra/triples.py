@@ -1,9 +1,11 @@
 """Digit sets and Hadamard triples.
 
-A Hadamard triple (R, B, L) pairs an expanding integer matrix R with digit
-sets B and L such that the matrix [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is unitary;
-this is exactly the condition that makes the exponentials indexed by L an
-orthonormal family for the uniform measure on R^{-1}B.
+A digit set is one sorted array of integer rows (`DigitSet.rows`), or a
+product of per-axis values with a few exceptions that builds those rows on
+first use.  A Hadamard triple (R, B, L) pairs an expanding integer matrix R
+with digit sets B and L such that the matrix [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ]
+is unitary; this is exactly the condition that makes the exponentials
+indexed by L an orthonormal family for the uniform measure on R^{-1}B.
 """
 from __future__ import annotations
 
@@ -11,12 +13,20 @@ import math
 from bisect import bisect_left
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from ._phases import _distinct_rows, _lex_order, difference_deviation
+from ._phases import (
+    _INT64_SAFE,
+    _axis_sets,
+    _distinct_rows,
+    _int_rows,
+    _lex_order,
+    _narrowest,
+    _peak,
+    difference_deviation,
+)
 from .errors import (
     CongruentDigits,
     DimensionMismatch,
@@ -29,11 +39,10 @@ from .exactmat import IntMatrix, invert
 DEFAULT_UNITARITY_TOL = 1e-9
 
 
-# Digit entries below this in absolute value are stored as int64, the rest as
-# exact Python ints; `numerators` decides per call whether int64 products of
-# the stored entries stay exact.
+# A digit set's rows are int64 when every entry lies below this in absolute
+# value, and exact Python ints otherwise; `numerators` decides per call
+# whether int64 products of the entries stay exact.
 _HEADROOM = 1 << 31
-_INT64_SAFE = 1 << 62
 
 # Digit rows are (n, d) arrays in column-major order: each kernel below walks
 # the d columns, which are contiguous, rather than reducing along short rows.
@@ -45,11 +54,6 @@ def _every_column(rows: np.ndarray, test) -> np.ndarray:
     for j in range(1, rows.shape[1]):
         mask &= test(rows[:, j])
     return mask
-
-
-def _fits(rows: np.ndarray) -> np.ndarray:
-    """Row mask: every entry below the int64 headroom (int64 or object rows)."""
-    return _every_column(rows, lambda c: np.abs(c) < _HEADROOM)
 
 
 def _pick(rows: np.ndarray, index) -> np.ndarray:
@@ -138,27 +142,27 @@ class Product:
 class DigitSet:
     """A finite set of integer vectors, sorted and deduplicated, held by column.
 
-    Digits whose entries all lie below 2^31 in absolute value form `grid`, a
-    read-only, lexicographically sorted, column-major int64 (n, d) array;
-    the others form `wide`, a sorted tuple of exact Python-int rows
-    (example-2.6's far digit k + 8^k (k+1)! is one).  The split is fixed by
-    the digits alone, so two sets are equal exactly when their parts are.
+    `rows` is a read-only, lexicographically sorted, column-major (n, d)
+    array: int64 when every entry lies below 2^31 in absolute value, and
+    exact Python ints in an object array otherwise (example-2.6's far digit
+    k + 8^k (k+1)! makes its level's rows object).  The dtype is fixed by
+    the digits alone, so two sets are equal exactly when their rows are.
     `vectors`, the whole set as one sorted tuple, is built on first use only.
 
     A set may instead be held in structured form, `product`: a product of
     per-axis values with a few removed and added rows (`Product`), as the
-    builtin generators and `mod_reduce` give it.  `grid` and `wide` are then
-    built on first use, by the kernels that need rows; the kernels that read
-    `product` (see `axis_numerators`) never build them.  A structured set
-    equals and hashes like its explicit twin.
+    builtin generators and `mod_reduce` give it.  `rows` is then built on
+    first use, by the same rule, by the kernels that need rows; the kernels
+    that read `product` (see `axis_numerators`) never build it.  A
+    structured set equals and hashes like its explicit twin.
     """
 
-    def __init__(self, dim: int, grid: np.ndarray | None = None, wide=(), product: Product | None = None):
+    def __init__(self, dim: int, rows: np.ndarray | None = None, product: Product | None = None):
         self.dim = dim
         self.product = product
         if product is None:
-            self.grid, self.wide = grid, tuple(wide)
-            self._len = len(grid) + len(self.wide)
+            self.rows = rows
+            self._len = len(rows)
         else:
             self._len = product.size - len(product.removed) + len(product.added)
 
@@ -174,29 +178,16 @@ class DigitSet:
             for x in v:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"digit entries must be ints, got {x!r}")
-        return cls._from_rows(d, np.empty((0, d), dtype=np.int64), vecs)
+        return cls._from_rows(d, vecs)
 
     @classmethod
-    def _from_rows(cls, dim: int, rows: np.ndarray, extra=()) -> "DigitSet":
+    def _from_rows(cls, dim: int, rows) -> "DigitSet":
         """Internal constructor from validated integer rows in any order, with
-        repeats: an int64 or object (n, dim) array plus Python-int tuples."""
-        small, wide = [], set()
-        for v in map(tuple, extra):
-            if all(-_HEADROOM < x < _HEADROOM for x in v):
-                small.append(v)
-            else:
-                wide.add(v)
-        if len(rows):
-            fits = _fits(rows)
-            if not fits.all():
-                wide.update(map(tuple, _pick(rows, ~fits).tolist()))
-                rows = _pick(rows, fits)
-        grid = np.asarray(rows, dtype=np.int64)
-        if small:
-            grid = np.concatenate([grid, np.array(small, dtype=np.int64)])
-        if len(grid) > 1:
-            grid = _distinct_rows(grid)[0]
-        return cls(dim, _frozen(grid), tuple(sorted(wide)))
+        repeats: an int64 or object (n, dim) array, or a list of int tuples."""
+        rows = _narrowest(_int_rows(rows).reshape(-1, dim), _HEADROOM)
+        if len(rows) > 1:
+            rows = _distinct_rows(rows)[0]
+        return cls(dim, _frozen(rows))
 
     @classmethod
     def _product(cls, axes, removed=(), added=()) -> "DigitSet":
@@ -217,9 +208,9 @@ class DigitSet:
         return cls(len(p.axes), product=p)
 
     @cached_property
-    def _rows(self) -> tuple:
-        """(grid, wide) of a structured set: the product rows in
-        lexicographic order, without the removed ones, with the added ones."""
+    def rows(self) -> np.ndarray:
+        """The rows of a structured set: the product rows in lexicographic
+        order, without the removed ones, with the added ones."""
         p, d = self.product, self.dim
         rows = np.empty((p.size, d), dtype=np.int64, order="F")
         outer = 1
@@ -231,24 +222,14 @@ class DigitSet:
             keep = np.ones(p.size, dtype=bool)
             keep[p.ranks(p.removed)] = False
             rows = _pick(rows, keep)
-        if any(all(-_HEADROOM < x < _HEADROOM for x in v) for v in p.added):
-            merged = DigitSet._from_rows(d, rows, p.added)
-            return merged.grid, merged.wide
-        return _frozen(rows), p.added
+        if p.added:  # rows outside the product: no two rows are equal
+            rows = np.concatenate([rows, _int_rows(p.added)])
+            rows = _narrowest(_pick(rows, _lex_order(rows)), _HEADROOM)
+        return _frozen(rows)
 
-    @cached_property
-    def grid(self) -> np.ndarray:
-        return self._rows[0]
-
-    @cached_property
-    def wide(self) -> tuple:
-        return self._rows[1]
-
-    def _subset(self, grid_mask: np.ndarray, wide_mask) -> "DigitSet":
-        """The digits picked by a mask over each part; order is kept."""
-        return DigitSet(
-            self.dim, _frozen(_pick(self.grid, grid_mask)), tuple(compress(self.wide, wide_mask))
-        )
+    def _subset(self, mask: np.ndarray) -> "DigitSet":
+        """The digits picked by a mask; order is kept."""
+        return DigitSet(self.dim, _frozen(_narrowest(_pick(self.rows, mask), _HEADROOM)))
 
     def __len__(self) -> int:
         return self._len
@@ -256,51 +237,29 @@ class DigitSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitSet):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and len(self) == len(other)
-            and self.wide == other.wide
-            and np.array_equal(self.grid, other.grid)
-        )
+        return self.dim == other.dim and len(self) == len(other) and np.array_equal(self.rows, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.wide, self.grid.tobytes()))
+        rows = self.rows
+        return hash((self.dim, rows.tobytes() if rows.dtype != object else tuple(rows.ravel().tolist())))
 
     def __repr__(self) -> str:
         return f"DigitSet(dim={self.dim}, vectors={self.vectors!r})"
 
-    def _grid_row(self, i: int) -> tuple:
-        return tuple(self.grid[i].tolist())
-
-    def _rank(self, v: tuple) -> int:
-        """Number of grid rows lexicographically below v."""
-        return bisect_left(range(len(self.grid)), v, key=self._grid_row)
-
-    @cached_property
-    def _slots(self) -> tuple:
-        """Position of each wide row in the merged sorted order."""
-        return tuple(self._rank(w) + i for i, w in enumerate(self.wide))
-
-    def in_order(self, grid_items, wide_items) -> list:
-        """Per-digit items of the grid and wide parts, merged in set order."""
-        out = list(grid_items)
-        for slot, item in zip(self._slots, wide_items):
-            out.insert(slot, item)
-        return out
+    def _row(self, i: int) -> tuple:
+        return tuple(self.rows[i].tolist())
 
     @cached_property
     def vectors(self) -> tuple:
-        return tuple(self.in_order(map(tuple, self.grid.tolist()), self.wide))
+        return tuple(map(tuple, self.rows.tolist()))
 
     def __iter__(self):
         return iter(self.vectors)
 
     def __contains__(self, v) -> bool:
         v = tuple(v)
-        if v in self.wide:
-            return True
-        i = self._rank(v)
-        return i < len(self.grid) and self._grid_row(i) == v
+        i = bisect_left(range(len(self)), v, key=self._row)
+        return i < len(self) and self._row(i) == v
 
     def _locate(self, positions: np.ndarray) -> list:
         """For a structured set with no added rows, per axis the index of the
@@ -317,18 +276,16 @@ class DigitSet:
 
 
 def shared_masks(a: DigitSet, b: DigitSet):
-    """Masks over the grid and wide parts of a and of b marking the digits
-    the two sets share: (a_grid, a_wide, b_grid, b_wide)."""
-    both = np.concatenate([a.grid, b.grid])
+    """Masks over the rows of a and of b marking the digits the two sets
+    share: (a_mask, b_mask)."""
+    both = np.concatenate([a.rows, b.rows])
     order = _lex_order(both)  # stable: an a row precedes its b twin
     twin = _every_column(both, lambda c: c[order[1:]] == c[order[:-1]])
-    a_grid = np.zeros(len(a.grid), dtype=bool)
-    b_grid = np.zeros(len(b.grid), dtype=bool)
-    a_grid[order[:-1][twin]] = True
-    b_grid[order[1:][twin] - len(a.grid)] = True
-    a_wide = [w in b.wide for w in a.wide]
-    b_wide = [w in a.wide for w in b.wide]
-    return a_grid, a_wide, b_grid, b_wide
+    a_mask = np.zeros(len(a), dtype=bool)
+    b_mask = np.zeros(len(b), dtype=bool)
+    a_mask[order[:-1][twin]] = True
+    b_mask[order[1:][twin] - len(a)] = True
+    return a_mask, b_mask
 
 
 # ===== unitarity check =====
@@ -352,19 +309,21 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     F(y/den) depends on y only mod den.  The distinct reduced rows are the
     one summand, or, when they form the product of their axis sets, those
     sets are, and B - B is the lattice of per-axis differences.  Structured
-    sets under a diagonal R give their axis sets as they are; explicit ones
-    are tested for a product form on their rows.  A size mismatch (#B ≠ #L)
+    sets (under a diagonal R, for B) give their axis sets as they are;
+    explicit ones are tested for a product form on their rows by
+    `_phases._axis_sets`.  A size mismatch (#B ≠ #L)
     is reported in the result rather than raised: the matrix is then
     rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
-    l_axes = _product_axes(l)
+    p = l.product
+    l_axes = [a[:, None] for a in p.axes] if p is not None and not (p.removed or p.added) else _axis_sets(l.rows)
     if l_axes is None:
         # L's rows are exact Python ints: bench/tracer.py multiplies the two
         # operands' largest entries, which overflows when one is an int64
-        # scalar and the other is wide.
-        factors = [(np.concatenate(integer_rows(l)), 1, np.full(len(l), 1 / len(b)))]
+        # scalar and the other lies past int64.
+        factors = [(integer_rows(l), 1, np.full(len(l), 1 / len(b)))]
     else:
         # the uniform measure on L = L_0 x ... x L_{d-1} is the convolution of
         # those on the L_c, and F carries the mass #L/#B
@@ -377,15 +336,6 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     dev = difference_deviation(summands, den, factors)
     mismatch = len(b) != len(l)
     return HadamardCheckResult(ok=(not mismatch) and dev <= tol, max_deviation=dev, size_mismatch=mismatch)
-
-
-def _product_axes(l: DigitSet):
-    """The axis sets of l as (n_c, 1) columns when l is their product, else None."""
-    p = l.product
-    if p is not None and not p.removed and not p.added:
-        return [a[:, None] for a in p.axes]
-    axes = [_distinct_rows(l.grid[:, [c]])[0] for c in range(l.dim)]
-    return axes if not l.wide and len(l) == math.prod(map(len, axes)) else None
 
 
 def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
@@ -403,14 +353,13 @@ def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
         distinct = all(len(a) == len(y) for a, y in zip(axes, an.axes)) and len(added) == len(an.added)
         if distinct and added == removed:
             return den, [a[:, None] * eye[c] for c, a in enumerate(axes)]
-    den, y_grid, y_wide = numerators(r, b)
-    y = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
+    den, y = numerators(r, b)
     reduced = y % den
+    axes = _axis_sets(reduced)
+    if axes is not None:
+        return den, [a * eye[c] for c, a in enumerate(axes)]
     if len(_distinct_rows(reduced)[0]) < len(b):
         return den, [y]  # congruent digits: the rows y themselves
-    axes = [_distinct_rows(reduced[:, [c]])[0] for c in range(b.dim)]
-    if len(b) == math.prod(len(a) for a in axes):
-        return den, [a * eye[c] for c, a in enumerate(axes)]
     return den, [reduced]
 
 
@@ -440,13 +389,13 @@ class HadamardTriple(NamedTuple):
 
 
 def numerators(r: IntMatrix, b: DigitSet):
-    """(den, y_grid, y_wide) with R⁻¹v = y/den for every digit v: the rows
-    y = sign(det R)·adj(R)·v of the grid and wide parts, and den = |det R|.
+    """(den, y) with R⁻¹v = y/den for every digit v: the rows
+    y = sign(det R)·adj(R)·v in set order, and den = |det R|.
 
-    The grid rows come out as int64 when every quantity derived from them
-    (2y + den, the l1 norm of y, and R·⌊(2y + den)/(2·den)⌋) stays below
-    2^62; otherwise, and for the wide rows always, they are exact Python
-    ints in object arrays.  Callers run the same numpy expressions on both.
+    y comes out as int64 when every quantity derived from it (2y + den, the
+    l1 norm of y, and R·⌊(2y + den)/(2·den)⌋) stays below 2^62; otherwise
+    it holds exact Python ints in an object array.  Callers run the same
+    numpy expressions on both.
     """
     if r.dim != b.dim:
         raise DimensionMismatch("matrix and digit set dimensions differ")
@@ -454,11 +403,10 @@ def numerators(r: IntMatrix, b: DigitSet):
     den, d = abs(det), r.dim
     adj_t = [[x if det > 0 else -x for x in col] for col in zip(*adj.rows)]
     y_max = d * max(abs(x) for row in adj.rows for x in row)
-    y_max *= max(-int(b.grid.min()), int(b.grid.max())) if len(b.grid) else 0
+    y_max *= _peak(b.rows)
     r_max = max(abs(x) for row in r.rows for x in row)
     fast = max(2 * d * y_max + den, d * r_max * (y_max // den + 1)) < _INT64_SAFE
-    y_grid = _times(b.grid if fast else b.grid.astype(object), adj_t)
-    return den, y_grid, _times(_wide_rows(b), adj_t)
+    return den, _times(b.rows.astype(np.int64 if fast else object, copy=False), adj_t)
 
 
 def _box(den: int) -> tuple:
@@ -486,18 +434,11 @@ def cone_mask(y: np.ndarray, den: int, thr: Fraction) -> np.ndarray:
     return norm < bound
 
 
-def integer_rows(b: DigitSet, m=None):
-    """Exact rows m·v (or v) of the grid and wide parts, as object arrays of
-    Python ints; m is a list of integer rows."""
-    parts = (b.grid.astype(object), _wide_rows(b))
-    if m is None:
-        return parts
-    m_t = [list(col) for col in zip(*m)]
-    return tuple(_times(p, m_t) for p in parts)
-
-
-def _wide_rows(b: DigitSet) -> np.ndarray:
-    return np.array(b.wide, dtype=object).reshape(-1, b.dim)
+def integer_rows(b: DigitSet, m=None) -> np.ndarray:
+    """Exact rows m·v (or v) of the digits in set order, as an object array
+    of Python ints; m is a list of integer rows."""
+    rows = b.rows.astype(object)
+    return rows if m is None else _times(rows, [list(col) for col in zip(*m)])
 
 
 def _representatives(r: IntMatrix, den: int, v: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -553,7 +494,7 @@ def box_count(nums) -> int:
     `axis_numerators`: the box is the product of its per-axis intervals,
     and an axis whose ends lie in its interval lies in it whole."""
     if not isinstance(nums, AxisNumerators):
-        return sum(int(box_mask(y, nums[0]).sum()) for y in nums[1:])
+        return int(box_mask(nums[1], nums[0]).sum())
     den = nums.den
     lo, hi = _box(den)
     inside = math.prod(
@@ -571,7 +512,7 @@ def cone_count(nums, thr: Fraction) -> int:
     otherwise each sum of the first coordinates leaves the last ones one
     interval of the sorted last axis."""
     if not isinstance(nums, AxisNumerators):
-        return sum(int(cone_mask(y, nums[0], thr).sum()) for y in nums[1:])
+        return int(cone_mask(nums[1], nums[0], thr).sum())
     bound = _cone_bound(nums.den, thr)
     if sum(max(-least, most) for least, most in nums.ends) < bound:
         near = math.prod(map(len, nums.axes))
@@ -634,20 +575,16 @@ def check_reduction(r: IntMatrix, b: DigitSet, nums) -> None:
         if _reduced_parts(r, b, nums) is None:
             mod_reduce(b, r)  # names the first colliding pair, if any
         return
-    den, y_grid, y_wide = nums
-    out_grid, out_wide = ~box_mask(y_grid, den), ~box_mask(y_wide, den)
-    moved = DigitSet._from_rows(
-        b.dim,
-        _representatives(r, den, _pick(b.grid, out_grid), _pick(y_grid, out_grid)),
-        _representatives(r, den, _pick(_wide_rows(b), out_wide), _pick(y_wide, out_wide)).tolist(),
-    )
-    # b is sorted, so the grid rows that can equal a moved one form the run
-    # whose first entries lie between the moved rows' first and last ones
-    first = b.grid[:, 0]
-    lo = np.searchsorted(first, moved.grid[0, 0], "left") if len(moved.grid) else 0
-    hi = np.searchsorted(first, moved.grid[-1, 0], "right") if len(moved.grid) else 0
-    hit_grid, hit_wide, _, _ = shared_masks(moved, DigitSet(b.dim, b.grid[lo:hi], b.wide))
-    if len(moved) < int(out_grid.sum()) + int(out_wide.sum()) or hit_grid.any() or any(hit_wide):
+    den, y = nums
+    out = ~box_mask(y, den)
+    moved = DigitSet._from_rows(b.dim, _representatives(r, den, _pick(b.rows, out), _pick(y, out)))
+    # b is sorted, so the rows that can equal a moved one form the run whose
+    # first entries lie between the moved rows' first and last ones
+    first = b.rows[:, 0]
+    lo = np.searchsorted(first, moved.rows[0, 0], "left") if len(moved) else 0
+    hi = np.searchsorted(first, moved.rows[-1, 0], "right") if len(moved) else 0
+    hit, _ = shared_masks(moved, DigitSet(b.dim, b.rows[lo:hi]))
+    if len(moved) < int(out.sum()) or hit.any():
         mod_reduce(b, r)  # names the first colliding pair
 
 
@@ -665,18 +602,17 @@ def mod_reduce(b: DigitSet, r: IntMatrix) -> DigitSet:
     parts = _reduced_parts(r, b, an) if an is not None else None
     if parts is not None:
         return DigitSet._product(*parts)
-    den, y_grid, y_wide = numerators(r, b)
-    # a grid digit inside the box (n = 0) is its own representative
-    inside = box_mask(y_grid, den)
-    moved = _representatives(r, den, _pick(b.grid, ~inside), _pick(y_grid, ~inside))
-    wide = _representatives(r, den, _wide_rows(b), y_wide).tolist()
-    out = DigitSet._from_rows(b.dim, np.concatenate([_pick(b.grid, inside), moved]), wide)
+    den, y = numerators(r, b)
+    # a digit inside the box (n = 0) is its own representative
+    inside = box_mask(y, den)
+    moved = _representatives(r, den, _pick(b.rows, ~inside), _pick(y, ~inside))
+    out = DigitSet._from_rows(b.dim, np.concatenate([_pick(b.rows, inside), moved]))
     if len(out) != len(b):
-        grid = list(map(tuple, b.grid.tolist()))
+        reps = list(b.vectors)
         for i, v in zip(np.flatnonzero(~inside).tolist(), moved.tolist()):
-            grid[i] = tuple(v)
+            reps[i] = tuple(v)
         seen = {}
-        for src, tgt in zip(b.vectors, b.in_order(grid, map(tuple, wide))):
+        for src, tgt in zip(b.vectors, reps):
             if tgt in seen:
                 raise CongruentDigits(
                     f"digits {seen[tgt]} and {src} are congruent mod R·Z^d (both reduce to {tgt})"

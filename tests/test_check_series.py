@@ -46,8 +46,8 @@ def oracle_rbc(seq, upto):
     terms = []
     for k in indices:
         b = seq.digits(k)
-        den, y_grid, y_wide = numerators(seq.matrix(k), b)
-        inside = int(box_mask(y_grid, den).sum()) + int(box_mask(y_wide, den).sum())
+        den, y = numerators(seq.matrix(k), b)
+        inside = int(box_mask(y, den).sum())
         terms.append(F(len(b) - inside, len(b)))
     return conditions._finish_scalar_series("rbc", indices, terms, None)
 
@@ -59,8 +59,8 @@ def oracle_pcc(seq, l, indices):
     for k in indices:
         r = seq.matrix(k)
         b = seq.digits(k)
-        den, *parts = numerators(r, b)
-        near = sum(int(cone_mask(y, den, (1 - lf) / 2).sum()) for y in parts)
+        den, y = numerators(r, b)
+        near = int(cone_mask(y, den, (1 - lf) / 2).sum())
         terms.append(F(len(b) - near, len(b)))
         sup_sq = conditions._pcc_sup_sq(r)
         if sup_sq >= one_minus_sq:
@@ -153,7 +153,7 @@ def test_walk_equals_the_per_check_loops(name, upto, eq_upto):
 def test_skew_sequences_move_digits_and_reach_wide_rows():
     for name in ("skew-2d", "skew-3d"):
         seq = SEQUENCES[name]()
-        assert any(seq.digits(k).wide for k in range(1, 8))
+        assert any(seq.digits(k).rows.dtype == object for k in range(1, 8))
         terms = check_series(seq, ["rbc"], 7)["rbc"].terms
         assert sum(0 < t < 1 for t in terms) >= 5
 
@@ -259,7 +259,7 @@ def test_random_instances_cover_both_outcomes_and_wide_digits():
     congruent = clean = wide = 0
     for seed in range(60):
         r, b = _random_instance(seed)
-        wide += bool(b.wide)
+        wide += b.rows.dtype == object
         try:
             mod_reduce(b, r)
             clean += 1

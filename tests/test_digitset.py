@@ -1,5 +1,6 @@
 """Columnar digit sets and the exact numerator kernel, pinned against the
 tuple and Fraction formulations they replace (kept here as oracles)."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from convspectra.sequences import builtin_sequence
 from convspectra.triples import DigitSet, mod_reduce, numerators
 from oracles import coupling_eval, fraction_inverse
 
-H = 1 << 31  # the int64 headroom of DigitSet.grid
+H = 1 << 31  # the int64 headroom of DigitSet.rows
 HALF = Fraction(1, 2)
 
 
@@ -117,12 +118,30 @@ def case(d, i, seed):
 
 
 def test_layout_splits_at_the_headroom():
+    # entries at ±(2^31 - 1) keep the rows int64
+    small = [(H - 1, 0), (-(H - 1), 5), (3, 4), (3, 4), (0, H - 1), (1, -(H - 1))]
+    b = DigitSet.of(small)
+    assert b.rows.dtype == np.int64 and not b.rows.flags.writeable
+    assert b.rows.flags.f_contiguous
+    assert b.rows.tolist() == [[-(H - 1), 5], [0, H - 1], [1, -(H - 1)], [3, 4], [H - 1, 0]]
+    # one entry at ±2^31 makes every row an exact Python int
+    for far in ((H, 0), (-H, 1), (0, H), (2, -H)):
+        w = DigitSet.of(small + [far])
+        assert w.rows.dtype == object and not w.rows.flags.writeable and w.rows.flags.f_contiguous
+        assert w.vectors == tuple(sorted(set(small + [far])))
+        # a structured set with that row added equals its explicit twin
+        axes = [sorted({v[0] for v in small}), sorted({v[1] for v in small})]
+        s = DigitSet._product(axes, added=[far])
+        e = DigitSet.of([*itertools.product(*axes), far])
+        assert s == e and hash(s) == hash(e) and s.rows.dtype == object
+        for edge in (H - 1, -(H - 1)):
+            s = DigitSet._product(axes, added=[(edge, edge)])
+            e = DigitSet.of([*itertools.product(*axes), (edge, edge)])
+            assert s == e and hash(s) == hash(e) and s.rows.dtype == np.int64
     rows = [(H - 1, 0), (-(H - 1), 5), (H, 0), (-H, 1), (2**70, -2**70), (3, 4), (3, 4)]
     b = DigitSet.of(rows)
-    assert b.grid.dtype == np.int64 and not b.grid.flags.writeable
-    assert b.grid.flags.f_contiguous
-    assert b.grid.tolist() == [[-(H - 1), 5], [3, 4], [H - 1, 0]]
-    assert b.wide == ((-H, 1), (H, 0), (2**70, -2**70))
+    assert b.rows.dtype == object
+    assert b.rows.tolist() == [list(v) for v in sorted(set(rows))]
     assert b.vectors == tuple(sorted(set(rows)))
     assert len(b) == 6
     for v in rows:
@@ -144,7 +163,8 @@ def test_vectors_equality_and_hash_follow_the_tuple_form(d, i, seed):
     small = [v for v in rows if all(abs(x) < H for x in v)]
     big = [v for v in rows if v not in small]
     arr = np.array(small[::-1], dtype=np.int64).reshape(-1, d)
-    assert DigitSet._from_rows(d, arr, big) == b
+    assert DigitSet._from_rows(d, np.concatenate([arr, np.array(big, dtype=object).reshape(-1, d)])) == b
+    assert DigitSet._from_rows(d, big + small) == b
     assert DigitSet._from_rows(d, np.array(rows, dtype=object)) == b
     if len(set(rows)) > 1:
         assert DigitSet.of(sorted(set(rows))[1:]) != b
@@ -170,19 +190,20 @@ def test_digitset_of_keeps_its_errors():
 
 
 def test_numerators_choose_int64_only_with_headroom():
+    small = DigitSet.of([(1, 2), (H - 1, -(H - 1))])
     b = DigitSet.of([(1, 2), (H - 1, -(H - 1)), (2**70, 0)])
-    den, y_grid, y_wide = numerators(IntMatrix(((2, 1), (1, 3))), b)
-    assert den == 5 and y_grid.dtype == np.int64 and y_wide.dtype == object
-    den, y_grid, _ = numerators(IntMatrix(((2**35, 1), (3, 2**33))), b)
-    assert y_grid.dtype == object
-    # R^{-1} v = y / den exactly, on both paths and both parts
+    den, y = numerators(IntMatrix(((2, 1), (1, 3))), small)
+    assert den == 5 and y.dtype == np.int64
+    assert numerators(IntMatrix(((2, 1), (1, 3))), b)[1].dtype == object
+    assert numerators(IntMatrix(((2**35, 1), (3, 2**33))), small)[1].dtype == object
+    # R^{-1} v = y / den exactly, in set order, on both paths
     for r in (IntMatrix(((2, 1), (1, 3))), IntMatrix(((2**35, 1), (3, 2**33))),
               IntMatrix(((1, 4), (3, -2)))):
-        den, y_grid, y_wide = numerators(r, b)
-        ys = b.in_order([tuple(row) for row in y_grid.tolist()], [tuple(row) for row in y_wide.tolist()])
         inv = fraction_inverse(r)
-        for v, y in zip(b.vectors, ys):
-            assert tuple(Fraction(x, den) for x in y) == inv.matvec(v)
+        for digits in (small, b):
+            den, y = numerators(r, digits)
+            for v, row in zip(digits.vectors, y.tolist()):
+                assert tuple(Fraction(x, den) for x in row) == inv.matvec(v)
 
 
 @pytest.mark.parametrize("d, i, seed", CASES)
@@ -237,13 +258,13 @@ def test_example_2_6_levels_match_oracles(k):
     seq = builtin_sequence("example-2.6")
     r, b = seq.matrix(k), seq.digits(k)
     far = (k + 8**k * math.factorial(k + 1), 0)
-    assert b.wide == (far,) and len(b.grid) == (k + 1) ** 2 - 1
+    assert b.rows.dtype == object and len(b) == (k + 1) ** 2
     vectors = tuple(v for v in sorted((x, y) for x in range(k + 1) for y in range(k + 1)) if v != (k, 0))
     assert b.vectors == vectors + (far,)
     want, message = oracle_reduce(b.vectors, r)
     assert message is None
     red = mod_reduce(b, r)
-    assert red.vectors == want and red.wide == ()
+    assert red.vectors == want and red.rows.dtype == np.int64
     assert seq.reduced().digits(k) == red
     assert len(rbc_split(r, b).b2) == 1
     assert rbc_split(r, b).b2.vectors == (far,)

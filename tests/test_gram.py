@@ -319,8 +319,8 @@ def test_hadamard_with_digits_congruent_mod_r_fails_like_dense():
 )
 def test_hadamard_on_a_non_product_set_takes_the_flat_route(r, b, l):
     b, l = DigitSet.of(b), DigitSet.of(l)
-    den, y_grid, y_wide = numerators(r, b)
-    reduced = np.concatenate([y_grid, y_wide]) % den
+    den, y = numerators(r, b)
+    reduced = y % den
     projections = [len(set(reduced[:, c].tolist())) for c in range(2)]
     assert math.prod(projections) != len(b)
     res = hadamard_check(r, b, l)
@@ -380,11 +380,11 @@ def test_per_axis_factors_of_l_agree_with_the_one_factor(monkeypatch):
         r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
         per_axis = hadamard_check(r, b, l).max_deviation
         assert seen[-1] == 2  # L = L_0 x L_1 went in as two factors
-        den, y_grid, y_wide = numerators(r, b)
-        reduced = np.concatenate([y_grid, y_wide]) % den
+        den, y = numerators(r, b)
+        reduced = y % den
         summands = [np.unique(reduced[:, c]) for c in range(2)]
         summands = [np.outer(a, np.eye(2, dtype=np.int64)[c]) for c, a in enumerate(summands)]
-        one = real(summands, den, [(np.concatenate(integer_rows(l)), 1, np.full(len(l), 1 / len(b)))])
+        one = real(summands, den, [(integer_rows(l), 1, np.full(len(l), 1 / len(b)))])
         assert abs(per_axis - one) <= AGREE, (k, per_axis, one)
         assert per_axis <= 1e-12
 
@@ -392,15 +392,14 @@ def test_per_axis_factors_of_l_agree_with_the_one_factor(monkeypatch):
 def sorted_order_deviation(r, b, l, stacked=False):
     """hadamard_check's deviation with the rows y mod den as the one
     summand, with points and atoms in set order as lists of Python ints, or
-    stacked as grid rows then wide rows the way hadamard_check passes them.
-    The cases' reduced rows are distinct."""
-    den, y_grid, y_wide = numerators(r, b)
+    stacked as the integer arrays hadamard_check passes.  The cases'
+    reduced rows are distinct."""
+    den, y = numerators(r, b)
     weights = np.full(len(l), 1 / len(b))
     if stacked:
-        nums = np.concatenate([y_grid, y_wide]) if len(y_wide) else y_grid
-        return set_deviation(nums % den, den, [(np.concatenate(integer_rows(l)), 1, weights)])
-    nums = [tuple(x % den for x in v) for v in b.in_order(y_grid.tolist(), y_wide.tolist())]
-    return set_deviation(nums, den, [(l.in_order(l.grid.tolist(), l.wide), 1, weights)])
+        return set_deviation(y % den, den, [(integer_rows(l), 1, weights)])
+    nums = [tuple(x % den for x in v) for v in y.tolist()]
+    return set_deviation(nums, den, [(list(l.vectors), 1, weights)])
 
 
 def _stacking_cases():
@@ -411,7 +410,7 @@ def _stacking_cases():
     r = IntMatrix.diagonal([4])
     yield r, DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (1,), (2,)])
     yield r, DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), (1,)])
-    # wide rows in both sets, so the stacked order differs from the set order
+    # wide rows in both sets: object arrays on both sides
     big = 2**40
     yield r, DigitSet.of([(0,), (2 + 4 * big,)]), DigitSet.of([(-big,), (1,)])
     yield (

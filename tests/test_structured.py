@@ -33,13 +33,13 @@ from convspectra.triples import (
     numerators,
 )
 
-H = 1 << 31  # the int64 headroom of DigitSet.grid
+H = 1 << 31  # the int64 headroom of DigitSet.rows
 SKEW = IntMatrix(((4, 1), (0, 4)))
 
 
 def explicit(b: DigitSet) -> DigitSet:
     """The explicit twin of a digit set: its rows, without the structure."""
-    return DigitSet(b.dim, b.grid, b.wide)
+    return DigitSet(b.dim, b.rows)
 
 
 def twin(seq: TripleSequence) -> TripleSequence:
@@ -80,8 +80,8 @@ def assert_same_set(s: DigitSet, e: DigitSet):
     assert s == e and e == s and hash(s) == hash(e)
     assert len(s) == len(e) == len(e.vectors)
     assert s.vectors == e.vectors
-    assert s.grid.tolist() == e.grid.tolist() and s.wide == e.wide
-    assert s.grid.dtype == np.int64 and s.grid.flags.f_contiguous and not s.grid.flags.writeable
+    assert s.rows.tolist() == e.rows.tolist() and s.rows.dtype == e.rows.dtype
+    assert s.rows.flags.f_contiguous and not s.rows.flags.writeable
 
 
 def same_congruence(run_structured, run_explicit):
@@ -126,7 +126,7 @@ def test_hadamard_check_reads_the_axes_as_the_rows_give_them(name, k):
     seq = builtin_sequence(name)
     r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
     got = hadamard_check(r, b, l)
-    assert "grid" not in b.__dict__ and "grid" not in l.__dict__
+    assert "rows" not in b.__dict__ and "rows" not in l.__dict__
     assert got == hadamard_check(r, explicit(b), explicit(l))
     assert got.ok
 
@@ -346,7 +346,7 @@ def test_builtin_kernels_never_build_rows():
     coupled_sample(seq, seq.reduced(), 30, 200, 1, scale_by=lambda k: invert(seq.prefix_matrix(k)))
     for k in (1, 15, 30):
         for b in (seq.digits(k), seq.reduced().digits(k)):
-            assert b.product is not None and "grid" not in b.__dict__ and "wide" not in b.__dict__
+            assert b.product is not None and "rows" not in b.__dict__
 
 
 def test_negative_diagonals_and_wide_exceptions_match_the_explicit_twin():

@@ -459,7 +459,7 @@ def test_scaled_atom_rows_equal_the_fraction_rows_in_set_order(gen, dim):
 
 def test_scaled_atom_rows_keep_set_order_with_wide_digits():
     digits = DigitSet.of([(2**40, 1), (0, 0), (-(2**35), 3), (5, -2)])
-    assert len(digits.wide) == 2
+    assert digits.rows.dtype == object  # two digits past the int64 headroom
     m = IntMatrix(((2, 1), (1, 3)))
     rows, den = scaled_atom_rows(m, digits)
     assert (rows.tolist(), den) == tuple(fraction_rows(m, digits))

@@ -66,6 +66,20 @@ def _product_level(r, b, l):
 
 _WIDE_LEVEL = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
 
+
+def _grid_level(matrix, far):
+    """An inline level with B = {0..15}² plus one digit far past 2^31, which
+    is congruent to no other digit mod R·Z²."""
+    return {"matrix": matrix, "digits": [[x, y] for x in range(16) for y in range(16)] + [[str(far[0]), far[1]]]}
+
+
+# 257 explicit digits a level, one of them past the int64 headroom: the
+# digit rows of the `check` kernels and the sampler hold them in one array
+_FAR_LEVELS = [
+    _grid_level([[20, 0], [0, 20]], (17 + 20 * 2**40, 3)),  # the far digit sorts last
+    _grid_level([[20, 1], [0, 20]], (5 - 20 * 2**40, 17)),  # and first
+]
+
 INLINE = (
     ("inline/skew-check", "check", {
         "dimension": 2,
@@ -82,6 +96,18 @@ INLINE = (
         "check": {"upto": 3, "hadamard_upto": 3, "checks": [
             "hadamard", "three-series", "equivalence", "rbc", "pcc", "contractivity"]},
     }),
+    ("inline/check-far-digit", "check", {
+        "dimension": 2,
+        "sequence": {"inline": _FAR_LEVELS + _FAR_LEVELS[:1]},
+        "check": {"upto": 3, "checks": ["equivalence", "rbc", "pcc", "contractivity", "three-series"]},
+    }),
+    # fewer draws than digits gather per draw, more gather from one table
+    *((f"inline/sample-far-digit-draws={draws}", "sample", {
+        "dimension": 2,
+        "seed": 5,
+        "sequence": {"inline": _FAR_LEVELS + _FAR_LEVELS[:1]},
+        "sample": {"upto": 3, "draws": draws},
+    }) for draws in (200, 1000)),
     ("example-2.6/check-series-1000", "check", {
         "dimension": 2,
         "sequence": {"generator": "example-2.6"},
