@@ -129,15 +129,14 @@ def test_layout_splits_at_the_headroom():
         w = DigitSet.of(small + [far])
         assert w.rows.dtype == object and not w.rows.flags.writeable and w.rows.flags.f_contiguous
         assert w.vectors == tuple(sorted(set(small + [far])))
-        # a structured set with that row added equals its explicit twin
-        axes = [sorted({v[0] for v in small}), sorted({v[1] for v in small})]
-        s = DigitSet._product(axes, added=[far])
-        e = DigitSet.of([*itertools.product(*axes), far])
-        assert s == e and hash(s) == hash(e) and s.rows.dtype == object
-        for edge in (H - 1, -(H - 1)):
-            s = DigitSet._product(axes, added=[(edge, edge)])
-            e = DigitSet.of([*itertools.product(*axes), (edge, edge)])
-            assert s == e and hash(s) == hash(e) and s.rows.dtype == np.int64
+    # a structured set with such a row added equals and hashes like its
+    # explicit twin, on either side of the headroom
+    axes = [sorted({v[0] for v in small}), sorted({v[1] for v in small})]
+    for added, dtype in (((H, 0), object), ((0, -H), object), ((2, H - 1), np.int64), ((-(H - 1), 2), np.int64)):
+        s = DigitSet._product(axes, added=[added])
+        e = DigitSet.of([*itertools.product(*axes), added])
+        assert s.product.added == (added,)
+        assert s == e and hash(s) == hash(e) and s.rows.dtype == e.rows.dtype == dtype
     rows = [(H - 1, 0), (-(H - 1), 5), (H, 0), (-H, 1), (2**70, -2**70), (3, 4), (3, 4)]
     b = DigitSet.of(rows)
     assert b.rows.dtype == object
