@@ -276,29 +276,28 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(a: np.ndarray):
     """(distinct, inverse): the sorted distinct rows of an integer array and
-    the index of each row among them."""
+    the index of each row among them.  Rows with an int64 key sort by it,
+    the rest (object rows, or a box of 2^63 points or more) by np.lexsort
+    over their columns; both keep np.unique's first occurrences, without its
+    first-call import of numpy.ma."""
     key = _lex_key(a) if a.dtype != object and len(a) else None
     if key is not None and bool((key[1:] > key[:-1]).all()):
         return a, np.arange(len(a))  # already sorted and distinct
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
     if key is not None:
-        # np.unique's first occurrences, without its first-call import of numpy.ma
         order = np.argsort(key, kind="stable")
         key = key[order]
-        new = np.empty(len(key), dtype=bool)
-        new[0] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         del key
-        inverse = np.empty(len(a), dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
-        return a[order[new]], inverse
-    if a.dtype != object:
-        distinct, inverse = np.unique(a, axis=0, return_inverse=True)
-        return distinct, inverse.reshape(-1)
-    keys = np.empty(len(a), dtype=object)
-    keys[:] = list(map(tuple, a.tolist()))
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    rows = np.array([list(t) for t in distinct], dtype=object).reshape(-1, a.shape[1])
-    return rows, inverse.reshape(-1)
+    else:
+        order = np.lexsort(a.T[::-1])
+        rows = a[order]
+        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+        del rows
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return a[order[new]], inverse
 
 
 def _axis_sets(rows: np.ndarray):

@@ -107,7 +107,7 @@ _CHOOSERS = ("zero", "windowed-search")
 _PASS_VERDICTS = (VERDICT_CERTIFIED, VERDICT_CONVERGED)
 
 _TABLE_ROW_LIMIT = _PARTIALS_HEAD + 1  # long per-level tables show the head plus the final row
-_CSV_BLOCK_ROWS = 4096  # sample CSV rows formatted per block
+_CSV_BLOCK_ROWS = 4096  # sample and qscan CSV rows formatted per block
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +828,11 @@ def cmd_qscan(cfg: RunConfig) -> Report:
         cells = [f"{a},{b}" for a in cells for b in axis]
     out = io.StringIO()
     out.write(",".join([f"xi{i + 1}" for i in range(dim)] + ["q"]) + "\n")
-    out.writelines(f"{x},{q:.17g}\n" for x, q in zip(cells, values))
+    for lo in range(0, len(values), _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, len(values))
+        fields = [None] * (2 * (hi - lo))  # each point's cell and value, interleaved
+        fields[::2], fields[1::2] = cells[lo:hi], values[lo:hi]
+        out.write("%s,%.17g\n" * (hi - lo) % tuple(fields))
 
     rows = [("points", len(xs), "-")]  # the grid holds at least the origin
     for name, pick in (("min q", min), ("max q", max)):

@@ -289,14 +289,15 @@ def build_spectrum(
 
 def write_levels(sp: SpectrumLevels, stream) -> None:
     """One integer vector per line; level boundaries are comment lines.  A
-    level goes out in blocks of rows, so its rows are never all Python
-    lists at once."""
+    level goes out in blocks of rows, each one format over its entries as a
+    flat tuple of Python ints ("%d" of an int is its str)."""
     stream.write(f"# spectrum dim={sp.dim} chooser={sp.chooser}\n")
+    line = " ".join(["%d"] * sp.dim) + "\n"
     for j, (m, level) in enumerate(zip(sp.milestones, sp.levels), start=1):
         stream.write(f"# level {j}: milestone {m}, {len(level)} vectors\n")
         for lo in range(0, len(level), _LEVEL_BLOCK_ROWS):
-            block = level[lo : lo + _LEVEL_BLOCK_ROWS].tolist()
-            stream.write("".join([" ".join(map(str, v)) + "\n" for v in block]))
+            block = level[lo : lo + _LEVEL_BLOCK_ROWS]
+            stream.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_levels(stream) -> SpectrumLevels:

@@ -865,6 +865,32 @@ def test_sample_csv_blocks_match_a_one_shot_format(monkeypatch, draws, generator
     assert rep.artifact.count("\n") == draws + 1
 
 
+# 64² points fill one block exactly, 65² pass it by 129 and 91² span three blocks
+@pytest.mark.parametrize("pitch", ["3/2", "1/64", "1/65", "1/91"])
+@pytest.mark.parametrize("values", ["computed", "edge floats"])
+def test_qscan_csv_blocks_match_a_one_shot_format(monkeypatch, pitch, values):
+    import numpy as np
+
+    computed = []
+    real = cli.q_eval_many
+    edges = [0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, 1e300, 2.0**-1074 * 3, 123456789.0, 1e16, float("inf")]
+
+    def recording(*args):
+        q = real(*args)
+        if values == "edge floats":
+            q = np.resize(np.array(edges), len(q))
+        computed.append(q.tolist())
+        return q
+
+    monkeypatch.setattr(cli, "q_eval_many", recording)
+    doc = {"dimension": 2, "sequence": {"generator": "example-2.6"},
+           "qscan": {"truncation": 2, "grid_pitch": pitch, "lambda": [[0, 0], [1, 0], [0, 3], [-2, 1]]}}
+    rep = cli.cmd_qscan(cli.parse_config(json.dumps(doc)))
+    (q,) = computed
+    assert rep.artifact == qscan_csv(pitch, 2, q)[0]
+    assert rep.artifact.count("\n") == len(q) + 1
+
+
 # -- equipos ----------------------------------------------------------------
 
 

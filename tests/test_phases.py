@@ -117,3 +117,45 @@ def test_integer_arrays_give_the_tuple_results(case, dtype):
     assert got.dtype == want.dtype and np.array_equal(got, want)
     mixed = exact_phase_matrix(nums_a, den_a, as_array(nums_b, dtype), den_b)
     assert np.array_equal(mixed, want)
+
+
+def _distinct_oracle(rows):
+    """Sorted distinct rows as tuples and each row's index among them."""
+    tuples = [tuple(r) for r in rows]
+    distinct = sorted(set(tuples))
+    at = {t: i for i, t in enumerate(distinct)}
+    return distinct, [at[t] for t in tuples]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["object past 2^63", "int64 box past 2^63"])
+def test_distinct_rows_without_an_int64_key_sort_by_their_columns(kind, dim):
+    rng = np.random.default_rng(63 + dim)
+    if kind == "int64 box past 2^63":
+        # int64 entries whose bounding box has 2^63 points or more: no key
+        picks = rng.integers(-(2**62), 2**62, size=(40, dim))
+        rows = picks[rng.integers(0, 40, size=300)]
+        rows[:, 0] = np.where(rng.random(300) < 0.5, rows[:, 0], -rows[:, 0])
+        rows[0, 0], rows[1, 0] = -(2**63), 2**63 - 1
+        assert _phases._lex_key(rows) is None
+    else:
+        small = rng.integers(-3, 4, size=(300, dim)).tolist()
+        big = [[v * 2**70 + 1 if v % 2 else -v * 3**45 for v in r] for r in small[:60]]
+        rows = np.array(small + big + small[:30], dtype=object)
+        rows[5, dim - 1] = -(2**64)
+    distinct, inverse = _phases._distinct_rows(rows)
+    want, want_inverse = _distinct_oracle(rows.tolist())
+    assert distinct.dtype == rows.dtype and distinct.shape == (len(want), dim)
+    assert [tuple(r) for r in distinct.tolist()] == want
+    assert inverse.tolist() == want_inverse
+    if rows.dtype != object:
+        # the np.unique(axis=0) result these rows took before
+        old, old_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, old) and np.array_equal(inverse, old_inverse.reshape(-1))
+    assert np.array_equal(distinct[inverse], rows)
+
+
+def test_distinct_rows_of_no_rows_are_empty():
+    for dtype in (np.int64, object):
+        distinct, inverse = _phases._distinct_rows(np.zeros((0, 2), dtype=dtype))
+        assert distinct.shape == (0, 2) and distinct.dtype == dtype and len(inverse) == 0

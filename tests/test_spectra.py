@@ -283,18 +283,54 @@ def _one_shot_level_file(sp) -> str:
 
 def test_level_file_blocks_match_a_one_shot_format():
     rng = random.Random(4096)
-    levels = []
-    for n in (1, _B - 1, _B, _B + 1, 2 * _B + 1):
-        rows = sorted({(rng.randrange(-(2**40), 2**40), rng.randrange(9)) for _ in range(n + 50)})[:n]
-        levels.append(np.array(rows, dtype=np.int64))
-    # an object level past int64, one row per block edge
-    wide = [(2**70 + i, -(3**50) * i) for i in range(_B + 1)]
-    levels.append(np.array(wide, dtype=object))
-    sp = SpectrumLevels(2, tuple(range(1, 7)), tuple(levels), "zero", ())
-    buf = io.StringIO()
-    write_levels(sp, buf)
-    assert buf.getvalue() == _one_shot_level_file(sp)
-    assert read_levels(io.StringIO(buf.getvalue())) == sp
+    for dim in (1, 2, 3):
+        # int64 levels with negative entries whose row counts sit at the
+        # block edges, int64 rows at both ends of the int64 range, and
+        # object levels, one row per block edge: every row past int64, and
+        # negative entries past it beside small ones
+        levels = []
+        for n in (1, _B - 1, _B, _B + 1, 2 * _B + 1):
+            cell = lambda: (rng.randrange(-(2**40), 2**40),) + tuple(rng.randrange(-4, 9) for _ in range(dim - 1))
+            levels.append(np.array(sorted({cell() for _ in range(n + 50)})[:n], dtype=np.int64))
+        levels.append(np.array([(-(2**63),) * dim, (-1,) * dim, (0,) * dim, (2**63 - 1,) * dim], dtype=np.int64))
+        levels.append(np.array([(2**70 + i,) + (-(3**50) * i,) * (dim - 1) for i in range(_B + 1)], dtype=object))
+        mixed = [(-(2**64) * i - 1,) + tuple(rng.randrange(-9, 9) for _ in range(dim - 1)) for i in range(_B + 1)]
+        levels.append(np.array(mixed[::-1], dtype=object))
+        sp = SpectrumLevels(dim, tuple(range(1, len(levels) + 1)), tuple(levels), "zero", ())
+        buf = io.StringIO()
+        write_levels(sp, buf)
+        assert buf.getvalue() == _one_shot_level_file(sp)
+        assert read_levels(io.StringIO(buf.getvalue())) == sp
+
+
+class _LengthSink:
+    """A stream that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_level_file_block_peak_is_a_small_multiple_of_its_text():
+    import tracemalloc
+
+    # one full block of a 1-D level, its entries spread like a JP level's to 4^20
+    level = np.array(sorted(random.Random(1).sample(range(4**20), _B)), dtype=np.int64).reshape(-1, 1)
+    sp = SpectrumLevels(1, (20,), (level,), "zero", ())
+    write_levels(sp, _LengthSink())  # first-use caches
+    sink = _LengthSink()
+    tracemalloc.start()
+    try:
+        write_levels(sp, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = sum(len(str(v)) + 1 for v in level.ravel().tolist())
+    assert text < sink.chars < text + 100  # the block and the two header lines
+    # the block's text, its format string and one tuple of Python ints:
+    # about 4.5 times the text
+    assert peak <= 6 * text, (peak, text)
 
 
 # ----- the Q criterion -----

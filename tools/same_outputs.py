@@ -123,6 +123,13 @@ INLINE = (
         "sequence": {"generator": "jorgensen-pedersen"},
         "spectrum": {"milestones": [2, 4, 6, 8, 10, 12, 14, 16], "exactness": True},
     }),
+    # a 16.7 MB level file, where its formatting is most of the child's time
+    ("jorgensen-pedersen/spectrum-20", "spectrum", {
+        "dimension": 1,
+        "sequence": {"generator": "jorgensen-pedersen"},
+        "max_atoms": 2**21,
+        "spectrum": {"milestones": list(range(2, 21, 2)), "exactness": False},
+    }),
     ("example-2.6/spectrum-windowed", "spectrum", {
         "dimension": 2,
         "sequence": {"generator": "example-2.6"},
