@@ -274,15 +274,16 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable") if key is not None else np.lexsort(rows.T[::-1])
 
 
-def _distinct_rows(a: np.ndarray):
-    """(distinct, inverse): the sorted distinct rows of an integer array and
-    the index of each row among them.  Rows with an int64 key sort by it,
-    the rest (object rows, or a box of 2^63 points or more) by np.lexsort
-    over their columns; both keep np.unique's first occurrences, without its
-    first-call import of numpy.ma."""
+def _distinct_order(a: np.ndarray):
+    """(order, new) for the rows of an integer array: the order that sorts
+    them, and in that order a mask of the first row of each run of equal
+    rows; None when they are already sorted and distinct.  Rows with an int64
+    key sort by it, the rest (object rows, or a box of 2^63 points or more)
+    by np.lexsort over their columns; both keep np.unique's first
+    occurrences, without its first-call import of numpy.ma."""
     key = _lex_key(a) if a.dtype != object and len(a) else None
     if key is not None and bool((key[1:] > key[:-1]).all()):
-        return a, np.arange(len(a))  # already sorted and distinct
+        return None
     new = np.empty(len(a), dtype=bool)
     new[:1] = True
     if key is not None:
@@ -295,6 +296,23 @@ def _distinct_rows(a: np.ndarray):
         rows = a[order]
         np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
         del rows
+    return order, new
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct rows of an integer array: `_distinct_rows`
+    without the inverse and its cumsum, which hold one index per row each."""
+    found = _distinct_order(a)
+    return a if found is None else a[found[0][found[1]]]
+
+
+def _distinct_rows(a: np.ndarray):
+    """(distinct, inverse): the sorted distinct rows of an integer array and
+    the index of each row among them."""
+    found = _distinct_order(a)
+    if found is None:
+        return a, np.arange(len(a))
+    order, new = found
     inverse = np.empty(len(a), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return a[order[new]], inverse
@@ -307,8 +325,8 @@ def _axis_sets(rows: np.ndarray):
     rows = _int_rows(rows)
     if not len(rows):
         return None
-    axes = [_distinct_rows(rows[:, [c]])[0] for c in range(rows.shape[1])]
-    return axes if prod(map(len, axes)) == len(rows) == len(_distinct_rows(rows)[0]) else None
+    axes = [_distinct(rows[:, [c]]) for c in range(rows.shape[1])]
+    return axes if prod(map(len, axes)) == len(rows) == len(_distinct(rows)) else None
 
 
 def _block_table(block, den: int, distinct: np.ndarray, rden: int) -> np.ndarray:
@@ -534,14 +552,14 @@ def difference_deviation(summands, den: int, factors) -> float:
             m = m.astype(object) if _peak(m) >= _INT64_SAFE else m
             # the pairs differ only on the summand's nonzero axes
             cols = [c for c in range(m.shape[1]) if m[:, c].any()] or [0]
-            d = _distinct_rows(sum_rows([(m[:, cols], 1), (-m[:, cols], 1)]))[0]
+            d = _distinct(sum_rows([(m[:, cols], 1), (-m[:, cols], 1)]))
             diffs.append(np.zeros((len(d), m.shape[1]), dtype=d.dtype))
             diffs[-1][:, cols] = d
         sizes = [len(d) for d in diffs]
         k = min(range(1, len(diffs) + 1), key=lambda k: max(prod(sizes[:k]), prod(sizes[k:])))
         blocks = []
         for run in (diffs[:k], diffs[k:] or [np.zeros_like(diffs[0][:1])]):
-            rows = _distinct_rows(sum_rows([(d, 1) for d in run]))[0]
+            rows = _distinct(sum_rows([(d, 1) for d in run]))
             cols = [c for c in range(rows.shape[1]) if rows[:, c].any()] or [0]
             at = int(np.flatnonzero((rows == 0).all(axis=1))[0])
             blocks.append(((cols, rows[:, cols]), at))

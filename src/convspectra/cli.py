@@ -16,12 +16,12 @@ dense kernels).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 import time
@@ -1055,33 +1055,126 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to a JSON config")
-    common.add_argument("--out", help="write the artifact (or report) to this path")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--max-atoms", type=int, dest="max_atoms", help="override the spectrum level cap")
-    common.add_argument(
-        "--grid-pitch", dest="grid_pitch", help="override the scan pitch (p/q)"
-    )
-    common.add_argument("--tol", type=float, help="override the unitarity tolerance")
+# One-line help of each verb, and every flag a verb takes: flag ->
+# (destination, type, help).  The type converts the flag's value as given
+# (int and float as the built-ins read text); --config is the one required
+# flag.  Parsing, prefix matching and --help all read these tables.
+_VERB_HELP = {
+    "check": "run the requested convergence and admissibility checks",
+    "spectrum": "build candidate spectrum levels and verify exactness",
+    "qscan": "evaluate the completeness functional on a grid (CSV)",
+    "sample": "draw coupled random partial sums (CSV)",
+    "equipos": "scan tail transforms for a positive lower bound",
+}
+_OPTIONS = {
+    "--config": ("config", str, "path to a JSON config"),
+    "--out": ("out", str, "write the artifact (or report) to this path"),
+    "--seed": ("seed", int, "override the config seed"),
+    "--max-atoms": ("max_atoms", int, "override the spectrum level cap"),
+    "--grid-pitch": ("grid_pitch", str, "override the scan pitch (p/q)"),
+    "--tol": ("tol", float, "override the unitarity tolerance"),
+}
+_HELP_FLAGS = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    parser = argparse.ArgumentParser(
-        prog="convspectra",
-        description="finite truncations of infinite digit convolutions: "
-        "checks, candidate spectra, and scans",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "check": "run the requested convergence and admissibility checks",
-        "spectrum": "build candidate spectrum levels and verify exactness",
-        "qscan": "evaluate the completeness functional on a grid (CSV)",
-        "sample": "draw coupled random partial sums (CSV)",
-        "equipos": "scan tail transforms for a positive lower bound",
-    }
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
-    return parser
+
+class _Exit(Exception):
+    """Ends argument parsing with (exit code, text): the text goes to stdout
+    for code 0 (help) and to stderr otherwise."""
+
+
+def _usage(verb=None) -> str:
+    if verb is None:
+        return f"usage: convspectra [-h] {{{','.join(_VERB_HELP)}}} ..."
+    flags = [f"{flag} {dest.upper()}" for flag, (dest, _, _) in _OPTIONS.items()]
+    return " ".join(["usage: convspectra", verb, "[-h]", flags[0], *(f"[{f}]" for f in flags[1:])])
+
+
+def _help(verb=None) -> str:
+    options = [("-h, --help", "show this help message and exit")]
+    if verb is None:
+        lines = [_usage(), "", "finite truncations of infinite digit convolutions: checks, candidate spectra, and scans",
+                 "", "commands:", *(f"  {name:<10}{text}" for name, text in _VERB_HELP.items())]
+    else:
+        lines = [_usage(verb), "", _VERB_HELP[verb]]
+        options += [(f"{flag} {dest.upper()}", text) for flag, (dest, _, text) in _OPTIONS.items()]
+    width = max(len(name) for name, _ in options) + 2
+    lines += ["", "options:", *(f"  {name:<{width}}{text}" for name, text in options)]
+    return "\n".join(lines) + "\n"
+
+
+def _refuse(verb, message: str):
+    prog = "convspectra" if verb is None else f"convspectra {verb}"
+    raise _Exit(2, f"{_usage(verb)}\n{prog}: error: {message}\n")
+
+
+def _read_flag(arg: str, flags, verb):
+    """Reads one argv item against `flags` as argparse does: None when it is
+    a value (no leading '-', a lone '-' or '--', a negative number, or an item
+    with a space), else (the flag it names, or None for an unknown one, and the
+    value given after '=', or None).  A long flag may be cut to a unique
+    prefix."""
+    if not arg.startswith("-") or arg in ("-", "--"):
+        return None
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg.startswith("--"):
+        found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            _refuse(verb, f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _parse_argv(argv) -> tuple:
+    """(verb, {destination: value}) of a command line: the verb, then the
+    flags of `_OPTIONS` in any order, each as `--flag value` or
+    `--flag=value` and the last of a repeated flag winning.  Raises _Exit
+    for -h/--help (code 0) and for a command line it refuses (code 2)."""
+    verb, values = None, dict.fromkeys(dest for dest, _, _ in _OPTIONS.values())
+    flags = _HELP_FLAGS  # before the verb, only help
+    extras = []  # unknown flags and extra values, refused once parsing ends
+    args = iter(argv)
+    for arg in args:
+        if verb is not None and arg == "--":  # it and the rest are values
+            extras += [arg, *args]
+            break
+        read = _read_flag(arg, flags, verb)
+        if read is None and verb is None:
+            if arg not in _VERB_HELP:
+                choices = ", ".join(map(repr, _VERB_HELP))
+                _refuse(None, f"argument command: invalid choice: {arg!r} (choose from {choices})")
+            verb, flags = arg, _HELP_FLAGS + tuple(_OPTIONS)
+        elif read is None or read[0] is None:
+            extras.append(arg)
+        elif read[0] in _HELP_FLAGS:
+            if read[1] is not None:
+                _refuse(verb, f"argument -h/--help: ignored explicit argument {read[1]!r}")
+            raise _Exit(0, _help(verb))
+        else:
+            flag, value = read
+            if value is None:
+                value = next(args, None)
+                if value is None or value == "--" or _read_flag(value, flags, verb) is not None:
+                    _refuse(verb, f"argument {flag}: expected one argument")
+            dest, kind, _ = _OPTIONS[flag]
+            try:
+                values[dest] = kind(value)
+            except ValueError:
+                _refuse(verb, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+    if verb is None:
+        _refuse(None, "the following arguments are required: command")
+    if values["config"] is None:
+        _refuse(verb, "the following arguments are required: --config")
+    if extras:
+        _refuse(verb, f"unrecognized arguments: {' '.join(extras)}")
+    return verb, values
 
 
 def _write_out(path: str, text: str) -> None:
@@ -1099,24 +1192,30 @@ def _write_out(path: str, text: str) -> None:
             f.truncate()
 
 
+def _check_out(path: str) -> None:
+    """Refuses an --out path that cannot be written before the command runs:
+    a directory, or a file in a directory that does not exist."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write --out {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise ValidationError(f"cannot write --out {path}: no directory {parent}")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        verb, args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:
+        code, text = exc.args
+        (sys.stderr if code else sys.stdout).write(text)
+        return code
 
     try:
-        cfg = load_config(args.config)
-        cfg = cfg.with_top(
-            seed=args.seed,
-            max_atoms=args.max_atoms,
-            tol=args.tol,
-            out=args.out,
-            grid_pitch=args.grid_pitch,
-        )
-        rep = _COMMANDS[args.command](cfg)
+        cfg = load_config(args.pop("config")).with_top(**args)
+        out = cfg.top("out")
+        if out:
+            _check_out(out)
+        rep = _COMMANDS[verb](cfg)
     except (ParseError, ValidationError, IndexOutOfRange, MilestoneGap) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -1127,17 +1226,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out = cfg.top("out")
-    if rep.artifact is not None:
-        if out:
-            _write_out(out, rep.artifact)
-            sys.stdout.write(render_report(rep))
-        else:
-            sys.stdout.write(rep.artifact)
-    else:
-        if out:
-            _write_out(out, render_report(rep))
-        sys.stdout.write(render_report(rep))
+    text = render_report(rep) if rep.artifact is None else rep.artifact
+    if out:
+        try:
+            _write_out(out, text)
+        except OSError as exc:
+            print(f"error: cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+        if rep.artifact is not None:
+            text = render_report(rep)  # the artifact went to --out
+    sys.stdout.write(text)
     return 0 if rep.ok else 1
 
 

@@ -18,6 +18,7 @@ from ._phases import (
     PointRows,
     _axis_sets,
     _block_table,
+    _distinct,
     _distinct_rows,
     _int_rows,
     _narrowest,
@@ -272,7 +273,7 @@ def build_spectrum(
                 block = _narrowest(block.astype(object) + shift)
         mapped = _mapped(block, seq.prefix_matrix(p).transpose())
 
-        level = _narrowest(_distinct_rows(sum_rows([(lam_prev, 1), (mapped, 1)]))[0])
+        level = _narrowest(_distinct(sum_rows([(lam_prev, 1), (mapped, 1)])))
         if len(level) != len(lam_prev) * len(mapped):
             raise TripleInvalid(
                 f"level {j} collided: {len(level)} vectors from "
@@ -420,8 +421,8 @@ def spectrum_exactness(
     blocks = [_int_rows(p) if len(p) else np.zeros((0, m.dim), np.int64) for p in parts]
     if any(b.shape[1:] != (m.dim,) for b in blocks):
         raise DimensionMismatch(f"candidate vectors must have dimension {m.dim}")
-    blocks = [_distinct_rows(b)[0] for b in blocks]
-    lams = _distinct_rows(sum_rows([(b, 1) for b in blocks]))[0]
+    blocks = [_distinct(b) for b in blocks]
+    lams = _distinct(sum_rows([(b, 1) for b in blocks]))
     if len(lams) != n:
         raise SizeMismatch(f"{len(lams)} candidate vectors vs {n} atoms")
     if n != math.prod(map(len, blocks)):

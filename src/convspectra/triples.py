@@ -20,7 +20,7 @@ import numpy as np
 from ._phases import (
     _INT64_SAFE,
     _axis_sets,
-    _distinct_rows,
+    _distinct,
     _int_rows,
     _lex_order,
     _narrowest,
@@ -186,7 +186,7 @@ class DigitSet:
         repeats: an int64 or object (n, dim) array, or a list of int tuples."""
         rows = _narrowest(_int_rows(rows).reshape(-1, dim), _HEADROOM)
         if len(rows) > 1:
-            rows = _distinct_rows(rows)[0]
+            rows = _distinct(rows)
         return cls(dim, _frozen(rows))
 
     @classmethod
@@ -358,7 +358,7 @@ def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
     axes = _axis_sets(reduced)
     if axes is not None:
         return den, [a * eye[c] for c, a in enumerate(axes)]
-    if len(_distinct_rows(reduced)[0]) < len(b):
+    if len(_distinct(reduced)) < len(b):
         return den, [y]  # congruent digits: the rows y themselves
     return den, [reduced]
 

@@ -5,19 +5,21 @@ the integer kernels: Gauss-Jordan inversion over Q, the dense scalar Fourier
 sum, the Q functional (its phases in Fractions, its sums in mpmath), the
 convolution of uniform digit measures and the tail truncation built from it,
 composition of Hadamard triples, the pointwise interval coupling, ball
-clipping with exact moments, and the Philox4x64-10 cipher in Python
-integers.  The `sample` CSV is written here in one pass, where the library
+clipping with exact moments, the Philox4x64-10 cipher in Python integers,
+and the argparse parser of the command line.  The `sample` CSV is written here in one pass, where the library
 writes it in blocks, and the `qscan` CSV from Fraction points, where the
 library formats integer rows.  None of it is library code.
 """
 from __future__ import annotations
 
+import argparse
 import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from convspectra.cli import _COMMANDS
 from convspectra.conditions import _aligned_tables
 from convspectra.errors import (
     DimensionMismatch,
@@ -448,3 +450,32 @@ def qscan_csv(pitch, dim: int, values) -> tuple:
     hi = max(range(len(values)), key=values.__getitem__)
     at = lambda x: "(" + ", ".join(str(c) for c in x) + ")"
     return "\n".join(lines) + "\n", at(points[lo]), at(points[hi])
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to a JSON config")
+    common.add_argument("--out", help="write the artifact (or report) to this path")
+    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--max-atoms", type=int, dest="max_atoms", help="override the spectrum level cap")
+    common.add_argument(
+        "--grid-pitch", dest="grid_pitch", help="override the scan pitch (p/q)"
+    )
+    common.add_argument("--tol", type=float, help="override the unitarity tolerance")
+
+    parser = argparse.ArgumentParser(
+        prog="convspectra",
+        description="finite truncations of infinite digit convolutions: "
+        "checks, candidate spectra, and scans",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    helps = {
+        "check": "run the requested convergence and admissibility checks",
+        "spectrum": "build candidate spectrum levels and verify exactness",
+        "qscan": "evaluate the completeness functional on a grid (CSV)",
+        "sample": "draw coupled random partial sums (CSV)",
+        "equipos": "scan tail transforms for a positive lower bound",
+    }
+    for name in _COMMANDS:
+        sub.add_parser(name, parents=[common], help=helps[name])
+    return parser

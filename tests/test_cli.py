@@ -3,6 +3,7 @@ codes, artifact routing, and byte-level determinism of CSV output."""
 
 import contextlib
 import copy
+import errno
 import gc
 import hashlib
 import io
@@ -20,7 +21,7 @@ from convspectra.errors import ParseError, ValidationError
 from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_sequence
 from convspectra.spectra import read_levels
-from oracles import level_tuples, mp_q, qscan_csv, sample_csv
+from oracles import _build_parser, level_tuples, mp_q, qscan_csv, sample_csv
 
 
 def run_cli(args):
@@ -731,6 +732,134 @@ def test_out_rewrites_an_existing_file_to_exactly_the_new_bytes(tmp_path, old):
     assert out.startswith("convspectra check") and dest.read_bytes() == out.encode("utf-8")
     # a device or a pipe is written and not truncated
     assert run_cli(["qscan", "--config", cfg, "--out", os.devnull])[0] == 0
+
+
+@pytest.mark.parametrize("verb", ["check", "spectrum"])
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_an_unwritable_out_is_refused_before_the_command_runs(tmp_path, monkeypatch, verb, where):
+    cfg = write_config(tmp_path, jp_doc(check={"upto": 4, "checks": ["rbc"]}, spectrum={"milestones": [1, 2]}))
+    dest = tmp_path if where == "a directory" else tmp_path / "missing" / "out.txt"
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, verb, lambda cfg, run=cli._COMMANDS[verb]: ran.append(verb) or run(cfg))
+    rc, out, err = run_cli([verb, "--config", cfg, "--out", str(dest)])
+    assert (rc, out, ran) == (2, "", [])
+    assert err.startswith(f"config error: cannot write --out {dest}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["check", "spectrum"])
+def test_a_failed_write_of_out_is_an_error_line(tmp_path, monkeypatch, verb):
+    def full(path, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_out", full)
+    cfg = write_config(tmp_path, jp_doc(check={"upto": 4, "checks": ["rbc"]}, spectrum={"milestones": [1, 2]}))
+    dest = tmp_path / "out.txt"
+    rc, out, err = run_cli([verb, "--config", cfg, "--out", str(dest)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write --out {dest}: No space left on device\n"
+
+
+def test_out_writes_into_a_pipe():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    config = Path(__file__).resolve().parent.parent / "configs" / "bernoulli-quarter-check.json"
+    read, write = os.pipe()
+    with os.fdopen(read, "rb") as fh:
+        try:
+            rc, out, _ = run_cli(["check", "--config", str(config), "--out", f"/proc/self/fd/{write}"])
+        finally:
+            os.close(write)
+        assert (rc, fh.read()) == (0, out.encode("utf-8"))
+
+
+# -- command line -----------------------------------------------------------
+
+_DESTS = ("config", "out", "seed", "max_atoms", "tol", "grid_pitch")
+
+# every spelling the argparse parser of tests/oracles.py accepts
+_VALID_ARGV = [
+    ["check", "--config", "c.json"],
+    ["spectrum", "--out", "o.txt", "--config", "c.json"],
+    ["qscan", "--config=c.json", "--out=o.csv", "--grid-pitch=1/8"],
+    ["sample", "--conf", "c.json", "--se=7", "--g", "1/8"],
+    ["equipos", "--config", "a.json", "--seed", "1", "--config", "b.json", "--seed", "2"],
+    ["sample", "--config", "c.json", "--seed", "-5"],
+    ["sample", "--seed=-5", "--config", "c.json"],
+    ["spectrum", "--config", "c.json", "--max-atoms", "64", "--tol", "1e-9", "--out", "-"],
+    ["spectrum", "--config", "c.json", "--max=-64", "--t", "-.5", "--o=-x", "--gr", "-3"],
+    ["check", "--config", "c.json", "--max-atoms", "1_000", "--tol", " 2 ", "--seed", "+3"],
+    ["check", "--config", "c.json", "--out", "- x"],
+]
+
+_REFUSED_ARGV = [
+    [],
+    ["bogus", "--config", "c.json"],
+    ["Check", "--config", "c.json"],
+    ["--config", "c.json", "check"],
+    ["--seed", "5", "check", "--config", "c.json"],
+    ["check", "--config", "c.json", "--bogus", "1"],
+    ["check", "--config", "c.json", "-s", "1"],
+    ["check", "--config", "c.json", "extra"],
+    ["check", "--config", "c.json", "--", "extra"],
+    ["check", "--config"],
+    ["check", "--config", "c.json", "--seed"],
+    ["check", "--config", "c.json", "--out", "--seed", "1"],
+    ["check", "--config", "c.json", "--grid-pitch", "-1/8"],
+    ["check"],
+    ["check", "--seed", "5"],
+    ["check", "--config", "c.json", "--seed", "1.5"],
+    ["check", "--config", "c.json", "--se=x"],
+    ["check", "--config", "c.json", "--max-atoms", "2**20"],
+    ["check", "--config", "c.json", "--tol", "fast"],
+    ["check", "--config", "c.json", "--help=x"],
+    ["check", "--=c.json"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "(empty)"
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=_argv_id)
+def test_argv_reads_as_argparse_reads_it(argv):
+    want = _build_parser().parse_args(argv)
+    verb, values = cli._parse_argv(argv)
+    assert verb == want.command
+    assert values == {dest: getattr(want, dest) for dest in _DESTS}
+
+
+@pytest.mark.parametrize("argv", _REFUSED_ARGV, ids=_argv_id)
+def test_argv_refused_by_argparse_exits_2_with_a_usage_line(argv):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        _build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: convspectra") and len(lines) == 2 and ": error: " in lines[1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["--bogus", "-h"]], ids=_argv_id)
+def test_help_exits_0_and_names_every_verb(argv):
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: convspectra [-h] {check,spectrum,qscan,sample,equipos}")
+    for verb, text in cli._VERB_HELP.items():
+        assert f"  {verb}" in out and text in out
+
+
+@pytest.mark.parametrize("verb", list(cli._COMMANDS))
+@pytest.mark.parametrize("tail", [["-h"], ["--config", "c.json", "--help"], ["--h", "--bogus"]], ids=_argv_id)
+def test_verb_help_exits_0_and_names_every_flag(verb, tail):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+        _build_parser().parse_args([verb, *tail])
+    assert exc.value.code == 0
+    rc, out, err = run_cli([verb, *tail])
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"usage: convspectra {verb} [-h] --config CONFIG [--out OUT]")
+    assert cli._VERB_HELP[verb] in out
+    for flag, (dest, _, text) in cli._OPTIONS.items():
+        assert f"  {flag} {dest.upper()}" in out and text in out
 
 
 # -- sample -----------------------------------------------------------------

@@ -38,8 +38,13 @@ machine, a `sample` of example-2.6 to level 40 with 20 000 draws peaked at
 43.8 MB drawing with numpy.random and at 39.8 MB with the kernel.  Nor
 should any command import `dataclasses`: the result records are NamedTuples
 and plain classes, since generating the code of 19 dataclasses took 19-26 ms
-of every process's start on the same machine.  The footprint is checked by
-module name, since the MB and ms differ between machines.
+of every process's start on the same machine.  Nor should any command load
+`argparse`, `gettext`, `locale` or `_locale`: the CLI reads its seven flags
+from one table, where argparse cost about 0.6 MB of every child's peak.  On
+the same machine, with numpy imported, `import argparse` added 384 kB and
+building the argparse parser took 2.8 ms, its message lookups importing
+gettext and locale (256 kB, 1.7 ms).  The footprint is checked by module
+name, since the MB and ms differ between machines.
 """
 import importlib.util
 import json
@@ -138,12 +143,12 @@ from convspectra import cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(json.dumps([name for name in ("_hashlib", "hmac", "secrets", "numpy.random", "dataclasses")
-                  if name in sys.modules]))
+print(json.dumps([name for name in ("_hashlib", "hmac", "secrets", "numpy.random", "dataclasses",
+                                    "argparse", "gettext", "locale", "_locale") if name in sys.modules]))
 """
 
 
-def test_no_command_loads_libcrypto_numpy_random_or_dataclasses(tmp_path):
+def test_no_command_loads_libcrypto_numpy_random_dataclasses_or_argparse(tmp_path):
     configs = {"check": ["bernoulli-quarter-check", "jorgensen-pedersen-check"],
                "spectrum": ["jorgensen-pedersen-spectrum"], "qscan": ["jorgensen-pedersen-qscan"],
                "sample": ["planar-sample"], "equipos": ["example-2.6-equipos"]}

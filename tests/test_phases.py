@@ -159,3 +159,19 @@ def test_distinct_rows_of_no_rows_are_empty():
     for dtype in (np.int64, object):
         distinct, inverse = _phases._distinct_rows(np.zeros((0, 2), dtype=dtype))
         assert distinct.shape == (0, 2) and distinct.dtype == dtype and len(inverse) == 0
+
+
+@pytest.mark.parametrize("kind", ["int64 keyed", "sorted and distinct", "object past 2^63", "int64 box past 2^63"])
+def test_distinct_is_the_first_of_distinct_rows(kind):
+    rng = np.random.default_rng(17)
+    rows = rng.integers(-5, 6, size=(500, 2))
+    if kind == "sorted and distinct":
+        rows = np.unique(rows, axis=0)
+    elif kind == "object past 2^63":
+        rows = rows.astype(object) * 2**70
+    elif kind == "int64 box past 2^63":
+        rows = rows * 2**60
+    distinct = _phases._distinct(rows)
+    want = _phases._distinct_rows(rows)[0]
+    assert distinct.dtype == want.dtype and np.array_equal(distinct, want)
+    assert [tuple(r) for r in distinct.tolist()] == _distinct_oracle(rows.tolist())[0]

@@ -13,9 +13,13 @@ tree, in a fresh temporary directory of its own, as
 
     python3 -m convspectra VERB --config c.json --out out.txt
 
-The relative paths keep the config sha256 the same on both sides.  The exit
-codes, the stdout reports (without their `wall time:` line) and the --out
-files (the level files and CSVs, or the report) are compared byte for byte.
+and every case of `ARGV` as `python3 -m convspectra ARGV`, its own command
+line over one of the shipped configs written to c.json: the overrides spelled
+as `--flag=value`, as prefixes and as repeated flags, and command lines the
+CLI refuses, which must exit with the same code on both trees.  The relative
+paths keep the config sha256 the same on both sides.  The exit codes, the
+stdout reports (without their `wall time:` line) and the --out files (the
+level files and CSVs, or the report) are compared byte for byte.
 The report prints the contractivity bound as `%.6g`, so for a `check` that
 asks for contractivity the `repr` of the library's bound
 (`contractivity_report(...).max_norm_upper`) is compared as well.  One line
@@ -229,6 +233,40 @@ INLINE = (
     }) for draws in (4093, 4094, 4095)),
 )
 
+
+def _shipped(name: str) -> str:
+    return (ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8")
+
+
+_CONFIG, _OUT = ["--config", "c.json"], ["--out", "out.txt"]
+
+# (name, argv, config text): flag spellings that must read the same on both
+# trees, and command lines that both refuse (exit 2, nothing on stdout)
+ARGV = (
+    ("argv/seed=N", ["sample", *_CONFIG, *_OUT, "--seed=-9"], _shipped("planar-sample")),
+    ("argv/seed-prefix", ["sample", "--conf", "c.json", "--o", "out.txt", "--se", "9"], _shipped("planar-sample")),
+    ("argv/seed-repeated", ["sample", *_CONFIG, "--seed", "1", "--out", "x.txt", "--seed", "-5", *_OUT],
+     _shipped("planar-sample")),
+    ("argv/max-atoms", ["spectrum", *_CONFIG, *_OUT, "--max-atoms", "16"], _shipped("jorgensen-pedersen-spectrum")),
+    ("argv/max-atoms-cap", ["spectrum", *_OUT, "--max-a=8", *_CONFIG], _shipped("jorgensen-pedersen-spectrum")),
+    ("argv/tol", ["spectrum", *_CONFIG, *_OUT, "--tol", "1e-18"], _shipped("jorgensen-pedersen-spectrum")),
+    ("argv/tol-prefix", ["check", *_CONFIG, *_OUT, "--t=0.5"], _shipped("bernoulli-quarter-check")),
+    ("argv/grid-pitch", ["qscan", *_CONFIG, *_OUT, "--grid-pitch", "1/12"], _shipped("jorgensen-pedersen-qscan")),
+    ("argv/grid-pitch-prefix", ["qscan", *_CONFIG, *_OUT, "--g=2/7"], _shipped("jorgensen-pedersen-qscan")),
+    *((f"argv/refused: {' '.join(argv) or '(no verb)'}", argv, _shipped("bernoulli-quarter-check")) for argv in (
+        [],
+        ["scan", *_CONFIG],
+        [*_CONFIG, "check"],
+        ["check", *_CONFIG, "--bogus", "1"],
+        ["check", *_CONFIG, "extra"],
+        ["check", *_CONFIG, "--seed"],
+        ["check", *_OUT],
+        ["check", *_CONFIG, "--seed", "1.5"],
+        ["check", *_CONFIG, "--max-atoms", "2e6"],
+        ["check", *_CONFIG, "--tol", "tight"],
+    )),
+)
+
 # The contractivity bound of a `check` config, as the library computes it
 # under the tree on PYTHONPATH.
 _CONTRACTIVITY = r"""
@@ -243,11 +281,11 @@ print(repr(contractivity_report(seq, upto if seq.length is None else min(upto, s
 
 
 def cases():
-    """(name, verb, config text) of every command to compare."""
+    """(name, argv, config text) of every command to compare."""
     for path in sorted((ROOT / "configs").glob("*.json")):
         text = path.read_text(encoding="utf-8")
         verb = next(v for v in VERBS if v in json.loads(text))
-        yield f"configs/{path.name}", verb, text
+        yield f"configs/{path.name}", [verb, *_CONFIG, *_OUT], text
     seen = set()
     for workload in workloads.WORKLOADS:
         for seed in SAMPLE_SEEDS:
@@ -257,16 +295,17 @@ def cases():
                     continue
                 seen.add((cmd.key, text))
                 suffix = f" (seed {seed})" if cmd.verb == "sample" else ""
-                yield f"{workload}/{cmd.key}{suffix}", cmd.verb, text
+                yield f"{workload}/{cmd.key}{suffix}", [cmd.verb, *_CONFIG, *_OUT], text
     for name, verb, doc in INLINE:
-        yield name, verb, json.dumps(doc, sort_keys=True)
+        yield name, [verb, *_CONFIG, *_OUT], json.dumps(doc, sort_keys=True)
+    yield from ARGV
 
 
-def _asks_contractivity(verb: str, text: str) -> bool:
-    return verb == "check" and "contractivity" in json.loads(text)["check"].get("checks", ["contractivity"])
+def _asks_contractivity(argv: list, text: str) -> bool:
+    return argv[:1] == ["check"] and "contractivity" in json.loads(text)["check"].get("checks", ["contractivity"])
 
 
-def run(src: Path, verb: str, text: str) -> tuple:
+def run(src: Path, argv: list, text: str) -> tuple:
     """(exit code, stdout without wall time, --out file, contractivity bound)
     of one command; the bound is (exit code, stdout) of the library call, or
     None unless a `check` asks for it."""
@@ -274,13 +313,13 @@ def run(src: Path, verb: str, text: str) -> tuple:
         Path(tmp, "c.json").write_text(text, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-m", "convspectra", verb, "--config", "c.json", "--out", "out.txt"],
+            [sys.executable, "-m", "convspectra", *argv],
             cwd=tmp, env=env, capture_output=True,
         )
         out = Path(tmp, "out.txt")
         artifact = out.read_bytes() if out.exists() else None
         bound = None
-        if _asks_contractivity(verb, text):
+        if _asks_contractivity(argv, text):
             done = subprocess.run([sys.executable, "-c", _CONTRACTIVITY, "c.json"],
                                   cwd=tmp, env=env, capture_output=True)
             bound = done.returncode, done.stdout
@@ -296,8 +335,8 @@ def main(argv) -> int:
         return 2
     parent, change = (Path(a).resolve() for a in argv)
     differ = 0
-    for name, verb, text in cases():
-        a, b = run(parent, verb, text), run(change, verb, text)
+    for name, argv, text in cases():
+        a, b = run(parent, argv, text), run(change, argv, text)
         parts = [what for what, x, y in zip(("exit code", "report", "out file", "contractivity"), a, b) if x != y]
         differ += bool(parts)
         print(f"{'DIFF' if parts else 'same'}  {name}  exit {a[0]}/{b[0]}" + (f"  ({', '.join(parts)})" if parts else ""))
