@@ -184,6 +184,12 @@ def _as_str(value, path: str, bound=None, dim=None):
     return value
 
 
+def _as_path(value, path: str, bound=None, dim=None):
+    if not _as_str(value, path):
+        raise ValidationError(f"field '{path}': needs a path, got an empty string")
+    return value
+
+
 def _at_least_one(items: list, path: str, noun: str) -> list:
     if not items:
         raise ValidationError(f"field '{path}': needs at least one {noun}")
@@ -309,7 +315,7 @@ _FIELDS = {
         "seed": (_as_int, None, False),
         "max_atoms": (_as_int, 1, False),
         "tol": (_as_float, None, False),
-        "out": (_as_str, None, False),
+        "out": (_as_path, None, False),
         "grid_pitch": (_as_rational, None, False),
     },
     "sequence": {
@@ -482,15 +488,21 @@ class Table(NamedTuple):
 
 
 class Report(NamedTuple):
-    command: str
-    config_sha256: str
+    """What a command found; `main` stamps the verb, the config digest and
+    the wall time."""
+
     tables: tuple
     verdicts: dict
-    ok: bool
-    wall_time_s: float
     notes: tuple = ()
     artifact: str | None = None
-    artifact_name: str = ""
+    command: str = ""
+    config_sha256: str = ""
+    wall_time_s: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        """A run passes when every verdict passes."""
+        return all(v == "pass" for v in self.verdicts.values())
 
 
 def _int_str(n: int) -> str:
@@ -535,16 +547,16 @@ def _table(title, headers, rows) -> Table:
     return Table(title, tuple(headers), tuple(tuple(_fmt(c) for c in r) for r in rows))
 
 
-def _clip_rows(rows, limit: int = _TABLE_ROW_LIMIT):
+def _clip_rows(rows):
     """Head of a long table plus its final row; note says what was elided."""
     rows = list(rows)
-    if len(rows) <= limit:
+    if len(rows) <= _TABLE_ROW_LIMIT:
         return rows, None
-    kept = rows[: limit - 1] + [rows[-1]]
-    return kept, f"table clipped: showing {limit - 1} of {len(rows)} rows plus the last"
+    kept = rows[: _TABLE_ROW_LIMIT - 1] + [rows[-1]]
+    return kept, f"table clipped: showing {_TABLE_ROW_LIMIT - 1} of {len(rows)} rows plus the last"
 
 
-def render_report(rep: Report, wall_time: bool = True) -> str:
+def render_report(rep: Report) -> str:
     lines = [f"convspectra {rep.command}", f"config sha256: {rep.config_sha256}"]
     for tab in rep.tables:
         lines.append("")
@@ -567,8 +579,7 @@ def render_report(rep: Report, wall_time: bool = True) -> str:
             "verdicts: " + " ".join(f"{k}={v}" for k, v in sorted(rep.verdicts.items()))
         )
     lines.append(f"overall: {'PASS' if rep.ok else 'FAIL'}")
-    if wall_time:
-        lines.append(f"wall time: {rep.wall_time_s:.3f} s")
+    lines.append(f"wall time: {rep.wall_time_s:.3f} s")
     return "\n".join(lines) + "\n"
 
 
@@ -588,7 +599,6 @@ def _series_table(title, diag, value_header="term"):
 
 
 def cmd_check(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     seq = cfg.build_sequence()
     sec = cfg.section("check")
     upto = sec.get("upto", 20)
@@ -692,20 +702,10 @@ def cmd_check(cfg: RunConfig) -> Report:
         ok_t = all(d.verdict in _PASS_VERDICTS for d in parts)
         verdicts["three-series"] = "pass" if ok_t else "fail"
 
-    ok = bool(verdicts) and all(v == "pass" for v in verdicts.values())
-    return Report(
-        command="check",
-        config_sha256=config_sha256(cfg),
-        tables=tuple(tables),
-        verdicts=verdicts,
-        ok=ok,
-        wall_time_s=time.perf_counter() - t0,
-        notes=tuple(notes),
-    )
+    return Report(tuple(tables), verdicts, tuple(notes))
 
 
 def cmd_spectrum(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     seq = cfg.build_sequence()
     sec = cfg.section("spectrum")
     if cfg.top("out") is None:
@@ -727,13 +727,11 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
         max_atoms=max_atoms,
     )
 
-    rows, ok = [], True
+    rows = []
     bounds = _level_bounds(seq, sp.milestones) if want_exactness else [None] * len(sp.levels)
     for j, (m, level, bound) in enumerate(zip(sp.milestones, sp.levels, bounds), start=1):
         if want_exactness:
-            passed = bound <= tol
-            rows.append((j, m, len(level), f"{bound:.3e}", passed))
-            ok = ok and passed
+            rows.append((j, m, len(level), f"{bound:.3e}", bound <= tol))
         else:
             rows.append((j, m, len(level), "-", "skipped"))
     tables = [
@@ -747,17 +745,8 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
 
     buf = io.StringIO()
     write_levels(sp, buf)
-    return Report(
-        command="spectrum",
-        config_sha256=config_sha256(cfg),
-        tables=tuple(tables),
-        verdicts={"exactness": "pass" if ok else "fail"} if want_exactness else {},
-        ok=ok,
-        wall_time_s=time.perf_counter() - t0,
-        notes=tuple(notes),
-        artifact=buf.getvalue(),
-        artifact_name="spectrum levels",
-    )
+    verdicts = {"exactness": "pass" if all(b <= tol for b in bounds) else "fail"} if want_exactness else {}
+    return Report(tuple(tables), verdicts, tuple(notes), buf.getvalue())
 
 
 def _qscan_point_bytes(den: int, dim: int) -> int:
@@ -790,7 +779,6 @@ def _unit_grid(pitch: Fraction, dim: int, cap: int):
 
 
 def cmd_qscan(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     seq = cfg.build_sequence()
     sec = cfg.section("qscan")
     dim = cfg.dimension
@@ -840,17 +828,7 @@ def cmd_qscan(cfg: RunConfig) -> Report:
         rows.append((name, f"{values[i]:.17g}", f"({cells[i].replace(',', ', ')})"))
     tables = [_table("completeness functional scan", ("quantity", "value", "at"), rows)]
     notes = [f"truncation level {truncation}, pitch {pitch}, lambda from {source}"]
-    return Report(
-        command="qscan",
-        config_sha256=config_sha256(cfg),
-        tables=tuple(tables),
-        verdicts={},
-        ok=True,
-        wall_time_s=time.perf_counter() - t0,
-        notes=tuple(notes),
-        artifact=out.getvalue(),
-        artifact_name="q values",
-    )
+    return Report(tuple(tables), {}, tuple(notes), out.getvalue())
 
 
 def _sample_bytes(draws: int, dim: int) -> tuple:
@@ -876,7 +854,6 @@ def _sample_bytes(draws: int, dim: int) -> tuple:
 
 
 def cmd_sample(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     seq = cfg.build_sequence()
     sec = cfg.section("sample")
     seed = cfg.top("seed")
@@ -940,21 +917,10 @@ def cmd_sample(cfg: RunConfig) -> Report:
             fields[j::width] = col.tolist()
         out.write(line * (hi - lo) % tuple(fields))
 
-    return Report(
-        command="sample",
-        config_sha256=config_sha256(cfg),
-        tables=tuple(tables),
-        verdicts={},
-        ok=True,
-        wall_time_s=time.perf_counter() - t0,
-        notes=tuple(notes),
-        artifact=out.getvalue(),
-        artifact_name="coupled partial sums",
-    )
+    return Report(tuple(tables), {}, tuple(notes), out.getvalue())
 
 
 def cmd_equipos(cfg: RunConfig) -> Report:
-    t0 = time.perf_counter()
     seq = cfg.build_sequence()
     sec = cfg.section("equipos")
     pitch_raw = cfg.top("grid_pitch", sec.get("x_pitch"))
@@ -1008,12 +974,11 @@ def cmd_equipos(cfg: RunConfig) -> Report:
         )
 
     verdicts = {"witnessed": "pass" if scan.status == "witnessed" else "fail"}
-    ok = scan.status == "witnessed"
 
     if "transfer_upto" in sec:
         upto = sec["transfer_upto"]
         tv = 2 * Fraction(seq.defect_tail_bound(upto))
-        if ok:
+        if scan.status == "witnessed":
             try:
                 transferred = perturbation_bound(float(tv), scan.epsilon0)
                 tables.append(
@@ -1027,20 +992,11 @@ def cmd_equipos(cfg: RunConfig) -> Report:
             except ConvspectraError as exc:
                 notes.append(f"perturbation transfer failed: {exc}")
                 verdicts["transfer"] = "fail"
-                ok = False
         else:
             notes.append("perturbation transfer skipped: scan did not witness a bound")
             verdicts["transfer"] = "fail"
 
-    return Report(
-        command="equipos",
-        config_sha256=config_sha256(cfg),
-        tables=tuple(tables),
-        verdicts=verdicts,
-        ok=ok,
-        wall_time_s=time.perf_counter() - t0,
-        notes=tuple(notes),
-    )
+    return Report(tuple(tables), verdicts, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -1213,9 +1169,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.pop("config")).with_top(**args)
         out = cfg.top("out")
-        if out:
+        if out is not None:
             _check_out(out)
+        t0 = time.perf_counter()
         rep = _COMMANDS[verb](cfg)
+        wall = time.perf_counter() - t0
     except (ParseError, ValidationError, IndexOutOfRange, MilestoneGap) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -1226,8 +1184,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    rep = rep._replace(command=verb, config_sha256=config_sha256(cfg), wall_time_s=wall)
     text = render_report(rep) if rep.artifact is None else rep.artifact
-    if out:
+    if out is not None:
         try:
             _write_out(out, text)
         except OSError as exc:

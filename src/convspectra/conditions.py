@@ -548,7 +548,6 @@ class LevelCoupling(NamedTuple):
 class CouplingReport(NamedTuple):
     levels: tuple
     exact_partials: tuple
-    empirical_partials: tuple
     x_sums: np.ndarray  # (draws, dim) float partial sums per draw
     y_sums: np.ndarray
     seed: int
@@ -732,8 +731,6 @@ def coupled_sample(
         raise ValidationError(f"the seed must be in [-2^63, 2^63), got {rng_seed}")
     f1, f2 = _digits_provider(s1), _digits_provider(s2)
     levels = []
-    exact_partials, empirical_partials = [], []
-    acc_exact, acc_emp = Fraction(0), 0.0
     x_sums = y_sums = None
     dim = None
     for k in range(1, upto + 1):
@@ -754,17 +751,10 @@ def coupled_sample(
             va, vb = vb, va
         x_sums += va
         y_sums += vb
-        exact_p = Fraction(n - s, n)
-        mcount = int(mism.sum())
-        levels.append(LevelCoupling(k=k, exact_p=exact_p, mismatches=mcount, draws=draws))
-        acc_exact += exact_p
-        acc_emp += mcount / draws
-        exact_partials.append(acc_exact)
-        empirical_partials.append(acc_emp)
+        levels.append(LevelCoupling(k=k, exact_p=Fraction(n - s, n), mismatches=int(mism.sum()), draws=draws))
     return CouplingReport(
         levels=tuple(levels),
-        exact_partials=tuple(exact_partials),
-        empirical_partials=tuple(empirical_partials),
+        exact_partials=tuple(accumulate(lv.exact_p for lv in levels)),
         x_sums=x_sums,
         y_sums=y_sums,
         seed=rng_seed,

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .exactmat import invert, product_range
 from .measures import DiscreteMeasure, _points, tail_factors, tail_fourier_many
-from .triples import DEFAULT_UNITARITY_TOL, hadamard_check
+from .triples import DEFAULT_UNITARITY_TOL, axis_numerators, box_count, hadamard_check, numerators
 
 DEFAULT_SPECTRUM_CAP = 1_000_000
 DEFAULT_FAIL_TOL = 1e-12
@@ -686,20 +686,20 @@ def truncation_tail_floor(c: float, depth: int, dim: int, xi_max: float):
     return floor, note
 
 
-def _probe_in_box(seq, starts, depth: int, probe: int = 4):
-    """First ignored level whose digits leave the half-open box, or None."""
-    from .conditions import rbc_split  # local import: avoid a module cycle
-
+def _probe_in_box(seq, starts, depth: int):
+    """First of the four ignored levels past each start's depth whose digits
+    leave the half-open box, or None."""
     seen = set()
     for start in starts:
-        top = start + depth + probe
+        top = start + depth + 4
         if seq.length is not None:
             top = min(top, seq.length)
         for i in range(start + depth + 1, top + 1):
             if i in seen:
                 continue
             seen.add(i)
-            if len(rbc_split(seq.matrix(i), seq.digits(i)).b2):
+            r, b = seq.matrix(i), seq.digits(i)
+            if box_count(axis_numerators(r, b) or numerators(r, b)) < len(b):
                 return i
     return None
 

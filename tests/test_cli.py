@@ -746,6 +746,15 @@ def test_an_unwritable_out_is_refused_before_the_command_runs(tmp_path, monkeypa
     assert err.startswith(f"config error: cannot write --out {dest}: ") and err.count("\n") == 1
 
 
+def test_an_empty_out_flag_is_refused_before_the_command_runs(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, jp_doc(spectrum={"milestones": [1, 2]}))
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", lambda cfg: ran.append(cfg))
+    rc, out, err = run_cli(["spectrum", "--config", cfg, "--out="])
+    assert (rc, out, ran) == (2, "", [])
+    assert err == "config error: field 'out': needs a path, got an empty string\n"
+
+
 @pytest.mark.parametrize("verb", ["check", "spectrum"])
 def test_a_failed_write_of_out_is_an_error_line(tmp_path, monkeypatch, verb):
     def full(path, text):
@@ -1266,6 +1275,8 @@ SINGLE_FAULTS = [
      ValidationError, "field 'tol': must be positive, got 0.0"),
     ("out not string", ("out",), 5,
      ParseError, "field 'out': expected a string"),
+    ("out empty", ("out",), "",
+     ValidationError, "field 'out': needs a path, got an empty string"),
     ("grid_pitch float", ("grid_pitch",), 0.25,
      ParseError, "field 'grid_pitch': exact fields take integers or 'p/q' strings, not floats"),
     ("grid_pitch boolean", ("grid_pitch",), True,

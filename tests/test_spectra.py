@@ -35,6 +35,7 @@ from convspectra.spectra import (
 )
 from convspectra.triples import DigitSet
 from oracles import compose_triples, fourier, level_tuples, tuple_spectrum
+from test_structured import twin
 
 
 def _telescoped_level(seq, m):
@@ -512,6 +513,28 @@ def test_scan_k_window_helps_far_x():
 # ----- quantitative helpers -----
 
 
+def _skew_in_box(outside_at=None):
+    """Digits {0, 1}² under the non-diagonal R = [[4, 1], [0, 4]], declared
+    contraction ratio 1/3; level `outside_at` swaps (1, 1) for (3, 3), whose
+    R⁻¹(3, 3) = (9/16, 3/4) leaves the box."""
+    r = IntMatrix(((4, 1), (0, 4)))
+
+    def gen(k):
+        return r, DigitSet.of([(0, 0), (1, 0), (0, 1), (3, 3) if k == outside_at else (1, 1)]), None
+
+    return from_generator(gen, 2, declared_contractivity=Fraction(1, 3))
+
+
+def _scan_sequence(name, reduce):
+    """A builtin, its explicit twin (name + "-explicit"), or `_skew_in_box`."""
+    if name.startswith("skew"):
+        return _skew_in_box(5 if name == "skew-outside" else None)
+    seq = builtin_sequence(name.removesuffix("-explicit"))
+    if name.endswith("-explicit"):
+        seq = twin(seq)
+    return seq.reduced() if reduce else seq
+
+
 @pytest.mark.parametrize(
     "name, reduce, floor_applies",
     [
@@ -519,12 +542,15 @@ def test_scan_k_window_helps_far_x():
         ("example-2.6", True, True),
         ("jorgensen-pedersen", False, False),
         ("example-2.6", False, False),
+        # explicit twins and a non-diagonal R reach the probe's row count
+        ("example-2.6-explicit", True, True),
+        ("example-2.6-explicit", False, False),
+        ("skew-in-box", False, True),
+        ("skew-outside", False, False),
     ],
 )
 def test_scan_applies_or_withholds_the_truncation_floor(name, reduce, floor_applies):
-    seq = builtin_sequence(name)
-    if reduce:
-        seq = seq.reduced()
+    seq = _scan_sequence(name, reduce)
     rep = equi_positivity_scan(
         seq, [0], depth=4, x_grid=Fraction(1, 8), y_radius=Fraction(1, 12)
     )
@@ -540,6 +566,12 @@ def test_scan_applies_or_withholds_the_truncation_floor(name, reduce, floor_appl
         assert rep.truncation_note == (
             "level 5 digit set leaves its half-open box; truncation floor withheld"
         )
+    if name.endswith("-explicit"):
+        original = equi_positivity_scan(
+            _scan_sequence(name.removesuffix("-explicit"), reduce), [0], depth=4,
+            x_grid=Fraction(1, 8), y_radius=Fraction(1, 12),
+        )
+        assert rep.truncation_note == original.truncation_note
 
 
 @pytest.mark.parametrize("c", [0.25, 0.9, 0.99])

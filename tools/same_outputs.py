@@ -23,11 +23,24 @@ level files and CSVs, or the report) are compared byte for byte.
 The report prints the contractivity bound as `%.6g`, so for a `check` that
 asks for contractivity the `repr` of the library's bound
 (`contractivity_report(...).max_norm_upper`) is compared as well.  One line
-is printed per command; the exit code is 1 when any command differs, 0
-otherwise.
+is printed per command, followed for a differing one by the first line
+where its report or --out file differs; the exit code is 1 when any command
+differs, 0 otherwise.
+
+    python3 tools/same_outputs.py --record FILE [SRC]
+
+runs every command once under SRC (default: the `src/` beside this tool)
+and writes FILE: per command its exit code, the SHA-256 of its stdout and of
+its --out file (each without `wall time:` lines) and the contractivity
+`repr` where a `check` compares it, beside the numpy and BLAS versions the
+digests were recorded with.  `tests/test_golden_outputs.py` runs the same
+commands in-process and compares them with `tests/golden/outputs.json`.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -269,15 +282,18 @@ ARGV = (
 
 # The contractivity bound of a `check` config, as the library computes it
 # under the tree on PYTHONPATH.
-_CONTRACTIVITY = r"""
-import sys
-from convspectra import cli, contractivity_report
+_CONTRACTIVITY = "import sys, same_outputs; print(same_outputs.contractivity_bound(sys.argv[1]))"
 
-cfg = cli.load_config(sys.argv[1])
-seq = cfg.build_sequence()
-upto = cfg.section("check").get("upto", 20)
-print(repr(contractivity_report(seq, upto if seq.length is None else min(upto, seq.length)).max_norm_upper))
-"""
+
+def contractivity_bound(config_path) -> str:
+    """The `repr` of `contractivity_report(...).max_norm_upper` for a
+    `check` config, from the convspectra that is imported."""
+    from convspectra import cli, contractivity_report
+
+    cfg = cli.load_config(config_path)
+    seq = cfg.build_sequence()
+    upto = cfg.section("check").get("upto", 20)
+    return repr(contractivity_report(seq, upto if seq.length is None else min(upto, seq.length)).max_norm_upper)
 
 
 def cases():
@@ -305,33 +321,88 @@ def _asks_contractivity(argv: list, text: str) -> bool:
     return argv[:1] == ["check"] and "contractivity" in json.loads(text)["check"].get("checks", ["contractivity"])
 
 
+def _drop_wall_time(data: bytes) -> bytes:
+    return b"".join(l for l in data.splitlines(True) if not l.startswith(b"wall time:"))
+
+
 def run(src: Path, argv: list, text: str) -> tuple:
-    """(exit code, stdout without wall time, --out file, contractivity bound)
-    of one command; the bound is (exit code, stdout) of the library call, or
-    None unless a `check` asks for it."""
+    """(exit code, stdout without wall time, --out file without wall time,
+    contractivity bound) of one command under the tree `src`; the bound is
+    its `repr`, or the exit code of the library call, or None unless a
+    `check` asks for it."""
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         Path(tmp, "c.json").write_text(text, encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]))
         proc = subprocess.run(
             [sys.executable, "-m", "convspectra", *argv],
             cwd=tmp, env=env, capture_output=True,
         )
         out = Path(tmp, "out.txt")
-        artifact = out.read_bytes() if out.exists() else None
+        artifact = _drop_wall_time(out.read_bytes()) if out.exists() else None
         bound = None
         if _asks_contractivity(argv, text):
             done = subprocess.run([sys.executable, "-c", _CONTRACTIVITY, "c.json"],
                                   cwd=tmp, env=env, capture_output=True)
-            bound = done.returncode, done.stdout
-    report = b"".join(l for l in proc.stdout.splitlines(True) if not l.startswith(b"wall time:"))
+            bound = done.stdout.decode().strip() if done.returncode == 0 else f"exit {done.returncode}"
+    return proc.returncode, _drop_wall_time(proc.stdout), artifact, bound
+
+
+def run_here(argv: list, text: str) -> tuple:
+    """`run`'s result for one command through the imported `cli.main`, in
+    the current directory, which should be empty."""
+    from convspectra import cli
+
+    Path("c.json").write_text(text, encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    out = Path("out.txt")
+    artifact = _drop_wall_time(out.read_bytes()) if out.exists() else None
+    bound = contractivity_bound("c.json") if _asks_contractivity(argv, text) else None
+    return code, _drop_wall_time(stdout.getvalue().encode("utf-8")), artifact, bound
+
+
+def digests(result: tuple) -> dict:
+    """The recorded entry of one `run` result."""
+    code, report, artifact, bound = result
+    entry = {"exit": code, "stdout": hashlib.sha256(report).hexdigest()}
     if artifact is not None:
-        artifact = b"".join(l for l in artifact.splitlines(True) if not l.startswith(b"wall time:"))
-    return proc.returncode, report, artifact, bound
+        entry["out"] = hashlib.sha256(artifact).hexdigest()
+    if bound is not None:
+        entry["contractivity"] = bound
+    return entry
+
+
+def stack() -> dict:
+    """The numpy and BLAS builds the digests hold for."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def record(path: Path, src: Path) -> int:
+    commands = {name: digests(run(src, argv, text)) for name, argv, text in cases()}
+    doc = {**stack(), "commands": commands}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(commands)} commands to {path}")
+    return 0
+
+
+def _first_diff(a: bytes | None, b: bytes | None) -> str:
+    """The first line where two outputs differ, cut to 100 characters."""
+    la, lb = (x.splitlines() if x is not None else [] for x in (a, b))
+    i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    at = [(x[i][:100] if i < len(x) else b"(none)").decode(errors="replace") for x in (la, lb)]
+    return f"line {i + 1}: {at[0]!r} / {at[1]!r}"
 
 
 def main(argv) -> int:
+    if argv[:1] == ["--record"] and len(argv) in (2, 3):
+        return record(Path(argv[1]), Path(argv[2] if len(argv) == 3 else ROOT / "src").resolve())
     if len(argv) != 2:
-        print("usage: python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        print("usage: python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC\n"
+              "       python3 tools/same_outputs.py --record FILE [SRC]", file=sys.stderr)
         return 2
     parent, change = (Path(a).resolve() for a in argv)
     differ = 0
@@ -340,6 +411,9 @@ def main(argv) -> int:
         parts = [what for what, x, y in zip(("exit code", "report", "out file", "contractivity"), a, b) if x != y]
         differ += bool(parts)
         print(f"{'DIFF' if parts else 'same'}  {name}  exit {a[0]}/{b[0]}" + (f"  ({', '.join(parts)})" if parts else ""))
+        for what, i in (("report", 1), ("out file", 2)):
+            if what in parts:
+                print(f"      {what} {_first_diff(a[i], b[i])}")
     print(f"{differ} of the commands differ")
     return 1 if differ else 0
 
