@@ -105,6 +105,8 @@ _BIG_INT = 1 << 53
 _CHECK_NAMES = ("hadamard", "equivalence", "rbc", "pcc", "contractivity", "three-series")
 _CHOOSERS = ("zero", "windowed-search")
 _PASS_VERDICTS = (VERDICT_CERTIFIED, VERDICT_CONVERGED)
+# the note on a level whose unitarity the exact test could not decide
+_HEURISTIC_LEVEL = "is heuristic: |det R| was not factored within the bound, so floats decided it against tol"
 
 _TABLE_ROW_LIMIT = _PARTIALS_HEAD + 1  # long per-level tables show the head plus the final row
 _CSV_BLOCK_ROWS = 4096  # sample and qscan CSV rows formatted per block
@@ -627,6 +629,8 @@ def cmd_check(cfg: RunConfig) -> Report:
             res = hadamard_check(r, b, l, tol)
             rows.append((k, len(b), f"{res.max_deviation:.3e}", res.ok))
             ok_h = ok_h and res.ok
+            if not res.exact:
+                notes.append(f"hadamard: level {k} {_HEURISTIC_LEVEL}")
         tables.append(_table("hadamard", ("level", "#digits", "deviation", "ok"), rows))
         verdicts["hadamard"] = "pass" if ok_h else "fail"
 
@@ -727,13 +731,17 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
         max_atoms=max_atoms,
     )
 
-    rows = []
-    bounds = _level_bounds(seq, sp.milestones) if want_exactness else [None] * len(sp.levels)
-    for j, (m, level, bound) in enumerate(zip(sp.milestones, sp.levels, bounds), start=1):
-        if want_exactness:
-            rows.append((j, m, len(level), f"{bound:.3e}", bound <= tol))
-        else:
-            rows.append((j, m, len(level), "-", "skipped"))
+    notes = [f"chooser: {sp.chooser}; nonzero offset choices: {len(sp.k_choices)}"]
+    verdicts = {}
+    if want_exactness:
+        bounds, unsure = _level_bounds(seq, sp.milestones, tol)
+        cells = [(f"{bound:.3e}", ok) for bound, ok in bounds]
+        verdicts["exactness"] = "pass" if all(ok for _, ok in bounds) else "fail"
+        for i, exact in unsure:
+            notes.append(f"exactness: level {i} " + ("is not a Hadamard triple (exact test)" if exact else _HEURISTIC_LEVEL))
+    else:
+        cells = [("-", "skipped")] * len(sp.levels)
+    rows = [(j, m, len(level), *cell) for j, (m, level, cell) in enumerate(zip(sp.milestones, sp.levels, cells), start=1)]
     tables = [
         _table(
             "candidate spectrum levels",
@@ -741,11 +749,9 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
             rows,
         )
     ]
-    notes = [f"chooser: {sp.chooser}; nonzero offset choices: {len(sp.k_choices)}"]
 
     buf = io.StringIO()
     write_levels(sp, buf)
-    verdicts = {"exactness": "pass" if all(b <= tol for b in bounds) else "fail"} if want_exactness else {}
     return Report(tuple(tables), verdicts, tuple(notes), buf.getvalue())
 
 

@@ -431,12 +431,19 @@ def spectrum_exactness(
     return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
 
 
-def _level_bounds(seq, milestones) -> list:
-    """Per milestone q_j, a bound on max |G - I| for the level Λ_j that
-    `build_spectrum` grew to q_j against μ_{q_j}: the running maximum over
-    the levels i ≤ q_j of the dual triple's deviation
-    `hadamard_check(R_iᵀ, L_i, B_i).max_deviation`, which is
-    max_{ℓ ≠ ℓ'} |m_{B_i}(R_i⁻ᵀ(ℓ - ℓ'))|, the L-side Gram of triple i.
+def _level_bounds(seq, milestones, tol: float = DEFAULT_UNITARITY_TOL) -> tuple:
+    """(bounds, unsure): per milestone q_j, (bound, ok) for the level Λ_j
+    that `build_spectrum` grew to q_j against μ_{q_j}, where bound is the
+    running maximum over the levels i ≤ q_j of what each adds to max |G − I|
+    and ok says every such level passed; `unsure` lists (i, exact) for each
+    level i whose triple the exact test did not certify.
+
+    A certified level has HH* = I exactly, and H is square, so H*H = I: its
+    L-side Gram max_{ℓ ≠ ℓ'} |m_{B_i}(R_i⁻ᵀ(ℓ - ℓ'))| is 0 and it adds 0.
+    Any other level adds the dual triple's deviation
+    `hadamard_check(R_iᵀ, L_i, B_i).max_deviation`, that L-side Gram in
+    floats, and passes as that check does: exactly refuted, it fails
+    whatever its float deviation; undecided, it passes within tol.
 
     Let λ ≠ λ' first differ at level i.  The factors of the levels before i
     meet integer phases; factor i meets R_i⁻ᵀ(ℓ_i - ℓ'_i) plus an integer
@@ -445,14 +452,17 @@ def _level_bounds(seq, milestones) -> list:
     #Λ_j = Π #L_i = Π #B_i ≥ #supp μ_{q_j}, a bound b with #Λ_j · b < 1
     also makes μ_{q_j}'s atoms distinct and equally weighted.  Neither the
     level nor the measure is formed."""
-    bounds, bound, done = [], 0.0, 0
+    bounds, unsure, bound, ok, done = [], [], 0.0, True, 0
     for q in milestones:
         for i in range(done + 1, q + 1):
-            dual = hadamard_check(seq.matrix(i).transpose(), seq.spectrum_digits(i), seq.digits(i))
-            bound = max(bound, dual.max_deviation)
-        bounds.append(bound)
+            if seq.triple(i).exact:
+                continue
+            dual = hadamard_check(seq.matrix(i).transpose(), seq.spectrum_digits(i), seq.digits(i), tol)
+            bound, ok = max(bound, dual.max_deviation), ok and dual.ok
+            unsure.append((i, dual.exact))
+        bounds.append((bound, ok))
         done = q
-    return bounds
+    return bounds, unsure
 
 
 # ===== equi-positivity scan =====

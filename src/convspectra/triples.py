@@ -11,21 +11,25 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
 from ._phases import (
     _INT64_SAFE,
+    _RUN_TARGET_BYTES,
     _axis_sets,
     _distinct,
     _int_rows,
     _lex_order,
     _narrowest,
     _peak,
+    check_budget,
     difference_deviation,
+    sum_rows,
 )
 from .errors import (
     CongruentDigits,
@@ -295,30 +299,52 @@ class HadamardCheckResult(NamedTuple):
     ok: bool
     max_deviation: float
     size_mismatch: bool
+    exact: bool  # ok was decided in integers, not by max_deviation <= tol
 
 
 def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_UNITARITY_TOL) -> HadamardCheckResult:
-    """Measure how far [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is from unitary.
+    """Decide whether [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is unitary.
 
-    The Gram matrix is G[b, b'] = F(R^{-1}(b - b')) with F the transform of
-    the single factor with atoms L and weight 1/#B, evaluated by
-    `_phases.difference_deviation` on the points R^{-1}B = y/den.  When L is
-    the product of its axis sets L_c, F is the product of the transforms of
-    the uniform measures on the L_c, the first scaled by #L/#B, and those
-    are the factors: their tables hold #L_c atoms, not #L.  L is integer, so
-    F(y/den) depends on y only mod den.  The distinct reduced rows are the
-    one summand, or, when they form the product of their axis sets, those
-    sets are, and B - B is the lattice of per-axis differences.  Structured
-    sets (under a diagonal R, for B) give their axis sets as they are;
-    explicit ones are tested for a product form on their rows by
-    `_phases._axis_sets`.  A size mismatch (#B ≠ #L)
-    is reported in the result rather than raised: the matrix is then
+    Write R⁻¹b = y/den with den = |det R|.  The Gram entry of b ≠ b' is
+    (1/#B) Σ_ℓ ζ^{(y_b − y_b')·ℓ} with ζ = e^{-2πi/den}, a sum of den-th
+    roots of unity with integer weights, so `_gram_is_identity` decides
+    exactly whether every one vanishes: per axis when the reduced rows y mod
+    den and L are both products of their axis sets, over the distinct
+    reduced differences otherwise.  That needs the primes of den; when den
+    is not factored within a fixed bound (`_prime_factors`), the verdict is
+    max |G − I| <= tol in floats and `exact` is False.
+
+    A certified triple reports a deviation of 0.0.  Any other reports the
+    float deviation of `_float_deviation`.  A size mismatch (#B ≠ #L) is
+    reported in the result rather than raised: the matrix is then
     rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
     p = l.product
     l_axes = [a[:, None] for a in p.axes] if p is not None and not (p.removed or p.added) else _axis_sets(l.rows)
+    den, axes, summands = _reduced_summands(r, b)
+    mismatch = len(b) != len(l)
+    primes = None if mismatch else _prime_factors(den)
+    if primes is not None and _gram_is_identity(den, primes, axes, summands, l, l_axes):
+        return HadamardCheckResult(ok=True, max_deviation=0.0, size_mismatch=False, exact=True)
+    dev = _float_deviation(b, l, l_axes, den, summands)
+    exact = mismatch or primes is not None
+    return HadamardCheckResult(ok=not exact and dev <= tol, max_deviation=dev, size_mismatch=mismatch, exact=exact)
+
+
+def _float_deviation(b: DigitSet, l: DigitSet, l_axes, den: int, summands) -> float:
+    """max |G − I| in floats for `hadamard_check`'s operands.
+
+    The Gram matrix is G[b, b'] = F(R^{-1}(b - b')) with F the transform of
+    the single factor with atoms L and weight 1/#B, evaluated by
+    `_phases.difference_deviation` on the points R^{-1}B = y/den.  When L is
+    the product of its axis sets L_c (`l_axes`), F is the product of the
+    transforms of the uniform measures on the L_c, the first scaled by
+    #L/#B, and those are the factors: their tables hold #L_c atoms, not #L.
+    L is integer, so F(y/den) depends on y only mod den, and the summands
+    are those of `_reduced_summands`.
+    """
     if l_axes is None:
         # L's rows are exact Python ints: bench/tracer.py multiplies the two
         # operands' largest entries, which overflows when one is an int64
@@ -332,16 +358,17 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
             (a * np.eye(l.dim, dtype=object)[c], 1, np.full(len(a), w))
             for c, (a, w) in enumerate(zip(l_axes, weights))
         ]
-    den, summands = _reduced_summands(r, b)
-    dev = difference_deviation(summands, den, factors)
-    mismatch = len(b) != len(l)
-    return HadamardCheckResult(ok=(not mismatch) and dev <= tol, max_deviation=dev, size_mismatch=mismatch)
+    return difference_deviation(summands, den, factors)
 
 
 def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
-    """(den, summands) for `hadamard_check`: R⁻¹B = y/den, and integer rows
-    whose collision-free Minkowski sum is {y mod den}, or [y] itself when
-    two digits are congruent."""
+    """(den, axes, summands) for `hadamard_check`: R⁻¹B = y/den, and integer
+    rows whose collision-free Minkowski sum is {y mod den}, or [y] itself
+    when two digits are congruent.  When the reduced rows are the product of
+    their axis sets, the summands are those sets on their axes and `axes`
+    holds them as 1-D arrays; otherwise `axes` is None.  Structured sets
+    under a diagonal R give their axis sets as they are; explicit ones are
+    tested for a product form on their rows by `_phases._axis_sets`."""
     eye = np.eye(b.dim, dtype=np.int64)
     an = axis_numerators(r, b)
     if an is not None:
@@ -352,37 +379,302 @@ def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
         # whole product of the reduced axes
         distinct = all(len(a) == len(y) for a, y in zip(axes, an.axes)) and len(added) == len(an.added)
         if distinct and added == removed:
-            return den, [a[:, None] * eye[c] for c, a in enumerate(axes)]
+            return den, axes, [a[:, None] * eye[c] for c, a in enumerate(axes)]
     den, y = numerators(r, b)
     reduced = y % den
     axes = _axis_sets(reduced)
     if axes is not None:
-        return den, [a * eye[c] for c, a in enumerate(axes)]
+        return den, [a[:, 0] for a in axes], [a * eye[c] for c, a in enumerate(axes)]
     if len(_distinct(reduced)) < len(b):
-        return den, [y]  # congruent digits: the rows y themselves
-    return den, [reduced]
+        return den, None, [y]  # congruent digits: the rows y themselves
+    return den, None, [reduced]
 
 
 class HadamardTriple(NamedTuple):
+    """A triple whose matrix `hadamard_check` finds unitary to within tol
+    in floats.  `exact` says the exact test certified it, and `deviation`
+    is then 0.0; otherwise `deviation` is the float deviation, and either
+    den was not factored or the exact test found the Gram is not I, though
+    floats put it within tol."""
+
     r: IntMatrix
     b: DigitSet
     l: DigitSet
     deviation: float
+    exact: bool = False
 
     @classmethod
     def make(cls, r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_UNITARITY_TOL) -> "HadamardTriple":
         res = hadamard_check(r, b, l, tol)
         if res.size_mismatch:
             raise SizeMismatch(f"#B = {len(b)} but #L = {len(l)}")
-        if not res.ok:
+        if res.max_deviation > tol:
             raise TripleInvalid(
                 f"unitarity deviation {res.max_deviation:.3e} exceeds tolerance {tol:.1e}"
             )
-        return cls(r, b, l, res.max_deviation)
+        return cls(r, b, l, res.max_deviation, res.exact and res.ok)
 
     @property
     def dim(self) -> int:
         return self.r.dim
+
+
+# ----- exact vanishing sums of roots of unity -----
+
+# `_prime_factors` divides out every prime below this bound, then splits
+# what is left by Pollard's rho in Brent's form, at most about twice this
+# many steps per attempt and three attempts per cofactor.
+_TRIAL_BOUND = 1 << 10
+_BRENT_STEPS = 1 << 16
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+# Axes of at most this many values take their pairwise gcds in Python ints.
+_PYTHON_PAIRS = 64
+
+
+def _is_prime(n: int) -> bool | None:
+    """Whether the odd n > _MR_BASES[-1] is prime, by Miller-Rabin: exact
+    below _MR_EXACT; past it a pass proves nothing and gives None."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True if n < _MR_EXACT else None
+
+
+def _root(n: int) -> int | None:
+    """r with r^k = n for the least prime k that has one, for n with no
+    prime factor below _TRIAL_BOUND (so k < log2(n)/10), or None."""
+    for k in range(2, n.bit_length() // 10 + 1):
+        if all(k % j for j in range(2, k)):
+            x = 1 << -(-n.bit_length() // k)  # at least the k-th root: Newton from above
+            while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+                x = y
+            if x**k == n:
+                return x
+    return None
+
+
+def _brent(n: int, c: int) -> int | None:
+    """A proper factor of the odd composite n by Pollard's rho in Brent's
+    form with x -> x² + c, or None past _BRENT_STEPS steps."""
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+        if r > _BRENT_STEPS:
+            return None
+    if g == n:  # the batch passed the factor: retrace it one step at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(abs(x - ys), n)
+    return g if g < n else None
+
+
+@lru_cache(maxsize=64)
+def _prime_factors(n: int) -> tuple | None:
+    """The distinct primes of n >= 1, increasing, or None when n is not
+    factored within the fixed bound: trial division below _TRIAL_BOUND, then
+    Pollard-Brent, each cofactor proved prime by Miller-Rabin below
+    _MR_EXACT, and a composite one that is a perfect power taken as its
+    root.  A cofactor below _TRIAL_BOUND² has no factor left below its
+    square root, so it is prime."""
+    primes = set()
+    for p in range(2, _TRIAL_BOUND):
+        if p * p > n:
+            break
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        prime = True if m < _TRIAL_BOUND**2 else _is_prime(m)
+        if prime is None:
+            return None
+        if prime:
+            primes.add(m)
+            continue
+        root = _root(m)
+        if root is not None:  # R = N·I gives |det R| = N^d
+            rest.append(root)
+            continue
+        f = next((f for c in (1, 2, 3) if (f := _brent(m, c)) is not None), None)
+        if f is None:
+            return None
+        rest += [f, m // f]
+    return tuple(sorted(primes))
+
+
+def _vanishes(terms: dict, n: int, primes) -> bool:
+    """Whether Σ w·ζ_n^e over terms {e: w} is 0, for distinct exponents e in
+    [0, n), nonzero integer weights w and `primes` holding every prime of n.
+
+    De Bruijn (1953): the sum is shifted so that one exponent is 0 and put
+    over n/g, g the gcd of n and the exponents.  When p² | n, 1, ζ_n, ...,
+    ζ_n^{p-1} are a basis of Q(ζ_n) over Q(ζ_{n/p}), so each class of the
+    exponents mod p must vanish at n/p with exponents ⌊e/p⌋.  When n = p·m
+    with p ∤ m, the CRT writes the sum, up to an automorphism of Q(ζ_n), as
+    Σ_a ζ_p^a A_a with A_a the terms e ≡ a mod p at exponents e mod m in
+    Q(ζ_m), and it vanishes exactly when every A_a is the same: all of them
+    0 when a class is empty, every A_a − A_r against the smallest class A_r
+    otherwise.  One nonzero term never vanishes."""
+    stack = [(terms, n)]
+    while stack:
+        terms, n = stack.pop()
+        if len(terms) < 2:
+            if terms:
+                return False
+            continue
+        e0 = next(iter(terms))
+        g = n
+        for e in terms:
+            g = gcd(g, e - e0)
+        if g > 1:
+            n //= g
+            terms = {(e - e0) // g % n: w for e, w in terms.items()}
+        q = next((p for p in primes if n % (p * p) == 0), None)
+        square = q is not None
+        if not square:
+            q = max(p for p in primes if n % p == 0)
+        m = n // q
+        parts = {}
+        for e, w in terms.items():
+            parts.setdefault(e % q, {})[e // q if square else e % m] = w
+        if square or len(parts) < q:
+            stack.extend((part, m) for part in parts.values())
+            continue
+        ref = min(parts.values(), key=len)
+        for part in parts.values():
+            if part is not ref:
+                diff = dict(part)
+                for e, w in ref.items():
+                    diff[e] = diff.get(e, 0) - w
+                stack.append(({e: w for e, w in diff.items() if w}, m))
+    return True
+
+
+def _difference_gcds(y: np.ndarray, den: int) -> set:
+    """{gcd(den, a − b)} over the pairs of distinct entries a, b of the 1-D
+    integer array y, which holds at least two.  Past _PYTHON_PAIRS entries,
+    row i of the differences a_i − a_j, j >= i, goes in runs of about
+    _RUN_TARGET_BYTES, its one zero replaced by the difference a_1 − a_0."""
+    if len(y) <= _PYTHON_PAIRS:
+        v = y.tolist()
+        return {gcd(den, a - b) for i, a in enumerate(v) for b in v[:i]}
+    found, step = set(), max(1, _RUN_TARGET_BYTES // (8 * len(y)))
+    for lo in range(0, len(y) - 1, step):
+        d = np.subtract.outer(y[lo : lo + step], y[lo:])
+        d.flat[:: len(y) - lo + 1] = y[1] - y[0]
+        found.update(_increasing(np.gcd(d, den, out=d).ravel()).tolist())
+    return found
+
+
+def _axis_is_orthogonal(y: np.ndarray, ls: np.ndarray, den: int, primes) -> bool:
+    """Whether Σ_{ℓ ∈ ls} ζ^{δℓ} = 0, ζ = e^{-2πi/den}, for every difference
+    δ ≠ 0 of the distinct 1-D values y.
+
+    With h the gcd of the ℓ − ℓ_0 and v = (ℓ − ℓ_0)/h, the sum is ζ^{δℓ_0}
+    Σ_v ζ^{δhv}.  With g = gcd(den, δ), ζ^{δh} has order n = (den/g) /
+    gcd(den/g, h) and is ζ_n^u for a unit u mod n, so the sum vanishes
+    exactly when Σ_v ζ_n^v does (the automorphism ζ_n -> ζ_n^u): one test
+    per distinct g, not per δ."""
+    if len(y) < 2:
+        return True
+    ls = ls.tolist()
+    h = 0
+    for x in ls:
+        h = gcd(h, x - ls[0])
+    if h == 0:  # one ℓ: every sum is a single root of unity
+        return False
+    v = [(x - ls[0]) // h for x in ls]
+    orders = set()
+    for g in _difference_gcds(y, den):
+        n = den // g
+        orders.add(n // gcd(n, h))
+    for n in sorted(orders):
+        counts = {}
+        for x in v:
+            counts[x % n] = counts.get(x % n, 0) + 1
+        if not _vanishes(counts, n, primes):
+            return False
+    return True
+
+
+def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int, primes) -> bool:
+    """Whether Σ_ℓ ζ^{δ·ℓ} = 0, ζ = e^{-2πi/den}, for every distinct
+    difference δ ≠ 0 mod den of the integer rows y: one exponent table of
+    #δ × #L entries, checked against the budget with the differences
+    first, and one exact test per δ."""
+    n, d = y.shape
+    what = f"the exact Gram test of {n} reduced digits against {len(l_rows)} spectrum digits"
+    check_budget(8 * n * n * (3 * d + len(l_rows)), what)
+    wide = object in (y.dtype, l_rows.dtype) or d * den * den >= _INT64_SAFE
+    dtype = object if wide else np.int64
+    ls = l_rows.astype(dtype) % den
+    deltas = _distinct(sum_rows([(y, 1), (-y, 1)]).astype(dtype) % den)
+    deltas = deltas[~_every_column(deltas, lambda c: c == 0)]
+    exps = np.zeros((len(deltas), len(ls)), dtype=dtype)
+    for c in range(d):
+        exps += np.multiply.outer(deltas[:, c], ls[:, c])
+    for row in (exps % den).tolist():
+        counts = {}
+        for e in row:
+            counts[e] = counts.get(e, 0) + 1
+        if not _vanishes(counts, den, primes):
+            return False
+    return True
+
+
+def _gram_is_identity(den: int, primes, axes, summands, l: DigitSet, l_axes) -> bool:
+    """Whether `hadamard_check`'s Gram is exactly I, for #B = #L.
+
+    When the reduced rows and L are the products of their axis sets, a Gram
+    entry is the product of per-axis sums S_c(δ_c), and S_c(0) = #L_c: every
+    entry off the diagonal vanishes exactly when each axis's sums vanish at
+    its differences δ_c ≠ 0 (`_axis_is_orthogonal`; an axis equal to an
+    earlier one is not tested again).  Otherwise the test runs over the
+    distinct differences of the reduced rows (`_rows_are_orthogonal`), and
+    two congruent digits give an entry of #L/#B."""
+    if axes is not None and l_axes is not None:
+        done = []
+        for y, ls in zip(axes, (a[:, 0] for a in l_axes)):
+            if any(np.array_equal(y, y2) and np.array_equal(ls, l2) for y2, l2 in done):
+                continue
+            if not _axis_is_orthogonal(y, ls, den, primes):
+                return False
+            done.append((y, ls))
+        return True
+    if axes is None:
+        rows = summands[0] % den
+        if len(_distinct(rows)) < len(rows):
+            return False  # congruent digits
+    else:
+        rows = sum_rows([(s, 1) for s in summands])
+    return _rows_are_orthogonal(rows, l.rows, den, primes)
 
 
 # ===== reduction mod R·Z^d =====

@@ -4,7 +4,8 @@ Each is the plain definition in Fraction arithmetic, slow and independent of
 the integer kernels: Gauss-Jordan inversion over Q, the dense scalar Fourier
 sum, the Q functional (its phases in Fractions, its sums in mpmath), the
 convolution of uniform digit measures and the tail truncation built from it,
-composition of Hadamard triples, the pointwise interval coupling, ball
+composition of Hadamard triples, vanishing sums of roots of unity as the
+remainder of an integer polynomial by the cyclotomic Φ_n, the pointwise interval coupling, ball
 clipping with exact moments, the Philox4x64-10 cipher in Python integers,
 and the argparse parser of the command line.  The `sample` CSV is written here in one pass, where the library
 writes it in blocks, and the `qscan` CSV from Fraction points, where the
@@ -324,6 +325,63 @@ def compose_triples(triples) -> HadamardTriple:
         if len(l_acc) != expected_l:
             raise TripleInvalid("composed spectra collided; inputs are not a Hadamard chain")
     return HadamardTriple.make(r_acc, b_acc, l_acc)
+
+
+# ===== vanishing sums of roots of unity =====
+
+
+def poly_divmod(num, den) -> tuple:
+    """(quotient, remainder) of integer polynomials, lowest coefficient
+    first, by long division by the monic den."""
+    rem, top = list(num), len(den) - 1
+    quot = [0] * max(len(num) - top, 0)
+    for i in range(len(num) - 1, top - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - top] = c
+            for j, x in enumerate(den):
+                rem[i - top + j] -= c * x
+    return quot, rem[:top]
+
+
+_CYCLOTOMIC = {}
+
+
+def cyclotomic(n: int) -> list:
+    """The coefficients of Φ_n, lowest first: x^n − 1 divided exactly by Φ_d
+    for every proper divisor d of n."""
+    if n not in _CYCLOTOMIC:
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly, rem = poly_divmod(poly, cyclotomic(d))
+                assert not any(rem)
+        _CYCLOTOMIC[n] = poly
+    return _CYCLOTOMIC[n]
+
+
+def sum_vanishes(terms, n: int) -> bool:
+    """Whether Σ w·ζ_n^e = 0 over (e, w) pairs: Φ_n is the minimal
+    polynomial of ζ_n, so exactly when it divides Σ w·x^(e mod n)."""
+    poly = [0] * n
+    for e, w in terms:
+        poly[e % n] += w
+    return not any(poly_divmod(poly, cyclotomic(n))[1])
+
+
+def gram_is_identity(r: IntMatrix, b: DigitSet, l: DigitSet) -> bool:
+    """Whether [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is unitary: #B = #L and, for
+    every pair of digits, the sum over L of the roots of unity of order N,
+    N the common denominator of R^{-1}, vanishes."""
+    if len(b) != len(l):
+        return False
+    inv, n = over_common_denominator(fraction_inverse(r))
+    y = [inv.matvec(v) for v in b.vectors]
+    for i, j in itertools.combinations(range(len(y)), 2):
+        delta = [a - c for a, c in zip(y[i], y[j])]
+        if not sum_vanishes([(sum(a * x for a, x in zip(delta, v)), 1) for v in l.vectors], n):
+            return False
+    return True
 
 
 # ===== candidate spectra =====

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from convspectra import _phases, cli, measures, spectra
+from convspectra import _phases, cli, measures, spectra, triples
 from convspectra.errors import ParseError, ValidationError
 from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_sequence
@@ -167,19 +167,46 @@ def test_exit_3_on_grid_cap(tmp_path):
     assert "resource cap" in err
 
 
-def test_exit_3_when_a_flat_hadamard_gram_exceeds_the_byte_budget(tmp_path):
-    # one level with 4096 digits: its Gram table alone needs 16 * 4096^2 bytes
+def _dft_level_doc():
+    # one level with 4096 digits, B = L = {0..4095} under R = 4096
     digits = [[i] for i in range(4096)]
     level = {"matrix": [[4096]], "digits": digits, "spectrum_digits": digits}
-    doc = {
+    return {
         "dimension": 1,
         "sequence": {"inline": [level]},
         "check": {"checks": ["hadamard"], "upto": 1},
     }
-    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
+
+
+def test_exit_3_when_a_flat_hadamard_gram_exceeds_the_byte_budget(tmp_path, monkeypatch):
+    # decided in floats (|det R| not factored), the level's Gram table alone
+    # needs 16 * 4096^2 bytes
+    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _dft_level_doc())])
     assert rc == 3
     assert err.startswith("resource cap:") and "budget" in err
     assert out == ""
+
+
+def test_a_4096_digit_line_is_certified_exactly_per_axis(tmp_path):
+    # the exact test reads the pairwise gcds of the axis in runs and tests
+    # one vanishing sum per order they give: no Gram is formed
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _dft_level_doc())])
+    assert rc == 0, err
+    assert "1      4096     0.000e+00  yes" in out and "note:" not in out
+
+
+def test_exit_3_when_the_exact_test_of_a_non_product_level_exceeds_the_byte_budget(tmp_path):
+    # 4096 digits that are no axis product: the exact test runs over their
+    # 4096^2 differences against 4096 spectrum digits, refused before it
+    # allocates
+    digits = [[x, y + 64 * (x % 2)] for x in range(64) for y in range(64)]
+    level = {"matrix": [[128, 0], [0, 128]], "digits": digits, "spectrum_digits": digits}
+    doc = {"dimension": 2, "sequence": {"inline": [level]}, "check": {"checks": ["hadamard"], "upto": 1}}
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
+    assert rc == 3
+    assert err.startswith("resource cap:") and "exact Gram test" in err
+    assert "Traceback" not in err and out == ""
 
 
 def _ex26_hadamard_doc(level):
@@ -191,9 +218,11 @@ def _ex26_hadamard_doc(level):
 
 
 def test_exit_3_when_an_example_2_6_hadamard_level_exceeds_the_byte_budget(tmp_path, monkeypatch):
-    # at 256 KiB, level 35's difference lattice (the 36 differences u >= 0 of
-    # one axis against the 71 of the other, factors of 36 atoms per axis of
-    # L) fits and level 36's (37 x 73, 37 atoms) does not
+    # decided in floats (|det R| not factored), at 256 KiB, level 35's
+    # difference lattice (the 36 differences u >= 0 of one axis against the
+    # 71 of the other, factors of 36 atoms per axis of L) fits and level
+    # 36's (37 x 73, 37 atoms) does not
+    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 1 << 18)
     rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(35))])
     assert rc == 0 and "verdicts: hadamard=pass" in out
@@ -502,7 +531,55 @@ def test_spectrum_exactness_over_digits_past_int64(tmp_path):
     cfg = write_config(tmp_path, doc)
     rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
     assert rc == 0, err
+    assert _exactness_cells(out) == [["0.000e+00", "yes"]] * 3
+
+
+def test_levels_decided_in_floats_are_named_in_the_report(tmp_path, monkeypatch):
+    # with |det R| not factored, the float deviations decide against tol, as
+    # the dual triples' running maximum in `spectrum`, and a note names each
+    # such level; the level file does not change
+    level = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
+    doc = {"dimension": 1, "sequence": {"inline": [level] * 3},
+           "check": {"checks": ["hadamard"], "upto": 3, "hadamard_upto": 3},
+           "spectrum": {"milestones": [1, 2, 3], "exactness": True}}
+    cfg = write_config(tmp_path, doc)
+    rc, exact, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "exact.txt")])
+    assert rc == 0, err
+    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "floats.txt")])
+    assert rc == 0, err
     assert _exactness_cells(out) == [["6.123e-17", "yes"]] * 3
+    assert (tmp_path / "floats.txt").read_bytes() == (tmp_path / "exact.txt").read_bytes()
+    for verb, what in (("spectrum", "exactness"), ("check", "hadamard")):
+        rc, out, err = run_cli([verb, "--config", cfg, "--out", str(tmp_path / "out.txt")])
+        assert rc == 0, err
+        notes = [line for line in out.splitlines() if "is heuristic" in line]
+        assert notes == [f"note: {what}: level {k} {cli._HEURISTIC_LEVEL}" for k in (1, 2, 3)]
+    assert "heuristic" not in exact
+
+
+_REPRO_LEVEL = {"matrix": [[2 * 10**10 + 1]], "digits": [[0], [1]], "spectrum_digits": [[0], [10**10]]}
+
+
+def test_check_refutes_a_triple_that_floats_pass(tmp_path):
+    # R = 2·10¹⁰ + 1, B = {0, 1}, L = {0, 10¹⁰}: the Gram entry 1 + ζ^(10¹⁰)
+    # is 7.854e-11 from 0 in floats, but not 0
+    doc = {"dimension": 1, "sequence": {"inline": [_REPRO_LEVEL] * 2},
+           "check": {"checks": ["hadamard"], "upto": 2, "hadamard_upto": 2}}
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
+    assert rc == 1, err
+    assert "verdicts: hadamard=fail" in out
+    assert [line.split()[2:] for line in out.splitlines() if line[:2] in ("1 ", "2 ")] == [["7.854e-11", "no"]] * 2
+
+
+def test_spectrum_refutes_a_level_that_floats_pass(tmp_path):
+    doc = {"dimension": 1, "sequence": {"inline": [_REPRO_LEVEL] * 2},
+           "spectrum": {"milestones": [1, 2], "exactness": True}}
+    rc, out, err = run_cli(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "l.txt")])
+    assert rc == 1, err
+    assert "verdicts: exactness=fail" in out
+    assert _exactness_cells(out) == [["7.854e-11", "no"]] * 2
+    assert "note: exactness: level 1 is not a Hadamard triple (exact test)" in out
 
 
 def test_spectrum_exactness_forms_no_measure(tmp_path, monkeypatch):
@@ -512,7 +589,7 @@ def test_spectrum_exactness_forms_no_measure(tmp_path, monkeypatch):
     rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
     assert rc == 0, err
     assert "verdicts: exactness=pass" in out
-    assert _exactness_cells(out) == [["6.123e-17", "yes"]] * 3
+    assert _exactness_cells(out) == [["0.000e+00", "yes"]] * 3
 
 
 def test_spectrum_exactness_on_skew_levels_reads_the_transposed_triple(tmp_path):

@@ -212,16 +212,36 @@ def tower_spectrum(name):
     return random_k_table_spectrum()
 
 
-@pytest.mark.parametrize("name", ["jp", "jp-uneven-windows", "ex26-zero", "ex26-windowed", "k-table", "skew"])
+TOWERS = ["jp", "jp-uneven-windows", "ex26-zero", "ex26-windowed", "k-table", "skew"]
+
+
+@pytest.mark.parametrize("name", TOWERS)
 def test_the_tower_bound_covers_the_evaluated_deviation(name):
-    # the running max of the levels' dual deviations bounds the evaluated Gram
+    # every level is certified exactly, so the bound is 0 and no dual check
+    # runs; the evaluated Gram is I up to rounding
     seq, sp = tower_spectrum(name)
-    bounds = spectra._level_bounds(seq, sp.milestones)
-    for j, (m, bound) in enumerate(zip(sp.milestones, bounds), start=1):
+    bounds, unsure = spectra._level_bounds(seq, sp.milestones)
+    assert unsure == [] and all(seq.triple(i).exact for i in range(1, sp.milestones[-1] + 1))
+    for j, (m, (bound, ok)) in enumerate(zip(sp.milestones, bounds), start=1):
         mu = mu_truncate(seq, m)
         res = spectrum_exactness(mu, sp.blocks[:j])
         assert res.ok and res.size == len(sp.levels[j - 1])
-        assert bound <= 1e-15 and bound >= res.deviation - 1e-15, (j, bound, res.deviation)
+        assert ok and bound == 0.0 and res.deviation <= 1e-15, (j, bound, res.deviation)
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_the_float_tower_bound_covers_the_evaluated_deviation(name, monkeypatch):
+    # with |det R| not factored, the running max of the levels' dual
+    # deviations in floats bounds the evaluated Gram
+    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    seq, sp = tower_spectrum(name)
+    bounds, unsure = spectra._level_bounds(seq, sp.milestones)
+    assert unsure == [(i, False) for i in range(1, sp.milestones[-1] + 1)]
+    for j, (m, (bound, ok)) in enumerate(zip(sp.milestones, bounds), start=1):
+        mu = mu_truncate(seq, m)
+        res = spectrum_exactness(mu, sp.blocks[:j])
+        assert res.ok and res.size == len(sp.levels[j - 1])
+        assert ok and bound <= 1e-15 and bound >= res.deviation - 1e-15, (j, bound, res.deviation)
 
 
 def test_a_non_hadamard_block_falls_back_and_fails():
@@ -338,8 +358,10 @@ def test_example_2_6_hadamard_at_level_100():
 
 
 def test_example_2_6_hadamard_at_level_1185_fits_the_budget(monkeypatch):
-    # the Khatri-Rao join is formed in runs of atoms, so it is sized by one
-    # run and no longer by 2 x rank rows: level 1185 was refused at 270 MB
+    # in floats (|det R| not factored), the Khatri-Rao join is formed in
+    # runs of atoms, so it is sized by one run and no longer by 2 x rank
+    # rows: level 1185 was refused at 270 MB
+    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
     seq = builtin_sequence("example-2.6")
     r, b, l = seq.matrix(1185), seq.digits(1185), seq.spectrum_digits(1185)
     sizes = []
@@ -351,9 +373,24 @@ def test_example_2_6_hadamard_at_level_1185_fits_the_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(b) == 1186**2 and res.ok and res.max_deviation <= 1e-12
+    assert len(b) == 1186**2 and res.ok and res.max_deviation <= 1e-12 and not res.exact
     (row, once), = sizes
     assert peak <= once + max(row, _phases._RUN_TARGET_BYTES) + row <= DENSE_BYTE_BUDGET
+
+
+def test_example_2_6_hadamard_at_level_1185_is_certified_per_axis():
+    # the exact test takes the pairwise gcds of an axis of 1186 values in
+    # runs of about 1 MiB, and forms no Gram
+    seq = builtin_sequence("example-2.6")
+    r, b, l = seq.matrix(1185), seq.digits(1185), seq.spectrum_digits(1185)
+    tracemalloc.start()
+    try:
+        res = hadamard_check(r, b, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == (True, 0.0, False, True)
+    assert peak <= 4 * _phases._RUN_TARGET_BYTES
 
 
 def test_example_2_6_hadamard_at_level_130():
@@ -376,6 +413,7 @@ def test_per_axis_factors_of_l_agree_with_the_one_factor(monkeypatch):
         return real(summands, den, factors)
 
     monkeypatch.setattr(triples, "difference_deviation", spy)
+    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)  # the float route
     for k in range(1, 31):
         r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
         per_axis = hadamard_check(r, b, l).max_deviation

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from convspectra import _phases
+from convspectra import _phases, triples
 from convspectra._phases import exact_phase_matrix
 from convspectra.exactmat import invert
 from convspectra.sequences import builtin_sequence
@@ -78,6 +78,7 @@ def test_sub_resolution_phases_stay_zeroed():
 
 
 def test_hadamard_deviations_unchanged_by_reduction(monkeypatch):
+    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)  # the float route
     seq = builtin_sequence("example-2.6")
     levels = range(1, 25)
     got = [hadamard_check(seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)) for k in levels]

@@ -60,12 +60,15 @@ SAMPLE_SEEDS = (1, 2)
 # skew levels reaches the bisection of the certified norm ‖R⁻¹‖₂.  The
 # example-2.6 checks run the kernels that read structured digit sets past
 # the bench sizes, and the inline product levels run the explicit digit
-# sets' product detection in `hadamard_check`.  A CLI spectrum certifies its
-# exactness by the level bound, the running maximum of each level's dual
-# deviation `hadamard_check(R_iᵀ, L_i, B_i)`.  The spectra with exactness run
-# that bound past the bench sizes and with nonzero k, a `tol` below the
-# rounding floor makes the inline product spectrum fail it, and the skew
-# spectrum needs the transpose: untransposed, its levels give 1.0.
+# sets' product detection in `hadamard_check`.  `hadamard_check` decides
+# each level exactly, as vanishing sums of roots of unity, and a CLI spectrum
+# gives a certified level a bound of 0; only a level it cannot decide, or
+# refutes, adds its dual float deviation `hadamard_check(R_iᵀ, L_i, B_i)`.
+# The spectra with exactness run that test past the bench sizes and with
+# nonzero k, a `tol` below the rounding floor no longer fails the inline
+# product spectrum, and the skew spectrum's levels are no axis products.  The
+# repro levels (R = 2·10¹⁰ + 1, B = {0, 1}, L = {0, 10¹⁰}) are 7.854e-11
+# from unitary in floats, within tol, and the exact test refutes them.
 _SKEW_LEVEL = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 _SKEW_TRIPLE = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [0, 2], [2, 0], [2, 2]],
                 "spectrum_digits": [[0, 0], [0, 1], [-3, -3], [-3, -2]]}
@@ -82,6 +85,7 @@ def _product_level(r, b, l):
 
 
 _WIDE_LEVEL = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
+_REPRO_LEVEL = {"matrix": [[2 * 10**10 + 1]], "digits": [[0], [1]], "spectrum_digits": [[0], [10**10]]}
 
 
 def _grid_level(matrix, far):
@@ -176,6 +180,16 @@ INLINE = (
         "dimension": 1,
         "sequence": {"inline": [_WIDE_LEVEL] * 3},
         "spectrum": {"milestones": [1, 2, 3], "exactness": True},
+    }),
+    ("inline/repro-check", "check", {
+        "dimension": 1,
+        "sequence": {"inline": [_REPRO_LEVEL] * 2},
+        "check": {"upto": 2, "hadamard_upto": 2, "checks": ["hadamard"]},
+    }),
+    ("inline/repro-spectrum", "spectrum", {
+        "dimension": 1,
+        "sequence": {"inline": [_REPRO_LEVEL] * 2},
+        "spectrum": {"milestones": [1, 2], "exactness": True},
     }),
     # `equipos` reads the levels of a tail whose atoms are axis products from
     # per-axis tables, as on the reduced example-2.6 of the bench; these two
