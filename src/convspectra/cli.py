@@ -106,7 +106,10 @@ _CHECK_NAMES = ("hadamard", "equivalence", "rbc", "pcc", "contractivity", "three
 _CHOOSERS = ("zero", "windowed-search")
 _PASS_VERDICTS = (VERDICT_CERTIFIED, VERDICT_CONVERGED)
 # the note on a level whose unitarity the exact test could not decide
-_HEURISTIC_LEVEL = "is heuristic: |det R| was not factored within the bound, so floats decided it against tol"
+_HEURISTIC_LEVEL = (
+    "is heuristic: the exact test was past its bounds (|det R| not factored, or too many"
+    " reduced differences), so floats decided it against tol"
+)
 
 _TABLE_ROW_LIMIT = _PARTIALS_HEAD + 1  # long per-level tables show the head plus the final row
 _CSV_BLOCK_ROWS = 4096  # sample and qscan CSV rows formatted per block
@@ -600,6 +603,12 @@ def _series_table(title, diag, value_header="term"):
     return _table(title, ("level", value_header, "partial"), kept), notes
 
 
+def _deviation_cell(dev: float) -> str:
+    """A float deviation for a table; nan (a refuted level whose float walk
+    does not fit the budget) prints as "-"."""
+    return "-" if math.isnan(dev) else f"{dev:.3e}"
+
+
 def cmd_check(cfg: RunConfig) -> Report:
     seq = cfg.build_sequence()
     sec = cfg.section("check")
@@ -627,7 +636,7 @@ def cmd_check(cfg: RunConfig) -> Report:
                 ok_h = False
                 continue
             res = hadamard_check(r, b, l, tol)
-            rows.append((k, len(b), f"{res.max_deviation:.3e}", res.ok))
+            rows.append((k, len(b), _deviation_cell(res.max_deviation), res.ok))
             ok_h = ok_h and res.ok
             if not res.exact:
                 notes.append(f"hadamard: level {k} {_HEURISTIC_LEVEL}")
@@ -735,7 +744,7 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     verdicts = {}
     if want_exactness:
         bounds, unsure = _level_bounds(seq, sp.milestones, tol)
-        cells = [(f"{bound:.3e}", ok) for bound, ok in bounds]
+        cells = [(_deviation_cell(bound), ok) for bound, ok in bounds]
         verdicts["exactness"] = "pass" if all(ok for _, ok in bounds) else "fail"
         for i, exact in unsure:
             notes.append(f"exactness: level {i} " + ("is not a Hadamard triple (exact test)" if exact else _HEURISTIC_LEVEL))

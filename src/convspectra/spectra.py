@@ -442,8 +442,10 @@ def _level_bounds(seq, milestones, tol: float = DEFAULT_UNITARITY_TOL) -> tuple:
     L-side Gram max_{ℓ ≠ ℓ'} |m_{B_i}(R_i⁻ᵀ(ℓ - ℓ'))| is 0 and it adds 0.
     Any other level adds the dual triple's deviation
     `hadamard_check(R_iᵀ, L_i, B_i).max_deviation`, that L-side Gram in
-    floats, and passes as that check does: exactly refuted, it fails
-    whatever its float deviation; undecided, it passes within tol.
+    floats (nan, and the bound unknown from there on, for a refuted level
+    whose walk does not fit the budget), and passes as that check does:
+    exactly refuted, it fails whatever its float deviation; undecided, it
+    passes within tol.
 
     Let λ ≠ λ' first differ at level i.  The factors of the levels before i
     meet integer phases; factor i meets R_i⁻ᵀ(ℓ_i - ℓ'_i) plus an integer
@@ -458,7 +460,10 @@ def _level_bounds(seq, milestones, tol: float = DEFAULT_UNITARITY_TOL) -> tuple:
             if seq.triple(i).exact:
                 continue
             dual = hadamard_check(seq.matrix(i).transpose(), seq.spectrum_digits(i), seq.digits(i), tol)
-            bound, ok = max(bound, dual.max_deviation), ok and dual.ok
+            # a refuted level whose float walk does not fit reports nan, and
+            # max keeps a nan bound from there on
+            bound = dual.max_deviation if math.isnan(dual.max_deviation) else max(bound, dual.max_deviation)
+            ok = ok and dual.ok
             unsure.append((i, dual.exact))
         bounds.append((bound, ok))
         done = q

@@ -27,9 +27,9 @@ from ._phases import (
     _lex_order,
     _narrowest,
     _peak,
-    check_budget,
     difference_deviation,
     sum_rows,
+    within_budget,
 )
 from .errors import (
     CongruentDigits,
@@ -37,6 +37,7 @@ from .errors import (
     EmptySet,
     SizeMismatch,
     TripleInvalid,
+    WorkingSetTooLarge,
 )
 from .exactmat import IntMatrix, invert
 
@@ -310,14 +311,17 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     roots of unity with integer weights, so `_gram_is_identity` decides
     exactly whether every one vanishes: per axis when the reduced rows y mod
     den and L are both products of their axis sets, over the distinct
-    reduced differences otherwise.  That needs the primes of den; when den
-    is not factored within a fixed bound (`_prime_factors`), the verdict is
-    max |G − I| <= tol in floats and `exact` is False.
+    reduced differences otherwise.  That needs the primes of den, and over
+    the differences a table within fixed bounds; when den is not factored
+    within its bound (`_prime_factors`) or the table passes its bounds
+    (`_rows_are_orthogonal`), the verdict is max |G − I| <= tol in floats
+    and `exact` is False.
 
-    A certified triple reports a deviation of 0.0.  Any other reports the
-    float deviation of `_float_deviation`.  A size mismatch (#B ≠ #L) is
-    reported in the result rather than raised: the matrix is then
-    rectangular and cannot be unitary.
+    A certified triple reports a deviation of 0.0.  A refuted one reports
+    the float deviation of `_float_deviation` when that walk fits the byte
+    budget, and nan otherwise; an undecided one needs it.  A size
+    mismatch (#B ≠ #L) is reported in the result rather than raised: the
+    matrix is then rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
@@ -326,10 +330,16 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     den, axes, summands = _reduced_summands(r, b)
     mismatch = len(b) != len(l)
     primes = None if mismatch else _prime_factors(den)
-    if primes is not None and _gram_is_identity(den, primes, axes, summands, l, l_axes):
+    decided = None if primes is None else _gram_is_identity(den, primes, axes, summands, l, l_axes)
+    if decided:
         return HadamardCheckResult(ok=True, max_deviation=0.0, size_mismatch=False, exact=True)
-    dev = _float_deviation(b, l, l_axes, den, summands)
-    exact = mismatch or primes is not None
+    exact = mismatch or decided is not None
+    try:
+        dev = _float_deviation(b, l, l_axes, den, summands)
+    except WorkingSetTooLarge:
+        if not exact:
+            raise
+        dev = math.nan
     return HadamardCheckResult(ok=not exact and dev <= tol, max_deviation=dev, size_mismatch=mismatch, exact=exact)
 
 
@@ -391,11 +401,11 @@ def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
 
 
 class HadamardTriple(NamedTuple):
-    """A triple whose matrix `hadamard_check` finds unitary to within tol
-    in floats.  `exact` says the exact test certified it, and `deviation`
-    is then 0.0; otherwise `deviation` is the float deviation, and either
-    den was not factored or the exact test found the Gram is not I, though
-    floats put it within tol."""
+    """A triple that `hadamard_check` does not put more than tol from
+    unitary in floats.  `exact` says the exact test certified it, and
+    `deviation` is then 0.0.  Otherwise `deviation` is the float deviation
+    (nan when a refuted triple's walk does not fit the budget), and either
+    the exact test was past its bounds or it found the Gram is not I."""
 
     r: IntMatrix
     b: DigitSet
@@ -430,8 +440,9 @@ _BRENT_STEPS = 1 << 16
 # below this bound (Sorenson and Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT = 3317044064679887385961981
-# Axes of at most this many values take their pairwise gcds in Python ints.
-_PYTHON_PAIRS = 64
+# The exact test over the distinct reduced differences runs on at most this
+# many entries of its exponent table; a larger level is left to floats.
+_EXACT_ENTRIES = 1 << 20
 
 
 def _is_prime(n: int) -> bool | None:
@@ -451,19 +462,6 @@ def _is_prime(n: int) -> bool | None:
         else:
             return False
     return True if n < _MR_EXACT else None
-
-
-def _root(n: int) -> int | None:
-    """r with r^k = n for the least prime k that has one, for n with no
-    prime factor below _TRIAL_BOUND (so k < log2(n)/10), or None."""
-    for k in range(2, n.bit_length() // 10 + 1):
-        if all(k % j for j in range(2, k)):
-            x = 1 << -(-n.bit_length() // k)  # at least the k-th root: Newton from above
-            while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
-                x = y
-            if x**k == n:
-                return x
-    return None
 
 
 def _brent(n: int, c: int) -> int | None:
@@ -498,8 +496,7 @@ def _prime_factors(n: int) -> tuple | None:
     """The distinct primes of n >= 1, increasing, or None when n is not
     factored within the fixed bound: trial division below _TRIAL_BOUND, then
     Pollard-Brent, each cofactor proved prime by Miller-Rabin below
-    _MR_EXACT, and a composite one that is a perfect power taken as its
-    root.  A cofactor below _TRIAL_BOUND² has no factor left below its
+    _MR_EXACT.  A cofactor below _TRIAL_BOUND² has no factor left below its
     square root, so it is prime."""
     primes = set()
     for p in range(2, _TRIAL_BOUND):
@@ -517,10 +514,6 @@ def _prime_factors(n: int) -> tuple | None:
             return None
         if prime:
             primes.add(m)
-            continue
-        root = _root(m)
-        if root is not None:  # R = N·I gives |det R| = N^d
-            rest.append(root)
             continue
         f = next((f for c in (1, 2, 3) if (f := _brent(m, c)) is not None), None)
         if f is None:
@@ -577,22 +570,6 @@ def _vanishes(terms: dict, n: int, primes) -> bool:
     return True
 
 
-def _difference_gcds(y: np.ndarray, den: int) -> set:
-    """{gcd(den, a − b)} over the pairs of distinct entries a, b of the 1-D
-    integer array y, which holds at least two.  Past _PYTHON_PAIRS entries,
-    row i of the differences a_i − a_j, j >= i, goes in runs of about
-    _RUN_TARGET_BYTES, its one zero replaced by the difference a_1 − a_0."""
-    if len(y) <= _PYTHON_PAIRS:
-        v = y.tolist()
-        return {gcd(den, a - b) for i, a in enumerate(v) for b in v[:i]}
-    found, step = set(), max(1, _RUN_TARGET_BYTES // (8 * len(y)))
-    for lo in range(0, len(y) - 1, step):
-        d = np.subtract.outer(y[lo : lo + step], y[lo:])
-        d.flat[:: len(y) - lo + 1] = y[1] - y[0]
-        found.update(_increasing(np.gcd(d, den, out=d).ravel()).tolist())
-    return found
-
-
 def _axis_is_orthogonal(y: np.ndarray, ls: np.ndarray, den: int, primes) -> bool:
     """Whether Σ_{ℓ ∈ ls} ζ^{δℓ} = 0, ζ = e^{-2πi/den}, for every difference
     δ ≠ 0 of the distinct 1-D values y.
@@ -601,7 +578,7 @@ def _axis_is_orthogonal(y: np.ndarray, ls: np.ndarray, den: int, primes) -> bool
     Σ_v ζ^{δhv}.  With g = gcd(den, δ), ζ^{δh} has order n = (den/g) /
     gcd(den/g, h) and is ζ_n^u for a unit u mod n, so the sum vanishes
     exactly when Σ_v ζ_n^v does (the automorphism ζ_n -> ζ_n^u): one test
-    per distinct g, not per δ."""
+    per distinct g, not per δ, the g found pair by pair in Python ints."""
     if len(y) < 2:
         return True
     ls = ls.tolist()
@@ -611,8 +588,8 @@ def _axis_is_orthogonal(y: np.ndarray, ls: np.ndarray, den: int, primes) -> bool
     if h == 0:  # one ℓ: every sum is a single root of unity
         return False
     v = [(x - ls[0]) // h for x in ls]
-    orders = set()
-    for g in _difference_gcds(y, den):
+    y, orders = y.tolist(), set()
+    for g in {gcd(den, a - b) for i, a in enumerate(y) for b in y[:i]}:
         n = den // g
         orders.add(n // gcd(n, h))
     for n in sorted(orders):
@@ -624,33 +601,50 @@ def _axis_is_orthogonal(y: np.ndarray, ls: np.ndarray, den: int, primes) -> bool
     return True
 
 
-def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int, primes) -> bool:
+def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int, primes) -> bool | None:
     """Whether Σ_ℓ ζ^{δ·ℓ} = 0, ζ = e^{-2πi/den}, for every distinct
-    difference δ ≠ 0 mod den of the integer rows y: one exponent table of
-    #δ × #L entries, checked against the budget with the differences
-    first, and one exact test per δ."""
+    difference δ ≠ 0 mod den of the integer rows y, with one exact test per
+    δ; None when the differences (32 bytes per coordinate of each pair, as
+    the float walk charges them) do not fit the budget or the #δ × #L
+    exponent table passes _EXACT_ENTRIES.  The table goes in runs of about
+    _RUN_TARGET_BYTES, each row sorted so that its exponents' counts are
+    the lengths of its runs of equal values."""
     n, d = y.shape
-    what = f"the exact Gram test of {n} reduced digits against {len(l_rows)} spectrum digits"
-    check_budget(8 * n * n * (3 * d + len(l_rows)), what)
+    # the rows are distinct mod den, so the y_i − y_0 give n − 1 distinct δ
+    if (n - 1) * len(l_rows) > _EXACT_ENTRIES or not within_budget(32 * n * n * d):
+        return None
     wide = object in (y.dtype, l_rows.dtype) or d * den * den >= _INT64_SAFE
     dtype = object if wide else np.int64
     ls = l_rows.astype(dtype) % den
     deltas = _distinct(sum_rows([(y, 1), (-y, 1)]).astype(dtype) % den)
     deltas = deltas[~_every_column(deltas, lambda c: c == 0)]
-    exps = np.zeros((len(deltas), len(ls)), dtype=dtype)
-    for c in range(d):
-        exps += np.multiply.outer(deltas[:, c], ls[:, c])
-    for row in (exps % den).tolist():
-        counts = {}
-        for e in row:
-            counts[e] = counts.get(e, 0) + 1
-        if not _vanishes(counts, den, primes):
-            return False
+    if len(deltas) * len(ls) > _EXACT_ENTRIES:
+        return None
+    step = max(1, _RUN_TARGET_BYTES // (8 * len(ls)))
+    for lo in range(0, len(deltas), step):
+        run = deltas[lo : lo + step]
+        exps = np.zeros((len(run), len(ls)), dtype=dtype)
+        for c in range(d):
+            exps += np.multiply.outer(run[:, c], ls[:, c])
+        exps %= den
+        exps.sort(axis=1)
+        new = np.ones(exps.shape, dtype=bool)
+        new[:, 1:] = exps[:, 1:] != exps[:, :-1]
+        starts = np.flatnonzero(new)
+        counts = np.diff(starts, append=exps.size).tolist()
+        values = exps.ravel()[starts].tolist()
+        ends = np.searchsorted(starts, np.arange(1, len(run) + 1) * len(ls)).tolist()
+        first = 0
+        for last in ends:
+            if not _vanishes(dict(zip(values[first:last], counts[first:last])), den, primes):
+                return False
+            first = last
     return True
 
 
-def _gram_is_identity(den: int, primes, axes, summands, l: DigitSet, l_axes) -> bool:
-    """Whether `hadamard_check`'s Gram is exactly I, for #B = #L.
+def _gram_is_identity(den: int, primes, axes, summands, l: DigitSet, l_axes) -> bool | None:
+    """Whether `hadamard_check`'s Gram is exactly I, for #B = #L, or None
+    when the test is past its bounds.
 
     When the reduced rows and L are the products of their axis sets, a Gram
     entry is the product of per-axis sums S_c(δ_c), and S_c(0) = #L_c: every

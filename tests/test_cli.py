@@ -196,16 +196,16 @@ def test_a_4096_digit_line_is_certified_exactly_per_axis(tmp_path):
     assert "1      4096     0.000e+00  yes" in out and "note:" not in out
 
 
-def test_exit_3_when_the_exact_test_of_a_non_product_level_exceeds_the_byte_budget(tmp_path):
-    # 4096 digits that are no axis product: the exact test runs over their
-    # 4096^2 differences against 4096 spectrum digits, refused before it
-    # allocates
+def test_exit_3_when_a_non_product_level_is_too_large_for_either_test(tmp_path):
+    # 4096 digits that are no axis product: past the exact test's table
+    # bound, so the float walk decides, and its 4096^2 differences against
+    # 4096 spectrum digits are refused before it allocates
     digits = [[x, y + 64 * (x % 2)] for x in range(64) for y in range(64)]
     level = {"matrix": [[128, 0], [0, 128]], "digits": digits, "spectrum_digits": digits}
     doc = {"dimension": 2, "sequence": {"inline": [level]}, "check": {"checks": ["hadamard"], "upto": 1}}
     rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
     assert rc == 3
-    assert err.startswith("resource cap:") and "exact Gram test" in err
+    assert err.startswith("resource cap: a sum set of 4096 x 4096 points")
     assert "Traceback" not in err and out == ""
 
 
@@ -580,6 +580,43 @@ def test_spectrum_refutes_a_level_that_floats_pass(tmp_path):
     assert "verdicts: exactness=fail" in out
     assert _exactness_cells(out) == [["7.854e-11", "no"]] * 2
     assert "note: exactness: level 1 is not a Hadamard triple (exact test)" in out
+
+
+def _hadamard_cells(doc, tmp_path):
+    doc = dict(doc, check={"checks": ["hadamard"], "upto": 1, "hadamard_upto": 1})
+    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
+    return rc, out, [line.split()[1:] for line in out.splitlines() if line.startswith("1 ")], err
+
+
+def test_check_decides_large_levels_that_are_no_axis_products(tmp_path):
+    # 1024 digits each: B = L = {(x, y + 32(x mod 2))} under 64·I has more
+    # reduced differences than the exact test takes, so floats decide it;
+    # the skew DFT level (R W, B, Wᵀ L) is certified exactly
+    rows = [[x, y + 32 * (x % 2)] for x in range(32) for y in range(32)]
+    doc = {"dimension": 2, "sequence": {"inline": [
+        {"matrix": [[64, 0], [0, 64]], "digits": rows, "spectrum_digits": rows}]}}
+    rc, out, cells, err = _hadamard_cells(doc, tmp_path)
+    assert rc == 1, err
+    assert cells == [["1024", "4.056e-01", "no"]]
+    assert f"note: hadamard: level 1 {cli._HEURISTIC_LEVEL}" in out
+    doc = {"dimension": 2, "sequence": {"inline": [{
+        "matrix": [[32, 32], [0, 32]],
+        "digits": [[x, y] for x in range(32) for y in range(32)],
+        "spectrum_digits": [[x, x + y] for x in range(32) for y in range(32)]}]}}
+    rc, out, cells, err = _hadamard_cells(doc, tmp_path)
+    assert rc == 0, err
+    assert cells == [["1024", "0.000e+00", "yes"]] and "heuristic" not in out
+
+
+def test_check_refutes_a_level_whose_float_walk_does_not_fit(tmp_path):
+    # the 4096 x 4096 float walk needs 1.08 GB; the exact test refutes the
+    # level per axis, and the deviation is left out
+    doc = {"dimension": 1, "sequence": {"inline": [{
+        "matrix": [[4096]], "digits": [[x] for x in range(4096)],
+        "spectrum_digits": [[x] for x in range(4095)] + [[5000]]}]}}
+    rc, out, cells, err = _hadamard_cells(doc, tmp_path)
+    assert rc == 1, err
+    assert cells == [["4096", "-", "no"]] and "verdicts: hadamard=fail" in out
 
 
 def test_spectrum_exactness_forms_no_measure(tmp_path, monkeypatch):

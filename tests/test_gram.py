@@ -379,8 +379,8 @@ def test_example_2_6_hadamard_at_level_1185_fits_the_budget(monkeypatch):
 
 
 def test_example_2_6_hadamard_at_level_1185_is_certified_per_axis():
-    # the exact test takes the pairwise gcds of an axis of 1186 values in
-    # runs of about 1 MiB, and forms no Gram
+    # the exact test takes the pairwise gcds of an axis of 1186 values one
+    # pair at a time, and forms no Gram
     seq = builtin_sequence("example-2.6")
     r, b, l = seq.matrix(1185), seq.digits(1185), seq.spectrum_digits(1185)
     tracemalloc.start()

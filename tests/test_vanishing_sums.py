@@ -33,7 +33,6 @@ def _support(n: int) -> set:
         (2 * 10**10 + 1, (3, 19, 1627, 215659)),  # the last split needs Pollard-Brent
         (1000003 * 1000033, (1000003, 1000033)),
         ((2**31 - 1) * (2**61 - 1), (2**31 - 1, 2**61 - 1)),
-        ((2**61 - 1) ** 2, (2**61 - 1,)),  # R = N·I: rho would need 2^30 steps
         (1009**3 * (2**89 - 1) ** 5, None),
         ((2**127 - 1) ** 3 * 1031, None),
         (2**89 - 1, None),  # prime, but past the bound where Miller-Rabin is exact
@@ -174,6 +173,16 @@ def test_exact_verdicts_match_the_oracle_on_random_and_skew_triples(shift):
         wide = wide or object in (b.rows.dtype, l.rows.dtype)
     assert 30 <= sum(verdicts) <= len(verdicts) - 30
     assert wide == bool(shift)
+
+
+def test_exact_verdicts_match_the_oracle_one_difference_per_run(monkeypatch):
+    # the exponent table of the sets that are no axis products goes in runs
+    # of one row each
+    monkeypatch.setattr(triples, "_RUN_TARGET_BYTES", 1)
+    rng = random.Random(11)
+    for r, b, l in _cases(rng, 20):
+        b, l = DigitSet.of(b), DigitSet.of(l)
+        assert hadamard_check(r, b, l).ok == gram_is_identity(r, b, l), (r, b, l)
 
 
 def test_a_triple_that_floats_pass_is_refuted():

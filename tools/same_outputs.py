@@ -61,7 +61,8 @@ SAMPLE_SEEDS = (1, 2)
 # example-2.6 checks run the kernels that read structured digit sets past
 # the bench sizes, and the inline product levels run the explicit digit
 # sets' product detection in `hadamard_check`.  `hadamard_check` decides
-# each level exactly, as vanishing sums of roots of unity, and a CLI spectrum
+# each level exactly (in floats only past the exact test's bounds, which no
+# case here reaches), as vanishing sums of roots of unity, and a CLI spectrum
 # gives a certified level a bound of 0; only a level it cannot decide, or
 # refutes, adds its dual float deviation `hadamard_check(R_iᵀ, L_i, B_i)`.
 # The spectra with exactness run that test past the bench sizes and with
