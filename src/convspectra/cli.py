@@ -107,8 +107,8 @@ _CHOOSERS = ("zero", "windowed-search")
 _PASS_VERDICTS = (VERDICT_CERTIFIED, VERDICT_CONVERGED)
 # the note on a level whose unitarity the exact test could not decide
 _HEURISTIC_LEVEL = (
-    "is heuristic: the exact test was past its bounds (|det R| not factored, or too many"
-    " reduced differences), so floats decided it against tol"
+    "is heuristic: the exact test was past its bounds (too many reduced differences),"
+    " so floats decided it against tol"
 )
 
 _TABLE_ROW_LIMIT = _PARTIALS_HEAD + 1  # long per-level tables show the head plus the final row

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -311,11 +311,11 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     roots of unity with integer weights, so `_gram_is_identity` decides
     exactly whether every one vanishes: per axis when the reduced rows y mod
     den and L are both products of their axis sets, over the distinct
-    reduced differences otherwise.  That needs the primes of den, and over
-    the differences a table within fixed bounds; when den is not factored
-    within its bound (`_prime_factors`) or the table passes its bounds
-    (`_rows_are_orthogonal`), the verdict is max |G − I| <= tol in floats
-    and `exact` is False.
+    reduced differences otherwise.  A sum of k terms needs only the primes
+    p <= k of den, found by trial division (`_small_primes`).  Over the
+    differences the test needs a table within fixed bounds; when it passes
+    them (`_rows_are_orthogonal`), the verdict is max |G − I| <= tol in
+    floats and `exact` is False.
 
     A certified triple reports a deviation of 0.0.  A refuted one reports
     the float deviation of `_float_deviation` when that walk fits the byte
@@ -329,8 +329,7 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_
     l_axes = [a[:, None] for a in p.axes] if p is not None and not (p.removed or p.added) else _axis_sets(l.rows)
     den, axes, summands = _reduced_summands(r, b)
     mismatch = len(b) != len(l)
-    primes = None if mismatch else _prime_factors(den)
-    decided = None if primes is None else _gram_is_identity(den, primes, axes, summands, l, l_axes)
+    decided = None if mismatch else _gram_is_identity(den, axes, summands, l, l_axes)
     if decided:
         return HadamardCheckResult(ok=True, max_deviation=0.0, size_mismatch=False, exact=True)
     exact = mismatch or decided is not None
@@ -431,110 +430,44 @@ class HadamardTriple(NamedTuple):
 
 # ----- exact vanishing sums of roots of unity -----
 
-# `_prime_factors` divides out every prime below this bound, then splits
-# what is left by Pollard's rho in Brent's form, at most about twice this
-# many steps per attempt and three attempts per cofactor.
-_TRIAL_BOUND = 1 << 10
-_BRENT_STEPS = 1 << 16
-# Miller-Rabin with the first 13 primes as bases decides primality exactly
-# below this bound (Sorenson and Webster, Math. Comp. 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT = 3317044064679887385961981
 # The exact test over the distinct reduced differences runs on at most this
 # many entries of its exponent table; a larger level is left to floats.
 _EXACT_ENTRIES = 1 << 20
 
 
-def _is_prime(n: int) -> bool | None:
-    """Whether the odd n > _MR_BASES[-1] is prime, by Miller-Rabin: exact
-    below _MR_EXACT; past it a pass proves nothing and gives None."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True if n < _MR_EXACT else None
-
-
-def _brent(n: int, c: int) -> int | None:
-    """A proper factor of the odd composite n by Pollard's rho in Brent's
-    form with x -> x² + c, or None past _BRENT_STEPS steps."""
-    y, r, q, g = 2, 1, 1, 1
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(128, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = gcd(q, n)
-            k += 128
-        r *= 2
-        if r > _BRENT_STEPS:
-            return None
-    if g == n:  # the batch passed the factor: retrace it one step at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
-    return g if g < n else None
-
-
-@lru_cache(maxsize=64)
-def _prime_factors(n: int) -> tuple | None:
-    """The distinct primes of n >= 1, increasing, or None when n is not
-    factored within the fixed bound: trial division below _TRIAL_BOUND, then
-    Pollard-Brent, each cofactor proved prime by Miller-Rabin below
-    _MR_EXACT.  A cofactor below _TRIAL_BOUND² has no factor left below its
-    square root, so it is prime."""
-    primes = set()
-    for p in range(2, _TRIAL_BOUND):
-        if p * p > n:
-            break
-        if n % p == 0:
-            primes.add(p)
-            while n % p == 0:
-                n //= p
-    rest = [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        prime = True if m < _TRIAL_BOUND**2 else _is_prime(m)
-        if prime is None:
-            return None
-        if prime:
-            primes.add(m)
-            continue
-        f = next((f for c in (1, 2, 3) if (f := _brent(m, c)) is not None), None)
-        if f is None:
-            return None
-        rest += [f, m // f]
-    return tuple(sorted(primes))
+def _small_primes(n: int, k: int) -> tuple:
+    """The primes p <= k of n >= 1, increasing, by trial division up to
+    min(k, √m), m the part of n not yet divided out; a part 1 < m <= k left
+    over has no factor below its square root, so it is prime."""
+    primes, m, p = [], n, 2
+    while p <= k and p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if 1 < m <= k:
+        primes.append(m)
+    return tuple(primes)
 
 
 def _vanishes(terms: dict, n: int, primes) -> bool:
     """Whether Σ w·ζ_n^e over terms {e: w} is 0, for distinct exponents e in
-    [0, n), nonzero integer weights w and `primes` holding every prime of n.
+    [0, n), nonzero integer weights w and `primes` holding every prime
+    p <= #terms of n (`_small_primes`).
 
-    De Bruijn (1953): the sum is shifted so that one exponent is 0 and put
-    over n/g, g the gcd of n and the exponents.  When p² | n, 1, ζ_n, ...,
-    ζ_n^{p-1} are a basis of Q(ζ_n) over Q(ζ_{n/p}), so each class of the
-    exponents mod p must vanish at n/p with exponents ⌊e/p⌋.  When n = p·m
-    with p ∤ m, the CRT writes the sum, up to an automorphism of Q(ζ_n), as
-    Σ_a ζ_p^a A_a with A_a the terms e ≡ a mod p at exponents e mod m in
-    Q(ζ_m), and it vanishes exactly when every A_a is the same: all of them
-    0 when a class is empty, every A_a − A_r against the smallest class A_r
-    otherwise.  One nonzero term never vanishes."""
+    Mann (1965): a vanishing sum of k roots of unity with rational weights
+    and no vanishing proper subsum has, once rotated, only roots whose order
+    divides the product of the primes <= k.  A vanishing sum splits into such
+    minimal ones, so with g the product of the primes p <= k of n, it
+    vanishes exactly when every class of its exponents mod n/g does, as
+    Σ w·ζ_g^{⌊e/(n/g)⌋}; every modulus after that divides the squarefree g.
+    De Bruijn (1953): when n = g = p·m with p prime, the CRT writes the sum,
+    up to an automorphism of Q(ζ_n), as Σ_a ζ_p^a A_a with A_a the terms
+    e ≡ a mod p at exponents e mod m in Q(ζ_m), and it vanishes exactly
+    when every A_a is the same: all of them 0 when a class is empty, every
+    A_a − A_r against the smallest class A_r otherwise.  One nonzero term
+    never vanishes."""
     stack = [(terms, n)]
     while stack:
         terms, n = stack.pop()
@@ -542,22 +475,23 @@ def _vanishes(terms: dict, n: int, primes) -> bool:
             if terms:
                 return False
             continue
-        e0 = next(iter(terms))
-        g = n
-        for e in terms:
-            g = gcd(g, e - e0)
-        if g > 1:
-            n //= g
-            terms = {(e - e0) // g % n: w for e, w in terms.items()}
-        q = next((p for p in primes if n % (p * p) == 0), None)
-        square = q is not None
-        if not square:
-            q = max(p for p in primes if n % p == 0)
+        g = 1
+        for p in primes:
+            if p <= len(terms) and n % p == 0:
+                g *= p
+        if g < n:
+            m = n // g
+            groups = {}
+            for e, w in terms.items():
+                groups.setdefault(e % m, {})[e // m] = w
+            stack.extend((group, g) for group in groups.values())
+            continue
+        q = max(p for p in primes if n % p == 0)
         m = n // q
         parts = {}
         for e, w in terms.items():
-            parts.setdefault(e % q, {})[e // q if square else e % m] = w
-        if square or len(parts) < q:
+            parts.setdefault(e % q, {})[e % m] = w
+        if len(parts) < q:
             stack.extend((part, m) for part in parts.values())
             continue
         ref = min(parts.values(), key=len)
@@ -601,7 +535,7 @@ def _axis_is_orthogonal(y: np.ndarray, ls: np.ndarray, den: int, primes) -> bool
     return True
 
 
-def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int, primes) -> bool | None:
+def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int) -> bool | None:
     """Whether Σ_ℓ ζ^{δ·ℓ} = 0, ζ = e^{-2πi/den}, for every distinct
     difference δ ≠ 0 mod den of the integer rows y, with one exact test per
     δ; None when the differences (32 bytes per coordinate of each pair, as
@@ -620,6 +554,7 @@ def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int, primes) ->
     deltas = deltas[~_every_column(deltas, lambda c: c == 0)]
     if len(deltas) * len(ls) > _EXACT_ENTRIES:
         return None
+    primes = _small_primes(den, len(ls))
     step = max(1, _RUN_TARGET_BYTES // (8 * len(ls)))
     for lo in range(0, len(deltas), step):
         run = deltas[lo : lo + step]
@@ -642,7 +577,7 @@ def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int, primes) ->
     return True
 
 
-def _gram_is_identity(den: int, primes, axes, summands, l: DigitSet, l_axes) -> bool | None:
+def _gram_is_identity(den: int, axes, summands, l: DigitSet, l_axes) -> bool | None:
     """Whether `hadamard_check`'s Gram is exactly I, for #B = #L, or None
     when the test is past its bounds.
 
@@ -652,8 +587,11 @@ def _gram_is_identity(den: int, primes, axes, summands, l: DigitSet, l_axes) -> 
     its differences δ_c ≠ 0 (`_axis_is_orthogonal`; an axis equal to an
     earlier one is not tested again).  Otherwise the test runs over the
     distinct differences of the reduced rows (`_rows_are_orthogonal`), and
-    two congruent digits give an entry of #L/#B."""
+    two congruent digits give an entry of #L/#B.  Each sum has at most
+    max #L_c or #L terms, and only the primes of den up to that count enter
+    `_vanishes`."""
     if axes is not None and l_axes is not None:
+        primes = _small_primes(den, max(len(a) for a in l_axes))
         done = []
         for y, ls in zip(axes, (a[:, 0] for a in l_axes)):
             if any(np.array_equal(y, y2) and np.array_equal(ls, l2) for y2, l2 in done):
@@ -668,7 +606,7 @@ def _gram_is_identity(den: int, primes, axes, summands, l: DigitSet, l_axes) -> 
             return False  # congruent digits
     else:
         rows = sum_rows([(s, 1) for s in summands])
-    return _rows_are_orthogonal(rows, l.rows, den, primes)
+    return _rows_are_orthogonal(rows, l.rows, den)
 
 
 # ===== reduction mod R·Z^d =====

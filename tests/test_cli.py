@@ -179,9 +179,9 @@ def _dft_level_doc():
 
 
 def test_exit_3_when_a_flat_hadamard_gram_exceeds_the_byte_budget(tmp_path, monkeypatch):
-    # decided in floats (|det R| not factored), the level's Gram table alone
+    # decided in floats (the exact test patched out), the level's Gram table alone
     # needs 16 * 4096^2 bytes
-    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
     rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _dft_level_doc())])
     assert rc == 3
     assert err.startswith("resource cap:") and "budget" in err
@@ -218,11 +218,11 @@ def _ex26_hadamard_doc(level):
 
 
 def test_exit_3_when_an_example_2_6_hadamard_level_exceeds_the_byte_budget(tmp_path, monkeypatch):
-    # decided in floats (|det R| not factored), at 256 KiB, level 35's
+    # decided in floats (the exact test patched out), at 256 KiB, level 35's
     # difference lattice (the 36 differences u >= 0 of one axis against the
     # 71 of the other, factors of 36 atoms per axis of L) fits and level
     # 36's (37 x 73, 37 atoms) does not
-    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
     monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 1 << 18)
     rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(35))])
     assert rc == 0 and "verdicts: hadamard=pass" in out
@@ -535,7 +535,7 @@ def test_spectrum_exactness_over_digits_past_int64(tmp_path):
 
 
 def test_levels_decided_in_floats_are_named_in_the_report(tmp_path, monkeypatch):
-    # with |det R| not factored, the float deviations decide against tol, as
+    # with the exact test patched out, the float deviations decide against tol, as
     # the dual triples' running maximum in `spectrum`, and a note names each
     # such level; the level file does not change
     level = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
@@ -545,7 +545,7 @@ def test_levels_decided_in_floats_are_named_in_the_report(tmp_path, monkeypatch)
     cfg = write_config(tmp_path, doc)
     rc, exact, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "exact.txt")])
     assert rc == 0, err
-    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
     rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "floats.txt")])
     assert rc == 0, err
     assert _exactness_cells(out) == [["6.123e-17", "yes"]] * 3

@@ -231,9 +231,9 @@ def test_the_tower_bound_covers_the_evaluated_deviation(name):
 
 @pytest.mark.parametrize("name", TOWERS)
 def test_the_float_tower_bound_covers_the_evaluated_deviation(name, monkeypatch):
-    # with |det R| not factored, the running max of the levels' dual
+    # with the exact test patched out, the running max of the levels' dual
     # deviations in floats bounds the evaluated Gram
-    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
     seq, sp = tower_spectrum(name)
     bounds, unsure = spectra._level_bounds(seq, sp.milestones)
     assert unsure == [(i, False) for i in range(1, sp.milestones[-1] + 1)]
@@ -358,10 +358,10 @@ def test_example_2_6_hadamard_at_level_100():
 
 
 def test_example_2_6_hadamard_at_level_1185_fits_the_budget(monkeypatch):
-    # in floats (|det R| not factored), the Khatri-Rao join is formed in
+    # in floats (the exact test patched out), the Khatri-Rao join is formed in
     # runs of atoms, so it is sized by one run and no longer by 2 x rank
     # rows: level 1185 was refused at 270 MB
-    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)
+    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
     seq = builtin_sequence("example-2.6")
     r, b, l = seq.matrix(1185), seq.digits(1185), seq.spectrum_digits(1185)
     sizes = []
@@ -413,7 +413,7 @@ def test_per_axis_factors_of_l_agree_with_the_one_factor(monkeypatch):
         return real(summands, den, factors)
 
     monkeypatch.setattr(triples, "difference_deviation", spy)
-    monkeypatch.setattr(triples, "_prime_factors", lambda n: None)  # the float route
+    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)  # the float route
     for k in range(1, 31):
         r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
         per_axis = hadamard_check(r, b, l).max_deviation

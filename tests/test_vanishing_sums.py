@@ -11,7 +11,7 @@ import pytest
 
 from convspectra import cli, triples
 from convspectra.exactmat import IntMatrix
-from convspectra.triples import DigitSet, _prime_factors, _vanishes, hadamard_check
+from convspectra.triples import DigitSet, _small_primes, _vanishes, hadamard_check
 from oracles import gram_is_identity, sum_vanishes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,28 +24,38 @@ def _support(n: int) -> set:
     return {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1))}
 
 
+# k for `_small_primes`: one or two terms, a few, and bounds that reach
+# some primes of the n below and stop short of others
+_KS = (1, 2, 12, 2**10, 2**17)
+
+
 @pytest.mark.parametrize(
     "n, primes",
     [
         (1, ()),
         (4, (2,)),
         (64 * 301**2, (2, 7, 43)),
-        (2 * 10**10 + 1, (3, 19, 1627, 215659)),  # the last split needs Pollard-Brent
+        (2 * 10**10 + 1, (3, 19, 1627, 215659)),  # the cofactor 215659 passes 2^17
         (1000003 * 1000033, (1000003, 1000033)),
         ((2**31 - 1) * (2**61 - 1), (2**31 - 1, 2**61 - 1)),
-        (1009**3 * (2**89 - 1) ** 5, None),
-        ((2**127 - 1) ** 3 * 1031, None),
-        (2**89 - 1, None),  # prime, but past the bound where Miller-Rabin is exact
-        ((2**61 - 1) * (2**64 - 59), None),  # two 61-bit-plus primes: rho gives up
+        (1009**3 * (2**89 - 1) ** 5, (1009, 2**89 - 1)),
+        ((2**127 - 1) ** 3 * 1031, (1031, 2**127 - 1)),
+        (2**89 - 1, (2**89 - 1,)),
+        ((2**61 - 1) * (2**64 - 59), (2**61 - 1, 2**64 - 59)),
     ],
 )
 def test_prime_factors(n, primes):
-    assert _prime_factors(n) == primes
+    # `_small_primes` finds exactly the primes p <= k of n, however large
+    # the primes past k
+    for k in _KS:
+        assert _small_primes(n, k) == tuple(p for p in primes if p <= k), k
 
 
 def test_prime_factors_of_small_numbers_match_trial_division():
     for n in range(1, 3000):
-        assert set(_prime_factors(n)) == _support(n), n
+        support = _support(n)
+        for k in (1, 2, 3, 5, 6, 30, 97, 3000):
+            assert _small_primes(n, k) == tuple(sorted(p for p in support if p <= k)), (n, k)
 
 
 def _random_sum(rng, n: int) -> dict:
@@ -76,7 +86,7 @@ def test_vanishing_sums_match_the_cyclotomic_remainder():
     for _ in range(400):
         n = rng.choice(moduli)
         terms = _random_sum(rng, n)
-        got = _vanishes(terms, n, _prime_factors(n))
+        got = _vanishes(terms, n, _small_primes(n, len(terms)))
         assert got == sum_vanishes(terms.items(), n), (n, terms)
         seen[got] += 1
     assert min(seen.values()) >= 100
@@ -88,7 +98,7 @@ def test_a_sum_over_a_proper_subset_of_a_coset_does_not_vanish():
     for n in (7, 49, 343):
         for k in range(1, 7):
             terms = {j * n // 7: 1 for j in range(k)}
-            assert not _vanishes(terms, n, _prime_factors(n)) and not sum_vanishes(terms.items(), n)
+            assert not _vanishes(terms, n, _small_primes(n, k)) and not sum_vanishes(terms.items(), n)
 
 
 def _unimodular(rng, d: int) -> IntMatrix:
@@ -194,14 +204,24 @@ def test_a_triple_that_floats_pass_is_refuted():
     assert not t.exact and t.deviation == res.max_deviation
 
 
-def test_an_unfactored_determinant_leaves_the_verdict_to_floats():
-    # 2^89 - 1 is prime, so the Gram entry 1 + ζ^((p-1)/2) is not 0, but the
-    # exact test cannot run and floats round the deviation to 6.1e-17
+def test_a_large_prime_determinant_is_refuted_exactly():
+    # 2^89 - 1 is prime, so the Gram entry 1 + ζ^((p-1)/2) is not 0: two
+    # terms need only the prime 2, which p lacks, and floats round the
+    # deviation to 6.1e-17
     p = 2**89 - 1
     r, b, l = IntMatrix.diagonal([p]), DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), ((p - 1) // 2,)])
     res = hadamard_check(r, b, l)
-    assert res.ok and not res.exact and 0 < res.max_deviation < 1e-16
+    assert res.exact and not res.ok and res.max_deviation == pytest.approx(6.123e-17, rel=1e-3)
     assert not triples.HadamardTriple.make(r, b, l).exact
+
+
+def test_a_determinant_with_large_prime_cofactors_is_certified():
+    # R = 2q, q = (2^61 - 1)(2^64 - 59): B = {0, q} and L = {0, 1} give the
+    # Gram entry 1 + ζ_{2q}^q = 0, decided from the prime 2 alone
+    q = (2**61 - 1) * (2**64 - 59)
+    r, b, l = IntMatrix.diagonal([2 * q]), DigitSet.of([(0,), (q,)]), DigitSet.of([(0,), (1,)])
+    res = hadamard_check(r, b, l)
+    assert res.exact and res.ok and res.max_deviation == 0.0
 
 
 def _levels(argv, doc, seq) -> list:
@@ -247,7 +267,7 @@ def test_exact_verdicts_equal_the_float_verdicts_on_every_compared_command(monke
             args = (r.transpose(), l, b) if dual else (r, b, l)
             exact = hadamard_check(*args)
             with monkeypatch.context() as m:
-                m.setattr(triples, "_prime_factors", lambda n: None)
+                m.setattr(triples, "_gram_is_identity", lambda *a: None)
                 floats = hadamard_check(*args)
             assert exact.exact and not floats.exact
             assert exact.ok == floats.ok, (name, k, dual, floats.max_deviation)

@@ -87,6 +87,10 @@ def _product_level(r, b, l):
 
 _WIDE_LEVEL = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
 _REPRO_LEVEL = {"matrix": [[2 * 10**10 + 1]], "digits": [[0], [1]], "spectrum_digits": [[0], [10**10]]}
+# R = 2q with q = (2⁶¹ − 1)(2⁶⁴ − 59), B = {0, q}, L = {0, 1}: the exact test
+# certifies it from the prime 2 alone, whatever the large primes of q
+_Q = (2**61 - 1) * (2**64 - 59)
+_WIDE_DET_LEVEL = {"matrix": [[str(2 * _Q)]], "digits": [[0], [str(_Q)]], "spectrum_digits": [[0], [1]]}
 
 
 def _grid_level(matrix, far):
@@ -185,6 +189,11 @@ INLINE = (
     ("inline/repro-check", "check", {
         "dimension": 1,
         "sequence": {"inline": [_REPRO_LEVEL] * 2},
+        "check": {"upto": 2, "hadamard_upto": 2, "checks": ["hadamard"]},
+    }),
+    ("inline/wide-det-check", "check", {
+        "dimension": 1,
+        "sequence": {"inline": [_WIDE_DET_LEVEL] * 2},
         "check": {"upto": 2, "hadamard_upto": 2, "checks": ["hadamard"]},
     }),
     ("inline/repro-spectrum", "spectrum", {
