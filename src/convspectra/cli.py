@@ -78,7 +78,7 @@ from .spectra import (
     read_levels,
     write_levels,
 )
-from .triples import DEFAULT_UNITARITY_TOL, DigitSet, hadamard_check
+from .triples import DigitSet, hadamard_check
 
 __all__ = [
     "RunConfig",
@@ -105,11 +105,6 @@ _BIG_INT = 1 << 53
 _CHECK_NAMES = ("hadamard", "equivalence", "rbc", "pcc", "contractivity", "three-series")
 _CHOOSERS = ("zero", "windowed-search")
 _PASS_VERDICTS = (VERDICT_CERTIFIED, VERDICT_CONVERGED)
-# the note on a level whose unitarity the exact test could not decide
-_HEURISTIC_LEVEL = (
-    "is heuristic: the exact test was past its bounds (too many reduced differences),"
-    " so floats decided it against tol"
-)
 
 _TABLE_ROW_LIMIT = _PARTIALS_HEAD + 1  # long per-level tables show the head plus the final row
 _CSV_BLOCK_ROWS = 4096  # sample and qscan CSV rows formatted per block
@@ -604,8 +599,8 @@ def _series_table(title, diag, value_header="term"):
 
 
 def _deviation_cell(dev: float) -> str:
-    """A float deviation for a table; nan (a refuted level whose float walk
-    does not fit the budget) prints as "-"."""
+    """A deviation for a table: 0.0 for a certified level, and nan (a
+    refuted one, whose deviation is not computed) as "-"."""
     return "-" if math.isnan(dev) else f"{dev:.3e}"
 
 
@@ -622,7 +617,6 @@ def cmd_check(cfg: RunConfig) -> Report:
     requested = sec.get("checks", list(_CHECK_NAMES))
     pcc_l = Fraction(sec.get("pcc_l", "1/4"))
     radius = Fraction(sec.get("three_series_radius", "1"))
-    tol = cfg.top("tol", DEFAULT_UNITARITY_TOL)
 
     tables, verdicts, notes = [], {}, []
 
@@ -635,11 +629,9 @@ def cmd_check(cfg: RunConfig) -> Report:
                 rows.append((k, len(b), "-", "no spectrum digits"))
                 ok_h = False
                 continue
-            res = hadamard_check(r, b, l, tol)
+            res = hadamard_check(r, b, l)
             rows.append((k, len(b), _deviation_cell(res.max_deviation), res.ok))
             ok_h = ok_h and res.ok
-            if not res.exact:
-                notes.append(f"hadamard: level {k} {_HEURISTIC_LEVEL}")
         tables.append(_table("hadamard", ("level", "#digits", "deviation", "ok"), rows))
         verdicts["hadamard"] = "pass" if ok_h else "fail"
 
@@ -727,7 +719,6 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     chooser = sec.get("chooser", "zero")
     delta0 = Fraction(sec["delta0"]) if "delta0" in sec else None
     max_atoms = cfg.top("max_atoms", DEFAULT_SPECTRUM_CAP)
-    tol = cfg.top("tol", DEFAULT_UNITARITY_TOL)
     want_exactness = sec.get("exactness", True)
 
     sp = build_spectrum(
@@ -743,11 +734,10 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     notes = [f"chooser: {sp.chooser}; nonzero offset choices: {len(sp.k_choices)}"]
     verdicts = {}
     if want_exactness:
-        bounds, unsure = _level_bounds(seq, sp.milestones, tol)
+        bounds, refuted = _level_bounds(seq, sp.milestones)
         cells = [(_deviation_cell(bound), ok) for bound, ok in bounds]
-        verdicts["exactness"] = "pass" if all(ok for _, ok in bounds) else "fail"
-        for i, exact in unsure:
-            notes.append(f"exactness: level {i} " + ("is not a Hadamard triple (exact test)" if exact else _HEURISTIC_LEVEL))
+        verdicts["exactness"] = "pass" if not refuted else "fail"
+        notes.extend(f"exactness: level {i} is not a Hadamard triple (exact test)" for i in refuted)
     else:
         cells = [("-", "skipped")] * len(sp.levels)
     rows = [(j, m, len(level), *cell) for j, (m, level, cell) in enumerate(zip(sp.milestones, sp.levels, cells), start=1)]

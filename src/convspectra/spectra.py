@@ -44,8 +44,9 @@ from .errors import (
 )
 from .exactmat import invert, product_range
 from .measures import DiscreteMeasure, _points, tail_factors, tail_fourier_many
-from .triples import DEFAULT_UNITARITY_TOL, axis_numerators, box_count, hadamard_check, numerators
+from .triples import axis_numerators, box_count, hadamard_check, numerators
 
+DEFAULT_UNITARITY_TOL = 1e-9
 DEFAULT_SPECTRUM_CAP = 1_000_000
 DEFAULT_FAIL_TOL = 1e-12
 DEFAULT_GRID_CAP = 4_000_000
@@ -158,6 +159,22 @@ def _windowed_choices(seq, p: int, q: int, depth: int, lams: np.ndarray, box) ->
     return ks[_first_best(scores.T)]
 
 
+def _check_spectrum_digits(seq, i: int) -> None:
+    """Raise unless L_i can index level i of a candidate spectrum: it must be
+    given, as many as B_i, and no two of its digits congruent mod R_iᵀZ^d;
+    then the vectors of every level Λ_j are distinct exponentials on the
+    atoms of μ_{q_j}.  Whether the level is a Hadamard triple is for
+    `_level_bounds` to say."""
+    b, l = seq.digits(i), seq.spectrum_digits(i)
+    if l is None:
+        raise ValidationError(f"level {i} has no spectrum digit set")
+    if len(l) != len(b):
+        raise SizeMismatch(f"level {i}: #B = {len(b)} but #L = {len(l)}")
+    den, y = numerators(seq.matrix(i).transpose(), l)
+    if len(_distinct(y % den)) < len(l):
+        raise TripleInvalid(f"level {i}: two spectrum digits are congruent mod Rᵀ·Z^d")
+
+
 def build_spectrum(
     seq,
     milestones,
@@ -236,7 +253,7 @@ def build_spectrum(
             raise MilestoneGap(f"milestone {q} exceeds sequence length {seq.length}")
 
         for i in range(p + 1, q + 1):
-            seq.triple(i)  # every level used must carry a validated triple
+            _check_spectrum_digits(seq, i)
         block = _window_spectrum_digits(seq, p, q)
         if len(lam_prev) * len(block) > max_atoms:
             raise TruncationTooLarge(
@@ -431,43 +448,30 @@ def spectrum_exactness(
     return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
 
 
-def _level_bounds(seq, milestones, tol: float = DEFAULT_UNITARITY_TOL) -> tuple:
-    """(bounds, unsure): per milestone q_j, (bound, ok) for the level Λ_j
-    that `build_spectrum` grew to q_j against μ_{q_j}, where bound is the
-    running maximum over the levels i ≤ q_j of what each adds to max |G − I|
-    and ok says every such level passed; `unsure` lists (i, exact) for each
-    level i whose triple the exact test did not certify.
+def _level_bounds(seq, milestones) -> tuple:
+    """(bounds, refuted): per milestone q_j, (bound, ok) for the level Λ_j
+    that `build_spectrum` grew to q_j against μ_{q_j}, and the levels i whose
+    triple `hadamard_check` refutes.  bound is max |G − I| over that level:
+    0.0 while every level i ≤ q_j is certified, and nan (not known) with ok
+    False from the first refuted level on.
 
     A certified level has HH* = I exactly, and H is square, so H*H = I: its
-    L-side Gram max_{ℓ ≠ ℓ'} |m_{B_i}(R_i⁻ᵀ(ℓ - ℓ'))| is 0 and it adds 0.
-    Any other level adds the dual triple's deviation
-    `hadamard_check(R_iᵀ, L_i, B_i).max_deviation`, that L-side Gram in
-    floats (nan, and the bound unknown from there on, for a refuted level
-    whose walk does not fit the budget), and passes as that check does:
-    exactly refuted, it fails whatever its float deviation; undecided, it
-    passes within tol.
-
-    Let λ ≠ λ' first differ at level i.  The factors of the levels before i
-    meet integer phases; factor i meets R_i⁻ᵀ(ℓ_i - ℓ'_i) plus an integer
-    vector, which absorbs the later levels and every k-shift of a window
-    ending at or after i; every other factor has modulus at most 1.  Since
-    #Λ_j = Π #L_i = Π #B_i ≥ #supp μ_{q_j}, a bound b with #Λ_j · b < 1
-    also makes μ_{q_j}'s atoms distinct and equally weighted.  Neither the
-    level nor the measure is formed."""
-    bounds, unsure, bound, ok, done = [], [], 0.0, True, 0
+    L-side Gram max_{ℓ ≠ ℓ'} |m_{B_i}(R_i⁻ᵀ(ℓ - ℓ'))| is 0.  Let λ ≠ λ'
+    first differ at level i.  The factors of the levels before i meet
+    integer phases; factor i meets R_i⁻ᵀ(ℓ_i - ℓ'_i) plus an integer vector,
+    which absorbs the later levels and every k-shift of a window ending at
+    or after i; so the Gram entry of λ, λ' vanishes.  Since #Λ_j = Π #L_i =
+    Π #B_i ≥ #supp μ_{q_j}, the Gram is then I and μ_{q_j}'s atoms are
+    distinct and equally weighted.  Neither the level nor the measure is
+    formed."""
+    bounds, refuted, done = [], [], 0
     for q in milestones:
         for i in range(done + 1, q + 1):
-            if seq.triple(i).exact:
-                continue
-            dual = hadamard_check(seq.matrix(i).transpose(), seq.spectrum_digits(i), seq.digits(i), tol)
-            # a refuted level whose float walk does not fit reports nan, and
-            # max keeps a nan bound from there on
-            bound = dual.max_deviation if math.isnan(dual.max_deviation) else max(bound, dual.max_deviation)
-            ok = ok and dual.ok
-            unsure.append((i, dual.exact))
-        bounds.append((bound, ok))
+            if not hadamard_check(seq.matrix(i), seq.digits(i), seq.spectrum_digits(i)).ok:
+                refuted.append(i)
+        bounds.append((math.nan, False) if refuted else (0.0, True))
         done = q
-    return bounds, unsure
+    return bounds, refuted
 
 
 # ===== equi-positivity scan =====

@@ -27,9 +27,8 @@ from ._phases import (
     _lex_order,
     _narrowest,
     _peak,
-    difference_deviation,
+    check_budget,
     sum_rows,
-    within_budget,
 )
 from .errors import (
     CongruentDigits,
@@ -37,12 +36,8 @@ from .errors import (
     EmptySet,
     SizeMismatch,
     TripleInvalid,
-    WorkingSetTooLarge,
 )
 from .exactmat import IntMatrix, invert
-
-DEFAULT_UNITARITY_TOL = 1e-9
-
 
 # A digit set's rows are int64 when every entry lies below this in absolute
 # value, and exact Python ints otherwise; `numerators` decides per call
@@ -298,87 +293,38 @@ def shared_masks(a: DigitSet, b: DigitSet):
 
 class HadamardCheckResult(NamedTuple):
     ok: bool
-    max_deviation: float
+    max_deviation: float  # max |G − I|: 0.0 for a certified triple, nan for any other
     size_mismatch: bool
-    exact: bool  # ok was decided in integers, not by max_deviation <= tol
 
 
-def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_UNITARITY_TOL) -> HadamardCheckResult:
-    """Decide whether [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is unitary.
+def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet) -> HadamardCheckResult:
+    """Decide exactly whether [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is unitary.
 
     Write R⁻¹b = y/den with den = |det R|.  The Gram entry of b ≠ b' is
     (1/#B) Σ_ℓ ζ^{(y_b − y_b')·ℓ} with ζ = e^{-2πi/den}, a sum of den-th
-    roots of unity with integer weights, so `_gram_is_identity` decides
-    exactly whether every one vanishes: per axis when the reduced rows y mod
-    den and L are both products of their axis sets, over the distinct
+    roots of unity with integer weights, so `_gram_is_identity` decides in
+    integers whether every one vanishes: per axis when the reduced rows
+    y mod den and L are both products of their axis sets, over the distinct
     reduced differences otherwise.  A sum of k terms needs only the primes
-    p <= k of den, found by trial division (`_small_primes`).  Over the
-    differences the test needs a table within fixed bounds; when it passes
-    them (`_rows_are_orthogonal`), the verdict is max |G − I| <= tol in
-    floats and `exact` is False.
-
-    A certified triple reports a deviation of 0.0.  A refuted one reports
-    the float deviation of `_float_deviation` when that walk fits the byte
-    budget, and nan otherwise; an undecided one needs it.  A size
-    mismatch (#B ≠ #L) is reported in the result rather than raised: the
-    matrix is then rectangular and cannot be unitary.
+    p <= k of den, found by trial division (`_small_primes`).  No float Gram
+    is formed: a certified triple reports a deviation of 0.0, and a refuted
+    one nan.  A size mismatch (#B ≠ #L) is reported in the result rather
+    than raised: the matrix is then rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
-    p = l.product
-    l_axes = [a[:, None] for a in p.axes] if p is not None and not (p.removed or p.added) else _axis_sets(l.rows)
-    den, axes, summands = _reduced_summands(r, b)
     mismatch = len(b) != len(l)
-    decided = None if mismatch else _gram_is_identity(den, axes, summands, l, l_axes)
-    if decided:
-        return HadamardCheckResult(ok=True, max_deviation=0.0, size_mismatch=False, exact=True)
-    exact = mismatch or decided is not None
-    try:
-        dev = _float_deviation(b, l, l_axes, den, summands)
-    except WorkingSetTooLarge:
-        if not exact:
-            raise
-        dev = math.nan
-    return HadamardCheckResult(ok=not exact and dev <= tol, max_deviation=dev, size_mismatch=mismatch, exact=exact)
+    ok = not mismatch and _gram_is_identity(r, b, l)
+    return HadamardCheckResult(ok=ok, max_deviation=0.0 if ok else math.nan, size_mismatch=mismatch)
 
 
-def _float_deviation(b: DigitSet, l: DigitSet, l_axes, den: int, summands) -> float:
-    """max |G − I| in floats for `hadamard_check`'s operands.
-
-    The Gram matrix is G[b, b'] = F(R^{-1}(b - b')) with F the transform of
-    the single factor with atoms L and weight 1/#B, evaluated by
-    `_phases.difference_deviation` on the points R^{-1}B = y/den.  When L is
-    the product of its axis sets L_c (`l_axes`), F is the product of the
-    transforms of the uniform measures on the L_c, the first scaled by
-    #L/#B, and those are the factors: their tables hold #L_c atoms, not #L.
-    L is integer, so F(y/den) depends on y only mod den, and the summands
-    are those of `_reduced_summands`.
-    """
-    if l_axes is None:
-        # L's rows are exact Python ints: bench/tracer.py multiplies the two
-        # operands' largest entries, which overflows when one is an int64
-        # scalar and the other lies past int64.
-        factors = [(integer_rows(l), 1, np.full(len(l), 1 / len(b)))]
-    else:
-        # the uniform measure on L = L_0 x ... x L_{d-1} is the convolution of
-        # those on the L_c, and F carries the mass #L/#B
-        weights = [len(l) / (len(b) * len(a)) if c == 0 else 1 / len(a) for c, a in enumerate(l_axes)]
-        factors = [
-            (a * np.eye(l.dim, dtype=object)[c], 1, np.full(len(a), w))
-            for c, (a, w) in enumerate(zip(l_axes, weights))
-        ]
-    return difference_deviation(summands, den, factors)
-
-
-def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
-    """(den, axes, summands) for `hadamard_check`: R⁻¹B = y/den, and integer
-    rows whose collision-free Minkowski sum is {y mod den}, or [y] itself
-    when two digits are congruent.  When the reduced rows are the product of
-    their axis sets, the summands are those sets on their axes and `axes`
-    holds them as 1-D arrays; otherwise `axes` is None.  Structured sets
-    under a diagonal R give their axis sets as they are; explicit ones are
-    tested for a product form on their rows by `_phases._axis_sets`."""
-    eye = np.eye(b.dim, dtype=np.int64)
+def _reduced_rows(r: IntMatrix, b: DigitSet) -> tuple:
+    """(den, axes, reduced) for `hadamard_check`: R⁻¹B = y/den, and the rows
+    y mod den.  When those rows are the product of their axis sets, `axes`
+    holds the sets as increasing 1-D arrays and `reduced` is None; otherwise
+    `axes` is None and `reduced` holds the rows.  Structured sets under a
+    diagonal R give their axis sets without building rows; explicit ones
+    are tested for a product form by `_phases._axis_sets`."""
     an = axis_numerators(r, b)
     if an is not None:
         den = an.den
@@ -388,40 +334,28 @@ def _reduced_summands(r: IntMatrix, b: DigitSet) -> tuple:
         # whole product of the reduced axes
         distinct = all(len(a) == len(y) for a, y in zip(axes, an.axes)) and len(added) == len(an.added)
         if distinct and added == removed:
-            return den, axes, [a[:, None] * eye[c] for c, a in enumerate(axes)]
+            return den, axes, None
     den, y = numerators(r, b)
     reduced = y % den
     axes = _axis_sets(reduced)
-    if axes is not None:
-        return den, [a[:, 0] for a in axes], [a * eye[c] for c, a in enumerate(axes)]
-    if len(_distinct(reduced)) < len(b):
-        return den, None, [y]  # congruent digits: the rows y themselves
-    return den, None, [reduced]
+    return (den, None, reduced) if axes is None else (den, [a[:, 0] for a in axes], None)
 
 
 class HadamardTriple(NamedTuple):
-    """A triple that `hadamard_check` does not put more than tol from
-    unitary in floats.  `exact` says the exact test certified it, and
-    `deviation` is then 0.0.  Otherwise `deviation` is the float deviation
-    (nan when a refuted triple's walk does not fit the budget), and either
-    the exact test was past its bounds or it found the Gram is not I."""
+    """A triple (R, B, L) that `hadamard_check` certifies exactly."""
 
     r: IntMatrix
     b: DigitSet
     l: DigitSet
-    deviation: float
-    exact: bool = False
 
     @classmethod
-    def make(cls, r: IntMatrix, b: DigitSet, l: DigitSet, tol: float = DEFAULT_UNITARITY_TOL) -> "HadamardTriple":
-        res = hadamard_check(r, b, l, tol)
+    def make(cls, r: IntMatrix, b: DigitSet, l: DigitSet) -> "HadamardTriple":
+        res = hadamard_check(r, b, l)
         if res.size_mismatch:
             raise SizeMismatch(f"#B = {len(b)} but #L = {len(l)}")
-        if res.max_deviation > tol:
-            raise TripleInvalid(
-                f"unitarity deviation {res.max_deviation:.3e} exceeds tolerance {tol:.1e}"
-            )
-        return cls(r, b, l, res.max_deviation, res.exact and res.ok)
+        if not res.ok:
+            raise TripleInvalid("not a Hadamard triple: the exact test finds a Gram entry off the identity")
+        return cls(r, b, l)
 
     @property
     def dim(self) -> int:
@@ -429,10 +363,6 @@ class HadamardTriple(NamedTuple):
 
 
 # ----- exact vanishing sums of roots of unity -----
-
-# The exact test over the distinct reduced differences runs on at most this
-# many entries of its exponent table; a larger level is left to floats.
-_EXACT_ENTRIES = 1 << 20
 
 
 def _small_primes(n: int, k: int) -> tuple:
@@ -535,51 +465,90 @@ def _axis_is_orthogonal(y: np.ndarray, ls: np.ndarray, den: int, primes) -> bool
     return True
 
 
-def _rows_are_orthogonal(y: np.ndarray, l_rows: np.ndarray, den: int) -> bool | None:
+def _sums_vanish(e: np.ndarray, den: int, primes) -> bool:
+    """Whether Σ_j ζ^{e_j} = 0, ζ = e^{-2πi/den}, for every row of the
+    exponent table e (int64 or exact ints in [0, den), overwritten), with
+    `primes` holding every prime p <= e.shape[1] of den (`_small_primes`).
+
+    With g the product of those primes and m = den/g, a row's sum vanishes
+    exactly when each class of its exponents mod m does, as Σ c_t ζ_g^t over
+    t = ⌊e/m⌋ with counts c_t (Mann 1965, see `_vanishes`).  Q(ζ_g) is the
+    tensor product of the Q(ζ_p), p | g, and the one relation of 1, ζ_p,
+    ..., ζ_p^{p-1} over Q is their sum.  So with a class's counts laid out as
+    a p_1 × ... × p_k tensor by t -> (t mod p_i)_i (the CRT), it vanishes
+    exactly when the tensor is 0 once the mean is taken out along every
+    axis, which p·c − Σ_axis c does in integers: each axis scales the
+    counts by at most 2p, to below #L·g·2^k, which the budget of
+    `_rows_are_orthogonal` keeps under 2^56.  Each row is sorted by the key
+    (e mod m)·g + ⌊e/m⌋, so that a class is a run of equal key // g."""
+    g = math.prod(primes)
+    m = den // g
+    t = e // m
+    e %= m
+    e *= g
+    e += t
+    e.sort(axis=1)
+    key = e // g
+    new = np.ones(e.shape, dtype=bool)
+    new[:, 1:] = key[:, 1:] != key[:, :-1]
+    del key
+    cls = np.cumsum(new, axis=None) - 1
+    t = (e % g).astype(np.int64).ravel()
+    at = np.zeros(len(t), dtype=np.int64)
+    for p in primes:
+        at = at * p + t % p
+    counts = np.bincount(cls * g + at, minlength=(int(cls[-1]) + 1) * g).reshape(-1, *primes)
+    for axis, p in enumerate(primes, start=1):
+        counts = p * counts - counts.sum(axis=axis, keepdims=True)
+    return not counts.any()
+
+
+def _rows_are_orthogonal(den: int, axes, reduced, l_rows: np.ndarray) -> bool:
     """Whether Σ_ℓ ζ^{δ·ℓ} = 0, ζ = e^{-2πi/den}, for every distinct
-    difference δ ≠ 0 mod den of the integer rows y, with one exact test per
-    δ; None when the differences (32 bytes per coordinate of each pair, as
-    the float walk charges them) do not fit the budget or the #δ × #L
-    exponent table passes _EXACT_ENTRIES.  The table goes in runs of about
-    _RUN_TARGET_BYTES, each row sorted so that its exponents' counts are
-    the lengths of its runs of equal values."""
-    n, d = y.shape
-    # the rows are distinct mod den, so the y_i − y_0 give n − 1 distinct δ
-    if (n - 1) * len(l_rows) > _EXACT_ENTRIES or not within_budget(32 * n * n * d):
-        return None
-    wide = object in (y.dtype, l_rows.dtype) or d * den * den >= _INT64_SAFE
-    dtype = object if wide else np.int64
-    ls = l_rows.astype(dtype) % den
-    deltas = _distinct(sum_rows([(y, 1), (-y, 1)]).astype(dtype) % den)
+    difference δ ≠ 0 mod den of the reduced rows: the product of `axes` when
+    they are given, the distinct rows `reduced` otherwise.
+
+    The differences are the distinct ones of each axis joined, or those of
+    all pairs of rows, at 32 bytes per coordinate of each one formed: the
+    differences, their reduced or filtered copy and a sort's keys and index
+    arrays.  Each table of them, with one run of the tables of
+    `_sums_vanish`, is charged against the budget before it is formed.  The #δ × #L table of exponents δ·ℓ mod den goes to
+    `_sums_vanish` in runs of about _RUN_TARGET_BYTES."""
+    n_l, d = l_rows.shape
+    primes = _small_primes(den, n_l)
+    g = math.prod(primes)
+    # per row: the exponents, their class starts and ids and tensor indices
+    # with their temporaries, 56 bytes an entry; per class (at most
+    # min(#L, den/g) in a row) g counts and the projection's copy
+    row_bytes = 56 * n_l + 16 * min(n_l, den // g) * g
+    step = max(1, _RUN_TARGET_BYTES // row_bytes)
+    what = f"the exact test of {n_l} spectrum digits against {d}-D differences"
+    if axes is None:
+        check_budget(32 * d * len(reduced) ** 2 + step * row_bytes, what)
+        deltas = _distinct(sum_rows([(reduced, 1), (-reduced, 1)]) % den)
+    else:
+        check_budget(32 * max(map(len, axes)) ** 2 + step * row_bytes, what)  # one axis's pairs
+        diffs = [_increasing(np.subtract.outer(a, a).ravel() % den) for a in axes]
+        check_budget(32 * d * math.prod(map(len, diffs)) + step * row_bytes, what)  # their join
+        eye = np.eye(d, dtype=np.int64)
+        deltas = sum_rows([(x[:, None] * eye[c], 1) for c, x in enumerate(diffs)])
     deltas = deltas[~_every_column(deltas, lambda c: c == 0)]
-    if len(deltas) * len(ls) > _EXACT_ENTRIES:
-        return None
-    primes = _small_primes(den, len(ls))
-    step = max(1, _RUN_TARGET_BYTES // (8 * len(ls)))
+    wide = object in (deltas.dtype, l_rows.dtype) or d * den * den >= _INT64_SAFE
+    dtype = object if wide else np.int64
+    deltas, ls = deltas.astype(dtype, copy=False), l_rows.astype(dtype) % den
     for lo in range(0, len(deltas), step):
         run = deltas[lo : lo + step]
-        exps = np.zeros((len(run), len(ls)), dtype=dtype)
+        e = np.zeros((len(run), n_l), dtype=dtype)
         for c in range(d):
-            exps += np.multiply.outer(run[:, c], ls[:, c])
-        exps %= den
-        exps.sort(axis=1)
-        new = np.ones(exps.shape, dtype=bool)
-        new[:, 1:] = exps[:, 1:] != exps[:, :-1]
-        starts = np.flatnonzero(new)
-        counts = np.diff(starts, append=exps.size).tolist()
-        values = exps.ravel()[starts].tolist()
-        ends = np.searchsorted(starts, np.arange(1, len(run) + 1) * len(ls)).tolist()
-        first = 0
-        for last in ends:
-            if not _vanishes(dict(zip(values[first:last], counts[first:last])), den, primes):
-                return False
-            first = last
+            e += np.multiply.outer(run[:, c], ls[:, c])
+        e %= den
+        if not _sums_vanish(e, den, primes):
+            return False
     return True
 
 
-def _gram_is_identity(den: int, axes, summands, l: DigitSet, l_axes) -> bool | None:
-    """Whether `hadamard_check`'s Gram is exactly I, for #B = #L, or None
-    when the test is past its bounds.
+def _gram_is_identity(r: IntMatrix, b: DigitSet, l: DigitSet) -> bool:
+    """Whether `hadamard_check`'s Gram is exactly I, for #B = #L.
 
     When the reduced rows and L are the products of their axis sets, a Gram
     entry is the product of per-axis sums S_c(δ_c), and S_c(0) = #L_c: every
@@ -589,24 +558,27 @@ def _gram_is_identity(den: int, axes, summands, l: DigitSet, l_axes) -> bool | N
     distinct differences of the reduced rows (`_rows_are_orthogonal`), and
     two congruent digits give an entry of #L/#B.  Each sum has at most
     max #L_c or #L terms, and only the primes of den up to that count enter
-    `_vanishes`."""
+    the test."""
+    p = l.product
+    if p is not None and not (p.removed or p.added):
+        l_axes = list(p.axes)
+    else:
+        l_axes = _axis_sets(l.rows)
+        l_axes = None if l_axes is None else [a[:, 0] for a in l_axes]
+    den, axes, reduced = _reduced_rows(r, b)
     if axes is not None and l_axes is not None:
-        primes = _small_primes(den, max(len(a) for a in l_axes))
+        primes = _small_primes(den, max(map(len, l_axes)))
         done = []
-        for y, ls in zip(axes, (a[:, 0] for a in l_axes)):
+        for y, ls in zip(axes, l_axes):
             if any(np.array_equal(y, y2) and np.array_equal(ls, l2) for y2, l2 in done):
                 continue
             if not _axis_is_orthogonal(y, ls, den, primes):
                 return False
             done.append((y, ls))
         return True
-    if axes is None:
-        rows = summands[0] % den
-        if len(_distinct(rows)) < len(rows):
-            return False  # congruent digits
-    else:
-        rows = sum_rows([(s, 1) for s in summands])
-    return _rows_are_orthogonal(rows, l.rows, den)
+    if axes is None and len(_distinct(reduced)) < len(reduced):
+        return False  # congruent digits
+    return _rows_are_orthogonal(den, axes, reduced, l.rows)
 
 
 # ===== reduction mod R·Z^d =====

@@ -5,7 +5,7 @@ the integer kernels: Gauss-Jordan inversion over Q, the dense scalar Fourier
 sum, the Q functional (its phases in Fractions, its sums in mpmath), the
 convolution of uniform digit measures and the tail truncation built from it,
 composition of Hadamard triples, vanishing sums of roots of unity as the
-remainder of an integer polynomial by the cyclotomic Φ_n, the pointwise interval coupling, ball
+divisibility of an integer polynomial by the cyclotomic Φ_n, the pointwise interval coupling, ball
 clipping with exact moments, the Philox4x64-10 cipher in Python integers,
 and the argparse parser of the command line.  The `sample` CSV is written here in one pass, where the library
 writes it in blocks, and the `qscan` CSV from Fraction points, where the
@@ -330,43 +330,55 @@ def compose_triples(triples) -> HadamardTriple:
 # ===== vanishing sums of roots of unity =====
 
 
-def poly_divmod(num, den) -> tuple:
-    """(quotient, remainder) of integer polynomials, lowest coefficient
-    first, by long division by the monic den."""
-    rem, top = list(num), len(den) - 1
-    quot = [0] * max(len(num) - top, 0)
-    for i in range(len(num) - 1, top - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - top] = c
-            for j, x in enumerate(den):
-                rem[i - top + j] -= c * x
-    return quot, rem[:top]
+def _mobius(m: int) -> int:
+    """μ(m) by trial division."""
+    sign, p = 1, 2
+    while m > 1:
+        if p * p > m:
+            return -sign
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
 
 
-_CYCLOTOMIC = {}
+_COFACTORS = {}
 
 
-def cyclotomic(n: int) -> list:
-    """The coefficients of Φ_n, lowest first: x^n − 1 divided exactly by Φ_d
-    for every proper divisor d of n."""
-    if n not in _CYCLOTOMIC:
-        poly = [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n):
-            if n % d == 0:
-                poly, rem = poly_divmod(poly, cyclotomic(d))
-                assert not any(rem)
-        _CYCLOTOMIC[n] = poly
-    return _CYCLOTOMIC[n]
+def cofactor(n: int) -> list:
+    """The coefficients of Ψ_n = (x^n − 1)/Φ_n, lowest first, from its
+    Möbius form Π_{d | n, d < n} (x^d − 1)^{−μ(n/d)}: every factor with
+    μ(n/d) = −1 multiplied in first, then every one with μ(n/d) = 1 divided
+    out, which is exact since the result is a polynomial."""
+    if n not in _COFACTORS:
+        mu = {d: _mobius(n // d) for d in range(1, n) if n % d == 0}
+        poly = [1]
+        for d in (d for d, s in mu.items() if s == -1):  # poly·(x^d − 1)
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0) for i in range(len(poly) + d)]
+        for d in (d for d, s in mu.items() if s == 1):  # poly/(x^d − 1): poly[i] = q[i - d] − q[i]
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            assert all(c == (q[i - d] if i >= d else 0) for i, c in enumerate(poly[len(q):], len(q)))
+            poly = q
+        _COFACTORS[n] = poly
+    return _COFACTORS[n]
 
 
 def sum_vanishes(terms, n: int) -> bool:
-    """Whether Σ w·ζ_n^e = 0 over (e, w) pairs: Φ_n is the minimal
-    polynomial of ζ_n, so exactly when it divides Σ w·x^(e mod n)."""
-    poly = [0] * n
+    """Whether Σ w·ζ_n^e = 0 over (e, w) pairs.  Φ_n is the minimal
+    polynomial of ζ_n, so the sum vanishes exactly when Φ_n divides
+    P = Σ w·x^(e mod n), that is when x^n − 1 = Φ_n·Ψ_n divides P·Ψ_n: when
+    the cyclic convolution of P and Ψ_n (`cofactor`) is 0."""
+    psi = [(i, c) for i, c in enumerate(cofactor(n)) if c]
+    acc = [0] * n
     for e, w in terms:
-        poly[e % n] += w
-    return not any(poly_divmod(poly, cyclotomic(n))[1])
+        for i, c in psi:
+            acc[(e + i) % n] += w * c
+    return not any(acc)
 
 
 def gram_is_identity(r: IntMatrix, b: DigitSet, l: DigitSet) -> bool:

@@ -11,16 +11,19 @@ import json
 import os
 import runpy
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from convspectra import _phases, cli, measures, spectra, triples
-from convspectra.errors import ParseError, ValidationError
+from convspectra import _phases, cli, measures, spectra
+from convspectra.errors import ParseError, ValidationError, WorkingSetTooLarge
+from convspectra.exactmat import IntMatrix
 from convspectra.measures import DiscreteMeasure, mu_truncate
 from convspectra.sequences import builtin_sequence
 from convspectra.spectra import read_levels
+from convspectra.triples import DigitSet, hadamard_check
 from oracles import _build_parser, level_tuples, mp_q, qscan_csv, sample_csv
 
 
@@ -178,16 +181,6 @@ def _dft_level_doc():
     }
 
 
-def test_exit_3_when_a_flat_hadamard_gram_exceeds_the_byte_budget(tmp_path, monkeypatch):
-    # decided in floats (the exact test patched out), the level's Gram table alone
-    # needs 16 * 4096^2 bytes
-    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
-    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _dft_level_doc())])
-    assert rc == 3
-    assert err.startswith("resource cap:") and "budget" in err
-    assert out == ""
-
-
 def test_a_4096_digit_line_is_certified_exactly_per_axis(tmp_path):
     # the exact test reads the pairwise gcds of the axis in runs and tests
     # one vanishing sum per order they give: no Gram is formed
@@ -197,39 +190,26 @@ def test_a_4096_digit_line_is_certified_exactly_per_axis(tmp_path):
 
 
 def test_exit_3_when_a_non_product_level_is_too_large_for_either_test(tmp_path):
-    # 4096 digits that are no axis product: past the exact test's table
-    # bound, so the float walk decides, and its 4096^2 differences against
-    # 4096 spectrum digits are refused before it allocates
+    # 4096 digits that are no axis product: the exact test charges their
+    # 4096^2 differences and one run of its tables, and is refused before it
+    # forms any of them
     digits = [[x, y + 64 * (x % 2)] for x in range(64) for y in range(64)]
     level = {"matrix": [[128, 0], [0, 128]], "digits": digits, "spectrum_digits": digits}
     doc = {"dimension": 2, "sequence": {"inline": [level]}, "check": {"checks": ["hadamard"], "upto": 1}}
     rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
     assert rc == 3
-    assert err.startswith("resource cap: a sum set of 4096 x 4096 points")
+    assert err.startswith("resource cap: the exact test of 4096 spectrum digits")
     assert "Traceback" not in err and out == ""
-
-
-def _ex26_hadamard_doc(level):
-    return {
-        "dimension": 2,
-        "sequence": {"generator": "example-2.6"},
-        "check": {"checks": ["hadamard"], "upto": level, "hadamard_upto": level},
-    }
-
-
-def test_exit_3_when_an_example_2_6_hadamard_level_exceeds_the_byte_budget(tmp_path, monkeypatch):
-    # decided in floats (the exact test patched out), at 256 KiB, level 35's
-    # difference lattice (the 36 differences u >= 0 of one axis against the
-    # 71 of the other, factors of 36 atoms per axis of L) fits and level
-    # 36's (37 x 73, 37 atoms) does not
-    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
-    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 1 << 18)
-    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(35))])
-    assert rc == 0 and "verdicts: hadamard=pass" in out
-    rc, out, err = run_cli(["check", "--config", write_config(tmp_path, _ex26_hadamard_doc(36))])
-    assert rc == 3
-    assert err.startswith("resource cap:") and "budget" in err
-    assert "Traceback" not in err and out == ""
+    r, b = IntMatrix.diagonal([128, 128]), DigitSet.of(map(tuple, digits))
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkingSetTooLarge) as refused:
+            hadamard_check(r, b, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charged = int(str(refused.value).split(" needs ")[1].split()[0])
+    assert charged >= 32 * 4096**2 * 2 and peak < charged
 
 
 def test_spectrum_exactness_reads_no_fraction_atom_or_weight(tmp_path, monkeypatch):
@@ -534,30 +514,6 @@ def test_spectrum_exactness_over_digits_past_int64(tmp_path):
     assert _exactness_cells(out) == [["0.000e+00", "yes"]] * 3
 
 
-def test_levels_decided_in_floats_are_named_in_the_report(tmp_path, monkeypatch):
-    # with the exact test patched out, the float deviations decide against tol, as
-    # the dual triples' running maximum in `spectrum`, and a note names each
-    # such level; the level file does not change
-    level = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
-    doc = {"dimension": 1, "sequence": {"inline": [level] * 3},
-           "check": {"checks": ["hadamard"], "upto": 3, "hadamard_upto": 3},
-           "spectrum": {"milestones": [1, 2, 3], "exactness": True}}
-    cfg = write_config(tmp_path, doc)
-    rc, exact, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "exact.txt")])
-    assert rc == 0, err
-    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
-    rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "floats.txt")])
-    assert rc == 0, err
-    assert _exactness_cells(out) == [["6.123e-17", "yes"]] * 3
-    assert (tmp_path / "floats.txt").read_bytes() == (tmp_path / "exact.txt").read_bytes()
-    for verb, what in (("spectrum", "exactness"), ("check", "hadamard")):
-        rc, out, err = run_cli([verb, "--config", cfg, "--out", str(tmp_path / "out.txt")])
-        assert rc == 0, err
-        notes = [line for line in out.splitlines() if "is heuristic" in line]
-        assert notes == [f"note: {what}: level {k} {cli._HEURISTIC_LEVEL}" for k in (1, 2, 3)]
-    assert "heuristic" not in exact
-
-
 _REPRO_LEVEL = {"matrix": [[2 * 10**10 + 1]], "digits": [[0], [1]], "spectrum_digits": [[0], [10**10]]}
 
 
@@ -569,7 +525,7 @@ def test_check_refutes_a_triple_that_floats_pass(tmp_path):
     rc, out, err = run_cli(["check", "--config", write_config(tmp_path, doc)])
     assert rc == 1, err
     assert "verdicts: hadamard=fail" in out
-    assert [line.split()[2:] for line in out.splitlines() if line[:2] in ("1 ", "2 ")] == [["7.854e-11", "no"]] * 2
+    assert [line.split()[2:] for line in out.splitlines() if line[:2] in ("1 ", "2 ")] == [["-", "no"]] * 2
 
 
 def test_spectrum_refutes_a_level_that_floats_pass(tmp_path):
@@ -578,7 +534,7 @@ def test_spectrum_refutes_a_level_that_floats_pass(tmp_path):
     rc, out, err = run_cli(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "l.txt")])
     assert rc == 1, err
     assert "verdicts: exactness=fail" in out
-    assert _exactness_cells(out) == [["7.854e-11", "no"]] * 2
+    assert _exactness_cells(out) == [["-", "no"]] * 2
     assert "note: exactness: level 1 is not a Hadamard triple (exact test)" in out
 
 
@@ -589,28 +545,55 @@ def _hadamard_cells(doc, tmp_path):
 
 
 def test_check_decides_large_levels_that_are_no_axis_products(tmp_path):
-    # 1024 digits each: B = L = {(x, y + 32(x mod 2))} under 64·I has more
-    # reduced differences than the exact test takes, so floats decide it;
-    # the skew DFT level (R W, B, Wᵀ L) is certified exactly
+    # 1024 digits each: B = L = {(x, y + 32(x mod 2))} under 64·I is refuted
+    # exactly (4.056e-01 from unitary in floats); the skew DFT level
+    # (R W, B, Wᵀ L) is certified exactly
     rows = [[x, y + 32 * (x % 2)] for x in range(32) for y in range(32)]
     doc = {"dimension": 2, "sequence": {"inline": [
         {"matrix": [[64, 0], [0, 64]], "digits": rows, "spectrum_digits": rows}]}}
     rc, out, cells, err = _hadamard_cells(doc, tmp_path)
     assert rc == 1, err
-    assert cells == [["1024", "4.056e-01", "no"]]
-    assert f"note: hadamard: level 1 {cli._HEURISTIC_LEVEL}" in out
+    assert cells == [["1024", "-", "no"]] and "note:" not in out
     doc = {"dimension": 2, "sequence": {"inline": [{
         "matrix": [[32, 32], [0, 32]],
         "digits": [[x, y] for x in range(32) for y in range(32)],
         "spectrum_digits": [[x, x + y] for x in range(32) for y in range(32)]}]}}
     rc, out, cells, err = _hadamard_cells(doc, tmp_path)
     assert rc == 0, err
-    assert cells == [["1024", "0.000e+00", "yes"]] and "heuristic" not in out
+    assert cells == [["1024", "0.000e+00", "yes"]] and "note:" not in out
+
+
+def test_spectrum_refutes_a_1024_digit_non_product_level_exactly(tmp_path):
+    # B = L = {(x, y + 32(x mod 2))} under 64·I: one table test over the
+    # runs of its 1024-column exponent table, no float Gram, and the bound
+    # is not known from the refuted level on
+    rows = [[x, y + 32 * (x % 2)] for x in range(32) for y in range(32)]
+    doc = {"dimension": 2, "sequence": {"inline": [
+        {"matrix": [[64, 0], [0, 64]], "digits": rows, "spectrum_digits": rows}]},
+        "spectrum": {"milestones": [1], "exactness": True}}
+    rc, out, err = run_cli(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "l.txt")])
+    assert rc == 1 and "verdicts: exactness=fail" in out, err
+    assert _exactness_cells(out) == [["-", "no"]]
+    assert [line for line in out.splitlines() if line.startswith("note: exactness")] == [
+        "note: exactness: level 1 is not a Hadamard triple (exact test)"]
+
+
+def test_check_certifies_a_2025_digit_skew_level_exactly(tmp_path):
+    # R = [[45, 45], [0, 45]], B = {0..44}², L = {(x, x + y)}: the reduced
+    # rows are a product and L is none, so the table test runs over the
+    # 89² joined axis differences against 2025 spectrum digits
+    doc = {"dimension": 2, "sequence": {"inline": [{
+        "matrix": [[45, 45], [0, 45]],
+        "digits": [[x, y] for x in range(45) for y in range(45)],
+        "spectrum_digits": [[x, x + y] for x in range(45) for y in range(45)]}]}}
+    rc, out, cells, err = _hadamard_cells(doc, tmp_path)
+    assert rc == 0, err
+    assert cells == [["2025", "0.000e+00", "yes"]] and "note:" not in out
 
 
 def test_check_refutes_a_level_whose_float_walk_does_not_fit(tmp_path):
-    # the 4096 x 4096 float walk needs 1.08 GB; the exact test refutes the
-    # level per axis, and the deviation is left out
+    # a float walk would need 1.08 GB; the exact test refutes the level per
+    # axis, and no deviation is computed
     doc = {"dimension": 1, "sequence": {"inline": [{
         "matrix": [[4096]], "digits": [[x] for x in range(4096)],
         "spectrum_digits": [[x] for x in range(4095)] + [[5000]]}]}}
@@ -620,7 +603,7 @@ def test_check_refutes_a_level_whose_float_walk_does_not_fit(tmp_path):
 
 
 def test_spectrum_exactness_forms_no_measure(tmp_path, monkeypatch):
-    # the levels' dual triples bound the Gram: no mu_truncate call
+    # the levels' exact verdicts bound the Gram: no mu_truncate call
     monkeypatch.setattr(measures, "mu_truncate", None)
     cfg = write_config(tmp_path, jp_doc(spectrum={"milestones": [2, 4, 6], "exactness": True}))
     rc, out, err = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "levels.txt")])
@@ -630,7 +613,8 @@ def test_spectrum_exactness_forms_no_measure(tmp_path, monkeypatch):
 
 
 def test_spectrum_exactness_on_skew_levels_reads_the_transposed_triple(tmp_path):
-    # hadamard_check(R, L, B) gives 1.0 here; the dual triple is (Rᵀ, L, B)
+    # (R, L, B) is no Hadamard triple here, though (Rᵀ, L, B) is; the
+    # certified level (R, B, L) gives the bound 0
     level = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [0, 2], [2, 0], [2, 2]],
              "spectrum_digits": [[0, 0], [0, 1], [-3, -3], [-3, -2]]}
     doc = {"dimension": 2, "sequence": {"inline": [level] * 3},

@@ -9,7 +9,7 @@ from itertools import product as cartesian
 import numpy as np
 import pytest
 
-from convspectra import _phases, spectra, triples
+from convspectra import _phases, spectra
 from convspectra._phases import (
     DENSE_BYTE_BUDGET,
     _factor_groups,
@@ -30,6 +30,8 @@ from convspectra.spectra import (
     spectrum_exactness,
 )
 from convspectra.triples import DigitSet, hadamard_check, integer_rows, numerators
+import float_gram
+from float_gram import float_deviation
 from oracles import convolve, fraction_inverse, level_tuples, uniform_on
 
 AGREE = 1e-12
@@ -217,11 +219,11 @@ TOWERS = ["jp", "jp-uneven-windows", "ex26-zero", "ex26-windowed", "k-table", "s
 
 @pytest.mark.parametrize("name", TOWERS)
 def test_the_tower_bound_covers_the_evaluated_deviation(name):
-    # every level is certified exactly, so the bound is 0 and no dual check
-    # runs; the evaluated Gram is I up to rounding
+    # every level is certified exactly, so the bound is 0; the evaluated
+    # Gram is I up to rounding
     seq, sp = tower_spectrum(name)
-    bounds, unsure = spectra._level_bounds(seq, sp.milestones)
-    assert unsure == [] and all(seq.triple(i).exact for i in range(1, sp.milestones[-1] + 1))
+    bounds, refuted = spectra._level_bounds(seq, sp.milestones)
+    assert refuted == [] and all(hadamard_check(*seq.triple(i)).ok for i in range(1, sp.milestones[-1] + 1))
     for j, (m, (bound, ok)) in enumerate(zip(sp.milestones, bounds), start=1):
         mu = mu_truncate(seq, m)
         res = spectrum_exactness(mu, sp.blocks[:j])
@@ -230,18 +232,18 @@ def test_the_tower_bound_covers_the_evaluated_deviation(name):
 
 
 @pytest.mark.parametrize("name", TOWERS)
-def test_the_float_tower_bound_covers_the_evaluated_deviation(name, monkeypatch):
-    # with the exact test patched out, the running max of the levels' dual
-    # deviations in floats bounds the evaluated Gram
-    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
+def test_the_float_tower_bound_covers_the_evaluated_deviation(name):
+    # the running max of the levels' dual deviations (R_iᵀ, L_i, B_i) in
+    # floats bounds the evaluated Gram
     seq, sp = tower_spectrum(name)
-    bounds, unsure = spectra._level_bounds(seq, sp.milestones)
-    assert unsure == [(i, False) for i in range(1, sp.milestones[-1] + 1)]
-    for j, (m, (bound, ok)) in enumerate(zip(sp.milestones, bounds), start=1):
-        mu = mu_truncate(seq, m)
-        res = spectrum_exactness(mu, sp.blocks[:j])
+    bound, done = 0.0, 0
+    for j, m in enumerate(sp.milestones, start=1):
+        for i in range(done + 1, m + 1):
+            bound = max(bound, float_deviation(seq.matrix(i).transpose(), seq.spectrum_digits(i), seq.digits(i)))
+        done = m
+        res = spectrum_exactness(mu_truncate(seq, m), sp.blocks[:j])
         assert res.ok and res.size == len(sp.levels[j - 1])
-        assert ok and bound <= 1e-15 and bound >= res.deviation - 1e-15, (j, bound, res.deviation)
+        assert bound <= 1e-15 and bound >= res.deviation - 1e-15, (j, bound, res.deviation)
 
 
 def test_a_non_hadamard_block_falls_back_and_fails():
@@ -299,32 +301,29 @@ def test_hadamard_mismatch_and_failure_match_dense():
     for b, l in cases:
         res = hadamard_check(r, b, l)
         dense = dense_hadamard(r, b, l)
-        assert abs(res.max_deviation - dense) <= AGREE
-        assert not res.ok
+        assert abs(float_deviation(r, b, l) - dense) <= AGREE
+        assert not res.ok and math.isnan(res.max_deviation) and dense > 0.4
 
 
 def test_hadamard_with_digits_congruent_mod_r_fails_like_dense():
-    # 1 and 5 are congruent mod 4: the reduced rows repeat, so the flat route
-    # runs, and the Gram has an off-diagonal entry of modulus 1
+    # 1 and 5 are congruent mod 4: the reduced rows repeat, and the Gram has
+    # an off-diagonal entry of modulus 1
     r = IntMatrix.diagonal([4])
     b, l = DigitSet.of([(0,), (1,), (5,)]), DigitSet.of([(0,), (1,), (2,)])
     res = hadamard_check(r, b, l)
-    assert abs(res.max_deviation - dense_hadamard(r, b, l)) <= AGREE
-    assert res.max_deviation >= 1 - 1e-12 and not res.ok
+    assert dense_hadamard(r, b, l) >= 1 - 1e-12 and not res.ok and math.isnan(res.max_deviation)
     # (4, 0) repeats (0, 0) mod R, and the reduced rows' axis projections
     # {0, 1} x {0, 1} count 4 points though (0, 1) is missing
     r = IntMatrix.diagonal([4, 4])
     b, l = DigitSet.of([(0, 0), (4, 0), (1, 1), (1, 0)]), DigitSet.of([(0, 0), (1, 0), (0, 1), (1, 1)])
     res = hadamard_check(r, b, l)
-    assert abs(res.max_deviation - dense_hadamard(r, b, l)) <= AGREE
-    assert res.max_deviation >= 1 - 1e-12 and not res.ok
+    assert dense_hadamard(r, b, l) >= 1 - 1e-12 and not res.ok and math.isnan(res.max_deviation)
     seq = builtin_sequence("example-2.6")
     r, b = seq.matrix(3), seq.digits(3)
     twin = DigitSet.of(list(b.vectors) + [(3, 0)])  # the far digit's residue, twice
     l = DigitSet.of(list(seq.spectrum_digits(3).vectors) + [(1, 1)])
     res = hadamard_check(r, twin, l)
-    assert abs(res.max_deviation - dense_hadamard(r, twin, l)) <= AGREE
-    assert res.max_deviation >= 1 - 1e-12 and not res.ok
+    assert dense_hadamard(r, twin, l) >= 1 - 1e-12 and not res.ok and math.isnan(res.max_deviation)
 
 
 @pytest.mark.parametrize(
@@ -345,8 +344,8 @@ def test_hadamard_on_a_non_product_set_takes_the_flat_route(r, b, l):
     assert math.prod(projections) != len(b)
     res = hadamard_check(r, b, l)
     dense = dense_hadamard(r, b, l)
-    assert abs(res.max_deviation - dense) <= AGREE
-    assert res.ok == (dense <= 1e-9)
+    assert abs(float_deviation(r, b, l) - dense) <= AGREE
+    assert res.ok == (dense <= 1e-9) and (res.max_deviation == 0.0) == res.ok
 
 
 def test_example_2_6_hadamard_at_level_100():
@@ -358,10 +357,9 @@ def test_example_2_6_hadamard_at_level_100():
 
 
 def test_example_2_6_hadamard_at_level_1185_fits_the_budget(monkeypatch):
-    # in floats (the exact test patched out), the Khatri-Rao join is formed in
-    # runs of atoms, so it is sized by one run and no longer by 2 x rank
-    # rows: level 1185 was refused at 270 MB
-    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)
+    # in the float walk, the Khatri-Rao join is formed in runs of atoms, so it
+    # is sized by one run and no longer by 2 x rank rows: level 1185 was
+    # refused at 270 MB
     seq = builtin_sequence("example-2.6")
     r, b, l = seq.matrix(1185), seq.digits(1185), seq.spectrum_digits(1185)
     sizes = []
@@ -369,13 +367,24 @@ def test_example_2_6_hadamard_at_level_1185_fits_the_budget(monkeypatch):
     monkeypatch.setattr(_phases, "sum_set_sizes", lambda *a: sizes.append(real(*a)) or sizes[-1])
     tracemalloc.start()
     try:
-        res = hadamard_check(r, b, l)
+        dev = float_deviation(r, b, l)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(b) == 1186**2 and res.ok and res.max_deviation <= 1e-12 and not res.exact
+    assert len(b) == 1186**2 and dev <= 1e-12
     (row, once), = sizes
     assert peak <= once + max(row, _phases._RUN_TARGET_BYTES) + row <= DENSE_BYTE_BUDGET
+
+
+def test_the_float_walk_of_example_2_6_fits_a_256_kib_budget_to_level_35(monkeypatch):
+    # at 256 KiB, level 35's difference lattice (the 36 differences u >= 0
+    # of one axis against the 71 of the other, factors of 36 atoms per axis
+    # of L) fits and level 36's (37 x 73, 37 atoms) does not
+    monkeypatch.setattr(_phases, "DENSE_BYTE_BUDGET", 1 << 18)
+    seq = builtin_sequence("example-2.6")
+    assert all(float_deviation(seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)) <= 1e-12 for k in range(1, 36))
+    with pytest.raises(WorkingSetTooLarge, match="budget"):
+        float_deviation(seq.matrix(36), seq.digits(36), seq.spectrum_digits(36))
 
 
 def test_example_2_6_hadamard_at_level_1185_is_certified_per_axis():
@@ -389,7 +398,7 @@ def test_example_2_6_hadamard_at_level_1185_is_certified_per_axis():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res == (True, 0.0, False, True)
+    assert res == (True, 0.0, False)
     assert peak <= 4 * _phases._RUN_TARGET_BYTES
 
 
@@ -406,17 +415,16 @@ def test_example_2_6_hadamard_at_level_130():
 def test_per_axis_factors_of_l_agree_with_the_one_factor(monkeypatch):
     seq = builtin_sequence("example-2.6")
     seen = []
-    real = triples.difference_deviation
+    real = float_gram.difference_deviation
 
     def spy(summands, den, factors):
         seen.append(len(factors))
         return real(summands, den, factors)
 
-    monkeypatch.setattr(triples, "difference_deviation", spy)
-    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)  # the float route
+    monkeypatch.setattr(float_gram, "difference_deviation", spy)
     for k in range(1, 31):
         r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
-        per_axis = hadamard_check(r, b, l).max_deviation
+        per_axis = float_deviation(r, b, l)
         assert seen[-1] == 2  # L = L_0 x L_1 went in as two factors
         den, y = numerators(r, b)
         reduced = y % den
@@ -428,10 +436,10 @@ def test_per_axis_factors_of_l_agree_with_the_one_factor(monkeypatch):
 
 
 def sorted_order_deviation(r, b, l, stacked=False):
-    """hadamard_check's deviation with the rows y mod den as the one
-    summand, with points and atoms in set order as lists of Python ints, or
-    stacked as the integer arrays hadamard_check passes.  The cases'
-    reduced rows are distinct."""
+    """The float walk's deviation with the rows y mod den as the one summand,
+    with points and atoms in set order as lists of Python ints, or stacked
+    as the integer arrays the walk passes.  The cases' reduced rows are
+    distinct."""
     den, y = numerators(r, b)
     weights = np.full(len(l), 1 / len(b))
     if stacked:
@@ -464,9 +472,9 @@ def test_hadamard_stacked_rows_match_the_set_order():
     for r, b, l in cases:
         in_order = sorted_order_deviation(r, b, l)
         assert abs(sorted_order_deviation(r, b, l, stacked=True) - in_order) <= 1e-15
-        # hadamard_check takes the per-axis summands of product sets, which
+        # the float walk takes the per-axis summands of product sets, which
         # round differently from the one summand y
-        assert abs(hadamard_check(r, b, l).max_deviation - in_order) <= AGREE
+        assert abs(float_deviation(r, b, l) - in_order) <= AGREE
 
 
 # ----- scale and budget -----

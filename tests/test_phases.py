@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from convspectra import _phases, triples
+from convspectra import _phases
 from convspectra._phases import exact_phase_matrix
 from convspectra.exactmat import invert
 from convspectra.sequences import builtin_sequence
-from convspectra.triples import hadamard_check
+from float_gram import float_deviation
 
 
 def oracle_phases(nums_a, den_a, nums_b, den_b):
@@ -21,7 +21,8 @@ def oracle_phases(nums_a, den_a, nums_b, den_b):
 
 
 def hadamard_inputs(seq, k):
-    """The operands hadamard_check hands to the phase kernel at level k."""
+    """The phase kernel's operands for the Gram of level k: L, and R⁻¹B as
+    integer rows over |det R|."""
     r, b, l = seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
     det, adj = invert(r)
     sign = 1 if det > 0 else -1
@@ -78,15 +79,15 @@ def test_sub_resolution_phases_stay_zeroed():
 
 
 def test_hadamard_deviations_unchanged_by_reduction(monkeypatch):
-    monkeypatch.setattr(triples, "_gram_is_identity", lambda *a: None)  # the float route
+    # the float walk of the Hadamard levels
     seq = builtin_sequence("example-2.6")
     levels = range(1, 25)
-    got = [hadamard_check(seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)) for k in levels]
-    # the same check with every phase table from the Python-int oracle
+    got = [float_deviation(seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)) for k in levels]
+    # the same walk with every phase table from the Python-int oracle
     monkeypatch.setattr(_phases, "exact_phase_matrix", oracle_phases)
-    want = [hadamard_check(seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)) for k in levels]
-    assert [r.max_deviation for r in got] == [r.max_deviation for r in want]
-    assert all(r.ok for r in got)
+    want = [float_deviation(seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)) for k in levels]
+    assert got == want
+    assert all(dev <= 1e-9 for dev in got)
 
 
 def as_array(rows, dtype):

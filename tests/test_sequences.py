@@ -14,7 +14,7 @@ from convspectra.sequences import (
     from_generator,
     from_triples,
 )
-from convspectra.triples import DigitSet, HadamardTriple
+from convspectra.triples import DigitSet, HadamardTriple, hadamard_check
 
 
 def test_builtin_registry():
@@ -32,7 +32,7 @@ def test_quarter_line_sequence_levels():
         assert seq.digits(k).vectors == ((0,), (2,))
         assert seq.spectrum_digits(k).vectors == ((0,), (1,))
     t = seq.triple(3)
-    assert isinstance(t, HadamardTriple) and t.deviation < 1e-9
+    assert isinstance(t, HadamardTriple) and hadamard_check(*t).ok
 
 
 def test_prefix_matrices_and_inverse():
@@ -86,7 +86,7 @@ def test_planar_family_level_one_exact():
     seq = builtin_sequence("example-2.6")
     assert seq.digits(1).vectors == ((0, 0), (0, 1), (1, 1), (17, 0))
     assert seq.spectrum_digits(1).vectors == ((-8, -8), (-8, 0), (0, -8), (0, 0))
-    assert seq.triple(1).deviation < 1e-9
+    assert hadamard_check(*seq.triple(1)).ok
 
 
 def test_planar_family_digit_order_is_sorted():
@@ -99,7 +99,7 @@ def test_planar_family_digit_order_is_sorted():
 def test_planar_family_spectra_are_unitary_through_k6():
     seq = builtin_sequence("example-2.6")
     for k in range(1, 7):
-        assert seq.triple(k).deviation < 1e-9
+        assert hadamard_check(*seq.triple(k)).ok
 
 
 def test_planar_family_defect_metadata():
@@ -114,13 +114,13 @@ def test_reduced_planar_family_restores_grid():
         assert red.digits(k).vectors == tuple(sorted(grid))
     assert red.name.endswith("+reduced")
     # reduced levels still pair with the same spectra
-    assert red.triple(2).deviation < 1e-9
+    assert hadamard_check(*red.triple(2)).ok
 
 
 def test_bernoulli_family():
     seq = builtin_sequence("bernoulli-quarter")
     assert seq.digits(9).vectors == ((-1,), (1,))
-    assert seq.triple(9).deviation < 1e-12
+    assert hadamard_check(*seq.triple(9)).ok
     assert seq.declared_contractivity == Fraction(1, 4)
 
 
@@ -151,7 +151,7 @@ def test_generator_validation():
         validate_digits=False,
     )
     assert len(loose.digits(1)) == 1
-    assert loose.triple(1).deviation == 0.0  # 1x1 identity is unitary
+    assert hadamard_check(*loose.triple(1)) == (True, 0.0, False)  # 1x1 identity is unitary
 
     singular = from_generator(
         lambda k: (IntMatrix(((0,),)), DigitSet.of([(0,), (1,)]), None), 1

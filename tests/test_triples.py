@@ -1,5 +1,6 @@
 """Digit sets, unitarity checks, modular reduction, and the composition
 oracle."""
+import math
 import random
 
 import pytest
@@ -58,7 +59,7 @@ def test_quarter_line_bad_digits_not_unitary():
     # {0, 1} against {0, 1}: phases 0 and 1/4 give a visibly non-unitary matrix.
     res = hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (1,)]), dset([(0,), (1,)]))
     assert not res.ok
-    assert res.max_deviation > 0.5
+    assert math.isnan(res.max_deviation)  # a refuted triple's deviation is not computed
 
 
 def test_planar_level_one_is_unitary():
@@ -85,7 +86,7 @@ def test_make_rejects_bad_triple():
 def test_make_accepts_and_freezes():
     t = HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
     assert t.dim == 1
-    assert t.deviation < 1e-12
+    assert t == (IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
 
 
 # ---- modular reduction ----
@@ -147,7 +148,7 @@ def test_compose_two_quarter_levels():
     assert c.r.rows == ((16,),)
     assert c.b.vectors == ((0,), (2,), (8,), (10,))
     assert c.l.vectors == ((0,), (1,), (4,), (5,))
-    assert c.deviation < 1e-9
+    assert hadamard_check(*c).ok
 
 
 def test_compose_planar_levels_counts():
@@ -165,7 +166,7 @@ def test_compose_planar_levels_counts():
     c = compose_triples([t1, t2])
     assert c.r.rows == ((384, 0), (0, 384))
     assert len(c.b) == 36 and len(c.l) == 36
-    assert c.deviation < 1e-9
+    assert hadamard_check(*c).ok
 
 
 def test_compose_single_is_same_triple():
@@ -189,7 +190,7 @@ def test_compose_random_products_stay_unitary():
     for _ in range(10):
         picks = [rng.choice(ts) for _ in range(rng.randrange(2, 5))]
         c = compose_triples(picks)
-        assert c.deviation < 1e-9
+        assert hadamard_check(*c).ok
         assert len(c.b) == len(c.l)
         want = 1
         for p in picks:

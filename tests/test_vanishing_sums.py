@@ -1,6 +1,6 @@
 """The exact Hadamard test (`triples.hadamard_check`) and its vanishing-sum
-kernel against the cyclotomic-remainder oracle, and its verdicts against the
-float walk on every command of `tools/same_outputs.py`."""
+kernels against the cyclotomic oracle, and its verdicts against the float
+walk on every command of `tools/same_outputs.py`."""
 import json
 import math
 import random
@@ -9,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from convspectra import cli, triples
+from convspectra.errors import TripleInvalid
 from convspectra.exactmat import IntMatrix
-from convspectra.triples import DigitSet, _small_primes, _vanishes, hadamard_check
+from convspectra.triples import DigitSet, _small_primes, _sums_vanish, _vanishes, hadamard_check
+from float_gram import float_deviation
 from oracles import gram_is_identity, sum_vanishes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,7 +180,6 @@ def test_exact_verdicts_match_the_oracle_on_random_and_skew_triples(shift):
     for r, b, l in _cases(rng, 40, shift):
         b, l = DigitSet.of(b), DigitSet.of(l)
         res = hadamard_check(r, b, l)
-        assert res.exact
         assert res.ok == gram_is_identity(r, b, l), (r, b, l)
         assert (res.max_deviation == 0.0) == res.ok
         verdicts.append(res.ok)
@@ -196,12 +199,14 @@ def test_exact_verdicts_match_the_oracle_one_difference_per_run(monkeypatch):
 
 
 def test_a_triple_that_floats_pass_is_refuted():
+    # floats put the Gram π/4e10 from I, inside the default tol
     r = IntMatrix.diagonal([2 * 10**10 + 1])
     b, l = DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), (10**10,)])
+    assert abs(float_deviation(r, b, l) - math.pi / 4e10) < 1e-15
     res = hadamard_check(r, b, l)
-    assert res.exact and not res.ok and abs(res.max_deviation - math.pi / 4e10) < 1e-15
-    t = triples.HadamardTriple.make(r, b, l)
-    assert not t.exact and t.deviation == res.max_deviation
+    assert not res.ok and math.isnan(res.max_deviation) and not res.size_mismatch
+    with pytest.raises(TripleInvalid):
+        triples.HadamardTriple.make(r, b, l)
 
 
 def test_a_large_prime_determinant_is_refuted_exactly():
@@ -210,9 +215,11 @@ def test_a_large_prime_determinant_is_refuted_exactly():
     # deviation to 6.1e-17
     p = 2**89 - 1
     r, b, l = IntMatrix.diagonal([p]), DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), ((p - 1) // 2,)])
+    assert float_deviation(r, b, l) == pytest.approx(6.123e-17, rel=1e-3)
     res = hadamard_check(r, b, l)
-    assert res.exact and not res.ok and res.max_deviation == pytest.approx(6.123e-17, rel=1e-3)
-    assert not triples.HadamardTriple.make(r, b, l).exact
+    assert not res.ok and math.isnan(res.max_deviation)
+    with pytest.raises(TripleInvalid):
+        triples.HadamardTriple.make(r, b, l)
 
 
 def test_a_determinant_with_large_prime_cofactors_is_certified():
@@ -220,8 +227,7 @@ def test_a_determinant_with_large_prime_cofactors_is_certified():
     # Gram entry 1 + ζ_{2q}^q = 0, decided from the prime 2 alone
     q = (2**61 - 1) * (2**64 - 59)
     r, b, l = IntMatrix.diagonal([2 * q]), DigitSet.of([(0,), (q,)]), DigitSet.of([(0,), (1,)])
-    res = hadamard_check(r, b, l)
-    assert res.exact and res.ok and res.max_deviation == 0.0
+    assert hadamard_check(r, b, l) == (True, 0.0, False)
 
 
 def _levels(argv, doc, seq) -> list:
@@ -244,10 +250,9 @@ def _levels(argv, doc, seq) -> list:
     return [(k, False) for k in range(1, min(4, top) + 1)]
 
 
-def test_exact_verdicts_equal_the_float_verdicts_on_every_compared_command(monkeypatch):
-    # at the default tol; the repro cases are where floats pass a triple that
-    # is not Hadamard, and a tol below the rounding floor fails in floats
-    # what is exactly I
+def test_exact_verdicts_equal_the_float_verdicts_on_every_compared_command():
+    # at the default tol, with the float walk of `float_gram`; the repro
+    # cases are where floats pass a triple that is not Hadamard
     checked, seqs = set(), {}
     for name, argv, text in same_outputs.cases():
         if "repro" in name:
@@ -265,10 +270,98 @@ def test_exact_verdicts_equal_the_float_verdicts_on_every_compared_command(monke
             if l is None:
                 continue
             args = (r.transpose(), l, b) if dual else (r, b, l)
-            exact = hadamard_check(*args)
-            with monkeypatch.context() as m:
-                m.setattr(triples, "_gram_is_identity", lambda *a: None)
-                floats = hadamard_check(*args)
-            assert exact.exact and not floats.exact
-            assert exact.ok == floats.ok, (name, k, dual, floats.max_deviation)
+            dev = float_deviation(*args)
+            assert hadamard_check(*args).ok == (dev <= 1e-9), (name, k, dual, dev)
     assert len(checked) >= 350
+
+
+# ----- the table kernel of the levels that are no axis products -----
+
+
+# moduli with one to six distinct primes
+_TABLE_MODULI = (64, 243, 45, 72, 2025, 60, 4096, 210, 1155, 2310, 30030)
+
+
+def _exponents(rng, n: int) -> list:
+    """Exponents at n, repeats allowed: about half the time a union of
+    rotated full cosets of subgroups of prime order (a vanishing sum), with
+    or without one more term, and random ones otherwise."""
+    if rng.random() < 0.5:
+        out = []
+        for _ in range(rng.randint(1, 4)):
+            p, e = rng.choice(sorted(_support(n))), rng.randrange(n)
+            out += [(e + j * n // p) % n for j in range(p)]
+        return out + ([rng.randrange(n)] if rng.random() < 0.3 else [])
+    return [rng.randrange(n) for _ in range(rng.randint(1, 12))]
+
+
+def _counts(exponents) -> dict:
+    out = {}
+    for e in exponents:
+        out[e] = out.get(e, 0) + 1
+    return out
+
+
+def test_the_table_kernel_matches_the_cyclotomic_oracle():
+    # one row at a time, and every row of a length in one table, where a
+    # class never reaches across two rows
+    rng = random.Random(20261022)
+    rows, seen = {}, {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.choice(_TABLE_MODULI)
+        e = _exponents(rng, n)
+        want = sum_vanishes(_counts(e).items(), n)
+        assert _sums_vanish(np.array([e]), n, _small_primes(n, len(e))) == want, (n, e)
+        rows.setdefault((n, len(e)), []).append((e, want))
+        seen[want] += 1
+    assert min(seen.values()) >= 400
+    for (n, k), table in rows.items():
+        got = _sums_vanish(np.array([e for e, _ in table]), n, _small_primes(n, k))
+        assert got == all(want for _, want in table), (n, k)
+    # 1 + ζ + ζ² and ζ³ + ζ⁴ + ζ⁵ at n = 6 do not vanish, their union does
+    assert not _sums_vanish(np.array([[0, 2, 1], [4, 3, 5]]), 6, (2, 3))
+
+
+@pytest.mark.parametrize("s", [6, 30, 210])
+def test_the_table_kernel_decides_moduli_past_int64(s):
+    # n = s·P with P = 2^61 − 1 prime: a sum of rotated classes e_0 + k·n/s,
+    # their e_0 apart mod n/s, vanishes exactly when every Σ ζ_s^k does
+    # (Mann: P exceeds the number of terms)
+    n, rng = s * (2**61 - 1), random.Random(s)
+    assert n >= 2**63
+    for _ in range(60):
+        e0s = rng.sample(range(n // s), rng.randint(1, 3))
+        classes = [_exponents(rng, s) for _ in e0s]
+        e = [(e0 + k * (n // s)) % n for e0, ks in zip(e0s, classes) for k in ks]
+        want = all(sum_vanishes(_counts(ks).items(), s) for ks in classes)
+        got = _sums_vanish(np.array([e], dtype=object), n, _small_primes(n, len(e)))
+        assert got == want, (s, e)
+        assert _vanishes(_counts(e), n, _small_primes(n, len(set(e)))) == want
+
+
+def _non_product_cases(rng, count: int):
+    """Triples whose reduced rows or L are no axis products: random and
+    skew ones, with digits past int64, with two digits congruent mod R, and
+    with #B ≠ #L."""
+    for shift in (0, 2**70):
+        for r, b, l in _cases(rng, count, shift):
+            yield r, b, l
+    for _ in range(count // 2):
+        r, b, l = _planted(rng, 2)
+        twin = tuple(x + y for x, y in zip(b[1], r.matvec([1, -1])))
+        yield r, [twin] + b[1:], l  # b[0] replaced by a digit congruent to b[1]
+        yield r, b, l[:-1]
+
+
+def test_non_product_triples_match_the_oracle():
+    rng = random.Random(5)
+    verdicts, rows_path = [], 0
+    for r, b, l in _non_product_cases(rng, 30):
+        b, l = DigitSet.of(b), DigitSet.of(l)
+        _, axes, _ = triples._reduced_rows(r, b)
+        rows_path += axes is None or triples._axis_sets(l.rows) is None
+        res = hadamard_check(r, b, l)
+        assert res.ok == gram_is_identity(r, b, l), (r, b, l)
+        assert res.size_mismatch == (len(b) != len(l))
+        verdicts.append(res.ok)
+    assert rows_path >= 60 and 20 <= sum(verdicts) <= len(verdicts) - 20

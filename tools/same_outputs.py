@@ -61,15 +61,15 @@ SAMPLE_SEEDS = (1, 2)
 # example-2.6 checks run the kernels that read structured digit sets past
 # the bench sizes, and the inline product levels run the explicit digit
 # sets' product detection in `hadamard_check`.  `hadamard_check` decides
-# each level exactly (in floats only past the exact test's bounds, which no
-# case here reaches), as vanishing sums of roots of unity, and a CLI spectrum
-# gives a certified level a bound of 0; only a level it cannot decide, or
-# refutes, adds its dual float deviation `hadamard_check(R_iᵀ, L_i, B_i)`.
-# The spectra with exactness run that test past the bench sizes and with
-# nonzero k, a `tol` below the rounding floor no longer fails the inline
-# product spectrum, and the skew spectrum's levels are no axis products.  The
-# repro levels (R = 2·10¹⁰ + 1, B = {0, 1}, L = {0, 10¹⁰}) are 7.854e-11
-# from unitary in floats, within tol, and the exact test refutes them.
+# every level exactly, as vanishing sums of roots of unity: per axis on
+# products, and over runs of the exponent table otherwise, as on the skew
+# spectrum's levels and the two 1024- and 2025-digit levels below.  A CLI
+# spectrum gives a certified level a bound of 0, and a refuted one `-` from
+# that level on.  The spectra with exactness run that test past the bench
+# sizes and with nonzero k, and a `tol` below the rounding floor moves no
+# verdict.  The repro levels (R = 2·10¹⁰ + 1, B = {0, 1}, L = {0, 10¹⁰}) are
+# 7.854e-11 from unitary in floats, within tol, and the exact test refutes
+# them.
 _SKEW_LEVEL = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 _SKEW_TRIPLE = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [0, 2], [2, 0], [2, 2]],
                 "spectrum_digits": [[0, 0], [0, 1], [-3, -3], [-3, -2]]}
@@ -85,6 +85,12 @@ def _product_level(r, b, l):
     }
 
 
+# no axis products: B = L = {(x, y + 32(x mod 2))} under 64·I, refuted, and
+# R = [[45, 45], [0, 45]], B = {0..44}², L = {(x, x + y)}, certified
+_NONPRODUCT_ROWS = [[x, y + 32 * (x % 2)] for x in range(32) for y in range(32)]
+_NONPRODUCT_LEVEL = {"matrix": [[64, 0], [0, 64]], "digits": _NONPRODUCT_ROWS, "spectrum_digits": _NONPRODUCT_ROWS}
+_SKEW_2025_LEVEL = {"matrix": [[45, 45], [0, 45]], "digits": [[x, y] for x in range(45) for y in range(45)],
+                    "spectrum_digits": [[x, x + y] for x in range(45) for y in range(45)]}
 _WIDE_LEVEL = {"matrix": [[4]], "digits": [[0], [str(2 + 4 * 2**70)]], "spectrum_digits": [[0], [1]]}
 _REPRO_LEVEL = {"matrix": [[2 * 10**10 + 1]], "digits": [[0], [1]], "spectrum_digits": [[0], [10**10]]}
 # R = 2q with q = (2⁶¹ − 1)(2⁶⁴ − 59), B = {0, q}, L = {0, 1}: the exact test
@@ -196,6 +202,12 @@ INLINE = (
         "sequence": {"inline": [_WIDE_DET_LEVEL] * 2},
         "check": {"upto": 2, "hadamard_upto": 2, "checks": ["hadamard"]},
     }),
+    *((name, "check", {
+        "dimension": 2,
+        "sequence": {"inline": [level]},
+        "check": {"upto": 1, "hadamard_upto": 1, "checks": ["hadamard"]},
+    }) for name, level in (("inline/skew-2025-check", _SKEW_2025_LEVEL),
+                           ("inline/nonproduct-1024-check", _NONPRODUCT_LEVEL))),
     ("inline/repro-spectrum", "spectrum", {
         "dimension": 1,
         "sequence": {"inline": [_REPRO_LEVEL] * 2},
