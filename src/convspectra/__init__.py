@@ -32,7 +32,6 @@ from .sequences import (
     builtin_names,
     builtin_sequence,
     from_generator,
-    from_triples,
 )
 from .spectra import (
     build_spectrum,
@@ -43,7 +42,7 @@ from .spectra import (
     spectrum_exactness,
     write_levels,
 )
-from .triples import DigitSet, HadamardTriple, hadamard_check
+from .triples import DigitSet, hadamard_check
 
 __version__ = "0.1.0"
 
@@ -51,7 +50,6 @@ __all__ = [
     "ConvspectraError",
     "DigitSet",
     "DiscreteMeasure",
-    "HadamardTriple",
     "IntMatrix",
     "TripleSequence",
     "build_spectrum",
@@ -64,7 +62,6 @@ __all__ = [
     "equivalence_defect",
     "fourier_many",
     "from_generator",
-    "from_triples",
     "hadamard_check",
     "invert",
     "mu_truncate",

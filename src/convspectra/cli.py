@@ -69,7 +69,7 @@ from .spectra import (
     DEFAULT_FAIL_TOL,
     DEFAULT_GRID_CAP,
     DEFAULT_SPECTRUM_CAP,
-    _level_bounds,
+    _refuted_levels,
     build_spectrum,
     equi_positivity_scan,
     first_lowest,
@@ -314,7 +314,6 @@ _FIELDS = {
         "equipos": (_walk, "equipos", False),
         "seed": (_as_int, None, False),
         "max_atoms": (_as_int, 1, False),
-        "tol": (_as_float, None, False),
         "out": (_as_path, None, False),
         "grid_pitch": (_as_rational, None, False),
     },
@@ -598,12 +597,6 @@ def _series_table(title, diag, value_header="term"):
     return _table(title, ("level", value_header, "partial"), kept), notes
 
 
-def _deviation_cell(dev: float) -> str:
-    """A deviation for a table: 0.0 for a certified level, and nan (a
-    refuted one, whose deviation is not computed) as "-"."""
-    return "-" if math.isnan(dev) else f"{dev:.3e}"
-
-
 def cmd_check(cfg: RunConfig) -> Report:
     seq = cfg.build_sequence()
     sec = cfg.section("check")
@@ -629,9 +622,9 @@ def cmd_check(cfg: RunConfig) -> Report:
                 rows.append((k, len(b), "-", "no spectrum digits"))
                 ok_h = False
                 continue
-            res = hadamard_check(r, b, l)
-            rows.append((k, len(b), _deviation_cell(res.max_deviation), res.ok))
-            ok_h = ok_h and res.ok
+            ok = hadamard_check(r, b, l)
+            rows.append((k, len(b), "0.000e+00" if ok else "-", ok))
+            ok_h = ok_h and ok
         tables.append(_table("hadamard", ("level", "#digits", "deviation", "ok"), rows))
         verdicts["hadamard"] = "pass" if ok_h else "fail"
 
@@ -734,8 +727,8 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
     notes = [f"chooser: {sp.chooser}; nonzero offset choices: {len(sp.k_choices)}"]
     verdicts = {}
     if want_exactness:
-        bounds, refuted = _level_bounds(seq, sp.milestones)
-        cells = [(_deviation_cell(bound), ok) for bound, ok in bounds]
+        refuted = _refuted_levels(seq, sp.milestones[-1])
+        cells = [("0.000e+00", True) if not refuted or q < refuted[0] else ("-", False) for q in sp.milestones]
         verdicts["exactness"] = "pass" if not refuted else "fail"
         notes.extend(f"exactness: level {i} is not a Hadamard triple (exact test)" for i in refuted)
     else:
@@ -1018,8 +1011,8 @@ _COMMANDS = {
 
 # One-line help of each verb, and every flag a verb takes: flag ->
 # (destination, type, help).  The type converts the flag's value as given
-# (int and float as the built-ins read text); --config is the one required
-# flag.  Parsing, prefix matching and --help all read these tables.
+# (int as the built-in reads text); --config is the one required flag.
+# Parsing, prefix matching and --help all read these tables.
 _VERB_HELP = {
     "check": "run the requested convergence and admissibility checks",
     "spectrum": "build candidate spectrum levels and verify exactness",
@@ -1033,7 +1026,6 @@ _OPTIONS = {
     "--seed": ("seed", int, "override the config seed"),
     "--max-atoms": ("max_atoms", int, "override the spectrum level cap"),
     "--grid-pitch": ("grid_pitch", str, "override the scan pitch (p/q)"),
-    "--tol": ("tol", float, "override the unitarity tolerance"),
 }
 _HELP_FLAGS = ("-h", "--help")
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptySet, IndexOutOfRange, ValidationError
+from .errors import IndexOutOfRange, ValidationError
 from .exactmat import IntMatrix
-from .triples import DigitSet, HadamardTriple, mod_reduce
+from .triples import DigitSet, mod_reduce
 
 # Budget on the digits of all cached levels together: a level is cached only
 # while it fits next to those already held, and every other level is rebuilt
@@ -27,10 +27,10 @@ class TripleSequence:
 
     Levels are 1-based.  Levels are cached in the order they are first built
     until their digits together would pass `_DIGIT_CACHE_LIMIT`; a level past
-    that budget is held only until the next uncached level is built, and its
-    triple is not cached.  `length` is None for unbounded generators.
-    `declared_contractivity` is an optional exact bound c < 1 with
-    ‖R_k^{-1}‖₂ ≤ c for every k, declared by the generator for its tail.
+    that budget is held only until the next uncached level is built.
+    `length` is None for unbounded generators.  `declared_contractivity` is
+    an optional exact bound c < 1 with ‖R_k^{-1}‖₂ ≤ c for every k, declared
+    by the generator for its tail.
     """
 
     def __init__(
@@ -53,7 +53,6 @@ class TripleSequence:
         self.defect_tail_bound = defect_tail_bound
         self._levels: dict = {}
         self._held = 0  # digits of the levels in _levels
-        self._triples: dict = {}
         self._prefix: dict = {0: IntMatrix.identity(dim)}
         self._last_big = None  # (k, entry) for the most recent uncached level
         # validated R_k of every level built so far, cached or not
@@ -118,19 +117,6 @@ class TripleSequence:
                 self._last_big = (k, entry)
         return l
 
-    def triple(self, k: int) -> HadamardTriple:
-        """Validated Hadamard triple for level k; raises if L_k is missing/bad."""
-        if k in self._triples:
-            return self._triples[k]
-        r, b = self.matrix(k), self.digits(k)
-        l = self.spectrum_digits(k)
-        if l is None:
-            raise ValidationError(f"level {k} has no spectrum digit set")
-        t = HadamardTriple.make(r, b, l)
-        if k in self._levels:
-            self._triples[k] = t
-        return t
-
     # -- products --
 
     def prefix_matrix(self, k: int) -> IntMatrix:
@@ -161,25 +147,6 @@ class TripleSequence:
             name=(base.name + "+reduced") if base.name else "reduced",
             validate_digits=base.validate_digits,
         )
-
-
-def from_triples(triples, *, declared_contractivity=None, name: str = "") -> TripleSequence:
-    ts = list(triples)
-    if not ts:
-        raise EmptySet("sequence needs at least one triple")
-    dim = ts[0].dim
-
-    def gen(k: int):
-        t = ts[k - 1]
-        return t.r, t.b, t.l
-
-    return TripleSequence(
-        gen,
-        dim,
-        length=len(ts),
-        declared_contractivity=declared_contractivity,
-        name=name or "inline",
-    )
 
 
 def from_generator(fn, dim: int, **kwargs) -> TripleSequence:

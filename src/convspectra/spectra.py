@@ -164,7 +164,7 @@ def _check_spectrum_digits(seq, i: int) -> None:
     given, as many as B_i, and no two of its digits congruent mod R_iᵀZ^d;
     then the vectors of every level Λ_j are distinct exponentials on the
     atoms of μ_{q_j}.  Whether the level is a Hadamard triple is for
-    `_level_bounds` to say."""
+    `_refuted_levels` to say."""
     b, l = seq.digits(i), seq.spectrum_digits(i)
     if l is None:
         raise ValidationError(f"level {i} has no spectrum digit set")
@@ -448,12 +448,9 @@ def spectrum_exactness(
     return ExactnessResult(ok=dev <= tol, deviation=dev, size=n)
 
 
-def _level_bounds(seq, milestones) -> tuple:
-    """(bounds, refuted): per milestone q_j, (bound, ok) for the level Λ_j
-    that `build_spectrum` grew to q_j against μ_{q_j}, and the levels i whose
-    triple `hadamard_check` refutes.  bound is max |G − I| over that level:
-    0.0 while every level i ≤ q_j is certified, and nan (not known) with ok
-    False from the first refuted level on.
+def _refuted_levels(seq, upto: int) -> list:
+    """The levels i <= upto whose triple `hadamard_check` refutes.  A
+    milestone q_j is exact while no refuted level lies at or below it.
 
     A certified level has HH* = I exactly, and H is square, so H*H = I: its
     L-side Gram max_{ℓ ≠ ℓ'} |m_{B_i}(R_i⁻ᵀ(ℓ - ℓ'))| is 0.  Let λ ≠ λ'
@@ -464,14 +461,7 @@ def _level_bounds(seq, milestones) -> tuple:
     Π #B_i ≥ #supp μ_{q_j}, the Gram is then I and μ_{q_j}'s atoms are
     distinct and equally weighted.  Neither the level nor the measure is
     formed."""
-    bounds, refuted, done = [], [], 0
-    for q in milestones:
-        for i in range(done + 1, q + 1):
-            if not hadamard_check(seq.matrix(i), seq.digits(i), seq.spectrum_digits(i)).ok:
-                refuted.append(i)
-        bounds.append((math.nan, False) if refuted else (0.0, True))
-        done = q
-    return bounds, refuted
+    return [i for i in range(1, upto + 1) if not hadamard_check(seq.matrix(i), seq.digits(i), seq.spectrum_digits(i))]
 
 
 # ===== equi-positivity scan =====

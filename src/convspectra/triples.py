@@ -34,8 +34,6 @@ from .errors import (
     CongruentDigits,
     DimensionMismatch,
     EmptySet,
-    SizeMismatch,
-    TripleInvalid,
 )
 from .exactmat import IntMatrix, invert
 
@@ -291,13 +289,7 @@ def shared_masks(a: DigitSet, b: DigitSet):
 # ===== unitarity check =====
 
 
-class HadamardCheckResult(NamedTuple):
-    ok: bool
-    max_deviation: float  # max |G − I|: 0.0 for a certified triple, nan for any other
-    size_mismatch: bool
-
-
-def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet) -> HadamardCheckResult:
+def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet) -> bool:
     """Decide exactly whether [ (1/√#B) e^{-2πi (R^{-1}b)·ℓ} ] is unitary.
 
     Write R⁻¹b = y/den with den = |det R|.  The Gram entry of b ≠ b' is
@@ -307,15 +299,12 @@ def hadamard_check(r: IntMatrix, b: DigitSet, l: DigitSet) -> HadamardCheckResul
     y mod den and L are both products of their axis sets, over the distinct
     reduced differences otherwise.  A sum of k terms needs only the primes
     p <= k of den, found by trial division (`_small_primes`).  No float Gram
-    is formed: a certified triple reports a deviation of 0.0, and a refuted
-    one nan.  A size mismatch (#B ≠ #L) is reported in the result rather
-    than raised: the matrix is then rectangular and cannot be unitary.
+    is formed.  A size mismatch (#B ≠ #L) gives False rather than raising:
+    the matrix is then rectangular and cannot be unitary.
     """
     if r.dim != b.dim or r.dim != l.dim:
         raise DimensionMismatch("matrix and digit sets must share a dimension")
-    mismatch = len(b) != len(l)
-    ok = not mismatch and _gram_is_identity(r, b, l)
-    return HadamardCheckResult(ok=ok, max_deviation=0.0 if ok else math.nan, size_mismatch=mismatch)
+    return len(b) == len(l) and _gram_is_identity(r, b, l)
 
 
 def _reduced_rows(r: IntMatrix, b: DigitSet) -> tuple:
@@ -339,27 +328,6 @@ def _reduced_rows(r: IntMatrix, b: DigitSet) -> tuple:
     reduced = y % den
     axes = _axis_sets(reduced)
     return (den, None, reduced) if axes is None else (den, [a[:, 0] for a in axes], None)
-
-
-class HadamardTriple(NamedTuple):
-    """A triple (R, B, L) that `hadamard_check` certifies exactly."""
-
-    r: IntMatrix
-    b: DigitSet
-    l: DigitSet
-
-    @classmethod
-    def make(cls, r: IntMatrix, b: DigitSet, l: DigitSet) -> "HadamardTriple":
-        res = hadamard_check(r, b, l)
-        if res.size_mismatch:
-            raise SizeMismatch(f"#B = {len(b)} but #L = {len(l)}")
-        if not res.ok:
-            raise TripleInvalid("not a Hadamard triple: the exact test finds a Gram entry off the identity")
-        return cls(r, b, l)
-
-    @property
-    def dim(self) -> int:
-        return self.r.dim
 
 
 # ----- exact vanishing sums of roots of unity -----
@@ -506,7 +474,8 @@ def _sums_vanish(e: np.ndarray, den: int, primes) -> bool:
 def _rows_are_orthogonal(den: int, axes, reduced, l_rows: np.ndarray) -> bool:
     """Whether Σ_ℓ ζ^{δ·ℓ} = 0, ζ = e^{-2πi/den}, for every distinct
     difference δ ≠ 0 mod den of the reduced rows: the product of `axes` when
-    they are given, the distinct rows `reduced` otherwise.
+    they are given, the distinct rows `reduced` otherwise.  Only one δ of
+    each pair {δ, −δ} is tested.
 
     The differences are the distinct ones of each axis joined, or those of
     all pairs of rows, at 32 bytes per coordinate of each one formed: the
@@ -533,6 +502,17 @@ def _rows_are_orthogonal(den: int, axes, reduced, l_rows: np.ndarray) -> bool:
         eye = np.eye(d, dtype=np.int64)
         deltas = sum_rows([(x[:, None] * eye[c], 1) for c, x in enumerate(diffs)])
     deltas = deltas[~_every_column(deltas, lambda c: c == 0)]
+    # the sum at −δ is the conjugate of the sum at δ: keep one δ of each pair
+    # {δ, −δ mod den}, the one whose first coordinate off {0, den/2} lies
+    # below den/2, or δ itself when 2δ ≡ 0
+    keep = np.zeros(len(deltas), dtype=bool)
+    tie = ~keep
+    for c in range(d):
+        col = deltas[:, c]
+        rest = den - col
+        keep |= tie & (col > 0) & (col < rest)
+        tie &= (col == 0) | (col == rest)
+    deltas = deltas[keep | tie]
     wide = object in (deltas.dtype, l_rows.dtype) or d * den * den >= _INT64_SAFE
     dtype = object if wide else np.int64
     deltas, ls = deltas.astype(dtype, copy=False), l_rows.astype(dtype) % den

@@ -32,7 +32,7 @@ from convspectra.errors import (
 )
 from convspectra.exactmat import IntMatrix, product_range
 from convspectra.measures import DiscreteMeasure
-from convspectra.triples import DigitSet, HadamardTriple
+from convspectra.triples import DigitSet, hadamard_check
 
 _TWO_PI = 2.0 * math.pi
 
@@ -292,8 +292,14 @@ def map_digits(m: IntMatrix, b: DigitSet) -> DigitSet:
     return DigitSet.of([m.matvec(v) for v in b.vectors], b.dim)
 
 
-def compose_triples(triples) -> HadamardTriple:
-    """Collapse consecutive triples (R_1,B_1,L_1),...,(R_n,B_n,L_n) into one.
+def level_triple(seq, k: int) -> tuple:
+    """(R_k, B_k, L_k) of a sequence, with L_k built."""
+    return seq.matrix(k), seq.digits(k), seq.spectrum_digits(k)
+
+
+def compose_triples(triples) -> tuple:
+    """Collapse consecutive triples (R_1,B_1,L_1),...,(R_n,B_n,L_n) into one
+    (R, B, L), which `hadamard_check` must certify.
 
     R = R_n···R_1,  B = R_n···R_2 B_1 + ··· + B_n (Horner form),
     L = L_1 + R_1ᵀ L_2 + ··· + (R_{n-1}···R_1)ᵀ L_n.
@@ -302,29 +308,30 @@ def compose_triples(triples) -> HadamardTriple:
     ts = list(triples)
     if not ts:
         raise EmptySet("need at least one triple to compose")
-    dim = ts[0].dim
-    for t in ts:
-        if t.dim != dim:
+    dim = ts[0][0].dim
+    for r, _, _ in ts:
+        if r.dim != dim:
             raise DimensionMismatch("triples live in different dimensions")
-    r_acc = ts[0].r
-    b_acc = ts[0].b
-    expected_b = len(ts[0].b)
-    for t in ts[1:]:
-        r_acc = t.r.matmul(r_acc)
-        b_acc = minkowski_sum(map_digits(t.r, b_acc), t.b)
-        expected_b *= len(t.b)
+    r_acc, b_acc, _ = ts[0]
+    expected_b = len(b_acc)
+    for r, b, _ in ts[1:]:
+        r_acc = r.matmul(r_acc)
+        b_acc = minkowski_sum(map_digits(r, b_acc), b)
+        expected_b *= len(b)
         if len(b_acc) != expected_b:
             raise TripleInvalid("composed digit sets collided; inputs are not a Hadamard chain")
-    l_acc = ts[0].l
+    l_acc = ts[0][2]
     m_acc = IntMatrix.identity(dim)
-    expected_l = len(ts[0].l)
+    expected_l = len(l_acc)
     for j in range(1, len(ts)):
-        m_acc = m_acc.matmul(ts[j - 1].r.transpose())
-        l_acc = minkowski_sum(l_acc, map_digits(m_acc, ts[j].l))
-        expected_l *= len(ts[j].l)
+        m_acc = m_acc.matmul(ts[j - 1][0].transpose())
+        l_acc = minkowski_sum(l_acc, map_digits(m_acc, ts[j][2]))
+        expected_l *= len(ts[j][2])
         if len(l_acc) != expected_l:
             raise TripleInvalid("composed spectra collided; inputs are not a Hadamard chain")
-    return HadamardTriple.make(r_acc, b_acc, l_acc)
+    if not hadamard_check(r_acc, b_acc, l_acc):
+        raise TripleInvalid("the composed triple is not a Hadamard triple")
+    return r_acc, b_acc, l_acc
 
 
 # ===== vanishing sums of roots of unity =====
@@ -531,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--grid-pitch", dest="grid_pitch", help="override the scan pitch (p/q)"
     )
-    common.add_argument("--tol", type=float, help="override the unitarity tolerance")
 
     parser = argparse.ArgumentParser(
         prog="convspectra",

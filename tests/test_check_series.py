@@ -319,12 +319,10 @@ def test_a_walk_to_200_holds_at_most_the_digit_budget():
     seq = builtin_sequence("example-2.6")
     check_series(seq, SERIES_CHECKS, 200)
     for k in range(1, 41):
-        seq.triple(k)
+        seq.spectrum_digits(k)
     limit = sequences._DIGIT_CACHE_LIMIT
     # levels are held in walk order while they fit: #B_k = (k+1)^2, and
     # levels 1..29 hold 9454 digits
     assert sorted(seq._levels) == list(range(1, 30))
     assert sum(len(b) for _, b, _ in seq._levels.values()) == 9454 <= limit
-    assert sorted(seq._triples) == list(range(1, 30))
-    assert sum(len(t.b) for t in seq._triples.values()) <= limit
     assert seq._last_big[0] == 40

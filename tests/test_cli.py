@@ -881,7 +881,7 @@ def test_out_writes_into_a_pipe():
 
 # -- command line -----------------------------------------------------------
 
-_DESTS = ("config", "out", "seed", "max_atoms", "tol", "grid_pitch")
+_DESTS = ("config", "out", "seed", "max_atoms", "grid_pitch")
 
 # every spelling the argparse parser of tests/oracles.py accepts
 _VALID_ARGV = [
@@ -892,9 +892,9 @@ _VALID_ARGV = [
     ["equipos", "--config", "a.json", "--seed", "1", "--config", "b.json", "--seed", "2"],
     ["sample", "--config", "c.json", "--seed", "-5"],
     ["sample", "--seed=-5", "--config", "c.json"],
-    ["spectrum", "--config", "c.json", "--max-atoms", "64", "--tol", "1e-9", "--out", "-"],
-    ["spectrum", "--config", "c.json", "--max=-64", "--t", "-.5", "--o=-x", "--gr", "-3"],
-    ["check", "--config", "c.json", "--max-atoms", "1_000", "--tol", " 2 ", "--seed", "+3"],
+    ["spectrum", "--config", "c.json", "--max-atoms", "64", "--out", "-"],
+    ["spectrum", "--config", "c.json", "--max=-64", "--o=-x", "--gr", "-3"],
+    ["check", "--config", "c.json", "--max-atoms", "1_000", "--seed", " +3 "],
     ["check", "--config", "c.json", "--out", "- x"],
 ]
 
@@ -918,6 +918,8 @@ _REFUSED_ARGV = [
     ["check", "--config", "c.json", "--se=x"],
     ["check", "--config", "c.json", "--max-atoms", "2**20"],
     ["check", "--config", "c.json", "--tol", "fast"],
+    ["check", "--config", "c.json", "--tol", "1e-9"],
+    ["spectrum", "--config", "c.json", "--t", "-.5"],
     ["check", "--config", "c.json", "--help=x"],
     ["check", "--=c.json"],
 ]
@@ -1303,7 +1305,6 @@ FULL_DOC = {
     },
     "seed": 7,
     "max_atoms": 1000,
-    "tol": 1e-9,
     "out": "levels.txt",
     "grid_pitch": "1/4",
 }
@@ -1332,16 +1333,16 @@ def _sha(doc):
 
 
 def test_valid_document_emission_is_pinned():
-    assert _sha(FULL_DOC) == "6e8e0e83703010b4dd6223749dd76114879e0252cf387f02d1d1b28bc29f984e"
+    assert _sha(FULL_DOC) == "aa1c2de1ccfafcf4c7281de1b52d6afe8ba00031b89c6cebfe4bd771cc48a2e2"
     # an empty params object is dropped from the emission
     no_params = dict(FULL_DOC, sequence={"generator": "jorgensen-pedersen"})
     empty_params = dict(FULL_DOC, sequence={"generator": "jorgensen-pedersen", "params": {}})
     assert _sha(no_params) == _sha(empty_params)
-    assert _sha(no_params) == "dbe866ba9659c38de52f1408ef9660cab8c4d759a1a76727929a8db0c6a530db"
+    assert _sha(no_params) == "89b46101f9dbbda521e73cc1e78326020179a36ef8f7b3c9e0fc566141eee945"
     # a big digit given as a decimal string, and a level without spectrum digits
     big = {"matrix": [[2]], "digits": [[0], ["9007199254740993"]]}
     inline = dict(FULL_DOC, sequence={"inline": [LEVEL, big]})
-    assert _sha(inline) == "33a62404011c2b41f0f7bb36a3d2c6ab9af0baa052ef54bd231b74690ac34255"
+    assert _sha(inline) == "6cc1f4e1a296ddc80e31d5276f8943dec1c561a1d4c9c9f26320f5e7bf5efd4d"
 
 
 SINGLE_FAULTS = [
@@ -1366,11 +1367,11 @@ SINGLE_FAULTS = [
     ("max_atoms big string below minimum", ("max_atoms",), "-1152921504606846976",
      ValidationError, "field 'max_atoms': must be >= 1, got -1152921504606846976"),
     ("tol string", ("tol",), "1e-9",
-     ParseError, "field 'tol': expected a number"),
+     ParseError, "field 'tol': unknown field"),
     ("tol boolean", ("tol",), True,
-     ParseError, "field 'tol': expected a number"),
+     ParseError, "field 'tol': unknown field"),
     ("tol zero", ("tol",), 0,
-     ValidationError, "field 'tol': must be positive, got 0.0"),
+     ParseError, "field 'tol': unknown field"),
     ("out not string", ("out",), 5,
      ParseError, "field 'out': expected a string"),
     ("out empty", ("out",), "",
@@ -1523,6 +1524,10 @@ SINGLE_FAULTS = [
      ParseError, "field 'equipos.fail_tol': expected a number"),
     ("equipos fail_tol negative", ("equipos", "fail_tol"), -1e-09,
      ValidationError, "field 'equipos.fail_tol': must be positive, got -1e-09"),
+    ("equipos fail_tol boolean", ("equipos", "fail_tol"), True,
+     ParseError, "field 'equipos.fail_tol': expected a number"),
+    ("equipos fail_tol zero", ("equipos", "fail_tol"), 0,
+     ValidationError, "field 'equipos.fail_tol': must be positive, got 0.0"),
     ("equipos grid_cap boolean", ("equipos", "grid_cap"), False,
      ParseError, "field 'equipos.grid_cap': expected an integer, got a boolean"),
     ("equipos unknown key", ("equipos", "x_radius"), "1/12",
@@ -1545,7 +1550,7 @@ def test_single_fault_error_is_pinned(path, value, exc, message):
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
-@pytest.mark.parametrize("field", ["tol", "equipos.fail_tol"])
+@pytest.mark.parametrize("field", ["equipos.fail_tol"])
 def test_non_finite_float_fields_are_rejected(field, literal):
     doc = jp_doc(equipos={"depth": 2, "y_radius": "1/12"})
     section, _, name = field.rpartition(".")
@@ -1556,17 +1561,27 @@ def test_non_finite_float_fields_are_rejected(field, literal):
 
 
 def test_integer_past_the_double_range_is_not_a_finite_float():
-    with pytest.raises(ValidationError, match="field 'tol': must be finite"):
-        cli.parse_config(json.dumps(jp_doc(tol=10**400)))
+    doc = jp_doc(equipos={"depth": 2, "y_radius": "1/12", "fail_tol": 10**400})
+    with pytest.raises(ValidationError, match="field 'equipos.fail_tol': must be finite"):
+        cli.parse_config(json.dumps(doc))
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-1e999"])
 def test_tol_flag_rejects_non_finite_values(tmp_path, value):
+    # there is no --tol flag: every value of it is refused
     cfg = write_config(tmp_path, jp_doc(check={"upto": 2, "checks": ["hadamard"]}))
     rc, out, err = run_cli(["check", "--config", cfg, f"--tol={value}"])
     assert rc == 2
-    assert "config error: field 'tol': must be finite" in err
+    assert err.endswith(f"convspectra check: error: unrecognized arguments: --tol={value}\n")
     assert out == ""
+
+
+def test_the_tol_flag_and_field_are_refused(tmp_path):
+    cfg = write_config(tmp_path, jp_doc(check={"upto": 2, "checks": ["hadamard"]}))
+    rc, out, err = run_cli(["check", "--config", cfg, "--tol", "1e-9"])
+    assert (rc, out) == (2, "") and err.endswith("error: unrecognized arguments: --tol 1e-9\n")
+    cfg = write_config(tmp_path, jp_doc(tol=1e-9, check={"upto": 2, "checks": ["hadamard"]}))
+    assert run_cli(["check", "--config", cfg]) == (2, "", "config error: field 'tol': unknown field\n")
 
 
 @pytest.mark.parametrize(
@@ -1638,11 +1653,11 @@ def test_with_top_reads_only_the_overrides(monkeypatch):
         raise AssertionError("with_top walked the whole document")
 
     monkeypatch.setattr(cli, "_walk", no_walk)
-    new = cfg.with_top(seed=9, tol=0.5, grid_pitch="2/4", out=None)
-    assert new.doc == {**cfg.doc, "seed": 9, "tol": 0.5, "grid_pitch": "1/2"}
+    new = cfg.with_top(seed=9, max_atoms=16, grid_pitch="2/4", out=None)
+    assert new.doc == {**cfg.doc, "seed": 9, "max_atoms": 16, "grid_pitch": "1/2"}
     assert cfg.doc["seed"] == 3
-    with pytest.raises(ValidationError, match=r"^field 'tol': must be finite, got nan$"):
-        cfg.with_top(tol=float("nan"))
+    with pytest.raises(ValidationError, match=r"^field 'max_atoms': must be >= 1, got 0$"):
+        cfg.with_top(max_atoms=0)
     with pytest.raises(ParseError, match=r"^field 'bogus': unknown field$"):
         cfg.with_top(bogus=1)
 

@@ -20,3 +20,10 @@ def test_star_import():
     import convspectra
 
     assert set(convspectra.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", ["HadamardTriple", "from_triples"])
+def test_removed_names_are_gone(name):
+    import convspectra
+
+    assert not hasattr(convspectra, name) and name not in convspectra.__all__

@@ -12,9 +12,10 @@ from convspectra.sequences import (
     builtin_names,
     builtin_sequence,
     from_generator,
-    from_triples,
 )
-from convspectra.triples import DigitSet, HadamardTriple, hadamard_check
+from convspectra.spectra import build_spectrum
+from convspectra.triples import DigitSet, hadamard_check
+from oracles import level_triple
 
 
 def test_builtin_registry():
@@ -31,8 +32,7 @@ def test_quarter_line_sequence_levels():
         assert seq.matrix(k).rows == ((4,),)
         assert seq.digits(k).vectors == ((0,), (2,))
         assert seq.spectrum_digits(k).vectors == ((0,), (1,))
-    t = seq.triple(3)
-    assert isinstance(t, HadamardTriple) and hadamard_check(*t).ok
+    assert hadamard_check(*level_triple(seq, 3)) is True
 
 
 def test_prefix_matrices_and_inverse():
@@ -86,7 +86,7 @@ def test_planar_family_level_one_exact():
     seq = builtin_sequence("example-2.6")
     assert seq.digits(1).vectors == ((0, 0), (0, 1), (1, 1), (17, 0))
     assert seq.spectrum_digits(1).vectors == ((-8, -8), (-8, 0), (0, -8), (0, 0))
-    assert hadamard_check(*seq.triple(1)).ok
+    assert hadamard_check(*level_triple(seq, 1))
 
 
 def test_planar_family_digit_order_is_sorted():
@@ -99,7 +99,7 @@ def test_planar_family_digit_order_is_sorted():
 def test_planar_family_spectra_are_unitary_through_k6():
     seq = builtin_sequence("example-2.6")
     for k in range(1, 7):
-        assert hadamard_check(*seq.triple(k)).ok
+        assert hadamard_check(*level_triple(seq, k))
 
 
 def test_planar_family_defect_metadata():
@@ -114,24 +114,23 @@ def test_reduced_planar_family_restores_grid():
         assert red.digits(k).vectors == tuple(sorted(grid))
     assert red.name.endswith("+reduced")
     # reduced levels still pair with the same spectra
-    assert hadamard_check(*red.triple(2)).ok
+    assert hadamard_check(*level_triple(red, 2))
 
 
 def test_bernoulli_family():
     seq = builtin_sequence("bernoulli-quarter")
     assert seq.digits(9).vectors == ((-1,), (1,))
-    assert hadamard_check(*seq.triple(9)).ok
+    assert hadamard_check(*level_triple(seq, 9))
     assert seq.declared_contractivity == Fraction(1, 4)
 
 
-def test_from_triples_inline():
-    t1 = HadamardTriple.make(
-        IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (1,)])
-    )
-    t2 = HadamardTriple.make(
-        IntMatrix.diagonal([2]), DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), (1,)])
-    )
-    seq = from_triples([t1, t2], name="two-step")
+def test_inline_levels_from_a_generator():
+    ts = [
+        (IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), DigitSet.of([(0,), (1,)])),
+        (IntMatrix.diagonal([2]), DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), (1,)])),
+    ]
+    assert all(hadamard_check(*t) for t in ts)
+    seq = from_generator(lambda k: ts[k - 1], 1, length=len(ts), name="two-step")
     assert seq.length == 2
     assert seq.matrix(2).rows == ((2,),)
     assert seq.prefix_matrix(2).rows == ((8,),)
@@ -151,7 +150,7 @@ def test_generator_validation():
         validate_digits=False,
     )
     assert len(loose.digits(1)) == 1
-    assert hadamard_check(*loose.triple(1)) == (True, 0.0, False)  # 1x1 identity is unitary
+    assert hadamard_check(*level_triple(loose, 1)) is True  # 1x1 identity is unitary
 
     singular = from_generator(
         lambda k: (IntMatrix(((0,),)), DigitSet.of([(0,), (1,)]), None), 1
@@ -171,8 +170,8 @@ def test_missing_spectrum_digits_raise_on_triple():
         lambda k: (IntMatrix.diagonal([4]), DigitSet.of([(0,), (2,)]), None), 1
     )
     assert seq.spectrum_digits(1) is None
-    with pytest.raises(ValidationError):
-        seq.triple(1)
+    with pytest.raises(ValidationError, match="level 1 has no spectrum digit set"):
+        build_spectrum(seq, [1])
 
 
 def test_rebuilt_levels_keep_their_first_matrix_instance(monkeypatch):

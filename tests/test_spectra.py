@@ -34,7 +34,7 @@ from convspectra.spectra import (
     write_levels,
 )
 from convspectra.triples import DigitSet
-from oracles import compose_triples, fourier, level_tuples, tuple_spectrum
+from oracles import compose_triples, fourier, level_triple, level_tuples, tuple_spectrum
 from test_structured import twin
 
 
@@ -76,8 +76,8 @@ def test_levels_match_triple_composition():
         seq = builtin_sequence(name)
         sp = build_spectrum(seq, list(range(1, tops + 1)))
         for j in range(1, tops + 1):
-            composed = compose_triples([seq.triple(i) for i in range(1, j + 1)])
-            assert set(level_tuples(sp.levels[j - 1])) == set(composed.l.vectors)
+            _, _, l = compose_triples([level_triple(seq, i) for i in range(1, j + 1)])
+            assert set(level_tuples(sp.levels[j - 1])) == set(l.vectors)
 
 
 def test_zero_membership_and_nesting():

@@ -1,13 +1,12 @@
 """Digit sets, unitarity checks, modular reduction, and the composition
 oracle."""
-import math
 import random
 
 import pytest
 
-from convspectra.errors import CongruentDigits, EmptySet, SizeMismatch, TripleInvalid
+from convspectra.errors import CongruentDigits, EmptySet
 from convspectra.exactmat import IntMatrix
-from convspectra.triples import DigitSet, HadamardTriple, hadamard_check, mod_reduce
+from convspectra.triples import DigitSet, hadamard_check, mod_reduce
 from oracles import compose_triples, map_digits, minkowski_sum
 
 
@@ -49,44 +48,40 @@ def test_minkowski_and_map():
 
 
 def test_quarter_line_triple_is_unitary():
-    res = hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
-    assert res.ok
-    assert res.max_deviation < 1e-12
-    assert not res.size_mismatch
+    assert hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)])) is True
 
 
 def test_quarter_line_bad_digits_not_unitary():
     # {0, 1} against {0, 1}: phases 0 and 1/4 give a visibly non-unitary matrix.
-    res = hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (1,)]), dset([(0,), (1,)]))
-    assert not res.ok
-    assert math.isnan(res.max_deviation)  # a refuted triple's deviation is not computed
+    assert hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (1,)]), dset([(0,), (1,)])) is False
+
+
+@pytest.mark.parametrize(
+    "b, l, want",
+    [
+        ([(0,), (2,)], [(0,), (1,)], True),
+        ([(0,), (1,)], [(0,), (1,)], False),
+        ([(0,), (2,)], [(0,), (1,), (2,)], False),
+    ],
+)
+def test_hadamard_check_returns_a_bool(b, l, want):
+    assert hadamard_check(IntMatrix.diagonal([4]), dset(b), dset(l)) is want
 
 
 def test_planar_level_one_is_unitary():
     r = IntMatrix.diagonal([16, 16])
     b = dset([(0, 0), (0, 1), (1, 1), (17, 0)])
     l = dset([(-8, -8), (-8, 0), (0, -8), (0, 0)])
-    res = hadamard_check(r, b, l)
-    assert res.ok and res.max_deviation < 1e-9
+    assert hadamard_check(r, b, l) is True
 
 
 def test_size_mismatch_reported_not_raised():
-    res = hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,), (2,)]))
-    assert res.size_mismatch
-    assert not res.ok
+    assert hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,), (2,)])) is False
 
 
-def test_make_rejects_bad_triple():
-    with pytest.raises(SizeMismatch):
-        HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,)]))
-    with pytest.raises(TripleInvalid):
-        HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (1,)]), dset([(0,), (1,)]))
-
-
-def test_make_accepts_and_freezes():
-    t = HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
-    assert t.dim == 1
-    assert t == (IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
+def test_bad_triples_are_refuted():
+    assert hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,)])) is False
+    assert hadamard_check(IntMatrix.diagonal([4]), dset([(0,), (1,)]), dset([(0,), (1,)])) is False
 
 
 # ---- modular reduction ----
@@ -143,36 +138,35 @@ def test_mod_reduce_idempotent_random():
 
 
 def test_compose_two_quarter_levels():
-    t = HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
-    c = compose_triples([t, t])
-    assert c.r.rows == ((16,),)
-    assert c.b.vectors == ((0,), (2,), (8,), (10,))
-    assert c.l.vectors == ((0,), (1,), (4,), (5,))
-    assert hadamard_check(*c).ok
+    t = (IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
+    r, b, l = compose_triples([t, t])
+    assert r.rows == ((16,),)
+    assert b.vectors == ((0,), (2,), (8,), (10,))
+    assert l.vectors == ((0,), (1,), (4,), (5,))
+    assert hadamard_check(r, b, l)
 
 
 def test_compose_planar_levels_counts():
     r1 = IntMatrix.diagonal([16, 16])
     b1 = dset([(0, 0), (0, 1), (1, 1), (17, 0)])
     l1 = dset([(-8, -8), (-8, 0), (0, -8), (0, 0)])
-    t1 = HadamardTriple.make(r1, b1, l1)
+    t1 = (r1, b1, l1)
     r2 = IntMatrix.diagonal([24, 24])
     rows = [(x, y) for x in range(3) for y in range(3)]
     rows.remove((2, 0))
     rows.append((2 + 8**2 * 6, 0))
     b2 = dset(rows)
     l2 = dset([(x, y) for x in (-8, 0, 8) for y in (-8, 0, 8)])
-    t2 = HadamardTriple.make(r2, b2, l2)
-    c = compose_triples([t1, t2])
-    assert c.r.rows == ((384, 0), (0, 384))
-    assert len(c.b) == 36 and len(c.l) == 36
-    assert hadamard_check(*c).ok
+    t2 = (r2, b2, l2)
+    r, b, l = compose_triples([t1, t2])
+    assert r.rows == ((384, 0), (0, 384))
+    assert len(b) == 36 and len(l) == 36
+    assert hadamard_check(r, b, l)
 
 
 def test_compose_single_is_same_triple():
-    t = HadamardTriple.make(IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
-    c = compose_triples([t])
-    assert c.r == t.r and c.b == t.b and c.l == t.l
+    t = (IntMatrix.diagonal([4]), dset([(0,), (2,)]), dset([(0,), (1,)]))
+    assert compose_triples([t]) == t
 
 
 def test_compose_random_products_stay_unitary():
@@ -183,16 +177,14 @@ def test_compose_random_products_stay_unitary():
         ((4,), [(-1,), (1,)], [(0,), (1,)]),
         ((6,), [(0,), (2,), (4,)], [(0,), (1,), (2,)]),
     ]
-    ts = [
-        HadamardTriple.make(IntMatrix.diagonal(list(r)), dset(b), dset(l))
-        for r, b, l in base
-    ]
+    ts = [(IntMatrix.diagonal(list(r)), dset(b), dset(l)) for r, b, l in base]
+    assert all(hadamard_check(*t) for t in ts)
     for _ in range(10):
         picks = [rng.choice(ts) for _ in range(rng.randrange(2, 5))]
-        c = compose_triples(picks)
-        assert hadamard_check(*c).ok
-        assert len(c.b) == len(c.l)
+        r, b, l = compose_triples(picks)
+        assert hadamard_check(r, b, l)
+        assert len(b) == len(l)
         want = 1
-        for p in picks:
-            want *= len(p.b)
-        assert len(c.b) == want
+        for _, pb, _ in picks:
+            want *= len(pb)
+        assert len(b) == want

@@ -12,7 +12,6 @@ import pytest
 import numpy as np
 
 from convspectra import cli, triples
-from convspectra.errors import TripleInvalid
 from convspectra.exactmat import IntMatrix
 from convspectra.triples import DigitSet, _small_primes, _sums_vanish, _vanishes, hadamard_check
 from float_gram import float_deviation
@@ -179,10 +178,9 @@ def test_exact_verdicts_match_the_oracle_on_random_and_skew_triples(shift):
     verdicts, wide = [], False
     for r, b, l in _cases(rng, 40, shift):
         b, l = DigitSet.of(b), DigitSet.of(l)
-        res = hadamard_check(r, b, l)
-        assert res.ok == gram_is_identity(r, b, l), (r, b, l)
-        assert (res.max_deviation == 0.0) == res.ok
-        verdicts.append(res.ok)
+        ok = hadamard_check(r, b, l)
+        assert ok is gram_is_identity(r, b, l), (r, b, l)
+        verdicts.append(ok)
         wide = wide or object in (b.rows.dtype, l.rows.dtype)
     assert 30 <= sum(verdicts) <= len(verdicts) - 30
     assert wide == bool(shift)
@@ -195,7 +193,7 @@ def test_exact_verdicts_match_the_oracle_one_difference_per_run(monkeypatch):
     rng = random.Random(11)
     for r, b, l in _cases(rng, 20):
         b, l = DigitSet.of(b), DigitSet.of(l)
-        assert hadamard_check(r, b, l).ok == gram_is_identity(r, b, l), (r, b, l)
+        assert hadamard_check(r, b, l) == gram_is_identity(r, b, l), (r, b, l)
 
 
 def test_a_triple_that_floats_pass_is_refuted():
@@ -203,10 +201,7 @@ def test_a_triple_that_floats_pass_is_refuted():
     r = IntMatrix.diagonal([2 * 10**10 + 1])
     b, l = DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), (10**10,)])
     assert abs(float_deviation(r, b, l) - math.pi / 4e10) < 1e-15
-    res = hadamard_check(r, b, l)
-    assert not res.ok and math.isnan(res.max_deviation) and not res.size_mismatch
-    with pytest.raises(TripleInvalid):
-        triples.HadamardTriple.make(r, b, l)
+    assert len(b) == len(l) and hadamard_check(r, b, l) is False
 
 
 def test_a_large_prime_determinant_is_refuted_exactly():
@@ -216,10 +211,7 @@ def test_a_large_prime_determinant_is_refuted_exactly():
     p = 2**89 - 1
     r, b, l = IntMatrix.diagonal([p]), DigitSet.of([(0,), (1,)]), DigitSet.of([(0,), ((p - 1) // 2,)])
     assert float_deviation(r, b, l) == pytest.approx(6.123e-17, rel=1e-3)
-    res = hadamard_check(r, b, l)
-    assert not res.ok and math.isnan(res.max_deviation)
-    with pytest.raises(TripleInvalid):
-        triples.HadamardTriple.make(r, b, l)
+    assert hadamard_check(r, b, l) is False
 
 
 def test_a_determinant_with_large_prime_cofactors_is_certified():
@@ -227,7 +219,7 @@ def test_a_determinant_with_large_prime_cofactors_is_certified():
     # Gram entry 1 + ζ_{2q}^q = 0, decided from the prime 2 alone
     q = (2**61 - 1) * (2**64 - 59)
     r, b, l = IntMatrix.diagonal([2 * q]), DigitSet.of([(0,), (q,)]), DigitSet.of([(0,), (1,)])
-    assert hadamard_check(r, b, l) == (True, 0.0, False)
+    assert hadamard_check(r, b, l) is True
 
 
 def _levels(argv, doc, seq) -> list:
@@ -235,8 +227,9 @@ def _levels(argv, doc, seq) -> list:
     hadamard levels, each `spectrum` level with its dual, and the first four
     levels of any other command; none for a command line the CLI refuses."""
     top = seq.length or 10**9
-    verb = argv[0] if argv and argv[0] in same_outputs.VERBS else None
-    if verb is None:
+    try:
+        verb, _ = cli._parse_argv(argv)
+    except cli._Exit:
         return []
     if verb == "check":
         sec = doc.get("check", {})
@@ -271,7 +264,7 @@ def test_exact_verdicts_equal_the_float_verdicts_on_every_compared_command():
                 continue
             args = (r.transpose(), l, b) if dual else (r, b, l)
             dev = float_deviation(*args)
-            assert hadamard_check(*args).ok == (dev <= 1e-9), (name, k, dual, dev)
+            assert hadamard_check(*args) == (dev <= 1e-9), (name, k, dual, dev)
     assert len(checked) >= 350
 
 
@@ -339,6 +332,23 @@ def test_the_table_kernel_decides_moduli_past_int64(s):
         assert _vanishes(_counts(e), n, _small_primes(n, len(set(e)))) == want
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_the_table_test_takes_one_difference_of_each_pair(n, monkeypatch):
+    # the sum at −δ is the conjugate of the sum at δ: the table of the skew
+    # level holds one row per pair {δ, −δ mod den}, and δ alone when 2δ ≡ 0
+    tested = []
+    real = triples._sums_vanish
+    monkeypatch.setattr(triples, "_sums_vanish", lambda e, den, primes: tested.append(len(e)) or real(e, den, primes))
+    r = IntMatrix(((n, n), (0, n)))
+    b = DigitSet.of([(x, y) for x in range(n) for y in range(n)])
+    l = DigitSet.of([(x, x + y) for x in range(n) for y in range(n)])
+    assert hadamard_check(r, b, l) is True
+    den, y = triples.numerators(r, b)
+    deltas = {tuple(int(c) % den for c in u - v) for u in y for v in y} - {(0, 0)}
+    pairs = {min(d, tuple(-c % den for c in d)) for d in deltas}
+    assert sum(tested) == len(pairs) < len(deltas)
+
+
 def _non_product_cases(rng, count: int):
     """Triples whose reduced rows or L are no axis products: random and
     skew ones, with digits past int64, with two digits congruent mod R, and
@@ -360,8 +370,8 @@ def test_non_product_triples_match_the_oracle():
         b, l = DigitSet.of(b), DigitSet.of(l)
         _, axes, _ = triples._reduced_rows(r, b)
         rows_path += axes is None or triples._axis_sets(l.rows) is None
-        res = hadamard_check(r, b, l)
-        assert res.ok == gram_is_identity(r, b, l), (r, b, l)
-        assert res.size_mismatch == (len(b) != len(l))
-        verdicts.append(res.ok)
+        ok = hadamard_check(r, b, l)
+        assert ok == gram_is_identity(r, b, l), (r, b, l)
+        assert not ok or len(b) == len(l)
+        verdicts.append(ok)
     assert rows_path >= 60 and 20 <= sum(verdicts) <= len(verdicts) - 20

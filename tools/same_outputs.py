@@ -66,10 +66,9 @@ SAMPLE_SEEDS = (1, 2)
 # spectrum's levels and the two 1024- and 2025-digit levels below.  A CLI
 # spectrum gives a certified level a bound of 0, and a refuted one `-` from
 # that level on.  The spectra with exactness run that test past the bench
-# sizes and with nonzero k, and a `tol` below the rounding floor moves no
-# verdict.  The repro levels (R = 2·10¹⁰ + 1, B = {0, 1}, L = {0, 10¹⁰}) are
-# 7.854e-11 from unitary in floats, within tol, and the exact test refutes
-# them.
+# sizes and with nonzero k.  The repro levels (R = 2·10¹⁰ + 1, B = {0, 1},
+# L = {0, 10¹⁰}) are 7.854e-11 from unitary in floats, within a float
+# tolerance of 1e-9, and the exact test refutes them.
 _SKEW_LEVEL = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 _SKEW_TRIPLE = {"matrix": [[4, 1], [0, 4]], "digits": [[0, 0], [0, 2], [2, 0], [2, 2]],
                 "spectrum_digits": [[0, 0], [0, 1], [-3, -3], [-3, -2]]}
@@ -175,7 +174,6 @@ INLINE = (
             _product_level((8, 6), ([0, 2, 4, 6], [0, 2, 4]), ([0, 1, 2, 3], [0, 1, 2])),
             _product_level((8, 10), ([0, 2, 4, 6], [0, 2, 4, 6, 8]), ([0, 1, 2, 3], [0, -1, 1, 2, -2])),
         ]},
-        "tol": 1e-18,
         "spectrum": {"milestones": [1, 2, 3], "exactness": True},
     }),
     ("inline/spectrum-skew", "spectrum", {
@@ -298,8 +296,6 @@ ARGV = (
      _shipped("planar-sample")),
     ("argv/max-atoms", ["spectrum", *_CONFIG, *_OUT, "--max-atoms", "16"], _shipped("jorgensen-pedersen-spectrum")),
     ("argv/max-atoms-cap", ["spectrum", *_OUT, "--max-a=8", *_CONFIG], _shipped("jorgensen-pedersen-spectrum")),
-    ("argv/tol", ["spectrum", *_CONFIG, *_OUT, "--tol", "1e-18"], _shipped("jorgensen-pedersen-spectrum")),
-    ("argv/tol-prefix", ["check", *_CONFIG, *_OUT, "--t=0.5"], _shipped("bernoulli-quarter-check")),
     ("argv/grid-pitch", ["qscan", *_CONFIG, *_OUT, "--grid-pitch", "1/12"], _shipped("jorgensen-pedersen-qscan")),
     ("argv/grid-pitch-prefix", ["qscan", *_CONFIG, *_OUT, "--g=2/7"], _shipped("jorgensen-pedersen-qscan")),
     *((f"argv/refused: {' '.join(argv) or '(no verb)'}", argv, _shipped("bernoulli-quarter-check")) for argv in (
@@ -313,6 +309,8 @@ ARGV = (
         ["check", *_CONFIG, "--seed", "1.5"],
         ["check", *_CONFIG, "--max-atoms", "2e6"],
         ["check", *_CONFIG, "--tol", "tight"],
+        ["spectrum", *_CONFIG, *_OUT, "--tol", "1e-18"],
+        ["check", *_CONFIG, *_OUT, "--t=0.5"],
     )),
 )
 
