@@ -310,8 +310,9 @@ ARGV = (
         ["check", *_CONFIG, "--max-atoms", "2e6"],
         ["check", *_CONFIG, "--tol", "tight"],
         ["spectrum", *_CONFIG, *_OUT, "--tol", "1e-18"],
-        ["check", *_CONFIG, *_OUT, "--t=0.5"],
     )),
+    # `--t` was the prefix of the `--tol` flag and no flag starts with it now
+    ("argv/tol-prefix", ["check", *_CONFIG, *_OUT, "--t=0.5"], _shipped("bernoulli-quarter-check")),
 )
 
 # The contractivity bound of a `check` config, as the library computes it
